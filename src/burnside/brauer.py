@@ -8,12 +8,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .exact import extended_euclid_set
+from .exact import extended_euclid_set, prime_factors
 from .groups import (
     SubgroupLattice,
     conjugacy_classes,
     is_n_hyper,
-    p_perfect_core,
     perm_to_cycles,
 )
 from .marks import (
@@ -25,7 +24,7 @@ from .marks import (
     fixed_points_of_element,
     solve_ghost,
 )
-from .artin import abelian_family, order_n
+from .artin import AbelianClassFamily, abelian_family, order_n
 
 
 class BrauerError(Exception):
@@ -72,21 +71,16 @@ class BrauerCertificate:
 
 
 def core_classification(lattice: SubgroupLattice, p: int) -> list[int]:
-    """For each class (K), the class index of (O^p(K))."""
-    degree = lattice.group.degree
-    out = []
-    for cls in lattice.classes:
-        core = p_perfect_core(cls.element_set, p, degree)
-        idx, _ = lattice.class_of_subgroup(core)
-        out.append(idx)
-    return out
+    """For each class (K), the class index of (O^p(K)); computed once per
+    lattice and prime."""
+    return list(lattice.p_core_classes(p))
 
 
 def local_idempotent(h: int, p: int, table: MarksTable, n: int | float = 1) -> LocalIdempotent:
     """The idempotent ghost supported on classes whose p-perfect core is (H),
     together with the integral element solving its |G|_n-coprime multiple."""
     lattice = table.lattice
-    cores = core_classification(lattice, p)
+    cores = lattice.p_core_classes(p)
     if cores[h] != h:
         raise NotPPerfect(f"class {lattice.label_of(h)} is not {p}-perfect")
     ghost = GhostElement(tuple(1 if core == h else 0 for core in cores))
@@ -104,15 +98,14 @@ def i_pn(p: int, table: MarksTable, n: int | float) -> GhostElement:
     p-group and 0 elsewhere."""
     lattice = table.lattice
     family = abelian_family(lattice, n)
-    scale = coprime_part(order_n(family, lattice), p)
-    cores = core_classification(lattice, p)
-    total = GhostElement.zero(table.size)
-    for a in family.class_indices:
-        cls = lattice.classes[a]
-        if cls.order % p == 0:
-            continue
-        total = total + GhostElement(tuple(1 if core == a else 0 for core in cores))
-    return total.scale(scale)
+    return _i_pn(p, lattice, family, order_n(family, lattice))
+
+
+def _i_pn(p: int, lattice: SubgroupLattice, family: AbelianClassFamily, order: int) -> GhostElement:
+    """i_pn for a family whose order_n is already known."""
+    scale = coprime_part(order, p)
+    selected = {a for a in family.class_indices if lattice.classes[a].order % p != 0}
+    return GhostElement(tuple(scale if core in selected else 0 for core in lattice.p_core_classes(p)))
 
 
 def brauer_certificate(table: MarksTable, n: int | float = 1) -> BrauerCertificate:
@@ -121,7 +114,7 @@ def brauer_certificate(table: MarksTable, n: int | float = 1) -> BrauerCertifica
     lattice = table.lattice
     family = abelian_family(lattice, n)
     order = order_n(family, lattice)
-    primes = _prime_divisors(order)
+    primes = prime_factors(order)
 
     if not primes:
         i_n = GhostElement.ones(table.size)
@@ -132,7 +125,7 @@ def brauer_certificate(table: MarksTable, n: int | float = 1) -> BrauerCertifica
         bezout = dict(zip(primes, zs))
         i_n = GhostElement.zero(table.size)
         for p, z in bezout.items():
-            i_n = i_n + i_pn(p, table, n).scale(z)
+            i_n = i_n + _i_pn(p, lattice, family, order).scale(z)
 
     try:
         decomposition = solve_ghost(i_n, table)
@@ -171,26 +164,11 @@ def brauer_certificate(table: MarksTable, n: int | float = 1) -> BrauerCertifica
     )
 
 
-def _prime_divisors(value: int) -> list[int]:
-    out = []
-    m = value
-    p = 2
-    while p * p <= m:
-        if m % p == 0:
-            out.append(p)
-            while m % p == 0:
-                m //= p
-        p += 1
-    if m > 1:
-        out.append(m)
-    return out
-
-
 def certificate_payload(cert: BrauerCertificate, table: MarksTable) -> dict:
     lattice = table.lattice
     idempotents = []
     for p in sorted(cert.bezout):
-        cores = core_classification(lattice, p)
+        cores = lattice.p_core_classes(p)
         for a in abelian_family(lattice, cert.n).class_indices:
             if lattice.classes[a].order % p == 0:
                 continue

@@ -75,6 +75,22 @@ def extended_euclid_set(values: Sequence[int]) -> list[int]:
     return coeffs
 
 
+def prime_factors(n: int) -> list[int]:
+    """The distinct primes dividing n, ascending (empty for n < 2)."""
+    out = []
+    m = n
+    p = 2
+    while p * p <= m:
+        if m % p == 0:
+            out.append(p)
+            while m % p == 0:
+                m //= p
+        p += 1
+    if m > 1:
+        out.append(m)
+    return out
+
+
 def divisors(n: int) -> list[int]:
     ds = [d for d in range(1, n + 1) if n % d == 0]
     return ds

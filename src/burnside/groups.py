@@ -1,15 +1,25 @@
 """Finite permutation groups, subgroup lattices, and subgroup classifications.
 
 Permutations are tuples mapping point i to perm[i]; composition is
-(p * q)(i) = p(q(i)).  Subgroups are frozensets of permutations.
+(p * q)(i) = p(q(i)).  The public API passes subgroups as frozensets of
+permutations.  The combinatorial layers work on each group's index core
+(GroupCore): element i is group.elements[i], products are Cayley-table
+lookups, and a subgroup is an int bitmask with bit i set when element i
+belongs to it.  The subgroup lattice is enumerated by cyclic extension of one
+representative per conjugacy class, and normalizer orders, subconjugacy and
+marks are read off the conjugation orbits of those bitmasks.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import combinations
 from typing import Iterable, Sequence
+
+from .exact import prime_factors
 
 Perm = tuple[int, ...]
 Subgroup = frozenset
@@ -151,11 +161,146 @@ class Group:
         return p in self._element_set()
 
     def _element_set(self) -> frozenset:
-        return frozenset(self.elements)
+        if "_members" not in self.__dict__:
+            object.__setattr__(self, "_members", frozenset(self.elements))
+        return self._members
+
+    @cached_property
+    def core(self) -> "GroupCore":
+        """The index core, built on first use and kept on this instance."""
+        return GroupCore(self)
 
     def __repr__(self):
         label = self.name or f"degree-{self.degree} group"
         return f"Group({label}, order {self.order})"
+
+
+class GroupCore:
+    """Index form of a group for the combinatorial layers.
+
+    Element i is group.elements[i], so index order is the sorted order of
+    the permutations and the identity is 0.  table[a][b] is the index of
+    elements[a] * elements[b]; a subgroup is an int bitmask with bit i set
+    when element i belongs to it.
+    """
+
+    def __init__(self, group: Group):
+        elements = group.elements
+        if elements[0] != group.identity:
+            raise GroupError("group elements must be sorted, identity first")
+        n = len(elements)
+        index = {g: i for i, g in enumerate(elements)}
+        gens = [i for i in dict.fromkeys(index[g] for g in group.generators) if i != 0]
+        # The row of c*s is the row of c composed with left multiplication by
+        # s, so rows follow a spanning tree from the identity.
+        left = {s: [index[perm_mul(elements[s], x)] for x in elements] for s in gens}
+        table: list[list[int] | None] = [None] * n
+        table[0] = list(range(n))
+        frontier = [0]
+        while frontier:
+            nxt = []
+            for c in frontier:
+                row = table[c]
+                for s in gens:
+                    b = row[s]
+                    if table[b] is None:
+                        table[b] = [row[v] for v in left[s]]
+                        nxt.append(b)
+            frontier = nxt
+        if any(row is None for row in table):
+            raise GroupError("generators do not generate the listed elements")
+        self.elements = elements
+        self.index = index
+        self.generators = gens
+        self.table = table
+        self.inverse = [row.index(0) for row in table]
+        orders = []
+        for x in range(n):
+            y, k = x, 1
+            while y:
+                y = table[y][x]
+                k += 1
+            orders.append(k)
+        self.orders = orders
+
+    def mask(self, subgroup: Iterable[Perm]) -> int:
+        return _mask(self.index[p] for p in subgroup)
+
+    def perms(self, mask: int) -> tuple[Perm, ...]:
+        """The permutations of a bitmask, in sorted order."""
+        return tuple(self.elements[i] for i in _bits(mask))
+
+    def power(self, x: int, k: int) -> int:
+        result, base = 0, x
+        while k:
+            if k & 1:
+                result = self.table[result][base]
+            base = self.table[base][base]
+            k >>= 1
+        return result
+
+    def extend(self, elems: list[int], gens: list[int], z: int) -> list[int]:
+        """Elements of <H, z>, where H has elements elems and generators gens.
+
+        Dimino's method: <H, z> is grown as a union of right cosets H*y.  A
+        coset representative times a generator either lies in a known coset
+        or starts a new one, so the union is closed once no new one starts.
+        """
+        table = self.table
+        members = set(elems)
+        out = list(elems)
+        gens = gens + [z]
+        reps = [0]
+        i = 0
+        while i < len(reps):
+            row = table[reps[i]]
+            i += 1
+            for s in gens:
+                y = row[s]
+                if y not in members:
+                    coset = [table[h][y] for h in elems]
+                    members.update(coset)
+                    out.extend(coset)
+                    reps.append(y)
+        return out
+
+    def closure(self, gens: Iterable[int]) -> list[int]:
+        """Elements of the subgroup generated by gens."""
+        elems, used, members = [0], [], {0}
+        for g in gens:
+            if g not in members:
+                elems = self.extend(elems, used, g)
+                used.append(g)
+                members = set(elems)
+        return elems
+
+    def cyclic_generators(self) -> list[int]:
+        """One generator (the first in index order) of each cyclic subgroup
+        of prime-power order greater than 1."""
+        out, covered = [], set()
+        for x in range(1, len(self.elements)):
+            order = self.orders[x]
+            if x in covered or len(prime_factors(order)) != 1:
+                continue
+            out.append(x)
+            y = x
+            for k in range(1, order):
+                if math.gcd(k, order) == 1:
+                    covered.add(y)
+                y = self.table[y][x]
+        return out
+
+
+def _mask(indices: Iterable[int]) -> int:
+    mask = 0
+    for i in indices:
+        mask |= 1 << i
+    return mask
+
+
+def _bits(mask: int) -> list[int]:
+    """Indices of the set bits of a mask, ascending."""
+    return [i for i, bit in enumerate(bin(mask)[:1:-1]) if bit == "1"]
 
 
 def close_under_product(degree: int, generators: Iterable[Perm], cap: int = DEFAULT_ORDER_CAP) -> frozenset:
@@ -339,6 +484,8 @@ class SubgroupLattice:
     group: Group
     classes: tuple[SubgroupClass, ...]
     subconjugacy: tuple[tuple[bool, ...], ...]  # [k][h] true iff (K) <= (H)
+    # per class, the bitmasks (over group.core) of all conjugates, representative first
+    orbits: tuple[tuple[int, ...], ...] = field(repr=False, compare=False)
 
     def __len__(self):
         return len(self.classes)
@@ -355,75 +502,160 @@ class SubgroupLattice:
         return len(self.classes) - 1
 
     def class_of_subgroup(self, subgroup: frozenset) -> tuple[int, Perm]:
-        """Index of the class containing subgroup, and g with g^-1*S*g = rep."""
-        order = len(subgroup)
-        for idx, cls in enumerate(self.classes):
-            if cls.order != order:
-                continue
-            rep = cls.element_set
-            for g in self.group.elements:
-                gi = perm_inv(g)
-                if all(perm_mul(perm_mul(gi, s), g) in rep for s in subgroup):
-                    return idx, g
+        """Index of the class containing subgroup, and the first g in element
+        order with g^-1*S*g = rep."""
+        core = self.group.core
+        try:
+            mask = core.mask(subgroup)
+            idx = self._class_of_mask[mask]
+        except KeyError:
+            raise GroupError("subgroup not found in lattice") from None
+        rep = self.orbits[idx][0]
+        table, inverse = core.table, core.inverse
+        elems = _bits(mask)
+        for g in range(len(table)):
+            row = table[inverse[g]]
+            if all(rep >> table[row[s]][g] & 1 for s in elems):
+                return idx, core.elements[g]
         raise GroupError("subgroup not found in lattice")
+
+    def conjugates_containing(self, h: int, k: int) -> int:
+        """Number of conjugates of the representative of (H) that contain the
+        representative of (K)."""
+        return _count_containing(self.orbits[h], self.orbits[k][0])
 
     def label_of(self, idx: int) -> str:
         return self.classes[idx].label
 
+    @cached_property
+    def coset_representatives(self) -> tuple[tuple[int, ...], ...]:
+        """Per class, element indices of one g from each left coset g*H of
+        the representative H, the first of its coset in element order."""
+        table = self.group.core.table
+        out = []
+        for orbit in self.orbits:
+            rep = _bits(orbit[0])
+            seen = bytearray(len(table))
+            reps = []
+            for g, row in enumerate(table):
+                if not seen[g]:
+                    reps.append(g)
+                    for h in rep:
+                        seen[row[h]] = 1
+            out.append(tuple(reps))
+        return tuple(out)
+
+    def p_core_classes(self, p: int) -> tuple[int, ...]:
+        """For each class (K), the class index of O^p(K), the subgroup
+        generated by the elements of order prime to p.  Computed once per p."""
+        if p not in self._p_core_classes:
+            core = self.group.core
+            self._p_core_classes[p] = tuple(
+                self._class_of_mask[_mask(core.closure(
+                    x for x in _bits(orbit[0]) if core.orders[x] % p != 0
+                ))]
+                for orbit in self.orbits
+            )
+        return self._p_core_classes[p]
+
+    @cached_property
+    def _class_of_mask(self) -> dict[int, int]:
+        return {mask: idx for idx, orbit in enumerate(self.orbits) for mask in orbit}
+
+    @cached_property
+    def _p_core_classes(self) -> dict[int, tuple[int, ...]]:
+        return {}
+
+
+def _count_containing(orbit: Iterable[int], mask: int) -> int:
+    return sum(1 for m in orbit if m & mask == mask)
+
 
 def all_subgroups(group: Group) -> list[frozenset]:
-    """Every subgroup, found by extending known subgroups one generator at a time.
+    """Every subgroup: the union of the conjugacy orbits of the lattice
+    enumeration, sorted by order and then by sorted elements."""
+    core = group.core
+    subgroups = [frozenset(core.perms(mask)) for orbit, _, _ in _subgroup_orbits(core) for mask in orbit]
+    return sorted(subgroups, key=lambda s: (len(s), tuple(sorted(s))))
 
-    Each subgroup keeps a small generating set so closures stay cheap.
+
+def _subgroup_orbits(core: GroupCore) -> list[tuple[list[int], list[int], list[int]]]:
+    """One (orbit, elements, generators) triple per conjugacy class of subgroups.
+
+    Cyclic extension (Neubüser 1960): every subgroup is generated by elements
+    g1, ..., gr of prime-power order, and <g1, ..., gr> is conjugate to the
+    extension of a member of the class of <g1, ..., g(r-1)> by a conjugate of
+    gr.  So extending one member of each class by one generator of every
+    cyclic subgroup of prime-power order reaches every class.  The orbit
+    lists the bitmasks of a class's conjugates, found by conjugating with the
+    group's generators only; the elements and generators describe its first
+    member, orbit[0], which is the one that gets extended.
     """
-    identity = group.identity
-    trivial = frozenset([identity])
-    generators: dict[frozenset, tuple[Perm, ...]] = {trivial: ()}
-    frontier = [trivial]
-    while frontier:
-        nxt = []
-        for sub in frontier:
-            gens = generators[sub]
-            for g in group.elements:
-                if g in sub:
-                    continue
-                new_gens = gens + (g,)
-                extended = close_under_product(group.degree, new_gens, cap=group.order)
-                if extended not in generators:
-                    generators[extended] = new_gens
-                    nxt.append(extended)
-        frontier = nxt
-    return sorted(generators, key=lambda s: (len(s), tuple(sorted(s))))
+    table, inverse = core.table, core.inverse
+    conjugations = [[table[table[inverse[s]][x]][s] for x in range(len(table))] for s in core.generators]
+    cyclic = core.cyclic_generators()
+    found: list[tuple[list[int], list[int], list[int]]] = [([1], [0], [])]
+    known = {1}
+    i = 0
+    while i < len(found):
+        orbit, elems, gens = found[i]
+        i += 1
+        for z in cyclic:
+            if orbit[0] >> z & 1:
+                continue
+            extended = core.extend(elems, gens, z)
+            mask = _mask(extended)
+            if mask in known:
+                continue
+            known.add(mask)
+            conjugates, members = [mask], [extended]
+            j = 0
+            while j < len(members):
+                for conj in conjugations:
+                    image = [conj[x] for x in members[j]]
+                    image_mask = _mask(image)
+                    if image_mask not in known:
+                        known.add(image_mask)
+                        conjugates.append(image_mask)
+                        members.append(image)
+                j += 1
+            found.append((conjugates, extended, gens + [z]))
+    return found
 
 
-def min_generator_count(elements: frozenset, degree: int) -> int:
-    """Smallest k so that some k elements generate the subgroup (0 for trivial)."""
-    order = len(elements)
-    if order == 1:
-        return 0
-    elems = sorted(elements)
-    for k in (1, 2, 3):
-        if _has_generating_tuple(elems, order, degree, k):
+def _min_generators(core: GroupCore, rep: list[int], bound: int) -> int:
+    """Smallest k so that some k elements generate the nonabelian subgroup
+    with sorted element indices rep, given a generating set of size bound.
+
+    A nonabelian group needs at least two generators, and a generating set
+    of size k <= 3 settles k once smaller sets have failed.  Otherwise sets
+    of two and three elements are searched exhaustively, and a larger count
+    comes from greedy growth over the sorted elements, an upper bound.
+    """
+    order = len(rep)
+    for k in (2, 3):
+        if bound <= k:
             return k
-    # fall back to incremental greedy growth; correct upper bound
-    chosen: list[Perm] = []
-    current = frozenset([perm_identity(degree)])
-    for g in elems:
-        if g not in current:
+        if any(len(core.closure(combo)) == order for combo in combinations(rep[1:], k)):
+            return k
+    chosen: list[int] = []
+    members = {0}
+    for g in rep:
+        if g not in members:
             chosen.append(g)
-            current = close_under_product(degree, chosen, cap=order)
-            if len(current) == order:
+            members = set(core.closure(chosen))
+            if len(members) == order:
                 return len(chosen)
     raise GroupError("generation search failed")
 
 
-def _has_generating_tuple(elems: list, order: int, degree: int, k: int) -> bool:
-    from itertools import combinations
-
-    for combo in combinations(elems, k):
-        if len(close_under_product(degree, combo, cap=order)) == order:
-            return True
-    return False
+def _abelian_rank(core: GroupCore, elems: list[int]) -> int:
+    """max over primes p of the rank of H/H^p, for abelian H."""
+    order = len(elems)
+    return max(
+        (_elementary_rank(order // len({core.power(x, p) for x in elems}), p) for p in prime_factors(order)),
+        default=0,
+    )
 
 
 def abelian_min_generators(elements: frozenset, degree: int) -> int:
@@ -431,18 +663,19 @@ def abelian_min_generators(elements: frozenset, degree: int) -> int:
     if not is_abelian_subgroup(elements):
         raise NotAbelian("subgroup is not abelian")
     order = len(elements)
-    if order == 1:
-        return 0
-    best = 0
-    for p in _prime_factors(order):
-        image = {_perm_pow(h, p) for h in elements}
-        quotient = order // len(image)
-        rank = 0
-        while p ** (rank + 1) <= quotient:
-            rank += 1
-        assert p ** rank == quotient
-        best = max(best, rank)
-    return best
+    return max(
+        (_elementary_rank(order // len({_perm_pow(h, p) for h in elements}), p) for p in prime_factors(order)),
+        default=0,
+    )
+
+
+def _elementary_rank(quotient: int, p: int) -> int:
+    """The r with p**r == quotient."""
+    rank = 0
+    while p ** (rank + 1) <= quotient:
+        rank += 1
+    assert p ** rank == quotient
+    return rank
 
 
 def _perm_pow(p: Perm, n: int) -> Perm:
@@ -456,82 +689,46 @@ def _perm_pow(p: Perm, n: int) -> Perm:
     return result
 
 
-def _prime_factors(n: int) -> list[int]:
-    out = []
-    m = n
-    p = 2
-    while p * p <= m:
-        if m % p == 0:
-            out.append(p)
-            while m % p == 0:
-                m //= p
-        p += 1
-    if m > 1:
-        out.append(m)
-    return out
-
-
 def subgroup_lattice(group: Group) -> SubgroupLattice:
-    """Conjugacy classes of all subgroups with subconjugacy and Weyl orders."""
-    subgroups = all_subgroups(group)
-    remaining = set(subgroups)
-    class_reps: list[frozenset] = []
-    membership: dict[frozenset, int] = {}
-    for sub in subgroups:
-        if sub not in remaining:
-            continue
-        orbit = set()
-        for g in group.elements:
-            gi = perm_inv(g)
-            conj = frozenset(perm_mul(perm_mul(g, s), gi) for s in sub)
-            orbit.add(conj)
-        rep = min(orbit, key=lambda s: tuple(sorted(s)))
-        idx = len(class_reps)
-        class_reps.append(rep)
-        for s in orbit:
-            membership[s] = idx
-            remaining.discard(s)
-    # deterministic order: ascending subgroup order refines subconjugacy
-    ordering = sorted(range(len(class_reps)), key=lambda i: (len(class_reps[i]), tuple(sorted(class_reps[i]))))
-    class_reps = [class_reps[i] for i in ordering]
+    """Conjugacy classes of all subgroups with subconjugacy and Weyl orders.
 
+    Classes are sorted by order and then by the sorted elements of their
+    representative, the least member of the class in that order.  The orbit
+    of H under conjugation gives |N_G(H)| = |G| / |orbit|, and (K) <= (H)
+    iff the representative of (K) lies in some conjugate of H.
+    """
+    core = group.core
+    found = sorted(
+        (len(elems), min(_bits(mask) for mask in orbit), orbit, elems, gens)
+        for orbit, elems, gens in _subgroup_orbits(core)
+    )
     classes = []
+    orbits = []
     order_counts: dict[int, int] = {}
-    for idx, rep in enumerate(class_reps):
-        order = len(rep)
-        normalizer = sum(
-            1 for g in group.elements
-            if frozenset(perm_mul(perm_mul(g, s), perm_inv(g)) for s in rep) == rep
-        )
-        weyl = normalizer // order
-        abelian = is_abelian_subgroup(rep)
-        mingen = abelian_min_generators(rep, group.degree) if abelian else min_generator_count(rep, group.degree)
+    table = core.table
+    for idx, (order, rep, orbit, elems, gens) in enumerate(found):
+        rep_mask = _mask(rep)
+        orbits.append((rep_mask,) + tuple(m for m in orbit if m != rep_mask))
+        abelian = all(table[a][b] == table[b][a] for a in gens for b in gens)
         seq = order_counts.get(order, 0)
         order_counts[order] = seq + 1
-        label = f"{order}{chr(ord('a') + seq)}"
         classes.append(SubgroupClass(
-            representative=tuple(sorted(rep)),
+            representative=core.perms(rep_mask),
             class_index=idx,
             order=order,
-            weyl_order=weyl,
+            weyl_order=group.order // len(orbit) // order,
             is_abelian=abelian,
-            min_generators=mingen,
-            label=label,
+            min_generators=_abelian_rank(core, elems) if abelian else _min_generators(core, rep, len(gens)),
+            label=f"{order}{chr(ord('a') + seq)}",
         ))
-
-    n = len(classes)
-    leq = [[False] * n for _ in range(n)]
-    for k in range(n):
-        ksub = classes[k].element_set
-        for h in range(n):
-            hset = classes[h].element_set
-            if classes[k].order > classes[h].order:
-                continue
-            leq[k][h] = any(
-                all(perm_mul(perm_mul(perm_inv(g), s), g) in hset for s in ksub)
-                for g in group.elements
-            )
-    return SubgroupLattice(group, tuple(classes), tuple(tuple(row) for row in leq))
+    subconjugacy = tuple(
+        tuple(
+            hcls.order % kcls.order == 0 and _count_containing(orbits[h], orbits[k][0]) > 0
+            for h, hcls in enumerate(classes)
+        )
+        for k, kcls in enumerate(classes)
+    )
+    return SubgroupLattice(group, tuple(classes), subconjugacy, tuple(orbits))
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,8 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
+from .exact import prime_factors
+
 
 class LieDataError(Exception):
     pass
@@ -72,28 +74,12 @@ def generator_count(cls: PhiClass) -> int:
     """Topological generators of the class: the component group's largest
     p-rank, with a torus folding into one generator when components are trivial."""
     max_rank = 0
-    for p in _primes_of(cls.component_invariants):
+    for p in {p for v in cls.component_invariants for p in prime_factors(v)}:
         rank = sum(1 for f in cls.component_invariants if f % p == 0)
         max_rank = max(max_rank, rank)
     if max_rank == 0:
         return 1 if cls.torus_rank >= 1 else 0
     return max_rank
-
-
-def _primes_of(values: tuple[int, ...]) -> set[int]:
-    primes = set()
-    for v in values:
-        m = v
-        p = 2
-        while p * p <= m:
-            if m % p == 0:
-                primes.add(p)
-                while m % p == 0:
-                    m //= p
-            p += 1
-        if m > 1:
-            primes.add(m)
-    return primes
 
 
 def order_n_lie(data: PhiData, n: int | float) -> int:

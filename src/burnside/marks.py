@@ -12,13 +12,7 @@ import json
 from dataclasses import dataclass
 
 from .exact import IntMatrix
-from .groups import (
-    Perm,
-    SubgroupLattice,
-    left_cosets,
-    perm_inv,
-    perm_mul,
-)
+from .groups import Perm, SubgroupLattice
 
 
 class BurnsideError(Exception):
@@ -119,25 +113,19 @@ class GhostElement:
 
 
 def marks_table(lattice: SubgroupLattice) -> MarksTable:
-    """m[H][K] = number of cosets gH with g^-1 K g contained in H."""
-    group = lattice.group
-    rows = []
-    coset_cache = [left_cosets(group, cls.element_set) for cls in lattice.classes]
-    for h, hcls in enumerate(lattice.classes):
-        hset = hcls.element_set
-        row = []
-        for k, kcls in enumerate(lattice.classes):
-            if not lattice.leq(k, h):
-                row.append(0)
-                continue
-            krep = kcls.representative
-            count = 0
-            for g in coset_cache[h]:
-                gi = perm_inv(g)
-                if all(perm_mul(perm_mul(gi, x), g) in hset for x in krep):
-                    count += 1
-            row.append(count)
-        rows.append(row)
+    """m[H][K] = number of cosets gH with g^-1 K g contained in H.
+
+    Each conjugate H' of H that contains K equals gHg^-1 for |N_G(H)|
+    elements g, which make up |N_G(H):H| cosets gH, so
+    m[H][K] = |N_G(H):H| * #{H' ~ H : K <= H'} (Pfeiffer, Exp. Math. 6 (1997)).
+    """
+    rows = [
+        [
+            hcls.weyl_order * lattice.conjugates_containing(h, k) if lattice.leq(k, h) else 0
+            for k in range(len(lattice.classes))
+        ]
+        for h, hcls in enumerate(lattice.classes)
+    ]
     return MarksTable(lattice, IntMatrix.from_rows(rows))
 
 
@@ -188,19 +176,13 @@ def indicator(class_index: int, table: MarksTable) -> GhostElement:
 
 
 def fixed_points_of_element(table: MarksTable, h: int, g: Perm) -> int:
-    """|(G/H)^g| for a single group element g."""
-    group = table.lattice.group
-    hset = table.lattice.classes[h].element_set
-    gi_cache = {}
-    count = 0
-    for rep in left_cosets(group, hset):
-        ri = gi_cache.get(rep)
-        if ri is None:
-            ri = perm_inv(rep)
-            gi_cache[rep] = ri
-        if perm_mul(perm_mul(ri, g), rep) in hset:
-            count += 1
-    return count
+    """|(G/H)^g| for a single group element g, counted coset by coset."""
+    lattice = table.lattice
+    core = lattice.group.core
+    mul, inverse = core.table, core.inverse
+    x = core.index[g]
+    hmask = lattice.orbits[h][0]
+    return sum(hmask >> mul[mul[inverse[r]][x]][r] & 1 for r in lattice.coset_representatives[h])
 
 
 def in_ideal_jn(element: BurnsideElement, n: int | float, table: MarksTable) -> bool:

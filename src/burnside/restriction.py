@@ -16,8 +16,8 @@ from fractions import Fraction
 from pathlib import Path
 
 from .artin import ArtinCertificate, abelian_family, artin_certificate, order_n
-from .brauer import brauer_certificate, _prime_divisors
-from .exact import IntMatrix, integer_kernel_basis, smith_normal_form, _solve_rational_system
+from .brauer import brauer_certificate
+from .exact import IntMatrix, integer_kernel_basis, prime_factors, smith_normal_form, _solve_rational_system
 from .characters import (
     CharacterTable,
     ClassFunction,
@@ -302,7 +302,7 @@ def hyper_family(table: MarksTable, n: int | float) -> list[int]:
     """Classes that are n-hyper for at least one prime dividing the order."""
     lattice = table.lattice
     order = order_n(abelian_family(lattice, n), lattice)
-    primes = _prime_divisors(order) or [2]
+    primes = prime_factors(order) or [2]
     degree = lattice.group.degree
     return [
         i for i, cls in enumerate(lattice.classes)

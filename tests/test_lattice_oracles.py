@@ -1,0 +1,193 @@
+"""Subgroup lattices and tables of marks checked against independent oracles:
+published subgroup and class counts, marks counted literally over cosets,
+and a reference lattice built by the perm-tuple extension of every subgroup
+by every element."""
+
+import time
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from burnside.groups import (
+    Group,
+    builtin_group,
+    close_under_product,
+    group_from_generators,
+    parse_cycles,
+    parse_group,
+    perm_inv,
+    perm_mul,
+    subgroup_lattice,
+)
+from burnside.marks import marks_table
+
+FIXTURES = ["C2", "C3", "C4", "C6", "C2xC2", "S3", "D4", "Q8", "A4", "S4"]
+
+EXTRA = {
+    "D8": ["(0 1 2 3 4 5 6 7)", "(1 7)(2 6)(3 5)"],
+    "SL(2,3)": ["(0 3 6)(1 7 4)", "(0 5 1 2)(3 6 7 4)"],
+    "GL(2,3)": ["(0 3 6)(1 7 4)", "(0 5 1 2)(3 6 7 4)", "(2 5)(3 6)(4 7)"],
+}
+
+# (generators, subgroups, conjugacy classes of subgroups).  S_n: OEIS A005432
+# and A000638; A5 and A6 from their published subgroup lattices; C2^k: the
+# sums of Gaussian binomial coefficients over GF(2).
+PUBLISHED = {
+    "S4": (["(0 1)", "(0 1 2 3)"], 30, 11),
+    "S5": (["(0 1)", "(0 1 2 3 4)"], 156, 19),
+    "S6": (["(0 1)", "(0 1 2 3 4 5)"], 1455, 56),
+    "A5": (["(0 1 2 3 4)", "(0 1 2)"], 59, 9),
+    "A6": (["(0 1 2)", "(0 1 2 3 4)", "(1 2 3 4 5)"], 501, 22),
+    "C2^4": (["(0 1)", "(2 3)", "(4 5)", "(6 7)"], 67, 67),
+    "C2^5": (["(0 1)", "(2 3)", "(4 5)", "(6 7)", "(8 9)"], 374, 374),
+}
+
+
+def named_group(name: str) -> Group:
+    if name in EXTRA:
+        return parse_group(f"name: {name}\n" + "\n".join(EXTRA[name]))
+    return builtin_group(name)
+
+
+def conjugate(g, subgroup) -> frozenset:
+    """g * S * g^-1."""
+    gi = perm_inv(g)
+    return frozenset(perm_mul(perm_mul(g, s), gi) for s in subgroup)
+
+
+def small_generating_set(subgroup: frozenset, degree: int) -> list:
+    gens, current = [], frozenset([tuple(range(degree))])
+    for x in sorted(subgroup):
+        if x not in current:
+            gens.append(x)
+            current = close_under_product(degree, gens)
+    return gens
+
+
+def literal_marks(group: Group, reps: list[frozenset]) -> list[list[int]]:
+    """m[H][K] = |(G/H)^K|: the left cosets gH that every generator of K fixes."""
+    rows = []
+    for h_set in reps:
+        cosets = {frozenset(perm_mul(g, h) for h in h_set) for g in group.elements}
+        row = []
+        for k_set in reps:
+            k_gens = small_generating_set(k_set, group.degree)
+            row.append(sum(
+                1 for coset in cosets
+                if all(frozenset(perm_mul(k, x) for x in coset) == coset for k in k_gens)
+            ))
+        rows.append(row)
+    return rows
+
+
+@pytest.mark.parametrize("name", sorted(PUBLISHED))
+def test_published_subgroup_and_class_counts(name):
+    gens, subgroups, classes = PUBLISHED[name]
+    group = parse_group("\n".join(gens))
+    start = time.monotonic()
+    lattice = subgroup_lattice(group)
+    elapsed = time.monotonic() - start
+    assert len(lattice.classes) == classes
+    # each class contributes its orbit, |G| / |N_G(H)| conjugates
+    assert sum(group.order // (cls.order * cls.weyl_order) for cls in lattice.classes) == subgroups
+    assert elapsed < 30.0, f"{name} lattice took {elapsed:.1f}s"
+
+
+@pytest.mark.parametrize("name", FIXTURES + sorted(EXTRA))
+def test_marks_equal_literal_fixed_point_counts(name):
+    group = named_group(name)
+    lattice = subgroup_lattice(group)
+    reps = [cls.element_set for cls in lattice.classes]
+    assert marks_table(lattice).matrix.to_lists() == literal_marks(group, reps)
+
+
+# TableProvider.table_for conjugates class tables by this g, so equalizer
+# reports depend on which conjugator is returned.
+@pytest.mark.parametrize("name", ["S4", "Q8", "GL(2,3)"])
+def test_class_of_subgroup_returns_first_conjugator(name):
+    group = named_group(name)
+    lattice = subgroup_lattice(group)
+    for idx, cls in enumerate(lattice.classes):
+        rep = cls.element_set
+        for x in group.elements[::5]:
+            subgroup = conjugate(x, rep)
+            expected = next(g for g in group.elements if conjugate(perm_inv(g), subgroup) == rep)
+            assert lattice.class_of_subgroup(subgroup) == (idx, expected)
+
+
+# ---------------------------------------------------------------------------
+# random subgroups of S6 against a reference lattice
+
+
+def reference_lattice(group: Group):
+    """Classes (representative, order, Weyl order, label, abelian),
+    subconjugacy and literal marks, from the perm-tuple extension of every
+    known subgroup by every element."""
+    trivial = frozenset([group.identity])
+    generators = {trivial: ()}
+    frontier = [trivial]
+    while frontier:
+        nxt = []
+        for sub in frontier:
+            for g in group.elements:
+                if g in sub:
+                    continue
+                extended = close_under_product(group.degree, generators[sub] + (g,), cap=group.order)
+                if extended not in generators:
+                    generators[extended] = generators[sub] + (g,)
+                    nxt.append(extended)
+        frontier = nxt
+    reps, seen = [], set()
+    for sub in sorted(generators, key=lambda s: (len(s), tuple(sorted(s)))):
+        if sub not in seen:
+            orbit = {conjugate(g, sub) for g in group.elements}
+            seen |= orbit
+            reps.append(min(orbit, key=lambda s: tuple(sorted(s))))
+    reps.sort(key=lambda s: (len(s), tuple(sorted(s))))
+    classes, counts = [], {}
+    for rep in reps:
+        normalizer = sum(1 for g in group.elements if conjugate(g, rep) == rep)
+        seq = counts.get(len(rep), 0)
+        counts[len(rep)] = seq + 1
+        abelian = all(perm_mul(a, b) == perm_mul(b, a) for a in rep for b in rep)
+        classes.append((tuple(sorted(rep)), len(rep), normalizer // len(rep),
+                        f"{len(rep)}{chr(ord('a') + seq)}", abelian))
+    leq = tuple(
+        tuple(len(k) <= len(h) and any(conjugate(g, k) <= h for g in group.elements) for h in reps)
+        for k in reps
+    )
+    return classes, leq, literal_marks(group, reps)
+
+
+# Overgroups of order at most 48, so every drawn subgroup is small.
+OVERGROUPS = [
+    group_from_generators([parse_cycles(c, 6) for c in gens])
+    for gens in (
+        ["(0 1)", "(0 1 2 3)", "(4 5)"],  # S4 x S2
+        ["(0 1)", "(0 2)(1 3)", "(0 2 4)(1 3 5)"],  # S2 wr S3
+        ["(0 1)", "(0 1 2)", "(3 4)", "(3 4 5)"],  # S3 x S3
+        ["(0 1 2 3 4)", "(1 2 4 3)"],  # AGL(1,5)
+    )
+]
+
+
+@st.composite
+def small_subgroups_of_s6(draw) -> Group:
+    over = draw(st.sampled_from(OVERGROUPS))
+    relabel = tuple(draw(st.permutations(range(6))))
+    picks = [draw(st.sampled_from(over.elements)) for _ in range(2)]
+    return group_from_generators([perm_mul(perm_mul(relabel, x), perm_inv(relabel)) for x in picks])
+
+
+@settings(max_examples=12, deadline=None)
+@given(small_subgroups_of_s6())
+def test_lattice_and_marks_match_reference(group):
+    assert group.order <= 48
+    lattice = subgroup_lattice(group)
+    classes, leq, marks = reference_lattice(group)
+    assert [
+        (cls.representative, cls.order, cls.weyl_order, cls.label, cls.is_abelian)
+        for cls in lattice.classes
+    ] == classes
+    assert lattice.subconjugacy == leq
+    assert marks_table(lattice).matrix.to_lists() == marks
