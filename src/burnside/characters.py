@@ -7,17 +7,28 @@ homomorphisms into roots of unity, the rest by reducing characters induced
 from linear characters of abelian subgroups (all groups in scope are
 monomial, and the construction is validated by both orthogonality relations
 before a table is returned).
+
+Pairings sum_i w_i a_i conj(b_i), that is inner products, both orthogonality
+relations and the coordinates of a virtual character in the irreducible
+basis, run on plain integers.  Each value becomes (exponent, integer
+coefficient) pairs at n, the lcm of the conductors, scaled by a common
+denominator; conjugation negates exponents mod n.  The products accumulate
+in one length-n integer vector, an element of Z[x]/(x^n - 1), which is
+reduced once modulo the monic cyclotomic polynomial Phi_n and so stays
+integral.  Each table keeps its size-weighted, conjugated rows per n, so a
+coordinate costs one such convolution.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
 from typing import Sequence
 
-from .exact import Cyclotomic
+from .exact import Cyclotomic, NotInSubfield, cyclotomic_polynomial
 from .groups import (
     Group,
     Perm,
@@ -103,12 +114,55 @@ def constant_function(group: Group, classes: ConjugacyClasses, value, conductor:
     return ClassFunction(group, classes, tuple(c for _ in classes.classes))
 
 
+def _spread(values: Sequence[Cyclotomic], n: int, weights: Sequence[int] | None = None,
+            conjugate: bool = False) -> tuple[list[list[tuple[int, int]]], int]:
+    """Each value, times its weight, as (exponent, integer coefficient) pairs
+    at conductor n, all scaled by one common denominator, which is returned
+    too.  Conjugation is exponent negation mod n."""
+    den = 1
+    for v in values:
+        for c in v.coeffs:
+            if c.denominator != 1:
+                den = math.lcm(den, c.denominator)
+    out = []
+    for i, v in enumerate(values):
+        step = -(n // v.conductor) if conjugate else n // v.conductor
+        scale = den * (weights[i] if weights else 1)
+        out.append([(k * step % n, c.numerator * (scale // c.denominator))
+                    for k, c in enumerate(v.coeffs) if c])
+    return out, den
+
+
+def _convolve(left: list[list[tuple[int, int]]], right: list[list[tuple[int, int]]], n: int) -> list[int]:
+    """sum_i left_i * right_i in Z[x]/(x^n - 1), reduced modulo the monic
+    Phi_n, so the result stays integral: power-basis coefficients."""
+    acc = [0] * n
+    for ls, rs in zip(left, right, strict=True):
+        for e, a in ls:
+            for f, b in rs:
+                acc[(e + f) % n] += a * b
+    phi = cyclotomic_polynomial(n)
+    d = len(phi) - 1
+    for top in range(n - 1, d - 1, -1):
+        c = acc[top]
+        if c:
+            for k in range(d):
+                acc[top - d + k] -= c * phi[k]
+    return acc[:d]
+
+
+def _pairing(weights: Sequence[int], left: Sequence[Cyclotomic], right: Sequence[Cyclotomic]) -> Cyclotomic:
+    """sum_i w_i * left_i * conj(right_i), exactly, at the lcm of the conductors."""
+    n = math.lcm(1, *(v.conductor for v in left), *(v.conductor for v in right))
+    lt, lden = _spread(left, n, weights)
+    rt, rden = _spread(right, n, conjugate=True)
+    return Cyclotomic(n, [Fraction(c, lden * rden) for c in _convolve(lt, rt, n)])
+
+
 def inner_product(a: ClassFunction, b: ClassFunction) -> Cyclotomic:
     """(1/|G|) sum_g a(g) * conj(b(g)), exactly."""
-    total = Cyclotomic.zero()
-    for size, va, vb in zip(a.classes.sizes, a.values, b.values):
-        total = total + va * vb.conjugate() * size
-    return total * Fraction(1, a.group.order)
+    total = _pairing(a.classes.sizes, a.values, b.values)
+    return Cyclotomic(total.conductor, [c / a.group.order for c in total.coeffs])
 
 
 def inner_product_int(a: ClassFunction, b: ClassFunction) -> int:
@@ -154,9 +208,9 @@ def induce(xi: ClassFunction, group: Group, classes: ConjugacyClasses | None = N
     return ClassFunction(group, classes, tuple(values))
 
 
-def restrict(chi: ClassFunction, subgroup: Group) -> ClassFunction:
+def restrict(chi: ClassFunction, subgroup: Group, classes: ConjugacyClasses | None = None) -> ClassFunction:
     """Pull values back along the inclusion of an explicit subgroup."""
-    sub_classes = conjugacy_classes(subgroup)
+    sub_classes = classes or conjugacy_classes(subgroup)
     values = tuple(chi.value_at(rep) for rep in sub_classes.representatives)
     return ClassFunction(subgroup, sub_classes, values)
 
@@ -208,6 +262,8 @@ class CharacterTable:
     group: Group
     classes: ConjugacyClasses
     rows: tuple[ClassFunction, ...]
+    # conductor n -> per row, size-weighted conjugated values at n, and their denominator
+    _weighted_rows: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         validate_table(self)
@@ -216,12 +272,32 @@ class CharacterTable:
     def size(self) -> int:
         return len(self.rows)
 
+    @cached_property
+    def conductor(self) -> int:
+        """The lcm of the conductors of the table's values."""
+        return math.lcm(1, *(v.conductor for row in self.rows for v in row.values))
+
     def degrees(self) -> list[int]:
         return [int(row.degree.as_rational()) for row in self.rows]
 
     def coordinates(self, chi: ClassFunction) -> list[int]:
         """Integer coordinates of a virtual character in the irreducible basis."""
-        return [inner_product_int(chi, row) for row in self.rows]
+        n = math.lcm(self.conductor, *(v.conductor for v in chi.values))
+        if n not in self._weighted_rows:
+            self._weighted_rows[n] = [_spread(row.values, n, self.classes.sizes, conjugate=True)
+                                      for row in self.rows]
+        terms, den = _spread(chi.values, n)
+        out = []
+        for row_terms, row_den in self._weighted_rows[n]:
+            coeffs = _convolve(terms, row_terms, n)
+            scale = self.group.order * den * row_den
+            if any(coeffs[1:]):
+                value = Cyclotomic(n, [Fraction(c, scale) for c in coeffs])
+                raise NotInSubfield(f"{value!r} is not rational")
+            if coeffs[0] % scale:
+                raise CharacterError(f"inner product {Fraction(coeffs[0], scale)} is not an integer")
+            out.append(coeffs[0] // scale)
+        return out
 
     def from_coordinates(self, coords: Sequence[int]) -> ClassFunction:
         total = constant_function(self.group, self.classes, Cyclotomic.zero())
@@ -250,19 +326,16 @@ def validate_table(table: CharacterTable) -> None:
     for i in range(len(rows)):
         for j in range(i, len(rows)):
             expected = group.order if i == j else 0
-            total = Cyclotomic.zero()
-            for size, vi, vj in zip(table.classes.sizes, rows[i].values, rows[j].values):
-                total = total + vi * vj.conjugate() * size
-            if not total == expected:
+            if not _pairing(table.classes.sizes, rows[i].values, rows[j].values) == expected:
                 raise OrthogonalityFailure(i, j)
     # column orthogonality: sum_i chi_i(c) conj(chi_i(c')) = delta * |C_G(g_c)|
+    ones = [1] * len(rows)
     for a in range(n_classes):
         for b in range(a, n_classes):
             expected = group.order // table.classes.sizes[a] if a == b else 0
-            total = Cyclotomic.zero()
-            for row in rows:
-                total = total + row.values[a] * row.values[b].conjugate()
-            if not total == expected:
+            column_a = [row.values[a] for row in rows]
+            column_b = [row.values[b] for row in rows]
+            if not _pairing(ones, column_a, column_b) == expected:
                 raise OrthogonalityFailure(a, b)
 
 
@@ -537,10 +610,7 @@ def load_character_table(path: str, group: Group) -> CharacterTable:
 def table_to_text(table: CharacterTable) -> str:
     """Serialize a table in the load_character_table file format."""
     lines = [f"group: {table.group.name or 'unnamed'}"]
-    conductor = 1
-    for row in table.rows:
-        for v in row.values:
-            conductor = math.lcm(conductor, v.conductor)
+    conductor = table.conductor
     lines.append(f"conductor: {conductor}")
     for rep, size in zip(table.classes.representatives, table.classes.sizes):
         lines.append(f"class: {perm_to_cycles(rep)} {size}")

@@ -1,6 +1,7 @@
 """Command-line interface: group ingestion, certificates, verification runs.
 
-Exit codes: 0 all checks pass, 1 a check failed, 2 input error.
+Exit codes: 0 all checks pass, 1 a check failed, 2 input error, 3 internal
+error (an invariant the code relies on did not hold).
 JSON reports are deterministic for identical inputs (timing is text-only).
 """
 
@@ -25,7 +26,7 @@ from .groups import (
 )
 from .characters import CharacterError
 from .lie import LieDataError, load_phi_data, order_n_lie, power
-from .marks import NotInImage, indicator, marks_table, solve_ghost
+from .marks import InternalInvariantViolation, NotInImage, indicator, marks_table, solve_ghost
 from .restriction import (
     DirectoryTables,
     MissingTable,
@@ -294,6 +295,9 @@ def main(argv: list[str] | None = None) -> int:
     except (NotInImage, RestrictionError) as exc:
         _emit_error("check failed", exc, getattr(args, "json", False))
         return 1
+    except InternalInvariantViolation as exc:
+        _emit_error("internal error", exc, getattr(args, "json", False))
+        return 3
     report.timing = time.monotonic() - start
     if getattr(args, "json", False):
         print(report.to_json())

@@ -9,6 +9,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import compress
 from typing import Iterable, Sequence
 
 # Fraction already maintains gcd(|num|, den) = 1 and den >= 1.
@@ -92,16 +93,24 @@ def prime_factors(n: int) -> list[int]:
 
 
 def divisors(n: int) -> list[int]:
-    ds = [d for d in range(1, n + 1) if n % d == 0]
-    return ds
+    """The positive divisors of n, ascending (empty for n < 1)."""
+    ds = [1] if n >= 1 else []
+    for p in prime_factors(n):
+        powers, m = [1], n
+        while m % p == 0:
+            m //= p
+            powers.append(powers[-1] * p)
+        ds = [d * q for d in ds for q in powers]
+    return sorted(ds)
 
 
 @lru_cache(maxsize=None)
 def euler_phi(n: int) -> int:
-    count = 0
-    for k in range(1, n + 1):
-        if math.gcd(k, n) == 1:
-            count += 1
+    if n < 1:
+        return 0
+    count = n
+    for p in prime_factors(n):
+        count -= count // p
     return count
 
 
@@ -333,6 +342,8 @@ class Cyclotomic:
         return (-self) + other
 
     def __mul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return Cyclotomic(self.conductor, [c * other for c in self.coeffs])
         other = Cyclotomic._coerce(other)
         if other is NotImplemented:
             return NotImplemented
@@ -412,9 +423,17 @@ def _reduce_mod_cyclotomic(coeffs: list[Fraction], conductor: int) -> list[Fract
 
 def _solve_rational_system(matrix: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction] | None:
     """Solve matrix*x = rhs by Gaussian elimination; None if inconsistent."""
+    solution = solve_rational_columns(matrix, [rhs])
+    return None if solution is None else solution[0]
+
+
+def solve_rational_columns(matrix: list[list[Fraction]],
+                           columns: list[list[Fraction]]) -> list[list[Fraction]] | None:
+    """Solve matrix*x = b for every right-hand side b in columns, by one
+    Gauss-Jordan elimination; None if any of them is inconsistent."""
     rows = len(matrix)
     cols = len(matrix[0]) if rows else 0
-    aug = [list(matrix[i]) + [rhs[i]] for i in range(rows)]
+    aug = [list(matrix[i]) + [b[i] for b in columns] for i in range(rows)]
     pivot_cols = []
     r = 0
     for c in range(cols):
@@ -432,13 +451,15 @@ def _solve_rational_system(matrix: list[list[Fraction]], rhs: list[Fraction]) ->
         r += 1
         if r == rows:
             break
-    for i in range(r, rows):
-        if aug[i][cols] != 0:
-            return None
-    solution = [Fraction(0)] * cols
-    for i, c in enumerate(pivot_cols):
-        solution[c] = aug[i][cols]
-    return solution
+    if any(v != 0 for i in range(r, rows) for v in aug[i][cols:]):
+        return None
+    solutions = []
+    for k in range(len(columns)):
+        solution = [Fraction(0)] * cols
+        for i, c in enumerate(pivot_cols):
+            solution[c] = aug[i][cols + k]
+        solutions.append(solution)
+    return solutions
 
 
 # ---------------------------------------------------------------------------
@@ -639,8 +660,47 @@ def solve_triangular_integer(m: IntMatrix, b: Sequence[int]) -> list[int]:
     return x
 
 
+def integer_kernel(rows: Iterable[Sequence[int]], cols: int) -> list[list[int]]:
+    """Basis of the integer kernel {x : r.x = 0 for every row r}, as column vectors.
+
+    Rows are consumed one at a time (Cohen, A Course in Computational
+    Algebraic Number Theory, 2.4).  K holds a basis of the kernel of the rows
+    seen so far, so memory stays at one cols x cols matrix however many rows
+    arrive.  For each row r, w = r.K touches only r's nonzeros; a row with
+    w = 0 changes nothing.  Otherwise column operations with the smallest
+    |w_j| as pivot turn w into (g, 0, ..., 0), and the pivot column leaves K.
+    """
+    basis = [[int(i == j) for j in range(cols)] for i in range(cols)]  # K, row-major
+    width = cols
+    for row in rows:
+        if not width:
+            break
+        w = [0] * width
+        for i in compress(range(cols), row):
+            v = row[i]
+            w = [a + v * b for a, b in zip(w, basis[i])]
+        live = [j for j in range(width) if w[j]]
+        if not live:
+            continue
+        while len(live) > 1:
+            p = min(live, key=lambda j: abs(w[j]))
+            rest = []
+            for j in live:
+                if j == p:
+                    continue
+                q = w[j] // w[p]
+                w[j] -= q * w[p]
+                for k_row in basis:
+                    k_row[j] -= q * k_row[p]
+                if w[j]:
+                    rest.append(j)
+            live = rest + [p]
+        for k_row in basis:
+            del k_row[live[0]]
+        width -= 1
+    return [[k_row[j] for k_row in basis] for j in range(width)]
+
+
 def integer_kernel_basis(m: IntMatrix) -> list[list[int]]:
     """Basis of the integer kernel {x : M*x = 0}, as a list of column vectors."""
-    u, d, v = smith_normal_form(m)
-    rank = sum(1 for i in range(min(d.rows, d.cols)) if d.entries[i][i] != 0)
-    return [[v.entries[i][j] for i in range(v.rows)] for j in range(rank, v.cols)]
+    return integer_kernel(m.entries, m.cols)

@@ -790,17 +790,20 @@ class DoubleCosetDecomposition:
 
 def double_cosets(group: Group, k_sub: frozenset, h_sub: frozenset) -> DoubleCosetDecomposition:
     """Partition of G into K*g*H orbits with intersection subgroups."""
-    seen = set()
+    core = group.core
+    table, elements = core.table, core.elements
+    ks, hs = [core.index[k] for k in k_sub], [core.index[h] for h in h_sub]
+    seen = bytearray(len(elements))
     cosets = []
-    for g in group.elements:
-        if g in seen:
+    for g in range(len(elements)):
+        if seen[g]:
             continue
-        orbit = {perm_mul(perm_mul(k, g), h) for k in k_sub for h in h_sub}
-        seen |= orbit
+        orbit = {table[table[k][g]][h] for k in ks for h in hs}
+        for x in orbit:
+            seen[x] = 1
         rep = min(orbit)
-        gi = perm_inv(rep)
-        conj_h = frozenset(perm_mul(perm_mul(rep, h), gi) for h in h_sub)
-        cosets.append(DoubleCoset(rep, k_sub & conj_h, len(orbit)))
+        conj_h = (elements[table[table[rep][h]][core.inverse[rep]]] for h in hs)
+        cosets.append(DoubleCoset(elements[rep], k_sub.intersection(conj_h), len(orbit)))
     return DoubleCosetDecomposition(group, k_sub, h_sub, tuple(cosets))
 
 

@@ -3,7 +3,9 @@ verification of the induction-restriction isomorphism pairs.
 
 The equalizer is the integer kernel of the difference of the two
 restriction-conjugation maps out of the product of representation rings of a
-family of subgroup classes; restriction from the top group lands in it.  The
+family of subgroup classes; restriction from the top group lands in it.  Its
+constraint rows are streamed, one double coset at a time, into an integer
+kernel that never holds more than one square matrix.  The
 Artin verification checks that restriction and the induced section compose to
 the group order in both directions; the Brauer verification checks that
 restriction is a lattice isomorphism via Smith elementary divisors.
@@ -11,13 +13,14 @@ restriction is a lattice isomorphism via Smith elementary divisors.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
 from .artin import ArtinCertificate, abelian_family, artin_certificate, order_n
 from .brauer import brauer_certificate
-from .exact import IntMatrix, integer_kernel_basis, prime_factors, smith_normal_form, _solve_rational_system
+from .exact import IntMatrix, integer_kernel, prime_factors, smith_normal_form, solve_rational_columns
 from .characters import (
     CharacterTable,
     ClassFunction,
@@ -33,6 +36,8 @@ from .groups import (
     double_cosets,
     exponent,
     is_n_hyper,
+    perm_inv,
+    perm_mul,
     subgroup_as_group,
 )
 from .marks import MarksTable
@@ -149,68 +154,82 @@ def equalizer_lattice(family: list[int], provider: TableProvider,
         offsets.append(offsets[-1] + size)
     total = offsets[-1]
 
-    rows: list[list[int]] = []
-    for a, k_set in enumerate(subgroups):
-        for b, l_set in enumerate(subgroups):
-            decomposition = double_cosets(group, k_set, l_set)
-            for coset in decomposition.cosets:
-                inter = coset.intersection
-                inter_table = provider.table_for(inter)
-                inter_group = inter_table.group
-                res_k = [
-                    inter_table.coordinates(restrict(chi, inter_group))
-                    for chi in tables[a].rows
-                ]
-                res_l = [
-                    inter_table.coordinates(
-                        restrict(conjugate_function(chi, coset.representative, group), inter_group)
-                    )
-                    for chi in tables[b].rows
-                ]
-                for r in range(inter_table.size):
-                    row = [0] * total
-                    for s in range(block_sizes[a]):
-                        row[offsets[a] + s] += res_k[s][r]
-                    for t in range(block_sizes[b]):
-                        row[offsets[b] + t] -= res_l[t][r]
-                    rows.append(row)
-    matrix = IntMatrix.from_rows(rows) if rows else IntMatrix.zeros(0, total)
-    kernel = integer_kernel_basis(matrix) if rows else [
-        [1 if i == j else 0 for i in range(total)] for j in range(total)
-    ]
+    def constraint_rows():
+        restricted: dict[tuple[int, frozenset], list[list[int]]] = {}  # a-side coordinates
+        seen: set[tuple] = set()
+        # (b, a) pairs are skipped: the double coset L g^-1 K mirrors K g L,
+        # and its rows are the (a, b) rows negated and permuted
+        for a, k_set in enumerate(subgroups):
+            for b in range(a, len(family)):
+                for coset in double_cosets(group, k_set, subgroups[b]).cosets:
+                    g, inter = coset.representative, coset.intersection
+                    if a == b and g in k_set:
+                        continue  # K g K = K: both sides restrict the same function
+                    inter_table = provider.table_for(inter)
+                    inter_group, inter_classes = inter_table.group, inter_table.classes
+                    gi = perm_inv(g)
+                    moved = [perm_mul(perm_mul(gi, r), g) for r in inter_classes.representatives]
+                    # the rows depend on g only through the L-classes of g^-1 r g
+                    key = (a, b, inter, tuple(tables[b].classes.index_of(x) for x in moved))
+                    if key in seen:
+                        continue
+                    seen.add(key)
+                    if (a, inter) not in restricted:
+                        restricted[a, inter] = [
+                            inter_table.coordinates(restrict(chi, inter_group, inter_classes))
+                            for chi in tables[a].rows
+                        ]
+                    res_k = restricted[a, inter]
+                    res_l = [
+                        inter_table.coordinates(ClassFunction(
+                            inter_group, inter_classes, tuple(chi.value_at(x) for x in moved)))
+                        for chi in tables[b].rows
+                    ]
+                    for r in range(inter_table.size):
+                        row = [0] * total
+                        for s in range(block_sizes[a]):
+                            row[offsets[a] + s] += res_k[s][r]
+                        for t in range(block_sizes[b]):
+                            row[offsets[b] + t] -= res_l[t][r]
+                        yield row
+
+    kernel = integer_kernel(constraint_rows(), total)
     basis = IntMatrix.from_rows([[col[i] for col in kernel] for i in range(total)]) \
         if kernel else IntMatrix.zeros(total, 0)
     return EqualizerLattice(tuple(family), tuple(block_sizes), basis)
 
 
-def _equalizer_coordinates(eq: EqualizerLattice, stacked: list[int]) -> list[int]:
-    """Coordinates of an equalizer point in the basis; exact, must be integral."""
-    matrix = [[Fraction(eq.basis.entries[i][j]) for j in range(eq.basis.cols)]
-              for i in range(eq.basis.rows)]
-    rhs = [Fraction(v) for v in stacked]
-    solution = _solve_rational_system(matrix, rhs)
-    if solution is None:
-        raise RestrictionError("vector is not in the equalizer lattice")
-    out = []
-    for v in solution:
-        if v.denominator != 1:
-            raise RestrictionError(f"non-integral equalizer coordinate {v}")
-        out.append(int(v))
-    return out
+def _equalizer_coordinates(eq: EqualizerLattice, points: IntMatrix) -> IntMatrix:
+    """Coordinates X with basis * X = points, exact; every column must be an
+    integral point of the lattice.  The basis has full column rank, so the
+    normal equations (B^T B) X = B^T points are square and invertible."""
+    transposed = eq.basis.transpose()
+    gram = [[Fraction(v) for v in row] for row in (transposed @ eq.basis).entries]
+    rhs = transposed @ points
+    solutions = solve_rational_columns(gram, [[Fraction(row[j]) for row in rhs.entries]
+                                              for j in range(points.cols)])
+    columns = []
+    for j, solution in enumerate(solutions):
+        den = math.lcm(1, *(v.denominator for v in solution))
+        scaled = eq.basis.mul_vector([int(v * den) for v in solution])
+        if scaled != [den * row[j] for row in points.entries]:
+            raise RestrictionError("vector is not in the equalizer lattice")
+        for v in solution:
+            if v.denominator != 1:
+                raise RestrictionError(f"non-integral equalizer coordinate {v}")
+        columns.append([int(v) for v in solution])
+    return IntMatrix.from_rows([[col[i] for col in columns] for i in range(eq.rank)])
 
 
 def _restriction_matrix(group: Group, top_table: CharacterTable, eq: EqualizerLattice,
                         provider: TableProvider, lattice: SubgroupLattice) -> IntMatrix:
     """Matrix of res: R(G) -> equalizer, in basis coordinates (rank x #irr)."""
-    columns = []
-    for chi in top_table.rows:
-        stacked: list[int] = []
-        for idx in eq.family:
-            table = provider.class_table(idx)
-            stacked.extend(table.coordinates(restrict(chi, table.group)))
-        columns.append(_equalizer_coordinates(eq, stacked))
-    return IntMatrix.from_rows([[columns[j][i] for j in range(len(columns))]
-                                for i in range(eq.rank)])
+    stacked: list[tuple[int, ...]] = []  # one row per family coordinate, one column per irreducible
+    for idx in eq.family:
+        table = provider.class_table(idx)
+        stacked.extend(zip(*(table.coordinates(restrict(chi, table.group, table.classes))
+                             for chi in top_table.rows)))
+    return _equalizer_coordinates(eq, IntMatrix.from_rows(stacked))
 
 
 @dataclass(frozen=True)

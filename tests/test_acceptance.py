@@ -30,6 +30,7 @@ from burnside.groups import (
     conjugacy_classes,
     exponent,
     is_n_hyper,
+    parse_group,
     subgroup_as_group,
     subgroup_lattice,
 )
@@ -183,6 +184,18 @@ def test_criterion_7_brauer_restriction():
     elapsed = time.monotonic() - start
     assert elapsed < 60.0
     print(f"ACCEPTANCE 7 PASS Brauer restriction is a lattice isomorphism ({elapsed:.2f}s)")
+
+
+def test_c2_4_brauer_restriction():
+    # 67 subgroup classes, all of them 1-hyper: the largest equalizer here
+    start = time.monotonic()
+    group = parse_group("(0 1)\n(2 3)\n(4 5)\n(6 7)")
+    report = verify_brauer_restriction(marks_table(subgroup_lattice(group)), 1)
+    assert report.rank == 16 and report.irreducibles == 16
+    assert report.elementary_divisors == (1,) * 16
+    elapsed = time.monotonic() - start
+    assert elapsed < 30.0
+    print(f"ACCEPTANCE C2^4 PASS Brauer restriction, rank 16, unit divisors ({elapsed:.2f}s)")
 
 
 def test_criterion_8_mackey_frobenius_random():

@@ -4,9 +4,11 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from burnside.exact import Cyclotomic
 from burnside.characters import (
+    CharacterError,
     CharacterTable,
     ClassFunction,
     DegreeSumMismatch,
@@ -362,3 +364,90 @@ class TestTableFiles:
             keys_a = sorted(tuple(tuple(v.to_conductor(12).coeffs for v in row.values)) for row in a.rows)
             keys_b = sorted(tuple(tuple(v.to_conductor(12).coeffs for v in row.values)) for row in b.rows)
             assert keys_a == keys_b
+
+
+def reference_pairing(weights, left, right):
+    """sum_i w_i * left_i * conj(right_i) by Cyclotomic arithmetic, term by term."""
+    total = Cyclotomic.zero()
+    for w, a, b in zip(weights, left, right):
+        total = total + a * b.conjugate() * w
+    return total
+
+
+def reference_validation_error(group, classes, rows):
+    """The error the Cyclotomic-loop validation raises for rows with intact
+    degrees, or None: CharacterError, or the (i, j) of an orthogonality failure."""
+    if any(not v == 1 for v in rows[0].values):
+        return CharacterError
+    for i in range(len(rows)):
+        for j in range(i, len(rows)):
+            total = reference_pairing(classes.sizes, rows[i].values, rows[j].values)
+            if not total == (group.order if i == j else 0):
+                return (i, j)
+    for a in range(len(classes.classes)):
+        for b in range(a, len(classes.classes)):
+            column_a = [row.values[a] for row in rows]
+            column_b = [row.values[b] for row in rows]
+            total = reference_pairing([1] * len(rows), column_a, column_b)
+            if not total == (group.order // classes.sizes[a] if a == b else 0):
+                return (a, b)
+    return None
+
+
+MIXED_CONDUCTORS = [1, 2, 3, 4, 6, 8, 12]
+
+
+@st.composite
+def cyclotomics(draw):
+    """A value at a conductor from MIXED_CONDUCTORS, with integer or Fraction coefficients."""
+    conductor = draw(st.sampled_from(MIXED_CONDUCTORS))
+    coefficient = st.one_of(st.integers(-3, 3),
+                            st.fractions(min_value=-3, max_value=3, max_denominator=4))
+    coeffs = draw(st.lists(coefficient, max_size=conductor))
+    return Cyclotomic(conductor, [Fraction(c) for c in coeffs])
+
+
+class TestIntegerPairing:
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from(["C4", "S3", "D4", "Q8", "A4"]), st.data())
+    def test_inner_product_matches_cyclotomic_loop(self, name, data):
+        group = builtin_group(name)
+        classes = conjugacy_classes(group)
+        width = len(classes.classes)
+        values = st.lists(cyclotomics(), min_size=width, max_size=width).map(tuple)
+        a = ClassFunction(group, classes, data.draw(values))
+        b = ClassFunction(group, classes, data.draw(values))
+        expected = reference_pairing(classes.sizes, a.values, b.values) * Fraction(1, group.order)
+        result = inner_product(a, b)
+        assert result == expected
+        assert (result.conductor, result.coeffs) == (expected.conductor, expected.coeffs)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from(["S3", "D4", "Q8", "A4", "C6"]), st.data())
+    def test_corrupted_table_fails_like_the_cyclotomic_loop(self, name, data):
+        table = character_table(builtin_group(name))
+        # the degree column stays intact, so validation reaches the orthogonality sums
+        r = data.draw(st.integers(0, table.size - 1))
+        c = data.draw(st.integers(1, table.size - 1))
+        delta = data.draw(cyclotomics().filter(lambda v: not v.is_zero()))
+        values = list(table.rows[r].values)
+        values[c] = values[c] + delta
+        rows = list(table.rows)
+        rows[r] = ClassFunction(table.group, table.classes, tuple(values))
+        expected = reference_validation_error(table.group, table.classes, rows)
+        if expected is None:
+            CharacterTable(table.group, table.classes, tuple(rows))
+        elif isinstance(expected, tuple):
+            with pytest.raises(OrthogonalityFailure) as excinfo:
+                CharacterTable(table.group, table.classes, tuple(rows))
+            assert (excinfo.value.i, excinfo.value.j) == expected
+        else:
+            with pytest.raises(expected):
+                CharacterTable(table.group, table.classes, tuple(rows))
+
+    def test_coordinates_reject_non_integral_combinations(self):
+        table = character_table(builtin_group("S3"))
+        half = table.rows[1].scale(Fraction(1, 2))
+        with pytest.raises(CharacterError):
+            table.coordinates(half)
+        assert table.coordinates(table.rows[2].scale(3) - table.rows[0]) == [-1, 0, 3]

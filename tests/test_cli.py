@@ -172,3 +172,27 @@ class TestDeterminism:
         _, first, _ = run(capsys, "marks", "--group", "D4", "--json")
         _, second, _ = run(capsys, "marks", "--group", "D4", "--json")
         assert first == second
+
+
+class TestExitCodes:
+    def test_internal_invariant_violation(self, capsys, monkeypatch):
+        from burnside import artin
+        from burnside.marks import InternalInvariantViolation
+
+        def broken(table, n):
+            raise InternalInvariantViolation("planted")
+
+        monkeypatch.setattr(artin, "artin_certificate", broken)
+        code, out, err = run(capsys, "artin", "--group", "S3", "--json")
+        assert code == 3
+        assert not out
+        assert json.loads(err)["error"] == {
+            "kind": "internal error", "type": "InternalInvariantViolation", "message": "planted",
+        }
+
+    def test_table_computation_error_is_an_input_error(self, capsys):
+        sl23 = "(0 3 6)(1 7 4)\n(0 5 1 2)(3 6 7 4)"
+        code, out, err = run(capsys, "equalizer", "--group", sl23, "--mode", "artin", "--json")
+        assert code == 2
+        error = json.loads(err)["error"]
+        assert (error["kind"], error["type"]) == ("error", "TableComputationError")

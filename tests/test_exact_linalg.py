@@ -14,7 +14,10 @@ from burnside.exact import (
     NotIntegral,
     NotInSubfield,
     cyclotomic_polynomial,
+    divisors,
+    euler_phi,
     extended_euclid_set,
+    integer_kernel,
     integer_kernel_basis,
     smith_normal_form,
     solve_triangular_integer,
@@ -84,6 +87,66 @@ class TestSmithNormalForm:
         assert len(basis) == 2
         for col in basis:
             assert m.mul_vector(col) == [0]
+
+
+def _rank_and_divisors(m: IntMatrix) -> tuple[int, list[int]]:
+    _, d, _ = smith_normal_form(m)
+    diag = [d.entries[i][i] for i in range(min(d.rows, d.cols)) if d.entries[i][i]]
+    return len(diag), diag
+
+
+@st.composite
+def kernel_inputs(draw):
+    """Matrices of at most 8 x 8 with entries in -3..3, seeded with zero,
+    duplicate and negated rows; 0 rows and 0 columns included."""
+    cols = draw(st.integers(0, 8))
+    rows = draw(st.lists(st.lists(st.integers(-3, 3), min_size=cols, max_size=cols), max_size=8))
+    for kind in draw(st.lists(st.sampled_from(["zero", "duplicate", "negated"]), max_size=8 - len(rows))):
+        if kind == "zero" or not rows:
+            rows.append([0] * cols)
+        else:
+            source = rows[draw(st.integers(0, len(rows) - 1))]
+            rows.append(list(source) if kind == "duplicate" else [-v for v in source])
+    return rows, cols
+
+
+class TestIntegerKernel:
+    @settings(max_examples=150, deadline=None)
+    @given(kernel_inputs())
+    def test_matches_smith_kernel(self, data):
+        rows, cols = data
+        m = IntMatrix.from_rows(rows) if rows else IntMatrix.zeros(0, cols)
+        basis = integer_kernel(rows, cols)
+        for b in basis:
+            assert len(b) == cols
+            assert m.mul_vector(b) == [0] * len(rows)
+        # the kernel from the V columns of the Smith form
+        _, d, v = smith_normal_form(m)
+        rank = sum(1 for i in range(min(d.rows, d.cols)) if d.entries[i][i])
+        reference = [[v.entries[i][j] for j in range(rank, cols)] for i in range(cols)]
+        assert len(basis) == cols - rank
+        if not basis:
+            return
+        b_matrix = IntMatrix.from_rows([[b[i] for b in basis] for i in range(cols)])
+        # full column rank, and primitive: the basis spans a saturated lattice
+        assert _rank_and_divisors(b_matrix) == (len(basis), [1] * len(basis))
+        # [A | B] spans no more than A: the same lattice as the Smith kernel
+        both = IntMatrix.from_rows([a + [b[i] for b in basis] for i, a in enumerate(reference)])
+        assert _rank_and_divisors(both) == (len(basis), [1] * len(basis))
+
+    def test_streams_a_generator(self):
+        rows = ([1, -1, 0] for _ in range(1000))
+        assert integer_kernel(rows, 3) in ([[1, 1, 0], [0, 0, 1]], [[0, 0, 1], [1, 1, 0]])
+
+    def test_no_rows_is_the_identity(self):
+        assert integer_kernel([], 2) == [[1, 0], [0, 1]]
+
+
+class TestNumberTheory:
+    def test_divisors_and_phi_match_definitions(self):
+        for n in range(-3, 201):
+            assert divisors(n) == [d for d in range(1, n + 1) if n % d == 0]
+            assert euler_phi(n) == sum(1 for k in range(1, n + 1) if math.gcd(k, n) == 1)
 
 
 class TestTriangularSolve:

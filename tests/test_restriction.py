@@ -3,7 +3,8 @@
 import pytest
 
 from burnside.artin import abelian_family
-from burnside.groups import builtin_group, subgroup_lattice
+from burnside.exact import IntMatrix, smith_normal_form
+from burnside.groups import builtin_group, parse_group, subgroup_lattice
 from burnside.marks import marks_table
 from burnside.restriction import (
     DirectoryTables,
@@ -76,6 +77,82 @@ class TestEqualizerLattice:
                             inter,
                         )
                         assert lhs == rhs
+
+
+LADDER_GENERATORS = {
+    "D8": "(0 1 2 3 4 5 6 7)\n(1 7)(2 6)(3 5)",
+    "C2^3": "(0 1)\n(2 3)\n(4 5)",
+    "C2xS4": "(0 1)\n(0 1 2 3)\n(4 5)",
+}
+
+
+def ladder_group(name):
+    return parse_group(LADDER_GENERATORS[name]) if name in LADDER_GENERATORS else builtin_group(name)
+
+
+def reference_equalizer_basis(family, provider, lattice):
+    """Kernel basis of every (a, b) pair's rows, built with conjugate_function,
+    from the V columns of the Smith form of the full constraint matrix."""
+    from burnside.characters import conjugate_function, restrict
+    from burnside.groups import double_cosets
+
+    group = lattice.group
+    tables = [provider.class_table(i) for i in family]
+    offsets = [0]
+    for t in tables:
+        offsets.append(offsets[-1] + t.size)
+    rows = []
+    for a, idx_a in enumerate(family):
+        for b, idx_b in enumerate(family):
+            k_set = lattice.classes[idx_a].element_set
+            l_set = lattice.classes[idx_b].element_set
+            for coset in double_cosets(group, k_set, l_set).cosets:
+                inter_table = provider.table_for(coset.intersection)
+                inter = inter_table.group
+                res_k = [inter_table.coordinates(restrict(chi, inter)) for chi in tables[a].rows]
+                res_l = [inter_table.coordinates(
+                    restrict(conjugate_function(chi, coset.representative, group), inter))
+                    for chi in tables[b].rows]
+                for r in range(inter_table.size):
+                    row = [0] * offsets[-1]
+                    for s, coords in enumerate(res_k):
+                        row[offsets[a] + s] += coords[r]
+                    for t, coords in enumerate(res_l):
+                        row[offsets[b] + t] -= coords[r]
+                    rows.append(row)
+    _, d, v = smith_normal_form(IntMatrix.from_rows(rows))
+    rank = sum(1 for i in range(min(d.rows, d.cols)) if d.entries[i][i])
+    return IntMatrix.from_rows([list(row[rank:]) for row in v.entries])
+
+
+def rank_and_divisors(m):
+    _, d, _ = smith_normal_form(m)
+    diag = [d.entries[i][i] for i in range(min(d.rows, d.cols)) if d.entries[i][i]]
+    return len(diag), diag
+
+
+class TestEqualizerReference:
+    # C2xS4 artin has double cosets with equal intersections whose
+    # representatives act differently on them: their rows all count
+    @pytest.mark.parametrize("name,mode", [
+        (name, mode) for name in ["S3", "D4", "Q8", "A4", "S4", "D8", "C2^3"]
+        for mode in ["artin", "brauer"]
+    ] + [("C2xS4", "artin")])
+    def test_same_lattice_as_full_smith_kernel(self, name, mode):
+        group = ladder_group(name)
+        lattice = subgroup_lattice(group)
+        provider = TableProvider(group, lattice)
+        family = list(abelian_family(lattice, 1).class_indices) if mode == "artin" \
+            else hyper_family(marks_table(lattice), 1)
+        basis = equalizer_lattice(family, provider, lattice).basis
+        reference = reference_equalizer_basis(family, provider, lattice)
+        rank = reference.cols
+        assert basis.cols == rank
+        # B is primitive, and [A | B] spans a primitive lattice of the same
+        # rank: B spans exactly the lattice of the reference basis A
+        assert rank_and_divisors(basis) == (rank, [1] * rank)
+        both = IntMatrix.from_rows([a + b for a, b in zip(reference.entries, basis.entries)])
+        assert rank_and_divisors(both) == (rank, [1] * rank)
 
 
 class TestHyperFamily:
