@@ -76,6 +76,13 @@ def core_classification(lattice: SubgroupLattice, p: int) -> list[int]:
     return list(lattice.p_core_classes(p))
 
 
+def in_hyper_family(lattice: SubgroupLattice, h: int, n: int | float, order: int) -> bool:
+    """Whether class h is n-hyper for some prime dividing order = |G|_n, or
+    for 2 when |G|_n is 1."""
+    degree = lattice.group.degree
+    return any(is_n_hyper(lattice.classes[h].element_set, n, p, degree) for p in prime_factors(order) or [2])
+
+
 def local_idempotent(h: int, p: int, table: MarksTable, n: int | float = 1) -> LocalIdempotent:
     """The idempotent ghost supported on classes whose p-perfect core is (H),
     together with the integral element solving its |G|_n-coprime multiple."""
@@ -133,12 +140,7 @@ def brauer_certificate(table: MarksTable, n: int | float = 1) -> BrauerCertifica
         raise InternalInvariantViolation(str(exc)) from exc
 
     support = decomposition.support()
-    degree = lattice.group.degree
-    check_primes = primes if primes else [2]
-    support_hyper = all(
-        any(is_n_hyper(lattice.classes[h].element_set, n, p, degree) for p in check_primes)
-        for h in support
-    )
+    support_hyper = all(in_hyper_family(lattice, h, n, order) for h in support)
 
     classes = conjugacy_classes(lattice.group)
     element_checks = []

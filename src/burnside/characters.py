@@ -1,12 +1,20 @@
 """Exact class functions and representation-ring data for finite groups.
 
 Class functions take cyclotomic values on element conjugacy classes.
-Character tables for the small groups handled here are either loaded from
-validated fixture files or computed exactly: abelian groups by enumerating
-homomorphisms into roots of unity, the rest by reducing characters induced
-from linear characters of abelian subgroups (all groups in scope are
-monomial, and the construction is validated by both orthogonality relations
-before a table is returned).
+Permutation tuples are the boundary: they name class representatives, and
+ClassFunction.value_at looks a value up by one.  Every loop over elements,
+in conjugacy classes, cosets, induction, conjugation by g and linear
+characters, runs on element indices of the group's index core (GroupCore).
+
+Character tables are either loaded from validated fixture files or computed
+exactly: abelian groups by enumerating homomorphisms into roots of unity,
+the rest by reducing characters induced from linear characters of abelian
+subgroups.  That reduction is a heuristic that needs a monomial group, and
+not every group in scope is one: SL(2,3), A5 and S5 raise
+TableComputationError, and C2xS4 (which is monomial) fails with
+CharacterError, because a remainder of norm r^2 divided by r is accepted
+without being irreducible.  A table that is returned has passed both
+orthogonality relations.
 
 Pairings sum_i w_i a_i conj(b_i), that is inner products, both orthogonality
 relations and the coordinates of a virtual character in the irreducible
@@ -26,20 +34,17 @@ import re
 from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
-from typing import Sequence
+from itertools import product
+from typing import Iterable, Sequence
 
 from .exact import Cyclotomic, NotInSubfield, cyclotomic_polynomial
 from .groups import (
     Group,
+    GroupCore,
     Perm,
     conjugacy_classes,
     ConjugacyClasses,
     exponent,
-    is_abelian_subgroup,
-    left_cosets,
-    perm_inv,
-    perm_mul,
-    perm_order,
     perm_to_cycles,
     parse_cycles,
     subgroup_as_group,
@@ -180,32 +185,32 @@ def perm_character(group: Group, subgroup: frozenset, classes: ConjugacyClasses 
                    conductor: int = 1) -> ClassFunction:
     """Character of the action on G/H: g -> |(G/H)^g|."""
     classes = classes or conjugacy_classes(group)
-    cosets = left_cosets(group, subgroup)
-    values = []
-    for rep in classes.representatives:
-        count = 0
-        for c in cosets:
-            if perm_mul(perm_mul(perm_inv(c), rep), c) in subgroup:
-                count += 1
-        values.append(Cyclotomic.from_rational(count, conductor))
-    return ClassFunction(group, classes, tuple(values))
+    values = tuple(Cyclotomic.from_rational(len(moved), conductor)
+                   for moved in _fixed_cosets(group, subgroup, classes))
+    return ClassFunction(group, classes, values)
 
 
 def induce(xi: ClassFunction, group: Group, classes: ConjugacyClasses | None = None) -> ClassFunction:
     """ind_H^G xi at g: sum of xi(k^-1 g k) over the cosets kH fixed by g."""
     classes = classes or conjugacy_classes(group)
-    subgroup = xi.group._element_set()
-    cosets = left_cosets(group, subgroup)
     conductor = xi.values[0].conductor if xi.values else 1
-    values = []
+    values = tuple(sum((xi.value_at(x) for x in moved), Cyclotomic.zero(conductor))
+                   for moved in _fixed_cosets(group, xi.group.elements, classes))
+    return ClassFunction(group, classes, values)
+
+
+def _fixed_cosets(group: Group, subgroup: Iterable[Perm], classes: ConjugacyClasses) -> list[list[Perm]]:
+    """Per class representative g, the elements c^-1 g c that lie in H, over
+    the left coset representatives c: one for each coset cH that g fixes."""
+    core = group.core
+    mask = core.mask(subgroup)
+    cosets = core.left_coset_representatives(mask)
+    out = []
     for rep in classes.representatives:
-        total = Cyclotomic.zero(conductor)
-        for c in cosets:
-            moved = perm_mul(perm_mul(perm_inv(c), rep), c)
-            if moved in subgroup:
-                total = total + xi.value_at(moved)
-        values.append(total)
-    return ClassFunction(group, classes, tuple(values))
+        x = core.index[rep]
+        moved = (core.conjugate(x, c) for c in cosets)
+        out.append([core.elements[m] for m in moved if mask >> m & 1])
+    return out
 
 
 def restrict(chi: ClassFunction, subgroup: Group, classes: ConjugacyClasses | None = None) -> ClassFunction:
@@ -217,11 +222,14 @@ def restrict(chi: ClassFunction, subgroup: Group, classes: ConjugacyClasses | No
 
 def conjugate_function(xi: ClassFunction, g: Perm, parent: Group) -> ClassFunction:
     """Transport xi on H to g H g^-1 by x -> xi(g^-1 x g)."""
-    gi = perm_inv(g)
-    moved = frozenset(perm_mul(perm_mul(g, h), gi) for h in xi.group.elements)
-    target = subgroup_as_group(parent, moved)
+    core = parent.core
+    c = core.index[g]
+    ci = core.inverse[c]
+    target = subgroup_as_group(parent, frozenset(
+        core.elements[core.conjugate(core.index[h], ci)] for h in xi.group.elements))
     target_classes = conjugacy_classes(target)
-    values = tuple(xi.value_at(perm_mul(perm_mul(gi, rep), g)) for rep in target_classes.representatives)
+    values = tuple(xi.value_at(core.elements[core.conjugate(core.index[rep], c)])
+                   for rep in target_classes.representatives)
     return ClassFunction(target, target_classes, values)
 
 
@@ -342,85 +350,53 @@ def validate_table(table: CharacterTable) -> None:
 def linear_characters(group: Group, conductor: int) -> list[ClassFunction]:
     """All homomorphisms G -> roots of unity, as class functions."""
     classes = conjugacy_classes(group)
-    gens = _small_generating_set(group)
-    if not gens:
-        return [constant_function(group, classes, Cyclotomic.one(conductor), conductor)]
-    choices: list[list[int]] = []
-    for g in gens:
-        d = perm_order(g)
-        step = conductor // d
-        choices.append([step * t for t in range(d)])
-    out = []
-    for assignment in _cartesian(choices):
-        table = _extend_homomorphism(group, gens, assignment, conductor)
-        if table is not None:
-            values = tuple(Cyclotomic.zeta(conductor, table[rep]) for rep in classes.representatives)
-            out.append(ClassFunction(group, classes, values))
+    core = group.core
+    gens = core.generating_set((1 << group.order) - 1)
+    choices = [[conductor // core.orders[g] * t for t in range(core.orders[g])] for g in gens]
     # one homomorphism per element of the abelianization
-    seen = []
-    unique = []
-    for chi in out:
-        key = tuple(v.coeffs for v in chi.values)
-        if key not in seen:
-            seen.append(key)
-            unique.append(chi)
-    return unique
+    unique: dict[tuple, ClassFunction] = {}
+    for assignment in product(*choices):
+        powers = _extend_homomorphism(core, gens, assignment, conductor)
+        if powers is not None:
+            values = tuple(Cyclotomic.zeta(conductor, powers[core.index[rep]]) for rep in classes.representatives)
+            unique.setdefault(tuple(v.coeffs for v in values), ClassFunction(group, classes, values))
+    return list(unique.values())
 
 
-def _small_generating_set(group: Group) -> list[Perm]:
-    gens: list[Perm] = []
-    from .groups import close_under_product
+def _extend_homomorphism(core: GroupCore, gens: list[int], powers: Sequence[int],
+                         conductor: int) -> list[int] | None:
+    """Per element index, the k with chi(x) = zeta^k, or None when the
+    generator powers do not extend to a homomorphism.
 
-    current = frozenset([group.identity])
-    for g in group.elements:
-        if g not in current:
-            gens.append(g)
-            current = close_under_product(group.degree, gens, cap=group.order)
-            if len(current) == group.order:
-                break
-    return gens
-
-
-def _cartesian(choices: list[list[int]]):
-    if not choices:
-        yield ()
-        return
-    for head in choices[0]:
-        for tail in _cartesian(choices[1:]):
-            yield (head,) + tail
-
-
-def _extend_homomorphism(group: Group, gens: list[Perm], powers: Sequence[int],
-                         conductor: int) -> dict[Perm, int] | None:
-    """Exponent table g -> k with chi(g) = zeta^k, or None when inconsistent."""
-    table = {group.identity: 0}
-    frontier = [group.identity]
+    Every element enters the frontier once and every edge x -> x*g is
+    checked there, so chi(x*g) = chi(x)*chi(g) holds for all x and all
+    generators g, which makes chi multiplicative.
+    """
+    table = core.table
+    out: list[int | None] = [None] * len(table)
+    out[0] = 0
+    frontier = [0]
     while frontier:
         nxt = []
         for x in frontier:
+            row = table[x]
             for g, k in zip(gens, powers):
-                y = perm_mul(x, g)
-                val = (table[x] + k) % conductor
-                if y in table:
-                    if table[y] != val:
-                        return None
-                else:
-                    table[y] = val
+                y = row[g]
+                val = (out[x] + k) % conductor
+                if out[y] is None:
+                    out[y] = val
                     nxt.append(y)
+                elif out[y] != val:
+                    return None
         frontier = nxt
-    # verify multiplicativity on all pairs (cheap at these orders)
-    for a in group.elements:
-        for g, k in zip(gens, powers):
-            if (table[a] + k) % conductor != table[perm_mul(a, g)]:
-                return None
-    return table
+    return out
 
 
 def character_table(group: Group, conductor: int | None = None) -> CharacterTable:
     """Exact character table; conductor defaults to the group exponent."""
     conductor = conductor or exponent(group)
     classes = conjugacy_classes(group)
-    if is_abelian_subgroup(group.elements):
+    if group.core.commute(group.core.generators):
         rows = linear_characters(group, conductor)
         if len(rows) != group.order:
             raise TableComputationError("abelian dual has wrong size")

@@ -500,7 +500,8 @@ class IntMatrix:
         return [list(row) for row in self.entries]
 
     def transpose(self) -> "IntMatrix":
-        return IntMatrix.from_rows([[self.entries[i][j] for i in range(self.rows)] for j in range(self.cols)])
+        return IntMatrix(self.cols, self.rows,
+                         tuple(tuple(row[j] for row in self.entries) for j in range(self.cols)))
 
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.rows:
@@ -513,7 +514,7 @@ class IntMatrix:
                     orow = other.entries[k]
                     for j in range(other.cols):
                         out[i][j] += a * orow[j]
-        return IntMatrix.from_rows(out)
+        return IntMatrix(self.rows, other.cols, tuple(map(tuple, out)))
 
     def mul_vector(self, vec: Sequence[int]) -> list[int]:
         if self.cols != len(vec):
@@ -521,7 +522,7 @@ class IntMatrix:
         return [sum(a * v for a, v in zip(row, vec)) for row in self.entries]
 
     def scale(self, k: int) -> "IntMatrix":
-        return IntMatrix.from_rows([[k * v for v in row] for row in self.entries])
+        return IntMatrix(self.rows, self.cols, tuple(tuple(k * v for v in row) for row in self.entries))
 
     def determinant(self) -> int:
         """Exact determinant by fraction-free Bareiss elimination."""

@@ -1,13 +1,18 @@
 """Finite permutation groups, subgroup lattices, and subgroup classifications.
 
 Permutations are tuples mapping point i to perm[i]; composition is
-(p * q)(i) = p(q(i)).  The public API passes subgroups as frozensets of
-permutations.  The combinatorial layers work on each group's index core
-(GroupCore): element i is group.elements[i], products are Cayley-table
-lookups, and a subgroup is an int bitmask with bit i set when element i
-belongs to it.  The subgroup lattice is enumerated by cyclic extension of one
+(p * q)(i) = p(q(i)).  Permutation tuples are the boundary: they are parsed,
+closed into a group by group_from_generators, turned into a Cayley table by
+the GroupCore constructor and printed, and the public API passes subgroups
+as frozensets of them.  Every loop behind that boundary runs on the group's
+index core (GroupCore): element i is group.elements[i], products are
+Cayley-table lookups, and a subgroup is an int bitmask with bit i set when
+element i belongs to it.  Conjugacy classes, cosets and generating sets come
+from the core, the subgroup lattice is enumerated by cyclic extension of one
 representative per conjugacy class, and normalizer orders, subconjugacy and
-marks are read off the conjugation orbits of those bitmasks.
+marks are read off the conjugation orbits of those bitmasks.  The n-hyper
+helpers at the end still close permutation tuples, because their public
+signature has no group.
 """
 
 from __future__ import annotations
@@ -61,11 +66,6 @@ def perm_inv(p: Perm) -> Perm:
     for i, v in enumerate(p):
         out[v] = i
     return tuple(out)
-
-
-def perm_conj(g: Perm, x: Perm) -> Perm:
-    """Conjugate g * x * g^-1."""
-    return perm_mul(perm_mul(g, x), perm_inv(g))
 
 
 def perm_order(p: Perm) -> int:
@@ -230,6 +230,19 @@ class GroupCore:
         """The permutations of a bitmask, in sorted order."""
         return tuple(self.elements[i] for i in _bits(mask))
 
+    def conjugate(self, x: int, g: int) -> int:
+        """Index of g^-1 * x * g."""
+        return self.table[self.table[self.inverse[g]][x]][g]
+
+    @cached_property
+    def conjugations(self) -> list[list[int]]:
+        """Per generator s, the map x -> s^-1 * x * s on element indices."""
+        return [[self.conjugate(x, s) for x in range(len(self.table))] for s in self.generators]
+
+    def commute(self, elems: Sequence[int]) -> bool:
+        table = self.table
+        return all(table[a][b] == table[b][a] for a in elems for b in elems)
+
     def power(self, x: int, k: int) -> int:
         result, base = 0, x
         while k:
@@ -266,13 +279,36 @@ class GroupCore:
 
     def closure(self, gens: Iterable[int]) -> list[int]:
         """Elements of the subgroup generated by gens."""
+        return self._grow(gens)[0]
+
+    def generating_set(self, mask: int) -> list[int]:
+        """Greedy generators of a subgroup: each is the first element, in
+        index order, outside the subgroup generated by those before it."""
+        return self._grow(_bits(mask))[1]
+
+    def _grow(self, gens: Iterable[int]) -> tuple[list[int], list[int]]:
+        """Elements of the subgroup generated by gens, and the gens that each
+        lay outside the subgroup generated by those before them."""
         elems, used, members = [0], [], {0}
         for g in gens:
             if g not in members:
                 elems = self.extend(elems, used, g)
                 used.append(g)
                 members = set(elems)
-        return elems
+        return elems, used
+
+    def left_coset_representatives(self, mask: int) -> list[int]:
+        """The first element, in index order, of each left coset g*H of the
+        subgroup H with the given mask."""
+        members = _bits(mask)
+        seen = bytearray(len(self.table))
+        reps = []
+        for g, row in enumerate(self.table):
+            if not seen[g]:
+                reps.append(g)
+                for h in members:
+                    seen[row[h]] = 1
+        return reps
 
     def cyclic_generators(self) -> list[int]:
         """One generator (the first in index order) of each cyclic subgroup
@@ -422,33 +458,37 @@ class ConjugacyClasses:
         return [len(cls) for cls in self.classes]
 
     def index_of(self, element: Perm) -> int:
-        return self._lookup()[element]
+        return self._lookup[element]
 
-    def _lookup(self) -> dict:
-        if not hasattr(self, "_cached_lookup"):
-            table = {}
-            for idx, cls in enumerate(self.classes):
-                for g in cls:
-                    table[g] = idx
-            object.__setattr__(self, "_cached_lookup", table)
-        return self._cached_lookup
+    @cached_property
+    def _lookup(self) -> dict[Perm, int]:
+        return {g: idx for idx, cls in enumerate(self.classes) for g in cls}
 
 
 def conjugacy_classes(group: Group) -> ConjugacyClasses:
-    seen = set()
+    """Orbits under conjugation by the generators, sorted by element order,
+    then size, then least member."""
+    core = group.core
+    seen = bytearray(len(core.elements))
     classes = []
-    for x in group.elements:
-        if x in seen:
+    for x in range(len(core.elements)):
+        if seen[x]:
             continue
-        orbit = {perm_conj(g, x) for g in group.elements}
-        seen |= orbit
-        classes.append(tuple(sorted(orbit)))
-    classes.sort(key=lambda cls: (perm_order(cls[0]), len(cls), cls[0]))
-    return ConjugacyClasses(group, tuple(classes))
+        seen[x] = 1
+        orbit = [x]
+        for y in orbit:
+            for conj in core.conjugations:
+                z = conj[y]
+                if not seen[z]:
+                    seen[z] = 1
+                    orbit.append(z)
+        classes.append(sorted(orbit))
+    classes.sort(key=lambda cls: (core.orders[cls[0]], len(cls), cls[0]))
+    return ConjugacyClasses(group, tuple(tuple(core.elements[i] for i in cls) for cls in classes))
 
 
 def exponent(group: Group) -> int:
-    return math.lcm(*[perm_order(g) for g in group.elements])
+    return math.lcm(*group.core.orders)
 
 
 def is_abelian_subgroup(elements: Iterable[Perm]) -> bool:
@@ -511,11 +551,9 @@ class SubgroupLattice:
         except KeyError:
             raise GroupError("subgroup not found in lattice") from None
         rep = self.orbits[idx][0]
-        table, inverse = core.table, core.inverse
         elems = _bits(mask)
-        for g in range(len(table)):
-            row = table[inverse[g]]
-            if all(rep >> table[row[s]][g] & 1 for s in elems):
+        for g in range(len(core.table)):
+            if all(rep >> core.conjugate(s, g) & 1 for s in elems):
                 return idx, core.elements[g]
         raise GroupError("subgroup not found in lattice")
 
@@ -531,19 +569,8 @@ class SubgroupLattice:
     def coset_representatives(self) -> tuple[tuple[int, ...], ...]:
         """Per class, element indices of one g from each left coset g*H of
         the representative H, the first of its coset in element order."""
-        table = self.group.core.table
-        out = []
-        for orbit in self.orbits:
-            rep = _bits(orbit[0])
-            seen = bytearray(len(table))
-            reps = []
-            for g, row in enumerate(table):
-                if not seen[g]:
-                    reps.append(g)
-                    for h in rep:
-                        seen[row[h]] = 1
-            out.append(tuple(reps))
-        return tuple(out)
+        core = self.group.core
+        return tuple(tuple(core.left_coset_representatives(orbit[0])) for orbit in self.orbits)
 
     def p_core_classes(self, p: int) -> tuple[int, ...]:
         """For each class (K), the class index of O^p(K), the subgroup
@@ -591,8 +618,6 @@ def _subgroup_orbits(core: GroupCore) -> list[tuple[list[int], list[int], list[i
     group's generators only; the elements and generators describe its first
     member, orbit[0], which is the one that gets extended.
     """
-    table, inverse = core.table, core.inverse
-    conjugations = [[table[table[inverse[s]][x]][s] for x in range(len(table))] for s in core.generators]
     cyclic = core.cyclic_generators()
     found: list[tuple[list[int], list[int], list[int]]] = [([1], [0], [])]
     known = {1}
@@ -611,7 +636,7 @@ def _subgroup_orbits(core: GroupCore) -> list[tuple[list[int], list[int], list[i
             conjugates, members = [mask], [extended]
             j = 0
             while j < len(members):
-                for conj in conjugations:
+                for conj in core.conjugations:
                     image = [conj[x] for x in members[j]]
                     image_mask = _mask(image)
                     if image_mask not in known:
@@ -705,11 +730,10 @@ def subgroup_lattice(group: Group) -> SubgroupLattice:
     classes = []
     orbits = []
     order_counts: dict[int, int] = {}
-    table = core.table
     for idx, (order, rep, orbit, elems, gens) in enumerate(found):
         rep_mask = _mask(rep)
         orbits.append((rep_mask,) + tuple(m for m in orbit if m != rep_mask))
-        abelian = all(table[a][b] == table[b][a] for a in gens for b in gens)
+        abelian = core.commute(gens)
         seq = order_counts.get(order, 0)
         order_counts[order] = seq + 1
         classes.append(SubgroupClass(
@@ -761,16 +785,9 @@ def is_n_hyper(subgroup: frozenset, n: int | float, p: int, degree: int) -> bool
 
 
 def left_cosets(group: Group, subgroup: frozenset) -> list[Perm]:
-    """Deterministic representatives of the left cosets g*H."""
-    reps = []
-    seen = set()
-    for g in group.elements:
-        if g in seen:
-            continue
-        reps.append(g)
-        for h in subgroup:
-            seen.add(perm_mul(g, h))
-    return reps
+    """The first element, in element order, of each left coset g*H."""
+    core = group.core
+    return [core.elements[g] for g in core.left_coset_representatives(core.mask(subgroup))]
 
 
 @dataclass(frozen=True)
@@ -802,20 +819,15 @@ def double_cosets(group: Group, k_sub: frozenset, h_sub: frozenset) -> DoubleCos
         for x in orbit:
             seen[x] = 1
         rep = min(orbit)
-        conj_h = (elements[table[table[rep][h]][core.inverse[rep]]] for h in hs)
+        conj_h = (elements[core.conjugate(h, core.inverse[rep])] for h in hs)
         cosets.append(DoubleCoset(elements[rep], k_sub.intersection(conj_h), len(orbit)))
     return DoubleCosetDecomposition(group, k_sub, h_sub, tuple(cosets))
 
 
 def subgroup_as_group(parent: Group, elements: frozenset, name: str = "") -> Group:
-    """Wrap an explicit subgroup as a standalone Group value."""
-    elems = tuple(sorted(elements))
-    gens = []
-    current = frozenset([parent.identity])
-    for g in elems:
-        if g not in current:
-            gens.append(g)
-            current = close_under_product(parent.degree, gens, cap=len(elements))
-            if len(current) == len(elements):
-                break
-    return Group(parent.degree, tuple(gens), elems, name)
+    """Wrap an explicit subgroup as a standalone Group value, generated by
+    the greedy generating set of the parent's core."""
+    core = parent.core
+    mask = core.mask(elements)
+    gens = tuple(core.elements[g] for g in core.generating_set(mask))
+    return Group(parent.degree, gens, core.perms(mask), name)

@@ -19,8 +19,8 @@ from fractions import Fraction
 from pathlib import Path
 
 from .artin import ArtinCertificate, abelian_family, artin_certificate, order_n
-from .brauer import brauer_certificate
-from .exact import IntMatrix, integer_kernel, prime_factors, smith_normal_form, solve_rational_columns
+from .brauer import brauer_certificate, in_hyper_family
+from .exact import IntMatrix, integer_kernel, smith_normal_form, solve_rational_columns
 from .characters import (
     CharacterTable,
     ClassFunction,
@@ -35,9 +35,6 @@ from .groups import (
     SubgroupLattice,
     double_cosets,
     exponent,
-    is_n_hyper,
-    perm_inv,
-    perm_mul,
     subgroup_as_group,
 )
 from .marks import MarksTable
@@ -146,6 +143,7 @@ def equalizer_lattice(family: list[int], provider: TableProvider,
     if not family:
         raise EmptyFamily("equalizer over an empty family")
     group = lattice.group
+    core = group.core
     subgroups = [lattice.classes[i].element_set for i in family]
     tables = [provider.class_table(i) for i in family]
     block_sizes = [t.size for t in tables]
@@ -167,8 +165,9 @@ def equalizer_lattice(family: list[int], provider: TableProvider,
                         continue  # K g K = K: both sides restrict the same function
                     inter_table = provider.table_for(inter)
                     inter_group, inter_classes = inter_table.group, inter_table.classes
-                    gi = perm_inv(g)
-                    moved = [perm_mul(perm_mul(gi, r), g) for r in inter_classes.representatives]
+                    c = core.index[g]
+                    moved = [core.elements[core.conjugate(core.index[r], c)]
+                             for r in inter_classes.representatives]
                     # the rows depend on g only through the L-classes of g^-1 r g
                     key = (a, b, inter, tuple(tables[b].classes.index_of(x) for x in moved))
                     if key in seen:
@@ -194,8 +193,7 @@ def equalizer_lattice(family: list[int], provider: TableProvider,
                         yield row
 
     kernel = integer_kernel(constraint_rows(), total)
-    basis = IntMatrix.from_rows([[col[i] for col in kernel] for i in range(total)]) \
-        if kernel else IntMatrix.zeros(total, 0)
+    basis = IntMatrix.from_rows([[col[i] for col in kernel] for i in range(total)])
     return EqualizerLattice(tuple(family), tuple(block_sizes), basis)
 
 
@@ -221,8 +219,8 @@ def _equalizer_coordinates(eq: EqualizerLattice, points: IntMatrix) -> IntMatrix
     return IntMatrix.from_rows([[col[i] for col in columns] for i in range(eq.rank)])
 
 
-def _restriction_matrix(group: Group, top_table: CharacterTable, eq: EqualizerLattice,
-                        provider: TableProvider, lattice: SubgroupLattice) -> IntMatrix:
+def _restriction_matrix(top_table: CharacterTable, eq: EqualizerLattice,
+                        provider: TableProvider) -> IntMatrix:
     """Matrix of res: R(G) -> equalizer, in basis coordinates (rank x #irr)."""
     stacked: list[tuple[int, ...]] = []  # one row per family coordinate, one column per irreducible
     for idx in eq.family:
@@ -262,7 +260,7 @@ def verify_artin_restriction(table: MarksTable, n: int | float,
     order = certificate.order_n
     nirr = top_table.size
 
-    res_matrix = _restriction_matrix(group, top_table, eq, provider, lattice)
+    res_matrix = _restriction_matrix(top_table, eq, provider)
 
     g_classes = top_table.classes
     psi_columns = []
@@ -318,15 +316,10 @@ class BrauerRestrictionReport:
 
 
 def hyper_family(table: MarksTable, n: int | float) -> list[int]:
-    """Classes that are n-hyper for at least one prime dividing the order."""
+    """Classes that are n-hyper for at least one prime dividing |G|_n."""
     lattice = table.lattice
     order = order_n(abelian_family(lattice, n), lattice)
-    primes = prime_factors(order) or [2]
-    degree = lattice.group.degree
-    return [
-        i for i, cls in enumerate(lattice.classes)
-        if any(is_n_hyper(cls.element_set, n, p, degree) for p in primes)
-    ]
+    return [i for i in range(len(lattice)) if in_hyper_family(lattice, i, n, order)]
 
 
 def verify_brauer_restriction(table: MarksTable, n: int | float = 1,
@@ -341,7 +334,7 @@ def verify_brauer_restriction(table: MarksTable, n: int | float = 1,
     family = hyper_family(table, n)
     eq = equalizer_lattice(family, provider, lattice)
     top_table = provider.class_table(lattice.full_index)
-    res_matrix = _restriction_matrix(group, top_table, eq, provider, lattice)
+    res_matrix = _restriction_matrix(top_table, eq, provider)
     _, d, _ = smith_normal_form(res_matrix)
     divisors = tuple(
         d.entries[i][i] for i in range(min(d.rows, d.cols)) if d.entries[i][i] != 0

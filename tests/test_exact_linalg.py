@@ -89,6 +89,29 @@ class TestSmithNormalForm:
             assert m.mul_vector(col) == [0]
 
 
+class TestZeroDimensions:
+    """transpose, @ and scale keep a zero row or column count."""
+
+    def test_transpose_of_3x0(self):
+        assert IntMatrix.zeros(3, 0).transpose() == IntMatrix.zeros(0, 3)
+        assert IntMatrix.zeros(0, 3).transpose() == IntMatrix.zeros(3, 0)
+
+    def test_product_through_0x4(self):
+        assert IntMatrix.zeros(0, 4) @ IntMatrix.zeros(4, 2) == IntMatrix.zeros(0, 2)
+        assert IntMatrix.zeros(3, 0) @ IntMatrix.zeros(0, 2) == IntMatrix.zeros(3, 2)
+        assert IntMatrix.identity(2) @ IntMatrix.zeros(2, 0) == IntMatrix.zeros(2, 0)
+
+    @pytest.mark.parametrize("cols", [0, 1, 5])
+    def test_scale_of_0xc(self, cols):
+        assert IntMatrix.zeros(0, cols).scale(7) == IntMatrix.zeros(0, cols)
+
+    def test_nonempty_unchanged(self):
+        m = IntMatrix.from_rows([[1, 2, 3], [4, 5, 6]])
+        assert m.transpose() == IntMatrix.from_rows([[1, 4], [2, 5], [3, 6]])
+        assert m.scale(-2) == IntMatrix.from_rows([[-2, -4, -6], [-8, -10, -12]])
+        assert m @ m.transpose() == IntMatrix.from_rows([[14, 32], [32, 77]])
+
+
 def _rank_and_divisors(m: IntMatrix) -> tuple[int, list[int]]:
     _, d, _ = smith_normal_form(m)
     diag = [d.entries[i][i] for i in range(min(d.rows, d.cols)) if d.entries[i][i]]
