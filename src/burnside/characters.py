@@ -24,7 +24,8 @@ denominator; conjugation negates exponents mod n.  The products accumulate
 in one length-n integer vector, an element of Z[x]/(x^n - 1), which is
 reduced once modulo the monic cyclotomic polynomial Phi_n and so stays
 integral.  Each table keeps its size-weighted, conjugated rows per n, so a
-coordinate costs one such convolution.
+coordinate costs one such convolution.  Validation spreads each row and each
+column of a table once, at the table's conductor, and convolves every pair.
 """
 
 from __future__ import annotations
@@ -72,6 +73,11 @@ class DegreeSumMismatch(CharacterError):
 
 class TableComputationError(CharacterError):
     """The character hunt failed to close; outside the supported group range."""
+
+
+class ConductorTooSmall(CharacterError):
+    """Some generator order does not divide the requested conductor, so not
+    every linear character takes values among its roots of unity."""
 
 
 @dataclass(frozen=True)
@@ -331,20 +337,29 @@ def validate_table(table: CharacterTable) -> None:
         raise DegreeSumMismatch(f"degree squares sum to {sum(d * d for d in degrees)}, not {group.order}")
     if any(not v == 1 for v in rows[0].values):
         raise CharacterError("first row must be the trivial character")
-    for i in range(len(rows)):
-        for j in range(i, len(rows)):
-            expected = group.order if i == j else 0
-            if not _pairing(table.classes.sizes, rows[i].values, rows[j].values) == expected:
-                raise OrthogonalityFailure(i, j)
+    sizes = table.classes.sizes
+    n = table.conductor
+    _check_orthogonal([row.values for row in rows], sizes, [group.order] * len(rows), n)
     # column orthogonality: sum_i chi_i(c) conj(chi_i(c')) = delta * |C_G(g_c)|
-    ones = [1] * len(rows)
-    for a in range(n_classes):
-        for b in range(a, n_classes):
-            expected = group.order // table.classes.sizes[a] if a == b else 0
-            column_a = [row.values[a] for row in rows]
-            column_b = [row.values[b] for row in rows]
-            if not _pairing(ones, column_a, column_b) == expected:
-                raise OrthogonalityFailure(a, b)
+    _check_orthogonal([[row.values[c] for row in rows] for c in range(n_classes)], None,
+                      [group.order // size for size in sizes], n)
+
+
+def _check_orthogonal(vectors: Sequence[Sequence[Cyclotomic]], weights: Sequence[int] | None,
+                      norms: Sequence[int], n: int) -> None:
+    """Raise OrthogonalityFailure(i, j) at the first i <= j, in order, where
+    sum_c w_c v_i(c) conj(v_j(c)) differs from norms[i] when i = j and from
+    0 otherwise.  Each vector is spread once; a value at conductor n is the integer e exactly
+    when its power-basis vector is (e, 0, ..., 0), since 1, z, ...,
+    z^(phi(n)-1) is a basis of Q(zeta_n)."""
+    plain = [_spread(v, n, weights) for v in vectors]
+    conjugated = [_spread(v, n, conjugate=True) for v in vectors]
+    for i, (left, lden) in enumerate(plain):
+        for j in range(i, len(vectors)):
+            right, rden = conjugated[j]
+            coeffs = _convolve(left, right, n)
+            if coeffs[0] != (norms[i] * lden * rden if i == j else 0) or any(coeffs[1:]):
+                raise OrthogonalityFailure(i, j)
 
 
 def linear_characters(group: Group, conductor: int) -> list[ClassFunction]:
@@ -352,6 +367,9 @@ def linear_characters(group: Group, conductor: int) -> list[ClassFunction]:
     classes = conjugacy_classes(group)
     core = group.core
     gens = core.generating_set((1 << group.order) - 1)
+    if any(conductor % core.orders[g] for g in gens):
+        orders = sorted({core.orders[g] for g in gens})
+        raise ConductorTooSmall(f"conductor {conductor} is not a multiple of every generator order {orders}")
     choices = [[conductor // core.orders[g] * t for t in range(core.orders[g])] for g in gens]
     # one homomorphism per element of the abelianization
     unique: dict[tuple, ClassFunction] = {}

@@ -547,7 +547,7 @@ class SubgroupLattice:
         core = self.group.core
         try:
             mask = core.mask(subgroup)
-            idx = self._class_of_mask[mask]
+            idx = self.class_of_mask[mask]
         except KeyError:
             raise GroupError("subgroup not found in lattice") from None
         rep = self.orbits[idx][0]
@@ -578,7 +578,7 @@ class SubgroupLattice:
         if p not in self._p_core_classes:
             core = self.group.core
             self._p_core_classes[p] = tuple(
-                self._class_of_mask[_mask(core.closure(
+                self.class_of_mask[_mask(core.closure(
                     x for x in _bits(orbit[0]) if core.orders[x] % p != 0
                 ))]
                 for orbit in self.orbits
@@ -586,7 +586,8 @@ class SubgroupLattice:
         return self._p_core_classes[p]
 
     @cached_property
-    def _class_of_mask(self) -> dict[int, int]:
+    def class_of_mask(self) -> dict[int, int]:
+        """Class index of every subgroup, keyed by its bitmask over group.core."""
         return {mask: idx for idx, orbit in enumerate(self.orbits) for mask in orbit}
 
     @cached_property

@@ -5,7 +5,12 @@ The equalizer is the integer kernel of the difference of the two
 restriction-conjugation maps out of the product of representation rings of a
 family of subgroup classes; restriction from the top group lands in it.  Its
 constraint rows are streamed, one double coset at a time, into an integer
-kernel that never holds more than one square matrix.  The
+kernel that never holds more than one square matrix.  A double coset K g L
+whose intersection I = K cap gLg^-1 is proper in both K and gLg^-1 sends no
+rows when the class of I is in the family: its constraint follows from the
+two containment double cosets through I's family representative (see
+equalizer_lattice), so only containment rows are left for families closed
+under subgroups, as both production families are.  The
 Artin verification checks that restriction and the induced section compose to
 the group order in both directions; the Brauer verification checks that
 restriction is a lattice isomorphism via Smith elementary divisors.
@@ -139,11 +144,24 @@ class EqualizerLattice:
 
 def equalizer_lattice(family: list[int], provider: TableProvider,
                       lattice: SubgroupLattice) -> EqualizerLattice:
-    """Integral basis of the equalizer of the two restriction-conjugation maps."""
+    """Integral basis of the equalizer of the two restriction-conjugation maps.
+
+    A tuple (x_K) lies in the equalizer when res_I x_K = c_g res x_L on
+    I = K cap gLg^-1 for every pair K, L of the family and every double coset
+    K g L.  The pairs (L, K) and K*1*K are skipped, and so is K g L when I is
+    proper in both K and gLg^-1 and I = hMh^-1 for a family representative M.
+    Its constraint is then implied by two containment double cosets, which
+    are kept (each visited as its mirror when M comes first): K h M, whose
+    intersection is all of hMh^-1, gives res_I x_K = c_h x_M, and L g^-1h M
+    gives res x_L = c_(g^-1 h) x_M on g^-1 I g; together
+    res_I x_K = c_g res x_L.  The kernel is the same lattice, though the basis
+    the integer kernel returns for it may differ.
+    """
     if not family:
         raise EmptyFamily("equalizer over an empty family")
     group = lattice.group
     core = group.core
+    members = set(family)
     subgroups = [lattice.classes[i].element_set for i in family]
     tables = [provider.class_table(i) for i in family]
     block_sizes = [t.size for t in tables]
@@ -163,6 +181,9 @@ def equalizer_lattice(family: list[int], provider: TableProvider,
                     g, inter = coset.representative, coset.intersection
                     if a == b and g in k_set:
                         continue  # K g K = K: both sides restrict the same function
+                    if (len(inter) < min(len(k_set), len(subgroups[b]))
+                            and lattice.class_of_mask[core.mask(inter)] in members):
+                        continue  # implied by the containment double cosets through I
                     inter_table = provider.table_for(inter)
                     inter_group, inter_classes = inter_table.group, inter_table.classes
                     c = core.index[g]

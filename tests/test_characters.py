@@ -11,6 +11,7 @@ from burnside.characters import (
     CharacterError,
     CharacterTable,
     ClassFunction,
+    ConductorTooSmall,
     DegreeSumMismatch,
     MalformedEntry,
     OrthogonalityFailure,
@@ -226,6 +227,12 @@ class TestCharacterTables:
         for name, count in [("S3", 2), ("A4", 3), ("D4", 4), ("Q8", 4), ("S4", 2)]:
             group = builtin_group(name)
             assert len(linear_characters(group, exponent(group))) == count
+
+    def test_linear_characters_need_every_generator_order_to_divide_the_conductor(self):
+        c4 = builtin_group("C4")
+        with pytest.raises(ConductorTooSmall):
+            linear_characters(c4, 2)
+        assert len(linear_characters(c4, 4)) == 4
 
     def test_conjugate_transport_preserves_tables(self):
         group = builtin_group("S4")

@@ -1,10 +1,16 @@
 """Equalizer lattices and the induction-restriction isomorphism verifications."""
 
-import pytest
+import json
+import math
+from pathlib import Path
 
+import pytest
+from hypothesis import given, settings
+
+from burnside import restriction
 from burnside.artin import abelian_family
-from burnside.exact import IntMatrix, smith_normal_form
-from burnside.groups import builtin_group, parse_group, subgroup_lattice
+from burnside.exact import IntMatrix, integer_kernel, smith_normal_form
+from burnside.groups import BUILTIN_GROUPS, builtin_group, parse_group, subgroup_lattice
 from burnside.marks import marks_table
 from burnside.restriction import (
     DirectoryTables,
@@ -16,6 +22,8 @@ from burnside.restriction import (
     verify_artin_restriction,
     verify_brauer_restriction,
 )
+
+from test_lattice_oracles import small_subgroups_of_s6
 
 
 @pytest.fixture(scope="module")
@@ -83,6 +91,7 @@ LADDER_GENERATORS = {
     "D8": "(0 1 2 3 4 5 6 7)\n(1 7)(2 6)(3 5)",
     "C2^3": "(0 1)\n(2 3)\n(4 5)",
     "C2xS4": "(0 1)\n(0 1 2 3)\n(4 5)",
+    "C2^4": "(0 1)\n(2 3)\n(4 5)\n(6 7)",
 }
 
 
@@ -131,19 +140,16 @@ def rank_and_divisors(m):
     return len(diag), diag
 
 
+def production_family(lattice, mode, n=1):
+    """The abelian family (artin) or the n-hyper family (brauer)."""
+    return list(abelian_family(lattice, n).class_indices) if mode == "artin" \
+        else hyper_family(marks_table(lattice), n)
+
+
 class TestEqualizerReference:
-    # C2xS4 artin has double cosets with equal intersections whose
-    # representatives act differently on them: their rows all count
-    @pytest.mark.parametrize("name,mode", [
-        (name, mode) for name in ["S3", "D4", "Q8", "A4", "S4", "D8", "C2^3"]
-        for mode in ["artin", "brauer"]
-    ] + [("C2xS4", "artin")])
-    def test_same_lattice_as_full_smith_kernel(self, name, mode):
-        group = ladder_group(name)
-        lattice = subgroup_lattice(group)
-        provider = TableProvider(group, lattice)
-        family = list(abelian_family(lattice, 1).class_indices) if mode == "artin" \
-            else hyper_family(marks_table(lattice), 1)
+    @staticmethod
+    def assert_same_lattice_as_reference(lattice, family):
+        provider = TableProvider(lattice.group, lattice)
         basis = equalizer_lattice(family, provider, lattice).basis
         reference = reference_equalizer_basis(family, provider, lattice)
         rank = reference.cols
@@ -153,6 +159,89 @@ class TestEqualizerReference:
         assert rank_and_divisors(basis) == (rank, [1] * rank)
         both = IntMatrix.from_rows([a + b for a, b in zip(reference.entries, basis.entries)])
         assert rank_and_divisors(both) == (rank, [1] * rank)
+
+    # C2xS4 artin has double cosets with equal intersections whose
+    # representatives act differently on them: their rows all count
+    @pytest.mark.parametrize("name,mode", [
+        (name, mode) for name in ["S3", "D4", "Q8", "A4", "S4", "D8", "C2^3"]
+        for mode in ["artin", "brauer"]
+    ] + [("C2xS4", "artin")])
+    def test_same_lattice_as_full_smith_kernel(self, name, mode):
+        lattice = subgroup_lattice(ladder_group(name))
+        self.assert_same_lattice_as_reference(lattice, production_family(lattice, mode))
+
+    # each family leaves out the class of an intersection proper in both
+    # sides (the trivial group, or the centre of D4), so those double
+    # cosets must still send their rows
+    @pytest.mark.parametrize("name,labels", [("S3", "2a,3a"), ("A4", "3a,4a"), ("D4", "4a,4b")])
+    def test_family_without_an_intersection_class(self, name, labels):
+        lattice = subgroup_lattice(builtin_group(name))
+        family = [i for i in range(len(lattice)) if lattice.label_of(i) in labels.split(",")]
+        assert ",".join(lattice.label_of(i) for i in family) == labels
+        self.assert_same_lattice_as_reference(lattice, family)
+
+    @pytest.mark.parametrize("name", ["C2^3", "S4"])
+    @pytest.mark.parametrize("mode", ["artin", "brauer"])
+    @pytest.mark.parametrize("n", [2, math.inf])
+    def test_larger_n_families(self, name, mode, n):
+        lattice = subgroup_lattice(ladder_group(name))
+        self.assert_same_lattice_as_reference(lattice, production_family(lattice, mode, n))
+
+
+class TestEqualizerWork:
+    """Rows streamed into the integer kernel: only containment double cosets
+    send rows for the production families, which are closed under subgroups."""
+
+    @pytest.mark.parametrize("name,mode,rows,cols", [
+        ("C2^4", "brauer", 1487, 307),
+        ("D8", "brauer", 147, 44),
+        ("D8", "artin", 40, 19),
+    ])
+    def test_kernel_row_counts(self, monkeypatch, name, mode, rows, cols):
+        received = []
+
+        def counting_kernel(row_iter, width):
+            row_list = list(row_iter)
+            received.append((len(row_list), width))
+            return integer_kernel(row_list, width)
+
+        monkeypatch.setattr(restriction, "integer_kernel", counting_kernel)
+        lattice = subgroup_lattice(ladder_group(name))
+        family = production_family(lattice, mode)
+        equalizer_lattice(family, TableProvider(lattice.group, lattice), lattice)
+        assert received == [(rows, cols)]
+
+
+WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "data" / "workloads.json"
+BENCHMARK_GROUPS = json.loads(WORKLOADS.read_text())["groups"]
+
+
+def assert_families_closed_under_subconjugacy(lattice):
+    """Every class below a member of a production family is a member too,
+    which reduces the equalizer's skip rule to containment double cosets."""
+    table = marks_table(lattice)
+    families = [abelian_family(lattice, n).class_indices for n in (0, 1, 2, math.inf)]
+    families += [hyper_family(table, n) for n in (1, 2, math.inf)]
+    for family in families:
+        members = set(family)
+        for h in members:
+            assert all(k in members for k in range(len(lattice)) if lattice.leq(k, h))
+
+
+class TestFamiliesClosedUnderSubconjugacy:
+    @pytest.mark.parametrize("name", sorted(BUILTIN_GROUPS))
+    def test_builtin(self, name):
+        assert_families_closed_under_subconjugacy(subgroup_lattice(builtin_group(name)))
+
+    @pytest.mark.parametrize("name", sorted(BENCHMARK_GROUPS))
+    def test_benchmark_group(self, name):
+        group = parse_group("\n".join(BENCHMARK_GROUPS[name]["generators"]))
+        assert_families_closed_under_subconjugacy(subgroup_lattice(group))
+
+    @settings(max_examples=15, deadline=None)
+    @given(small_subgroups_of_s6())
+    def test_small_subgroups_of_s6(self, group):
+        assert_families_closed_under_subconjugacy(subgroup_lattice(group))
 
 
 class TestHyperFamily:
