@@ -9,12 +9,7 @@ import math
 from dataclasses import dataclass
 
 from .exact import extended_euclid_set, prime_factors
-from .groups import (
-    SubgroupLattice,
-    conjugacy_classes,
-    is_n_hyper,
-    perm_to_cycles,
-)
+from .groups import SubgroupLattice, conjugacy_classes, perm_to_cycles
 from .marks import (
     BurnsideElement,
     GhostElement,
@@ -77,10 +72,15 @@ def core_classification(lattice: SubgroupLattice, p: int) -> list[int]:
 
 
 def in_hyper_family(lattice: SubgroupLattice, h: int, n: int | float, order: int) -> bool:
-    """Whether class h is n-hyper for some prime dividing order = |G|_n, or
-    for 2 when |G|_n is 1."""
-    degree = lattice.group.degree
-    return any(is_n_hyper(lattice.classes[h].element_set, n, p, degree) for p in prime_factors(order) or [2])
+    """Whether class h is n-hyper for some prime p dividing order = |G|_n, or
+    for 2 when |G|_n is 1: O^p(H) is abelian on at most n generators (see
+    groups.is_n_hyper).  Being generated by elements of order prime to p, an
+    abelian O^p(H) is a p'-group."""
+    for p in prime_factors(order) or [2]:
+        core = lattice.classes[lattice.p_core_classes(p)[h]]
+        if core.is_abelian and core.min_generators <= n:
+            return True
+    return False
 
 
 def local_idempotent(h: int, p: int, table: MarksTable, n: int | float = 1) -> LocalIdempotent:

@@ -371,13 +371,15 @@ def linear_characters(group: Group, conductor: int) -> list[ClassFunction]:
         orders = sorted({core.orders[g] for g in gens})
         raise ConductorTooSmall(f"conductor {conductor} is not a multiple of every generator order {orders}")
     choices = [[conductor // core.orders[g] * t for t in range(core.orders[g])] for g in gens]
+    zetas = [Cyclotomic.zeta(conductor, k) for k in range(conductor)]
     # one homomorphism per element of the abelianization
     unique: dict[tuple, ClassFunction] = {}
     for assignment in product(*choices):
         powers = _extend_homomorphism(core, gens, assignment, conductor)
         if powers is not None:
-            values = tuple(Cyclotomic.zeta(conductor, powers[core.index[rep]]) for rep in classes.representatives)
-            unique.setdefault(tuple(v.coeffs for v in values), ClassFunction(group, classes, values))
+            ks = tuple(powers[core.index[rep]] for rep in classes.representatives)
+            if ks not in unique:
+                unique[ks] = ClassFunction(group, classes, tuple(zetas[k] for k in ks))
     return list(unique.values())
 
 

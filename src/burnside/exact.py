@@ -33,10 +33,6 @@ class GcdNotOne(ExactError):
     """The inputs to a Bezout combination are not coprime."""
 
 
-class DivisionByZero(ExactError):
-    """Inversion of zero in an exact field."""
-
-
 class NotInSubfield(ExactError):
     """A cyclotomic value does not lie in the requested smaller field."""
 
@@ -270,26 +266,6 @@ class Cyclotomic:
             expanded[idx] += c
         return Cyclotomic(target, expanded)
 
-    def try_to_conductor(self, target: int) -> "Cyclotomic":
-        """Rewrite in Q(zeta_target) when the value lies in that subfield.
-
-        target must divide the current conductor; raises NotInSubfield otherwise.
-        """
-        if target == self.conductor:
-            return self
-        if self.conductor % target != 0:
-            raise ValueError(f"{target} does not divide conductor {self.conductor}")
-        small_deg = euler_phi(target)
-        big_deg = euler_phi(self.conductor)
-        # columns: embeddings of the small power basis
-        cols = [Cyclotomic.zeta(target, k).to_conductor(self.conductor).coeffs for k in range(small_deg)]
-        matrix = [[cols[j][i] for j in range(small_deg)] for i in range(big_deg)]
-        rhs = list(self.coeffs)
-        solution = _solve_rational_system(matrix, rhs)
-        if solution is None:
-            raise NotInSubfield(f"value not in Q(zeta_{target})")
-        return Cyclotomic(target, solution)
-
     def galois(self, a: int) -> "Cyclotomic":
         """Apply the field automorphism zeta -> zeta^a; a must be prime to N."""
         n = self.conductor
@@ -353,34 +329,9 @@ class Cyclotomic:
 
     __rmul__ = __mul__
 
-    def inverse(self) -> "Cyclotomic":
-        if self.is_zero():
-            raise DivisionByZero("cannot invert zero")
-        phi = [Fraction(c) for c in cyclotomic_polynomial(self.conductor)]
-        # extended Euclid in Q[x]: r_i = s_i*self + t_i*Phi_N, gcd is a constant
-        r0, r1 = phi, _poly_trim(list(self.coeffs))
-        s0, s1 = [], [Fraction(1)]
-        while len(r1) > 1:
-            q, r = _poly_divmod(r0, r1)
-            r0, r1 = r1, r
-            s0, s1 = s1, _poly_sub(s0, _poly_mul(q, s1))
-        assert len(r1) == 1, "cyclotomic polynomial is irreducible over Q"
-        scale = 1 / r1[0]
-        inv = [c * scale for c in s1]
-        return Cyclotomic(self.conductor, _reduce_mod_cyclotomic(inv, self.conductor))
-
-    def __truediv__(self, other):
-        other = Cyclotomic._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self * other.inverse()
-
-    def __rtruediv__(self, other):
-        return Cyclotomic._coerce(other) * self.inverse()
-
     def __pow__(self, exponent: int):
         if exponent < 0:
-            return self.inverse() ** (-exponent)
+            raise ValueError("negative powers are not supported")
         result = Cyclotomic.one(self.conductor)
         base = self
         while exponent:
@@ -406,25 +357,10 @@ class Cyclotomic:
         return f"Cyclotomic({self.conductor}, {[str(c) for c in self.coeffs]})"
 
 
-def _poly_sub(a: Sequence[Fraction], b: Sequence[Fraction]) -> list[Fraction]:
-    out = [Fraction(0)] * max(len(a), len(b))
-    for i, c in enumerate(a):
-        out[i] += c
-    for i, c in enumerate(b):
-        out[i] -= c
-    return _poly_trim(out)
-
-
 def _reduce_mod_cyclotomic(coeffs: list[Fraction], conductor: int) -> list[Fraction]:
     phi = [Fraction(c) for c in cyclotomic_polynomial(conductor)]
     _, rem = _poly_divmod(coeffs, phi)
     return rem
-
-
-def _solve_rational_system(matrix: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction] | None:
-    """Solve matrix*x = rhs by Gaussian elimination; None if inconsistent."""
-    solution = solve_rational_columns(matrix, [rhs])
-    return None if solution is None else solution[0]
 
 
 def solve_rational_columns(matrix: list[list[Fraction]],

@@ -3,17 +3,16 @@ verification of the induction-restriction isomorphism pairs.
 
 The equalizer is the integer kernel of the difference of the two
 restriction-conjugation maps out of the product of representation rings of a
-family of subgroup classes; restriction from the top group lands in it.  Its
-constraint rows are streamed, one double coset at a time, into an integer
-kernel that never holds more than one square matrix.  A double coset K g L
-whose intersection I = K cap gLg^-1 is proper in both K and gLg^-1 sends no
-rows when the class of I is in the family: its constraint follows from the
-two containment double cosets through I's family representative (see
-equalizer_lattice), so only containment rows are left for families closed
-under subgroups, as both production families are.  The
-Artin verification checks that restriction and the induced section compose to
-the group order in both directions; the Brauer verification checks that
-restriction is a lattice isomorphism via Smith elementary divisors.
+family of subgroup classes; restriction from the top group lands in it.
+Virtual characters are class functions, so a family (x_K) is compatible
+exactly when x_K(y) = x_L(z) for all y in K and z in L that are conjugate in
+G.  The constraint rows come from class fusion: each class of a family
+member's table is compared with the first family class in the same G-class,
+and the rows stream into an integer kernel that never holds more than one
+square matrix.  The Artin verification checks that restriction and the
+induced section compose to the group order in both directions; the Brauer
+verification checks that restriction is a lattice isomorphism via Smith
+elementary divisors.
 """
 
 from __future__ import annotations
@@ -25,8 +24,16 @@ from pathlib import Path
 
 from .artin import ArtinCertificate, abelian_family, artin_certificate, order_n
 from .brauer import brauer_certificate, in_hyper_family
-from .exact import IntMatrix, integer_kernel, smith_normal_form, solve_rational_columns
+from .exact import (
+    Cyclotomic,
+    IntMatrix,
+    euler_phi,
+    integer_kernel,
+    smith_normal_form,
+    solve_rational_columns,
+)
 from .characters import (
+    CharacterError,
     CharacterTable,
     ClassFunction,
     character_table,
@@ -38,7 +45,7 @@ from .characters import (
 from .groups import (
     Group,
     SubgroupLattice,
-    double_cosets,
+    conjugacy_classes,
     exponent,
     subgroup_as_group,
 )
@@ -72,10 +79,10 @@ class NotIsomorphism(RestrictionError):
 
 
 class TableProvider:
-    """Character tables for explicit subgroups of one ambient group.
+    """Character tables for the subgroup classes of one ambient group.
 
-    Tables are held per subgroup class and transported to explicit conjugates,
-    so conjugate subgroups always receive consistent tables.
+    The equalizer and the verifications read class tables only; table_for
+    transports a class's table to an explicit conjugate subgroup.
     """
 
     def __init__(self, group: Group, lattice: SubgroupLattice):
@@ -147,75 +154,55 @@ def equalizer_lattice(family: list[int], provider: TableProvider,
     """Integral basis of the equalizer of the two restriction-conjugation maps.
 
     A tuple (x_K) lies in the equalizer when res_I x_K = c_g res x_L on
-    I = K cap gLg^-1 for every pair K, L of the family and every double coset
-    K g L.  The pairs (L, K) and K*1*K are skipped, and so is K g L when I is
-    proper in both K and gLg^-1 and I = hMh^-1 for a family representative M.
-    Its constraint is then implied by two containment double cosets, which
-    are kept (each visited as its mirror when M comes first): K h M, whose
-    intersection is all of hMh^-1, gives res_I x_K = c_h x_M, and L g^-1h M
-    gives res x_L = c_(g^-1 h) x_M on g^-1 I g; together
-    res_I x_K = c_g res x_L.  The kernel is the same lattice, though the basis
-    the integer kernel returns for it may differ.
+    I = K cap gLg^-1 for every pair K, L of the family and every g in G.
+    Since y lies in I exactly when z = g^-1 y g lies in L, this says
+    x_K(y) = x_L(z) whenever y in K and z in L are conjugate in G.  So the
+    first (K, c) of the family's class tables to meet a G-class is that
+    class's reference, and every later (L, d) meeting it sends phi(n) rows:
+    the power-basis coefficients of sum_s x_(K,s) chi_s(c) - sum_t x_(L,t)
+    psi_t(d) at n, the lcm of the tables' conductors.  A value is zero
+    exactly when its coefficients are, so the rows cut out the same rational
+    space, and the integer kernel the same lattice, as one row per class of
+    every intersection K cap gLg^-1 would.
     """
     if not family:
         raise EmptyFamily("equalizer over an empty family")
-    group = lattice.group
-    core = group.core
-    members = set(family)
-    subgroups = [lattice.classes[i].element_set for i in family]
     tables = [provider.class_table(i) for i in family]
     block_sizes = [t.size for t in tables]
     offsets = [0]
     for size in block_sizes:
         offsets.append(offsets[-1] + size)
     total = offsets[-1]
+    n = math.lcm(*(t.conductor for t in tables))
+    g_classes = conjugacy_classes(lattice.group)
 
     def constraint_rows():
-        restricted: dict[tuple[int, frozenset], list[list[int]]] = {}  # a-side coordinates
-        seen: set[tuple] = set()
-        # (b, a) pairs are skipped: the double coset L g^-1 K mirrors K g L,
-        # and its rows are the (a, b) rows negated and permuted
-        for a, k_set in enumerate(subgroups):
-            for b in range(a, len(family)):
-                for coset in double_cosets(group, k_set, subgroups[b]).cosets:
-                    g, inter = coset.representative, coset.intersection
-                    if a == b and g in k_set:
-                        continue  # K g K = K: both sides restrict the same function
-                    if (len(inter) < min(len(k_set), len(subgroups[b]))
-                            and lattice.class_of_mask[core.mask(inter)] in members):
-                        continue  # implied by the containment double cosets through I
-                    inter_table = provider.table_for(inter)
-                    inter_group, inter_classes = inter_table.group, inter_table.classes
-                    c = core.index[g]
-                    moved = [core.elements[core.conjugate(core.index[r], c)]
-                             for r in inter_classes.representatives]
-                    # the rows depend on g only through the L-classes of g^-1 r g
-                    key = (a, b, inter, tuple(tables[b].classes.index_of(x) for x in moved))
-                    if key in seen:
-                        continue
-                    seen.add(key)
-                    if (a, inter) not in restricted:
-                        restricted[a, inter] = [
-                            inter_table.coordinates(restrict(chi, inter_group, inter_classes))
-                            for chi in tables[a].rows
-                        ]
-                    res_k = restricted[a, inter]
-                    res_l = [
-                        inter_table.coordinates(ClassFunction(
-                            inter_group, inter_classes, tuple(chi.value_at(x) for x in moved)))
-                        for chi in tables[b].rows
-                    ]
-                    for r in range(inter_table.size):
-                        row = [0] * total
-                        for s in range(block_sizes[a]):
-                            row[offsets[a] + s] += res_k[s][r]
-                        for t in range(block_sizes[b]):
-                            row[offsets[b] + t] -= res_l[t][r]
-                        yield row
+        first: dict[int, tuple[int, list[tuple]]] = {}  # G-class -> offset and values of its reference
+        for offset, table in zip(offsets, tables):
+            for c, rep in enumerate(table.classes.representatives):
+                here = (offset, [_integral_coefficients(row.values[c], n) for row in table.rows])
+                reference = first.setdefault(g_classes.index_of(rep), here)
+                if reference is here:
+                    continue
+                for j in range(euler_phi(n)):
+                    row = [0] * total
+                    for (start, values), sign in ((reference, 1), (here, -1)):
+                        for s, coeffs in enumerate(values):
+                            row[start + s] += sign * coeffs[j]
+                    yield row
 
     kernel = integer_kernel(constraint_rows(), total)
     basis = IntMatrix.from_rows([[col[i] for col in kernel] for i in range(total)])
     return EqualizerLattice(tuple(family), tuple(block_sizes), basis)
+
+
+def _integral_coefficients(value: Cyclotomic, n: int) -> tuple[int, ...]:
+    """Power-basis coefficients of a character value at conductor n, which
+    are integers for an algebraic integer."""
+    coeffs = value.to_conductor(n).coeffs
+    if any(c.denominator != 1 for c in coeffs):
+        raise CharacterError(f"{value!r} is not an algebraic integer")
+    return tuple(c.numerator for c in coeffs)
 
 
 def _equalizer_coordinates(eq: EqualizerLattice, points: IntMatrix) -> IntMatrix:

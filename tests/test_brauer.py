@@ -1,6 +1,9 @@
 """Local idempotents, their Bezout combination, and Brauer certificates."""
 
+import math
+
 import pytest
+from hypothesis import given, settings
 
 from burnside.brauer import (
     NotPPerfect,
@@ -9,11 +12,23 @@ from burnside.brauer import (
     coprime_part,
     core_classification,
     i_pn,
+    in_hyper_family,
     local_idempotent,
 )
 from burnside.artin import abelian_family
-from burnside.groups import builtin_group, is_n_hyper, perm_mul, subgroup_lattice
+from burnside.exact import prime_factors
+from burnside.groups import (
+    BUILTIN_GROUPS,
+    builtin_group,
+    is_n_hyper,
+    parse_group,
+    perm_mul,
+    subgroup_lattice,
+)
 from burnside.marks import GhostElement, marks_table, phi
+
+from test_lattice_oracles import small_subgroups_of_s6
+from test_restriction import BENCHMARK_GROUPS
 
 FIXTURES = ["C2", "C3", "C4", "C6", "C2xC2", "S3", "D4", "Q8", "A4", "S4"]
 
@@ -215,3 +230,30 @@ class TestBrauerCertificate:
         assert {"class": "3a", "p": 2, "ghost": [0, 0, 1, 1]} in payload["idempotents"]
         assert {"class": "2a", "p": 3, "ghost": [0, 1, 0, 0]} in payload["idempotents"]
         assert payload["verified"] is True
+
+
+def assert_hyper_rule_matches_reference(lattice):
+    """in_hyper_family at order p reads the class of O^p(H) off the lattice;
+    is_n_hyper closes the permutations of O^p(H) and tests them directly."""
+    degree = lattice.group.degree
+    for p in prime_factors(lattice.group.order) or [2]:
+        for h, cls in enumerate(lattice.classes):
+            for n in (0, 1, 2, math.inf):
+                expected = is_n_hyper(cls.element_set, n, p, degree)
+                assert in_hyper_family(lattice, h, n, p) == expected, (cls.label, p, n)
+
+
+class TestHyperRuleOnTheLattice:
+    @pytest.mark.parametrize("name", sorted(BUILTIN_GROUPS))
+    def test_builtin(self, name):
+        assert_hyper_rule_matches_reference(subgroup_lattice(builtin_group(name)))
+
+    @pytest.mark.parametrize("name", sorted(BENCHMARK_GROUPS))
+    def test_benchmark_group(self, name):
+        group = parse_group("\n".join(BENCHMARK_GROUPS[name]["generators"]))
+        assert_hyper_rule_matches_reference(subgroup_lattice(group))
+
+    @settings(max_examples=15, deadline=None)
+    @given(small_subgroups_of_s6())
+    def test_small_subgroups_of_s6(self, group):
+        assert_hyper_rule_matches_reference(subgroup_lattice(group))

@@ -8,11 +8,9 @@ from hypothesis import given, settings, strategies as st
 
 from burnside.exact import (
     Cyclotomic,
-    DivisionByZero,
     GcdNotOne,
     IntMatrix,
     NotIntegral,
-    NotInSubfield,
     cyclotomic_polynomial,
     divisors,
     euler_phi,
@@ -233,14 +231,6 @@ class TestCyclotomic:
         i = Cyclotomic.zeta(4)
         assert i * i == -1
 
-    def test_rational_inverse(self):
-        two = Cyclotomic.from_rational(2)
-        assert two.inverse() == Cyclotomic.from_rational(Fraction(1, 2))
-
-    def test_zero_inverse(self):
-        with pytest.raises(DivisionByZero):
-            Cyclotomic.zero(4).inverse()
-
     def test_conjugate(self):
         z = Cyclotomic.zeta(5)
         assert z.conjugate() == Cyclotomic.zeta(5, 4)
@@ -250,11 +240,10 @@ class TestCyclotomic:
         a = Cyclotomic.zeta(3) + 2
         up = a.to_conductor(12)
         assert up == a
-        assert up.try_to_conductor(3) == a
 
-    def test_not_in_subfield(self):
-        with pytest.raises(NotInSubfield):
-            Cyclotomic.zeta(12).try_to_conductor(3)
+    def test_negative_power_raises(self):
+        with pytest.raises(ValueError):
+            Cyclotomic.zeta(3) ** -1
 
     def test_polynomials(self):
         assert cyclotomic_polynomial(1) == (-1, 1)
@@ -269,24 +258,16 @@ class TestCyclotomic:
             for k in range(1, n):
                 assert not z ** k == 1 or n == 1
 
-    @settings(max_examples=80, deadline=None)
-    @given(
-        st.sampled_from([1, 2, 3, 4, 5, 6, 8, 12]),
-        st.lists(st.integers(-3, 3), min_size=1, max_size=4),
-    )
-    def test_inverse_property(self, conductor, coeffs):
-        a = Cyclotomic(conductor, [Fraction(c) for c in coeffs])
-        if a.is_zero():
-            return
-        assert a * a.inverse() == 1
-
     @settings(max_examples=60, deadline=None)
     @given(
         st.sampled_from([2, 3, 4, 6]),
         st.sampled_from([2, 3, 4]),
         st.lists(st.integers(-3, 3), min_size=1, max_size=2),
+        st.lists(st.integers(-3, 3), min_size=1, max_size=2),
     )
-    def test_embedding_preserves_arithmetic(self, conductor, factor, coeffs):
+    def test_embedding_preserves_arithmetic(self, conductor, factor, coeffs, other):
         a = Cyclotomic(conductor, [Fraction(c) for c in coeffs])
+        b = Cyclotomic(conductor, [Fraction(c) for c in other])
         target = conductor * factor
-        assert a.to_conductor(target).try_to_conductor(conductor) == a
+        assert (a * b).to_conductor(target) == a.to_conductor(target) * b.to_conductor(target)
+        assert (a + b).to_conductor(target) == a.to_conductor(target) + b.to_conductor(target)

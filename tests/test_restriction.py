@@ -2,15 +2,23 @@
 
 import json
 import math
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
 from burnside import restriction
 from burnside.artin import abelian_family
-from burnside.exact import IntMatrix, integer_kernel, smith_normal_form
-from burnside.groups import BUILTIN_GROUPS, builtin_group, parse_group, subgroup_lattice
+from burnside.characters import CharacterError
+from burnside.exact import Cyclotomic, IntMatrix, euler_phi, integer_kernel, smith_normal_form
+from burnside.groups import (
+    BUILTIN_GROUPS,
+    builtin_group,
+    conjugacy_classes,
+    parse_group,
+    subgroup_lattice,
+)
 from burnside.marks import marks_table
 from burnside.restriction import (
     DirectoryTables,
@@ -46,6 +54,13 @@ class TestEqualizerLattice:
         assert eq.rank == 3
         # basis must span all of R(G): the restriction matrix is invertible
         assert eq.total_dim == 3
+
+    def test_non_integral_value_raises(self):
+        half = Cyclotomic(3, [Fraction(1, 2), Fraction(1, 2)])
+        with pytest.raises(CharacterError):
+            restriction._integral_coefficients(half, 6)
+        # zeta_3 = zeta_6^2 = zeta_6 - 1, since Phi_6 = x^2 - x + 1
+        assert restriction._integral_coefficients(Cyclotomic.zeta(3), 6) == (-1, 1)
 
     def test_empty_family(self, s3_setup):
         group, lattice, table, provider = s3_setup
@@ -146,12 +161,30 @@ def production_family(lattice, mode, n=1):
         else hyper_family(marks_table(lattice), n)
 
 
+class FamilyTablesOnly(TableProvider):
+    """A provider that fails on any table the equalizer should not need:
+    conjugated tables, and class tables outside the family."""
+
+    def __init__(self, group, lattice, family):
+        super().__init__(group, lattice)
+        self.family = set(family)
+
+    def class_table(self, class_index):
+        if class_index not in self.family:
+            raise AssertionError(f"class table {class_index} is outside the family")
+        return super().class_table(class_index)
+
+    def table_for(self, subgroup):
+        raise AssertionError("the equalizer asked for a conjugated table")
+
+
 class TestEqualizerReference:
     @staticmethod
-    def assert_same_lattice_as_reference(lattice, family):
-        provider = TableProvider(lattice.group, lattice)
+    def assert_same_lattice_as_reference(lattice, family, provider=None):
+        reference_provider = TableProvider(lattice.group, lattice)
+        provider = provider or reference_provider
         basis = equalizer_lattice(family, provider, lattice).basis
-        reference = reference_equalizer_basis(family, provider, lattice)
+        reference = reference_equalizer_basis(family, reference_provider, lattice)
         rank = reference.cols
         assert basis.cols == rank
         # B is primitive, and [A | B] spans a primitive lattice of the same
@@ -187,15 +220,32 @@ class TestEqualizerReference:
         lattice = subgroup_lattice(ladder_group(name))
         self.assert_same_lattice_as_reference(lattice, production_family(lattice, mode, n))
 
+    @settings(max_examples=20, deadline=None)
+    @given(st.data())
+    def test_random_families_of_small_subgroups(self, data):
+        lattice = subgroup_lattice(data.draw(small_subgroups_of_s6()))
+        small = [i for i, cls in enumerate(lattice.classes) if cls.order <= 12]
+        family = data.draw(st.lists(st.sampled_from(small), min_size=1, max_size=4, unique=True))
+        self.assert_same_lattice_as_reference(lattice, family)
+
+    # the equalizer needs only the family's own class tables
+    @pytest.mark.parametrize("name,labels", [("S4", None), ("D8", None), ("A4", "3a,4a"), ("D4", "4a,4b")])
+    def test_family_tables_suffice(self, name, labels):
+        lattice = subgroup_lattice(ladder_group(name))
+        family = production_family(lattice, "brauer") if labels is None else \
+            [i for i in range(len(lattice)) if lattice.label_of(i) in labels.split(",")]
+        provider = FamilyTablesOnly(lattice.group, lattice, family)
+        self.assert_same_lattice_as_reference(lattice, family, provider)
+
 
 class TestEqualizerWork:
-    """Rows streamed into the integer kernel: only containment double cosets
-    send rows for the production families, which are closed under subgroups."""
+    """Rows streamed into the integer kernel: phi(n) per family class after
+    the first one in its G-class, at n the lcm of the tables' conductors."""
 
     @pytest.mark.parametrize("name,mode,rows,cols", [
-        ("C2^4", "brauer", 1487, 307),
-        ("D8", "brauer", 147, 44),
-        ("D8", "artin", 40, 19),
+        ("C2^4", "brauer", 291, 307),
+        ("D8", "brauer", 148, 44),
+        ("D8", "artin", 48, 19),
     ])
     def test_kernel_row_counts(self, monkeypatch, name, mode, rows, cols):
         received = []
@@ -208,8 +258,14 @@ class TestEqualizerWork:
         monkeypatch.setattr(restriction, "integer_kernel", counting_kernel)
         lattice = subgroup_lattice(ladder_group(name))
         family = production_family(lattice, mode)
-        equalizer_lattice(family, TableProvider(lattice.group, lattice), lattice)
+        provider = TableProvider(lattice.group, lattice)
+        equalizer_lattice(family, provider, lattice)
         assert received == [(rows, cols)]
+        tables = [provider.class_table(i) for i in family]
+        g_classes = conjugacy_classes(lattice.group)
+        met = {g_classes.index_of(rep) for t in tables for rep in t.classes.representatives}
+        n = math.lcm(*(t.conductor for t in tables))
+        assert rows == euler_phi(n) * (sum(t.size for t in tables) - len(met))
 
 
 WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "data" / "workloads.json"
@@ -217,8 +273,8 @@ BENCHMARK_GROUPS = json.loads(WORKLOADS.read_text())["groups"]
 
 
 def assert_families_closed_under_subconjugacy(lattice):
-    """Every class below a member of a production family is a member too,
-    which reduces the equalizer's skip rule to containment double cosets."""
+    """Every class below a member of a production family is a member too:
+    the abelian and the n-hyper families are closed under subgroups."""
     table = marks_table(lattice)
     families = [abelian_family(lattice, n).class_indices for n in (0, 1, 2, math.inf)]
     families += [hyper_family(table, n) for n in (1, 2, math.inf)]
