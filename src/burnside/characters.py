@@ -16,16 +16,18 @@ CharacterError, because a remainder of norm r^2 divided by r is accepted
 without being irreducible.  A table that is returned has passed both
 orthogonality relations.
 
-Pairings sum_i w_i a_i conj(b_i), that is inner products, both orthogonality
+Character values are cyclotomic integers (exact.Cyclotomic), so pairings
+sum_i w_i a_i conj(b_i), that is inner products, both orthogonality
 relations and the coordinates of a virtual character in the irreducible
 basis, run on plain integers.  Each value becomes (exponent, integer
-coefficient) pairs at n, the lcm of the conductors, scaled by a common
-denominator; conjugation negates exponents mod n.  The products accumulate
-in one length-n integer vector, an element of Z[x]/(x^n - 1), which is
-reduced once modulo the monic cyclotomic polynomial Phi_n and so stays
-integral.  Each table keeps its size-weighted, conjugated rows per n, so a
-coordinate costs one such convolution.  Validation spreads each row and each
-column of a table once, at the table's conductor, and convolves every pair.
+coefficient) pairs at n, the lcm of the conductors; conjugation negates
+exponents mod n.  The products accumulate in one length-n integer vector,
+an element of Z[x]/(x^n - 1), which is reduced once modulo Phi_n.  A
+pairing is rational exactly when that leaves (e, 0, ..., 0), and only the
+division of e by |G| leaves the integers.  Each table keeps its
+size-weighted, conjugated rows per n, so a coordinate costs one such
+convolution.  Validation spreads each row and each column of a table once,
+at the table's conductor, and convolves every pair.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ from fractions import Fraction
 from itertools import product
 from typing import Iterable, Sequence
 
-from .exact import Cyclotomic, NotInSubfield, cyclotomic_polynomial
+from .exact import Cyclotomic, NotInSubfield, reduce_mod_phi
 from .groups import (
     Group,
     GroupCore,
@@ -121,63 +123,45 @@ class ClassFunction:
 
 
 def constant_function(group: Group, classes: ConjugacyClasses, value, conductor: int = 1) -> ClassFunction:
-    c = Cyclotomic.from_rational(Fraction(value), conductor) if not isinstance(value, Cyclotomic) else value
+    c = Cyclotomic.from_rational(value, conductor) if not isinstance(value, Cyclotomic) else value
     return ClassFunction(group, classes, tuple(c for _ in classes.classes))
 
 
 def _spread(values: Sequence[Cyclotomic], n: int, weights: Sequence[int] | None = None,
-            conjugate: bool = False) -> tuple[list[list[tuple[int, int]]], int]:
+            conjugate: bool = False) -> list[list[tuple[int, int]]]:
     """Each value, times its weight, as (exponent, integer coefficient) pairs
-    at conductor n, all scaled by one common denominator, which is returned
-    too.  Conjugation is exponent negation mod n."""
-    den = 1
-    for v in values:
-        for c in v.coeffs:
-            if c.denominator != 1:
-                den = math.lcm(den, c.denominator)
+    at conductor n.  Conjugation is exponent negation mod n."""
     out = []
     for i, v in enumerate(values):
         step = -(n // v.conductor) if conjugate else n // v.conductor
-        scale = den * (weights[i] if weights else 1)
-        out.append([(k * step % n, c.numerator * (scale // c.denominator))
-                    for k, c in enumerate(v.coeffs) if c])
-    return out, den
+        w = weights[i] if weights else 1
+        out.append([(k * step % n, c * w) for k, c in enumerate(v.coeffs) if c])
+    return out
 
 
 def _convolve(left: list[list[tuple[int, int]]], right: list[list[tuple[int, int]]], n: int) -> list[int]:
-    """sum_i left_i * right_i in Z[x]/(x^n - 1), reduced modulo the monic
-    Phi_n, so the result stays integral: power-basis coefficients."""
+    """sum_i left_i * right_i in Z[x]/(x^n - 1), reduced modulo Phi_n:
+    power-basis coefficients."""
     acc = [0] * n
     for ls, rs in zip(left, right, strict=True):
         for e, a in ls:
             for f, b in rs:
                 acc[(e + f) % n] += a * b
-    phi = cyclotomic_polynomial(n)
-    d = len(phi) - 1
-    for top in range(n - 1, d - 1, -1):
-        c = acc[top]
-        if c:
-            for k in range(d):
-                acc[top - d + k] -= c * phi[k]
-    return acc[:d]
+    return reduce_mod_phi(acc, n)
 
 
-def _pairing(weights: Sequence[int], left: Sequence[Cyclotomic], right: Sequence[Cyclotomic]) -> Cyclotomic:
-    """sum_i w_i * left_i * conj(right_i), exactly, at the lcm of the conductors."""
-    n = math.lcm(1, *(v.conductor for v in left), *(v.conductor for v in right))
-    lt, lden = _spread(left, n, weights)
-    rt, rden = _spread(right, n, conjugate=True)
-    return Cyclotomic(n, [Fraction(c, lden * rden) for c in _convolve(lt, rt, n)])
-
-
-def inner_product(a: ClassFunction, b: ClassFunction) -> Cyclotomic:
-    """(1/|G|) sum_g a(g) * conj(b(g)), exactly."""
-    total = _pairing(a.classes.sizes, a.values, b.values)
-    return Cyclotomic(total.conductor, [c / a.group.order for c in total.coeffs])
+def inner_product(a: ClassFunction, b: ClassFunction) -> Fraction:
+    """(1/|G|) sum_g a(g) * conj(b(g)), exactly; NotInSubfield when it is
+    not rational, which it always is for virtual characters."""
+    n = math.lcm(1, *(v.conductor for v in a.values), *(v.conductor for v in b.values))
+    coeffs = _convolve(_spread(a.values, n, a.classes.sizes), _spread(b.values, n, conjugate=True), n)
+    if any(coeffs[1:]):
+        raise NotInSubfield(f"{Cyclotomic(n, coeffs)!r} / {a.group.order} is not rational")
+    return Fraction(coeffs[0], a.group.order)
 
 
 def inner_product_int(a: ClassFunction, b: ClassFunction) -> int:
-    value = inner_product(a, b).as_rational()
+    value = inner_product(a, b)
     if value.denominator != 1:
         raise CharacterError(f"inner product {value} is not an integer")
     return int(value)
@@ -276,7 +260,7 @@ class CharacterTable:
     group: Group
     classes: ConjugacyClasses
     rows: tuple[ClassFunction, ...]
-    # conductor n -> per row, size-weighted conjugated values at n, and their denominator
+    # conductor n -> per row, size-weighted conjugated values at n
     _weighted_rows: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -292,7 +276,7 @@ class CharacterTable:
         return math.lcm(1, *(v.conductor for row in self.rows for v in row.values))
 
     def degrees(self) -> list[int]:
-        return [int(row.degree.as_rational()) for row in self.rows]
+        return [row.degree.as_rational() for row in self.rows]
 
     def coordinates(self, chi: ClassFunction) -> list[int]:
         """Integer coordinates of a virtual character in the irreducible basis."""
@@ -300,17 +284,17 @@ class CharacterTable:
         if n not in self._weighted_rows:
             self._weighted_rows[n] = [_spread(row.values, n, self.classes.sizes, conjugate=True)
                                       for row in self.rows]
-        terms, den = _spread(chi.values, n)
+        terms = _spread(chi.values, n)
+        order = self.group.order
         out = []
-        for row_terms, row_den in self._weighted_rows[n]:
+        for i, row_terms in enumerate(self._weighted_rows[n]):
             coeffs = _convolve(terms, row_terms, n)
-            scale = self.group.order * den * row_den
             if any(coeffs[1:]):
-                value = Cyclotomic(n, [Fraction(c, scale) for c in coeffs])
-                raise NotInSubfield(f"{value!r} is not rational")
-            if coeffs[0] % scale:
-                raise CharacterError(f"inner product {Fraction(coeffs[0], scale)} is not an integer")
-            out.append(coeffs[0] // scale)
+                raise CharacterError(f"inner product with row {i} is {Cyclotomic(n, coeffs)!r} / {order}, "
+                                     "not rational")
+            if coeffs[0] % order:
+                raise CharacterError(f"inner product {Fraction(coeffs[0], order)} is not an integer")
+            out.append(coeffs[0] // order)
         return out
 
     def from_coordinates(self, coords: Sequence[int]) -> ClassFunction:
@@ -329,10 +313,9 @@ def validate_table(table: CharacterTable) -> None:
         raise DegreeSumMismatch(f"{len(rows)} rows for {n_classes} classes")
     degrees = []
     for row in rows:
-        deg = row.degree.as_rational()
-        if deg.denominator != 1 or deg <= 0:
-            raise DegreeSumMismatch(f"bad degree {deg}")
-        degrees.append(int(deg))
+        if not row.degree.is_rational() or row.degree.as_rational() <= 0:
+            raise DegreeSumMismatch(f"bad degree {_format_cyclotomic(row.degree)}")
+        degrees.append(row.degree.as_rational())
     if sum(d * d for d in degrees) != group.order:
         raise DegreeSumMismatch(f"degree squares sum to {sum(d * d for d in degrees)}, not {group.order}")
     if any(not v == 1 for v in rows[0].values):
@@ -354,11 +337,10 @@ def _check_orthogonal(vectors: Sequence[Sequence[Cyclotomic]], weights: Sequence
     z^(phi(n)-1) is a basis of Q(zeta_n)."""
     plain = [_spread(v, n, weights) for v in vectors]
     conjugated = [_spread(v, n, conjugate=True) for v in vectors]
-    for i, (left, lden) in enumerate(plain):
+    for i, left in enumerate(plain):
         for j in range(i, len(vectors)):
-            right, rden = conjugated[j]
-            coeffs = _convolve(left, right, n)
-            if coeffs[0] != (norms[i] * lden * rden if i == j else 0) or any(coeffs[1:]):
+            coeffs = _convolve(left, conjugated[j], n)
+            if coeffs[0] != (norms[i] if i == j else 0) or any(coeffs[1:]):
                 raise OrthogonalityFailure(i, j)
 
 
@@ -441,7 +423,7 @@ def _hunt_irreducibles(group: Group, classes: ConjugacyClasses, conductor: int) 
     target = group.order
 
     def settled() -> bool:
-        return sum(int(chi.degree.as_rational()) ** 2 for chi in found) == target
+        return sum(chi.degree.as_rational() ** 2 for chi in found) == target
 
     def try_candidate(theta: ClassFunction) -> bool:
         remainder = theta
@@ -451,16 +433,14 @@ def _hunt_irreducibles(group: Group, classes: ConjugacyClasses, conductor: int) 
                 remainder = remainder - chi.scale(coeff)
         if remainder.is_zero():
             return False
-        norm = inner_product(remainder, remainder).as_rational()
+        norm = inner_product(remainder, remainder)
         if norm == 1:
             found.append(remainder)
             return True
         root = _integer_sqrt(norm)
-        if root is not None and root > 1:
-            scaled = remainder.scale(Fraction(1, root))
-            if all(v.is_integral() for v in scaled.values):
-                found.append(scaled)
-                return True
+        if root is not None and root > 1 and not any(c % root for v in remainder.values for c in v.coeffs):
+            found.append(remainder.scale(Fraction(1, root)))
+            return True
         return False
 
     rounds = 0
@@ -624,16 +604,14 @@ def _format_cyclotomic(value: Cyclotomic) -> str:
     for k, c in enumerate(value.coeffs):
         if c == 0:
             continue
-        assert c.denominator == 1, "character values are algebraic integers"
-        n = int(c)
         if k == 0:
-            parts.append(f"{n:+d}")
-        elif n == 1:
+            parts.append(f"{c:+d}")
+        elif c == 1:
             parts.append(f"+z^{k}")
-        elif n == -1:
+        elif c == -1:
             parts.append(f"-z^{k}")
         else:
-            parts.append(f"{n:+d}*z^{k}")
+            parts.append(f"{c:+d}*z^{k}")
     if not parts:
         return "0"
     text = "".join(parts)

@@ -1,6 +1,12 @@
-"""Exact arithmetic substrate: rationals, cyclotomic numbers, integer matrices.
+"""Exact arithmetic substrate: cyclotomic integers and integer matrices.
 
-Everything here is exact; no floating point is used anywhere in the package.
+Character values are sums of roots of unity, so they lie in Z[zeta_N], and
+Cyclotomic keeps their power-basis coordinates as integers.  Cyclotomic
+polynomials are built over Z, and every reduction modulo the monic Phi_N
+(reduce_mod_phi) stays integral.  Rationals appear only where a division
+is the point: an inner product divides by |G|, and solve_rational_columns
+solves a square system.  Everything here is exact; no floating point is
+used anywhere in the package.
 """
 
 from __future__ import annotations
@@ -112,119 +118,88 @@ def euler_phi(n: int) -> int:
 
 @lru_cache(maxsize=None)
 def mobius(n: int) -> int:
-    if n == 1:
-        return 1
-    m, result = n, 1
-    p = 2
-    while p * p <= m:
-        if m % p == 0:
-            m //= p
-            if m % p == 0:
-                return 0
-            result = -result
-        p += 1
-    if m > 1:
-        result = -result
-    return result
+    primes = prime_factors(n)
+    if any(n % (p * p) == 0 for p in primes):
+        return 0
+    return (-1) ** len(primes)
 
 
 # ---------------------------------------------------------------------------
-# dense polynomials over Q, little-endian coefficient lists
-
-
-def _poly_trim(p: list[Fraction]) -> list[Fraction]:
-    while p and p[-1] == 0:
-        p.pop()
-    return p
-
-
-def _poly_mul(a: Sequence[Fraction], b: Sequence[Fraction]) -> list[Fraction]:
-    if not a or not b:
-        return []
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] += ai * bj
-    return _poly_trim(out)
-
-
-def _poly_divmod(a: Sequence[Fraction], b: Sequence[Fraction]) -> tuple[list[Fraction], list[Fraction]]:
-    rem = list(a)
-    _poly_trim(rem)
-    den = list(b)
-    _poly_trim(den)
-    if not den:
-        raise ZeroDivisionError("polynomial division by zero")
-    quot = [Fraction(0)] * max(0, len(rem) - len(den) + 1)
-    inv_lead = 1 / den[-1]
-    while len(rem) >= len(den):
-        shift = len(rem) - len(den)
-        factor = rem[-1] * inv_lead
-        quot[shift] = factor
-        for i, d in enumerate(den):
-            rem[shift + i] -= factor * d
-        _poly_trim(rem)
-    return _poly_trim(quot), rem
+# cyclotomic polynomials over Z, little-endian coefficient lists
 
 
 @lru_cache(maxsize=None)
 def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
     """Coefficients of the n-th cyclotomic polynomial, little-endian.
 
-    Computed by Mobius inversion of x^n - 1 = prod_{d|n} Phi_d(x).
+    By Mobius inversion of x^n - 1 = prod_{d|n} Phi_d(x), Phi_n is the
+    product of the x^d - 1 with mu(n/d) = 1, divided exactly by each x^d - 1
+    with mu(n/d) = -1.
     """
-    num = [Fraction(1)]
-    den = [Fraction(1)]
+    poly = [1]
     for d in divisors(n):
-        mu = mobius(n // d)
-        if mu == 0:
-            continue
-        factor = [Fraction(-1)] + [Fraction(0)] * (d - 1) + [Fraction(1)]  # x^d - 1
-        if mu == 1:
-            num = _poly_mul(num, factor)
-        else:
-            den = _poly_mul(den, factor)
-    quot, rem = _poly_divmod(num, den)
-    assert not rem, "cyclotomic polynomial division must be exact"
-    assert all(c.denominator == 1 for c in quot)
-    return tuple(int(c) for c in quot)
+        if mobius(n // d) == 1:
+            poly = [a - b for a, b in zip([0] * d + poly, poly + [0] * d)]
+    for d in divisors(n):
+        if mobius(n // d) == -1:
+            # poly = q * (x^d - 1): top down, poly[top] is q[top - d]
+            for top in range(len(poly) - 1, d - 1, -1):
+                poly[top - d] += poly[top]
+            assert not any(poly[:d]), "cyclotomic polynomial division must be exact"
+            poly = poly[d:]
+    return tuple(poly)
+
+
+def reduce_mod_phi(coeffs: list[int], n: int) -> list[int]:
+    """Power-basis coordinates of sum_k coeffs[k] zeta_n^k: the remainder of
+    coeffs modulo the monic Phi_n, padded to phi(n) entries.  Since Phi_n is
+    monic, the remainder of an integer list is integral.  Reduces in place."""
+    phi = cyclotomic_polynomial(n)
+    d = len(phi) - 1
+    terms = [(k, p) for k, p in enumerate(phi[:d]) if p]
+    for top in range(len(coeffs) - 1, d - 1, -1):
+        c = coeffs[top]
+        if c:
+            base = top - d
+            for k, p in terms:
+                coeffs[base + k] -= c * p
+    del coeffs[d:]
+    coeffs += [0] * (d - len(coeffs))
+    return coeffs
 
 
 # ---------------------------------------------------------------------------
-# cyclotomic field elements
+# cyclotomic integers
 
 
 class Cyclotomic:
-    """Element of Q(zeta_N) in the power basis 1, zeta, ..., zeta^(phi(N)-1).
+    """Element of Z[zeta_N] in the power basis 1, zeta, ..., zeta^(phi(N)-1).
 
-    Values are reduced modulo the N-th cyclotomic polynomial; arithmetic is
-    exact.  Mixed-conductor operands are aligned by embedding into the lcm
-    conductor.
+    Coordinates are integers, reduced modulo the N-th cyclotomic polynomial;
+    a non-integral coordinate raises ValueError.  Mixed-conductor operands
+    are aligned by embedding into the lcm conductor.
     """
 
     __slots__ = ("conductor", "coeffs")
 
     def __init__(self, conductor: int, coeffs: Iterable[Fraction | int]):
-        degree = euler_phi(conductor)
-        cs = [Fraction(c) for c in coeffs]
-        if len(cs) > degree:
-            cs = _reduce_mod_cyclotomic(cs, conductor)
-        cs += [Fraction(0)] * (degree - len(cs))
+        cs = []
+        for c in coeffs:
+            if c.denominator != 1:
+                raise ValueError(f"non-integral coordinate {c} of a cyclotomic integer")
+            cs.append(int(c))
         self.conductor = conductor
-        self.coeffs = tuple(cs)
+        self.coeffs = tuple(reduce_mod_phi(cs, conductor))
 
     # -- constructors
 
     @classmethod
     def from_rational(cls, value: Fraction | int, conductor: int = 1) -> "Cyclotomic":
-        return cls(conductor, [Fraction(value)])
+        return cls(conductor, [value])
 
     @classmethod
     def zeta(cls, conductor: int, power: int = 1) -> "Cyclotomic":
-        k = power % conductor
-        coeffs = [Fraction(0)] * k + [Fraction(1)]
-        return cls(conductor, coeffs)
+        return cls(conductor, [0] * (power % conductor) + [1])
 
     @classmethod
     def zero(cls, conductor: int = 1) -> "Cyclotomic":
@@ -232,7 +207,7 @@ class Cyclotomic:
 
     @classmethod
     def one(cls, conductor: int = 1) -> "Cyclotomic":
-        return cls(conductor, [Fraction(1)])
+        return cls(conductor, [1])
 
     # -- structure
 
@@ -242,28 +217,20 @@ class Cyclotomic:
     def is_rational(self) -> bool:
         return all(c == 0 for c in self.coeffs[1:])
 
-    def as_rational(self) -> Fraction:
+    def as_rational(self) -> int:
         if not self.is_rational():
             raise NotInSubfield(f"{self!r} is not rational")
         return self.coeffs[0]
 
-    def is_integral(self) -> bool:
-        """True when all power-basis coordinates are rational integers."""
-        return all(c.denominator == 1 for c in self.coeffs)
-
     def to_conductor(self, target: int) -> "Cyclotomic":
-        """Embed into Q(zeta_target); target must be a multiple of the conductor."""
+        """Embed into Z[zeta_target]; target must be a multiple of the conductor."""
         if target == self.conductor:
             return self
         if target % self.conductor != 0:
             raise ValueError(f"cannot embed conductor {self.conductor} into {target}")
         step = target // self.conductor
-        expanded: list[Fraction] = []
-        for k, c in enumerate(self.coeffs):
-            idx = k * step
-            if len(expanded) <= idx:
-                expanded += [Fraction(0)] * (idx + 1 - len(expanded))
-            expanded[idx] += c
+        expanded = [0] * ((len(self.coeffs) - 1) * step + 1)
+        expanded[::step] = self.coeffs
         return Cyclotomic(target, expanded)
 
     def galois(self, a: int) -> "Cyclotomic":
@@ -271,7 +238,7 @@ class Cyclotomic:
         n = self.conductor
         if math.gcd(a, n) != 1:
             raise ValueError(f"{a} is not prime to conductor {n}")
-        out = [Fraction(0)] * n
+        out = [0] * n
         for k, c in enumerate(self.coeffs):
             out[(a * k) % n] += c
         return Cyclotomic(n, out)
@@ -324,8 +291,12 @@ class Cyclotomic:
         if other is NotImplemented:
             return NotImplemented
         a, b = Cyclotomic._aligned(self, other)
-        prod = _poly_mul(list(a.coeffs), list(b.coeffs))
-        return Cyclotomic(a.conductor, _reduce_mod_cyclotomic(prod, a.conductor))
+        prod = [0] * (len(a.coeffs) + len(b.coeffs) - 1)
+        for i, x in enumerate(a.coeffs):
+            if x:
+                for j, y in enumerate(b.coeffs):
+                    prod[i + j] += x * y
+        return Cyclotomic(a.conductor, prod)
 
     __rmul__ = __mul__
 
@@ -355,12 +326,6 @@ class Cyclotomic:
 
     def __repr__(self):
         return f"Cyclotomic({self.conductor}, {[str(c) for c in self.coeffs]})"
-
-
-def _reduce_mod_cyclotomic(coeffs: list[Fraction], conductor: int) -> list[Fraction]:
-    phi = [Fraction(c) for c in cyclotomic_polynomial(conductor)]
-    _, rem = _poly_divmod(coeffs, phi)
-    return rem
 
 
 def solve_rational_columns(matrix: list[list[Fraction]],

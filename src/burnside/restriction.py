@@ -25,7 +25,6 @@ from pathlib import Path
 from .artin import ArtinCertificate, abelian_family, artin_certificate, order_n
 from .brauer import brauer_certificate, in_hyper_family
 from .exact import (
-    Cyclotomic,
     IntMatrix,
     euler_phi,
     integer_kernel,
@@ -33,7 +32,6 @@ from .exact import (
     solve_rational_columns,
 )
 from .characters import (
-    CharacterError,
     CharacterTable,
     ClassFunction,
     character_table,
@@ -158,12 +156,12 @@ def equalizer_lattice(family: list[int], provider: TableProvider,
     Since y lies in I exactly when z = g^-1 y g lies in L, this says
     x_K(y) = x_L(z) whenever y in K and z in L are conjugate in G.  So the
     first (K, c) of the family's class tables to meet a G-class is that
-    class's reference, and every later (L, d) meeting it sends phi(n) rows:
-    the power-basis coefficients of sum_s x_(K,s) chi_s(c) - sum_t x_(L,t)
-    psi_t(d) at n, the lcm of the tables' conductors.  A value is zero
-    exactly when its coefficients are, so the rows cut out the same rational
-    space, and the integer kernel the same lattice, as one row per class of
-    every intersection K cap gLg^-1 would.
+    class's reference, and every later (L, d) meeting it sends the nonzero
+    ones of phi(n) rows: the power-basis coefficients of sum_s x_(K,s)
+    chi_s(c) - sum_t x_(L,t) psi_t(d) at n, the lcm of the tables'
+    conductors.  A value is zero exactly when its coefficients are, so the
+    rows cut out the same rational space, and the integer kernel the same
+    lattice, as one row per class of every intersection K cap gLg^-1 would.
     """
     if not family:
         raise EmptyFamily("equalizer over an empty family")
@@ -180,7 +178,7 @@ def equalizer_lattice(family: list[int], provider: TableProvider,
         first: dict[int, tuple[int, list[tuple]]] = {}  # G-class -> offset and values of its reference
         for offset, table in zip(offsets, tables):
             for c, rep in enumerate(table.classes.representatives):
-                here = (offset, [_integral_coefficients(row.values[c], n) for row in table.rows])
+                here = (offset, [row.values[c].to_conductor(n).coeffs for row in table.rows])
                 reference = first.setdefault(g_classes.index_of(rep), here)
                 if reference is here:
                     continue
@@ -189,20 +187,12 @@ def equalizer_lattice(family: list[int], provider: TableProvider,
                     for (start, values), sign in ((reference, 1), (here, -1)):
                         for s, coeffs in enumerate(values):
                             row[start + s] += sign * coeffs[j]
-                    yield row
+                    if any(row):
+                        yield row
 
     kernel = integer_kernel(constraint_rows(), total)
     basis = IntMatrix.from_rows([[col[i] for col in kernel] for i in range(total)])
     return EqualizerLattice(tuple(family), tuple(block_sizes), basis)
-
-
-def _integral_coefficients(value: Cyclotomic, n: int) -> tuple[int, ...]:
-    """Power-basis coefficients of a character value at conductor n, which
-    are integers for an algebraic integer."""
-    coeffs = value.to_conductor(n).coeffs
-    if any(c.denominator != 1 for c in coeffs):
-        raise CharacterError(f"{value!r} is not an algebraic integer")
-    return tuple(c.numerator for c in coeffs)
 
 
 def _equalizer_coordinates(eq: EqualizerLattice, points: IntMatrix) -> IntMatrix:

@@ -122,6 +122,42 @@ class TestEqualizer:
                              "--tables", str(tmp_path))
         assert code == 2
 
+    @staticmethod
+    def edited_c6_tables(tmp_path, name, edit):
+        """A copy of the shipped C6 tables, with edit applied to the text of <name>."""
+        directory = tmp_path / "C6"
+        directory.mkdir()
+        for path in (DATA_DIR / "tables" / "C6").glob("*.tbl"):
+            text = path.read_text()
+            if path.name == name:
+                edited = edit(text)
+                assert edited != text
+                text = edited
+            (directory / path.name).write_text(text)
+        return tmp_path
+
+    @pytest.mark.parametrize("mode", ["artin", "brauer"])
+    def test_table_not_matching_the_group_is_an_input_error(self, capsys, tmp_path, mode):
+        # the edited file still passes validation, but its columns name the wrong classes
+        def swap_classes(text):
+            lines = text.splitlines(keepends=True)
+            a, b = lines.index("class: (0 3)(1 4)(2 5) 1\n"), lines.index("class: (0 1 2 3 4 5) 1\n")
+            lines[a], lines[b] = lines[b], lines[a]
+            return "".join(lines)
+
+        tables = self.edited_c6_tables(tmp_path, "6a.tbl", swap_classes)
+        code, out, err = run(capsys, "equalizer", "--group", "C6", "--mode", mode,
+                             "--tables", str(tables), "--json")
+        assert code == 2
+        assert json.loads(err)["error"]["type"] == "CharacterError"
+
+    def test_irrational_degree_is_an_input_error(self, capsys, tmp_path):
+        tables = self.edited_c6_tables(tmp_path, "2a.tbl", lambda text: text.replace("row: 1 -1", "row: z -1"))
+        code, out, err = run(capsys, "equalizer", "--group", "C6", "--mode", "artin",
+                             "--tables", str(tables), "--json")
+        assert code == 2
+        assert json.loads(err)["error"]["type"] == "DegreeSumMismatch"
+
 
 class TestLie:
     def test_so3_n2(self, capsys):

@@ -1,5 +1,6 @@
 """Exact arithmetic: Smith normal form, triangular solves, Bezout sets, cyclotomics."""
 
+import cmath
 import math
 from fractions import Fraction
 
@@ -17,6 +18,7 @@ from burnside.exact import (
     extended_euclid_set,
     integer_kernel,
     integer_kernel_basis,
+    mobius,
     smith_normal_form,
     solve_triangular_integer,
     xgcd,
@@ -169,6 +171,10 @@ class TestNumberTheory:
             assert divisors(n) == [d for d in range(1, n + 1) if n % d == 0]
             assert euler_phi(n) == sum(1 for k in range(1, n + 1) if math.gcd(k, n) == 1)
 
+    def test_mobius_sums_to_the_unit_indicator(self):
+        for n in range(1, 201):
+            assert sum(mobius(d) for d in divisors(n)) == (n == 1)
+
 
 class TestTriangularSolve:
     def test_lower_triangular(self):
@@ -271,3 +277,55 @@ class TestCyclotomic:
         target = conductor * factor
         assert (a * b).to_conductor(target) == a.to_conductor(target) * b.to_conductor(target)
         assert (a + b).to_conductor(target) == a.to_conductor(target) + b.to_conductor(target)
+
+
+def evaluate(value: Cyclotomic) -> complex:
+    """The complex number a Cyclotomic names, at zeta_N = e^(2 pi i / N)."""
+    return sum(c * cmath.exp(2j * cmath.pi * k / value.conductor) for k, c in enumerate(value.coeffs))
+
+
+@st.composite
+def integer_cyclotomics(draw, conductor):
+    return Cyclotomic(conductor, draw(st.lists(st.integers(-4, 4), max_size=conductor + 2)))
+
+
+class TestCyclotomicAgainstComplexNumbers:
+    """Z[zeta_N] arithmetic against evaluation at e^(2 pi i / N), in floats."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 24), st.integers(1, 24), st.data())
+    def test_arithmetic(self, n, m, data):
+        a = data.draw(integer_cyclotomics(n))
+        b = data.draw(integer_cyclotomics(m))
+        assert abs(evaluate(a + b) - (evaluate(a) + evaluate(b))) < 1e-9
+        assert abs(evaluate(a - b) - (evaluate(a) - evaluate(b))) < 1e-9
+        assert abs(evaluate(a * b) - evaluate(a) * evaluate(b)) < 1e-9
+        assert abs(evaluate(a.conjugate()) - evaluate(a).conjugate()) < 1e-9
+        factor = data.draw(st.integers(1, 4))
+        assert abs(evaluate(a.to_conductor(n * factor)) - evaluate(a)) < 1e-9
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 24), st.data())
+    def test_galois(self, n, data):
+        a = data.draw(integer_cyclotomics(n))
+        k = data.draw(st.integers(1, n).filter(lambda k: math.gcd(k, n) == 1))
+        # zeta -> zeta^k maps sum_j c_j zeta^j to sum_j c_j zeta^(jk)
+        image = sum(c * cmath.exp(2j * cmath.pi * j * k / n) for j, c in enumerate(a.coeffs))
+        assert abs(evaluate(a.galois(k)) - image) < 1e-9
+
+    def test_cyclotomic_polynomial_vanishes_at_primitive_roots(self):
+        for n in range(1, 61):
+            phi = cyclotomic_polynomial(n)
+            assert len(phi) - 1 == euler_phi(n)
+            for k in range(1, n + 1):
+                if math.gcd(k, n) == 1:
+                    root = cmath.exp(2j * cmath.pi * k / n)
+                    assert abs(sum(c * root ** j for j, c in enumerate(phi))) < 1e-9
+
+    def test_non_integral_coordinate_raises(self):
+        with pytest.raises(ValueError):
+            Cyclotomic(4, [0, Fraction(1, 3)])
+        with pytest.raises(ValueError):
+            Cyclotomic.from_rational(Fraction(-1, 2))
+        assert Cyclotomic(4, [Fraction(6, 3)]).coeffs == (2, 0)
+        assert Cyclotomic.from_rational(-1).as_rational() == -1
