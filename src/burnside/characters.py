@@ -8,13 +8,11 @@ characters, runs on element indices of the group's index core (GroupCore).
 
 Character tables are either loaded from validated fixture files or computed
 exactly: abelian groups by enumerating homomorphisms into roots of unity,
-the rest by reducing characters induced from linear characters of abelian
-subgroups.  That reduction is a heuristic that needs a monomial group, and
-not every group in scope is one: SL(2,3), A5 and S5 raise
-TableComputationError, and C2xS4 (which is monomial) fails with
-CharacterError, because a remainder of norm r^2 divided by r is accepted
-without being irreducible.  A table that is returned has passed both
-orthogonality relations.
+the rest by Dixon's method as revised by Schneider.  The common eigenvectors
+of the class matrices over F_p, with p = 1 mod exp(G), give each irreducible
+character mod p; each value is lifted exactly from the multiplicities of the
+eigenvalues of g, integers in [0, chi(1)].  A table that is returned has
+passed both orthogonality relations.
 
 Character values are cyclotomic integers (exact.Cyclotomic), so pairings
 sum_i w_i a_i conj(b_i), that is inner products, both orthogonality
@@ -37,10 +35,10 @@ import re
 from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
-from itertools import product
+from itertools import count, product
 from typing import Iterable, Sequence
 
-from .exact import Cyclotomic, NotInSubfield, reduce_mod_phi
+from .exact import Cyclotomic, NotInSubfield, prime_factors, reduce_mod_phi
 from .groups import (
     Group,
     GroupCore,
@@ -51,7 +49,6 @@ from .groups import (
     perm_to_cycles,
     parse_cycles,
     subgroup_as_group,
-    subgroup_lattice,
 )
 
 
@@ -73,13 +70,9 @@ class DegreeSumMismatch(CharacterError):
     pass
 
 
-class TableComputationError(CharacterError):
-    """The character hunt failed to close; outside the supported group range."""
-
-
 class ConductorTooSmall(CharacterError):
-    """Some generator order does not divide the requested conductor, so not
-    every linear character takes values among its roots of unity."""
+    """The group exponent, or some generator order, does not divide the
+    requested conductor, so not every character value lies in Z[zeta_n]."""
 
 
 @dataclass(frozen=True)
@@ -158,13 +151,6 @@ def inner_product(a: ClassFunction, b: ClassFunction) -> Fraction:
     if any(coeffs[1:]):
         raise NotInSubfield(f"{Cyclotomic(n, coeffs)!r} / {a.group.order} is not rational")
     return Fraction(coeffs[0], a.group.order)
-
-
-def inner_product_int(a: ClassFunction, b: ClassFunction) -> int:
-    value = inner_product(a, b)
-    if value.denominator != 1:
-        raise CharacterError(f"inner product {value} is not an integer")
-    return int(value)
 
 
 # ---------------------------------------------------------------------------
@@ -397,80 +383,101 @@ def _extend_homomorphism(core: GroupCore, gens: list[int], powers: Sequence[int]
 def character_table(group: Group, conductor: int | None = None) -> CharacterTable:
     """Exact character table; conductor defaults to the group exponent."""
     conductor = conductor or exponent(group)
+    if conductor % exponent(group):
+        raise ConductorTooSmall(f"conductor {conductor} is not a multiple of the exponent {exponent(group)}")
     classes = conjugacy_classes(group)
     if group.core.commute(group.core.generators):
         rows = linear_characters(group, conductor)
-        if len(rows) != group.order:
-            raise TableComputationError("abelian dual has wrong size")
-        ordered = _order_rows(rows)
-        return CharacterTable(group, classes, tuple(ordered))
-    rows = _hunt_irreducibles(group, classes, conductor)
+    else:
+        rows = _dixon_schneider(group, classes, conductor)
     return CharacterTable(group, classes, tuple(_order_rows(rows)))
 
 
-def _hunt_irreducibles(group: Group, classes: ConjugacyClasses, conductor: int) -> list[ClassFunction]:
-    candidates: list[ClassFunction] = []
-    candidates.extend(linear_characters(group, conductor))
-    lattice = subgroup_lattice(group)
-    for cls in lattice.classes:
-        if not cls.is_abelian or cls.order == group.order:
-            continue
-        sub = subgroup_as_group(group, cls.element_set)
-        for lam in linear_characters(sub, conductor):
-            candidates.append(induce(lam, group, classes))
-
-    found: list[ClassFunction] = []
-    target = group.order
-
-    def settled() -> bool:
-        return sum(chi.degree.as_rational() ** 2 for chi in found) == target
-
-    def try_candidate(theta: ClassFunction) -> bool:
-        remainder = theta
-        for chi in found:
-            coeff = inner_product_int(remainder, chi)
-            if coeff:
-                remainder = remainder - chi.scale(coeff)
-        if remainder.is_zero():
-            return False
-        norm = inner_product(remainder, remainder)
-        if norm == 1:
-            found.append(remainder)
-            return True
-        root = _integer_sqrt(norm)
-        if root is not None and root > 1 and not any(c % root for v in remainder.values for c in v.coeffs):
-            found.append(remainder.scale(Fraction(1, root)))
-            return True
-        return False
-
-    rounds = 0
-    pool = list(candidates)
-    while not settled() and rounds < 4:
-        progress = False
-        for theta in pool:
-            if settled():
-                break
-            if try_candidate(theta):
-                progress = True
-        if settled():
+def _dixon_schneider(group: Group, classes: ConjugacyClasses, conductor: int) -> list[ClassFunction]:
+    """The irreducible characters, from the common eigenvectors of the class
+    matrices over F_p, each value lifted exactly to Z[zeta_conductor]."""
+    core, order, e = group.core, group.order, exponent(group)
+    members = [[core.index[g] for g in cls] for cls in classes.classes]
+    reps, sizes, k = [cls[0] for cls in members], classes.sizes, len(members)
+    class_of = [classes.index_of(g) for g in core.elements]
+    # F_p holds the e-th roots of unity as p = 1 mod e; p^2 > 4|G| makes the
+    # degree the only root of its square in [1, sqrt|G|], and p prime to |G|
+    p = next(q for q in count(e + 1, e) if q * q > 4 * order and prime_factors(q) == [q])
+    root = next(a for a in range(2, p) if all(pow(a, (p - 1) // q, p) != 1 for q in prime_factors(p - 1)))
+    zetas = [pow(root, (p - 1) // e * t, p) for t in range(e)]
+    spaces = [[[int(r == s) for s in range(k)] for r in range(k)]]
+    for j in range(1, k):
+        if len(spaces) == k:
             break
-        if not progress:
-            # widen the pool with products of what we already have
-            extra = [a * b for a in found for b in found]
-            extra += [a * b for a in found for b in candidates]
-            pool = extra
-        rounds += 1
-    if not settled():
-        raise TableComputationError(f"could not complete the table of {group!r}")
-    return found
+        # A_j[r][s] = #{x in C_j : x^-1 g_s in C_r}, so A_j w = omega(C_j) w for
+        # the central character w_s = omega(C_s) = |C_s| chi(g_s) / chi(1)
+        matrix = [[0] * k for _ in range(k)]
+        for s, g in enumerate(reps):
+            for x in members[j]:
+                matrix[class_of[core.table[core.inverse[x]][g]]][s] += 1
+        spaces = [piece for space in spaces for piece in _eigenspaces(space, matrix, p)]
+    inverse_class = [class_of[core.inverse[x]] for x in reps]
+    power_classes = [[class_of[core.power(x, i)] for i in range(core.orders[x])] for x in reps]
+    rows = []
+    for (w,) in spaces:  # echelon form makes w_1 = omega(1) = 1
+        norm = sum(w[s] * w[inverse_class[s]] * pow(sizes[s], -1, p) for s in range(k))
+        square = order * pow(norm, -1, p) % p
+        degree = next(d for d in range(1, math.isqrt(order) + 1) if (d * d - square) % p == 0)
+        chi = [degree * w[s] * pow(sizes[s], -1, p) % p for s in range(k)]
+        values = []
+        for powers in power_classes:
+            # chi(g) = sum_l m_l zeta_o^l, with multiplicities m_l in [0, chi(1)]
+            o = len(powers)
+            coeffs = [0] * conductor
+            for l in range(o):
+                total = sum(chi[c] * zetas[-(e // o) * l * i % e] for i, c in enumerate(powers))
+                coeffs[conductor // o * l] = total * pow(o, -1, p) % p
+            values.append(Cyclotomic(conductor, coeffs))
+        rows.append(ClassFunction(group, classes, tuple(values)))
+    return rows
 
 
-def _integer_sqrt(value: Fraction) -> int | None:
-    if value.denominator != 1 or value < 0:
-        return None
-    n = int(value)
-    r = math.isqrt(n)
-    return r if r * r == n else None
+def _eigenspaces(basis: list[list[int]], matrix: list[list[int]], p: int) -> list[list[list[int]]]:
+    """The eigenspaces mod p of a class matrix A on a space it maps into
+    itself, as echelon bases; eigenvalues are scanned over F_p until their
+    dimensions add up to that of the space."""
+    if len(basis) == 1:
+        return [basis]
+    k = len(basis[0])
+    images = [[sum(a * b for a, b in zip(row, vector)) for row in matrix] for vector in basis]
+    pieces, found = [], 0
+    for lam in range(p):
+        if found == len(basis):
+            break
+        # echelon rows [(A - lam) v | v] over v in the space: those with
+        # (A - lam) v = 0 come last, and their v form an echelon basis
+        reduced, cols = _echelon([[a - lam * b for a, b in zip(image, vector)] + vector
+                                  for image, vector in zip(images, basis)], p)
+        kernel = [row[k:] for row, c in zip(reduced, cols) if c >= k]
+        if kernel:
+            pieces.append(kernel)
+            found += len(kernel)
+    return pieces
+
+
+def _echelon(rows: list[list[int]], p: int) -> tuple[list[list[int]], list[int]]:
+    """Reduced row echelon form mod p, zero rows dropped, and its pivot columns."""
+    rows = [[v % p for v in row] for row in rows]
+    cols: list[int] = []
+    for col in range(len(rows[0])):
+        i = len(cols)
+        hit = next((r for r in range(i, len(rows)) if rows[r][col]), None)
+        if hit is None:
+            continue
+        rows[i], rows[hit] = rows[hit], rows[i]
+        scale = pow(rows[i][col], -1, p)
+        rows[i] = [v * scale % p for v in rows[i]]
+        for r in range(len(rows)):
+            if r != i and rows[r][col]:
+                f = rows[r][col]
+                rows[r] = [(a - f * b) % p for a, b in zip(rows[r], rows[i])]
+        cols.append(col)
+    return rows[:len(cols)], cols
 
 
 def _order_rows(rows: list[ClassFunction]) -> list[ClassFunction]:

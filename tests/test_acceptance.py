@@ -45,6 +45,8 @@ from burnside.marks import (
 )
 from burnside.restriction import verify_artin_restriction, verify_brauer_restriction
 
+from test_restriction import BENCHMARK_GROUPS
+
 FIXTURES = ["C2", "C3", "C4", "C6", "C2xC2", "S3", "D4", "Q8", "A4", "S4"]
 
 _tables_cache = {}
@@ -184,6 +186,24 @@ def test_criterion_7_brauer_restriction():
     elapsed = time.monotonic() - start
     assert elapsed < 60.0
     print(f"ACCEPTANCE 7 PASS Brauer restriction is a lattice isomorphism ({elapsed:.2f}s)")
+
+
+def test_criterion_11_restriction_on_non_monomial_groups():
+    # SL(2,3), GL(2,3), A5 and S5 have irreducibles induced from no linear
+    # character of a subgroup; C2xS4 is monomial, with 33 subgroup classes
+    start = time.monotonic()
+    for name in ("SL(2,3)", "GL(2,3)", "A5", "S5", "C2xS4"):
+        group = parse_group("\n".join(BENCHMARK_GROUPS[name]["generators"]))
+        table = marks_table(subgroup_lattice(group))
+        artin = verify_artin_restriction(table, 1)
+        assert artin.order == group.order
+        assert artin.psi_res_ok and artin.res_psi_ok, name
+        brauer = verify_brauer_restriction(table, 1)
+        assert brauer.rank == brauer.irreducibles
+        assert all(d == 1 for d in brauer.elementary_divisors), name
+    elapsed = time.monotonic() - start
+    assert elapsed < 30.0
+    print(f"ACCEPTANCE 11 PASS Artin and Brauer restriction on five groups with computed tables ({elapsed:.2f}s)")
 
 
 def test_c2_4_brauer_restriction():

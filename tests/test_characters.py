@@ -1,5 +1,6 @@
 """Class functions, induction/restriction, reciprocity, and character tables."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -27,6 +28,8 @@ from burnside.characters import (
     perm_character,
     restrict,
     table_to_text,
+    _dixon_schneider,
+    _order_rows,
     _parse_cyclotomic_entry,
 )
 from burnside.groups import (
@@ -35,11 +38,28 @@ from burnside.groups import (
     conjugacy_classes,
     exponent,
     parse_cycles,
+    parse_group,
+    perm_inv,
     subgroup_as_group,
     subgroup_lattice,
 )
 
+from test_lattice_oracles import small_subgroups_of_s6
+
 FIXTURES = ["C2", "C3", "C4", "C6", "C2xC2", "S3", "D4", "Q8", "A4", "S4"]
+
+# generators, and the published degrees of the irreducible characters
+# (the ATLAS of Finite Groups; James and Liebeck, Representations and
+# Characters of Groups)
+PUBLISHED_DEGREES = {
+    "SL(2,3)": ("(0 3 6)(1 7 4)\n(0 5 1 2)(3 6 7 4)", [1, 1, 1, 2, 2, 2, 3]),
+    "GL(2,3)": ("(0 3 6)(1 7 4)\n(0 5 1 2)(3 6 7 4)\n(2 5)(3 6)(4 7)", [1, 1, 2, 2, 2, 3, 3, 4]),
+    "A5": ("(0 1 2 3 4)\n(0 1 2)", [1, 3, 3, 4, 5]),
+    "S5": ("(0 1)\n(0 1 2 3 4)", [1, 1, 4, 4, 5, 5, 6]),
+    "C2xS4": ("(0 1)\n(0 1 2 3)\n(4 5)", [1, 1, 1, 1, 2, 2, 3, 3, 3, 3]),
+    "A6": ("(0 1 2 3 4)\n(3 4 5)", [1, 5, 5, 8, 8, 9, 10]),
+    "S6": ("(0 1 2 3 4 5)\n(0 1)", [1, 1, 5, 5, 5, 5, 9, 9, 10, 10, 16]),
+}
 
 
 @pytest.fixture(scope="module")
@@ -221,6 +241,42 @@ class TestCharacterTables:
 
     def test_q8_degrees(self):
         assert character_table(builtin_group("Q8")).degrees() == [1, 1, 1, 1, 2]
+
+    @pytest.mark.parametrize("name", sorted(PUBLISHED_DEGREES))
+    def test_published_degrees(self, name):
+        generators, degrees = PUBLISHED_DEGREES[name]
+        assert character_table(parse_group(generators)).degrees() == degrees
+
+    @settings(max_examples=15, deadline=None)
+    @given(small_subgroups_of_s6())
+    def test_degrees_galois_orbits_and_real_rows(self, group):
+        table = character_table(group)
+        assert all(group.order % d == 0 for d in table.degrees())
+        n = table.conductor
+
+        def row_set(a):
+            return {tuple(v.to_conductor(n).galois(a).coeffs for v in row.values) for row in table.rows}
+
+        rows = row_set(1)
+        assert all(row_set(a) == rows for a in range(2, n) if math.gcd(a, n) == 1)
+        # Brauer's permutation lemma: complex conjugation fixes as many rows as classes
+        real_rows = sum(all(v == v.conjugate() for v in row.values) for row in table.rows)
+        classes = table.classes
+        real_classes = sum(classes.index_of(perm_inv(rep)) == i for i, rep in enumerate(classes.representatives))
+        assert real_rows == real_classes
+
+    @pytest.mark.parametrize("name", ["C2", "C3", "C4", "C6", "C2xC2"])
+    def test_dixon_schneider_agrees_with_linear_characters(self, name):
+        # the two branches of character_table, compared where both apply
+        group = builtin_group(name)
+        classes, conductor = conjugacy_classes(group), 2 * exponent(group)
+        expected = _order_rows(linear_characters(group, conductor))
+        assert _order_rows(_dixon_schneider(group, classes, conductor)) == expected
+
+    @pytest.mark.parametrize("name,conductor", [("S3", 2), ("S3", 3), ("S3", 4), ("C4", 2)])
+    def test_conductor_must_be_a_multiple_of_the_exponent(self, name, conductor):
+        with pytest.raises(ConductorTooSmall):
+            character_table(builtin_group(name), conductor)
 
     def test_linear_characters_count(self):
         # |G/[G,G]|: S3 -> 2, A4 -> 3, D4 -> 4, Q8 -> 4, S4 -> 2

@@ -226,9 +226,14 @@ class TestExitCodes:
             "kind": "internal error", "type": "InternalInvariantViolation", "message": "planted",
         }
 
-    def test_table_computation_error_is_an_input_error(self, capsys):
+    def test_sl23_equalizer_passes_in_both_modes(self, capsys):
+        # SL(2,3) is not monomial: no irreducible of degree 2 is induced
+        # from a linear character of a subgroup
         sl23 = "(0 3 6)(1 7 4)\n(0 5 1 2)(3 6 7 4)"
         code, out, err = run(capsys, "equalizer", "--group", sl23, "--mode", "artin", "--json")
-        assert code == 2
-        error = json.loads(err)["error"]
-        assert (error["kind"], error["type"]) == ("error", "TableComputationError")
+        assert code == 0
+        results = json.loads(out)["results"]
+        assert (results["order"], results["rank"]) == (24, 7)
+        code, out, err = run(capsys, "equalizer", "--group", sl23, "--mode", "brauer", "--json")
+        assert code == 0
+        assert json.loads(out)["results"]["elementary_divisors"] == [1] * 7

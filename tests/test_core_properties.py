@@ -1,8 +1,9 @@
 """Properties of the character layer on random two-generator subgroups of S6
 of order at most 48: conjugacy classes and permutation characters against
 brute-force counts over permutation tuples, Frobenius reciprocity and the
-Mackey formula for permutation characters, and the Artin (n = 1, inf) and
-Brauer (n = 1) certificates."""
+Mackey formula for permutation characters, the Artin (n = 1, inf) and
+Brauer (n = 1) certificates, and the Artin and Brauer restriction
+verifications at n = 1 on computed character tables."""
 
 import math
 from fractions import Fraction
@@ -14,6 +15,7 @@ from burnside.brauer import brauer_certificate
 from burnside.characters import frobenius_check, mackey_check, perm_character
 from burnside.groups import conjugacy_classes, perm_inv, perm_mul, subgroup_as_group, subgroup_lattice
 from burnside.marks import marks_table
+from burnside.restriction import verify_artin_restriction, verify_brauer_restriction
 
 from test_lattice_oracles import small_subgroups_of_s6
 
@@ -66,3 +68,9 @@ def test_character_layer_properties(group):
     assert artin_certificate(table, 1).verified
     assert artin_certificate(table, math.inf).verified
     assert brauer_certificate(table, 1).verified
+
+    artin = verify_artin_restriction(table, 1)
+    assert artin.psi_res_ok and artin.res_psi_ok
+    brauer = verify_brauer_restriction(table, 1)
+    assert brauer.rank == brauer.irreducibles
+    assert all(d == 1 for d in brauer.elementary_divisors)
