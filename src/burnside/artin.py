@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 from .groups import SubgroupLattice, conjugacy_classes, perm_to_cycles
 from .marks import (
@@ -18,9 +19,7 @@ from .marks import (
     NotInImage,
     fixed_points_of_element,
     in_ideal_jn,
-    indicator,
     phi,
-    solve_ghost,
     unit,
 )
 
@@ -39,6 +38,11 @@ class AbelianClassFamily:
 
     n: int | float
     class_indices: tuple[int, ...]
+
+    @cached_property
+    def members(self) -> frozenset[int]:
+        """class_indices as a set, for membership tests."""
+        return frozenset(self.class_indices)
 
 
 @dataclass(frozen=True)
@@ -80,21 +84,37 @@ def order_n(family: AbelianClassFamily, lattice: SubgroupLattice) -> int:
 
 
 def idempotent_multiple(k: int, family: AbelianClassFamily, table: MarksTable) -> BurnsideElement:
-    """The element with ghost |G|_n * e_K, supported on family classes below (K)."""
+    """The element with ghost |G|_n * e_K, supported on family classes below (K).
+
+    It is the table's cached |G| * e_K times |G|_n / |G|, divided exactly.
+    """
     lattice = table.lattice
-    if k not in family.class_indices:
+    if k not in family.members:
         raise ArtinError(f"class {lattice.label_of(k)} is not in the family")
-    target = indicator(k, table).scale(order_n(family, lattice))
+    return _idempotent_multiple(k, family, order_n(family, lattice), table)
+
+
+def _idempotent_multiple(k: int, family: AbelianClassFamily, order: int, table: MarksTable) -> BurnsideElement:
+    """idempotent_multiple for a family class whose order_n is already known."""
+    lattice = table.lattice
+    group_order = lattice.group.order
     try:
-        element = solve_ghost(target, table)
-    except NotInImage as exc:  # pragma: no cover - contradicts the decomposition theorem
+        scaled = table.scaled_idempotent(k)
+    except NotInImage as exc:  # pragma: no cover - contradicts tom Dieck's theorem
         raise InternalInvariantViolation(str(exc)) from exc
-    for idx in element.support():
-        if idx not in family.class_indices or not lattice.leq(idx, k):
+    coefficients = [0] * table.size
+    for idx in scaled.support():
+        q, r = divmod(scaled.coefficients[idx] * order, group_order)
+        if r:
+            raise InternalInvariantViolation(
+                f"{order} * e_{lattice.label_of(k)} not integral at class {lattice.label_of(idx)}"
+            )
+        if idx not in family.members or not lattice.leq(idx, k):
             raise InternalInvariantViolation(
                 f"support class {lattice.label_of(idx)} outside the family below {lattice.label_of(k)}"
             )
-    return element
+        coefficients[idx] = q
+    return BurnsideElement(tuple(coefficients))
 
 
 def artin_certificate(table: MarksTable, n: int | float) -> ArtinCertificate:
@@ -110,12 +130,12 @@ def artin_certificate(table: MarksTable, n: int | float) -> ArtinCertificate:
     size = table.size
     alpha = BurnsideElement.zero(size)
     for k in family.class_indices:
-        alpha = alpha + idempotent_multiple(k, family, table)
+        alpha = alpha + _idempotent_multiple(k, family, order, table)
 
     ghost = phi(alpha, table)
     ghost_checks = []
     for idx, cls in enumerate(lattice.classes):
-        expected = order if idx in family.class_indices else 0
+        expected = order if idx in family.members else 0
         ghost_checks.append((cls.label, ghost.values[idx], expected))
 
     element_checks = []

@@ -8,6 +8,7 @@ JSON reports are deterministic for identical inputs (timing is text-only).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -26,7 +27,7 @@ from .groups import (
 )
 from .characters import CharacterError
 from .lie import LieDataError, load_phi_data, order_n_lie, power
-from .marks import InternalInvariantViolation, NotInImage, indicator, marks_table, solve_ghost
+from .marks import InternalInvariantViolation, NotInImage, marks_table
 from .restriction import (
     DirectoryTables,
     MissingTable,
@@ -196,7 +197,7 @@ def cmd_verify(args) -> Report:
     tom_dieck = True
     for idx in range(table.size):
         try:
-            solve_ghost(indicator(idx, table).scale(group.order), table)
+            table.scaled_idempotent(idx)
         except NotInImage:
             tom_dieck = False
     report.add_check("order * indicator solves integrally", tom_dieck)
@@ -215,7 +216,9 @@ def cmd_verify(args) -> Report:
     return report
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and shared after it."""
     parser = argparse.ArgumentParser(
         prog="burnside",
         description="Exact Burnside-ring computations and induction certificates",

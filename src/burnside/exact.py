@@ -313,6 +313,8 @@ class Cyclotomic:
         return result
 
     def __eq__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return self.coeffs[0] == other and not any(self.coeffs[1:])
         other = Cyclotomic._coerce(other)
         if other is NotImplemented:
             return NotImplemented

@@ -4,12 +4,25 @@ The marks matrix m[H][K] counts fixed points |(G/H)^K|; rows are indexed by
 the basis elements [G/H] and columns by the evaluation classes (K), both in
 lattice order.  The marks homomorphism phi sends a coefficient vector to its
 column of fixed-point counts; solve_ghost inverts it exactly when possible.
+
+The dense matrix is what the table stores and what its invariant checks
+read.  phi and solve_ghost read a column index instead, built once per
+table: for each class (K) the pairs (H, m[H][K]) with m[H][K] != 0, that is
+(K) and the classes above it.  Since subconjugacy is transitive, the
+solution of a ghost vanishes outside the classes below those where the
+ghost is nonzero, and solve_ghost visits only those; the solve for a
+multiple of an indicator follows the down-set of its class.  The table also
+caches, per class, the element |G|*e_K whose ghost is |G| at (K) and 0
+elsewhere, which the tom Dieck check and the Artin certificates read (the
+idempotents e_K of the rational Burnside ring: T. Yoshida, J. Algebra 80
+(1983)).
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 
 from .exact import IntMatrix
 from .groups import Perm, SubgroupLattice
@@ -48,6 +61,39 @@ class MarksTable:
 
     def mark(self, h: int, k: int) -> int:
         return self.matrix.entries[h][k]
+
+    @cached_property
+    def columns(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """Per class (K), the pairs (H, m[H][K]) of every nonzero mark in its
+        column, H ascending; built once from the dense matrix."""
+        columns: list[list[tuple[int, int]]] = [[] for _ in range(self.size)]
+        for h, row in enumerate(self.matrix.entries):
+            for k, m in enumerate(row):
+                if m:
+                    columns[k].append((h, m))
+        return tuple(tuple(column) for column in columns)
+
+    @cached_property
+    def down_sets(self) -> tuple[int, ...]:
+        """Per class (H), a bitmask of the classes (K) with m[H][K] != 0."""
+        masks = [0] * self.size
+        for k, column in enumerate(self.columns):
+            for h, _ in column:
+                masks[h] |= 1 << k
+        return tuple(masks)
+
+    def scaled_idempotent(self, k: int) -> BurnsideElement:
+        """|G|*e_K: the element whose ghost is |G| at (K) and 0 elsewhere,
+        solved once per class and table.  Raises NotInImage if the table
+        contradicts tom Dieck's integrality theorem."""
+        if k not in self._scaled_idempotents:
+            target = indicator(k, self).scale(self.lattice.group.order)
+            self._scaled_idempotents[k] = solve_ghost(target, self)
+        return self._scaled_idempotents[k]
+
+    @cached_property
+    def _scaled_idempotents(self) -> dict[int, BurnsideElement]:
+        return {}
 
     def to_json(self) -> str:
         payload = {
@@ -131,23 +177,36 @@ def marks_table(lattice: SubgroupLattice) -> MarksTable:
 
 def phi(element: BurnsideElement, table: MarksTable) -> GhostElement:
     """Marks homomorphism: value at (K) is sum_H x_H * m[H][K]."""
-    values = table.matrix.transpose().mul_vector(list(element.coefficients))
-    return GhostElement(tuple(values))
+    x = element.coefficients
+    return GhostElement(tuple(sum(x[h] * m for h, m in column) for column in table.columns))
 
 
 def solve_ghost(ghost: GhostElement, table: MarksTable) -> BurnsideElement:
     """The unique x with phi(x) = ghost, solved by descending back-substitution.
 
+    Only classes below some class where the ghost is nonzero are visited:
+    elsewhere the ghost and every term of the sum vanish, so x does too.  Each
+    visited class sums over the nonzero marks above it in its column.
+
     Raises NotInImage at the first class (descending from the maximal one)
     where the required quotient is not an integer.
     """
+    values = ghost.values
     n = table.size
-    if len(ghost.values) != n:
+    if len(values) != n:
         raise ValueError("ghost length does not match lattice")
+    down_sets = table.down_sets
+    visit = 0
+    for k, value in enumerate(values):
+        if value:
+            visit |= down_sets[k]
     x = [0] * n
-    for k in range(n - 1, -1, -1):
-        acc = ghost.values[k] - sum(x[h] * table.mark(h, k) for h in range(k + 1, n))
-        pivot = table.mark(k, k)
+    columns, entries = table.columns, table.matrix.entries
+    while visit:
+        k = visit.bit_length() - 1
+        visit ^= 1 << k
+        acc = values[k] - sum(x[h] * m for h, m in columns[k] if h > k)
+        pivot = entries[k][k]
         if acc % pivot != 0:
             raise NotInImage(k, table.lattice.classes[k].label, acc % pivot)
         x[k] = acc // pivot

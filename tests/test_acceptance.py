@@ -4,6 +4,7 @@ Each test prints one PASS line on success (visible with pytest -s) and
 enforces the stated runtime budget.
 """
 
+import json
 import math
 import random
 import time
@@ -216,6 +217,21 @@ def test_c2_4_brauer_restriction():
     elapsed = time.monotonic() - start
     assert elapsed < 30.0
     print(f"ACCEPTANCE C2^4 PASS Brauer restriction, rank 16, unit divisors ({elapsed:.2f}s)")
+
+
+def test_c2_5_verify(capsys):
+    # 374 subgroup classes: every Burnside-ring solve of the full invariant
+    # suite must follow the lattice's nonzero marks, not its square
+    from burnside.cli import main
+
+    start = time.monotonic()
+    code = main(["verify", "--group", "(0 1)\n(2 3)\n(4 5)\n(6 7)\n(8 9)", "--json"])
+    elapsed = time.monotonic() - start
+    payload = json.loads(capsys.readouterr().out)
+    assert code == 0 and payload["status"] == "pass"
+    assert payload["results"]["subgroup_classes"] == 374
+    assert elapsed < 5.0
+    print(f"ACCEPTANCE C2^5 PASS verify on 374 subgroup classes ({elapsed:.2f}s)")
 
 
 def test_criterion_8_mackey_frobenius_random():

@@ -247,6 +247,26 @@ class TestCyclotomic:
         up = a.to_conductor(12)
         assert up == a
 
+    def test_equality_with_rationals(self):
+        assert Cyclotomic.one(12) == 1
+        assert Cyclotomic.zero(5) == 0
+        assert Cyclotomic.from_rational(-3, 4) == Fraction(-3)
+        assert not Cyclotomic.zeta(4) == 1
+        assert Cyclotomic(3, [1, 1]) != 1  # 1 + zeta_3 = -zeta_3^2
+        assert Cyclotomic(3, [0, -1, -1]) == 1  # -zeta_3 - zeta_3^2 = 1
+        # a non-integral rational is never a cyclotomic integer
+        assert not Cyclotomic.one() == Fraction(1, 2)
+        assert Cyclotomic.one(6) != Fraction(3, 2)
+
+    def test_equality_with_rationals_builds_no_value(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("comparison built a value")
+
+        value = Cyclotomic.one(8)
+        monkeypatch.setattr(Cyclotomic, "from_rational", refuse)
+        monkeypatch.setattr(Cyclotomic, "to_conductor", refuse)
+        assert value == 1 and value != 2 and value != Fraction(1, 3)
+
     def test_negative_power_raises(self):
         with pytest.raises(ValueError):
             Cyclotomic.zeta(3) ** -1
