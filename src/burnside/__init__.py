@@ -3,7 +3,6 @@
 from .exact import (
     Cyclotomic,
     IntMatrix,
-    Rational,
     extended_euclid_set,
     smith_normal_form,
     solve_triangular_integer,

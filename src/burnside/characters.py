@@ -562,6 +562,8 @@ def load_character_table(path: str, group: Group) -> CharacterTable:
         raise MalformedEntry(f"unrecognized line {line!r}")
     if conductor is None:
         raise MalformedEntry("missing conductor header")
+    if conductor < 1:
+        raise MalformedEntry(f"conductor must be positive, not {conductor}")
     classes = conjugacy_classes(group)
     if len(class_reps) != len(classes.classes):
         raise MalformedEntry(

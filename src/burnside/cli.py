@@ -94,7 +94,7 @@ def _format_n(n: int | float) -> str:
 
 
 def _load_group(args) -> Group:
-    cap = args.cap or DEFAULT_ORDER_CAP
+    cap = DEFAULT_ORDER_CAP if args.cap is None else args.cap
     if getattr(args, "file", None):
         with open(args.file, "r", encoding="utf-8") as handle:
             return parse_group(handle.read(), cap=cap)
@@ -162,13 +162,9 @@ def cmd_equalizer(args) -> Report:
 
 
 def cmd_lie(args) -> Report:
-    data = load_phi_data(args.file)
-    if args.power and args.power > 1:
-        data = power(data, args.power)
+    data = power(load_phi_data(args.file), args.power)
     value = order_n_lie(data, args.n)
-    report = Report("lie", {
-        "file": args.file, "power": args.power or 1, "n": _format_n(args.n),
-    })
+    report = Report("lie", {"file": args.file, "power": args.power, "n": _format_n(args.n)})
     report.results["name"] = data.name
     report.results["order"] = value
     report.add_check("order computed", True)

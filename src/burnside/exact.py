@@ -3,10 +3,11 @@
 Character values are sums of roots of unity, so they lie in Z[zeta_N], and
 Cyclotomic keeps their power-basis coordinates as integers.  Cyclotomic
 polynomials are built over Z, and every reduction modulo the monic Phi_N
-(reduce_mod_phi) stays integral.  Rationals appear only where a division
-is the point: an inner product divides by |G|, and solve_rational_columns
-solves a square system.  Everything here is exact; no floating point is
-used anywhere in the package.
+(reduce_mod_phi) stays integral.  Integer matrices get Smith forms,
+triangular solves and streamed kernel bases in column echelon form, all
+over Z; a rational appears only where an inner product divides by |G|.
+Everything here is exact; no floating point is used anywhere in the
+package.
 """
 
 from __future__ import annotations
@@ -17,10 +18,6 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import compress
 from typing import Iterable, Sequence
-
-# Fraction already maintains gcd(|num|, den) = 1 and den >= 1.
-Rational = Fraction
-
 
 class ExactError(Exception):
     """Base class for errors raised by the exact-arithmetic layer."""
@@ -330,41 +327,6 @@ class Cyclotomic:
         return f"Cyclotomic({self.conductor}, {[str(c) for c in self.coeffs]})"
 
 
-def solve_rational_columns(matrix: list[list[Fraction]],
-                           columns: list[list[Fraction]]) -> list[list[Fraction]] | None:
-    """Solve matrix*x = b for every right-hand side b in columns, by one
-    Gauss-Jordan elimination; None if any of them is inconsistent."""
-    rows = len(matrix)
-    cols = len(matrix[0]) if rows else 0
-    aug = [list(matrix[i]) + [b[i] for b in columns] for i in range(rows)]
-    pivot_cols = []
-    r = 0
-    for c in range(cols):
-        pivot = next((i for i in range(r, rows) if aug[i][c] != 0), None)
-        if pivot is None:
-            continue
-        aug[r], aug[pivot] = aug[pivot], aug[r]
-        scale = 1 / aug[r][c]
-        aug[r] = [v * scale for v in aug[r]]
-        for i in range(rows):
-            if i != r and aug[i][c] != 0:
-                factor = aug[i][c]
-                aug[i] = [v - factor * w for v, w in zip(aug[i], aug[r])]
-        pivot_cols.append(c)
-        r += 1
-        if r == rows:
-            break
-    if any(v != 0 for i in range(r, rows) for v in aug[i][cols:]):
-        return None
-    solutions = []
-    for k in range(len(columns)):
-        solution = [Fraction(0)] * cols
-        for i, c in enumerate(pivot_cols):
-            solution[c] = aug[i][cols + k]
-        solutions.append(solution)
-    return solutions
-
-
 # ---------------------------------------------------------------------------
 # integer matrices
 
@@ -564,15 +526,41 @@ def solve_triangular_integer(m: IntMatrix, b: Sequence[int]) -> list[int]:
     return x
 
 
+def _euclid_columns(basis: list[list[int]], w: list[int], live: list[int]) -> int:
+    """Column operations on basis, mirrored on w, until one of w's live
+    (nonzero) entries is left; return its column, which carries +-gcd.
+    Each step takes the smallest |w_j| as pivot and reduces the others
+    modulo it, so the columns keep spanning the same lattice."""
+    while len(live) > 1:
+        p = min(live, key=lambda j: abs(w[j]))
+        rest = []
+        for j in live:
+            if j == p:
+                continue
+            q = w[j] // w[p]
+            w[j] -= q * w[p]
+            for k_row in basis:
+                k_row[j] -= q * k_row[p]
+            if w[j]:
+                rest.append(j)
+        live = rest + [p]
+    return live[0]
+
+
 def integer_kernel(rows: Iterable[Sequence[int]], cols: int) -> list[list[int]]:
-    """Basis of the integer kernel {x : r.x = 0 for every row r}, as column vectors.
+    """Basis of the integer kernel {x : r.x = 0 for every row r}, as column
+    vectors in column echelon form: the first nonzero entry of vector t sits
+    at a row r_t with r_0 < r_1 < ...
 
     Rows are consumed one at a time (Cohen, A Course in Computational
     Algebraic Number Theory, 2.4).  K holds a basis of the kernel of the rows
     seen so far, so memory stays at one cols x cols matrix however many rows
     arrive.  For each row r, w = r.K touches only r's nonzeros; a row with
-    w = 0 changes nothing.  Otherwise column operations with the smallest
-    |w_j| as pivot turn w into (g, 0, ..., 0), and the pivot column leaves K.
+    w = 0 changes nothing.  Otherwise _euclid_columns turns w into
+    (g, 0, ..., 0) and the pivot column leaves K.  After the last row the
+    same step runs down the rows of K, leaving one column with a nonzero
+    entry per pivot row; it uses only unimodular column operations, so the
+    lattice is unchanged.
     """
     basis = [[int(i == j) for j in range(cols)] for i in range(cols)]  # K, row-major
     width = cols
@@ -586,22 +574,21 @@ def integer_kernel(rows: Iterable[Sequence[int]], cols: int) -> list[list[int]]:
         live = [j for j in range(width) if w[j]]
         if not live:
             continue
-        while len(live) > 1:
-            p = min(live, key=lambda j: abs(w[j]))
-            rest = []
-            for j in live:
-                if j == p:
-                    continue
-                q = w[j] // w[p]
-                w[j] -= q * w[p]
-                for k_row in basis:
-                    k_row[j] -= q * k_row[p]
-                if w[j]:
-                    rest.append(j)
-            live = rest + [p]
+        p = _euclid_columns(basis, w, live)
         for k_row in basis:
-            del k_row[live[0]]
+            del k_row[p]
         width -= 1
+    t = 0  # columns before t are in echelon form; the rest vanish on the rows seen
+    for k_row in basis:
+        if t == width:
+            break
+        live = [j for j in range(t, width) if k_row[j]]
+        if not live:
+            continue
+        p = _euclid_columns(basis, list(k_row), live)
+        for row in basis:
+            row[t], row[p] = row[p], row[t]
+        t += 1
     return [[k_row[j] for k_row in basis] for j in range(width)]
 
 

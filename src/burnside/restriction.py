@@ -9,27 +9,29 @@ exactly when x_K(y) = x_L(z) for all y in K and z in L that are conjugate in
 G.  The constraint rows come from class fusion: each class of a family
 member's table is compared with the first family class in the same G-class,
 and the rows stream into an integer kernel that never holds more than one
-square matrix.  The Artin verification checks that restriction and the
-induced section compose to the group order in both directions; the Brauer
-verification checks that restriction is a lattice isomorphism via Smith
-elementary divisors.
+square matrix.  Its basis comes out in column echelon form, so a point's
+coordinates come from an integer triangular solve on the pivot rows,
+checked against the full basis.  The Artin verification checks that
+restriction and the induced section compose to the group order in both
+directions; the Brauer verification checks that restriction is a lattice
+isomorphism via Smith elementary divisors.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from pathlib import Path
 
 from .artin import ArtinCertificate, abelian_family, artin_certificate, order_n
 from .brauer import brauer_certificate, in_hyper_family
 from .exact import (
     IntMatrix,
+    NotIntegral,
     euler_phi,
     integer_kernel,
     smith_normal_form,
-    solve_rational_columns,
+    solve_triangular_integer,
 )
 from .characters import (
     CharacterTable,
@@ -136,7 +138,7 @@ class DirectoryTables(TableProvider):
 class EqualizerLattice:
     family: tuple[int, ...]  # subgroup class indices
     block_sizes: tuple[int, ...]  # irreducible counts per family member
-    basis: IntMatrix  # columns form a basis of the integer equalizer
+    basis: IntMatrix  # columns: a basis of the integer equalizer, in column echelon form
 
     @property
     def rank(self) -> int:
@@ -197,23 +199,23 @@ def equalizer_lattice(family: list[int], provider: TableProvider,
 
 def _equalizer_coordinates(eq: EqualizerLattice, points: IntMatrix) -> IntMatrix:
     """Coordinates X with basis * X = points, exact; every column must be an
-    integral point of the lattice.  The basis has full column rank, so the
-    normal equations (B^T B) X = B^T points are square and invertible."""
-    transposed = eq.basis.transpose()
-    gram = [[Fraction(v) for v in row] for row in (transposed @ eq.basis).entries]
-    rhs = transposed @ points
-    solutions = solve_rational_columns(gram, [[Fraction(row[j]) for row in rhs.entries]
-                                              for j in range(points.cols)])
+    integral point of the lattice.  The basis is in column echelon form, so
+    its rows at the pivots r_t form a square lower-triangular matrix with a
+    nonzero diagonal: forward substitution on those rows gives the only
+    candidate, and the full product checks that it lands on the point."""
+    basis = eq.basis
+    pivots = [next(i for i in range(basis.rows) if basis[i, t]) for t in range(eq.rank)]
+    square = IntMatrix.from_rows([basis.row(r) for r in pivots])
     columns = []
-    for j, solution in enumerate(solutions):
-        den = math.lcm(1, *(v.denominator for v in solution))
-        scaled = eq.basis.mul_vector([int(v * den) for v in solution])
-        if scaled != [den * row[j] for row in points.entries]:
+    for j in range(points.cols):
+        point = [row[j] for row in points.entries]
+        try:
+            x = solve_triangular_integer(square, [point[r] for r in pivots])
+        except NotIntegral as exc:
+            raise RestrictionError(f"non-integral equalizer coordinate: {exc}") from exc
+        if basis.mul_vector(x) != point:
             raise RestrictionError("vector is not in the equalizer lattice")
-        for v in solution:
-            if v.denominator != 1:
-                raise RestrictionError(f"non-integral equalizer coordinate {v}")
-        columns.append([int(v) for v in solution])
+        columns.append(x)
     return IntMatrix.from_rows([[col[i] for col in columns] for i in range(eq.rank)])
 
 

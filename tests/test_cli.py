@@ -1,11 +1,13 @@
 """Command-line interface: subcommands, exit codes, JSON determinism."""
 
 import json
+import shutil
 from pathlib import Path
 
 import pytest
 
 from burnside.cli import main
+from burnside.exact import IntMatrix
 
 DATA_DIR = Path(__file__).parent.parent / "src" / "burnside" / "data"
 
@@ -44,6 +46,12 @@ class TestMarks:
         assert code == 2
         payload = json.loads(err)
         assert payload["error"]["type"] == "MalformedCycle"
+
+    @pytest.mark.parametrize("cap", ["0", "3", "-5"])
+    def test_cap_below_the_order_is_an_input_error(self, capsys, cap):
+        code, out, err = run(capsys, "marks", "--group", "S3", "--cap", cap, "--json")
+        assert code == 2
+        assert json.loads(err)["error"]["type"] == "OrderCapExceeded"
 
     def test_missing_group(self, capsys):
         code, out, err = run(capsys, "marks")
@@ -158,6 +166,15 @@ class TestEqualizer:
         assert code == 2
         assert json.loads(err)["error"]["type"] == "DegreeSumMismatch"
 
+    @pytest.mark.parametrize("conductor", ["0", "-6"])
+    def test_nonpositive_conductor_is_an_input_error(self, capsys, tmp_path, conductor):
+        shutil.copytree(DATA_DIR / "tables" / "S3", tmp_path / "S3")
+        path = tmp_path / "S3" / "3a.tbl"
+        path.write_text(path.read_text().replace("conductor: 6", f"conductor: {conductor}"))
+        code, out, err = run(capsys, "equalizer", "--group", "S3", "--tables", str(tmp_path), "--json")
+        assert code == 2
+        assert json.loads(err)["error"]["type"] == "MalformedEntry"
+
 
 class TestLie:
     def test_so3_n2(self, capsys):
@@ -171,6 +188,14 @@ class TestLie:
                              "--power", "2", "--n", "2", "--json")
         assert code == 0
         assert json.loads(out)["results"]["order"] == 12
+
+    @pytest.mark.parametrize("power", ["0", "-3"])
+    def test_power_below_one_is_an_input_error(self, capsys, power):
+        code, out, err = run(capsys, "lie", "--file", str(DATA_DIR / "so3.json"),
+                             "--power", power, "--json")
+        assert code == 2
+        assert not out
+        assert json.loads(err)["error"]["type"] == "LieDataError"
 
     def test_malformed_file(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"
@@ -225,6 +250,24 @@ class TestExitCodes:
         assert json.loads(err)["error"] == {
             "kind": "internal error", "type": "InternalInvariantViolation", "message": "planted",
         }
+
+    def test_equalizer_point_off_the_lattice_is_a_failed_check(self, capsys, monkeypatch):
+        # doubling a basis column leaves a sublattice of index 2, which misses
+        # the image of restriction (onto, in Brauer mode)
+        from burnside import restriction
+
+        def doubled(family, provider, lattice):
+            eq = original(family, provider, lattice)
+            basis = [[2 * row[0], *row[1:]] for row in eq.basis.entries]
+            return restriction.EqualizerLattice(eq.family, eq.block_sizes, IntMatrix.from_rows(basis))
+
+        original = restriction.equalizer_lattice
+        monkeypatch.setattr(restriction, "equalizer_lattice", doubled)
+        code, out, err = run(capsys, "equalizer", "--group", "S3", "--mode", "brauer", "--json")
+        assert code == 1
+        assert not out
+        error = json.loads(err)["error"]
+        assert (error["kind"], error["type"]) == ("check failed", "RestrictionError")
 
     def test_sl23_equalizer_passes_in_both_modes(self, capsys):
         # SL(2,3) is not monomial: no irreducible of degree 2 is induced

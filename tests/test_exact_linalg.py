@@ -143,6 +143,9 @@ class TestIntegerKernel:
         for b in basis:
             assert len(b) == cols
             assert m.mul_vector(b) == [0] * len(rows)
+        # column echelon form: each vector's first nonzero row strictly increases
+        leads = [next(i for i, v in enumerate(b) if v) for b in basis]
+        assert leads == sorted(set(leads))
         # the kernel from the V columns of the Smith form
         _, d, v = smith_normal_form(m)
         rank = sum(1 for i in range(min(d.rows, d.cols)) if d.entries[i][i])

@@ -1,5 +1,6 @@
 """Equalizer lattices and the induction-restriction isomorphism verifications."""
 
+import functools
 import json
 import math
 from fractions import Fraction
@@ -21,8 +22,11 @@ from burnside.marks import marks_table
 from burnside.restriction import (
     DirectoryTables,
     EmptyFamily,
+    EqualizerLattice,
     MissingTable,
+    RestrictionError,
     TableProvider,
+    _equalizer_coordinates,
     equalizer_lattice,
     hyper_family,
     verify_artin_restriction,
@@ -265,6 +269,44 @@ class TestEqualizerWork:
 
 WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "data" / "workloads.json"
 BENCHMARK_GROUPS = json.loads(WORKLOADS.read_text())["groups"]
+
+
+@functools.cache
+def ladder_equalizer(name, mode, n):
+    lattice = subgroup_lattice(ladder_group(name))
+    return equalizer_lattice(production_family(lattice, mode, n), TableProvider(lattice.group, lattice), lattice)
+
+
+class TestEqualizerCoordinates:
+    def test_point_of_an_unsaturated_basis_is_a_restriction_error(self):
+        eq = EqualizerLattice((0,), (2,), IntMatrix.from_rows([[2], [0]]))
+        # the solve's NotIntegral (an input error at the CLI) comes out as a failed check
+        with pytest.raises(RestrictionError, match="non-integral equalizer coordinate"):
+            _equalizer_coordinates(eq, IntMatrix.from_rows([[1], [0]]))
+
+    def test_point_outside_the_span_is_a_restriction_error(self, s3_setup):
+        group, lattice, table, provider = s3_setup
+        eq = equalizer_lattice(list(abelian_family(lattice, 1).class_indices), provider, lattice)
+        assert eq.total_dim > eq.rank
+        # a lattice point moved on a row that is no column's first nonzero:
+        # the pivot rows still solve integrally, so the full product must catch it
+        leads = {next(i for i in range(eq.total_dim) if eq.basis[i, t]) for t in range(eq.rank)}
+        free = min(set(range(eq.total_dim)) - leads)
+        point = [[v + (i == free)] for i, v in enumerate(eq.basis.mul_vector([1] * eq.rank))]
+        with pytest.raises(RestrictionError, match="not in the equalizer lattice"):
+            _equalizer_coordinates(eq, IntMatrix.from_rows(point))
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_coordinates_of_lattice_points_round_trip(self, data):
+        eq = ladder_equalizer(data.draw(st.sampled_from(["S3", "D4", "Q8", "A4", "S4", "D8", "C2^3", "C2xS4"])),
+                              data.draw(st.sampled_from(["artin", "brauer"])),
+                              data.draw(st.sampled_from([1, 2, math.inf])))
+        width = data.draw(st.integers(1, 3))
+        x = IntMatrix.from_rows(data.draw(st.lists(
+            st.lists(st.integers(-9, 9), min_size=width, max_size=width),
+            min_size=eq.rank, max_size=eq.rank)))
+        assert _equalizer_coordinates(eq, eq.basis @ x) == x
 
 
 def assert_families_closed_under_subconjugacy(lattice):
