@@ -4,8 +4,8 @@ Character values are sums of roots of unity, so they lie in Z[zeta_N], and
 Cyclotomic keeps their power-basis coordinates as integers.  Cyclotomic
 polynomials are built over Z, and every reduction modulo the monic Phi_N
 (reduce_mod_phi) stays integral.  Integer matrices get Smith forms,
-triangular solves and streamed kernel bases in column echelon form, all
-over Z; a rational appears only where an inner product divides by |G|.
+triangular solves and row echelon bases of streamed row lattices, all over
+Z; a rational appears only where an inner product divides by |G|.
 Everything here is exact; no floating point is used anywhere in the
 package.
 """
@@ -16,7 +16,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import compress
 from typing import Iterable, Sequence
 
 class ExactError(Exception):
@@ -509,8 +508,8 @@ def solve_triangular_integer(m: IntMatrix, b: Sequence[int]) -> list[int]:
     n = m.rows
     if m.cols != n or len(b) != n:
         raise ValueError("need square M and matching b")
-    lower = all(m.entries[i][j] == 0 for i in range(n) for j in range(i + 1, n))
-    upper = all(m.entries[i][j] == 0 for i in range(n) for j in range(i))
+    lower = not any(any(row[i + 1:]) for i, row in enumerate(m.entries))
+    upper = not any(any(row[:i]) for i, row in enumerate(m.entries))
     if not (lower or upper):
         raise ValueError("matrix is not triangular")
     if any(m.entries[i][i] == 0 for i in range(n)):
@@ -518,7 +517,7 @@ def solve_triangular_integer(m: IntMatrix, b: Sequence[int]) -> list[int]:
     order = range(n) if lower else range(n - 1, -1, -1)
     x = [0] * n
     for i in order:
-        acc = b[i] - sum(m.entries[i][j] * x[j] for j in range(n) if j != i)
+        acc = b[i] - sum(a * v for a, v in zip(m.entries[i], x))  # x[i] is still 0
         pivot = m.entries[i][i]
         if acc % pivot != 0:
             raise NotIntegral(i, acc % abs(pivot))
@@ -526,72 +525,42 @@ def solve_triangular_integer(m: IntMatrix, b: Sequence[int]) -> list[int]:
     return x
 
 
-def _euclid_columns(basis: list[list[int]], w: list[int], live: list[int]) -> int:
-    """Column operations on basis, mirrored on w, until one of w's live
-    (nonzero) entries is left; return its column, which carries +-gcd.
-    Each step takes the smallest |w_j| as pivot and reduces the others
-    modulo it, so the columns keep spanning the same lattice."""
-    while len(live) > 1:
-        p = min(live, key=lambda j: abs(w[j]))
-        rest = []
-        for j in live:
-            if j == p:
-                continue
-            q = w[j] // w[p]
-            w[j] -= q * w[p]
-            for k_row in basis:
-                k_row[j] -= q * k_row[p]
-            if w[j]:
-                rest.append(j)
-        live = rest + [p]
-    return live[0]
-
-
-def integer_kernel(rows: Iterable[Sequence[int]], cols: int) -> list[list[int]]:
-    """Basis of the integer kernel {x : r.x = 0 for every row r}, as column
-    vectors in column echelon form: the first nonzero entry of vector t sits
-    at a row r_t with r_0 < r_1 < ...
+def row_echelon(rows: Iterable[Sequence[int]], cols: int) -> list[list[int]]:
+    """A basis of the integer row lattice of rows, in row echelon form: the
+    leading column of row t increases strictly with t, and every leading
+    entry is positive.
 
     Rows are consumed one at a time (Cohen, A Course in Computational
-    Algebraic Number Theory, 2.4).  K holds a basis of the kernel of the rows
-    seen so far, so memory stays at one cols x cols matrix however many rows
-    arrive.  For each row r, w = r.K touches only r's nonzeros; a row with
-    w = 0 changes nothing.  Otherwise _euclid_columns turns w into
-    (g, 0, ..., 0) and the pivot column leaves K.  After the last row the
-    same step runs down the rows of K, leaving one column with a nonzero
-    entry per pivot row; it uses only unimodular column operations, so the
-    lattice is unchanged.
+    Algebraic Number Theory, 2.4), so memory stays at cols rows however many
+    arrive.  A row is reduced at each of its leading columns against the
+    basis row leading there: by a multiple of it when its entry divides, and
+    otherwise by the unimodular pair of combinations, from xgcd, that leaves
+    the gcd in the basis row and zero in the incoming one.  A row with no
+    basis row at its leading column joins the basis; a zero row is dropped.
     """
-    basis = [[int(i == j) for j in range(cols)] for i in range(cols)]  # K, row-major
-    width = cols
+    basis: dict[int, list[int]] = {}  # leading column -> row
     for row in rows:
-        if not width:
-            break
-        w = [0] * width
-        for i in compress(range(cols), row):
-            v = row[i]
-            w = [a + v * b for a, b in zip(w, basis[i])]
-        live = [j for j in range(width) if w[j]]
-        if not live:
-            continue
-        p = _euclid_columns(basis, w, live)
-        for k_row in basis:
-            del k_row[p]
-        width -= 1
-    t = 0  # columns before t are in echelon form; the rest vanish on the rows seen
-    for k_row in basis:
-        if t == width:
-            break
-        live = [j for j in range(t, width) if k_row[j]]
-        if not live:
-            continue
-        p = _euclid_columns(basis, list(k_row), live)
-        for row in basis:
-            row[t], row[p] = row[p], row[t]
-        t += 1
-    return [[k_row[j] for k_row in basis] for j in range(width)]
+        v = list(row)
+        p = next((j for j in range(cols) if v[j]), cols)
+        while p < cols:
+            h = basis.get(p)
+            if h is None:
+                basis[p] = v if v[p] > 0 else [-x for x in v]
+                break
+            a, b = h[p], v[p]
+            if b % a:
+                g, x, y = xgcd(a, b)
+                basis[p] = [x * s + y * t for s, t in zip(h, v)]
+                v = [a // g * t - b // g * s for s, t in zip(h, v)]
+            else:
+                v = [t - b // a * s for s, t in zip(h, v)]
+            p = next((j for j in range(p + 1, cols) if v[j]), cols)
+    return [basis[p] for p in sorted(basis)]
 
 
 def integer_kernel_basis(m: IntMatrix) -> list[list[int]]:
-    """Basis of the integer kernel {x : M*x = 0}, as a list of column vectors."""
-    return integer_kernel(m.entries, m.cols)
+    """Basis of the integer kernel {x : M*x = 0}, as a list of column vectors:
+    the columns of V in U*M*V = D past the nonzero diagonal of D."""
+    _, d, v = smith_normal_form(m)
+    rank = sum(1 for i in range(min(d.rows, d.cols)) if d[i, i])
+    return [[row[j] for row in v.entries] for j in range(rank, m.cols)]

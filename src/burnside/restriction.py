@@ -1,20 +1,18 @@
 """Equalizer lattices in representation-ring coordinates and the exact
 verification of the induction-restriction isomorphism pairs.
 
-The equalizer is the integer kernel of the difference of the two
-restriction-conjugation maps out of the product of representation rings of a
-family of subgroup classes; restriction from the top group lands in it.
-Virtual characters are class functions, so a family (x_K) is compatible
-exactly when x_K(y) = x_L(z) for all y in K and z in L that are conjugate in
-G.  The constraint rows come from class fusion: each class of a family
-member's table is compared with the first family class in the same G-class,
-and the rows stream into an integer kernel that never holds more than one
-square matrix.  Its basis comes out in column echelon form, so a point's
-coordinates come from an integer triangular solve on the pivot rows,
-checked against the full basis.  The Artin verification checks that
-restriction and the induced section compose to the group order in both
-directions; the Brauer verification checks that restriction is a lattice
-isomorphism via Smith elementary divisors.
+The equalizer is the lattice of families (x_K) in the product of the
+representation rings of a family of subgroup classes on which the two
+restriction-conjugation maps agree: x_K(y) = x_L(z) whenever y in K and
+z in L are conjugate in G.  Restriction from the top group lands in it, and
+by Frobenius reciprocity row (K, psi) of the stacked restriction matrix M
+holds the coordinates of ind_K psi.  The equalizer is computed from the G
+side: a row echelon basis H of M's row lattice, streamed in k(G) columns, is
+the matrix of restriction, and the integer solution C of C * H = M is the
+basis.  The Artin verification checks that restriction and the induced
+section compose to the group order in both directions; the Brauer
+verification checks that restriction is a lattice isomorphism via the Smith
+elementary divisors of H, which is Brauer's induction theorem itself.
 """
 
 from __future__ import annotations
@@ -29,13 +27,12 @@ from .exact import (
     IntMatrix,
     NotIntegral,
     euler_phi,
-    integer_kernel,
+    row_echelon,
     smith_normal_form,
     solve_triangular_integer,
 )
 from .characters import (
     CharacterTable,
-    ClassFunction,
     character_table,
     conjugate_function,
     induce,
@@ -137,8 +134,10 @@ class DirectoryTables(TableProvider):
 @dataclass(frozen=True)
 class EqualizerLattice:
     family: tuple[int, ...]  # subgroup class indices
-    block_sizes: tuple[int, ...]  # irreducible counts per family member
-    basis: IntMatrix  # columns: a basis of the integer equalizer, in column echelon form
+    # rows: one per family coordinate (K, psi), block by block; columns: irr(G)
+    stacked: IntMatrix  # M, the multiplicities <res_K chi, psi>
+    restriction: IntMatrix  # H, a row echelon basis of M's row lattice: res in basis coordinates
+    basis: IntMatrix  # columns: a basis of the integer equalizer, C with C * H = M
 
     @property
     def rank(self) -> int:
@@ -154,80 +153,77 @@ def equalizer_lattice(family: list[int], provider: TableProvider,
     """Integral basis of the equalizer of the two restriction-conjugation maps.
 
     A tuple (x_K) lies in the equalizer when res_I x_K = c_g res x_L on
-    I = K cap gLg^-1 for every pair K, L of the family and every g in G.
-    Since y lies in I exactly when z = g^-1 y g lies in L, this says
-    x_K(y) = x_L(z) whenever y in K and z in L are conjugate in G.  So the
-    first (K, c) of the family's class tables to meet a G-class is that
-    class's reference, and every later (L, d) meeting it sends the nonzero
-    ones of phi(n) rows: the power-basis coefficients of sum_s x_(K,s)
-    chi_s(c) - sum_t x_(L,t) psi_t(d) at n, the lcm of the tables'
-    conductors.  A value is zero exactly when its coefficients are, so the
-    rows cut out the same rational space, and the integer kernel the same
-    lattice, as one row per class of every intersection K cap gLg^-1 would.
+    I = K cap gLg^-1 for every pair K, L of the family and every g in G, that
+    is, when x_K(y) = x_L(z) whenever y in K and z in L are conjugate in G.
+    With rational coordinates each x_K is Galois-equivariant, so a compatible
+    family is a Galois-equivariant function on the G-classes the family
+    meets, and extended by zero it is a rational combination of irr(G).  So
+    the equalizer is E = im_Q(M) cap Z^m, where M stacks the coordinates of
+    res_K chi.  Let H be a row echelon basis of M's row lattice and C the
+    integer solution of C * H = M.  Then H = A * M for an integer A, so
+    A * C = 1 and C * y integral forces y integral: E = C * Z^r.  This holds
+    for every family, also one that misses G-classes.
+
+    Three checks keep the result honest: every basis column satisfies the
+    class-fusion equalities above, r equals the number of G-classes the
+    family's tables meet, and C * H = M is checked where restriction is
+    read (_restriction_matrix).
     """
     if not family:
         raise EmptyFamily("equalizer over an empty family")
     tables = [provider.class_table(i) for i in family]
-    block_sizes = [t.size for t in tables]
-    offsets = [0]
-    for size in block_sizes:
-        offsets.append(offsets[-1] + size)
-    total = offsets[-1]
-    n = math.lcm(*(t.conductor for t in tables))
-    g_classes = conjugacy_classes(lattice.group)
-
-    def constraint_rows():
-        first: dict[int, tuple[int, list[tuple]]] = {}  # G-class -> offset and values of its reference
-        for offset, table in zip(offsets, tables):
-            for c, rep in enumerate(table.classes.representatives):
-                here = (offset, [row.values[c].to_conductor(n).coeffs for row in table.rows])
-                reference = first.setdefault(g_classes.index_of(rep), here)
-                if reference is here:
-                    continue
-                for j in range(euler_phi(n)):
-                    row = [0] * total
-                    for (start, values), sign in ((reference, 1), (here, -1)):
-                        for s, coeffs in enumerate(values):
-                            row[start + s] += sign * coeffs[j]
-                    if any(row):
-                        yield row
-
-    kernel = integer_kernel(constraint_rows(), total)
-    basis = IntMatrix.from_rows([[col[i] for col in kernel] for i in range(total)])
-    return EqualizerLattice(tuple(family), tuple(block_sizes), basis)
-
-
-def _equalizer_coordinates(eq: EqualizerLattice, points: IntMatrix) -> IntMatrix:
-    """Coordinates X with basis * X = points, exact; every column must be an
-    integral point of the lattice.  The basis is in column echelon form, so
-    its rows at the pivots r_t form a square lower-triangular matrix with a
-    nonzero diagonal: forward substitution on those rows gives the only
-    candidate, and the full product checks that it lands on the point."""
-    basis = eq.basis
-    pivots = [next(i for i in range(basis.rows) if basis[i, t]) for t in range(eq.rank)]
-    square = IntMatrix.from_rows([basis.row(r) for r in pivots])
-    columns = []
-    for j in range(points.cols):
-        point = [row[j] for row in points.entries]
-        try:
-            x = solve_triangular_integer(square, [point[r] for r in pivots])
-        except NotIntegral as exc:
-            raise RestrictionError(f"non-integral equalizer coordinate: {exc}") from exc
-        if basis.mul_vector(x) != point:
-            raise RestrictionError("vector is not in the equalizer lattice")
-        columns.append(x)
-    return IntMatrix.from_rows([[col[i] for col in columns] for i in range(eq.rank)])
-
-
-def _restriction_matrix(top_table: CharacterTable, eq: EqualizerLattice,
-                        provider: TableProvider) -> IntMatrix:
-    """Matrix of res: R(G) -> equalizer, in basis coordinates (rank x #irr)."""
-    stacked: list[tuple[int, ...]] = []  # one row per family coordinate, one column per irreducible
-    for idx in eq.family:
-        table = provider.class_table(idx)
+    top_table = provider.class_table(lattice.full_index)
+    stacked: list[tuple[int, ...]] = []
+    for table in tables:
         stacked.extend(zip(*(table.coordinates(restrict(chi, table.group, table.classes))
                              for chi in top_table.rows)))
-    return _equalizer_coordinates(eq, IntMatrix.from_rows(stacked))
+    echelon = row_echelon(stacked, top_table.size)
+    pivots = [next(j for j, v in enumerate(row) if v) for row in echelon]
+    # H's pivot columns, as rows: a lower-triangular matrix with a nonzero diagonal
+    square = IntMatrix.from_rows([[row[p] for row in echelon] for p in pivots])
+    try:
+        coords = [solve_triangular_integer(square, [m[p] for p in pivots]) for m in stacked]
+    except NotIntegral as exc:
+        raise RestrictionError(f"non-integral equalizer coordinate: {exc}") from exc
+    eq = EqualizerLattice(tuple(family), IntMatrix.from_rows(stacked),
+                          IntMatrix.from_rows(echelon), IntMatrix.from_rows(coords))
+    met = _check_fusion(eq.basis, tables, lattice)
+    if met != eq.rank:
+        raise RestrictionError(f"equalizer rank {eq.rank}, but the family meets {met} G-classes")
+    return eq
+
+
+def _check_fusion(basis: IntMatrix, tables: list[CharacterTable], lattice: SubgroupLattice) -> int:
+    """Check x_K(y) = x_L(z) on every basis column for y in K and z in L
+    conjugate in G, comparing each family class with the first one in its
+    G-class at n, the lcm of the tables' conductors; return the number of
+    G-classes met."""
+    g_classes = conjugacy_classes(lattice.group)
+    n = math.lcm(*(t.conductor for t in tables))
+    phi = euler_phi(n)
+    first: dict[int, list] = {}  # G-class -> values of every basis column at its first family class
+    offset = 0
+    for table in tables:
+        block = basis.entries[offset:offset + table.size]
+        offset += table.size
+        for c, rep in enumerate(table.classes.representatives):
+            values = [[0] * basis.cols for _ in range(phi)]  # power-basis coefficient -> column
+            for x, row in zip(block, table.rows):
+                for i, v in enumerate(row.values[c].to_conductor(n).coeffs):
+                    if v:
+                        values[i] = [a + v * b for a, b in zip(values[i], x)]
+            if first.setdefault(g_classes.index_of(rep), values) != values:
+                raise RestrictionError(f"equalizer basis is not compatible at class {c} "
+                                       f"of {table.group.name}")
+    return len(first)
+
+
+def _restriction_matrix(eq: EqualizerLattice) -> IntMatrix:
+    """Matrix of res: R(G) -> equalizer, in basis coordinates (rank x #irr),
+    once the basis is checked to carry it onto the stacked restrictions."""
+    if eq.basis @ eq.restriction != eq.stacked:
+        raise RestrictionError("restriction is not in the equalizer lattice")
+    return eq.restriction
 
 
 @dataclass(frozen=True)
@@ -260,29 +256,16 @@ def verify_artin_restriction(table: MarksTable, n: int | float,
     order = certificate.order_n
     nirr = top_table.size
 
-    res_matrix = _restriction_matrix(top_table, eq, provider)
-
-    g_classes = top_table.classes
-    psi_columns = []
-    for j in range(eq.rank):
-        stacked = [eq.basis.entries[i][j] for i in range(eq.basis.rows)]
-        image: ClassFunction | None = None
-        offset = 0
-        for pos, idx in enumerate(eq.family):
-            sub_table = provider.class_table(idx)
-            coords = stacked[offset:offset + eq.block_sizes[pos]]
-            offset += eq.block_sizes[pos]
-            c = certificate.coefficients.get(idx, 0)
-            if c == 0 or all(v == 0 for v in coords):
-                continue
-            part = induce(sub_table.from_coordinates(coords), group, g_classes).scale(c)
-            image = part if image is None else image + part
-        if image is None:
-            psi_columns.append([0] * nirr)
-        else:
-            psi_columns.append(top_table.coordinates(image))
-    psi_matrix = IntMatrix.from_rows([[psi_columns[j][i] for j in range(eq.rank)]
-                                      for i in range(nirr)])
+    res_matrix = _restriction_matrix(eq)
+    # psi = N^T * basis: row (A, s) of N holds c_A times the coordinates of ind_A chi_s
+    induced = []
+    for idx in eq.family:
+        sub_table = provider.class_table(idx)
+        c = certificate.coefficients.get(idx, 0)
+        for chi in sub_table.rows:
+            induced.append([c * v for v in top_table.coordinates(induce(chi, group, top_table.classes))]
+                           if c else [0] * nirr)
+    psi_matrix = IntMatrix.from_rows(induced).transpose() @ eq.basis
 
     left = psi_matrix @ res_matrix  # on R(G)
     right = res_matrix @ psi_matrix  # on the equalizer
@@ -329,19 +312,17 @@ def verify_brauer_restriction(table: MarksTable, n: int | float = 1,
     group = lattice.group
     provider = provider or TableProvider(group, lattice)
     certificate = brauer_certificate(table, n)
-    if not certificate.verified:  # pragma: no cover - certificate is a theorem
+    if not certificate.verified:
         raise RestrictionError("Brauer certificate failed; restriction check not applicable")
     family = hyper_family(table, n)
     eq = equalizer_lattice(family, provider, lattice)
-    top_table = provider.class_table(lattice.full_index)
-    res_matrix = _restriction_matrix(top_table, eq, provider)
-    _, d, _ = smith_normal_form(res_matrix)
+    _, d, _ = smith_normal_form(_restriction_matrix(eq))
     divisors = tuple(
         d.entries[i][i] for i in range(min(d.rows, d.cols)) if d.entries[i][i] != 0
     )
     report = BrauerRestrictionReport(
         rank=eq.rank,
-        irreducibles=top_table.size,
+        irreducibles=eq.restriction.cols,
         elementary_divisors=divisors,
     )
     if not report.verified:

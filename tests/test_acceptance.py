@@ -219,6 +219,19 @@ def test_c2_4_brauer_restriction():
     print(f"ACCEPTANCE C2^4 PASS Brauer restriction, rank 16, unit divisors ({elapsed:.2f}s)")
 
 
+def test_c2_5_brauer_restriction():
+    # 374 subgroup classes, 2,451 family coordinates: the equalizer must be
+    # reduced in the 32 columns of irr(G), not in the family's coordinates
+    start = time.monotonic()
+    group = parse_group("(0 1)\n(2 3)\n(4 5)\n(6 7)\n(8 9)")
+    report = verify_brauer_restriction(marks_table(subgroup_lattice(group)), 1)
+    assert report.rank == 32 and report.irreducibles == 32
+    assert report.elementary_divisors == (1,) * 32
+    elapsed = time.monotonic() - start
+    assert elapsed < 10.0
+    print(f"ACCEPTANCE C2^5 PASS Brauer restriction, rank 32, unit divisors ({elapsed:.2f}s)")
+
+
 def test_c2_5_verify(capsys):
     # 374 subgroup classes: every Burnside-ring solve of the full invariant
     # suite must follow the lattice's nonzero marks, not its square

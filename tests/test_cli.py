@@ -120,6 +120,20 @@ class TestEqualizer:
         payload = json.loads(out)
         assert payload["results"]["elementary_divisors"] == [1, 1, 1]
 
+    # at n = 0 the Brauer certificate fails, and the Artin family is {1}: its
+    # rank-1 equalizer cannot carry R(S3), so psi o res is not 6 * id
+    @pytest.mark.parametrize("mode,message", [
+        ("brauer", "Brauer certificate failed; restriction check not applicable"),
+        ("artin", "composite mismatch at psi.res"),
+    ])
+    def test_n0_is_a_failed_check(self, capsys, mode, message):
+        code, out, err = run(capsys, "equalizer", "--group", "S3", "--n", "0",
+                             "--mode", mode, "--json")
+        assert code == 1
+        assert not out
+        error = json.loads(err)["error"]
+        assert (error["kind"], error["message"]) == ("check failed", message)
+
     def test_shipped_tables_directory(self, capsys):
         code, out, err = run(capsys, "equalizer", "--group", "S3", "--mode", "artin",
                              "--tables", str(DATA_DIR / "tables"), "--json")
@@ -254,12 +268,14 @@ class TestExitCodes:
     def test_equalizer_point_off_the_lattice_is_a_failed_check(self, capsys, monkeypatch):
         # doubling a basis column leaves a sublattice of index 2, which misses
         # the image of restriction (onto, in Brauer mode)
+        from dataclasses import replace
+
         from burnside import restriction
 
         def doubled(family, provider, lattice):
             eq = original(family, provider, lattice)
             basis = [[2 * row[0], *row[1:]] for row in eq.basis.entries]
-            return restriction.EqualizerLattice(eq.family, eq.block_sizes, IntMatrix.from_rows(basis))
+            return replace(eq, basis=IntMatrix.from_rows(basis))
 
         original = restriction.equalizer_lattice
         monkeypatch.setattr(restriction, "equalizer_lattice", doubled)

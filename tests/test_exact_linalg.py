@@ -16,9 +16,9 @@ from burnside.exact import (
     divisors,
     euler_phi,
     extended_euclid_set,
-    integer_kernel,
     integer_kernel_basis,
     mobius,
+    row_echelon,
     smith_normal_form,
     solve_triangular_integer,
     xgcd,
@@ -133,39 +133,34 @@ def kernel_inputs(draw):
     return rows, cols
 
 
-class TestIntegerKernel:
+class TestRowEchelon:
     @settings(max_examples=150, deadline=None)
     @given(kernel_inputs())
-    def test_matches_smith_kernel(self, data):
+    def test_same_row_lattice_as_the_input(self, data):
         rows, cols = data
         m = IntMatrix.from_rows(rows) if rows else IntMatrix.zeros(0, cols)
-        basis = integer_kernel(rows, cols)
-        for b in basis:
-            assert len(b) == cols
-            assert m.mul_vector(b) == [0] * len(rows)
-        # column echelon form: each vector's first nonzero row strictly increases
-        leads = [next(i for i, v in enumerate(b) if v) for b in basis]
+        echelon = row_echelon(rows, cols)
+        # row echelon form: each row's leading column strictly increases,
+        # and its leading entry is positive
+        leads = [next(j for j, v in enumerate(row) if v) for row in echelon]
         assert leads == sorted(set(leads))
-        # the kernel from the V columns of the Smith form
-        _, d, v = smith_normal_form(m)
-        rank = sum(1 for i in range(min(d.rows, d.cols)) if d.entries[i][i])
-        reference = [[v.entries[i][j] for j in range(rank, cols)] for i in range(cols)]
-        assert len(basis) == cols - rank
-        if not basis:
+        assert all(row[p] > 0 for row, p in zip(echelon, leads))
+        rank, divisors = _rank_and_divisors(m)
+        assert len(echelon) == rank
+        if not echelon:
             return
-        b_matrix = IntMatrix.from_rows([[b[i] for b in basis] for i in range(cols)])
-        # full column rank, and primitive: the basis spans a saturated lattice
-        assert _rank_and_divisors(b_matrix) == (len(basis), [1] * len(basis))
-        # [A | B] spans no more than A: the same lattice as the Smith kernel
-        both = IntMatrix.from_rows([a + [b[i] for b in basis] for i, a in enumerate(reference)])
-        assert _rank_and_divisors(both) == (len(basis), [1] * len(basis))
+        # H has M's divisors, and [M; H] has them too: H spans M's row lattice
+        assert _rank_and_divisors(IntMatrix.from_rows(echelon)) == (rank, divisors)
+        assert _rank_and_divisors(IntMatrix.from_rows(rows + echelon)) == (rank, divisors)
 
     def test_streams_a_generator(self):
         rows = ([1, -1, 0] for _ in range(1000))
-        assert integer_kernel(rows, 3) in ([[1, 1, 0], [0, 0, 1]], [[0, 0, 1], [1, 1, 0]])
+        assert row_echelon(rows, 3) == [[1, -1, 0]]
 
-    def test_no_rows_is_the_identity(self):
-        assert integer_kernel([], 2) == [[1, 0], [0, 1]]
+    def test_gcd_step(self):
+        # 4 does not divide 6: the pair becomes (2, 3) and a zero row
+        assert row_echelon([[4, 6], [6, 9]], 2) == [[2, 3]]
+        assert row_echelon([[0, -3], [2, 1], [0, 2]], 2) == [[2, 1], [0, 1]]
 
 
 class TestNumberTheory:

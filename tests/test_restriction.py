@@ -10,8 +10,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from burnside import restriction
-from burnside.artin import abelian_family
-from burnside.exact import Cyclotomic, IntMatrix, integer_kernel, smith_normal_form
+from burnside.artin import abelian_family, artin_certificate
+from burnside.exact import Cyclotomic, IntMatrix, smith_normal_form
 from burnside.groups import (
     BUILTIN_GROUPS,
     builtin_group,
@@ -22,11 +22,9 @@ from burnside.marks import marks_table
 from burnside.restriction import (
     DirectoryTables,
     EmptyFamily,
-    EqualizerLattice,
     MissingTable,
     RestrictionError,
     TableProvider,
-    _equalizer_coordinates,
     equalizer_lattice,
     hyper_family,
     verify_artin_restriction,
@@ -165,11 +163,11 @@ def production_family(lattice, mode, n=1):
 
 class FamilyTablesOnly(TableProvider):
     """A provider that fails on any table the equalizer should not need:
-    conjugated tables, and class tables outside the family."""
+    conjugated tables, and class tables outside the family and the top group."""
 
     def __init__(self, group, lattice, family):
         super().__init__(group, lattice)
-        self.family = set(family)
+        self.family = {*family, lattice.full_index}
 
     def class_table(self, class_index):
         if class_index not in self.family:
@@ -240,31 +238,42 @@ class TestEqualizerReference:
         self.assert_same_lattice_as_reference(lattice, family, provider)
 
 
-class TestEqualizerWork:
-    """Rows streamed into the integer kernel: the nonzero ones of phi(n) per
-    family class after the first one in its G-class, at n the lcm of the
-    tables' conductors."""
+class TestEqualizerChecks:
+    """Each self-check of equalizer_lattice fails on a planted fault as a
+    RestrictionError, a failed check and not an input error."""
 
-    @pytest.mark.parametrize("name,mode,rows,cols", [
-        ("C2^4", "brauer", 291, 307),
-        ("D8", "brauer", 52, 44),
-        ("D8", "artin", 18, 19),
-    ])
-    def test_kernel_row_counts(self, monkeypatch, name, mode, rows, cols):
-        received = []
+    @staticmethod
+    def s3_cyclic(s3_setup):
+        group, lattice, table, provider = s3_setup
+        family = list(abelian_family(lattice, 1).class_indices)
+        return family, provider, lattice
 
-        def counting_kernel(row_iter, width):
-            row_list = list(row_iter)
-            assert all(any(row) for row in row_list)
-            received.append((len(row_list), width))
-            return integer_kernel(row_list, width)
+    def test_incompatible_basis_column(self, s3_setup):
+        family, provider, lattice = self.s3_cyclic(s3_setup)
+        eq = equalizer_lattice(family, provider, lattice)
+        tables = [provider.class_table(i) for i in family]
+        assert restriction._check_fusion(eq.basis, tables, lattice) == eq.rank
+        # one more trivial character of the first member, the trivial group,
+        # in column 0 moves that column's value at the identity there alone
+        moved = [[v + (i == j == 0) for j, v in enumerate(row)] for i, row in enumerate(eq.basis.entries)]
+        with pytest.raises(RestrictionError, match="not compatible at class 0"):
+            restriction._check_fusion(IntMatrix.from_rows(moved), tables, lattice)
 
-        monkeypatch.setattr(restriction, "integer_kernel", counting_kernel)
-        lattice = subgroup_lattice(ladder_group(name))
-        family = production_family(lattice, mode)
-        provider = TableProvider(lattice.group, lattice)
-        equalizer_lattice(family, provider, lattice)
-        assert received == [(rows, cols)]
+    def test_rank_below_the_classes_met(self, s3_setup, monkeypatch):
+        # one echelon row: its basis column is the restricted trivial character,
+        # compatible, but the family meets all three classes of S3
+        original = restriction.row_echelon
+        monkeypatch.setattr(restriction, "row_echelon", lambda rows, cols: original(rows, cols)[:1])
+        with pytest.raises(RestrictionError, match="equalizer rank 1, but the family meets 3 G-classes"):
+            equalizer_lattice(*self.s3_cyclic(s3_setup))
+
+    def test_non_integral_coordinate(self, s3_setup, monkeypatch):
+        # a doubled echelon row leaves a sublattice that misses the rows of M
+        original = restriction.row_echelon
+        monkeypatch.setattr(restriction, "row_echelon",
+                            lambda rows, cols: [[2 * v for v in row] for row in original(rows, cols)])
+        with pytest.raises(RestrictionError, match="non-integral equalizer coordinate"):
+            equalizer_lattice(*self.s3_cyclic(s3_setup))
 
 
 WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "data" / "workloads.json"
@@ -272,41 +281,23 @@ BENCHMARK_GROUPS = json.loads(WORKLOADS.read_text())["groups"]
 
 
 @functools.cache
-def ladder_equalizer(name, mode, n):
-    lattice = subgroup_lattice(ladder_group(name))
-    return equalizer_lattice(production_family(lattice, mode, n), TableProvider(lattice.group, lattice), lattice)
+def benchmark_marks(name):
+    return marks_table(subgroup_lattice(parse_group("\n".join(BENCHMARK_GROUPS[name]["generators"]))))
 
 
-class TestEqualizerCoordinates:
-    def test_point_of_an_unsaturated_basis_is_a_restriction_error(self):
-        eq = EqualizerLattice((0,), (2,), IntMatrix.from_rows([[2], [0]]))
-        # the solve's NotIntegral (an input error at the CLI) comes out as a failed check
-        with pytest.raises(RestrictionError, match="non-integral equalizer coordinate"):
-            _equalizer_coordinates(eq, IntMatrix.from_rows([[1], [0]]))
+class TestBenchmarkGroupOracles:
+    """Restriction is an isomorphism onto the equalizer, so its rank is the
+    published conjugacy class count of each benchmark group."""
 
-    def test_point_outside_the_span_is_a_restriction_error(self, s3_setup):
-        group, lattice, table, provider = s3_setup
-        eq = equalizer_lattice(list(abelian_family(lattice, 1).class_indices), provider, lattice)
-        assert eq.total_dim > eq.rank
-        # a lattice point moved on a row that is no column's first nonzero:
-        # the pivot rows still solve integrally, so the full product must catch it
-        leads = {next(i for i in range(eq.total_dim) if eq.basis[i, t]) for t in range(eq.rank)}
-        free = min(set(range(eq.total_dim)) - leads)
-        point = [[v + (i == free)] for i, v in enumerate(eq.basis.mul_vector([1] * eq.rank))]
-        with pytest.raises(RestrictionError, match="not in the equalizer lattice"):
-            _equalizer_coordinates(eq, IntMatrix.from_rows(point))
-
-    @settings(max_examples=40, deadline=None)
-    @given(st.data())
-    def test_coordinates_of_lattice_points_round_trip(self, data):
-        eq = ladder_equalizer(data.draw(st.sampled_from(["S3", "D4", "Q8", "A4", "S4", "D8", "C2^3", "C2xS4"])),
-                              data.draw(st.sampled_from(["artin", "brauer"])),
-                              data.draw(st.sampled_from([1, 2, math.inf])))
-        width = data.draw(st.integers(1, 3))
-        x = IntMatrix.from_rows(data.draw(st.lists(
-            st.lists(st.integers(-9, 9), min_size=width, max_size=width),
-            min_size=eq.rank, max_size=eq.rank)))
-        assert _equalizer_coordinates(eq, eq.basis @ x) == x
+    @pytest.mark.parametrize("name", sorted(BENCHMARK_GROUPS))
+    @pytest.mark.parametrize("n", [2, math.inf])
+    def test_ranks_are_class_counts(self, name, n):
+        table = benchmark_marks(name)
+        classes = BENCHMARK_GROUPS[name]["conjugacy_classes"]
+        brauer = verify_brauer_restriction(table, n)
+        assert (brauer.rank, brauer.elementary_divisors) == (classes, (1,) * classes)
+        artin = verify_artin_restriction(table, n)
+        assert (artin.order, artin.rank) == (artin_certificate(table, n).order_n, classes)
 
 
 def assert_families_closed_under_subconjugacy(lattice):
@@ -427,7 +418,6 @@ class TestPermutationRealization:
 
     @pytest.mark.parametrize("name", ["S3", "D4", "Q8", "A4", "S4"])
     def test_artin_element_maps_to_order_times_unit(self, name):
-        from burnside.artin import artin_certificate
         from burnside.characters import character_table, perm_character
 
         group = builtin_group(name)
