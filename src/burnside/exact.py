@@ -499,30 +499,41 @@ def smith_normal_form(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
     return IntMatrix.from_rows(u), IntMatrix.from_rows(a), IntMatrix.from_rows(v)
 
 
-def solve_triangular_integer(m: IntMatrix, b: Sequence[int]) -> list[int]:
-    """Solve M*x = b exactly over the integers for triangular square M.
+def solve_triangular_integer(m: IntMatrix, rhs: Sequence[Sequence[int]]) -> list[list[int]]:
+    """Solve M*x = b exactly over the integers for triangular square M, for
+    every b in rhs; the solutions come back in the order of rhs.
 
-    Raises NotIntegral(pivot, remainder) at the first pivot (in substitution
-    order) whose division fails; remainder is reported in [0, |pivot|).
+    Shape, triangularity and the diagonal are checked once per call, and
+    each substitution step sums only over the nonzero entries of M at
+    coordinates already solved.  Raises NotIntegral(pivot, remainder) at the
+    first right-hand side with a failing division, at its first pivot in
+    substitution order; remainder is reported in [0, |pivot|).
     """
     n = m.rows
-    if m.cols != n or len(b) != n:
+    if m.cols != n or any(len(b) != n for b in rhs):
         raise ValueError("need square M and matching b")
-    lower = not any(any(row[i + 1:]) for i, row in enumerate(m.entries))
-    upper = not any(any(row[:i]) for i, row in enumerate(m.entries))
+    entries = m.entries
+    lower = not any(any(row[i + 1:]) for i, row in enumerate(entries))
+    upper = not any(any(row[:i]) for i, row in enumerate(entries))
     if not (lower or upper):
         raise ValueError("matrix is not triangular")
-    if any(m.entries[i][i] == 0 for i in range(n)):
+    if any(entries[i][i] == 0 for i in range(n)):
         raise ValueError("zero diagonal entry")
     order = range(n) if lower else range(n - 1, -1, -1)
-    x = [0] * n
+    steps = []
     for i in order:
-        acc = b[i] - sum(a * v for a, v in zip(m.entries[i], x))  # x[i] is still 0
-        pivot = m.entries[i][i]
-        if acc % pivot != 0:
-            raise NotIntegral(i, acc % abs(pivot))
-        x[i] = acc // pivot
-    return x
+        solved = range(i) if lower else range(i + 1, n)
+        steps.append((i, entries[i][i], [(j, entries[i][j]) for j in solved if entries[i][j]]))
+    out = []
+    for b in rhs:
+        x = [0] * n
+        for i, pivot, terms in steps:
+            acc = b[i] - sum(a * x[j] for j, a in terms)
+            if acc % pivot != 0:
+                raise NotIntegral(i, acc % abs(pivot))
+            x[i] = acc // pivot
+        out.append(x)
+    return out
 
 
 def row_echelon(rows: Iterable[Sequence[int]], cols: int) -> list[list[int]]:

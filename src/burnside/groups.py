@@ -8,11 +8,12 @@ as frozensets of them.  Every loop behind that boundary runs on the group's
 index core (GroupCore): element i is group.elements[i], products are
 Cayley-table lookups, and a subgroup is an int bitmask with bit i set when
 element i belongs to it.  Conjugacy classes, cosets and generating sets come
-from the core, the subgroup lattice is enumerated by cyclic extension of one
-representative per conjugacy class, and normalizer orders, subconjugacy and
-marks are read off the conjugation orbits of those bitmasks.  The n-hyper
-helpers at the end still close permutation tuples, because their public
-signature has no group.
+from the core.  The subgroup lattice is enumerated by cyclic extension, one
+representative per conjugacy class extended by one cyclic subgroup per orbit
+of its normalizer, and normalizer orders, subconjugacy and marks are read
+off the conjugation orbits of those bitmasks.  The n-hyper helpers at the
+end still close permutation tuples, because their public signature has no
+group.
 """
 
 from __future__ import annotations
@@ -239,6 +240,11 @@ class GroupCore:
         """Per generator s, the map x -> s^-1 * x * s on element indices."""
         return [[self.conjugate(x, s) for x in range(len(self.table))] for s in self.generators]
 
+    @cached_property
+    def center(self) -> frozenset[int]:
+        """Indices of the elements that commute with every generator."""
+        return frozenset(x for x in range(len(self.table)) if all(conj[x] == x for conj in self.conjugations))
+
     def commute(self, elems: Sequence[int]) -> bool:
         table = self.table
         return all(table[a][b] == table[b][a] for a in elems for b in elems)
@@ -310,21 +316,30 @@ class GroupCore:
                     seen[row[h]] = 1
         return reps
 
-    def cyclic_generators(self) -> list[int]:
+    def cyclic_generators(self) -> tuple[list[int], dict[int, int]]:
         """One generator (the first in index order) of each cyclic subgroup
-        of prime-power order greater than 1."""
-        out, covered = [], set()
+        of prime-power order greater than 1, and root[x], the listed
+        generator of <x>, for every generator x of those subgroups.
+
+        Conjugation permutes these subgroups, <x>^g = <g^-1*x*g>, so
+        root[conjugate(x, g)] names the image of <x> under g.  The lattice
+        enumeration walks orbits this way: for n in N_G(H),
+        <H, z>^n = <H, z^n>, so one z per orbit of the normalizer's Schreier
+        generators (minus those central in G, which act trivially) reaches
+        every class that extending H by all of them would.
+        """
+        out, root = [], {}
         for x in range(1, len(self.elements)):
             order = self.orders[x]
-            if x in covered or len(prime_factors(order)) != 1:
+            if x in root or len(prime_factors(order)) != 1:
                 continue
             out.append(x)
             y = x
             for k in range(1, order):
                 if math.gcd(k, order) == 1:
-                    covered.add(y)
+                    root[y] = x
                 y = self.table[y][x]
-        return out
+        return out, root
 
 
 def _mask(indices: Iterable[int]) -> int:
@@ -603,49 +618,83 @@ def all_subgroups(group: Group) -> list[frozenset]:
     """Every subgroup: the union of the conjugacy orbits of the lattice
     enumeration, sorted by order and then by sorted elements."""
     core = group.core
-    subgroups = [frozenset(core.perms(mask)) for orbit, _, _ in _subgroup_orbits(core) for mask in orbit]
+    subgroups = [frozenset(core.perms(mask)) for orbit, *_ in _subgroup_orbits(core) for mask in orbit]
     return sorted(subgroups, key=lambda s: (len(s), tuple(sorted(s))))
 
 
-def _subgroup_orbits(core: GroupCore) -> list[tuple[list[int], list[int], list[int]]]:
-    """One (orbit, elements, generators) triple per conjugacy class of subgroups.
+def _subgroup_orbits(core: GroupCore) -> list[tuple[list[int], list[int], list[int], list[int]]]:
+    """One (orbit, elements, generators, normalizer generators) tuple per
+    conjugacy class of subgroups.
 
     Cyclic extension (Neubüser 1960): every subgroup is generated by elements
     g1, ..., gr of prime-power order, and <g1, ..., gr> is conjugate to the
     extension of a member of the class of <g1, ..., g(r-1)> by a conjugate of
-    gr.  So extending one member of each class by one generator of every
-    cyclic subgroup of prime-power order reaches every class.  The orbit
-    lists the bitmasks of a class's conjugates, found by conjugating with the
-    group's generators only; the elements and generators describe its first
-    member, orbit[0], which is the one that gets extended.
+    gr.  So extending one member H of each class by one generator of every
+    cyclic subgroup of prime-power order reaches every class.  For n in
+    N_G(H), <H, z>^n = <H, z^n>, so one z per N_G(H)-orbit of those cyclic
+    subgroups suffices.
+
+    The orbit lists the bitmasks of a class's conjugates, found by
+    conjugating with the group's generators only; the elements and
+    generators describe its first member H = orbit[0], the one that gets
+    extended.  The walk keeps t_j with H^(t_j) equal to conjugate j.  When
+    generator s maps conjugate j onto conjugate k, t_j*s*t_k^-1 normalizes
+    H, and by Schreier's lemma these elements (tree edges give the identity)
+    generate N_G(H); they are the normalizer generators.  A generator
+    central in G fixes every conjugate and gives t_j*s*t_j^-1 = s, so it is
+    listed once and not applied.  Elements central in G act trivially on
+    cyclic subgroups, so the orbits are walked by the other Schreier
+    generators only, and abelian groups walk none.
     """
-    cyclic = core.cyclic_generators()
-    found: list[tuple[list[int], list[int], list[int]]] = [([1], [0], [])]
-    known = {1}
-    i = 0
-    while i < len(found):
-        orbit, elems, gens = found[i]
-        i += 1
+    table, inverse, center = core.table, core.inverse, core.center
+    cyclic, root = core.cyclic_generators()
+    central = [s for s in core.generators if s in center]
+    moving = [(s, conj) for s, conj in zip(core.generators, core.conjugations) if s not in center]
+    found: list[tuple[list[int], list[int], list[int], list[int]]] = []
+    known: set[int] = set()
+
+    def add(elems: list[int], mask: int, gens: list[int]) -> None:
+        masks, members, transversal = [mask], [elems], [0]
+        position = {mask: 0}
+        schreier = list(central)
+        for j, member in enumerate(members):
+            for s, conj in moving:
+                image = [conj[x] for x in member]
+                image_mask = _mask(image)
+                t = table[transversal[j]][s]
+                k = position.get(image_mask)
+                if k is None:
+                    position[image_mask] = len(masks)
+                    masks.append(image_mask)
+                    members.append(image)
+                    transversal.append(t)
+                else:
+                    schreier.append(table[t][inverse[transversal[k]]])
+        known.update(masks)
+        found.append((masks, elems, gens, schreier))
+
+    add([0], 1, [])
+    for orbit, elems, gens, schreier in found:
+        # n -> (row of n^-1, n), so that table[row[y]][n] = n^-1*y*n
+        acting = [(table[inverse[n]], n) for n in dict.fromkeys(schreier) if n not in center]
+        reached: set[int] = set()
         for z in cyclic:
-            if orbit[0] >> z & 1:
+            if orbit[0] >> z & 1 or z in reached:
                 continue
+            if acting:
+                reached.add(z)
+                stack = [z]
+                while stack:
+                    y = stack.pop()
+                    for row, n in acting:
+                        w = root[table[row[y]][n]]
+                        if w not in reached:
+                            reached.add(w)
+                            stack.append(w)
             extended = core.extend(elems, gens, z)
             mask = _mask(extended)
-            if mask in known:
-                continue
-            known.add(mask)
-            conjugates, members = [mask], [extended]
-            j = 0
-            while j < len(members):
-                for conj in core.conjugations:
-                    image = [conj[x] for x in members[j]]
-                    image_mask = _mask(image)
-                    if image_mask not in known:
-                        known.add(image_mask)
-                        conjugates.append(image_mask)
-                        members.append(image)
-                j += 1
-            found.append((conjugates, extended, gens + [z]))
+            if mask not in known:
+                add(extended, mask, gens + [z])
     return found
 
 
@@ -715,6 +764,18 @@ def _perm_pow(p: Perm, n: int) -> Perm:
     return result
 
 
+def _least_member(orbit: list[int]) -> int:
+    """The mask whose sorted element list is lexicographically least.  Of two
+    subsets of equal size, that is the one holding the lowest element of
+    their symmetric difference, the lowest bit of m ^ m'."""
+    least = orbit[0]
+    for m in orbit:
+        diff = least ^ m
+        if m & diff & -diff:
+            least = m
+    return least
+
+
 def subgroup_lattice(group: Group) -> SubgroupLattice:
     """Conjugacy classes of all subgroups with subconjugacy and Weyl orders.
 
@@ -724,15 +785,15 @@ def subgroup_lattice(group: Group) -> SubgroupLattice:
     iff the representative of (K) lies in some conjugate of H.
     """
     core = group.core
-    found = sorted(
-        (len(elems), min(_bits(mask) for mask in orbit), orbit, elems, gens)
-        for orbit, elems, gens in _subgroup_orbits(core)
-    )
+    found = []
+    for orbit, elems, gens, _ in _subgroup_orbits(core):
+        rep_mask = _least_member(orbit)
+        found.append((len(elems), _bits(rep_mask), rep_mask, orbit, elems, gens))
+    found.sort()
     classes = []
     orbits = []
     order_counts: dict[int, int] = {}
-    for idx, (order, rep, orbit, elems, gens) in enumerate(found):
-        rep_mask = _mask(rep)
+    for idx, (order, rep, rep_mask, orbit, elems, gens) in enumerate(found):
         orbits.append((rep_mask,) + tuple(m for m in orbit if m != rep_mask))
         abelian = core.commute(gens)
         seq = order_counts.get(order, 0)

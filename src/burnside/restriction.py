@@ -182,7 +182,7 @@ def equalizer_lattice(family: list[int], provider: TableProvider,
     # H's pivot columns, as rows: a lower-triangular matrix with a nonzero diagonal
     square = IntMatrix.from_rows([[row[p] for row in echelon] for p in pivots])
     try:
-        coords = [solve_triangular_integer(square, [m[p] for p in pivots]) for m in stacked]
+        coords = solve_triangular_integer(square, [[m[p] for p in pivots] for m in stacked])
     except NotIntegral as exc:
         raise RestrictionError(f"non-integral equalizer coordinate: {exc}") from exc
     eq = EqualizerLattice(tuple(family), IntMatrix.from_rows(stacked),

@@ -178,28 +178,47 @@ class TestTriangularSolve:
     def test_lower_triangular(self):
         m = IntMatrix.from_rows([[6, 0], [3, 1]])
         # forward substitution: x0 = 1, then 3*1 + x1 = 6
-        assert solve_triangular_integer(m, [6, 6]) == [1, 3]
+        assert solve_triangular_integer(m, [[6, 6]]) == [[1, 3]]
         assert m.mul_vector([1, 3]) == [6, 6]
 
     def test_identity(self):
         m = IntMatrix.identity(3)
-        assert solve_triangular_integer(m, [5, -2, 7]) == [5, -2, 7]
+        assert solve_triangular_integer(m, [[5, -2, 7]]) == [[5, -2, 7]]
 
     def test_parity_obstruction(self):
         m = IntMatrix.from_rows([[2]])
         with pytest.raises(NotIntegral) as excinfo:
-            solve_triangular_integer(m, [1])
+            solve_triangular_integer(m, [[1]])
         assert excinfo.value.pivot == 0
         assert excinfo.value.remainder == 1
 
     def test_upper_triangular(self):
         m = IntMatrix.from_rows([[2, 3], [0, 5]])
-        assert solve_triangular_integer(m, [16, 10]) == [5, 2]
+        assert solve_triangular_integer(m, [[16, 10]]) == [[5, 2]]
 
     def test_rejects_non_triangular(self):
         m = IntMatrix.from_rows([[1, 2], [3, 4]])
         with pytest.raises(ValueError):
-            solve_triangular_integer(m, [1, 1])
+            solve_triangular_integer(m, [[1, 1]])
+
+    def test_rejects_a_short_right_hand_side(self):
+        m = IntMatrix.identity(2)
+        with pytest.raises(ValueError):
+            solve_triangular_integer(m, [[1, 1], [1]])
+
+    def test_many_right_hand_sides_in_order(self):
+        m = IntMatrix.from_rows([[2, 0, 0], [1, 3, 0], [0, 4, 5]])
+        rhs = [m.mul_vector(x) for x in ([1, 2, 3], [-4, 0, 7], [0, 0, 0])]
+        assert solve_triangular_integer(m, rhs) == [[1, 2, 3], [-4, 0, 7], [0, 0, 0]]
+        assert solve_triangular_integer(m, []) == []
+
+    def test_raises_at_the_first_failing_right_hand_side(self):
+        m = IntMatrix.from_rows([[2, 0], [1, 3]])
+        # the second b fails at pivot 1 (3 - 1 = 2 is not a multiple of 3),
+        # the third at pivot 0; the second is reported
+        with pytest.raises(NotIntegral) as excinfo:
+            solve_triangular_integer(m, [[2, 4], [2, 3], [1, 0]])
+        assert (excinfo.value.pivot, excinfo.value.remainder) == (1, 2)
 
 
 class TestExtendedEuclid:

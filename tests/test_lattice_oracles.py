@@ -1,15 +1,22 @@
 """Subgroup lattices and tables of marks checked against independent oracles:
 published subgroup and class counts, marks counted literally over cosets,
-and a reference lattice built by the perm-tuple extension of every subgroup
-by every element."""
+a reference lattice built by the perm-tuple extension of every subgroup
+by every element, the cyclic extension without normalizer pruning, and
+normalizers found by brute force."""
 
+import json
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from burnside.groups import (
     Group,
+    GroupCore,
+    _bits,
+    _mask,
+    _subgroup_orbits,
     builtin_group,
     close_under_product,
     group_from_generators,
@@ -30,14 +37,15 @@ EXTRA = {
 }
 
 # (generators, subgroups, conjugacy classes of subgroups).  S_n: OEIS A005432
-# and A000638; A5 and A6 from their published subgroup lattices; C2^k: the
-# sums of Gaussian binomial coefficients over GF(2).
+# and A000638; A5, A6 and A7 from their published subgroup lattices; C2^k:
+# the sums of Gaussian binomial coefficients over GF(2).
 PUBLISHED = {
     "S4": (["(0 1)", "(0 1 2 3)"], 30, 11),
     "S5": (["(0 1)", "(0 1 2 3 4)"], 156, 19),
     "S6": (["(0 1)", "(0 1 2 3 4 5)"], 1455, 56),
     "A5": (["(0 1 2 3 4)", "(0 1 2)"], 59, 9),
     "A6": (["(0 1 2)", "(0 1 2 3 4)", "(1 2 3 4 5)"], 501, 22),
+    "A7": (["(0 1 2)", "(2 3 4 5 6)"], 3786, 40),
     "C2^4": (["(0 1)", "(2 3)", "(4 5)", "(6 7)"], 67, 67),
     "C2^5": (["(0 1)", "(2 3)", "(4 5)", "(6 7)", "(8 9)"], 374, 374),
 }
@@ -99,6 +107,73 @@ def test_marks_equal_literal_fixed_point_counts(name):
     lattice = subgroup_lattice(group)
     reps = [cls.element_set for cls in lattice.classes]
     assert marks_table(lattice).matrix.to_lists() == literal_marks(group, reps)
+
+
+# ---------------------------------------------------------------------------
+# normalizer-pruned cyclic extension against the unpruned loop
+
+WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "data" / "workloads.json"
+BENCHMARK_GROUPS = {
+    name: spec["generators"] for name, spec in json.loads(WORKLOADS.read_text())["groups"].items()
+}
+PRUNING_GROUPS = {**BENCHMARK_GROUPS, **{name: PUBLISHED[name][0] for name in ("S6", "A6", "C2^5")}}
+
+
+def unpruned_orbits(core: GroupCore) -> set[frozenset]:
+    """Class orbits from the cyclic extension of one member of each class by
+    every prime-power cyclic generator outside it, with no pruning."""
+    cyclic, _ = core.cyclic_generators()
+    found = [([1], [0], [])]
+    known = {1}
+    for orbit, elems, gens in found:
+        for z in cyclic:
+            if orbit[0] >> z & 1:
+                continue
+            extended = core.extend(elems, gens, z)
+            mask = _mask(extended)
+            if mask in known:
+                continue
+            known.add(mask)
+            conjugates, members = [mask], [extended]
+            for member in members:
+                for conj in core.conjugations:
+                    image = [conj[x] for x in member]
+                    image_mask = _mask(image)
+                    if image_mask not in known:
+                        known.add(image_mask)
+                        conjugates.append(image_mask)
+                        members.append(image)
+            found.append((conjugates, extended, gens + [z]))
+    return {frozenset(orbit) for orbit, _, _ in found}
+
+
+@pytest.mark.parametrize("name", sorted(PRUNING_GROUPS))
+def test_pruned_extension_finds_the_unpruned_orbits(name):
+    core = parse_group("\n".join(PRUNING_GROUPS[name])).core
+    orbits = [frozenset(orbit) for orbit, *_ in _subgroup_orbits(core)]
+    assert len(set(orbits)) == len(orbits)
+    assert set(orbits) == unpruned_orbits(core)
+
+
+def brute_normalizer(core: GroupCore, mask: int) -> int:
+    """Mask of {g : g^-1 H g = H}."""
+    elems = _bits(mask)
+    return _mask(g for g in range(len(core.table)) if all(mask >> core.conjugate(h, g) & 1 for h in elems))
+
+
+def assert_schreier_generators_give_normalizers(group: Group) -> None:
+    """The Schreier generators of each class orbit, central ones included,
+    generate the normalizer of the orbit's first member."""
+    core = group.core
+    for orbit, _, _, schreier in _subgroup_orbits(core):
+        normalizer = _mask(core.closure(schreier))
+        assert normalizer.bit_count() == group.order // len(orbit)
+        assert normalizer == brute_normalizer(core, orbit[0])
+
+
+@pytest.mark.parametrize("name", ["S5", "GL(2,3)", "A5", "C2xS4"])
+def test_schreier_generators_generate_the_normalizer(name):
+    assert_schreier_generators_give_normalizers(parse_group("\n".join(BENCHMARK_GROUPS[name])))
 
 
 # TableProvider.table_for conjugates class tables by this g, so equalizer
@@ -191,3 +266,9 @@ def test_lattice_and_marks_match_reference(group):
     ] == classes
     assert lattice.subconjugacy == leq
     assert marks_table(lattice).matrix.to_lists() == marks
+
+
+@settings(max_examples=12, deadline=None)
+@given(small_subgroups_of_s6())
+def test_schreier_generators_generate_the_normalizer_in_small_subgroups_of_s6(group):
+    assert_schreier_generators_give_normalizers(group)
