@@ -20,14 +20,13 @@ from .marks import (
     BurnsideElement,
     GhostElement,
     MarksTable,
-    in_ideal_jn,
     indicator,
     marks_table,
     multiply,
     phi,
     solve_ghost,
 )
-from .artin import abelian_family, artin_certificate, idempotent_multiple, order_n
+from .artin import abelian_family, artin_certificate, idempotent_multiple, in_ideal_jn
 from .brauer import brauer_certificate, i_pn, local_idempotent
 from .characters import (
     CharacterTable,

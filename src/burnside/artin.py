@@ -11,14 +11,13 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 
-from .groups import SubgroupLattice, conjugacy_classes, perm_to_cycles
+from .groups import SubgroupLattice
 from .marks import (
     BurnsideElement,
     InternalInvariantViolation,
     MarksTable,
     NotInImage,
-    fixed_points_of_element,
-    in_ideal_jn,
+    element_checks,
     phi,
     unit,
 )
@@ -28,16 +27,14 @@ class ArtinError(Exception):
     pass
 
 
-class EmptyFamily(ArtinError):
-    """An order was requested over an empty class family."""
-
-
 @dataclass(frozen=True)
 class AbelianClassFamily:
-    """Conjugacy classes of abelian subgroups on at most n generators."""
+    """Conjugacy classes of abelian subgroups on at most n generators, and
+    their order |G|_n, the least common multiple of their Weyl-group orders."""
 
     n: int | float
     class_indices: tuple[int, ...]
+    order: int
 
     @cached_property
     def members(self) -> frozenset[int]:
@@ -65,22 +62,19 @@ class ArtinCertificate:
 
 
 def abelian_family(lattice: SubgroupLattice, n: int | float) -> AbelianClassFamily:
-    """n = 0 selects the trivial class; otherwise abelian classes on <= n generators."""
-    if n == 0:
-        indices = tuple(i for i, cls in enumerate(lattice.classes) if cls.order == 1)
-    else:
-        indices = tuple(
-            i for i, cls in enumerate(lattice.classes)
-            if cls.is_abelian and cls.min_generators <= n
-        )
-    return AbelianClassFamily(n, indices)
+    """The abelian classes on at most n generators, with their |G|_n.  Only
+    the trivial class has 0 generators, and every family contains it."""
+    indices = tuple(
+        i for i, cls in enumerate(lattice.classes)
+        if cls.is_abelian and cls.min_generators <= n
+    )
+    return AbelianClassFamily(n, indices, math.lcm(*(lattice.classes[i].weyl_order for i in indices)))
 
 
-def order_n(family: AbelianClassFamily, lattice: SubgroupLattice) -> int:
-    """Least common multiple of the Weyl-group orders over the family."""
-    if not family.class_indices:
-        raise EmptyFamily(f"no classes for n = {family.n}")
-    return math.lcm(*[lattice.classes[i].weyl_order for i in family.class_indices])
+def in_ideal_jn(element: BurnsideElement, family: AbelianClassFamily, table: MarksTable) -> bool:
+    """True iff phi(element) vanishes on every class of the family."""
+    ghost = phi(element, table)
+    return all(ghost.values[i] == 0 for i in family.class_indices)
 
 
 def idempotent_multiple(k: int, family: AbelianClassFamily, table: MarksTable) -> BurnsideElement:
@@ -91,12 +85,6 @@ def idempotent_multiple(k: int, family: AbelianClassFamily, table: MarksTable) -
     lattice = table.lattice
     if k not in family.members:
         raise ArtinError(f"class {lattice.label_of(k)} is not in the family")
-    return _idempotent_multiple(k, family, order_n(family, lattice), table)
-
-
-def _idempotent_multiple(k: int, family: AbelianClassFamily, order: int, table: MarksTable) -> BurnsideElement:
-    """idempotent_multiple for a family class whose order_n is already known."""
-    lattice = table.lattice
     group_order = lattice.group.order
     try:
         scaled = table.scaled_idempotent(k)
@@ -104,10 +92,10 @@ def _idempotent_multiple(k: int, family: AbelianClassFamily, order: int, table: 
         raise InternalInvariantViolation(str(exc)) from exc
     coefficients = [0] * table.size
     for idx in scaled.support():
-        q, r = divmod(scaled.coefficients[idx] * order, group_order)
+        q, r = divmod(scaled.coefficients[idx] * family.order, group_order)
         if r:
             raise InternalInvariantViolation(
-                f"{order} * e_{lattice.label_of(k)} not integral at class {lattice.label_of(idx)}"
+                f"{family.order} * e_{lattice.label_of(k)} not integral at class {lattice.label_of(idx)}"
             )
         if idx not in family.members or not lattice.leq(idx, k):
             raise InternalInvariantViolation(
@@ -126,39 +114,26 @@ def artin_certificate(table: MarksTable, n: int | float) -> ArtinCertificate:
     """
     lattice = table.lattice
     family = abelian_family(lattice, n)
-    order = order_n(family, lattice)
-    size = table.size
-    alpha = BurnsideElement.zero(size)
+    order = family.order
+    alpha = BurnsideElement.zero(table.size)
     for k in family.class_indices:
-        alpha = alpha + _idempotent_multiple(k, family, order, table)
+        alpha = alpha + idempotent_multiple(k, family, table)
 
     ghost = phi(alpha, table)
-    ghost_checks = []
-    for idx, cls in enumerate(lattice.classes):
-        expected = order if idx in family.members else 0
-        ghost_checks.append((cls.label, ghost.values[idx], expected))
-
-    element_checks = []
-    if n != 0:
-        classes = conjugacy_classes(lattice.group)
-        for rep in classes.representatives:
-            lhs = sum(
-                alpha.coefficients[h] * fixed_points_of_element(table, h, rep)
-                for h in alpha.support()
-            )
-            element_checks.append((perm_to_cycles(rep), lhs, order))
-
+    ghost_checks = tuple(
+        (cls.label, ghost.values[idx], order if idx in family.members else 0)
+        for idx, cls in enumerate(lattice.classes)
+    )
     leftover = unit(table).scale(order) - alpha
-    certificate = ArtinCertificate(
+    return ArtinCertificate(
         n=n,
         order_n=order,
         alpha=alpha,
         coefficients={i: alpha.coefficients[i] for i in alpha.support()},
-        element_checks=tuple(element_checks),
-        ghost_checks=tuple(ghost_checks),
-        in_ideal=in_ideal_jn(leftover, n, table),
+        element_checks=element_checks(alpha, table, order) if n >= 1 else (),
+        ghost_checks=ghost_checks,
+        in_ideal=in_ideal_jn(leftover, family, table),
     )
-    return certificate
 
 
 def certificate_payload(cert: ArtinCertificate, table: MarksTable) -> dict:

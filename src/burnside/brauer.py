@@ -9,17 +9,17 @@ import math
 from dataclasses import dataclass
 
 from .exact import extended_euclid_set, prime_factors
-from .groups import SubgroupLattice, conjugacy_classes, perm_to_cycles
+from .groups import SubgroupLattice
 from .marks import (
     BurnsideElement,
     GhostElement,
     InternalInvariantViolation,
     MarksTable,
     NotInImage,
-    fixed_points_of_element,
+    element_checks,
     solve_ghost,
 )
-from .artin import AbelianClassFamily, abelian_family, order_n
+from .artin import AbelianClassFamily, abelian_family
 
 
 class BrauerError(Exception):
@@ -71,16 +71,12 @@ def core_classification(lattice: SubgroupLattice, p: int) -> list[int]:
     return list(lattice.p_core_classes(p))
 
 
-def in_hyper_family(lattice: SubgroupLattice, h: int, n: int | float, order: int) -> bool:
-    """Whether class h is n-hyper for some prime p dividing order = |G|_n, or
-    for 2 when |G|_n is 1: O^p(H) is abelian on at most n generators (see
+def in_hyper_family(lattice: SubgroupLattice, h: int, family: AbelianClassFamily) -> bool:
+    """Whether class h is n-hyper for some prime p dividing |G|_n, or for 2
+    when |G|_n is 1: the class of O^p(H) is in the abelian family (see
     groups.is_n_hyper).  Being generated by elements of order prime to p, an
     abelian O^p(H) is a p'-group."""
-    for p in prime_factors(order) or [2]:
-        core = lattice.classes[lattice.p_core_classes(p)[h]]
-        if core.is_abelian and core.min_generators <= n:
-            return True
-    return False
+    return any(lattice.p_core_classes(p)[h] in family.members for p in prime_factors(family.order) or [2])
 
 
 def local_idempotent(h: int, p: int, table: MarksTable, n: int | float = 1) -> LocalIdempotent:
@@ -91,7 +87,7 @@ def local_idempotent(h: int, p: int, table: MarksTable, n: int | float = 1) -> L
     if cores[h] != h:
         raise NotPPerfect(f"class {lattice.label_of(h)} is not {p}-perfect")
     ghost = GhostElement(tuple(1 if core == h else 0 for core in cores))
-    scale = coprime_part(order_n(abelian_family(lattice, n), lattice), p)
+    scale = coprime_part(abelian_family(lattice, n).order, p)
     try:
         scaled = solve_ghost(ghost.scale(scale), table)
     except NotInImage as exc:  # pragma: no cover - contradicts the idempotent theorem
@@ -99,18 +95,12 @@ def local_idempotent(h: int, p: int, table: MarksTable, n: int | float = 1) -> L
     return LocalIdempotent(h, p, ghost, scaled)
 
 
-def i_pn(p: int, table: MarksTable, n: int | float) -> GhostElement:
+def i_pn(p: int, family: AbelianClassFamily, table: MarksTable) -> GhostElement:
     """(|G|_n)_(p) times the sum of local idempotents over abelian p'-classes
     of the family; equals that scale on every extension of such a class by a
     p-group and 0 elsewhere."""
     lattice = table.lattice
-    family = abelian_family(lattice, n)
-    return _i_pn(p, lattice, family, order_n(family, lattice))
-
-
-def _i_pn(p: int, lattice: SubgroupLattice, family: AbelianClassFamily, order: int) -> GhostElement:
-    """i_pn for a family whose order_n is already known."""
-    scale = coprime_part(order, p)
+    scale = coprime_part(family.order, p)
     selected = {a for a in family.class_indices if lattice.classes[a].order % p != 0}
     return GhostElement(tuple(scale if core in selected else 0 for core in lattice.p_core_classes(p)))
 
@@ -120,7 +110,7 @@ def brauer_certificate(table: MarksTable, n: int | float = 1) -> BrauerCertifica
     the Burnside ring, and verify the unit identity on every element class."""
     lattice = table.lattice
     family = abelian_family(lattice, n)
-    order = order_n(family, lattice)
+    order = family.order
     primes = prime_factors(order)
 
     if not primes:
@@ -132,7 +122,7 @@ def brauer_certificate(table: MarksTable, n: int | float = 1) -> BrauerCertifica
         bezout = dict(zip(primes, zs))
         i_n = GhostElement.zero(table.size)
         for p, z in bezout.items():
-            i_n = i_n + _i_pn(p, lattice, family, order).scale(z)
+            i_n = i_n + i_pn(p, family, table).scale(z)
 
     try:
         decomposition = solve_ghost(i_n, table)
@@ -140,17 +130,7 @@ def brauer_certificate(table: MarksTable, n: int | float = 1) -> BrauerCertifica
         raise InternalInvariantViolation(str(exc)) from exc
 
     support = decomposition.support()
-    support_hyper = all(in_hyper_family(lattice, h, n, order) for h in support)
-
-    classes = conjugacy_classes(lattice.group)
-    element_checks = []
-    for rep in classes.representatives:
-        lhs = sum(
-            decomposition.coefficients[h] * fixed_points_of_element(table, h, rep)
-            for h in support
-        )
-        element_checks.append((perm_to_cycles(rep), lhs, 1))
-
+    support_hyper = all(in_hyper_family(lattice, h, family) for h in support)
     family_values = tuple(
         (lattice.label_of(i), i_n.values[i]) for i in family.class_indices
     )
@@ -160,7 +140,7 @@ def brauer_certificate(table: MarksTable, n: int | float = 1) -> BrauerCertifica
         bezout=bezout,
         i_n_ghost=i_n,
         decomposition={i: decomposition.coefficients[i] for i in support},
-        element_checks=tuple(element_checks),
+        element_checks=element_checks(decomposition, table, 1),
         family_values=family_values,
         support_hyper=support_hyper,
     )

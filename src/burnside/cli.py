@@ -118,22 +118,14 @@ def cmd_marks(args) -> Report:
     return report
 
 
-def cmd_artin(args) -> Report:
+def cmd_certificate(args) -> Report:
+    """The artin and brauer commands: one certificate at n and its payload."""
     group = _load_group(args)
     table = marks_table(subgroup_lattice(group))
-    cert = artin_mod.artin_certificate(table, args.n)
-    report = Report("artin", {"group": group.name or "file", "n": _format_n(args.n)})
-    report.results.update(artin_mod.certificate_payload(cert, table))
-    report.add_check("certificate verified", cert.verified)
-    return report
-
-
-def cmd_brauer(args) -> Report:
-    group = _load_group(args)
-    table = marks_table(subgroup_lattice(group))
-    cert = brauer_mod.brauer_certificate(table, args.n)
-    report = Report("brauer", {"group": group.name or "file", "n": _format_n(args.n)})
-    report.results.update(brauer_mod.certificate_payload(cert, table))
+    module = artin_mod if args.command == "artin" else brauer_mod
+    cert = getattr(module, f"{args.command}_certificate")(table, args.n)
+    report = Report(args.command, {"group": group.name or "file", "n": _format_n(args.n)})
+    report.results.update(module.certificate_payload(cert, table))
     report.add_check("certificate verified", cert.verified)
     return report
 
@@ -235,11 +227,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_artin = sub.add_parser("artin", help="Artin induction certificate")
     common(p_artin)
-    p_artin.set_defaults(func=cmd_artin)
+    p_artin.set_defaults(func=cmd_certificate)
 
     p_brauer = sub.add_parser("brauer", help="Brauer induction certificate")
     common(p_brauer)
-    p_brauer.set_defaults(func=cmd_brauer)
+    p_brauer.set_defaults(func=cmd_certificate)
 
     p_eq = sub.add_parser("equalizer", help="restriction-theorem verification")
     common(p_eq)

@@ -110,6 +110,7 @@ def parse_cycles(text: str, degree: int | None = None) -> Perm:
     if stripped.count("(") != stripped.count(")") or not stripped.startswith("("):
         raise MalformedCycle(f"unbalanced parentheses in {text!r}")
     cycles: list[list[int]] = []
+    seen: set[int] = set()
     maxpoint = -1
     for body in _CYCLE_RE.findall(stripped):
         points = []
@@ -118,9 +119,11 @@ def parse_cycles(text: str, degree: int | None = None) -> Perm:
                 continue
             if not token.isdigit():
                 raise MalformedCycle(f"bad point {token!r} in {text!r}")
-            points.append(int(token))
-        if len(points) != len(set(points)):
-            raise MalformedCycle(f"repeated point in cycle {body!r}")
+            point = int(token)
+            if point in seen:
+                raise MalformedCycle(f"point {point} appears twice in {text!r}")
+            seen.add(point)
+            points.append(point)
         if points:
             cycles.append(points)
             maxpoint = max(maxpoint, max(points))
@@ -429,11 +432,12 @@ def builtin_group(name: str, cap: int = DEFAULT_ORDER_CAP) -> Group:
 def parse_group(spec: str, cap: int = DEFAULT_ORDER_CAP) -> Group:
     """Build a Group from a definition text or a builtin fixture name.
 
-    A definition text has one generator per line in disjoint-cycle notation
-    and an optional "name:" header line.
+    A definition text has one generator per line in disjoint-cycle notation,
+    an optional "name:" header line and "#" comment lines.  A single bare
+    word other than "e" names a builtin fixture.
     """
     stripped = spec.strip()
-    if "\n" not in stripped and not stripped.startswith("(") and stripped not in ("()", "e", ""):
+    if stripped.isalnum() and stripped != "e":
         return builtin_group(stripped, cap=cap)
     name = ""
     gen_strings = []

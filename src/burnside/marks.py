@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .exact import IntMatrix
-from .groups import Perm, SubgroupLattice
+from .groups import Perm, SubgroupLattice, conjugacy_classes, perm_to_cycles
 
 
 class BurnsideError(Exception):
@@ -244,14 +244,11 @@ def fixed_points_of_element(table: MarksTable, h: int, g: Perm) -> int:
     return sum(hmask >> mul[mul[inverse[r]][x]][r] & 1 for r in lattice.coset_representatives[h])
 
 
-def in_ideal_jn(element: BurnsideElement, n: int | float, table: MarksTable) -> bool:
-    """True iff phi(element) vanishes on every abelian class on <= n generators."""
-    ghost = phi(element, table)
-    for idx, cls in enumerate(table.lattice.classes):
-        if n == 0:
-            selected = cls.order == 1
-        else:
-            selected = cls.is_abelian and cls.min_generators <= n
-        if selected and ghost.values[idx] != 0:
-            return False
-    return True
+def element_checks(element: BurnsideElement, table: MarksTable, expected: int) -> tuple[tuple[str, int, int], ...]:
+    """(g, sum_H x_H |(G/H)^g|, expected) for one g per element conjugacy
+    class of G, g in cycle notation."""
+    x, support = element.coefficients, element.support()
+    return tuple(
+        (perm_to_cycles(g), sum(x[h] * fixed_points_of_element(table, h, g) for h in support), expected)
+        for g in conjugacy_classes(table.lattice.group).representatives
+    )

@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
-from .artin import ArtinCertificate, abelian_family, artin_certificate, order_n
+from .artin import ArtinCertificate, abelian_family, artin_certificate
 from .brauer import brauer_certificate, in_hyper_family
 from .exact import (
     IntMatrix,
@@ -301,8 +301,8 @@ class BrauerRestrictionReport:
 def hyper_family(table: MarksTable, n: int | float) -> list[int]:
     """Classes that are n-hyper for at least one prime dividing |G|_n."""
     lattice = table.lattice
-    order = order_n(abelian_family(lattice, n), lattice)
-    return [i for i in range(len(lattice)) if in_hyper_family(lattice, i, n, order)]
+    family = abelian_family(lattice, n)
+    return [i for i in range(len(lattice)) if in_hyper_family(lattice, i, family)]
 
 
 def verify_brauer_restriction(table: MarksTable, n: int | float = 1,

@@ -6,15 +6,14 @@ import pytest
 
 from burnside.artin import (
     ArtinError,
-    EmptyFamily,
     abelian_family,
     artin_certificate,
     certificate_payload,
     idempotent_multiple,
-    order_n,
+    in_ideal_jn,
 )
 from burnside.groups import builtin_group, perm_mul, subgroup_lattice
-from burnside.marks import in_ideal_jn, indicator, marks_table, phi, unit
+from burnside.marks import indicator, marks_table, phi, unit
 
 FIXTURES = ["C2", "C3", "C4", "C6", "C2xC2", "S3", "D4", "Q8", "A4", "S4"]
 N_VALUES = [0, 1, 2, math.inf]
@@ -77,29 +76,29 @@ class TestAbelianFamily:
 class TestOrderN:
     def test_s3(self, tables):
         lattice = tables["S3"].lattice
-        assert order_n(abelian_family(lattice, 1), lattice) == 6
+        assert abelian_family(lattice, 1).order == 6
 
     @pytest.mark.parametrize("name", FIXTURES)
     @pytest.mark.parametrize("n", N_VALUES)
     def test_equals_group_order(self, name, n, tables):
         # for finite groups every order coincides with |G|
         lattice = tables[name].lattice
-        assert order_n(abelian_family(lattice, n), lattice) == lattice.group.order
+        assert abelian_family(lattice, n).order == lattice.group.order
 
     def test_trivial_group(self, tables):
         lattice = tables["trivial"].lattice
-        assert order_n(abelian_family(lattice, 1), lattice) == 1
+        assert abelian_family(lattice, 1).order == 1
 
-    def test_empty_family(self, tables):
-        from burnside.artin import AbelianClassFamily
-
-        with pytest.raises(EmptyFamily):
-            order_n(AbelianClassFamily(1, ()), tables["S3"].lattice)
+    @pytest.mark.parametrize("name", FIXTURES + ["trivial"])
+    @pytest.mark.parametrize("n", N_VALUES)
+    def test_family_contains_the_trivial_class(self, name, n, tables):
+        # so |G|_n is never an lcm over no classes
+        assert 0 in abelian_family(tables[name].lattice, n).members
 
     @pytest.mark.parametrize("name", FIXTURES)
     def test_monotone(self, name, tables):
         lattice = tables[name].lattice
-        values = [order_n(abelian_family(lattice, n), lattice) for n in (0, 1, 2, math.inf)]
+        values = [abelian_family(lattice, n).order for n in (0, 1, 2, math.inf)]
         for small, large in zip(values, values[1:]):
             assert large % small == 0
 
@@ -138,7 +137,7 @@ class TestIdempotentMultiple:
         family = abelian_family(lattice, n)
         for k in family.class_indices:
             x = idempotent_multiple(k, family, table)
-            assert phi(x, table) == indicator(k, table).scale(order_n(family, lattice))
+            assert phi(x, table) == indicator(k, table).scale(family.order)
             for idx in x.support():
                 assert idx in family.class_indices
                 assert lattice.leq(idx, k)
@@ -205,7 +204,7 @@ class TestArtinCertificate:
         table = tables[name]
         cert = artin_certificate(table, n)
         leftover = unit(table).scale(cert.order_n) - cert.alpha
-        assert in_ideal_jn(leftover, n, table)
+        assert in_ideal_jn(leftover, abelian_family(table.lattice, n), table)
         assert cert.in_ideal
 
     def test_n0_is_ghost_level(self, tables):

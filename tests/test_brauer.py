@@ -1,6 +1,7 @@
 """Local idempotents, their Bezout combination, and Brauer certificates."""
 
 import math
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -115,19 +116,19 @@ class TestLocalIdempotent:
 
 class TestIPN:
     def test_s3_p2(self, tables):
-        assert i_pn(2, tables["S3"], 1).values == (3, 3, 3, 3)
+        assert i_pn(2, abelian_family(tables["S3"].lattice, 1), tables["S3"]).values == (3, 3, 3, 3)
 
     def test_s3_p3(self, tables):
-        assert i_pn(3, tables["S3"], 1).values == (2, 2, 2, 0)
+        assert i_pn(3, abelian_family(tables["S3"].lattice, 1), tables["S3"]).values == (2, 2, 2, 0)
 
     def test_prime_not_dividing_order(self, tables):
         # p coprime to |G|: every class is its own p-perfect core, so the
         # pattern is the order on family classes and 0 elsewhere
         table = tables["S3"]
-        values = i_pn(5, table, 1).values
-        family = set(abelian_family(table.lattice, 1).class_indices)
+        family = abelian_family(table.lattice, 1)
+        values = i_pn(5, family, table).values
         for idx in range(table.size):
-            assert values[idx] == (6 if idx in family else 0)
+            assert values[idx] == (6 if idx in family.members else 0)
 
     @pytest.mark.parametrize("name", FIXTURES)
     @pytest.mark.parametrize("p", [2, 3])
@@ -138,7 +139,7 @@ class TestIPN:
         lattice = table.lattice
         degree = lattice.group.degree
         scale = coprime_part(lattice.group.order, p)
-        values = i_pn(p, table, 1).values
+        values = i_pn(p, abelian_family(lattice, 1), table).values
         for idx, cls in enumerate(lattice.classes):
             expected = scale if is_n_hyper(cls.element_set, 1, p, degree) else 0
             assert values[idx] == expected
@@ -233,14 +234,16 @@ class TestBrauerCertificate:
 
 
 def assert_hyper_rule_matches_reference(lattice):
-    """in_hyper_family at order p reads the class of O^p(H) off the lattice;
-    is_n_hyper closes the permutations of O^p(H) and tests them directly."""
+    """in_hyper_family on a family of order p reads the class of O^p(H) off
+    the lattice; is_n_hyper closes the permutations of O^p(H) and tests them
+    directly."""
     degree = lattice.group.degree
     for p in prime_factors(lattice.group.order) or [2]:
-        for h, cls in enumerate(lattice.classes):
-            for n in (0, 1, 2, math.inf):
+        for n in (0, 1, 2, math.inf):
+            family = replace(abelian_family(lattice, n), order=p)
+            for h, cls in enumerate(lattice.classes):
                 expected = is_n_hyper(cls.element_set, n, p, degree)
-                assert in_hyper_family(lattice, h, n, p) == expected, (cls.label, p, n)
+                assert in_hyper_family(lattice, h, family) == expected, (cls.label, p, n)
 
 
 class TestHyperRuleOnTheLattice:

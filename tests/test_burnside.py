@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from burnside.artin import abelian_family, in_ideal_jn
 from burnside.groups import builtin_group, perm_mul, subgroup_lattice
 from burnside.marks import (
     BurnsideElement,
@@ -12,7 +13,6 @@ from burnside.marks import (
     NotInImage,
     UnknownClass,
     fixed_points_of_element,
-    in_ideal_jn,
     indicator,
     marks_table,
     multiply,
@@ -245,16 +245,16 @@ class TestIdealJn:
         table = tables["S3"]
         # 6*[pt] - alpha_1 has ghost (0, 0, 0, 6)
         leftover = solve_ghost(GhostElement((0, 0, 0, 6)), table)
-        assert in_ideal_jn(leftover, 1, table)
+        assert in_ideal_jn(leftover, abelian_family(table.lattice, 1), table)
 
     def test_unit_not_in_ideal(self, tables):
         table = tables["S3"]
         for n in (0, 1, 2, math.inf):
-            assert not in_ideal_jn(unit(table), n, table)
+            assert not in_ideal_jn(unit(table), abelian_family(table.lattice, n), table)
 
     def test_zero_in_ideal(self, tables):
         table = tables["S3"]
-        assert in_ideal_jn(BurnsideElement.zero(table.size), math.inf, table)
+        assert in_ideal_jn(BurnsideElement.zero(table.size), abelian_family(table.lattice, math.inf), table)
 
 
 class TestFixedPoints:

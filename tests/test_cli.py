@@ -39,6 +39,16 @@ class TestMarks:
         assert code == 2
         assert "error" in err
 
+    @pytest.mark.parametrize("text", ["name: triv", "# a comment"])
+    def test_one_line_file_parses_like_a_longer_one(self, capsys, tmp_path, text):
+        one, two = tmp_path / "one.grp", tmp_path / "two.grp"
+        one.write_text(text)
+        two.write_text(text + "\n# a second line\n")
+        code, out, err = run(capsys, "marks", "--file", str(one), "--json")
+        assert code == 0
+        assert json.loads(out)["results"]["matrix"] == [[1]]
+        assert run(capsys, "marks", "--file", str(two), "--json") == (code, out, err)
+
     def test_malformed_file_json_error(self, capsys, tmp_path):
         bad = tmp_path / "bad.grp"
         bad.write_text("(0 1\n")

@@ -128,8 +128,9 @@ class TestParseGroup:
     def test_cycle_edge_cases(self):
         assert parse_cycles("()") == (0,)
         assert parse_cycles("(0 1)(2 3)") == (1, 0, 3, 2)
-        with pytest.raises(MalformedCycle):
-            parse_cycles("(0 0)")
+        for text in ("(0 0)", "(0 1 2)(0 2 1)", "(0 1 2)(2 3)"):
+            with pytest.raises(MalformedCycle):
+                parse_cycles(text)
         with pytest.raises(MalformedCycle):
             parse_cycles("(0 x)")
 

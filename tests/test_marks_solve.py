@@ -189,6 +189,6 @@ def test_idempotent_multiple_divides_the_cached_vector_exactly():
     # 6 e_(2a) = 6 [S3/C2] - 3 [S3/1]; the family {(2a)} has order 1
     assert table.scaled_idempotent(1).coefficients == (-3, 6, 0, 0)
     with pytest.raises(InternalInvariantViolation, match="not integral"):
-        idempotent_multiple(1, AbelianClassFamily(1, (1,)), table)
+        idempotent_multiple(1, AbelianClassFamily(1, (1,), 1), table)
     with pytest.raises(ArtinError):
-        idempotent_multiple(3, AbelianClassFamily(1, (1,)), table)
+        idempotent_multiple(3, AbelianClassFamily(1, (1,), 1), table)
