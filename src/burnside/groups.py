@@ -174,6 +174,12 @@ class Group:
         """The index core, built on first use and kept on this instance."""
         return GroupCore(self)
 
+    @cached_property
+    def _conjugacy_classes(self) -> "ConjugacyClasses":
+        """The element conjugacy classes, built on first use and kept on this
+        instance; read them through conjugacy_classes."""
+        return _element_classes(self)
+
     def __repr__(self):
         label = self.name or f"degree-{self.degree} group"
         return f"Group({label}, order {self.order})"
@@ -319,10 +325,11 @@ class GroupCore:
                     seen[row[h]] = 1
         return reps
 
-    def cyclic_generators(self) -> tuple[list[int], dict[int, int]]:
+    def cyclic_generators(self) -> tuple[list[int], list[int]]:
         """One generator (the first in index order) of each cyclic subgroup
         of prime-power order greater than 1, and root[x], the listed
-        generator of <x>, for every generator x of those subgroups.
+        generator of <x>, for every generator x of those subgroups (0, the
+        identity, for every other element).
 
         Conjugation permutes these subgroups, <x>^g = <g^-1*x*g>, so
         root[conjugate(x, g)] names the image of <x> under g.  The lattice
@@ -331,10 +338,10 @@ class GroupCore:
         generators (minus those central in G, which act trivially) reaches
         every class that extending H by all of them would.
         """
-        out, root = [], {}
+        out, root = [], [0] * len(self.elements)
         for x in range(1, len(self.elements)):
             order = self.orders[x]
-            if x in root or len(prime_factors(order)) != 1:
+            if root[x] or len(prime_factors(order)) != 1:
                 continue
             out.append(x)
             y = x
@@ -483,10 +490,21 @@ class ConjugacyClasses:
     def _lookup(self) -> dict[Perm, int]:
         return {g: idx for idx, cls in enumerate(self.classes) for g in cls}
 
+    @cached_property
+    def masks(self) -> tuple[int, ...]:
+        """Per class, the bitmask of its elements over group.core; a subgroup
+        with bitmask m meets class c in (m & masks[c]).bit_count() elements."""
+        index = self.group.core.index
+        return tuple(_mask(index[g] for g in cls) for cls in self.classes)
+
 
 def conjugacy_classes(group: Group) -> ConjugacyClasses:
     """Orbits under conjugation by the generators, sorted by element order,
-    then size, then least member."""
+    then size, then least member.  Computed once per group and kept on it."""
+    return group._conjugacy_classes
+
+
+def _element_classes(group: Group) -> ConjugacyClasses:
     core = group.core
     seen = bytearray(len(core.elements))
     classes = []
@@ -528,12 +546,23 @@ class SubgroupClass:
     order: int
     weyl_order: int
     is_abelian: bool
-    min_generators: int
     label: str
+    # what min_generators reads: the group's core, the representative's
+    # bitmask over it and the size of a known generating set
+    generation: tuple[GroupCore, int, int] = field(repr=False, compare=False)
 
     @property
     def element_set(self) -> frozenset:
         return frozenset(self.representative)
+
+    @cached_property
+    def min_generators(self) -> int:
+        """The least number of elements generating the representative,
+        counted on first read: the certificates read it for abelian classes
+        only, and the search is costly for nonabelian ones."""
+        core, mask, bound = self.generation
+        elems = _bits(mask)
+        return _abelian_rank(core, elems) if self.is_abelian else _min_generators(core, elems, bound)
 
 
 @dataclass(frozen=True)
@@ -584,23 +613,17 @@ class SubgroupLattice:
     def label_of(self, idx: int) -> str:
         return self.classes[idx].label
 
-    @cached_property
-    def coset_representatives(self) -> tuple[tuple[int, ...], ...]:
-        """Per class, element indices of one g from each left coset g*H of
-        the representative H, the first of its coset in element order."""
-        core = self.group.core
-        return tuple(tuple(core.left_coset_representatives(orbit[0])) for orbit in self.orbits)
-
     def p_core_classes(self, p: int) -> tuple[int, ...]:
         """For each class (K), the class index of O^p(K), the subgroup
-        generated by the elements of order prime to p.  Computed once per p."""
+        generated by the elements of order prime to p; that is K itself when
+        p does not divide |K|.  Computed once per p."""
         if p not in self._p_core_classes:
             core = self.group.core
             self._p_core_classes[p] = tuple(
-                self.class_of_mask[_mask(core.closure(
+                k if cls.order % p else self.class_of_mask[_mask(core.closure(
                     x for x in _bits(orbit[0]) if core.orders[x] % p != 0
                 ))]
-                for orbit in self.orbits
+                for k, (cls, orbit) in enumerate(zip(self.classes, self.orbits))
             )
         return self._p_core_classes[p]
 
@@ -636,7 +659,9 @@ def _subgroup_orbits(core: GroupCore) -> list[tuple[list[int], list[int], list[i
     gr.  So extending one member H of each class by one generator of every
     cyclic subgroup of prime-power order reaches every class.  For n in
     N_G(H), <H, z>^n = <H, z^n>, so one z per N_G(H)-orbit of those cyclic
-    subgroups suffices.
+    subgroups suffices.  And <H, w*h> = <H, w> for h in H, so once H is
+    extended by z, every cyclic subgroup generated by an element of a coset
+    w*H, w in the orbit of <z>, is settled without an extension of its own.
 
     The orbit lists the bitmasks of a class's conjugates, found by
     conjugating with the group's generators only; the elements and
@@ -685,17 +710,17 @@ def _subgroup_orbits(core: GroupCore) -> list[tuple[list[int], list[int], list[i
         for z in cyclic:
             if orbit[0] >> z & 1 or z in reached:
                 continue
-            if acting:
-                reached.add(z)
-                stack = [z]
-                while stack:
-                    y = stack.pop()
-                    for row, n in acting:
-                        w = root[table[row[y]][n]]
-                        if w not in reached:
-                            reached.add(w)
-                            stack.append(w)
+            conjugates, seen = [z], {z}
+            for y in conjugates:
+                for row, n in acting:
+                    w = root[table[row[y]][n]]
+                    if w not in seen:
+                        seen.add(w)
+                        conjugates.append(w)
             extended = core.extend(elems, gens, z)
+            # root is 0 off the prime-power cyclic subgroups, and 0 is never a z
+            for w in conjugates:
+                reached.update(map(root.__getitem__, map(table[w].__getitem__, elems)))
             mask = _mask(extended)
             if mask not in known:
                 add(extended, mask, gens + [z])
@@ -792,12 +817,12 @@ def subgroup_lattice(group: Group) -> SubgroupLattice:
     found = []
     for orbit, elems, gens, _ in _subgroup_orbits(core):
         rep_mask = _least_member(orbit)
-        found.append((len(elems), _bits(rep_mask), rep_mask, orbit, elems, gens))
+        found.append((len(elems), _bits(rep_mask), rep_mask, orbit, gens))
     found.sort()
     classes = []
     orbits = []
     order_counts: dict[int, int] = {}
-    for idx, (order, rep, rep_mask, orbit, elems, gens) in enumerate(found):
+    for idx, (order, _, rep_mask, orbit, gens) in enumerate(found):
         orbits.append((rep_mask,) + tuple(m for m in orbit if m != rep_mask))
         abelian = core.commute(gens)
         seq = order_counts.get(order, 0)
@@ -808,8 +833,8 @@ def subgroup_lattice(group: Group) -> SubgroupLattice:
             order=order,
             weyl_order=group.order // len(orbit) // order,
             is_abelian=abelian,
-            min_generators=_abelian_rank(core, elems) if abelian else _min_generators(core, rep, len(gens)),
             label=f"{order}{chr(ord('a') + seq)}",
+            generation=(core, rep_mask, len(gens)),
         ))
     subconjugacy = tuple(
         tuple(

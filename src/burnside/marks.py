@@ -16,6 +16,12 @@ caches, per class, the element |G|*e_K whose ghost is |G| at (K) and 0
 elsewhere, which the tom Dieck check and the Artin certificates read (the
 idempotents e_K of the rational Burnside ring: T. Yoshida, J. Algebra 80
 (1983)).
+
+The certificates are also checked at single elements g, where the value of
+[G/H] is |(G/H)^g| = |C_G(g)| * |g^G cap H| / |H|.  That count reads only
+the element classes of G and the bitmask of H: |g^G cap H| is the popcount
+of H's mask ANDed with the mask of g's class, so it stays independent of
+the table of marks it is checked against.
 """
 
 from __future__ import annotations
@@ -25,7 +31,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .exact import IntMatrix
-from .groups import Perm, SubgroupLattice, conjugacy_classes, perm_to_cycles
+from .groups import ConjugacyClasses, Perm, SubgroupLattice, conjugacy_classes, perm_to_cycles
 
 
 class BurnsideError(Exception):
@@ -94,6 +100,11 @@ class MarksTable:
     @cached_property
     def _scaled_idempotents(self) -> dict[int, BurnsideElement]:
         return {}
+
+    @cached_property
+    def element_classes(self) -> ConjugacyClasses:
+        """The element conjugacy classes of G, with their bitmasks."""
+        return conjugacy_classes(self.lattice.group)
 
     def to_json(self) -> str:
         payload = {
@@ -235,13 +246,24 @@ def indicator(class_index: int, table: MarksTable) -> GhostElement:
 
 
 def fixed_points_of_element(table: MarksTable, h: int, g: Perm) -> int:
-    """|(G/H)^g| for a single group element g, counted coset by coset."""
+    """|(G/H)^g| for a single group element g, from its class mask.
+
+    g fixes the coset xH iff x^-1 g x lies in H, and each of the
+    |g^G cap H| members of g's class in H is x^-1 g x for |C_G(g)| elements
+    x, so |(G/H)^g| = |C_G(g)| * |g^G cap H| / |H|.  Raises
+    InternalInvariantViolation if |H| does not divide that product.
+    """
     lattice = table.lattice
-    core = lattice.group.core
-    mul, inverse = core.table, core.inverse
-    x = core.index[g]
-    hmask = lattice.orbits[h][0]
-    return sum(hmask >> mul[mul[inverse[r]][x]][r] & 1 for r in lattice.coset_representatives[h])
+    classes = table.element_classes
+    c = classes.index_of(g)
+    centralizer = lattice.group.order // len(classes.classes[c])
+    fixed, remainder = divmod(centralizer * (lattice.orbits[h][0] & classes.masks[c]).bit_count(),
+                              lattice.classes[h].order)
+    if remainder:
+        raise InternalInvariantViolation(
+            f"|(G/H)^g| not integral for H = {lattice.label_of(h)}, g = {perm_to_cycles(g)}"
+        )
+    return fixed
 
 
 def element_checks(element: BurnsideElement, table: MarksTable, expected: int) -> tuple[tuple[str, int, int], ...]:
@@ -250,5 +272,5 @@ def element_checks(element: BurnsideElement, table: MarksTable, expected: int) -
     x, support = element.coefficients, element.support()
     return tuple(
         (perm_to_cycles(g), sum(x[h] * fixed_points_of_element(table, h, g) for h in support), expected)
-        for g in conjugacy_classes(table.lattice.group).representatives
+        for g in table.element_classes.representatives
     )

@@ -46,7 +46,7 @@ from .groups import (
     exponent,
     subgroup_as_group,
 )
-from .marks import MarksTable
+from .marks import BurnsideElement, MarksTable, element_checks
 
 
 class RestrictionError(Exception):
@@ -307,12 +307,22 @@ def hyper_family(table: MarksTable, n: int | float) -> list[int]:
 
 def verify_brauer_restriction(table: MarksTable, n: int | float = 1,
                               provider: TableProvider | None = None) -> BrauerRestrictionReport:
-    """Check that restriction onto the n-hyper equalizer is a lattice isomorphism."""
+    """Check that restriction onto the n-hyper equalizer is a lattice isomorphism.
+
+    The check rests on the certificate's identity sum_H k_H |(G/H)^g| = 1 at
+    every element g.  The certificate leaves that identity out for n < 1,
+    so there it is checked here; where it fails, the check is not
+    applicable.
+    """
     lattice = table.lattice
     group = lattice.group
     provider = provider or TableProvider(group, lattice)
     certificate = brauer_certificate(table, n)
-    if not certificate.verified:
+    checks = certificate.element_checks
+    if n < 1:
+        k = BurnsideElement(tuple(certificate.decomposition.get(i, 0) for i in range(table.size)))
+        checks = element_checks(k, table, 1)
+    if not certificate.verified or any(lhs != rhs for _, lhs, rhs in checks):
         raise RestrictionError("Brauer certificate failed; restriction check not applicable")
     family = hyper_family(table, n)
     eq = equalizer_lattice(family, provider, lattice)

@@ -1,0 +1,56 @@
+"""Groups and reference counts shared by the test modules.
+
+BENCHMARK_GROUPS holds the groups of the benchmark workloads (read from
+perfbench/data/workloads.json, which is not written here),
+small_subgroups_of_s6 draws random subgroups of S6 of order at most 48, and
+coset_fixed_points counts |(G/H)^g| coset by coset, the reference for
+marks.fixed_points_of_element.  Not a test module: nothing here is
+collected.
+"""
+
+import json
+from pathlib import Path
+
+from hypothesis import strategies as st
+
+from burnside.groups import Group, group_from_generators, parse_cycles, parse_group, perm_inv, perm_mul
+from burnside.marks import MarksTable
+
+WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "data" / "workloads.json"
+# name -> {"generators": [...], "conjugacy_classes": k, ...}
+BENCHMARK_GROUPS = json.loads(WORKLOADS.read_text())["groups"]
+
+
+def benchmark_group(name: str) -> Group:
+    return parse_group("\n".join(BENCHMARK_GROUPS[name]["generators"]))
+
+
+# Overgroups of order at most 48, so every drawn subgroup is small.
+OVERGROUPS = [
+    group_from_generators([parse_cycles(c, 6) for c in gens])
+    for gens in (
+        ["(0 1)", "(0 1 2 3)", "(4 5)"],  # S4 x S2
+        ["(0 1)", "(0 2)(1 3)", "(0 2 4)(1 3 5)"],  # S2 wr S3
+        ["(0 1)", "(0 1 2)", "(3 4)", "(3 4 5)"],  # S3 x S3
+        ["(0 1 2 3 4)", "(1 2 4 3)"],  # AGL(1,5)
+    )
+]
+
+
+@st.composite
+def small_subgroups_of_s6(draw) -> Group:
+    over = draw(st.sampled_from(OVERGROUPS))
+    relabel = tuple(draw(st.permutations(range(6))))
+    picks = [draw(st.sampled_from(over.elements)) for _ in range(2)]
+    return group_from_generators([perm_mul(perm_mul(relabel, x), perm_inv(relabel)) for x in picks])
+
+
+def coset_fixed_points(table: MarksTable, h: int, g) -> int:
+    """|(G/H)^g| for the representative H of class h, counted coset by coset:
+    the left cosets rH with r^-1 g r in H."""
+    lattice = table.lattice
+    core = lattice.group.core
+    mul, inverse = core.table, core.inverse
+    x = core.index[g]
+    hmask = lattice.orbits[h][0]
+    return sum(hmask >> mul[mul[inverse[r]][x]][r] & 1 for r in core.left_coset_representatives(hmask))

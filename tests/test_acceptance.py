@@ -46,7 +46,7 @@ from burnside.marks import (
 )
 from burnside.restriction import verify_artin_restriction, verify_brauer_restriction
 
-from test_restriction import BENCHMARK_GROUPS
+from group_fixtures import benchmark_group
 
 FIXTURES = ["C2", "C3", "C4", "C6", "C2xC2", "S3", "D4", "Q8", "A4", "S4"]
 
@@ -194,7 +194,7 @@ def test_criterion_11_restriction_on_non_monomial_groups():
     # character of a subgroup; C2xS4 is monomial, with 33 subgroup classes
     start = time.monotonic()
     for name in ("SL(2,3)", "GL(2,3)", "A5", "S5", "C2xS4"):
-        group = parse_group("\n".join(BENCHMARK_GROUPS[name]["generators"]))
+        group = benchmark_group(name)
         table = marks_table(subgroup_lattice(group))
         artin = verify_artin_restriction(table, 1)
         assert artin.order == group.order

@@ -22,14 +22,12 @@ from burnside.groups import (
     BUILTIN_GROUPS,
     builtin_group,
     is_n_hyper,
-    parse_group,
     perm_mul,
     subgroup_lattice,
 )
 from burnside.marks import GhostElement, marks_table, phi
 
-from test_lattice_oracles import small_subgroups_of_s6
-from test_restriction import BENCHMARK_GROUPS
+from group_fixtures import BENCHMARK_GROUPS, benchmark_group, small_subgroups_of_s6
 
 FIXTURES = ["C2", "C3", "C4", "C6", "C2xC2", "S3", "D4", "Q8", "A4", "S4"]
 
@@ -253,7 +251,7 @@ class TestHyperRuleOnTheLattice:
 
     @pytest.mark.parametrize("name", sorted(BENCHMARK_GROUPS))
     def test_benchmark_group(self, name):
-        group = parse_group("\n".join(BENCHMARK_GROUPS[name]["generators"]))
+        group = benchmark_group(name)
         assert_hyper_rule_matches_reference(subgroup_lattice(group))
 
     @settings(max_examples=15, deadline=None)

@@ -4,12 +4,14 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
 
 from burnside.artin import abelian_family, in_ideal_jn
-from burnside.groups import builtin_group, perm_mul, subgroup_lattice
+from burnside.groups import builtin_group, conjugacy_classes, perm_mul, subgroup_lattice
 from burnside.marks import (
     BurnsideElement,
     GhostElement,
+    InternalInvariantViolation,
     NotInImage,
     UnknownClass,
     fixed_points_of_element,
@@ -20,6 +22,8 @@ from burnside.marks import (
     solve_ghost,
     unit,
 )
+
+from group_fixtures import BENCHMARK_GROUPS, benchmark_group, coset_fixed_points, small_subgroups_of_s6
 
 FIXTURES = ["C2", "C3", "C4", "C6", "C2xC2", "S3", "D4", "Q8", "A4", "S4"]
 
@@ -270,3 +274,41 @@ class TestFixedPoints:
             k, _ = lattice.class_of_subgroup(cyclic)
             for h in range(table.size):
                 assert fixed_points_of_element(table, h, g) == table.mark(h, k)
+
+
+def assert_fixed_points_match_coset_count(table) -> None:
+    """The class-mask count against the coset-by-coset count, for every
+    subgroup class and element class."""
+    for g in conjugacy_classes(table.lattice.group).representatives:
+        for h in range(table.size):
+            assert fixed_points_of_element(table, h, g) == coset_fixed_points(table, h, g)
+
+
+class TestFixedPointsAgainstCosetCount:
+    @pytest.mark.parametrize("name", FIXTURES + ["trivial"])
+    def test_builtin(self, tables, name):
+        assert_fixed_points_match_coset_count(tables[name])
+
+    @pytest.mark.parametrize("name", sorted(BENCHMARK_GROUPS))
+    def test_benchmark_group(self, name):
+        assert_fixed_points_match_coset_count(marks_table(subgroup_lattice(benchmark_group(name))))
+
+    @settings(max_examples=15, deadline=None)
+    @given(small_subgroups_of_s6())
+    def test_small_subgroups_of_s6(self, group):
+        assert_fixed_points_match_coset_count(marks_table(subgroup_lattice(group)))
+
+    def test_corrupted_class_mask_raises(self):
+        # In S3 the 3-cycles meet the subgroup 2a of order 2 nowhere; a mask
+        # of their class that also holds 2a's transposition gives
+        # |C_G(g)| * |g^G cap H| / |H| = 3 * 1 / 2.
+        table = marks_table(subgroup_lattice(builtin_group("S3")))
+        classes = conjugacy_classes(table.lattice.group)
+        h = [cls.label for cls in table.lattice.classes].index("2a")
+        g = classes.representatives[2]  # classes are sorted by element order
+        assert fixed_points_of_element(table, h, g) == 0
+        masks = list(classes.masks)
+        masks[2] |= table.lattice.orbits[h][0] & ~1
+        classes.__dict__["masks"] = tuple(masks)
+        with pytest.raises(InternalInvariantViolation, match="not integral"):
+            fixed_points_of_element(table, h, g)

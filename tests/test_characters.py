@@ -44,7 +44,7 @@ from burnside.groups import (
     subgroup_lattice,
 )
 
-from test_lattice_oracles import small_subgroups_of_s6
+from group_fixtures import small_subgroups_of_s6
 
 FIXTURES = ["C2", "C3", "C4", "C6", "C2xC2", "S3", "D4", "Q8", "A4", "S4"]
 

@@ -6,8 +6,11 @@ from pathlib import Path
 
 import pytest
 
+from burnside import groups
 from burnside.cli import main
 from burnside.exact import IntMatrix
+
+from group_fixtures import BENCHMARK_GROUPS
 
 DATA_DIR = Path(__file__).parent.parent / "src" / "burnside" / "data"
 
@@ -114,6 +117,16 @@ class TestBrauer:
         code, out, err = run(capsys, "brauer", "--group", "trivial", "--json")
         assert code == 0
 
+    @pytest.mark.parametrize("group", ["S3", "C6", "A4", "S4"])
+    def test_n0_convention(self, capsys, group):
+        # at n = 0 only the ghost values on the family {1} are certified,
+        # as for Artin certificates, so there are no element checks
+        code, out, err = run(capsys, "brauer", "--group", group, "--n", "0", "--json")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["results"]["checks"] == []
+        assert payload["results"]["family_values"] == [{"class": "1a", "value": 1}]
+
 
 class TestEqualizer:
     def test_artin_mode(self, capsys):
@@ -143,6 +156,13 @@ class TestEqualizer:
         assert not out
         error = json.loads(err)["error"]
         assert (error["kind"], error["message"]) == ("check failed", message)
+
+    @pytest.mark.parametrize("group", ["C2", "Q8", "D4"])
+    def test_n0_on_p_groups(self, capsys, group):
+        # for a p-group the n = 0 decomposition still sums to 1 at every element
+        code, out, err = run(capsys, "equalizer", "--group", group, "--n", "0",
+                             "--mode", "brauer", "--json")
+        assert code == 0
 
     def test_shipped_tables_directory(self, capsys):
         code, out, err = run(capsys, "equalizer", "--group", "S3", "--mode", "artin",
@@ -306,3 +326,19 @@ class TestExitCodes:
         code, out, err = run(capsys, "equalizer", "--group", sl23, "--mode", "brauer", "--json")
         assert code == 0
         assert json.loads(out)["results"]["elementary_divisors"] == [1] * 7
+
+
+# S4, GL(2,3) and S5 have nonabelian classes, whose generator count only
+# `marks` reports; verify and the equalizer must not search for it.
+@pytest.mark.parametrize("group", ["GL(2,3)", "S4", "S5"])
+@pytest.mark.parametrize("argv", [["verify"], ["equalizer", "--mode", "artin"], ["equalizer", "--mode", "brauer"]],
+                         ids=["verify", "equalizer-artin", "equalizer-brauer"])
+def test_nonabelian_generator_count_is_never_searched(capsys, monkeypatch, group, argv):
+    def refuse(*args):
+        raise AssertionError("_min_generators called")
+
+    monkeypatch.setattr(groups, "_min_generators", refuse)
+    spec = "\n".join(BENCHMARK_GROUPS[group]["generators"])
+    code, out, err = run(capsys, *argv, "--group", spec, "--json")
+    assert code == 0
+    assert json.loads(out)["status"] == "pass"

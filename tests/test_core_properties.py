@@ -17,7 +17,7 @@ from burnside.groups import conjugacy_classes, perm_inv, perm_mul, subgroup_as_g
 from burnside.marks import marks_table
 from burnside.restriction import verify_artin_restriction, verify_brauer_restriction
 
-from test_lattice_oracles import small_subgroups_of_s6
+from group_fixtures import small_subgroups_of_s6
 
 
 def order_of(x) -> int:

@@ -4,12 +4,10 @@ a reference lattice built by the perm-tuple extension of every subgroup
 by every element, the cyclic extension without normalizer pruning, and
 normalizers found by brute force."""
 
-import json
 import time
-from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, settings
 
 from burnside.groups import (
     Group,
@@ -19,14 +17,14 @@ from burnside.groups import (
     _subgroup_orbits,
     builtin_group,
     close_under_product,
-    group_from_generators,
-    parse_cycles,
     parse_group,
     perm_inv,
     perm_mul,
     subgroup_lattice,
 )
 from burnside.marks import marks_table
+
+from group_fixtures import BENCHMARK_GROUPS, benchmark_group, small_subgroups_of_s6
 
 FIXTURES = ["C2", "C3", "C4", "C6", "C2xC2", "S3", "D4", "Q8", "A4", "S4"]
 
@@ -112,11 +110,10 @@ def test_marks_equal_literal_fixed_point_counts(name):
 # ---------------------------------------------------------------------------
 # normalizer-pruned cyclic extension against the unpruned loop
 
-WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "data" / "workloads.json"
-BENCHMARK_GROUPS = {
-    name: spec["generators"] for name, spec in json.loads(WORKLOADS.read_text())["groups"].items()
+PRUNING_GROUPS = {
+    **{name: spec["generators"] for name, spec in BENCHMARK_GROUPS.items()},
+    **{name: PUBLISHED[name][0] for name in ("S6", "A6", "C2^5")},
 }
-PRUNING_GROUPS = {**BENCHMARK_GROUPS, **{name: PUBLISHED[name][0] for name in ("S6", "A6", "C2^5")}}
 
 
 def unpruned_orbits(core: GroupCore) -> set[frozenset]:
@@ -155,6 +152,25 @@ def test_pruned_extension_finds_the_unpruned_orbits(name):
     assert set(orbits) == unpruned_orbits(core)
 
 
+# GroupCore.extend calls of the enumeration: one per N_G(H)-orbit of cyclic
+# subgroups outside H, less those settled by the coset rule <H, w*h> = <H, w>.
+EXTEND_CALLS = {"A5": 27, "C2^4": 240, "C2^5": 2077, "C2xS4": 129, "S5": 82, "S6": 582}
+
+
+@pytest.mark.parametrize("name", sorted(EXTEND_CALLS))
+def test_extend_counts(monkeypatch, name):
+    core = parse_group("\n".join(PRUNING_GROUPS[name])).core
+    extend, calls = GroupCore.extend, []
+
+    def counted(self, *args):
+        calls.append(None)
+        return extend(self, *args)
+
+    monkeypatch.setattr(GroupCore, "extend", counted)
+    _subgroup_orbits(core)
+    assert len(calls) == EXTEND_CALLS[name]
+
+
 def brute_normalizer(core: GroupCore, mask: int) -> int:
     """Mask of {g : g^-1 H g = H}."""
     elems = _bits(mask)
@@ -173,7 +189,7 @@ def assert_schreier_generators_give_normalizers(group: Group) -> None:
 
 @pytest.mark.parametrize("name", ["S5", "GL(2,3)", "A5", "C2xS4"])
 def test_schreier_generators_generate_the_normalizer(name):
-    assert_schreier_generators_give_normalizers(parse_group("\n".join(BENCHMARK_GROUPS[name])))
+    assert_schreier_generators_give_normalizers(benchmark_group(name))
 
 
 # TableProvider.table_for conjugates class tables by this g, so equalizer
@@ -232,26 +248,6 @@ def reference_lattice(group: Group):
         for k in reps
     )
     return classes, leq, literal_marks(group, reps)
-
-
-# Overgroups of order at most 48, so every drawn subgroup is small.
-OVERGROUPS = [
-    group_from_generators([parse_cycles(c, 6) for c in gens])
-    for gens in (
-        ["(0 1)", "(0 1 2 3)", "(4 5)"],  # S4 x S2
-        ["(0 1)", "(0 2)(1 3)", "(0 2 4)(1 3 5)"],  # S2 wr S3
-        ["(0 1)", "(0 1 2)", "(3 4)", "(3 4 5)"],  # S3 x S3
-        ["(0 1 2 3 4)", "(1 2 4 3)"],  # AGL(1,5)
-    )
-]
-
-
-@st.composite
-def small_subgroups_of_s6(draw) -> Group:
-    over = draw(st.sampled_from(OVERGROUPS))
-    relabel = tuple(draw(st.permutations(range(6))))
-    picks = [draw(st.sampled_from(over.elements)) for _ in range(2)]
-    return group_from_generators([perm_mul(perm_mul(relabel, x), perm_inv(relabel)) for x in picks])
 
 
 @settings(max_examples=12, deadline=None)

@@ -4,7 +4,6 @@ marks matrix, and Gluck's formula for the idempotents of the Burnside ring."""
 
 import json
 import random
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 from burnside import cli, marks
 from burnside.artin import AbelianClassFamily, ArtinError, idempotent_multiple
 from burnside.exact import IntMatrix
-from burnside.groups import all_subgroups, parse_group, perm_inv, perm_mul, subgroup_lattice
+from burnside.groups import all_subgroups, perm_inv, perm_mul, subgroup_lattice
 from burnside.marks import (
     BurnsideElement,
     GhostElement,
@@ -25,18 +24,14 @@ from burnside.marks import (
     solve_ghost,
 )
 
-from test_lattice_oracles import small_subgroups_of_s6
-
-WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "data" / "workloads.json"
-BENCHMARK_GROUPS = json.loads(WORKLOADS.read_text())["groups"]
+from group_fixtures import BENCHMARK_GROUPS, benchmark_group, small_subgroups_of_s6
 
 _tables = {}
 
 
 def benchmark_table(name: str) -> MarksTable:
     if name not in _tables:
-        group = parse_group("\n".join(BENCHMARK_GROUPS[name]["generators"]))
-        _tables[name] = marks_table(subgroup_lattice(group))
+        _tables[name] = marks_table(subgroup_lattice(benchmark_group(name)))
     return _tables[name]
 
 

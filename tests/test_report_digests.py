@@ -26,7 +26,7 @@ sys.path.insert(0, str(HERE.parent / "src"))
 from burnside.cli import main  # noqa: E402
 from burnside.groups import BUILTIN_GROUPS  # noqa: E402
 
-from test_restriction import BENCHMARK_GROUPS  # noqa: E402
+from group_fixtures import BENCHMARK_GROUPS  # noqa: E402
 
 DIGESTS = HERE / "data" / "report_digests.json"
 COMMANDS = [["marks"], ["verify"]] + [

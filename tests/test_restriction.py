@@ -1,10 +1,8 @@
 """Equalizer lattices and the induction-restriction isomorphism verifications."""
 
 import functools
-import json
 import math
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -31,7 +29,7 @@ from burnside.restriction import (
     verify_brauer_restriction,
 )
 
-from test_lattice_oracles import small_subgroups_of_s6
+from group_fixtures import BENCHMARK_GROUPS, benchmark_group, small_subgroups_of_s6
 
 
 @pytest.fixture(scope="module")
@@ -276,13 +274,9 @@ class TestEqualizerChecks:
             equalizer_lattice(*self.s3_cyclic(s3_setup))
 
 
-WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "data" / "workloads.json"
-BENCHMARK_GROUPS = json.loads(WORKLOADS.read_text())["groups"]
-
-
 @functools.cache
 def benchmark_marks(name):
-    return marks_table(subgroup_lattice(parse_group("\n".join(BENCHMARK_GROUPS[name]["generators"]))))
+    return marks_table(subgroup_lattice(benchmark_group(name)))
 
 
 class TestBenchmarkGroupOracles:
@@ -319,7 +313,7 @@ class TestFamiliesClosedUnderSubconjugacy:
 
     @pytest.mark.parametrize("name", sorted(BENCHMARK_GROUPS))
     def test_benchmark_group(self, name):
-        group = parse_group("\n".join(BENCHMARK_GROUPS[name]["generators"]))
+        group = benchmark_group(name)
         assert_families_closed_under_subconjugacy(subgroup_lattice(group))
 
     @settings(max_examples=15, deadline=None)

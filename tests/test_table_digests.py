@@ -22,19 +22,18 @@ from burnside.characters import CharacterError, character_table, table_to_text  
 from burnside.groups import (  # noqa: E402
     BUILTIN_GROUPS,
     builtin_group,
-    parse_group,
     subgroup_as_group,
     subgroup_lattice,
 )
 
-from test_restriction import BENCHMARK_GROUPS  # noqa: E402
+from group_fixtures import BENCHMARK_GROUPS, benchmark_group  # noqa: E402
 
 DIGESTS = HERE / "data" / "table_digests.json"
 
 
 def _groups():
     for name in sorted(BENCHMARK_GROUPS):
-        yield f"benchmark/{name}", parse_group("\n".join(BENCHMARK_GROUPS[name]["generators"]))
+        yield f"benchmark/{name}", benchmark_group(name)
     for name in sorted([*BUILTIN_GROUPS, "Q8"]):
         yield f"builtin/{name}", builtin_group(name)
 
