@@ -10,10 +10,11 @@ Cayley-table lookups, and a subgroup is an int bitmask with bit i set when
 element i belongs to it.  Conjugacy classes, cosets and generating sets come
 from the core.  The subgroup lattice is enumerated by cyclic extension, one
 representative per conjugacy class extended by one cyclic subgroup per orbit
-of its normalizer, and normalizer orders, subconjugacy and marks are read
-off the conjugation orbits of those bitmasks.  The n-hyper helpers at the
-end still close permutation tuples, because their public signature has no
-group.
+of its normalizer.  Normalizer orders and marks are read off the
+conjugation orbits of those bitmasks, and subconjugacy is the closure of
+the extension edges, one down-set bitmask over the class indices per class.
+The n-hyper helpers at the end still close permutation tuples, because their
+public signature has no group.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import re
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .exact import prime_factors
 
@@ -571,7 +572,7 @@ class SubgroupLattice:
 
     group: Group
     classes: tuple[SubgroupClass, ...]
-    subconjugacy: tuple[tuple[bool, ...], ...]  # [k][h] true iff (K) <= (H)
+    down_sets: tuple[int, ...]  # per class (H), bit k set iff (K) <= (H)
     # per class, the bitmasks (over group.core) of all conjugates, representative first
     orbits: tuple[tuple[int, ...], ...] = field(repr=False, compare=False)
 
@@ -579,11 +580,7 @@ class SubgroupLattice:
         return len(self.classes)
 
     def leq(self, k: int, h: int) -> bool:
-        return self.subconjugacy[k][h]
-
-    @property
-    def trivial_index(self) -> int:
-        return 0
+        return bool(self.down_sets[h] >> k & 1)
 
     @property
     def full_index(self) -> int:
@@ -604,11 +601,6 @@ class SubgroupLattice:
             if all(rep >> core.conjugate(s, g) & 1 for s in elems):
                 return idx, core.elements[g]
         raise GroupError("subgroup not found in lattice")
-
-    def conjugates_containing(self, h: int, k: int) -> int:
-        """Number of conjugates of the representative of (H) that contain the
-        representative of (K)."""
-        return _count_containing(self.orbits[h], self.orbits[k][0])
 
     def label_of(self, idx: int) -> str:
         return self.classes[idx].label
@@ -637,21 +629,24 @@ class SubgroupLattice:
         return {}
 
 
-def _count_containing(orbit: Iterable[int], mask: int) -> int:
-    return sum(1 for m in orbit if m & mask == mask)
-
-
 def all_subgroups(group: Group) -> list[frozenset]:
     """Every subgroup: the union of the conjugacy orbits of the lattice
     enumeration, sorted by order and then by sorted elements."""
     core = group.core
-    subgroups = [frozenset(core.perms(mask)) for orbit, *_ in _subgroup_orbits(core) for mask in orbit]
+    subgroups = [frozenset(core.perms(mask)) for entry in _subgroup_orbits(core) for mask in entry.orbit]
     return sorted(subgroups, key=lambda s: (len(s), tuple(sorted(s))))
 
 
-def _subgroup_orbits(core: GroupCore) -> list[tuple[list[int], list[int], list[int], list[int]]]:
-    """One (orbit, elements, generators, normalizer generators) tuple per
-    conjugacy class of subgroups.
+class _ClassOrbit(NamedTuple):
+    orbit: list[int]  # bitmasks of the conjugates, H = orbit[0] first
+    elements: list[int]  # of H, the member that gets extended
+    generators: list[int]  # of H, each of prime-power order
+    normalizer: list[int]  # Schreier generators of N_G(H)
+    above: list[int]  # per extension <H, z>, the position of its class
+
+
+def _subgroup_orbits(core: GroupCore) -> list[_ClassOrbit]:
+    """One _ClassOrbit per conjugacy class of subgroups.
 
     Cyclic extension (Neubüser 1960): every subgroup is generated by elements
     g1, ..., gr of prime-power order, and <g1, ..., gr> is conjugate to the
@@ -662,6 +657,7 @@ def _subgroup_orbits(core: GroupCore) -> list[tuple[list[int], list[int], list[i
     subgroups suffices.  And <H, w*h> = <H, w> for h in H, so once H is
     extended by z, every cyclic subgroup generated by an element of a coset
     w*H, w in the orbit of <z>, is settled without an extension of its own.
+    Each extension records the edge to the class of <H, z>, new or known.
 
     The orbit lists the bitmasks of a class's conjugates, found by
     conjugating with the group's generators only; the elements and
@@ -679,8 +675,8 @@ def _subgroup_orbits(core: GroupCore) -> list[tuple[list[int], list[int], list[i
     cyclic, root = core.cyclic_generators()
     central = [s for s in core.generators if s in center]
     moving = [(s, conj) for s, conj in zip(core.generators, core.conjugations) if s not in center]
-    found: list[tuple[list[int], list[int], list[int], list[int]]] = []
-    known: set[int] = set()
+    found: list[_ClassOrbit] = []
+    known: dict[int, int] = {}  # mask of every subgroup found -> position of its class
 
     def add(elems: list[int], mask: int, gens: list[int]) -> None:
         masks, members, transversal = [mask], [elems], [0]
@@ -699,11 +695,11 @@ def _subgroup_orbits(core: GroupCore) -> list[tuple[list[int], list[int], list[i
                     transversal.append(t)
                 else:
                     schreier.append(table[t][inverse[transversal[k]]])
-        known.update(masks)
-        found.append((masks, elems, gens, schreier))
+        known.update(dict.fromkeys(masks, len(found)))
+        found.append(_ClassOrbit(masks, elems, gens, schreier, []))
 
     add([0], 1, [])
-    for orbit, elems, gens, schreier in found:
+    for orbit, elems, gens, schreier, above in found:
         # n -> (row of n^-1, n), so that table[row[y]][n] = n^-1*y*n
         acting = [(table[inverse[n]], n) for n in dict.fromkeys(schreier) if n not in center]
         reached: set[int] = set()
@@ -724,6 +720,7 @@ def _subgroup_orbits(core: GroupCore) -> list[tuple[list[int], list[int], list[i
             mask = _mask(extended)
             if mask not in known:
                 add(extended, mask, gens + [z])
+            above.append(known[mask])
     return found
 
 
@@ -810,21 +807,30 @@ def subgroup_lattice(group: Group) -> SubgroupLattice:
 
     Classes are sorted by order and then by the sorted elements of their
     representative, the least member of the class in that order.  The orbit
-    of H under conjugation gives |N_G(H)| = |G| / |orbit|, and (K) <= (H)
-    iff the representative of (K) lies in some conjugate of H.
+    of H under conjugation gives |N_G(H)| = |G| / |orbit|.
+
+    Subconjugacy, (K) <= (H) iff K lies in a conjugate of H, is the closure
+    of the extension edges (K) -> (<K, z>) of _subgroup_orbits, which are
+    containments.  Conversely, let K < H, K the member of its class that was
+    extended.  Elements of prime-power order generate H, so one of them, z,
+    lies outside K.  Either K was extended by a generator of <z>, or <z> is
+    generated by w*h with h in K and <w> conjugate under N_G(K) to the <z0>
+    of an extension of K, and <K, z> = <K, w> is conjugate to <K, z0>.  So
+    an edge leads to (<K, z>), of smaller index in H, and induction on the
+    index reaches (H).  Edges raise the order: one pass in lattice order
+    closes them.
     """
     core = group.core
-    found = []
-    for orbit, elems, gens, _ in _subgroup_orbits(core):
-        rep_mask = _least_member(orbit)
-        found.append((len(elems), _bits(rep_mask), rep_mask, orbit, gens))
-    found.sort()
-    classes = []
-    orbits = []
+    entries = _subgroup_orbits(core)
+    reps = [_least_member(entry.orbit) for entry in entries]
+    ranked = sorted(range(len(entries)), key=lambda i: (len(entries[i].elements), _bits(reps[i])))
+    index = {i: idx for idx, i in enumerate(ranked)}  # position in entries -> lattice index
+    classes, orbits, down_sets = [], [], [0] * len(entries)
     order_counts: dict[int, int] = {}
-    for idx, (order, _, rep_mask, orbit, gens) in enumerate(found):
+    for idx, i in enumerate(ranked):
+        orbit, elems, gens, _, above = entries[i]
+        rep_mask, order = reps[i], len(elems)
         orbits.append((rep_mask,) + tuple(m for m in orbit if m != rep_mask))
-        abelian = core.commute(gens)
         seq = order_counts.get(order, 0)
         order_counts[order] = seq + 1
         classes.append(SubgroupClass(
@@ -832,18 +838,14 @@ def subgroup_lattice(group: Group) -> SubgroupLattice:
             class_index=idx,
             order=order,
             weyl_order=group.order // len(orbit) // order,
-            is_abelian=abelian,
+            is_abelian=core.commute(gens),
             label=f"{order}{chr(ord('a') + seq)}",
             generation=(core, rep_mask, len(gens)),
         ))
-    subconjugacy = tuple(
-        tuple(
-            hcls.order % kcls.order == 0 and _count_containing(orbits[h], orbits[k][0]) > 0
-            for h, hcls in enumerate(classes)
-        )
-        for k, kcls in enumerate(classes)
-    )
-    return SubgroupLattice(group, tuple(classes), subconjugacy, tuple(orbits))
+        down_sets[idx] |= 1 << idx
+        for target in above:
+            down_sets[index[target]] |= down_sets[idx]
+    return SubgroupLattice(group, tuple(classes), tuple(down_sets), tuple(orbits))
 
 
 # ---------------------------------------------------------------------------

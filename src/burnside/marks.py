@@ -5,17 +5,17 @@ the basis elements [G/H] and columns by the evaluation classes (K), both in
 lattice order.  The marks homomorphism phi sends a coefficient vector to its
 column of fixed-point counts; solve_ghost inverts it exactly when possible.
 
-The dense matrix is what the table stores and what its invariant checks
-read.  phi and solve_ghost read a column index instead, built once per
-table: for each class (K) the pairs (H, m[H][K]) with m[H][K] != 0, that is
-(K) and the classes above it.  Since subconjugacy is transitive, the
-solution of a ghost vanishes outside the classes below those where the
-ghost is nonzero, and solve_ghost visits only those; the solve for a
-multiple of an indicator follows the down-set of its class.  The table also
-caches, per class, the element |G|*e_K whose ghost is |G| at (K) and 0
-elsewhere, which the tom Dieck check and the Artin certificates read (the
-idempotents e_K of the rational Burnside ring: T. Yoshida, J. Algebra 80
-(1983)).
+The table stores only the nonzero marks, as a column index: for each
+class (K) the pairs (H, m[H][K]) with m[H][K] != 0, that is (K) and the
+classes above it, counted once per such pair from the lattice's down-sets.
+The dense matrix is built from the columns on first read, for the marks
+report and the tests.  Since subconjugacy is transitive, the solution of a
+ghost vanishes outside the classes below those where the ghost is nonzero,
+and solve_ghost visits only those; the solve for a multiple of an
+indicator follows the down-set of its class.  The table also caches, per
+class, the element |G|*e_K whose ghost is |G| at (K) and 0 elsewhere,
+which the tom Dieck check and the Artin certificates read (the idempotents
+e_K of the rational Burnside ring: T. Yoshida, J. Algebra 80 (1983)).
 
 The certificates are also checked at single elements g, where the value of
 [G/H] is |(G/H)^g| = |C_G(g)| * |g^G cap H| / |H|.  That count reads only
@@ -59,7 +59,9 @@ class InternalInvariantViolation(BurnsideError):
 @dataclass(frozen=True)
 class MarksTable:
     lattice: SubgroupLattice
-    matrix: IntMatrix  # m[H][K] = |(G/H)^K|
+    # per class (K), the pairs (H, m[H][K]) of every nonzero mark in its
+    # column, H ascending, where m[H][K] = |(G/H)^K|
+    columns: tuple[tuple[tuple[int, int], ...], ...]
 
     @property
     def size(self) -> int:
@@ -69,24 +71,13 @@ class MarksTable:
         return self.matrix.entries[h][k]
 
     @cached_property
-    def columns(self) -> tuple[tuple[tuple[int, int], ...], ...]:
-        """Per class (K), the pairs (H, m[H][K]) of every nonzero mark in its
-        column, H ascending; built once from the dense matrix."""
-        columns: list[list[tuple[int, int]]] = [[] for _ in range(self.size)]
-        for h, row in enumerate(self.matrix.entries):
-            for k, m in enumerate(row):
-                if m:
-                    columns[k].append((h, m))
-        return tuple(tuple(column) for column in columns)
-
-    @cached_property
-    def down_sets(self) -> tuple[int, ...]:
-        """Per class (H), a bitmask of the classes (K) with m[H][K] != 0."""
-        masks = [0] * self.size
+    def matrix(self) -> IntMatrix:
+        """The dense matrix, m[H][K] in row H and column K, built on first read."""
+        rows = [[0] * self.size for _ in range(self.size)]
         for k, column in enumerate(self.columns):
-            for h, _ in column:
-                masks[h] |= 1 << k
-        return tuple(masks)
+            for h, m in column:
+                rows[h][k] = m
+        return IntMatrix.from_rows(rows)
 
     def scaled_idempotent(self, k: int) -> BurnsideElement:
         """|G|*e_K: the element whose ghost is |G| at (K) and 0 elsewhere,
@@ -169,21 +160,27 @@ class GhostElement:
         return cls((1,) * size)
 
 
+def _count_containing(orbit: tuple[int, ...], mask: int) -> int:
+    return sum(1 for m in orbit if m & mask == mask)
+
+
 def marks_table(lattice: SubgroupLattice) -> MarksTable:
     """m[H][K] = number of cosets gH with g^-1 K g contained in H.
 
     Each conjugate H' of H that contains K equals gHg^-1 for |N_G(H)|
     elements g, which make up |N_G(H):H| cosets gH, so
     m[H][K] = |N_G(H):H| * #{H' ~ H : K <= H'} (Pfeiffer, Exp. Math. 6 (1997)).
+    That count is nonzero exactly when (K) <= (H), so only the classes in
+    the down-set of (H) are counted.
     """
-    rows = [
-        [
-            hcls.weyl_order * lattice.conjugates_containing(h, k) if lattice.leq(k, h) else 0
-            for k in range(len(lattice.classes))
-        ]
-        for h, hcls in enumerate(lattice.classes)
-    ]
-    return MarksTable(lattice, IntMatrix.from_rows(rows))
+    orbits = lattice.orbits
+    columns: list[list[tuple[int, int]]] = [[] for _ in lattice.classes]
+    for h, (hcls, down_set) in enumerate(zip(lattice.classes, lattice.down_sets)):
+        while down_set:
+            k = (down_set & -down_set).bit_length() - 1
+            down_set &= down_set - 1
+            columns[k].append((h, hcls.weyl_order * _count_containing(orbits[h], orbits[k][0])))
+    return MarksTable(lattice, tuple(map(tuple, columns)))
 
 
 def phi(element: BurnsideElement, table: MarksTable) -> GhostElement:
@@ -197,7 +194,8 @@ def solve_ghost(ghost: GhostElement, table: MarksTable) -> BurnsideElement:
 
     Only classes below some class where the ghost is nonzero are visited:
     elsewhere the ghost and every term of the sum vanish, so x does too.  Each
-    visited class sums over the nonzero marks above it in its column.
+    visited class (K) sums over the nonzero marks above it in its column and
+    divides by the first, m[K][K].
 
     Raises NotInImage at the first class (descending from the maximal one)
     where the required quotient is not an integer.
@@ -206,18 +204,18 @@ def solve_ghost(ghost: GhostElement, table: MarksTable) -> BurnsideElement:
     n = table.size
     if len(values) != n:
         raise ValueError("ghost length does not match lattice")
-    down_sets = table.down_sets
+    down_sets = table.lattice.down_sets
     visit = 0
     for k, value in enumerate(values):
         if value:
             visit |= down_sets[k]
     x = [0] * n
-    columns, entries = table.columns, table.matrix.entries
+    columns = table.columns
     while visit:
         k = visit.bit_length() - 1
         visit ^= 1 << k
-        acc = values[k] - sum(x[h] * m for h, m in columns[k] if h > k)
-        pivot = entries[k][k]
+        (_, pivot), *above = columns[k]
+        acc = values[k] - sum(x[h] * m for h, m in above)
         if acc % pivot != 0:
             raise NotInImage(k, table.lattice.classes[k].label, acc % pivot)
         x[k] = acc // pivot

@@ -35,7 +35,6 @@ from .characters import (
     CharacterTable,
     character_table,
     conjugate_function,
-    induce,
     load_character_table,
     restrict,
 )
@@ -252,20 +251,17 @@ def verify_artin_restriction(table: MarksTable, n: int | float,
     certificate = certificate or artin_certificate(table, n)
     family = list(abelian_family(lattice, n).class_indices)
     eq = equalizer_lattice(family, provider, lattice)
-    top_table = provider.class_table(lattice.full_index)
     order = certificate.order_n
-    nirr = top_table.size
+    nirr = eq.restriction.cols
 
     res_matrix = _restriction_matrix(eq)
-    # psi = N^T * basis: row (A, s) of N holds c_A times the coordinates of ind_A chi_s
-    induced = []
-    for idx in eq.family:
-        sub_table = provider.class_table(idx)
-        c = certificate.coefficients.get(idx, 0)
-        for chi in sub_table.rows:
-            induced.append([c * v for v in top_table.coordinates(induce(chi, group, top_table.classes))]
-                           if c else [0] * nirr)
-    psi_matrix = IntMatrix.from_rows(induced).transpose() @ eq.basis
+    # psi = N^T * basis with N = diag(c) * M: by Frobenius reciprocity row
+    # (A, s) of M holds the coordinates of ind_A chi_s, and N scales it by c_A
+    scales = [certificate.coefficients.get(idx, 0) for idx in eq.family
+              for _ in range(provider.class_table(idx).size)]
+    psi_matrix = IntMatrix.from_rows([
+        [c * v for v in row] for c, row in zip(scales, eq.stacked.entries, strict=True)
+    ]).transpose() @ eq.basis
 
     left = psi_matrix @ res_matrix  # on R(G)
     right = res_matrix @ psi_matrix  # on the equalizer
@@ -318,12 +314,14 @@ def verify_brauer_restriction(table: MarksTable, n: int | float = 1,
     group = lattice.group
     provider = provider or TableProvider(group, lattice)
     certificate = brauer_certificate(table, n)
-    checks = certificate.element_checks
+    if not certificate.verified:
+        raise RestrictionError("Brauer certificate failed; restriction check not applicable")
     if n < 1:
         k = BurnsideElement(tuple(certificate.decomposition.get(i, 0) for i in range(table.size)))
-        checks = element_checks(k, table, 1)
-    if not certificate.verified or any(lhs != rhs for _, lhs, rhs in checks):
-        raise RestrictionError("Brauer certificate failed; restriction check not applicable")
+        for g, lhs, rhs in element_checks(k, table, 1):
+            if lhs != rhs:
+                raise RestrictionError(f"sum_H k_H |(G/H)^g| = 1 fails at g = {g}; "
+                                       f"restriction check not applicable at n = {n}")
     family = hyper_family(table, n)
     eq = equalizer_lattice(family, provider, lattice)
     _, d, _ = smith_normal_form(_restriction_matrix(eq))

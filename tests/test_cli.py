@@ -9,6 +9,7 @@ import pytest
 from burnside import groups
 from burnside.cli import main
 from burnside.exact import IntMatrix
+from burnside.marks import MarksTable
 
 from group_fixtures import BENCHMARK_GROUPS
 
@@ -143,10 +144,12 @@ class TestEqualizer:
         payload = json.loads(out)
         assert payload["results"]["elementary_divisors"] == [1, 1, 1]
 
-    # at n = 0 the Brauer certificate fails, and the Artin family is {1}: its
-    # rank-1 equalizer cannot carry R(S3), so psi o res is not 6 * id
+    # at n = 0 the Brauer certificate holds on the family {1}, but its
+    # decomposition is not 1 at the transposition; the Artin family is {1}:
+    # its rank-1 equalizer cannot carry R(S3), so psi o res is not 6 * id
     @pytest.mark.parametrize("mode,message", [
-        ("brauer", "Brauer certificate failed; restriction check not applicable"),
+        pytest.param("brauer", "sum_H k_H |(G/H)^g| = 1 fails at g = (1 2); "
+                     "restriction check not applicable at n = 0", id="brauer"),
         ("artin", "composite mismatch at psi.res"),
     ])
     def test_n0_is_a_failed_check(self, capsys, mode, message):
@@ -326,6 +329,21 @@ class TestExitCodes:
         code, out, err = run(capsys, "equalizer", "--group", sl23, "--mode", "brauer", "--json")
         assert code == 0
         assert json.loads(out)["results"]["elementary_divisors"] == [1] * 7
+
+
+# verify and the equalizer read the nonzero marks only, column by column
+@pytest.mark.parametrize("group", ["S4", "C2^4", "S5"])
+@pytest.mark.parametrize("argv", [["verify"], ["equalizer", "--mode", "artin"], ["equalizer", "--mode", "brauer"]],
+                         ids=["verify", "equalizer-artin", "equalizer-brauer"])
+def test_dense_marks_matrix_is_never_built(capsys, monkeypatch, group, argv):
+    def refuse(table):
+        raise AssertionError("dense marks matrix built")
+
+    monkeypatch.setattr(MarksTable, "matrix", property(refuse))
+    spec = "\n".join(BENCHMARK_GROUPS[group]["generators"])
+    code, out, err = run(capsys, *argv, "--group", spec, "--json")
+    assert code == 0
+    assert json.loads(out)["status"] == "pass"
 
 
 # S4, GL(2,3) and S5 have nonabelian classes, whose generator count only

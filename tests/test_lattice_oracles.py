@@ -1,15 +1,18 @@
 """Subgroup lattices and tables of marks checked against independent oracles:
 published subgroup and class counts, marks counted literally over cosets,
 a reference lattice built by the perm-tuple extension of every subgroup
-by every element, the cyclic extension without normalizer pruning, and
-normalizers found by brute force."""
+by every element, the cyclic extension without normalizer pruning,
+normalizers found by brute force, Gaussian binomials for C2^5, and
+subconjugacy tested pair by pair as containment in a conjugate."""
 
 import time
 
 import pytest
 from hypothesis import given, settings
 
+from burnside import marks
 from burnside.groups import (
+    BUILTIN_GROUPS,
     Group,
     GroupCore,
     _bits,
@@ -22,7 +25,7 @@ from burnside.groups import (
     perm_mul,
     subgroup_lattice,
 )
-from burnside.marks import marks_table
+from burnside.marks import _count_containing, marks_table
 
 from group_fixtures import BENCHMARK_GROUPS, benchmark_group, small_subgroups_of_s6
 
@@ -147,7 +150,7 @@ def unpruned_orbits(core: GroupCore) -> set[frozenset]:
 @pytest.mark.parametrize("name", sorted(PRUNING_GROUPS))
 def test_pruned_extension_finds_the_unpruned_orbits(name):
     core = parse_group("\n".join(PRUNING_GROUPS[name])).core
-    orbits = [frozenset(orbit) for orbit, *_ in _subgroup_orbits(core)]
+    orbits = [frozenset(entry.orbit) for entry in _subgroup_orbits(core)]
     assert len(set(orbits)) == len(orbits)
     assert set(orbits) == unpruned_orbits(core)
 
@@ -181,10 +184,10 @@ def assert_schreier_generators_give_normalizers(group: Group) -> None:
     """The Schreier generators of each class orbit, central ones included,
     generate the normalizer of the orbit's first member."""
     core = group.core
-    for orbit, _, _, schreier in _subgroup_orbits(core):
-        normalizer = _mask(core.closure(schreier))
-        assert normalizer.bit_count() == group.order // len(orbit)
-        assert normalizer == brute_normalizer(core, orbit[0])
+    for entry in _subgroup_orbits(core):
+        normalizer = _mask(core.closure(entry.normalizer))
+        assert normalizer.bit_count() == group.order // len(entry.orbit)
+        assert normalizer == brute_normalizer(core, entry.orbit[0])
 
 
 @pytest.mark.parametrize("name", ["S5", "GL(2,3)", "A5", "C2xS4"])
@@ -204,6 +207,64 @@ def test_class_of_subgroup_returns_first_conjugator(name):
             subgroup = conjugate(x, rep)
             expected = next(g for g in group.elements if conjugate(perm_inv(g), subgroup) == rep)
             assert lattice.class_of_subgroup(subgroup) == (idx, expected)
+
+
+# ---------------------------------------------------------------------------
+# subconjugacy closed from the extension edges, against its definition
+
+
+def gaussian_binomial(n: int, k: int, q: int = 2) -> int:
+    """The number of k-dimensional subspaces of GF(q)^n."""
+    num = den = 1
+    for i in range(k):
+        num *= q ** (n - i) - 1
+        den *= q ** (i + 1) - 1
+    return num // den
+
+
+def test_c2_5_lattice_and_marks_against_gaussian_binomials():
+    group = parse_group("\n".join(PUBLISHED["C2^5"][0]))
+    lattice = subgroup_lattice(group)
+    table = marks_table(lattice)
+    n = len(lattice.classes)
+
+    def subspaces(d: int) -> int:
+        return sum(gaussian_binomial(d, j) for j in range(d + 1))
+
+    assert n == subspaces(5) == 374
+    # each subgroup of order 2^d contains subspaces(d) subgroups, and in an
+    # abelian group each class is one subgroup
+    comparable = [(k, h) for h in range(n) for k in range(n) if lattice.leq(k, h)]
+    assert len(comparable) == sum(gaussian_binomial(5, d) * subspaces(d) for d in range(6))
+    # G/H is a group on which K <= H acts trivially: m[H][K] = |G:H|
+    nonzero = {(k, h): table.mark(h, k) for h in range(n) for k in range(n) if table.mark(h, k)}
+    assert nonzero == {(k, h): 32 // lattice.classes[h].order for k, h in comparable}
+
+
+EDGE_GROUPS = [("builtin", name) for name in BUILTIN_GROUPS] + [("benchmark", name) for name in BENCHMARK_GROUPS]
+
+
+@pytest.mark.parametrize("source,name", EDGE_GROUPS, ids=[f"{s}-{n}" for s, n in EDGE_GROUPS])
+def test_leq_is_containment_in_a_conjugate(source, name):
+    group = builtin_group(name) if source == "builtin" else benchmark_group(name)
+    lattice = subgroup_lattice(group)
+    orbits = lattice.orbits
+    for h in range(len(orbits)):
+        for k in range(len(orbits)):
+            assert lattice.leq(k, h) == (_count_containing(orbits[h], orbits[k][0]) > 0)
+
+
+@pytest.mark.parametrize("name", ["C2^4", "S5", "GL(2,3)"])
+def test_containing_conjugates_are_counted_once_per_nonzero_mark(monkeypatch, name):
+    count, calls = marks._count_containing, []
+
+    def counted(*args):
+        calls.append(None)
+        return count(*args)
+
+    monkeypatch.setattr(marks, "_count_containing", counted)
+    table = marks_table(subgroup_lattice(benchmark_group(name)))
+    assert len(calls) == sum(1 for row in table.matrix.entries for m in row if m)
 
 
 # ---------------------------------------------------------------------------
@@ -260,7 +321,8 @@ def test_lattice_and_marks_match_reference(group):
         (cls.representative, cls.order, cls.weyl_order, cls.label, cls.is_abelian)
         for cls in lattice.classes
     ] == classes
-    assert lattice.subconjugacy == leq
+    n = len(lattice.classes)
+    assert tuple(tuple(lattice.leq(k, h) for h in range(n)) for k in range(n)) == leq
     assert marks_table(lattice).matrix.to_lists() == marks
 
 

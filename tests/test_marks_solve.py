@@ -99,8 +99,10 @@ def test_phi_reads_every_nonzero_of_any_matrix():
     lattice = benchmark_table("S4").lattice
     rng = random.Random(3)
     n = len(lattice.classes)
-    matrix = IntMatrix.from_rows([[rng.choice((0, 0, 1, -2, 5)) for _ in range(n)] for _ in range(n)])
-    table = MarksTable(lattice, matrix)
+    rows = [[rng.choice((0, 0, 1, -2, 5)) for _ in range(n)] for _ in range(n)]
+    columns = tuple(tuple((h, row[k]) for h, row in enumerate(rows) if row[k]) for k in range(n))
+    table = MarksTable(lattice, columns)
+    assert table.matrix == IntMatrix.from_rows(rows)
     for _ in range(5):
         x = BurnsideElement(tuple(rng.randint(-3, 3) for _ in range(n)))
         assert phi(x, table) == dense_phi(x, table)
