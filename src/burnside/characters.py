@@ -589,7 +589,34 @@ def load_character_table(path: str, group: Group) -> CharacterTable:
             values[col] = _parse_cyclotomic_entry(text, conductor)
         rows.append(ClassFunction(group, classes, tuple(values)))
     trivial_first = sorted(rows, key=lambda r: not all(v == 1 for v in r.values))
-    return CharacterTable(group, classes, tuple(trivial_first))
+    table = CharacterTable(group, classes, tuple(trivial_first))
+    _check_power_maps(table, conductor)
+    return table
+
+
+def _check_power_maps(table: CharacterTable, conductor: int) -> None:
+    """Raise CharacterError unless chi(g^a) = sigma_a(chi(g)) for every row
+    chi, class representative g and a prime to m = lcm(conductor, |g|),
+    where sigma_a sends zeta_m to zeta_m^a.  Columns that name the wrong
+    classes can still pass validate_table (swapping two columns of equal
+    class size keeps both orthogonality relations); this catches them from
+    the table alone.  m takes |g| in, since a file may give a rational
+    column of an element whose order does not divide its conductor."""
+    core = table.group.core
+    classes = table.classes
+    for c, rep in enumerate(classes.representatives):
+        x = core.index[rep]
+        m = math.lcm(conductor, core.orders[x])
+        for a in range(2, m):
+            if math.gcd(a, m) != 1:
+                continue
+            target = classes.index_of(core.elements[core.power(x, a)])
+            for i, row in enumerate(table.rows):
+                value = row.values[c]
+                if row.values[target] != value.galois(a % value.conductor):
+                    raise CharacterError(f"row {i} breaks chi(g^{a}) = sigma_{a}(chi(g)) at "
+                                         f"g = {perm_to_cycles(rep)}: the columns do not match "
+                                         "the group's classes")
 
 
 def table_to_text(table: CharacterTable) -> str:

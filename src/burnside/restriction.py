@@ -13,6 +13,15 @@ basis.  The Artin verification checks that restriction and the induced
 section compose to the group order in both directions; the Brauer
 verification checks that restriction is a lattice isomorphism via the Smith
 elementary divisors of H, which is Brauer's induction theorem itself.
+
+Both verifications build the equalizer over the maximal members of their
+family only.  The abelian and the n-hyper families are closed under
+subgroups and conjugation, so a compatible family is fixed by its values on
+the maximal members (x_L = res x_K for L <= K), and M's block for L is
+R * M_K, with R the integer matrix of restriction from K to L: M's row
+lattice, H, the rank and the Smith form are those of the whole family.  So
+tables are read, and with --tables loaded, for the maximal members, the
+support of the Artin certificate and G alone.
 """
 
 from __future__ import annotations
@@ -20,6 +29,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Sequence
 
 from .artin import ArtinCertificate, abelian_family, artin_certificate
 from .brauer import brauer_certificate, in_hyper_family
@@ -147,6 +157,17 @@ class EqualizerLattice:
         return self.basis.rows
 
 
+def maximal_members(family: Sequence[int], lattice: SubgroupLattice) -> list[int]:
+    """The members of family with no other member above them in
+    lattice.down_sets, in family order.  For a family closed under
+    subgroups and conjugation they carry the whole equalizer (see
+    equalizer_lattice), and every element of a member lies in one of them."""
+    below = 0
+    for k in family:
+        below |= lattice.down_sets[k] & ~(1 << k)
+    return [k for k in family if not below >> k & 1]
+
+
 def equalizer_lattice(family: list[int], provider: TableProvider,
                       lattice: SubgroupLattice) -> EqualizerLattice:
     """Integral basis of the equalizer of the two restriction-conjugation maps.
@@ -163,6 +184,13 @@ def equalizer_lattice(family: list[int], provider: TableProvider,
     A * C = 1 and C * y integral forces y integral: E = C * Z^r.  This holds
     for every family, also one that misses G-classes.
 
+    The verifications pass the maximal members of a family closed under
+    subgroups (maximal_members).  For L <= K the block M_L is R * M_K, R the
+    integer matrix of res from K to L, so dropping L changes neither M's row
+    lattice nor H, the rank or the Smith form, and x_L = res x_K recovers
+    the dropped coordinates.  Only the tables of the given members and of G
+    are read.
+
     Three checks keep the result honest: every basis column satisfies the
     class-fusion equalities above, r equals the number of G-classes the
     family's tables meet, and C * H = M is checked where restriction is
@@ -172,24 +200,35 @@ def equalizer_lattice(family: list[int], provider: TableProvider,
         raise EmptyFamily("equalizer over an empty family")
     tables = [provider.class_table(i) for i in family]
     top_table = provider.class_table(lattice.full_index)
-    stacked: list[tuple[int, ...]] = []
-    for table in tables:
-        stacked.extend(zip(*(table.coordinates(restrict(chi, table.group, table.classes))
-                             for chi in top_table.rows)))
+    stacked = [row for table in tables for row in _stacked_block(table, top_table)]
     echelon = row_echelon(stacked, top_table.size)
-    pivots = [next(j for j, v in enumerate(row) if v) for row in echelon]
-    # H's pivot columns, as rows: a lower-triangular matrix with a nonzero diagonal
-    square = IntMatrix.from_rows([[row[p] for row in echelon] for p in pivots])
-    try:
-        coords = solve_triangular_integer(square, [[m[p] for p in pivots] for m in stacked])
-    except NotIntegral as exc:
-        raise RestrictionError(f"non-integral equalizer coordinate: {exc}") from exc
-    eq = EqualizerLattice(tuple(family), IntMatrix.from_rows(stacked),
-                          IntMatrix.from_rows(echelon), IntMatrix.from_rows(coords))
+    eq = EqualizerLattice(tuple(family), IntMatrix.from_rows(stacked), IntMatrix.from_rows(echelon),
+                          IntMatrix.from_rows(_solve_coordinates(echelon, stacked)))
     met = _check_fusion(eq.basis, tables, lattice)
     if met != eq.rank:
         raise RestrictionError(f"equalizer rank {eq.rank}, but the family meets {met} G-classes")
     return eq
+
+
+def _stacked_block(table: CharacterTable, top_table: CharacterTable) -> list[tuple[int, ...]]:
+    """The rows (K, psi) of M for K's table: <res_K chi, psi> over chi in irr(G)."""
+    return list(zip(*(table.coordinates(restrict(chi, table.group, table.classes))
+                      for chi in top_table.rows)))
+
+
+def _solve_coordinates(echelon: list[list[int]], rows: Sequence[Sequence[int]]) -> list[list[int]]:
+    """The integer C with C * H = rows on H's pivot columns, H = echelon.
+
+    H's pivot columns, as rows, form a lower-triangular matrix with a
+    nonzero diagonal; whether C * H = rows in every column is for the
+    caller to check.
+    """
+    pivots = [next(j for j, v in enumerate(row) if v) for row in echelon]
+    square = IntMatrix.from_rows([[row[p] for row in echelon] for p in pivots])
+    try:
+        return solve_triangular_integer(square, [[m[p] for p in pivots] for m in rows])
+    except NotIntegral as exc:
+        raise RestrictionError(f"non-integral equalizer coordinate: {exc}") from exc
 
 
 def _check_fusion(basis: IntMatrix, tables: list[CharacterTable], lattice: SubgroupLattice) -> int:
@@ -249,20 +288,13 @@ def verify_artin_restriction(table: MarksTable, n: int | float,
     group = lattice.group
     provider = provider or TableProvider(group, lattice)
     certificate = certificate or artin_certificate(table, n)
-    family = list(abelian_family(lattice, n).class_indices)
+    family = maximal_members(abelian_family(lattice, n).class_indices, lattice)
     eq = equalizer_lattice(family, provider, lattice)
     order = certificate.order_n
     nirr = eq.restriction.cols
 
     res_matrix = _restriction_matrix(eq)
-    # psi = N^T * basis with N = diag(c) * M: by Frobenius reciprocity row
-    # (A, s) of M holds the coordinates of ind_A chi_s, and N scales it by c_A
-    scales = [certificate.coefficients.get(idx, 0) for idx in eq.family
-              for _ in range(provider.class_table(idx).size)]
-    psi_matrix = IntMatrix.from_rows([
-        [c * v for v in row] for c, row in zip(scales, eq.stacked.entries, strict=True)
-    ]).transpose() @ eq.basis
-
+    psi_matrix = _artin_section(eq, certificate.coefficients, provider)
     left = psi_matrix @ res_matrix  # on R(G)
     right = res_matrix @ psi_matrix  # on the equalizer
     left_expected = IntMatrix.identity(nirr).scale(order)
@@ -277,6 +309,40 @@ def verify_artin_restriction(table: MarksTable, n: int | float,
         witness = "psi.res" if not report.psi_res_ok else "res.psi"
         raise CompositeMismatch(witness)
     return report
+
+
+def _artin_section(eq: EqualizerLattice, coefficients: dict[int, int],
+                   provider: TableProvider) -> IntMatrix:
+    """psi = sum_A c_A ind_A in basis coordinates (#irr x rank), as N^T * C
+    over the rows (A, s) of the certificate's support, with N = diag(c) * M:
+    by Frobenius reciprocity row (A, s) of M holds the coordinates of
+    ind_A chi_s.
+
+    A member of the equalizer's family reads its rows of M and C from eq.
+    The other members of the support have their rows M_A computed and C_A
+    solved against H in one batch, and C_A * H = M_A is checked.
+    """
+    lattice = provider.lattice
+    blocks, offset = {}, 0
+    for idx in eq.family:
+        size = provider.class_table(idx).size
+        blocks[idx] = slice(offset, offset + size)
+        offset += size
+    inside = [a for a in coefficients if a in blocks]
+    outside = [a for a in coefficients if a not in blocks]
+    stacked = [row for a in inside for row in eq.stacked.entries[blocks[a]]]
+    coords = [row for a in inside for row in eq.basis.entries[blocks[a]]]
+    top_table = provider.class_table(lattice.full_index)
+    extra = [row for a in outside for row in _stacked_block(provider.class_table(a), top_table)]
+    if extra:
+        solved = _solve_coordinates(eq.restriction.entries, extra)
+        if IntMatrix.from_rows(solved) @ eq.restriction != IntMatrix.from_rows(extra):
+            raise RestrictionError("restriction to the Artin support is not in the equalizer lattice")
+        stacked += extra
+        coords += solved
+    scales = [coefficients[a] for a in inside + outside for _ in range(provider.class_table(a).size)]
+    scaled = [[c * v for v in row] for c, row in zip(scales, stacked, strict=True)]
+    return IntMatrix.from_rows(scaled).transpose() @ IntMatrix.from_rows(coords)
 
 
 @dataclass(frozen=True)
@@ -322,8 +388,7 @@ def verify_brauer_restriction(table: MarksTable, n: int | float = 1,
             if lhs != rhs:
                 raise RestrictionError(f"sum_H k_H |(G/H)^g| = 1 fails at g = {g}; "
                                        f"restriction check not applicable at n = {n}")
-    family = hyper_family(table, n)
-    eq = equalizer_lattice(family, provider, lattice)
+    eq = equalizer_lattice(maximal_members(hyper_family(table, n), lattice), provider, lattice)
     _, d, _ = smith_normal_form(_restriction_matrix(eq))
     divisors = tuple(
         d.entries[i][i] for i in range(min(d.rows, d.cols)) if d.entries[i][i] != 0

@@ -208,7 +208,8 @@ def test_criterion_11_restriction_on_non_monomial_groups():
 
 
 def test_c2_4_brauer_restriction():
-    # 67 subgroup classes, all of them 1-hyper: the largest equalizer here
+    # 67 subgroup classes, all of them 1-hyper, so the family's one maximal
+    # member is G and the equalizer reads G's table alone
     start = time.monotonic()
     group = parse_group("(0 1)\n(2 3)\n(4 5)\n(6 7)")
     report = verify_brauer_restriction(marks_table(subgroup_lattice(group)), 1)
@@ -220,8 +221,8 @@ def test_c2_4_brauer_restriction():
 
 
 def test_c2_5_brauer_restriction():
-    # 374 subgroup classes, 2,451 family coordinates: the equalizer must be
-    # reduced in the 32 columns of irr(G), not in the family's coordinates
+    # 374 subgroup classes, all of them 1-hyper: the equalizer must be built
+    # over the family's one maximal member, G, not over all 374 classes
     start = time.monotonic()
     group = parse_group("(0 1)\n(2 3)\n(4 5)\n(6 7)\n(8 9)")
     report = verify_brauer_restriction(marks_table(subgroup_lattice(group)), 1)
@@ -230,6 +231,22 @@ def test_c2_5_brauer_restriction():
     elapsed = time.monotonic() - start
     assert elapsed < 10.0
     print(f"ACCEPTANCE C2^5 PASS Brauer restriction, rank 32, unit divisors ({elapsed:.2f}s)")
+
+
+def test_c2_6_brauer_equalizer(capsys):
+    # 2,825 subgroup classes, all of them 1-hyper: the run is the lattice,
+    # the Brauer certificate and an equalizer over G alone
+    from burnside.cli import main
+
+    start = time.monotonic()
+    code = main(["equalizer", "--group", "(0 1)\n(2 3)\n(4 5)\n(6 7)\n(8 9)\n(10 11)",
+                 "--mode", "brauer", "--json"])
+    elapsed = time.monotonic() - start
+    payload = json.loads(capsys.readouterr().out)
+    assert code == 0 and payload["status"] == "pass"
+    assert payload["results"] == {"elementary_divisors": [1] * 64, "rank": 64}
+    assert elapsed < 5.0
+    print(f"ACCEPTANCE C2^6 PASS Brauer equalizer, rank 64, unit divisors ({elapsed:.2f}s)")
 
 
 def test_c2_5_verify(capsys):

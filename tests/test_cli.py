@@ -178,11 +178,11 @@ class TestEqualizer:
         assert code == 2
 
     @staticmethod
-    def edited_c6_tables(tmp_path, name, edit):
-        """A copy of the shipped C6 tables, with edit applied to the text of <name>."""
-        directory = tmp_path / "C6"
+    def edited_tables(tmp_path, group, name, edit):
+        """A copy of the shipped tables of group, with edit applied to the text of <name>."""
+        directory = tmp_path / group
         directory.mkdir()
-        for path in (DATA_DIR / "tables" / "C6").glob("*.tbl"):
+        for path in (DATA_DIR / "tables" / group).glob("*.tbl"):
             text = path.read_text()
             if path.name == name:
                 edited = edit(text)
@@ -200,15 +200,16 @@ class TestEqualizer:
             lines[a], lines[b] = lines[b], lines[a]
             return "".join(lines)
 
-        tables = self.edited_c6_tables(tmp_path, "6a.tbl", swap_classes)
+        tables = self.edited_tables(tmp_path, "C6", "6a.tbl", swap_classes)
         code, out, err = run(capsys, "equalizer", "--group", "C6", "--mode", mode,
                              "--tables", str(tables), "--json")
         assert code == 2
         assert json.loads(err)["error"]["type"] == "CharacterError"
 
     def test_irrational_degree_is_an_input_error(self, capsys, tmp_path):
-        tables = self.edited_c6_tables(tmp_path, "2a.tbl", lambda text: text.replace("row: 1 -1", "row: z -1"))
-        code, out, err = run(capsys, "equalizer", "--group", "C6", "--mode", "artin",
+        # C2 is a maximal member of S3's cyclic family, so its table is read
+        tables = self.edited_tables(tmp_path, "S3", "2a.tbl", lambda text: text.replace("row: 1 -1", "row: z -1"))
+        code, out, err = run(capsys, "equalizer", "--group", "S3", "--mode", "artin",
                              "--tables", str(tables), "--json")
         assert code == 2
         assert json.loads(err)["error"]["type"] == "DegreeSumMismatch"

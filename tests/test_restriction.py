@@ -3,16 +3,18 @@
 import functools
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from burnside import restriction
+from burnside import cli, restriction
 from burnside.artin import abelian_family, artin_certificate
 from burnside.exact import Cyclotomic, IntMatrix, smith_normal_form
 from burnside.groups import (
     BUILTIN_GROUPS,
     builtin_group,
+    conjugacy_classes,
     parse_group,
     subgroup_lattice,
 )
@@ -25,6 +27,7 @@ from burnside.restriction import (
     TableProvider,
     equalizer_lattice,
     hyper_family,
+    maximal_members,
     verify_artin_restriction,
     verify_brauer_restriction,
 )
@@ -105,6 +108,7 @@ LADDER_GENERATORS = {
     "C2^3": "(0 1)\n(2 3)\n(4 5)",
     "C2xS4": "(0 1)\n(0 1 2 3)\n(4 5)",
     "C2^4": "(0 1)\n(2 3)\n(4 5)\n(6 7)",
+    "C2^5": "(0 1)\n(2 3)\n(4 5)\n(6 7)\n(8 9)",
 }
 
 
@@ -273,6 +277,15 @@ class TestEqualizerChecks:
         with pytest.raises(RestrictionError, match="non-integral equalizer coordinate"):
             equalizer_lattice(*self.s3_cyclic(s3_setup))
 
+    def test_section_row_off_the_lattice(self, s3_setup):
+        # over the trivial class alone H is the degree row (1, 1, 2); the rows
+        # of C2 solve on its pivot column but miss the other two columns
+        group, lattice, table, provider = s3_setup
+        eq = equalizer_lattice([0], provider, lattice)
+        c2 = next(i for i in range(len(lattice)) if lattice.label_of(i) == "2a")
+        with pytest.raises(RestrictionError, match="restriction to the Artin support is not in the equalizer"):
+            restriction._artin_section(eq, {c2: 1}, provider)
+
 
 @functools.cache
 def benchmark_marks(name):
@@ -294,32 +307,199 @@ class TestBenchmarkGroupOracles:
         assert (artin.order, artin.rank) == (artin_certificate(table, n).order_n, classes)
 
 
+def production_families(lattice):
+    """The abelian families at n = 0, 1, 2, inf and the n-hyper families at
+    n = 1, 2, inf."""
+    table = marks_table(lattice)
+    families = [list(abelian_family(lattice, n).class_indices) for n in (0, 1, 2, math.inf)]
+    return families + [hyper_family(table, n) for n in (1, 2, math.inf)]
+
+
 def assert_families_closed_under_subconjugacy(lattice):
     """Every class below a member of a production family is a member too:
     the abelian and the n-hyper families are closed under subgroups."""
-    table = marks_table(lattice)
-    families = [abelian_family(lattice, n).class_indices for n in (0, 1, 2, math.inf)]
-    families += [hyper_family(table, n) for n in (1, 2, math.inf)]
-    for family in families:
+    for family in production_families(lattice):
         members = set(family)
         for h in members:
             assert all(k in members for k in range(len(lattice)) if lattice.leq(k, h))
 
 
+def g_classes_met(lattice, family):
+    """The G-classes of the elements of the family's class representatives."""
+    classes = conjugacy_classes(lattice.group)
+    return {classes.index_of(g) for i in family for g in lattice.classes[i].element_set}
+
+
+def assert_maximal_members_cover(lattice):
+    """The maximal members of each production family form an antichain that
+    lies above every member, and meet the same G-classes as the family."""
+    for family in production_families(lattice):
+        top = maximal_members(family, lattice)
+        assert set(top) <= set(family)
+        assert not any(lattice.leq(k, h) for h in top for k in top if k != h)
+        assert all(any(lattice.leq(k, h) for h in top) for k in family)
+        assert g_classes_met(lattice, top) == g_classes_met(lattice, family)
+
+
 class TestFamiliesClosedUnderSubconjugacy:
     @pytest.mark.parametrize("name", sorted(BUILTIN_GROUPS))
     def test_builtin(self, name):
-        assert_families_closed_under_subconjugacy(subgroup_lattice(builtin_group(name)))
+        lattice = subgroup_lattice(builtin_group(name))
+        assert_families_closed_under_subconjugacy(lattice)
+        assert_maximal_members_cover(lattice)
 
     @pytest.mark.parametrize("name", sorted(BENCHMARK_GROUPS))
     def test_benchmark_group(self, name):
-        group = benchmark_group(name)
-        assert_families_closed_under_subconjugacy(subgroup_lattice(group))
+        lattice = subgroup_lattice(benchmark_group(name))
+        assert_families_closed_under_subconjugacy(lattice)
+        assert_maximal_members_cover(lattice)
 
     @settings(max_examples=15, deadline=None)
     @given(small_subgroups_of_s6())
     def test_small_subgroups_of_s6(self, group):
-        assert_families_closed_under_subconjugacy(subgroup_lattice(group))
+        lattice = subgroup_lattice(group)
+        assert_families_closed_under_subconjugacy(lattice)
+        assert_maximal_members_cover(lattice)
+
+
+class TestMaximalMembers:
+    @pytest.mark.parametrize("name,mode,n,full,top", [
+        ("C2^4", "brauer", 1, 67, 1),
+        ("C2^5", "brauer", 1, 374, 1),
+        ("D8", "brauer", 1, 11, 1),
+        ("S4", "brauer", 1, 9, 2),
+        ("C2^5", "artin", 2, 187, 155),
+        ("C2^5", "artin", math.inf, 374, 1),
+    ])
+    def test_family_sizes(self, name, mode, n, full, top):
+        lattice = subgroup_lattice(ladder_group(name))
+        family = production_family(lattice, mode, n)
+        assert (len(family), len(maximal_members(family, lattice))) == (full, top)
+
+    def test_s4_brauer_keeps_s3_and_d4(self):
+        # O^2(S3) = C3 and O^2(D4) = 1 are cyclic; neither A4 nor S4 is
+        # 1-hyper, as O^2 is A4 and O^3 is V4 or S4
+        lattice = subgroup_lattice(builtin_group("S4"))
+        top = maximal_members(production_family(lattice, "brauer"), lattice)
+        assert sorted(lattice.classes[i].order for i in top) == [6, 8]
+
+    def test_any_family(self, s3_setup):
+        # any family, in its own order: 1a lies below the incomparable 2a
+        # and 3a, and below 6a, which is S3 itself
+        group, lattice, table, provider = s3_setup
+        c = {lattice.label_of(i): i for i in range(len(lattice))}
+        assert maximal_members([c["3a"], c["1a"], c["2a"]], lattice) == [c["3a"], c["2a"]]
+        assert maximal_members([c["1a"], c["6a"]], lattice) == [c["6a"]]
+        assert maximal_members([c["1a"]], lattice) == [c["1a"]]
+        assert maximal_members([], lattice) == []
+
+
+@functools.cache
+def lattice_provider(name):
+    """The marks table of a builtin or benchmark group and one table
+    provider for it, shared by the oracle tests."""
+    group = builtin_group(name) if name in BUILTIN_GROUPS else benchmark_group(name)
+    table = marks_table(subgroup_lattice(group))
+    return table, TableProvider(group, table.lattice)
+
+
+def assert_maximal_equalizer_matches_full(table, provider, n):
+    """The equalizer over the maximal members has the restriction lattice,
+    rank and Smith form of the equalizer over the whole family, and the Artin
+    section over the whole family composes with restriction to |G|_n."""
+    lattice = table.lattice
+    for mode in ("artin", "brauer"):
+        family = list(abelian_family(lattice, n).class_indices) if mode == "artin" \
+            else hyper_family(table, n)
+        full = equalizer_lattice(family, provider, lattice)
+        top = equalizer_lattice(maximal_members(family, lattice), provider, lattice)
+        assert top.rank == full.rank
+        divisors = rank_and_divisors(full.restriction)
+        assert rank_and_divisors(top.restriction) == divisors
+        # both row lattices lie in their sum with the same Smith form, so all three are equal
+        both = IntMatrix.from_rows(full.restriction.entries + top.restriction.entries)
+        assert rank_and_divisors(both) == divisors
+    certificate = artin_certificate(table, n)
+    eq = equalizer_lattice(list(abelian_family(lattice, n).class_indices), provider, lattice)
+    psi = restriction._artin_section(eq, certificate.coefficients, provider)
+    order = certificate.order_n
+    assert psi @ eq.restriction == IntMatrix.identity(eq.restriction.cols).scale(order)
+    assert eq.restriction @ psi == IntMatrix.identity(eq.rank).scale(order)
+    report = verify_artin_restriction(table, n, provider, certificate)
+    assert (report.order, report.rank, report.verified) == (order, eq.rank, True)
+
+
+class TestFullFamilyOracle:
+    """The whole family's equalizer, built by the same equalizer_lattice, is
+    the oracle for the one over the maximal members."""
+
+    @pytest.mark.parametrize("name", sorted(BUILTIN_GROUPS))
+    @pytest.mark.parametrize("n", [1, 2, math.inf])
+    def test_builtin(self, name, n):
+        assert_maximal_equalizer_matches_full(*lattice_provider(name), n)
+
+    @pytest.mark.parametrize("name", sorted(BENCHMARK_GROUPS))
+    @pytest.mark.parametrize("n", [1, 2, math.inf])
+    def test_benchmark_group(self, name, n):
+        assert_maximal_equalizer_matches_full(*lattice_provider(name), n)
+
+    @settings(max_examples=15, deadline=None)
+    @given(small_subgroups_of_s6(), st.sampled_from([1, 2, math.inf]))
+    def test_small_subgroups_of_s6(self, group, n):
+        table = marks_table(subgroup_lattice(group))
+        assert_maximal_equalizer_matches_full(table, TableProvider(group, table.lattice), n)
+
+
+class CountingTables(TableProvider):
+    """Records the class of every table it builds."""
+
+    def __init__(self, group, lattice):
+        super().__init__(group, lattice)
+        self.built = []
+
+    def _build(self, class_index):
+        self.built.append(class_index)
+        return super()._build(class_index)
+
+
+class CountingDirectoryTables(DirectoryTables):
+    """Records the class of every table file it loads, on the class, since
+    the CLI makes the instance."""
+
+    loaded: list = []
+
+    def _build(self, class_index):
+        CountingDirectoryTables.loaded.append(class_index)
+        return super()._build(class_index)
+
+
+class TestTablesRead:
+    """The equalizer reads the tables of the family's maximal members, the
+    Artin support and G, and no others."""
+
+    @pytest.mark.parametrize("name", ["C2^4", "C2^5"])
+    def test_elementary_abelian_brauer_reads_one_table(self, name):
+        lattice = subgroup_lattice(ladder_group(name))
+        provider = CountingTables(lattice.group, lattice)
+        report = verify_brauer_restriction(marks_table(lattice), 1, provider)
+        assert report.verified
+        assert provider.built == [lattice.full_index]
+
+    @pytest.mark.parametrize("name", ["S3", "D4", "Q8", "A4", "S4"])
+    @pytest.mark.parametrize("mode", ["artin", "brauer"])
+    def test_loaded_tables(self, capsys, monkeypatch, name, mode):
+        monkeypatch.setattr(cli, "DirectoryTables", CountingDirectoryTables)
+        monkeypatch.setattr(CountingDirectoryTables, "loaded", [])
+        tables = Path(cli.__file__).parent / "data" / "tables"
+        code = cli.main(["equalizer", "--group", name, "--mode", mode, "--tables", str(tables), "--json"])
+        capsys.readouterr()
+        assert code == 0
+        lattice = subgroup_lattice(builtin_group(name))
+        table = marks_table(lattice)
+        expected = {*maximal_members(production_family(lattice, mode), lattice), lattice.full_index}
+        if mode == "artin":
+            expected |= set(artin_certificate(table, 1).coefficients)
+        assert sorted(CountingDirectoryTables.loaded) == sorted(expected)
 
 
 class TestHyperFamily:
