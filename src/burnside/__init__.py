@@ -20,9 +20,7 @@ from .marks import (
     BurnsideElement,
     GhostElement,
     MarksTable,
-    indicator,
     marks_table,
-    multiply,
     phi,
     solve_ghost,
 )

@@ -8,6 +8,7 @@ subgroups on at most n generators, verified pointwise on group elements.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -46,8 +47,7 @@ class AbelianClassFamily:
 class ArtinCertificate:
     n: int | float
     order_n: int
-    alpha: BurnsideElement
-    coefficients: dict[int, int]  # class index -> c_A, support only
+    alpha: BurnsideElement  # sum_A c_A [G/A]
     element_checks: tuple[tuple[str, int, int], ...]  # (element class label, lhs, rhs)
     ghost_checks: tuple[tuple[str, int, int], ...]  # (subgroup class label, value, expected)
     in_ideal: bool  # order_n * [pt] - alpha lies in J_n
@@ -73,8 +73,7 @@ def abelian_family(lattice: SubgroupLattice, n: int | float) -> AbelianClassFami
 
 def in_ideal_jn(element: BurnsideElement, family: AbelianClassFamily, table: MarksTable) -> bool:
     """True iff phi(element) vanishes on every class of the family."""
-    ghost = phi(element, table)
-    return all(ghost.values[i] == 0 for i in family.class_indices)
+    return phi(element, table).values.keys().isdisjoint(family.members)
 
 
 def idempotent_multiple(k: int, family: AbelianClassFamily, table: MarksTable) -> BurnsideElement:
@@ -90,9 +89,9 @@ def idempotent_multiple(k: int, family: AbelianClassFamily, table: MarksTable) -
         scaled = table.scaled_idempotent(k)
     except NotInImage as exc:  # pragma: no cover - contradicts tom Dieck's theorem
         raise InternalInvariantViolation(str(exc)) from exc
-    coefficients = [0] * table.size
-    for idx in scaled.support():
-        q, r = divmod(scaled.coefficients[idx] * family.order, group_order)
+    coefficients = {}
+    for idx, c in scaled.coefficients.items():
+        q, r = divmod(c * family.order, group_order)
         if r:
             raise InternalInvariantViolation(
                 f"{family.order} * e_{lattice.label_of(k)} not integral at class {lattice.label_of(idx)}"
@@ -102,7 +101,7 @@ def idempotent_multiple(k: int, family: AbelianClassFamily, table: MarksTable) -
                 f"support class {lattice.label_of(idx)} outside the family below {lattice.label_of(k)}"
             )
         coefficients[idx] = q
-    return BurnsideElement(tuple(coefficients))
+    return BurnsideElement(coefficients)
 
 
 def artin_certificate(table: MarksTable, n: int | float) -> ArtinCertificate:
@@ -115,13 +114,14 @@ def artin_certificate(table: MarksTable, n: int | float) -> ArtinCertificate:
     lattice = table.lattice
     family = abelian_family(lattice, n)
     order = family.order
-    alpha = BurnsideElement.zero(table.size)
+    total = Counter()
     for k in family.class_indices:
-        alpha = alpha + idempotent_multiple(k, family, table)
+        total.update(idempotent_multiple(k, family, table).coefficients)
+    alpha = BurnsideElement(total)
 
-    ghost = phi(alpha, table)
+    ghost = phi(alpha, table).values
     ghost_checks = tuple(
-        (cls.label, ghost.values[idx], order if idx in family.members else 0)
+        (cls.label, ghost.get(idx, 0), order if idx in family.members else 0)
         for idx, cls in enumerate(lattice.classes)
     )
     leftover = unit(table).scale(order) - alpha
@@ -129,7 +129,6 @@ def artin_certificate(table: MarksTable, n: int | float) -> ArtinCertificate:
         n=n,
         order_n=order,
         alpha=alpha,
-        coefficients={i: alpha.coefficients[i] for i in alpha.support()},
         element_checks=element_checks(alpha, table, order) if n >= 1 else (),
         ghost_checks=ghost_checks,
         in_ideal=in_ideal_jn(leftover, family, table),
@@ -144,7 +143,7 @@ def certificate_payload(cert: ArtinCertificate, table: MarksTable) -> dict:
         "n": "inf" if cert.n == math.inf else cert.n,
         "order_n": cert.order_n,
         "coefficients": [
-            {"class": lattice.label_of(i), "c": c} for i, c in sorted(cert.coefficients.items())
+            {"class": lattice.label_of(i), "c": c} for i, c in sorted(cert.alpha.coefficients.items())
         ],
         "checks": [
             {"element_class": label, "lhs": lhs, "rhs": rhs}

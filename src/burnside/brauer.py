@@ -51,7 +51,7 @@ class BrauerCertificate:
     order_n: int
     bezout: dict[int, int]  # prime -> z_p
     i_n_ghost: GhostElement
-    decomposition: dict[int, int]  # class index -> k_H, support only
+    decomposition: BurnsideElement  # sum_H k_H [G/H]
     element_checks: tuple[tuple[str, int, int], ...]
     family_values: tuple[tuple[str, int], ...]  # i_n_ghost restricted to the abelian family
     support_hyper: bool
@@ -86,7 +86,7 @@ def local_idempotent(h: int, p: int, table: MarksTable, n: int | float = 1) -> L
     cores = lattice.p_core_classes(p)
     if cores[h] != h:
         raise NotPPerfect(f"class {lattice.label_of(h)} is not {p}-perfect")
-    ghost = GhostElement(tuple(1 if core == h else 0 for core in cores))
+    ghost = GhostElement({k: 1 for k, core in enumerate(cores) if core == h})
     scale = coprime_part(abelian_family(lattice, n).order, p)
     try:
         scaled = solve_ghost(ghost.scale(scale), table)
@@ -102,7 +102,7 @@ def i_pn(p: int, family: AbelianClassFamily, table: MarksTable) -> GhostElement:
     lattice = table.lattice
     scale = coprime_part(family.order, p)
     selected = {a for a in family.class_indices if lattice.classes[a].order % p != 0}
-    return GhostElement(tuple(scale if core in selected else 0 for core in lattice.p_core_classes(p)))
+    return GhostElement({k: scale for k, core in enumerate(lattice.p_core_classes(p)) if core in selected})
 
 
 def brauer_certificate(table: MarksTable, n: int | float = 1) -> BrauerCertificate:
@@ -119,32 +119,29 @@ def brauer_certificate(table: MarksTable, n: int | float = 1) -> BrauerCertifica
     primes = prime_factors(order)
 
     if not primes:
-        i_n = GhostElement.ones(table.size)
+        i_n = GhostElement(dict.fromkeys(range(table.size), 1))
         bezout: dict[int, int] = {}
     else:
         parts = [coprime_part(order, p) for p in primes]
         zs = extended_euclid_set(parts)
         bezout = dict(zip(primes, zs))
-        i_n = GhostElement.zero(table.size)
-        for p, z in bezout.items():
-            i_n = i_n + i_pn(p, family, table).scale(z)
+        i_n = sum((i_pn(p, family, table).scale(z) for p, z in bezout.items()), GhostElement({}))
 
     try:
         decomposition = solve_ghost(i_n, table)
     except NotInImage as exc:  # pragma: no cover - contradicts the decomposition lemma
         raise InternalInvariantViolation(str(exc)) from exc
 
-    support = decomposition.support()
-    support_hyper = all(in_hyper_family(lattice, h, family) for h in support)
+    support_hyper = all(in_hyper_family(lattice, h, family) for h in decomposition.coefficients)
     family_values = tuple(
-        (lattice.label_of(i), i_n.values[i]) for i in family.class_indices
+        (lattice.label_of(i), i_n.values.get(i, 0)) for i in family.class_indices
     )
     return BrauerCertificate(
         n=n,
         order_n=order,
         bezout=bezout,
         i_n_ghost=i_n,
-        decomposition={i: decomposition.coefficients[i] for i in support},
+        decomposition=decomposition,
         element_checks=element_checks(decomposition, table, 1) if n >= 1 else (),
         family_values=family_values,
         support_hyper=support_hyper,
@@ -167,9 +164,9 @@ def certificate_payload(cert: BrauerCertificate, table: MarksTable) -> dict:
         "order_n": cert.order_n,
         "bezout": [{"p": p, "z_p": z} for p, z in sorted(cert.bezout.items())],
         "idempotents": idempotents,
-        "i_n_ghost": list(cert.i_n_ghost.values),
+        "i_n_ghost": [cert.i_n_ghost.values.get(i, 0) for i in range(len(lattice))],
         "decomposition": [
-            {"class": lattice.label_of(i), "k": k} for i, k in sorted(cert.decomposition.items())
+            {"class": lattice.label_of(i), "k": k} for i, k in sorted(cert.decomposition.coefficients.items())
         ],
         "checks": [
             {"element_class": label, "lhs": lhs, "rhs": rhs}

@@ -2,18 +2,25 @@
 
 The marks matrix m[H][K] counts fixed points |(G/H)^K|; rows are indexed by
 the basis elements [G/H] and columns by the evaluation classes (K), both in
-lattice order.  The marks homomorphism phi sends a coefficient vector to its
-column of fixed-point counts; solve_ghost inverts it exactly when possible.
+lattice order.  The marks homomorphism phi sends an element of the Burnside
+ring to its ghost, the function of fixed-point counts on subgroup classes;
+solve_ghost inverts it exactly when possible.
+
+Both kinds of element are sparse: a BurnsideElement holds its coefficients
+and a GhostElement its values as one {class index: value} map with no zero
+entries, dropped by the constructor.  Each element the certificates build
+is a sum of idempotents e_K, each supported on the classes below (K), so
+the maps stay far smaller than the lattice; only the JSON reports list
+values in lattice order.
 
 The table stores only the nonzero marks, as a column index: for each
 class (K) the pairs (H, m[H][K]) with m[H][K] != 0, that is (K) and the
 classes above it, counted once per such pair from the lattice's down-sets.
 The dense matrix is built from the columns on first read, for the marks
 report and the tests.  Since subconjugacy is transitive, the solution of a
-ghost vanishes outside the classes below those where the ghost is nonzero,
-and solve_ghost visits only those; the solve for a multiple of an
-indicator follows the down-set of its class.  The table also caches, per
-class, the element |G|*e_K whose ghost is |G| at (K) and 0 elsewhere,
+ghost vanishes outside the classes below its keys, and solve_ghost visits
+only those; the solve for {K: v} follows the down-set of (K).  The table
+also caches, per class, the element |G|*e_K whose ghost is {K: |G|},
 which the tom Dieck check and the Artin certificates read (the idempotents
 e_K of the rational Burnside ring: T. Yoshida, J. Algebra 80 (1983)).
 
@@ -84,7 +91,7 @@ class MarksTable:
         solved once per class and table.  Raises NotInImage if the table
         contradicts tom Dieck's integrality theorem."""
         if k not in self._scaled_idempotents:
-            target = indicator(k, self).scale(self.lattice.group.order)
+            target = GhostElement({k: self.lattice.group.order})
             self._scaled_idempotents[k] = solve_ghost(target, self)
         return self._scaled_idempotents[k]
 
@@ -106,58 +113,46 @@ class MarksTable:
         return json.dumps(payload, sort_keys=True)
 
 
+def _combine(a: dict[int, int], b: dict[int, int], sign: int) -> dict[int, int]:
+    """a + sign * b, key by key; the constructors drop the zeros."""
+    out = dict(a)
+    for k, v in b.items():
+        out[k] = out.get(k, 0) + sign * v
+    return out
+
+
 @dataclass(frozen=True)
 class BurnsideElement:
-    """Integer coefficients on the transitive basis [G/H], in lattice order."""
+    """Integer coefficients on the transitive basis [G/H], as {class index:
+    coefficient} with no zero entries."""
 
-    coefficients: tuple[int, ...]
+    coefficients: dict[int, int]
 
-    def __add__(self, other: "BurnsideElement") -> "BurnsideElement":
-        return BurnsideElement(tuple(a + b for a, b in zip(self.coefficients, other.coefficients, strict=True)))
+    def __post_init__(self):
+        object.__setattr__(self, "coefficients", {h: c for h, c in self.coefficients.items() if c})
 
     def __sub__(self, other: "BurnsideElement") -> "BurnsideElement":
-        return BurnsideElement(tuple(a - b for a, b in zip(self.coefficients, other.coefficients, strict=True)))
+        return BurnsideElement(_combine(self.coefficients, other.coefficients, -1))
 
     def scale(self, k: int) -> "BurnsideElement":
-        return BurnsideElement(tuple(k * a for a in self.coefficients))
-
-    def support(self) -> list[int]:
-        return [i for i, c in enumerate(self.coefficients) if c != 0]
-
-    @classmethod
-    def basis(cls, index: int, size: int) -> "BurnsideElement":
-        return cls(tuple(1 if i == index else 0 for i in range(size)))
-
-    @classmethod
-    def zero(cls, size: int) -> "BurnsideElement":
-        return cls((0,) * size)
+        return BurnsideElement({h: k * c for h, c in self.coefficients.items()})
 
 
 @dataclass(frozen=True)
 class GhostElement:
-    """An integer-valued function on subgroup classes, in lattice order."""
+    """An integer-valued function on subgroup classes, as {class index:
+    value} with no zero entries."""
 
-    values: tuple[int, ...]
+    values: dict[int, int]
+
+    def __post_init__(self):
+        object.__setattr__(self, "values", {k: v for k, v in self.values.items() if v})
 
     def __add__(self, other: "GhostElement") -> "GhostElement":
-        return GhostElement(tuple(a + b for a, b in zip(self.values, other.values, strict=True)))
-
-    def __sub__(self, other: "GhostElement") -> "GhostElement":
-        return GhostElement(tuple(a - b for a, b in zip(self.values, other.values, strict=True)))
+        return GhostElement(_combine(self.values, other.values, 1))
 
     def scale(self, k: int) -> "GhostElement":
-        return GhostElement(tuple(k * a for a in self.values))
-
-    def pointwise(self, other: "GhostElement") -> "GhostElement":
-        return GhostElement(tuple(a * b for a, b in zip(self.values, other.values, strict=True)))
-
-    @classmethod
-    def zero(cls, size: int) -> "GhostElement":
-        return cls((0,) * size)
-
-    @classmethod
-    def ones(cls, size: int) -> "GhostElement":
-        return cls((1,) * size)
+        return GhostElement({h: k * v for h, v in self.values.items()})
 
 
 def _count_containing(orbit: tuple[int, ...], mask: int) -> int:
@@ -186,61 +181,46 @@ def marks_table(lattice: SubgroupLattice) -> MarksTable:
 def phi(element: BurnsideElement, table: MarksTable) -> GhostElement:
     """Marks homomorphism: value at (K) is sum_H x_H * m[H][K]."""
     x = element.coefficients
-    return GhostElement(tuple(sum(x[h] * m for h, m in column) for column in table.columns))
+    return GhostElement({
+        k: sum(x[h] * m for h, m in column if h in x) for k, column in enumerate(table.columns)
+    })
 
 
 def solve_ghost(ghost: GhostElement, table: MarksTable) -> BurnsideElement:
     """The unique x with phi(x) = ghost, solved by descending back-substitution.
 
-    Only classes below some class where the ghost is nonzero are visited:
-    elsewhere the ghost and every term of the sum vanish, so x does too.  Each
-    visited class (K) sums over the nonzero marks above it in its column and
-    divides by the first, m[K][K].
+    Only classes below some key of the ghost are visited: elsewhere the
+    ghost and every term of the sum vanish, so x does too.  Each visited
+    class (K) sums over the nonzero marks above it in its column and divides
+    by the first, m[K][K].
 
-    Raises NotInImage at the first class (descending from the maximal one)
-    where the required quotient is not an integer.
+    Raises UnknownClass for a key outside the lattice, and NotInImage at the
+    first class (descending from the maximal one) where the required
+    quotient is not an integer.
     """
     values = ghost.values
-    n = table.size
-    if len(values) != n:
-        raise ValueError("ghost length does not match lattice")
     down_sets = table.lattice.down_sets
     visit = 0
-    for k, value in enumerate(values):
-        if value:
-            visit |= down_sets[k]
-    x = [0] * n
+    for k in values:
+        if not 0 <= k < table.size:
+            raise UnknownClass(f"no subgroup class with index {k}")
+        visit |= down_sets[k]
+    x: dict[int, int] = {}
     columns = table.columns
     while visit:
         k = visit.bit_length() - 1
         visit ^= 1 << k
         (_, pivot), *above = columns[k]
-        acc = values[k] - sum(x[h] * m for h, m in above)
-        if acc % pivot != 0:
-            raise NotInImage(k, table.lattice.classes[k].label, acc % pivot)
-        x[k] = acc // pivot
-    return BurnsideElement(tuple(x))
-
-
-def multiply(a: BurnsideElement, b: BurnsideElement, table: MarksTable) -> BurnsideElement:
-    """Ring product, computed through the pointwise ghost product."""
-    product = phi(a, table).pointwise(phi(b, table))
-    try:
-        return solve_ghost(product, table)
-    except NotInImage as exc:  # pragma: no cover - contradicts ring closure
-        raise InternalInvariantViolation(f"product left the ring: {exc}") from exc
+        q, r = divmod(values.get(k, 0) - sum(x[h] * m for h, m in above if h in x), pivot)
+        if r:
+            raise NotInImage(k, table.lattice.classes[k].label, r)
+        x[k] = q
+    return BurnsideElement(x)
 
 
 def unit(table: MarksTable) -> BurnsideElement:
     """[G/G], the multiplicative unit."""
-    return BurnsideElement.basis(table.size - 1, table.size)
-
-
-def indicator(class_index: int, table: MarksTable) -> GhostElement:
-    """The ghost function that is 1 at the given class and 0 elsewhere."""
-    if not 0 <= class_index < table.size:
-        raise UnknownClass(f"no subgroup class with index {class_index}")
-    return GhostElement(tuple(1 if i == class_index else 0 for i in range(table.size)))
+    return BurnsideElement({table.size - 1: 1})
 
 
 def fixed_points_of_element(table: MarksTable, h: int, g: Perm) -> int:
@@ -267,8 +247,8 @@ def fixed_points_of_element(table: MarksTable, h: int, g: Perm) -> int:
 def element_checks(element: BurnsideElement, table: MarksTable, expected: int) -> tuple[tuple[str, int, int], ...]:
     """(g, sum_H x_H |(G/H)^g|, expected) for one g per element conjugacy
     class of G, g in cycle notation."""
-    x, support = element.coefficients, element.support()
+    x = element.coefficients
     return tuple(
-        (perm_to_cycles(g), sum(x[h] * fixed_points_of_element(table, h, g) for h in support), expected)
+        (perm_to_cycles(g), sum(c * fixed_points_of_element(table, h, g) for h, c in x.items()), expected)
         for g in table.element_classes.representatives
     )

@@ -55,7 +55,7 @@ from .groups import (
     exponent,
     subgroup_as_group,
 )
-from .marks import BurnsideElement, MarksTable, element_checks
+from .marks import MarksTable, element_checks
 
 
 class RestrictionError(Exception):
@@ -294,7 +294,7 @@ def verify_artin_restriction(table: MarksTable, n: int | float,
     nirr = eq.restriction.cols
 
     res_matrix = _restriction_matrix(eq)
-    psi_matrix = _artin_section(eq, certificate.coefficients, provider)
+    psi_matrix = _artin_section(eq, certificate.alpha.coefficients, provider)
     left = psi_matrix @ res_matrix  # on R(G)
     right = res_matrix @ psi_matrix  # on the equalizer
     left_expected = IntMatrix.identity(nirr).scale(order)
@@ -383,8 +383,7 @@ def verify_brauer_restriction(table: MarksTable, n: int | float = 1,
     if not certificate.verified:
         raise RestrictionError("Brauer certificate failed; restriction check not applicable")
     if n < 1:
-        k = BurnsideElement(tuple(certificate.decomposition.get(i, 0) for i in range(table.size)))
-        for g, lhs, rhs in element_checks(k, table, 1):
+        for g, lhs, rhs in element_checks(certificate.decomposition, table, 1):
             if lhs != rhs:
                 raise RestrictionError(f"sum_H k_H |(G/H)^g| = 1 fails at g = {g}; "
                                        f"restriction check not applicable at n = {n}")

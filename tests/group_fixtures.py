@@ -4,8 +4,11 @@ BENCHMARK_GROUPS holds the groups of the benchmark workloads (read from
 perfbench/data/workloads.json, which is not written here),
 small_subgroups_of_s6 draws random subgroups of S6 of order at most 48, and
 coset_fixed_points counts |(G/H)^g| coset by coset, the reference for
-marks.fixed_points_of_element.  Not a test module: nothing here is
-collected.
+marks.fixed_points_of_element.  dense and sparse convert Burnside-ring and
+ghost elements between their {class: value} maps and lattice-order tuples,
+so assertions can keep tuple literals; pointwise and multiply are the ghost
+and Burnside-ring products, the ring-axiom oracles.  Not a test module:
+nothing here is collected.
 """
 
 import json
@@ -14,7 +17,7 @@ from pathlib import Path
 from hypothesis import strategies as st
 
 from burnside.groups import Group, group_from_generators, parse_cycles, parse_group, perm_inv, perm_mul
-from burnside.marks import MarksTable
+from burnside.marks import BurnsideElement, GhostElement, MarksTable, phi, solve_ghost
 
 WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "data" / "workloads.json"
 # name -> {"generators": [...], "conjugacy_classes": k, ...}
@@ -54,3 +57,24 @@ def coset_fixed_points(table: MarksTable, h: int, g) -> int:
     x = core.index[g]
     hmask = lattice.orbits[h][0]
     return sum(hmask >> mul[mul[inverse[r]][x]][r] & 1 for r in core.left_coset_representatives(hmask))
+
+
+def dense(x: BurnsideElement | GhostElement, n: int) -> tuple[int, ...]:
+    """The coefficients or values of x in lattice order, for n classes."""
+    values = x.coefficients if isinstance(x, BurnsideElement) else x.values
+    return tuple(values.get(i, 0) for i in range(n))
+
+
+def sparse(values) -> dict[int, int]:
+    """{class index: value} of a lattice-order sequence, zeros dropped."""
+    return {i: v for i, v in enumerate(values) if v}
+
+
+def pointwise(a: GhostElement, b: GhostElement) -> GhostElement:
+    """The product of two ghosts, class by class."""
+    return GhostElement({k: v * b.values[k] for k, v in a.values.items() if k in b.values})
+
+
+def multiply(a: BurnsideElement, b: BurnsideElement, table: MarksTable) -> BurnsideElement:
+    """The ring product, solved back from the pointwise product of the ghosts."""
+    return solve_ghost(pointwise(phi(a, table), phi(b, table)), table)

@@ -40,13 +40,12 @@ from burnside.marks import (
     GhostElement,
     NotInImage,
     fixed_points_of_element,
-    indicator,
     marks_table,
     solve_ghost,
 )
 from burnside.restriction import verify_artin_restriction, verify_brauer_restriction
 
-from group_fixtures import benchmark_group
+from group_fixtures import benchmark_group, pointwise, sparse
 
 FIXTURES = ["C2", "C3", "C4", "C6", "C2xC2", "S3", "D4", "Q8", "A4", "S4"]
 
@@ -85,12 +84,12 @@ def test_criterion_2_tom_dieck_containment():
         order = table.lattice.group.order
         for idx in range(table.size):
             try:
-                x = solve_ghost(indicator(idx, table).scale(order), table)
+                x = solve_ghost(GhostElement({idx: order}), table)
             except NotInImage as exc:
                 pytest.fail(f"{name} class {idx}: {exc}")
             from burnside.marks import phi
 
-            assert phi(x, table) == indicator(idx, table).scale(order)
+            assert phi(x, table) == GhostElement({idx: order})
     elapsed = time.monotonic() - start
     assert elapsed < 5.0
     print(f"ACCEPTANCE 2 PASS order*indicator integral on all fixtures ({elapsed:.2f}s)")
@@ -107,11 +106,11 @@ def test_criterion_3_artin_certificates():
             for g in group.elements:
                 total = sum(
                     c * fixed_points_of_element(table, h, g)
-                    for h, c in cert.coefficients.items()
+                    for h, c in cert.alpha.coefficients.items()
                 )
                 assert total == group.order
     s3 = artin_certificate(fixture_table("S3"), 1)
-    assert s3.coefficients == {0: -3, 1: 6, 2: 3}
+    assert s3.alpha.coefficients == {0: -3, 1: 6, 2: 3}
     elapsed = time.monotonic() - start
     assert elapsed < 5.0
     print(f"ACCEPTANCE 3 PASS Artin certificates, S3 coefficients (-3, 6, 3) ({elapsed:.2f}s)")
@@ -124,7 +123,7 @@ def test_criterion_4_brauer_certificates():
         group = table.lattice.group
         cert = brauer_certificate(table, 1)
         primes = sorted(cert.bezout) or [2]
-        for h in cert.decomposition:
+        for h in cert.decomposition.coefficients:
             assert any(
                 is_n_hyper(table.lattice.classes[h].element_set, 1, p, group.degree)
                 for p in primes
@@ -132,11 +131,11 @@ def test_criterion_4_brauer_certificates():
         for g in group.elements:
             total = sum(
                 k * fixed_points_of_element(table, h, g)
-                for h, k in cert.decomposition.items()
+                for h, k in cert.decomposition.coefficients.items()
             )
             assert total == 1
     s3 = brauer_certificate(fixture_table("S3"), 1)
-    assert s3.decomposition == {0: 1, 1: -2, 2: -1, 3: 3}
+    assert s3.decomposition.coefficients == {0: 1, 1: -2, 2: -1, 3: 3}
     assert s3.bezout == {2: 1, 3: -1}
     elapsed = time.monotonic() - start
     assert elapsed < 5.0
@@ -151,15 +150,15 @@ def test_criterion_5_idempotent_suite():
         for p in (2, 3):
             cores = core_classification(table.lattice, p)
             perfect = [h for h in range(table.size) if cores[h] == h]
-            total = GhostElement.zero(table.size)
+            total = GhostElement({})
             for h in perfect:
                 li = local_idempotent(h, p, table)
-                assert li.ghost.pointwise(li.ghost) == li.ghost
+                assert pointwise(li.ghost, li.ghost) == li.ghost
                 from burnside.marks import phi
 
                 assert phi(li.scaled_element, table) == li.ghost.scale(coprime_part(order, p))
                 total = total + li.ghost
-            assert total == GhostElement.ones(table.size)
+            assert total == GhostElement(sparse((1,) * table.size))
     elapsed = time.monotonic() - start
     assert elapsed < 5.0
     print(f"ACCEPTANCE 5 PASS local idempotents: pointwise, partition, integral ({elapsed:.2f}s)")
@@ -262,6 +261,22 @@ def test_c2_5_verify(capsys):
     assert payload["results"]["subgroup_classes"] == 374
     assert elapsed < 5.0
     print(f"ACCEPTANCE C2^5 PASS verify on 374 subgroup classes ({elapsed:.2f}s)")
+
+
+def test_c2_6_verify(capsys):
+    # 2,825 subgroup classes: the tom Dieck sweep and the four Artin
+    # certificates sum sparse idempotents, each on the classes below its own
+    from burnside.cli import main
+
+    start = time.monotonic()
+    code = main(["verify", "--group", "(0 1)\n(2 3)\n(4 5)\n(6 7)\n(8 9)\n(10 11)", "--json"])
+    elapsed = time.monotonic() - start
+    payload = json.loads(capsys.readouterr().out)
+    assert code == 0 and payload["status"] == "pass"
+    assert all(check["ok"] for check in payload["checks"])
+    assert payload["results"]["subgroup_classes"] == 2825
+    assert elapsed < 10.0
+    print(f"ACCEPTANCE C2^6 PASS verify on 2,825 subgroup classes ({elapsed:.2f}s)")
 
 
 def test_criterion_8_mackey_frobenius_random():

@@ -3,28 +3,29 @@ share no code with them: a plain O(n^2) back-substitution through the dense
 marks matrix, and Gluck's formula for the idempotents of the Burnside ring."""
 
 import json
+import math
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from burnside import cli, marks
-from burnside.artin import AbelianClassFamily, ArtinError, idempotent_multiple
+from burnside.artin import AbelianClassFamily, ArtinError, artin_certificate, idempotent_multiple
+from burnside.brauer import brauer_certificate
 from burnside.exact import IntMatrix
-from burnside.groups import all_subgroups, perm_inv, perm_mul, subgroup_lattice
+from burnside.groups import all_subgroups, parse_group, perm_inv, perm_mul, subgroup_lattice
 from burnside.marks import (
     BurnsideElement,
     GhostElement,
     InternalInvariantViolation,
     MarksTable,
     NotInImage,
-    indicator,
     marks_table,
     phi,
     solve_ghost,
 )
 
-from group_fixtures import BENCHMARK_GROUPS, benchmark_group, small_subgroups_of_s6
+from group_fixtures import BENCHMARK_GROUPS, benchmark_group, dense, small_subgroups_of_s6, sparse
 
 _tables = {}
 
@@ -39,23 +40,24 @@ def dense_solve(ghost: GhostElement, table: MarksTable) -> BurnsideElement:
     """Reference: descending back-substitution over every class and every
     entry of the dense matrix."""
     n = table.size
+    values = dense(ghost, n)
     x = [0] * n
     for k in range(n - 1, -1, -1):
-        acc = ghost.values[k] - sum(x[h] * table.matrix.entries[h][k] for h in range(k + 1, n))
+        acc = values[k] - sum(x[h] * table.matrix.entries[h][k] for h in range(k + 1, n))
         q, r = divmod(acc, table.matrix.entries[k][k])
         if r:
             raise NotInImage(k, table.lattice.label_of(k), r)
         x[k] = q
-    return BurnsideElement(tuple(x))
+    return BurnsideElement(sparse(x))
 
 
 def dense_phi(element: BurnsideElement, table: MarksTable) -> GhostElement:
-    return GhostElement(tuple(table.matrix.transpose().mul_vector(list(element.coefficients))))
+    return GhostElement(sparse(table.matrix.transpose().mul_vector(list(dense(element, table.size)))))
 
 
 def outcome(solve, ghost, table):
     try:
-        return solve(ghost, table).coefficients
+        return dense(solve(ghost, table), table.size)
     except NotInImage as exc:
         return ("NotInImage", exc.class_index, exc.label, exc.remainder)
 
@@ -64,20 +66,22 @@ def assert_matches_dense_reference(table: MarksTable, rng: random.Random) -> Non
     n = table.size
     ghosts = []
     for _ in range(6):
-        x = BurnsideElement(tuple(rng.randint(-4, 4) for _ in range(n)))
+        x = BurnsideElement(sparse(rng.randint(-4, 4) for _ in range(n)))
         ghost = phi(x, table)
         assert ghost == dense_phi(x, table)
         assert solve_ghost(ghost, table) == x
         # outside the image as soon as some quotient is not integral
         j = rng.randrange(n)
-        ghosts.append(ghost + indicator(j, table).scale(rng.randint(1, 5)))
-        ghosts.append(ghost + indicator(0, table))  # pivot m[0][0] = |G|
+        ghosts.append(ghost + GhostElement({j: rng.randint(1, 5)}))
+        ghosts.append(ghost + GhostElement({0: 1}))  # pivot m[0][0] = |G|
     for k in range(n):  # one class and its down-set
-        ghosts.append(indicator(k, table).scale(rng.randint(1, table.lattice.group.order)))
+        ghosts.append(GhostElement({k: rng.randint(1, table.lattice.group.order)}))
     for _ in range(6):  # a few classes and the union of their down-sets
-        ghosts.append(GhostElement(tuple(
+        ghosts.append(GhostElement(sparse(
             rng.randint(-6, 6) if rng.random() < 0.2 else 0 for _ in range(n)
         )))
+    for _ in range(6):  # a few random keys, drawn directly
+        ghosts.append(GhostElement({rng.randrange(n): rng.randint(-6, 6) for _ in range(rng.randint(1, 3))}))
     outcomes = [outcome(solve_ghost, ghost, table) for ghost in ghosts]
     assert outcomes == [outcome(dense_solve, ghost, table) for ghost in ghosts]
     if table.lattice.group.order > 1:
@@ -104,7 +108,7 @@ def test_phi_reads_every_nonzero_of_any_matrix():
     table = MarksTable(lattice, columns)
     assert table.matrix == IntMatrix.from_rows(rows)
     for _ in range(5):
-        x = BurnsideElement(tuple(rng.randint(-3, 3) for _ in range(n)))
+        x = BurnsideElement(sparse(rng.randint(-3, 3) for _ in range(n)))
         assert phi(x, table) == dense_phi(x, table)
 
 
@@ -145,7 +149,7 @@ def gluck_scaled_idempotents(table: MarksTable) -> list[tuple[int, ...]]:
 def test_cached_idempotents_match_gluck(name):
     table = benchmark_table(name)
     expected = gluck_scaled_idempotents(table)
-    assert [table.scaled_idempotent(k).coefficients for k in range(table.size)] == expected
+    assert [dense(table.scaled_idempotent(k), table.size) for k in range(table.size)] == expected
 
 
 def test_verify_solves_each_class_once(monkeypatch, capsys):
@@ -184,8 +188,52 @@ def test_tom_dieck_check_fails_on_not_in_image(monkeypatch, capsys):
 def test_idempotent_multiple_divides_the_cached_vector_exactly():
     table = benchmark_table("S3")
     # 6 e_(2a) = 6 [S3/C2] - 3 [S3/1]; the family {(2a)} has order 1
-    assert table.scaled_idempotent(1).coefficients == (-3, 6, 0, 0)
+    assert dense(table.scaled_idempotent(1), 4) == (-3, 6, 0, 0)
     with pytest.raises(InternalInvariantViolation, match="not integral"):
         idempotent_multiple(1, AbelianClassFamily(1, (1,), 1), table)
     with pytest.raises(ArtinError):
         idempotent_multiple(3, AbelianClassFamily(1, (1,), 1), table)
+
+
+# ---------------------------------------------------------------------------
+# every element is stored sparse: no zero entries, every key a class index
+
+
+def assert_sparse(values: dict[int, int], n: int, within: int = -1) -> None:
+    """Nonzero values only, on keys in range(n) whose bits are set in within."""
+    assert all(values.values())
+    assert all(0 <= k < n and within >> k & 1 for k in values)
+
+
+def assert_elements_sparse(table: MarksTable, rng: random.Random) -> None:
+    n, down_sets = table.size, table.lattice.down_sets
+    for k in range(n):
+        assert_sparse(table.scaled_idempotent(k).coefficients, n, down_sets[k])
+    for _ in range(4):
+        ghost = GhostElement({rng.randrange(n): rng.randint(1, 6) * table.lattice.group.order
+                              for _ in range(rng.randint(1, 3))})
+        below = 0
+        for k in ghost.values:
+            below |= down_sets[k]
+        x = solve_ghost(ghost, table)
+        assert_sparse(x.coefficients, n, below)
+        assert_sparse(phi(x, table).values, n)
+    for order_n in (0, 1, 2, math.inf):
+        alpha = artin_certificate(table, order_n).alpha
+        assert_sparse(alpha.coefficients, n)
+        assert_sparse(phi(alpha, table).values, n)
+        brauer = brauer_certificate(table, order_n)
+        assert_sparse(brauer.decomposition.coefficients, n)
+        assert_sparse(brauer.i_n_ghost.values, n)
+
+
+def test_elements_are_sparse_on_c2_5():
+    table = marks_table(subgroup_lattice(parse_group("(0 1)\n(2 3)\n(4 5)\n(6 7)\n(8 9)")))
+    assert table.size == 374
+    assert_elements_sparse(table, random.Random(5))
+
+
+@settings(max_examples=10, deadline=None)
+@given(small_subgroups_of_s6(), st.integers(0, 2**32))
+def test_elements_are_sparse_on_subgroups_of_s6(group, seed):
+    assert_elements_sparse(marks_table(subgroup_lattice(group)), random.Random(seed))

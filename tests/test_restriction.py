@@ -32,7 +32,7 @@ from burnside.restriction import (
     verify_brauer_restriction,
 )
 
-from group_fixtures import BENCHMARK_GROUPS, benchmark_group, small_subgroups_of_s6
+from group_fixtures import BENCHMARK_GROUPS, benchmark_group, dense, small_subgroups_of_s6, sparse
 
 
 @pytest.fixture(scope="module")
@@ -421,7 +421,7 @@ def assert_maximal_equalizer_matches_full(table, provider, n):
         assert rank_and_divisors(both) == divisors
     certificate = artin_certificate(table, n)
     eq = equalizer_lattice(list(abelian_family(lattice, n).class_indices), provider, lattice)
-    psi = restriction._artin_section(eq, certificate.coefficients, provider)
+    psi = restriction._artin_section(eq, certificate.alpha.coefficients, provider)
     order = certificate.order_n
     assert psi @ eq.restriction == IntMatrix.identity(eq.restriction.cols).scale(order)
     assert eq.restriction @ psi == IntMatrix.identity(eq.rank).scale(order)
@@ -498,7 +498,7 @@ class TestTablesRead:
         table = marks_table(lattice)
         expected = {*maximal_members(production_family(lattice, mode), lattice), lattice.full_index}
         if mode == "artin":
-            expected |= set(artin_certificate(table, 1).coefficients)
+            expected |= set(artin_certificate(table, 1).alpha.coefficients)
         assert sorted(CountingDirectoryTables.loaded) == sorted(expected)
 
 
@@ -600,7 +600,7 @@ class TestPermutationRealization:
         cert = artin_certificate(table, 1)
         top = character_table(group)
         image = None
-        for idx, c in cert.coefficients.items():
+        for idx, c in cert.alpha.coefficients.items():
             chi = perm_character(group, lattice.classes[idx].element_set).scale(c)
             image = chi if image is None else image + chi
         coords = top.coordinates(image)
@@ -626,9 +626,9 @@ class TestPermutationRealization:
                 0 if idx in cyclic else rng.randint(-3, 3) * group.order
                 for idx in range(table.size)
             )
-            element = solve_ghost(GhostElement(values), table)
+            element = solve_ghost(GhostElement(sparse(values)), table)
             image = None
-            for idx, c in enumerate(element.coefficients):
+            for idx, c in enumerate(dense(element, table.size)):
                 if c == 0:
                     continue
                 chi = perm_character(group, lattice.classes[idx].element_set).scale(c)
