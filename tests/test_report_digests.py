@@ -2,9 +2,11 @@
 
 tests/data/report_digests.json holds, for the builtin groups (Q8 included)
 and the benchmark groups (perfbench/data/workloads.json), the exit code and
-the SHA-256 of the `--json` stdout of `marks`, `verify`, and `artin` and
-`brauer` at n = 0, 1, 2 and inf.  Regenerate it, only when a change of the
-reports is intended, with
+the SHA-256 of the `--json` stdout of `marks`, `verify`, `artin` and
+`brauer` at n = 0, 1, 2 and inf, and `equalizer --mode artin` and
+`--mode brauer` at the same n.  A run that stops on an error writes no
+stdout, so its digest pins the exit code only.  Regenerate it, only when a
+change of the reports is intended, with
 
     PYTHONPATH=src python tests/test_report_digests.py --write
 """
@@ -29,9 +31,10 @@ from burnside.groups import BUILTIN_GROUPS  # noqa: E402
 from group_fixtures import BENCHMARK_GROUPS  # noqa: E402
 
 DIGESTS = HERE / "data" / "report_digests.json"
+NS = ("0", "1", "2", "inf")
 COMMANDS = [["marks"], ["verify"]] + [
-    [command, "--n", n] for command in ("artin", "brauer") for n in ("0", "1", "2", "inf")
-]
+    [command, "--n", n] for command in ("artin", "brauer") for n in NS
+] + [["equalizer", "--mode", mode, "--n", n] for mode in ("artin", "brauer") for n in NS]
 
 
 def _groups():
