@@ -20,7 +20,6 @@ from .marks import (
     NotInImage,
     element_checks,
     phi,
-    unit,
 )
 
 
@@ -50,7 +49,7 @@ class ArtinCertificate:
     alpha: BurnsideElement  # sum_A c_A [G/A]
     element_checks: tuple[tuple[str, int, int], ...]  # (element class label, lhs, rhs)
     ghost_checks: tuple[tuple[str, int, int], ...]  # (subgroup class label, value, expected)
-    in_ideal: bool  # order_n * [pt] - alpha lies in J_n
+    in_ideal: bool  # order_n * [pt] - alpha lies in J_n: alpha's ghost is order_n on the family
 
     @property
     def verified(self) -> bool:
@@ -124,14 +123,13 @@ def artin_certificate(table: MarksTable, n: int | float) -> ArtinCertificate:
         (cls.label, ghost.get(idx, 0), order if idx in family.members else 0)
         for idx, cls in enumerate(lattice.classes)
     )
-    leftover = unit(table).scale(order) - alpha
     return ArtinCertificate(
         n=n,
         order_n=order,
         alpha=alpha,
         element_checks=element_checks(alpha, table, order) if n >= 1 else (),
         ghost_checks=ghost_checks,
-        in_ideal=in_ideal_jn(leftover, family, table),
+        in_ideal=all(ghost.get(k, 0) == order for k in family.class_indices),
     )
 
 

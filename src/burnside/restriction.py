@@ -14,14 +14,17 @@ section compose to the group order in both directions; the Brauer
 verification checks that restriction is a lattice isomorphism via the Smith
 elementary divisors of H, which is Brauer's induction theorem itself.
 
-Both verifications build the equalizer over the maximal members of their
-family only.  The abelian and the n-hyper families are closed under
-subgroups and conjugation, so a compatible family is fixed by its values on
-the maximal members (x_L = res x_K for L <= K), and M's block for L is
-R * M_K, with R the integer matrix of restriction from K to L: M's row
-lattice, H, the rank and the Smith form are those of the whole family.  So
-tables are read, and with --tables loaded, for the maximal members, the
-support of the Artin certificate and G alone.
+Neither verification builds the equalizer over its whole family F.  The
+abelian and the n-hyper families are closed under subgroups and
+conjugation, so a compatible family is fixed by its values on the maximal
+members F_max (x_L = res x_K for L <= K), and M's block for L is R * M_K,
+with R the integer matrix of restriction from K to L: over any S with
+F_max <= S <= F, M's row lattice, H, the rank and the Smith form are those
+of F.  The Brauer verification takes S = F_max; the Artin one takes the
+support of its verified certificate, which lies between the two (see
+_artin_section), so the section reads all its rows from the equalizer.
+So tables are read, and with --tables loaded, for the maximal members of
+the n-hyper family, the support of the Artin certificate and G alone.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
-from .artin import ArtinCertificate, abelian_family, artin_certificate
+from .artin import abelian_family, artin_certificate
 from .brauer import brauer_certificate, in_hyper_family
 from .exact import (
     IntMatrix,
@@ -184,12 +187,13 @@ def equalizer_lattice(family: list[int], provider: TableProvider,
     A * C = 1 and C * y integral forces y integral: E = C * Z^r.  This holds
     for every family, also one that misses G-classes.
 
-    The verifications pass the maximal members of a family closed under
-    subgroups (maximal_members).  For L <= K the block M_L is R * M_K, R the
-    integer matrix of res from K to L, so dropping L changes neither M's row
-    lattice nor H, the rank or the Smith form, and x_L = res x_K recovers
-    the dropped coordinates.  Only the tables of the given members and of G
-    are read.
+    The verifications pass part S of a family F closed under subgroups,
+    with the maximal members of F in S: the Brauer one those members alone
+    (maximal_members), the Artin one its certificate's support.  For L <= K
+    the block M_L is R * M_K, R the integer matrix of res from K to L, so
+    dropping L changes neither M's row lattice nor H, the rank or the Smith
+    form, and x_L = res x_K recovers the dropped coordinates.  Only the
+    tables of the given members and of G are read.
 
     Three checks keep the result honest: every basis column satisfies the
     class-fusion equalities above, r equals the number of G-classes the
@@ -277,24 +281,26 @@ class ArtinRestrictionReport:
 
 
 def verify_artin_restriction(table: MarksTable, n: int | float,
-                             provider: TableProvider | None = None,
-                             certificate: ArtinCertificate | None = None) -> ArtinRestrictionReport:
+                             provider: TableProvider | None = None) -> ArtinRestrictionReport:
     """Check that restriction and the induced section form an order-isomorphism pair.
 
     psi sends a compatible family (m_A) to sum_A c_A ind_A^G(m_A), with the
-    c_A taken from the Artin certificate.
+    c_A taken from the Artin certificate; where the certificate fails, the
+    check is not applicable.
     """
     lattice = table.lattice
     group = lattice.group
     provider = provider or TableProvider(group, lattice)
-    certificate = certificate or artin_certificate(table, n)
-    family = maximal_members(abelian_family(lattice, n).class_indices, lattice)
-    eq = equalizer_lattice(family, provider, lattice)
+    certificate = artin_certificate(table, n)
+    if not certificate.verified:
+        raise RestrictionError("Artin certificate failed; restriction check not applicable")
+    coefficients = certificate.alpha.coefficients
+    eq = equalizer_lattice(sorted(coefficients), provider, lattice)
     order = certificate.order_n
     nirr = eq.restriction.cols
 
     res_matrix = _restriction_matrix(eq)
-    psi_matrix = _artin_section(eq, certificate.alpha.coefficients, provider)
+    psi_matrix = _artin_section(eq, coefficients, provider)
     left = psi_matrix @ res_matrix  # on R(G)
     right = res_matrix @ psi_matrix  # on the equalizer
     left_expected = IntMatrix.identity(nirr).scale(order)
@@ -313,36 +319,24 @@ def verify_artin_restriction(table: MarksTable, n: int | float,
 
 def _artin_section(eq: EqualizerLattice, coefficients: dict[int, int],
                    provider: TableProvider) -> IntMatrix:
-    """psi = sum_A c_A ind_A in basis coordinates (#irr x rank), as N^T * C
-    over the rows (A, s) of the certificate's support, with N = diag(c) * M:
-    by Frobenius reciprocity row (A, s) of M holds the coordinates of
-    ind_A chi_s.
+    """psi = sum_A c_A ind_A in basis coordinates (#irr x rank), as
+    (diag(c) * M)^T * C over the rows (A, s) of eq, with c_A = 0 for a member
+    outside the support: by Frobenius reciprocity row (A, s) of M holds the
+    coordinates of ind_A chi_s.
 
-    A member of the equalizer's family reads its rows of M and C from eq.
-    The other members of the support have their rows M_A computed and C_A
-    solved against H in one batch, and C_A * H = M_A is checked.
+    eq's family must hold the certificate's support.  The verification
+    builds eq over that support, which for a verified certificate lies in
+    the abelian family F and holds its maximal members F_max, so eq has the
+    restriction lattice of F.  The certificate's ghost is |G|_n on F and 0
+    off F, and its value at H is x_H * |W_H| plus terms from the support
+    classes above H.  So a class maximal in the support has a nonzero ghost
+    and lies in F, and F is closed under subgroups: the support lies in F.
+    Then a maximal member K of F has no support class above it, and its
+    ghost x_K * |W_K| = |G|_n makes x_K nonzero.
     """
-    lattice = provider.lattice
-    blocks, offset = {}, 0
-    for idx in eq.family:
-        size = provider.class_table(idx).size
-        blocks[idx] = slice(offset, offset + size)
-        offset += size
-    inside = [a for a in coefficients if a in blocks]
-    outside = [a for a in coefficients if a not in blocks]
-    stacked = [row for a in inside for row in eq.stacked.entries[blocks[a]]]
-    coords = [row for a in inside for row in eq.basis.entries[blocks[a]]]
-    top_table = provider.class_table(lattice.full_index)
-    extra = [row for a in outside for row in _stacked_block(provider.class_table(a), top_table)]
-    if extra:
-        solved = _solve_coordinates(eq.restriction.entries, extra)
-        if IntMatrix.from_rows(solved) @ eq.restriction != IntMatrix.from_rows(extra):
-            raise RestrictionError("restriction to the Artin support is not in the equalizer lattice")
-        stacked += extra
-        coords += solved
-    scales = [coefficients[a] for a in inside + outside for _ in range(provider.class_table(a).size)]
-    scaled = [[c * v for v in row] for c, row in zip(scales, stacked, strict=True)]
-    return IntMatrix.from_rows(scaled).transpose() @ IntMatrix.from_rows(coords)
+    scales = [coefficients.get(a, 0) for a in eq.family for _ in range(provider.class_table(a).size)]
+    scaled = [[c * v for v in row] for c, row in zip(scales, eq.stacked.entries, strict=True)]
+    return IntMatrix.from_rows(scaled).transpose() @ eq.basis
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,6 @@
 """Equalizer lattices and the induction-restriction isomorphism verifications."""
 
+import dataclasses
 import functools
 import math
 from fractions import Fraction
@@ -277,14 +278,17 @@ class TestEqualizerChecks:
         with pytest.raises(RestrictionError, match="non-integral equalizer coordinate"):
             equalizer_lattice(*self.s3_cyclic(s3_setup))
 
-    def test_section_row_off_the_lattice(self, s3_setup):
-        # over the trivial class alone H is the degree row (1, 1, 2); the rows
-        # of C2 solve on its pivot column but miss the other two columns
+    def test_unverified_certificate(self, s3_setup, monkeypatch, capsys):
+        # the section and the equalizer's family are read off the certificate,
+        # so a failed one leaves the check not applicable: a failed check
         group, lattice, table, provider = s3_setup
-        eq = equalizer_lattice([0], provider, lattice)
-        c2 = next(i for i in range(len(lattice)) if lattice.label_of(i) == "2a")
-        with pytest.raises(RestrictionError, match="restriction to the Artin support is not in the equalizer"):
-            restriction._artin_section(eq, {c2: 1}, provider)
+        original = restriction.artin_certificate
+        monkeypatch.setattr(restriction, "artin_certificate",
+                            lambda table, n: dataclasses.replace(original(table, n), in_ideal=False))
+        with pytest.raises(RestrictionError, match="Artin certificate failed; restriction check not applicable"):
+            verify_artin_restriction(table, 1, provider)
+        assert cli.main(["equalizer", "--group", "S3", "--mode", "artin"]) == 1
+        assert capsys.readouterr().err.startswith("check failed: Artin certificate failed")
 
 
 @functools.cache
@@ -362,6 +366,33 @@ class TestFamiliesClosedUnderSubconjugacy:
         assert_maximal_members_cover(lattice)
 
 
+def assert_support_between_maximal_members_and_family(table):
+    """A verified Artin certificate is supported on the abelian family and
+    on each of its maximal members, so the equalizer over the support has
+    the family's restriction lattice (restriction._artin_section)."""
+    lattice = table.lattice
+    for n in (0, 1, 2, math.inf):
+        family = abelian_family(lattice, n).class_indices
+        certificate = artin_certificate(table, n)
+        assert certificate.verified
+        assert set(maximal_members(family, lattice)) <= set(certificate.alpha.coefficients) <= set(family)
+
+
+class TestArtinSupport:
+    @pytest.mark.parametrize("name", sorted(BUILTIN_GROUPS))
+    def test_builtin(self, name):
+        assert_support_between_maximal_members_and_family(lattice_provider(name)[0])
+
+    @pytest.mark.parametrize("name", sorted(BENCHMARK_GROUPS))
+    def test_benchmark_group(self, name):
+        assert_support_between_maximal_members_and_family(benchmark_marks(name))
+
+    @settings(max_examples=15, deadline=None)
+    @given(small_subgroups_of_s6())
+    def test_small_subgroups_of_s6(self, group):
+        assert_support_between_maximal_members_and_family(marks_table(subgroup_lattice(group)))
+
+
 class TestMaximalMembers:
     @pytest.mark.parametrize("name,mode,n,full,top", [
         ("C2^4", "brauer", 1, 67, 1),
@@ -425,7 +456,7 @@ def assert_maximal_equalizer_matches_full(table, provider, n):
     order = certificate.order_n
     assert psi @ eq.restriction == IntMatrix.identity(eq.restriction.cols).scale(order)
     assert eq.restriction @ psi == IntMatrix.identity(eq.rank).scale(order)
-    report = verify_artin_restriction(table, n, provider, certificate)
+    report = verify_artin_restriction(table, n, provider)
     assert (report.order, report.rank, report.verified) == (order, eq.rank, True)
 
 
