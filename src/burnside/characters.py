@@ -1,10 +1,15 @@
 """Exact class functions and representation-ring data for finite groups.
 
 Class functions take cyclotomic values on element conjugacy classes.
-Permutation tuples are the boundary: they name class representatives, and
-ClassFunction.value_at looks a value up by one.  Every loop over elements,
-in conjugacy classes, cosets, induction, conjugation by g and linear
-characters, runs on element indices of the group's index core (GroupCore).
+Permutation tuples are the boundary: they name class representatives in
+table files, ClassFunction.value_at looks a value up by one, and they carry
+elements between a group and an explicit subgroup, each with its own index
+core (GroupCore).  Every loop over elements, in the class matrices, power
+maps, conjugation by g and linear characters, runs on element indices and
+the index form of the classes (groups.ConjugacyClasses).  Permutation
+characters and induction read the count of groups that also gives the marks
+at single elements, |C_G(g)| * |g^G cap S| from class bitmasks: no coset is
+walked (Serre, Linear Representations of Finite Groups (1977), 7.2).
 
 Character tables are either loaded from validated fixture files or computed
 exactly: abelian groups by enumerating homomorphisms into roots of unity,
@@ -36,7 +41,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
 from itertools import count, product
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .exact import Cyclotomic, NotInSubfield, prime_factors, reduce_mod_phi
 from .groups import (
@@ -84,7 +89,7 @@ class ClassFunction:
     values: tuple[Cyclotomic, ...]
 
     def __post_init__(self):
-        assert len(self.values) == len(self.classes.classes)
+        assert len(self.values) == len(self.classes.members)
 
     def value_at(self, element: Perm) -> Cyclotomic:
         return self.values[self.classes.index_of(element)]
@@ -117,7 +122,7 @@ class ClassFunction:
 
 def constant_function(group: Group, classes: ConjugacyClasses, value, conductor: int = 1) -> ClassFunction:
     c = Cyclotomic.from_rational(value, conductor) if not isinstance(value, Cyclotomic) else value
-    return ClassFunction(group, classes, tuple(c for _ in classes.classes))
+    return ClassFunction(group, classes, tuple(c for _ in classes.members))
 
 
 def _spread(values: Sequence[Cyclotomic], n: int, weights: Sequence[int] | None = None,
@@ -157,41 +162,35 @@ def inner_product(a: ClassFunction, b: ClassFunction) -> Fraction:
 # permutation characters, induction, restriction, conjugation
 
 
-def perm_character(group: Group, subgroup: frozenset, classes: ConjugacyClasses | None = None,
-                   conductor: int = 1) -> ClassFunction:
+def perm_character(group: Group, subgroup: frozenset) -> ClassFunction:
     """Character of the action on G/H: g -> |(G/H)^g|."""
-    classes = classes or conjugacy_classes(group)
-    values = tuple(Cyclotomic.from_rational(len(moved), conductor)
-                   for moved in _fixed_cosets(group, subgroup, classes))
-    return ClassFunction(group, classes, values)
+    classes = conjugacy_classes(group)
+    mask = group.core.mask(subgroup)
+    return ClassFunction(group, classes, tuple(
+        Cyclotomic.from_rational(classes.conjugators_into(c, mask) // len(subgroup))
+        for c in range(len(classes.members))))
 
 
-def induce(xi: ClassFunction, group: Group, classes: ConjugacyClasses | None = None) -> ClassFunction:
-    """ind_H^G xi at g: sum of xi(k^-1 g k) over the cosets kH fixed by g."""
-    classes = classes or conjugacy_classes(group)
+def induce(xi: ClassFunction, group: Group) -> ClassFunction:
+    """ind_H^G xi at g: |C_G(g)|/|H| * sum of xi(h) over h in g^G cap H
+    (Serre, Linear Representations of Finite Groups, 7.2).
+
+    The elements of H are bucketed by their class in H, which lies in one
+    class of G; the class h^H adds |C_G(g)| * |h^H| / |H| = [C_G(h) : C_H(h)]
+    times xi(h) to the value at its G-class."""
+    classes, core, sub = conjugacy_classes(group), group.core, xi.group.elements
     conductor = xi.values[0].conductor if xi.values else 1
-    values = tuple(sum((xi.value_at(x) for x in moved), Cyclotomic.zero(conductor))
-                   for moved in _fixed_cosets(group, xi.group.elements, classes))
-    return ClassFunction(group, classes, values)
+    values = [Cyclotomic.zero(conductor)] * len(classes.members)
+    for cls, value in zip(xi.classes.members, xi.values):
+        c = classes.index_of(sub[cls[0]])
+        weight = classes.conjugators_into(c, core.mask(sub[h] for h in cls)) // len(sub)
+        values[c] = values[c] + value * weight
+    return ClassFunction(group, classes, tuple(values))
 
 
-def _fixed_cosets(group: Group, subgroup: Iterable[Perm], classes: ConjugacyClasses) -> list[list[Perm]]:
-    """Per class representative g, the elements c^-1 g c that lie in H, over
-    the left coset representatives c: one for each coset cH that g fixes."""
-    core = group.core
-    mask = core.mask(subgroup)
-    cosets = core.left_coset_representatives(mask)
-    out = []
-    for rep in classes.representatives:
-        x = core.index[rep]
-        moved = (core.conjugate(x, c) for c in cosets)
-        out.append([core.elements[m] for m in moved if mask >> m & 1])
-    return out
-
-
-def restrict(chi: ClassFunction, subgroup: Group, classes: ConjugacyClasses | None = None) -> ClassFunction:
+def restrict(chi: ClassFunction, subgroup: Group) -> ClassFunction:
     """Pull values back along the inclusion of an explicit subgroup."""
-    sub_classes = classes or conjugacy_classes(subgroup)
+    sub_classes = conjugacy_classes(subgroup)
     values = tuple(chi.value_at(rep) for rep in sub_classes.representatives)
     return ClassFunction(subgroup, sub_classes, values)
 
@@ -211,10 +210,9 @@ def conjugate_function(xi: ClassFunction, g: Perm, parent: Group) -> ClassFuncti
 
 def frobenius_check(e: ClassFunction, m: ClassFunction, group: Group) -> bool:
     """ind(e) * m == ind(e * res m), exactly."""
-    classes = conjugacy_classes(group)
-    sub = subgroup_as_group(group, e.group._element_set())
-    left = induce(e, group, classes) * m
-    right = induce(e * restrict(m, sub), group, classes)
+    sub = subgroup_as_group(group, frozenset(e.group.elements))
+    left = induce(e, group) * m
+    right = induce(e * restrict(m, sub), group)
     return left == right
 
 
@@ -224,7 +222,7 @@ def mackey_check(k_sub: frozenset, xi: ClassFunction, group: Group) -> bool:
 
     k_group = subgroup_as_group(group, k_sub)
     left = restrict(induce(xi, group), k_group)
-    h_sub = xi.group._element_set()
+    h_sub = frozenset(xi.group.elements)
     decomposition = double_cosets(group, k_sub, h_sub)
     k_classes = conjugacy_classes(k_group)
     conductor = xi.values[0].conductor if xi.values else 1
@@ -232,7 +230,7 @@ def mackey_check(k_sub: frozenset, xi: ClassFunction, group: Group) -> bool:
     for coset in decomposition.cosets:
         conj = conjugate_function(xi, coset.representative, group)
         inter = subgroup_as_group(group, coset.intersection)
-        piece = induce(restrict(conj, inter), k_group, k_classes)
+        piece = induce(restrict(conj, inter), k_group)
         total = total + piece
     return left == total
 
@@ -294,7 +292,7 @@ class CharacterTable:
 def validate_table(table: CharacterTable) -> None:
     group = table.group
     rows = table.rows
-    n_classes = len(table.classes.classes)
+    n_classes = len(table.classes.members)
     if len(rows) != n_classes:
         raise DegreeSumMismatch(f"{len(rows)} rows for {n_classes} classes")
     degrees = []
@@ -345,7 +343,7 @@ def linear_characters(group: Group, conductor: int) -> list[ClassFunction]:
     for assignment in product(*choices):
         powers = _extend_homomorphism(core, gens, assignment, conductor)
         if powers is not None:
-            ks = tuple(powers[core.index[rep]] for rep in classes.representatives)
+            ks = tuple(powers[cls[0]] for cls in classes.members)
             if ks not in unique:
                 unique[ks] = ClassFunction(group, classes, tuple(zetas[k] for k in ks))
     return list(unique.values())
@@ -397,9 +395,8 @@ def _dixon_schneider(group: Group, classes: ConjugacyClasses, conductor: int) ->
     """The irreducible characters, from the common eigenvectors of the class
     matrices over F_p, each value lifted exactly to Z[zeta_conductor]."""
     core, order, e = group.core, group.order, exponent(group)
-    members = [[core.index[g] for g in cls] for cls in classes.classes]
+    members, class_of = classes.members, classes.class_of
     reps, sizes, k = [cls[0] for cls in members], classes.sizes, len(members)
-    class_of = [classes.index_of(g) for g in core.elements]
     # F_p holds the e-th roots of unity as p = 1 mod e; p^2 > 4|G| makes the
     # degree the only root of its square in [1, sqrt|G|], and p prime to |G|
     p = next(q for q in count(e + 1, e) if q * q > 4 * order and prime_factors(q) == [q])
@@ -565,20 +562,20 @@ def load_character_table(path: str, group: Group) -> CharacterTable:
     if conductor < 1:
         raise MalformedEntry(f"conductor must be positive, not {conductor}")
     classes = conjugacy_classes(group)
-    if len(class_reps) != len(classes.classes):
+    if len(class_reps) != len(classes.members):
         raise MalformedEntry(
-            f"file has {len(class_reps)} classes, group has {len(classes.classes)}"
+            f"file has {len(class_reps)} classes, group has {len(classes.members)}"
         )
     # map file columns onto the group's class order via the representatives
     column_of: list[int] = []
     for rep, size in zip(class_reps, class_sizes):
-        if rep not in group._element_set():
+        if rep not in group.core.index:
             raise MalformedEntry(f"representative {perm_to_cycles(rep)} not in group")
         idx = classes.index_of(rep)
         if classes.sizes[idx] != size:
             raise MalformedEntry(f"class {perm_to_cycles(rep)} has size {classes.sizes[idx]}, file says {size}")
         column_of.append(idx)
-    if sorted(column_of) != list(range(len(classes.classes))):
+    if sorted(column_of) != list(range(len(classes.members))):
         raise MalformedEntry("file classes do not cover the group's classes")
     rows = []
     for raw in raw_rows:
@@ -604,18 +601,17 @@ def _check_power_maps(table: CharacterTable, conductor: int) -> None:
     column of an element whose order does not divide its conductor."""
     core = table.group.core
     classes = table.classes
-    for c, rep in enumerate(classes.representatives):
-        x = core.index[rep]
+    for c, (x, *_) in enumerate(classes.members):
         m = math.lcm(conductor, core.orders[x])
         for a in range(2, m):
             if math.gcd(a, m) != 1:
                 continue
-            target = classes.index_of(core.elements[core.power(x, a)])
+            target = classes.class_of[core.power(x, a)]
             for i, row in enumerate(table.rows):
                 value = row.values[c]
                 if row.values[target] != value.galois(a % value.conductor):
                     raise CharacterError(f"row {i} breaks chi(g^{a}) = sigma_{a}(chi(g)) at "
-                                         f"g = {perm_to_cycles(rep)}: the columns do not match "
+                                         f"g = {perm_to_cycles(core.elements[x])}: the columns do not match "
                                          "the group's classes")
 
 

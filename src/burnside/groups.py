@@ -8,11 +8,17 @@ as frozensets of them.  Every loop behind that boundary runs on the group's
 index core (GroupCore): element i is group.elements[i], products are
 Cayley-table lookups, and a subgroup is an int bitmask with bit i set when
 element i belongs to it.  Conjugacy classes, cosets and generating sets come
-from the core.  The subgroup lattice is enumerated by cyclic extension, one
-representative per conjugacy class extended by one cyclic subgroup per orbit
-of its normalizer.  Normalizer orders and marks are read off the
-conjugation orbits of those bitmasks, and subconjugacy is the closure of
-the extension edges, one down-set bitmask over the class indices per class.
+from the core.  Element classes are held in index form, each class's
+element indices and the class of each index; their permutations are read
+only for table files, report labels and ClassFunction.value_at.  One count,
+|C_G(g)| * |g^G cap S| from g's class mask and the bitmask of S
+(ConjugacyClasses.conjugators_into), gives the marks at single elements,
+permutation characters and induced characters.  The subgroup lattice is
+enumerated by cyclic extension, one representative per conjugacy class
+extended by one cyclic subgroup per orbit of its normalizer.  Normalizer
+orders and marks are read off the conjugation orbits of those bitmasks, and
+subconjugacy is the closure of the extension edges, one down-set bitmask
+over the class indices per class.
 The n-hyper helpers at the end still close permutation tuples, because their
 public signature has no group.
 """
@@ -161,14 +167,6 @@ class Group:
     @property
     def identity(self) -> Perm:
         return perm_identity(self.degree)
-
-    def __contains__(self, p: Perm) -> bool:
-        return p in self._element_set()
-
-    def _element_set(self) -> frozenset:
-        if "_members" not in self.__dict__:
-            object.__setattr__(self, "_members", frozenset(self.elements))
-        return self._members
 
     @cached_property
     def core(self) -> "GroupCore":
@@ -471,32 +469,38 @@ def parse_group(spec: str, cap: int = DEFAULT_ORDER_CAP) -> Group:
 
 @dataclass(frozen=True)
 class ConjugacyClasses:
-    """Element conjugacy classes with a deterministic order (identity first)."""
+    """Element conjugacy classes in index form, with a deterministic order
+    (identity first): members[c] lists the element indices of class c over
+    group.core, ascending, and class_of[x] is the class of element index x.
+    Permutations appear only at the boundary, in representatives and
+    index_of."""
 
     group: Group
-    classes: tuple[tuple[Perm, ...], ...]
+    members: tuple[tuple[int, ...], ...]
+    class_of: tuple[int, ...]
 
     @property
     def representatives(self) -> list[Perm]:
-        return [cls[0] for cls in self.classes]
+        return [self.group.elements[cls[0]] for cls in self.members]
 
     @property
     def sizes(self) -> list[int]:
-        return [len(cls) for cls in self.classes]
+        return [len(cls) for cls in self.members]
 
     def index_of(self, element: Perm) -> int:
-        return self._lookup[element]
-
-    @cached_property
-    def _lookup(self) -> dict[Perm, int]:
-        return {g: idx for idx, cls in enumerate(self.classes) for g in cls}
+        return self.class_of[self.group.core.index[element]]
 
     @cached_property
     def masks(self) -> tuple[int, ...]:
-        """Per class, the bitmask of its elements over group.core; a subgroup
-        with bitmask m meets class c in (m & masks[c]).bit_count() elements."""
-        index = self.group.core.index
-        return tuple(_mask(index[g] for g in cls) for cls in self.classes)
+        """Per class, the bitmask of its elements over group.core."""
+        return tuple(_mask(cls) for cls in self.members)
+
+    def conjugators_into(self, c: int, mask: int) -> int:
+        """The number of x in G with x^-1 g x in S, for g in class c and S
+        the set with the given bitmask: |C_G(g)| * |g^G cap S|.  For a
+        subgroup H this is |H| * |(G/H)^g|, since g fixes xH iff
+        x^-1 g x lies in H."""
+        return self.group.order // len(self.members[c]) * (mask & self.masks[c]).bit_count()
 
 
 def conjugacy_classes(group: Group) -> ConjugacyClasses:
@@ -520,9 +524,13 @@ def _element_classes(group: Group) -> ConjugacyClasses:
                 if not seen[z]:
                     seen[z] = 1
                     orbit.append(z)
-        classes.append(sorted(orbit))
+        classes.append(tuple(sorted(orbit)))
     classes.sort(key=lambda cls: (core.orders[cls[0]], len(cls), cls[0]))
-    return ConjugacyClasses(group, tuple(tuple(core.elements[i] for i in cls) for cls in classes))
+    class_of = [0] * len(core.elements)
+    for c, cls in enumerate(classes):
+        for x in cls:
+            class_of[x] = c
+    return ConjugacyClasses(group, tuple(classes), tuple(class_of))
 
 
 def exponent(group: Group) -> int:

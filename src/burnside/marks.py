@@ -28,7 +28,9 @@ The certificates are also checked at single elements g, where the value of
 [G/H] is |(G/H)^g| = |C_G(g)| * |g^G cap H| / |H|.  That count reads only
 the element classes of G and the bitmask of H: |g^G cap H| is the popcount
 of H's mask ANDed with the mask of g's class, so it stays independent of
-the table of marks it is checked against.
+the table of marks it is checked against.  It is the count behind
+characters.perm_character and induce too (ConjugacyClasses.conjugators_into),
+and element_checks reads it per class index, with no permutation lookup.
 """
 
 from __future__ import annotations
@@ -231,13 +233,16 @@ def fixed_points_of_element(table: MarksTable, h: int, g: Perm) -> int:
     x, so |(G/H)^g| = |C_G(g)| * |g^G cap H| / |H|.  Raises
     InternalInvariantViolation if |H| does not divide that product.
     """
+    return _fixed_points(table, h, table.element_classes.index_of(g))
+
+
+def _fixed_points(table: MarksTable, h: int, c: int) -> int:
+    """|(G/H)^g| for g in element class c; see fixed_points_of_element."""
     lattice = table.lattice
     classes = table.element_classes
-    c = classes.index_of(g)
-    centralizer = lattice.group.order // len(classes.classes[c])
-    fixed, remainder = divmod(centralizer * (lattice.orbits[h][0] & classes.masks[c]).bit_count(),
-                              lattice.classes[h].order)
+    fixed, remainder = divmod(classes.conjugators_into(c, lattice.orbits[h][0]), lattice.classes[h].order)
     if remainder:
+        g = lattice.group.elements[classes.members[c][0]]
         raise InternalInvariantViolation(
             f"|(G/H)^g| not integral for H = {lattice.label_of(h)}, g = {perm_to_cycles(g)}"
         )
@@ -249,6 +254,6 @@ def element_checks(element: BurnsideElement, table: MarksTable, expected: int) -
     class of G, g in cycle notation."""
     x = element.coefficients
     return tuple(
-        (perm_to_cycles(g), sum(c * fixed_points_of_element(table, h, g) for h, c in x.items()), expected)
-        for g in table.element_classes.representatives
+        (perm_to_cycles(g), sum(v * _fixed_points(table, h, c) for h, v in x.items()), expected)
+        for c, g in enumerate(table.element_classes.representatives)
     )

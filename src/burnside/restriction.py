@@ -216,7 +216,7 @@ def equalizer_lattice(family: list[int], provider: TableProvider,
 
 def _stacked_block(table: CharacterTable, top_table: CharacterTable) -> list[tuple[int, ...]]:
     """The rows (K, psi) of M for K's table: <res_K chi, psi> over chi in irr(G)."""
-    return list(zip(*(table.coordinates(restrict(chi, table.group, table.classes))
+    return list(zip(*(table.coordinates(restrict(chi, table.group))
                       for chi in top_table.rows)))
 
 
@@ -285,8 +285,11 @@ def verify_artin_restriction(table: MarksTable, n: int | float,
     """Check that restriction and the induced section form an order-isomorphism pair.
 
     psi sends a compatible family (m_A) to sum_A c_A ind_A^G(m_A), with the
-    c_A taken from the Artin certificate; where the certificate fails, the
-    check is not applicable.
+    c_A taken from the Artin certificate.  The check is not applicable
+    where the certificate fails, nor where the family misses classes of G:
+    psi . res then has rank below k(G), so it cannot be |G|_n times the
+    identity.  For n >= 1 the family holds every cyclic subgroup, so that
+    happens at n = 0 only, on a nontrivial group.
     """
     lattice = table.lattice
     group = lattice.group
@@ -300,6 +303,9 @@ def verify_artin_restriction(table: MarksTable, n: int | float,
     nirr = eq.restriction.cols
 
     res_matrix = _restriction_matrix(eq)
+    if eq.rank < nirr:
+        raise RestrictionError(f"the family meets {eq.rank} of {nirr} G-classes; "
+                               f"restriction check not applicable at n = {n}")
     psi_matrix = _artin_section(eq, coefficients, provider)
     left = psi_matrix @ res_matrix  # on R(G)
     right = res_matrix @ psi_matrix  # on the equalizer

@@ -4,7 +4,9 @@ BENCHMARK_GROUPS holds the groups of the benchmark workloads (read from
 perfbench/data/workloads.json, which is not written here),
 small_subgroups_of_s6 draws random subgroups of S6 of order at most 48, and
 coset_fixed_points counts |(G/H)^g| coset by coset, the reference for
-marks.fixed_points_of_element.  dense and sparse convert Burnside-ring and
+marks.fixed_points_of_element and characters.perm_character, and
+induced_by_cosets sums a class function over the same cosets, the reference
+for characters.induce.  dense and sparse convert Burnside-ring and
 ghost elements between their {class: value} maps and lattice-order tuples,
 so assertions can keep tuple literals; pointwise and multiply are the ghost
 and Burnside-ring products, the ring-axiom oracles.  Not a test module:
@@ -16,7 +18,9 @@ from pathlib import Path
 
 from hypothesis import strategies as st
 
-from burnside.groups import Group, group_from_generators, parse_cycles, parse_group, perm_inv, perm_mul
+from burnside.characters import ClassFunction
+from burnside.exact import Cyclotomic
+from burnside.groups import Group, conjugacy_classes, group_from_generators, parse_cycles, parse_group, perm_inv, perm_mul
 from burnside.marks import BurnsideElement, GhostElement, MarksTable, phi, solve_ghost
 
 WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "data" / "workloads.json"
@@ -57,6 +61,23 @@ def coset_fixed_points(table: MarksTable, h: int, g) -> int:
     x = core.index[g]
     hmask = lattice.orbits[h][0]
     return sum(hmask >> mul[mul[inverse[r]][x]][r] & 1 for r in core.left_coset_representatives(hmask))
+
+
+def induced_by_cosets(xi: ClassFunction, group: Group) -> ClassFunction:
+    """ind_H^G xi, H = xi.group, at each class representative g of G: the
+    sum of xi(c^-1 g c) over the left coset representatives c with
+    c^-1 g c in H, one for each coset cH that g fixes."""
+    core = group.core
+    classes = conjugacy_classes(group)
+    mask = core.mask(xi.group.elements)
+    cosets = core.left_coset_representatives(mask)
+    conductor = xi.values[0].conductor if xi.values else 1
+    values = []
+    for rep in classes.representatives:
+        moved = (core.conjugate(core.index[rep], c) for c in cosets)
+        values.append(sum((xi.value_at(core.elements[m]) for m in moved if mask >> m & 1),
+                          Cyclotomic.zero(conductor)))
+    return ClassFunction(group, classes, tuple(values))
 
 
 def dense(x: BurnsideElement | GhostElement, n: int) -> tuple[int, ...]:

@@ -293,7 +293,7 @@ def test_criterion_8_mackey_frobenius_random():
         def random_function(grp, classes):
             values = tuple(
                 Cyclotomic(cond, [Fraction(rng.randint(-2, 2)) for _ in range(2)])
-                for _ in classes.classes
+                for _ in classes.members
             )
             return ClassFunction(grp, classes, values)
 

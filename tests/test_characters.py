@@ -44,7 +44,15 @@ from burnside.groups import (
     subgroup_lattice,
 )
 
-from group_fixtures import small_subgroups_of_s6
+from burnside.marks import marks_table
+
+from group_fixtures import (
+    BENCHMARK_GROUPS,
+    benchmark_group,
+    coset_fixed_points,
+    induced_by_cosets,
+    small_subgroups_of_s6,
+)
 
 FIXTURES = ["C2", "C3", "C4", "C6", "C2xC2", "S3", "D4", "Q8", "A4", "S4"]
 
@@ -74,7 +82,7 @@ def explicit_subgroup(group, *cycle_strings):
 
 def random_class_function(group, classes, rng, conductor):
     values = []
-    for _ in classes.classes:
+    for _ in classes.members:
         coeffs = [Fraction(rng.randint(-2, 2)) for _ in range(2)]
         values.append(Cyclotomic(conductor, coeffs))
     return ClassFunction(group, classes, tuple(values))
@@ -87,7 +95,7 @@ class TestPermCharacter:
         assert [v.as_rational() for v in chi.values] == [3, 1, 0]
 
     def test_full_group(self, s3):
-        chi = perm_character(s3, s3._element_set())
+        chi = perm_character(s3, frozenset(s3.elements))
         assert all(v == 1 for v in chi.values)
 
     def test_trivial_subgroup(self, s3):
@@ -105,7 +113,7 @@ class TestInduce:
         assert induced == perm_character(s3, c3)
 
     def test_induce_from_full_group_is_identity(self, s3):
-        sub = subgroup_as_group(s3, s3._element_set())
+        sub = subgroup_as_group(s3, frozenset(s3.elements))
         table = character_table(sub)
         for row in table.rows:
             assert induce(row, s3) == ClassFunction(s3, conjugacy_classes(s3), row.values)
@@ -122,6 +130,41 @@ class TestInduce:
         assert values[0] == 2
         assert values[1] == 0
         assert values[2] == -1
+
+
+def exact_values(chi: ClassFunction) -> list[tuple]:
+    return [(v.conductor, v.coeffs) for v in chi.values]
+
+
+def assert_class_counts_match_cosets(group) -> None:
+    """class_of inverts members; on every subgroup class, perm_character
+    agrees with the coset-by-coset count, and induce with the coset sum
+    for every irreducible, conductors included."""
+    classes = conjugacy_classes(group)
+    assert sorted(x for cls in classes.members for x in cls) == list(range(group.order))
+    assert all(classes.class_of[x] == c for c, cls in enumerate(classes.members) for x in cls)
+    table = marks_table(subgroup_lattice(group))
+    for h, cls in enumerate(table.lattice.classes):
+        chi = perm_character(group, cls.element_set)
+        assert [v.as_rational() for v in chi.values] == \
+            [coset_fixed_points(table, h, g) for g in classes.representatives]
+        for xi in character_table(subgroup_as_group(group, cls.element_set)).rows:
+            assert exact_values(induce(xi, group)) == exact_values(induced_by_cosets(xi, group))
+
+
+class TestClassCountsAgainstCosets:
+    @pytest.mark.parametrize("name", FIXTURES + ["trivial"])
+    def test_builtin(self, name):
+        assert_class_counts_match_cosets(builtin_group(name))
+
+    @pytest.mark.parametrize("name", sorted(BENCHMARK_GROUPS))
+    def test_benchmark_group(self, name):
+        assert_class_counts_match_cosets(benchmark_group(name))
+
+    @settings(max_examples=15, deadline=None)
+    @given(small_subgroups_of_s6())
+    def test_small_subgroups_of_s6(self, group):
+        assert_class_counts_match_cosets(group)
 
 
 class TestRestrict:
@@ -185,10 +228,10 @@ class TestMackey:
     def test_k_is_full_group(self, s3):
         c3 = subgroup_as_group(s3, explicit_subgroup(s3, "(0 1 2)"))
         xi = constant_function(c3, conjugacy_classes(c3), 1)
-        assert mackey_check(s3._element_set(), xi, s3)
+        assert mackey_check(frozenset(s3.elements), xi, s3)
 
     def test_h_is_full_group(self, s3):
-        sub = subgroup_as_group(s3, s3._element_set())
+        sub = subgroup_as_group(s3, frozenset(s3.elements))
         xi = perm_character(s3, explicit_subgroup(s3, "(0 1)"))
         xi = ClassFunction(sub, conjugacy_classes(sub), xi.values)
         c2 = explicit_subgroup(s3, "(0 1)")
@@ -214,7 +257,7 @@ class TestReciprocity:
         group = builtin_group(name)
         lattice = subgroup_lattice(group)
         cond = exponent(group)
-        top = character_table(subgroup_as_group(group, group._element_set(), name), cond)
+        top = character_table(subgroup_as_group(group, frozenset(group.elements), name), cond)
         for cls in lattice.classes:
             sub = subgroup_as_group(group, cls.element_set)
             for xi in character_table(sub, cond).rows:
@@ -447,8 +490,8 @@ def reference_validation_error(group, classes, rows):
             total = reference_pairing(classes.sizes, rows[i].values, rows[j].values)
             if not total == (group.order if i == j else 0):
                 return (i, j)
-    for a in range(len(classes.classes)):
-        for b in range(a, len(classes.classes)):
+    for a in range(len(classes.members)):
+        for b in range(a, len(classes.members)):
             column_a = [row.values[a] for row in rows]
             column_b = [row.values[b] for row in rows]
             total = reference_pairing([1] * len(rows), column_a, column_b)
@@ -473,7 +516,7 @@ class TestIntegerPairing:
     def test_inner_product_matches_cyclotomic_loop(self, name, data):
         group = builtin_group(name)
         classes = conjugacy_classes(group)
-        width = len(classes.classes)
+        width = len(classes.members)
         values = st.lists(cyclotomics(), min_size=width, max_size=width).map(tuple)
         a = ClassFunction(group, classes, data.draw(values))
         b = ClassFunction(group, classes, data.draw(values))

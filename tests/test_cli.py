@@ -147,13 +147,19 @@ class TestEqualizer:
     # at n = 0 the Brauer certificate holds on the family {1}, but its
     # decomposition is not 1 at the transposition; the Artin family is {1}:
     # its rank-1 equalizer cannot carry R(S3), so psi o res is not 6 * id
-    @pytest.mark.parametrize("mode,message", [
-        pytest.param("brauer", "sum_H k_H |(G/H)^g| = 1 fails at g = (1 2); "
+    @pytest.mark.parametrize("group,mode,message", [
+        pytest.param("S3", "brauer", "sum_H k_H |(G/H)^g| = 1 fails at g = (1 2); "
                      "restriction check not applicable at n = 0", id="brauer"),
-        ("artin", "composite mismatch at psi.res"),
+        # at n = 0 the Artin family is the trivial subgroup, which meets one G-class
+        pytest.param("S3", "artin", "the family meets 1 of 3 G-classes; "
+                     "restriction check not applicable at n = 0", id="artin"),
+        pytest.param("C4", "artin", "the family meets 1 of 4 G-classes; "
+                     "restriction check not applicable at n = 0", id="artin-C4"),
+        pytest.param("S4", "artin", "the family meets 1 of 5 G-classes; "
+                     "restriction check not applicable at n = 0", id="artin-S4"),
     ])
-    def test_n0_is_a_failed_check(self, capsys, mode, message):
-        code, out, err = run(capsys, "equalizer", "--group", "S3", "--n", "0",
+    def test_n0_is_a_failed_check(self, capsys, group, mode, message):
+        code, out, err = run(capsys, "equalizer", "--group", group, "--n", "0",
                              "--mode", mode, "--json")
         assert code == 1
         assert not out
