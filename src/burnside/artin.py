@@ -8,29 +8,31 @@ subgroups on at most n generators, verified pointwise on group elements.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 
 from .groups import SubgroupLattice
 from .marks import (
     BurnsideElement,
+    GhostElement,
     InternalInvariantViolation,
     MarksTable,
     NotInImage,
     element_checks,
     phi,
+    solve_ghost,
 )
-
-
-class ArtinError(Exception):
-    pass
 
 
 @dataclass(frozen=True)
 class AbelianClassFamily:
     """Conjugacy classes of abelian subgroups on at most n generators, and
-    their order |G|_n, the least common multiple of their Weyl-group orders."""
+    their order |G|_n, the least common multiple of their Weyl-group orders.
+
+    For finite G, |G|_n = |G| at every n: the trivial class is in every
+    family, its Weyl group W_1 = N_G(1)/1 is G itself, and every other
+    Weyl order |N_G(A):A| divides |G|.  The lcm form is kept because it is
+    the definition that carries over to compact groups (lie.order_n_lie)."""
 
     n: int | float
     class_indices: tuple[int, ...]
@@ -75,48 +77,27 @@ def in_ideal_jn(element: BurnsideElement, family: AbelianClassFamily, table: Mar
     return phi(element, table).values.keys().isdisjoint(family.members)
 
 
-def idempotent_multiple(k: int, family: AbelianClassFamily, table: MarksTable) -> BurnsideElement:
-    """The element with ghost |G|_n * e_K, supported on family classes below (K).
-
-    It is the table's cached |G| * e_K times |G|_n / |G|, divided exactly.
-    """
-    lattice = table.lattice
-    if k not in family.members:
-        raise ArtinError(f"class {lattice.label_of(k)} is not in the family")
-    group_order = lattice.group.order
-    try:
-        scaled = table.scaled_idempotent(k)
-    except NotInImage as exc:  # pragma: no cover - contradicts tom Dieck's theorem
-        raise InternalInvariantViolation(str(exc)) from exc
-    coefficients = {}
-    for idx, c in scaled.coefficients.items():
-        q, r = divmod(c * family.order, group_order)
-        if r:
-            raise InternalInvariantViolation(
-                f"{family.order} * e_{lattice.label_of(k)} not integral at class {lattice.label_of(idx)}"
-            )
-        if idx not in family.members or not lattice.leq(idx, k):
-            raise InternalInvariantViolation(
-                f"support class {lattice.label_of(idx)} outside the family below {lattice.label_of(k)}"
-            )
-        coefficients[idx] = q
-    return BurnsideElement(coefficients)
-
-
 def artin_certificate(table: MarksTable, n: int | float) -> ArtinCertificate:
-    """Sum the idempotent multiples over the family and verify the identities.
+    """Solve alpha from its ghost, |G|_n on the family and 0 off it, and
+    verify the identities.
 
-    For n >= 1 the per-element check asserts sum_A c_A |(G/A)^g| = |G|_n for
-    every element conjugacy class of G.  For n = 0 only the ghost-level
-    statement holds, so the element checks are omitted.
+    alpha is sum_K |G|_n e_K over the family, one back-substitution; every
+    idempotent e_K is supported on the classes below (K), and the family is
+    closed under subgroups, so supp(alpha) lies in the family.  For n >= 1
+    the per-element check asserts sum_A c_A |(G/A)^g| = |G|_n for every
+    element conjugacy class of G.  For n = 0 only the ghost-level statement
+    holds, so the element checks are omitted.
     """
     lattice = table.lattice
     family = abelian_family(lattice, n)
     order = family.order
-    total = Counter()
-    for k in family.class_indices:
-        total.update(idempotent_multiple(k, family, table).coefficients)
-    alpha = BurnsideElement(total)
+    try:
+        alpha = solve_ghost(GhostElement(dict.fromkeys(family.class_indices, order)), table)
+    except NotInImage as exc:  # pragma: no cover - contradicts tom Dieck's theorem
+        raise InternalInvariantViolation(str(exc)) from exc
+    outside = alpha.coefficients.keys() - family.members
+    if outside:
+        raise InternalInvariantViolation(f"support class {lattice.label_of(min(outside))} outside the family")
 
     ghost = phi(alpha, table).values
     ghost_checks = tuple(

@@ -22,27 +22,11 @@ from .marks import (
 from .artin import AbelianClassFamily, abelian_family
 
 
-class BrauerError(Exception):
-    pass
-
-
-class NotPPerfect(BrauerError):
-    """A local idempotent was requested at a class that is not p-perfect."""
-
-
 def coprime_part(value: int, p: int) -> int:
     """Largest factor of value that is relatively prime to p."""
     while value % p == 0:
         value //= p
     return value
-
-
-@dataclass(frozen=True)
-class LocalIdempotent:
-    class_index: int  # the p-perfect class (H)
-    p: int
-    ghost: GhostElement  # 1 at (K) iff (O^p(K)) = (H)
-    scaled_element: BurnsideElement  # solves N_(p) * ghost
 
 
 @dataclass(frozen=True)
@@ -77,22 +61,6 @@ def in_hyper_family(lattice: SubgroupLattice, h: int, family: AbelianClassFamily
     groups.is_n_hyper).  Being generated by elements of order prime to p, an
     abelian O^p(H) is a p'-group."""
     return any(lattice.p_core_classes(p)[h] in family.members for p in prime_factors(family.order) or [2])
-
-
-def local_idempotent(h: int, p: int, table: MarksTable, n: int | float = 1) -> LocalIdempotent:
-    """The idempotent ghost supported on classes whose p-perfect core is (H),
-    together with the integral element solving its |G|_n-coprime multiple."""
-    lattice = table.lattice
-    cores = lattice.p_core_classes(p)
-    if cores[h] != h:
-        raise NotPPerfect(f"class {lattice.label_of(h)} is not {p}-perfect")
-    ghost = GhostElement({k: 1 for k, core in enumerate(cores) if core == h})
-    scale = coprime_part(abelian_family(lattice, n).order, p)
-    try:
-        scaled = solve_ghost(ghost.scale(scale), table)
-    except NotInImage as exc:  # pragma: no cover - contradicts the idempotent theorem
-        raise InternalInvariantViolation(str(exc)) from exc
-    return LocalIdempotent(h, p, ghost, scaled)
 
 
 def i_pn(p: int, family: AbelianClassFamily, table: MarksTable) -> GhostElement:

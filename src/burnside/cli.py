@@ -27,7 +27,7 @@ from .groups import (
 )
 from .characters import CharacterError
 from .lie import LieDataError, load_phi_data, order_n_lie, power
-from .marks import InternalInvariantViolation, NotInImage, marks_table
+from .marks import GhostElement, InternalInvariantViolation, NotInImage, marks_table, solve_ghost
 from .restriction import (
     DirectoryTables,
     MissingTable,
@@ -184,7 +184,7 @@ def cmd_verify(args) -> Report:
     tom_dieck = True
     for idx in range(table.size):
         try:
-            table.scaled_idempotent(idx)
+            solve_ghost(GhostElement({idx: group.order}), table)
         except NotInImage:
             tom_dieck = False
     report.add_check("order * indicator solves integrally", tom_dieck)

@@ -19,10 +19,11 @@ classes above it, counted once per such pair from the lattice's down-sets.
 The dense matrix is built from the columns on first read, for the marks
 report and the tests.  Since subconjugacy is transitive, the solution of a
 ghost vanishes outside the classes below its keys, and solve_ghost visits
-only those; the solve for {K: v} follows the down-set of (K).  The table
-also caches, per class, the element |G|*e_K whose ghost is {K: |G|},
-which the tom Dieck check and the Artin certificates read (the idempotents
-e_K of the rational Burnside ring: T. Yoshida, J. Algebra 80 (1983)).
+only those; the solve for {K: v} follows the down-set of (K).  verify's
+tom Dieck check solves {K: |G|}, the element |G|*e_K, once per class (the
+idempotents e_K of the rational Burnside ring: T. Yoshida, J. Algebra 80
+(1983)), while each Artin certificate solves its whole ghost, |G|_n on the
+family, once.
 
 The certificates are also checked at single elements g, where the value of
 [G/H] is |(G/H)^g| = |C_G(g)| * |g^G cap H| / |H|.  That count reads only
@@ -87,19 +88,6 @@ class MarksTable:
             for h, m in column:
                 rows[h][k] = m
         return IntMatrix.from_rows(rows)
-
-    def scaled_idempotent(self, k: int) -> BurnsideElement:
-        """|G|*e_K: the element whose ghost is |G| at (K) and 0 elsewhere,
-        solved once per class and table.  Raises NotInImage if the table
-        contradicts tom Dieck's integrality theorem."""
-        if k not in self._scaled_idempotents:
-            target = GhostElement({k: self.lattice.group.order})
-            self._scaled_idempotents[k] = solve_ghost(target, self)
-        return self._scaled_idempotents[k]
-
-    @cached_property
-    def _scaled_idempotents(self) -> dict[int, BurnsideElement]:
-        return {}
 
     @cached_property
     def element_classes(self) -> ConjugacyClasses:

@@ -9,19 +9,44 @@ induced_by_cosets sums a class function over the same cosets, the reference
 for characters.induce.  dense and sparse convert Burnside-ring and
 ghost elements between their {class: value} maps and lattice-order tuples,
 so assertions can keep tuple literals; pointwise and multiply are the ghost
-and Burnside-ring products, the ring-axiom oracles.  Not a test module:
+and Burnside-ring products, the ring-axiom oracles.
+gluck_scaled_idempotents gives |G| e_K by Gluck's formula, and
+artin_member_terms scales it to the per-member terms |G|_n e_K whose sum
+is the Artin certificate: the oracle for one ghost solve.  local_idempotent
+builds the p-local idempotents of the ghost ring one class at a time, the
+oracle for the Brauer certificate's single solve.  Not a test module:
 nothing here is collected.
 """
 
 import json
+from dataclasses import dataclass
 from pathlib import Path
 
 from hypothesis import strategies as st
 
+from burnside.artin import AbelianClassFamily, abelian_family
+from burnside.brauer import coprime_part
 from burnside.characters import ClassFunction
 from burnside.exact import Cyclotomic
-from burnside.groups import Group, conjugacy_classes, group_from_generators, parse_cycles, parse_group, perm_inv, perm_mul
-from burnside.marks import BurnsideElement, GhostElement, MarksTable, phi, solve_ghost
+from burnside.groups import (
+    Group,
+    all_subgroups,
+    conjugacy_classes,
+    group_from_generators,
+    parse_cycles,
+    parse_group,
+    perm_inv,
+    perm_mul,
+)
+from burnside.marks import (
+    BurnsideElement,
+    GhostElement,
+    InternalInvariantViolation,
+    MarksTable,
+    NotInImage,
+    phi,
+    solve_ghost,
+)
 
 WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "data" / "workloads.json"
 # name -> {"generators": [...], "conjugacy_classes": k, ...}
@@ -99,3 +124,79 @@ def pointwise(a: GhostElement, b: GhostElement) -> GhostElement:
 def multiply(a: BurnsideElement, b: BurnsideElement, table: MarksTable) -> BurnsideElement:
     """The ring product, solved back from the pointwise product of the ghosts."""
     return solve_ghost(pointwise(phi(a, table), phi(b, table)), table)
+
+
+def conjugates(subgroup: frozenset, elements) -> set[frozenset]:
+    return {frozenset(perm_mul(perm_mul(perm_inv(g), s), g) for s in subgroup) for g in elements}
+
+
+def gluck_scaled_idempotents(table: MarksTable) -> list[tuple[int, ...]]:
+    """|G| e_K = (|G| / |N_G(K)|) sum_{L <= K} |L| mu(L, K) [G/L], with mu the
+    Moebius function of the poset of all subgroups (D. Gluck, Illinois J.
+    Math. 25 (1981)); |G| / |N_G(K)| is the number of conjugates of K."""
+    group = table.lattice.group
+    subgroups = all_subgroups(group)
+    class_of = {}
+    for idx, cls in enumerate(table.lattice.classes):
+        for conjugate in conjugates(cls.element_set, group.elements):
+            class_of[conjugate] = idx
+    out = []
+    for cls in table.lattice.classes:
+        top = cls.element_set
+        below = sorted((s for s in subgroups if s <= top), key=len, reverse=True)
+        mu = {}
+        for low in below:
+            mu[low] = 1 if low == top else -sum(mu[m] for m in mu if low < m)
+        count = len(conjugates(top, group.elements))
+        coefficients = [0] * table.size
+        for low in below:
+            coefficients[class_of[low]] += count * len(low) * mu[low]
+        out.append(tuple(coefficients))
+    return out
+
+
+def artin_member_terms(table: MarksTable, family: AbelianClassFamily) -> dict[int, BurnsideElement]:
+    """{K: |G|_n e_K} for each class K of the family: Gluck's |G| e_K times
+    |G|_n / |G|, divided exactly.  Their sum is the Artin certificate's
+    alpha, built one member at a time with no call to solve_ghost.  Raises
+    ArithmeticError where a division is not exact."""
+    order = table.lattice.group.order
+    scaled = gluck_scaled_idempotents(table)
+    terms = {}
+    for k in family.class_indices:
+        coefficients = {}
+        for h, c in enumerate(scaled[k]):
+            q, r = divmod(c * family.order, order)
+            if r:
+                raise ArithmeticError(f"{family.order} * e_{k} not integral at class {h}")
+            coefficients[h] = q
+        terms[k] = BurnsideElement(coefficients)
+    return terms
+
+
+class NotPPerfect(Exception):
+    """A local idempotent was requested at a class that is not p-perfect."""
+
+
+@dataclass(frozen=True)
+class LocalIdempotent:
+    class_index: int  # the p-perfect class (H)
+    p: int
+    ghost: GhostElement  # 1 at (K) iff (O^p(K)) = (H)
+    scaled_element: BurnsideElement  # solves N_(p) * ghost
+
+
+def local_idempotent(h: int, p: int, table: MarksTable, n: int | float = 1) -> LocalIdempotent:
+    """The idempotent ghost supported on classes whose p-perfect core is (H),
+    together with the integral element solving its |G|_n-coprime multiple."""
+    lattice = table.lattice
+    cores = lattice.p_core_classes(p)
+    if cores[h] != h:
+        raise NotPPerfect(f"class {lattice.label_of(h)} is not {p}-perfect")
+    ghost = GhostElement({k: 1 for k, core in enumerate(cores) if core == h})
+    scale = coprime_part(abelian_family(lattice, n).order, p)
+    try:
+        scaled = solve_ghost(ghost.scale(scale), table)
+    except NotInImage as exc:  # pragma: no cover - contradicts the idempotent theorem
+        raise InternalInvariantViolation(str(exc)) from exc
+    return LocalIdempotent(h, p, ghost, scaled)

@@ -18,7 +18,6 @@ from burnside.brauer import (
     brauer_certificate,
     coprime_part,
     core_classification,
-    local_idempotent,
 )
 from burnside.exact import Cyclotomic
 from burnside.characters import (
@@ -45,7 +44,7 @@ from burnside.marks import (
 )
 from burnside.restriction import verify_artin_restriction, verify_brauer_restriction
 
-from group_fixtures import benchmark_group, pointwise, sparse
+from group_fixtures import benchmark_group, local_idempotent, pointwise, sparse
 
 FIXTURES = ["C2", "C3", "C4", "C6", "C2xC2", "S3", "D4", "Q8", "A4", "S4"]
 

@@ -5,17 +5,15 @@ import math
 import pytest
 
 from burnside.artin import (
-    ArtinError,
     abelian_family,
     artin_certificate,
     certificate_payload,
-    idempotent_multiple,
     in_ideal_jn,
 )
 from burnside.groups import builtin_group, perm_mul, subgroup_lattice
 from burnside.marks import GhostElement, marks_table, phi, unit
 
-from group_fixtures import dense
+from group_fixtures import artin_member_terms, benchmark_group, dense
 
 FIXTURES = ["C2", "C3", "C4", "C6", "C2xC2", "S3", "D4", "Q8", "A4", "S4"]
 N_VALUES = [0, 1, 2, math.inf]
@@ -106,30 +104,24 @@ class TestOrderN:
 
 
 class TestIdempotentMultiple:
+    """The per-member terms |G|_n e_K of the Gluck oracle, whose sum the
+    certificate solves in one step."""
+
     def test_s3_c3(self, tables):
         table = tables["S3"]
-        family = abelian_family(table.lattice, 1)
-        x = idempotent_multiple(2, family, table)  # class 3a
+        x = artin_member_terms(table, abelian_family(table.lattice, 1))[2]  # class 3a
         assert dense(x, 4) == (-1, 0, 3, 0)
         assert phi(x, table) == GhostElement({2: 6})
 
     def test_s3_trivial_class(self, tables):
         table = tables["S3"]
-        family = abelian_family(table.lattice, 1)
-        x = idempotent_multiple(0, family, table)
+        x = artin_member_terms(table, abelian_family(table.lattice, 1))[0]
         assert dense(x, 4) == (1, 0, 0, 0)
 
     def test_s3_c2(self, tables):
         table = tables["S3"]
-        family = abelian_family(table.lattice, 1)
-        x = idempotent_multiple(1, family, table)
+        x = artin_member_terms(table, abelian_family(table.lattice, 1))[1]
         assert dense(x, 4) == (-3, 6, 0, 0)
-
-    def test_not_in_family(self, tables):
-        table = tables["S3"]
-        family = abelian_family(table.lattice, 1)
-        with pytest.raises(ArtinError):
-            idempotent_multiple(3, family, table)  # the full class is not abelian
 
     @pytest.mark.parametrize("name", FIXTURES)
     @pytest.mark.parametrize("n", [1, 2, math.inf])
@@ -137,8 +129,7 @@ class TestIdempotentMultiple:
         table = tables[name]
         lattice = table.lattice
         family = abelian_family(lattice, n)
-        for k in family.class_indices:
-            x = idempotent_multiple(k, family, table)
+        for k, x in artin_member_terms(table, family).items():
             assert phi(x, table) == GhostElement({k: family.order})
             for idx in x.coefficients:
                 assert idx in family.class_indices
@@ -226,3 +217,24 @@ class TestArtinCertificate:
             {"class": "3a", "c": 3},
         ]
         assert payload["verified"] is True
+
+
+@pytest.mark.parametrize("name", ["S4", "C2^4"])
+def test_one_solve_per_certificate(monkeypatch, name):
+    from burnside import artin, marks
+
+    calls = []
+    original = marks.solve_ghost
+
+    def counting(ghost, table):
+        calls.append(ghost)
+        return original(ghost, table)
+
+    for module in (marks, artin):
+        monkeypatch.setattr(module, "solve_ghost", counting)
+    group = benchmark_group(name)
+    for n in N_VALUES:
+        table = marks_table(subgroup_lattice(group))
+        calls.clear()
+        artin_certificate(table, n)
+        assert len(calls) == 1

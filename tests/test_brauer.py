@@ -7,14 +7,12 @@ import pytest
 from hypothesis import given, settings
 
 from burnside.brauer import (
-    NotPPerfect,
     brauer_certificate,
     certificate_payload,
     coprime_part,
     core_classification,
     i_pn,
     in_hyper_family,
-    local_idempotent,
 )
 from burnside.artin import abelian_family
 from burnside.exact import prime_factors
@@ -27,7 +25,16 @@ from burnside.groups import (
 )
 from burnside.marks import GhostElement, marks_table, phi
 
-from group_fixtures import BENCHMARK_GROUPS, benchmark_group, dense, pointwise, small_subgroups_of_s6, sparse
+from group_fixtures import (
+    BENCHMARK_GROUPS,
+    NotPPerfect,
+    benchmark_group,
+    dense,
+    local_idempotent,
+    pointwise,
+    small_subgroups_of_s6,
+    sparse,
+)
 
 FIXTURES = ["C2", "C3", "C4", "C6", "C2xC2", "S3", "D4", "Q8", "A4", "S4"]
 

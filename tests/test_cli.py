@@ -338,6 +338,53 @@ class TestExitCodes:
         assert json.loads(out)["results"]["elementary_divisors"] == [1] * 7
 
 
+class TestArtinCertificateFails:
+    """A planted fault in the certificate's solve, seen by its checks."""
+
+    @staticmethod
+    def plant(monkeypatch, extra):
+        """Make the certificate's solve return alpha plus [G/H] at the class
+        extra(table) picks."""
+        from burnside import artin
+        from burnside.marks import BurnsideElement
+
+        original = artin.solve_ghost
+
+        def planted(ghost, table):
+            alpha = original(ghost, table).coefficients
+            h = extra(table)
+            return BurnsideElement({**alpha, h: alpha.get(h, 0) + 1})
+
+        monkeypatch.setattr(artin, "solve_ghost", planted)
+
+    @pytest.mark.parametrize("group", ["S4", "Q8", "C2^4"])
+    def test_trivial_coefficient_plus_one(self, capsys, monkeypatch, group):
+        # [G/1] adds |G| to the ghost at the trivial class and nowhere else
+        self.plant(monkeypatch, lambda table: 0)
+        spec = "\n".join(BENCHMARK_GROUPS[group]["generators"])
+        code, out, err = run(capsys, "artin", "--group", spec, "--n", "1", "--json")
+        assert code == 1
+        results = json.loads(out)["results"]
+        assert results["verified"] is False
+        assert [c["class"] for c in results["ghost_checks"] if c["value"] != c["expected"]] == ["1a"]
+        code, out, err = run(capsys, "verify", "--group", spec, "--json")
+        assert code == 1
+        checks = {c["name"]: c["ok"] for c in json.loads(out)["checks"]}
+        assert checks["Artin certificate n=1"] is False
+        assert checks["order * indicator solves integrally"] is True
+        assert checks["Brauer certificate n=1"] is True
+
+    def test_support_outside_the_family_is_internal(self, capsys, monkeypatch):
+        # S4 is not abelian, so its own class lies in no abelian family
+        self.plant(monkeypatch, lambda table: table.lattice.full_index)
+        code, out, err = run(capsys, "artin", "--group", "S4", "--n", "1", "--json")
+        assert code == 3
+        assert not out
+        error = json.loads(err)["error"]
+        assert (error["kind"], error["type"]) == ("internal error", "InternalInvariantViolation")
+        assert "outside the family" in error["message"]
+
+
 # verify and the equalizer read the nonzero marks only, column by column
 @pytest.mark.parametrize("group", ["S4", "C2^4", "S5"])
 @pytest.mark.parametrize("argv", [["verify"], ["equalizer", "--mode", "artin"], ["equalizer", "--mode", "brauer"]],

@@ -1,23 +1,24 @@
-"""The sparse Burnside-ring solver and the cached |G|*e_K, against oracles that
-share no code with them: a plain O(n^2) back-substitution through the dense
-marks matrix, and Gluck's formula for the idempotents of the Burnside ring."""
+"""The sparse Burnside-ring solver, |G|*e_K and the Artin certificate, against
+oracles that share no code with them: a plain O(n^2) back-substitution
+through the dense marks matrix, and Gluck's formula for the idempotents of
+the Burnside ring, summed member by member over the Artin family."""
 
 import json
 import math
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from burnside import cli, marks
-from burnside.artin import AbelianClassFamily, ArtinError, artin_certificate, idempotent_multiple
+from burnside.artin import AbelianClassFamily, abelian_family, artin_certificate
 from burnside.brauer import brauer_certificate
 from burnside.exact import IntMatrix
-from burnside.groups import all_subgroups, parse_group, perm_inv, perm_mul, subgroup_lattice
+from burnside.groups import parse_group, subgroup_lattice
 from burnside.marks import (
     BurnsideElement,
     GhostElement,
-    InternalInvariantViolation,
     MarksTable,
     NotInImage,
     marks_table,
@@ -25,7 +26,15 @@ from burnside.marks import (
     solve_ghost,
 )
 
-from group_fixtures import BENCHMARK_GROUPS, benchmark_group, dense, small_subgroups_of_s6, sparse
+from group_fixtures import (
+    BENCHMARK_GROUPS,
+    artin_member_terms,
+    benchmark_group,
+    dense,
+    gluck_scaled_idempotents,
+    small_subgroups_of_s6,
+    sparse,
+)
 
 _tables = {}
 
@@ -116,40 +125,26 @@ def test_phi_reads_every_nonzero_of_any_matrix():
 # |G| * e_K against Gluck's formula
 
 
-def conjugates(subgroup: frozenset, elements) -> set[frozenset]:
-    return {frozenset(perm_mul(perm_mul(perm_inv(g), s), g) for s in subgroup) for g in elements}
+GLUCK_GROUPS = ["S3", "D4", "Q8", "A4", "S4", "D8", "C2^3"]
 
 
-def gluck_scaled_idempotents(table: MarksTable) -> list[tuple[int, ...]]:
-    """|G| e_K = (|G| / |N_G(K)|) sum_{L <= K} |L| mu(L, K) [G/L], with mu the
-    Moebius function of the poset of all subgroups (D. Gluck, Illinois J.
-    Math. 25 (1981)); |G| / |N_G(K)| is the number of conjugates of K."""
-    group = table.lattice.group
-    subgroups = all_subgroups(group)
-    class_of = {}
-    for idx, cls in enumerate(table.lattice.classes):
-        for conjugate in conjugates(cls.element_set, group.elements):
-            class_of[conjugate] = idx
-    out = []
-    for cls in table.lattice.classes:
-        top = cls.element_set
-        below = sorted((s for s in subgroups if s <= top), key=len, reverse=True)
-        mu = {}
-        for low in below:
-            mu[low] = 1 if low == top else -sum(mu[m] for m in mu if low < m)
-        count = len(conjugates(top, group.elements))
-        coefficients = [0] * table.size
-        for low in below:
-            coefficients[class_of[low]] += count * len(low) * mu[low]
-        out.append(tuple(coefficients))
-    return out
-
-
-@pytest.mark.parametrize("name", ["S3", "D4", "Q8", "A4", "S4", "D8", "C2^3"])
+@pytest.mark.parametrize("name", GLUCK_GROUPS)
 def test_cached_idempotents_match_gluck(name):
     table = benchmark_table(name)
     expected = gluck_scaled_idempotents(table)
-    assert [dense(table.scaled_idempotent(k), table.size) for k in range(table.size)] == expected
+    order = table.lattice.group.order
+    assert [dense(solve_ghost(GhostElement({k: order}), table), table.size) for k in range(table.size)] == expected
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, math.inf])
+@pytest.mark.parametrize("name", GLUCK_GROUPS)
+def test_artin_alpha_is_the_sum_of_gluck_members(name, n):
+    # (|G|_n / |G|) sum_{K in F} |G| e_K by Gluck's formula, one member at a time
+    table = benchmark_table(name)
+    total = Counter()
+    for term in artin_member_terms(table, abelian_family(table.lattice, n)).values():
+        total.update(term.coefficients)
+    assert artin_certificate(table, n).alpha == BurnsideElement(total)
 
 
 def test_verify_solves_each_class_once(monkeypatch, capsys):
@@ -160,39 +155,38 @@ def test_verify_solves_each_class_once(monkeypatch, capsys):
         calls.append(ghost)
         return original(ghost, table)
 
-    monkeypatch.setattr(marks, "solve_ghost", counting)
-    monkeypatch.setattr("burnside.brauer.solve_ghost", counting)
+    for module in ("cli", "artin", "brauer"):
+        monkeypatch.setattr(f"burnside.{module}.solve_ghost", counting)
     assert cli.main(["verify", "--group", "S4", "--json"]) == 0
-    # one per class for the tom Dieck check, cached for the four Artin
+    # one per class for the tom Dieck check, one for each of the four Artin
     # certificates, and one for the Brauer decomposition
-    assert len(calls) == 11 + 1
+    assert len(calls) == 11 + 4 + 1
 
 
 def test_tom_dieck_check_fails_on_not_in_image(monkeypatch, capsys):
-    original = MarksTable.scaled_idempotent
-    refused = set()
+    original = marks.solve_ghost
 
-    def refuse_once(self, k):
-        if k == 1 and k not in refused:
-            refused.add(k)
-            raise NotInImage(k, self.lattice.label_of(k), 1)
-        return original(self, k)
+    def refuse_class_1(ghost, table):
+        if ghost.values.keys() == {1}:
+            raise NotInImage(1, table.lattice.label_of(1), 1)
+        return original(ghost, table)
 
-    monkeypatch.setattr(MarksTable, "scaled_idempotent", refuse_once)
+    monkeypatch.setattr("burnside.cli.solve_ghost", refuse_class_1)
     assert cli.main(["verify", "--group", "S3", "--json"]) == 1
     checks = {c["name"]: c["ok"] for c in json.loads(capsys.readouterr().out)["checks"]}
     assert checks["order * indicator solves integrally"] is False
-    assert checks["Artin certificate n=1"] is True
+    # the certificates solve their own ghosts and do not read the sweep
+    for name in ("Artin certificate n=1", "Artin certificate n=2", "Artin certificate n=inf",
+                 "Artin ghost certificate n=0"):
+        assert checks[name] is True
 
 
 def test_idempotent_multiple_divides_the_cached_vector_exactly():
     table = benchmark_table("S3")
     # 6 e_(2a) = 6 [S3/C2] - 3 [S3/1]; the family {(2a)} has order 1
-    assert dense(table.scaled_idempotent(1), 4) == (-3, 6, 0, 0)
-    with pytest.raises(InternalInvariantViolation, match="not integral"):
-        idempotent_multiple(1, AbelianClassFamily(1, (1,), 1), table)
-    with pytest.raises(ArtinError):
-        idempotent_multiple(3, AbelianClassFamily(1, (1,), 1), table)
+    assert dense(solve_ghost(GhostElement({1: 6}), table), 4) == (-3, 6, 0, 0)
+    with pytest.raises(ArithmeticError, match="not integral"):
+        artin_member_terms(table, AbelianClassFamily(1, (1,), 1))
 
 
 # ---------------------------------------------------------------------------
@@ -208,7 +202,8 @@ def assert_sparse(values: dict[int, int], n: int, within: int = -1) -> None:
 def assert_elements_sparse(table: MarksTable, rng: random.Random) -> None:
     n, down_sets = table.size, table.lattice.down_sets
     for k in range(n):
-        assert_sparse(table.scaled_idempotent(k).coefficients, n, down_sets[k])
+        scaled = solve_ghost(GhostElement({k: table.lattice.group.order}), table)
+        assert_sparse(scaled.coefficients, n, down_sets[k])
     for _ in range(4):
         ghost = GhostElement({rng.randrange(n): rng.randint(1, 6) * table.lattice.group.order
                               for _ in range(rng.randint(1, 3))})
