@@ -57,9 +57,11 @@ def core_classification(lattice: SubgroupLattice, p: int) -> list[int]:
 
 def in_hyper_family(lattice: SubgroupLattice, h: int, family: AbelianClassFamily) -> bool:
     """Whether class h is n-hyper for some prime p dividing |G|_n, or for 2
-    when |G|_n is 1: the class of O^p(H) is in the abelian family (see
-    groups.is_n_hyper).  Being generated by elements of order prime to p, an
-    abelian O^p(H) is a p'-group."""
+    when |G|_n is 1: the class of O^p(H) is in the abelian family.  H is
+    n-hyper for p when it extends an abelian p'-group on at most n
+    generators by a p-group, and any such subgroup contains O^p(H), so
+    O^p(H) is one whenever one exists.  Being generated by elements of order
+    prime to p, an abelian O^p(H) is a p'-group."""
     return any(lattice.p_core_classes(p)[h] in family.members for p in prime_factors(family.order) or [2])
 
 

@@ -6,10 +6,12 @@ table files, ClassFunction.value_at looks a value up by one, and they carry
 elements between a group and an explicit subgroup, each with its own index
 core (GroupCore).  Every loop over elements, in the class matrices, power
 maps, conjugation by g and linear characters, runs on element indices and
-the index form of the classes (groups.ConjugacyClasses).  Permutation
-characters and induction read the count of groups that also gives the marks
-at single elements, |C_G(g)| * |g^G cap S| from class bitmasks: no coset is
-walked (Serre, Linear Representations of Finite Groups (1977), 7.2).
+the index form of the classes (groups.ConjugacyClasses).  Induction reads
+the count of groups that also gives the marks at single elements,
+|C_G(g)| * |g^G cap S| from class bitmasks: no coset is walked (Serre,
+Linear Representations of Finite Groups (1977), 7.2).  The equalizer does
+not call restrict: it reads G's characters on a subgroup through one
+class-fusion list per subgroup (restriction).
 
 Character tables are either loaded from validated fixture files or computed
 exactly: abelian groups by enumerating homomorphisms into roots of unity,
@@ -43,7 +45,7 @@ from fractions import Fraction
 from itertools import count, product
 from typing import Sequence
 
-from .exact import Cyclotomic, NotInSubfield, prime_factors, reduce_mod_phi
+from .exact import Cyclotomic, prime_factors, reduce_mod_phi
 from .groups import (
     Group,
     GroupCore,
@@ -120,11 +122,6 @@ class ClassFunction:
         return all(v.is_zero() for v in self.values)
 
 
-def constant_function(group: Group, classes: ConjugacyClasses, value, conductor: int = 1) -> ClassFunction:
-    c = Cyclotomic.from_rational(value, conductor) if not isinstance(value, Cyclotomic) else value
-    return ClassFunction(group, classes, tuple(c for _ in classes.members))
-
-
 def _spread(values: Sequence[Cyclotomic], n: int, weights: Sequence[int] | None = None,
             conjugate: bool = False) -> list[list[tuple[int, int]]]:
     """Each value, times its weight, as (exponent, integer coefficient) pairs
@@ -148,27 +145,8 @@ def _convolve(left: list[list[tuple[int, int]]], right: list[list[tuple[int, int
     return reduce_mod_phi(acc, n)
 
 
-def inner_product(a: ClassFunction, b: ClassFunction) -> Fraction:
-    """(1/|G|) sum_g a(g) * conj(b(g)), exactly; NotInSubfield when it is
-    not rational, which it always is for virtual characters."""
-    n = math.lcm(1, *(v.conductor for v in a.values), *(v.conductor for v in b.values))
-    coeffs = _convolve(_spread(a.values, n, a.classes.sizes), _spread(b.values, n, conjugate=True), n)
-    if any(coeffs[1:]):
-        raise NotInSubfield(f"{Cyclotomic(n, coeffs)!r} / {a.group.order} is not rational")
-    return Fraction(coeffs[0], a.group.order)
-
-
 # ---------------------------------------------------------------------------
-# permutation characters, induction, restriction, conjugation
-
-
-def perm_character(group: Group, subgroup: frozenset) -> ClassFunction:
-    """Character of the action on G/H: g -> |(G/H)^g|."""
-    classes = conjugacy_classes(group)
-    mask = group.core.mask(subgroup)
-    return ClassFunction(group, classes, tuple(
-        Cyclotomic.from_rational(classes.conjugators_into(c, mask) // len(subgroup))
-        for c in range(len(classes.members))))
+# induction, restriction, conjugation
 
 
 def induce(xi: ClassFunction, group: Group) -> ClassFunction:
@@ -206,33 +184,6 @@ def conjugate_function(xi: ClassFunction, g: Perm, parent: Group) -> ClassFuncti
     values = tuple(xi.value_at(core.elements[core.conjugate(core.index[rep], c)])
                    for rep in target_classes.representatives)
     return ClassFunction(target, target_classes, values)
-
-
-def frobenius_check(e: ClassFunction, m: ClassFunction, group: Group) -> bool:
-    """ind(e) * m == ind(e * res m), exactly."""
-    sub = subgroup_as_group(group, frozenset(e.group.elements))
-    left = induce(e, group) * m
-    right = induce(e * restrict(m, sub), group)
-    return left == right
-
-
-def mackey_check(k_sub: frozenset, xi: ClassFunction, group: Group) -> bool:
-    """res_K ind_H xi == sum over K\\G/H of ind res of the conjugated xi."""
-    from .groups import double_cosets
-
-    k_group = subgroup_as_group(group, k_sub)
-    left = restrict(induce(xi, group), k_group)
-    h_sub = frozenset(xi.group.elements)
-    decomposition = double_cosets(group, k_sub, h_sub)
-    k_classes = conjugacy_classes(k_group)
-    conductor = xi.values[0].conductor if xi.values else 1
-    total = constant_function(k_group, k_classes, Cyclotomic.zero(conductor))
-    for coset in decomposition.cosets:
-        conj = conjugate_function(xi, coset.representative, group)
-        inter = subgroup_as_group(group, coset.intersection)
-        piece = induce(restrict(conj, inter), k_group)
-        total = total + piece
-    return left == total
 
 
 # ---------------------------------------------------------------------------
@@ -280,13 +231,6 @@ class CharacterTable:
                 raise CharacterError(f"inner product {Fraction(coeffs[0], order)} is not an integer")
             out.append(coeffs[0] // order)
         return out
-
-    def from_coordinates(self, coords: Sequence[int]) -> ClassFunction:
-        total = constant_function(self.group, self.classes, Cyclotomic.zero())
-        for c, row in zip(coords, self.rows):
-            if c:
-                total = total + row.scale(c)
-        return total
 
 
 def validate_table(table: CharacterTable) -> None:

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 from . import artin as artin_mod
 from . import brauer as brauer_mod
-from .exact import GcdNotOne, NotIntegral
+from .exact import GcdNotOne
 from .groups import (
     DEFAULT_ORDER_CAP,
     Group,
@@ -257,8 +257,6 @@ INPUT_ERRORS = (
     LieDataError,
     CharacterError,
     MissingTable,
-    GcdNotOne,
-    NotIntegral,
     OSError,
     ValueError,
     json.JSONDecodeError,
@@ -285,7 +283,8 @@ def main(argv: list[str] | None = None) -> int:
     except (NotInImage, RestrictionError) as exc:
         _emit_error("check failed", exc, getattr(args, "json", False))
         return 1
-    except InternalInvariantViolation as exc:
+    # Brauer's Bezout step combines the coprime parts of |G|_n, whose gcd is 1
+    except (InternalInvariantViolation, GcdNotOne) as exc:
         _emit_error("internal error", exc, getattr(args, "json", False))
         return 3
     report.timing = time.monotonic() - start

@@ -12,15 +12,13 @@ from the core.  Element classes are held in index form, each class's
 element indices and the class of each index; their permutations are read
 only for table files, report labels and ClassFunction.value_at.  One count,
 |C_G(g)| * |g^G cap S| from g's class mask and the bitmask of S
-(ConjugacyClasses.conjugators_into), gives the marks at single elements,
-permutation characters and induced characters.  The subgroup lattice is
+(ConjugacyClasses.conjugators_into), gives the marks at single elements
+and induced characters.  The subgroup lattice is
 enumerated by cyclic extension, one representative per conjugacy class
 extended by one cyclic subgroup per orbit of its normalizer.  Normalizer
 orders and marks are read off the conjugation orbits of those bitmasks, and
 subconjugacy is the closure of the extension edges, one down-set bitmask
 over the class indices per class.
-The n-hyper helpers at the end still close permutation tuples, because their
-public signature has no group.
 """
 
 from __future__ import annotations
@@ -35,7 +33,6 @@ from typing import Iterable, NamedTuple, Sequence
 from .exact import prime_factors
 
 Perm = tuple[int, ...]
-Subgroup = frozenset
 
 DEFAULT_ORDER_CAP = 5000
 
@@ -50,10 +47,6 @@ class MalformedCycle(GroupError):
 
 class OrderCapExceeded(GroupError):
     """Enumeration exceeded the configured element cap."""
-
-
-class NotAbelian(GroupError):
-    """An abelian-only operation was applied to a nonabelian subgroup."""
 
 
 # ---------------------------------------------------------------------------
@@ -74,15 +67,6 @@ def perm_inv(p: Perm) -> Perm:
     for i, v in enumerate(p):
         out[v] = i
     return tuple(out)
-
-
-def perm_order(p: Perm) -> int:
-    e = perm_identity(len(p))
-    q, n = p, 1
-    while q != e:
-        q = perm_mul(q, p)
-        n += 1
-    return n
 
 
 def perm_to_cycles(p: Perm) -> str:
@@ -311,19 +295,6 @@ class GroupCore:
                 members = set(elems)
         return elems, used
 
-    def left_coset_representatives(self, mask: int) -> list[int]:
-        """The first element, in index order, of each left coset g*H of the
-        subgroup H with the given mask."""
-        members = _bits(mask)
-        seen = bytearray(len(self.table))
-        reps = []
-        for g, row in enumerate(self.table):
-            if not seen[g]:
-                reps.append(g)
-                for h in members:
-                    seen[row[h]] = 1
-        return reps
-
     def cyclic_generators(self) -> tuple[list[int], list[int]]:
         """One generator (the first in index order) of each cyclic subgroup
         of prime-power order greater than 1, and root[x], the listed
@@ -535,11 +506,6 @@ def _element_classes(group: Group) -> ConjugacyClasses:
 
 def exponent(group: Group) -> int:
     return math.lcm(*group.core.orders)
-
-
-def is_abelian_subgroup(elements: Iterable[Perm]) -> bool:
-    elems = list(elements)
-    return all(perm_mul(a, b) == perm_mul(b, a) for i, a in enumerate(elems) for b in elems[i + 1:])
 
 
 # ---------------------------------------------------------------------------
@@ -767,17 +733,6 @@ def _abelian_rank(core: GroupCore, elems: list[int]) -> int:
     )
 
 
-def abelian_min_generators(elements: frozenset, degree: int) -> int:
-    """max over primes p of the rank of H/H^p, for abelian H."""
-    if not is_abelian_subgroup(elements):
-        raise NotAbelian("subgroup is not abelian")
-    order = len(elements)
-    return max(
-        (_elementary_rank(order // len({_perm_pow(h, p) for h in elements}), p) for p in prime_factors(order)),
-        default=0,
-    )
-
-
 def _elementary_rank(quotient: int, p: int) -> int:
     """The r with p**r == quotient."""
     rank = 0
@@ -785,17 +740,6 @@ def _elementary_rank(quotient: int, p: int) -> int:
         rank += 1
     assert p ** rank == quotient
     return rank
-
-
-def _perm_pow(p: Perm, n: int) -> Perm:
-    result = perm_identity(len(p))
-    base = p
-    while n:
-        if n & 1:
-            result = perm_mul(result, base)
-        base = perm_mul(base, base)
-        n >>= 1
-    return result
 
 
 def _least_member(orbit: list[int]) -> int:
@@ -857,38 +801,7 @@ def subgroup_lattice(group: Group) -> SubgroupLattice:
 
 
 # ---------------------------------------------------------------------------
-# subgroup classifications
-
-
-def p_perfect_core(subgroup: frozenset, p: int, degree: int) -> frozenset:
-    """O^p(H): the subgroup generated by all elements of order prime to p."""
-    gens = [h for h in subgroup if perm_order(h) % p != 0]
-    return close_under_product(degree, gens, cap=len(subgroup))
-
-
-def is_n_hyper(subgroup: frozenset, n: int | float, p: int, degree: int) -> bool:
-    """Extension of an abelian p'-group on <= n generators by a p-group.
-
-    Tested via A = O^p(H): any witness A contains O^p(H), and subgroups of
-    abelian groups on <= n generators again need <= n generators, so the
-    core is a witness whenever one exists.
-    """
-    core = p_perfect_core(subgroup, p, degree)
-    if not is_abelian_subgroup(core):
-        return False
-    if len(core) % p == 0:
-        return False
-    return abelian_min_generators(core, degree) <= n
-
-
-# ---------------------------------------------------------------------------
 # cosets and double cosets
-
-
-def left_cosets(group: Group, subgroup: frozenset) -> list[Perm]:
-    """The first element, in element order, of each left coset g*H."""
-    core = group.core
-    return [core.elements[g] for g in core.left_coset_representatives(core.mask(subgroup))]
 
 
 @dataclass(frozen=True)

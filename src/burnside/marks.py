@@ -30,8 +30,8 @@ The certificates are also checked at single elements g, where the value of
 the element classes of G and the bitmask of H: |g^G cap H| is the popcount
 of H's mask ANDed with the mask of g's class, so it stays independent of
 the table of marks it is checked against.  It is the count behind
-characters.perm_character and induce too (ConjugacyClasses.conjugators_into),
-and element_checks reads it per class index, with no permutation lookup.
+characters.induce too (ConjugacyClasses.conjugators_into), and
+element_checks reads it per class index, with no permutation lookup.
 """
 
 from __future__ import annotations

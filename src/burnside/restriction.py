@@ -25,6 +25,10 @@ support of its verified certificate, which lies between the two (see
 _artin_section), so the section reads all its rows from the equalizer.
 So tables are read, and with --tables loaded, for the maximal members of
 the n-hyper family, the support of the Artin certificate and G alone.
+
+G's table lives on G itself.  Each member is read through one fusion list,
+fusion[c] the G-class of its class c: M's block takes G's rows at those
+classes, and the fusion check compares the basis columns along the lists.
 """
 
 from __future__ import annotations
@@ -46,10 +50,10 @@ from .exact import (
 )
 from .characters import (
     CharacterTable,
+    ClassFunction,
     character_table,
     conjugate_function,
     load_character_table,
-    restrict,
 )
 from .groups import (
     Group,
@@ -107,9 +111,15 @@ class TableProvider:
         return self._class_tables[class_index]
 
     def _build(self, class_index: int) -> CharacterTable:
+        return character_table(self._class_group(class_index), conductor=self.conductor)
+
+    def _class_group(self, class_index: int) -> Group:
+        """The group a class's table lives on: G itself for the full class,
+        else the class representative as an explicit subgroup."""
+        if class_index == self.lattice.full_index:
+            return self.lattice.group
         rep = self.lattice.classes[class_index].element_set
-        sub = subgroup_as_group(self.group, rep, name=self.lattice.label_of(class_index))
-        return character_table(sub, conductor=self.conductor)
+        return subgroup_as_group(self.group, rep, name=self.lattice.label_of(class_index))
 
     def table_for(self, subgroup: frozenset) -> CharacterTable:
         if subgroup in self._conjugate_tables:
@@ -137,10 +147,7 @@ class DirectoryTables(TableProvider):
         path = self.directory / (self.group.name or "unnamed") / f"{label}.tbl"
         if not path.exists():
             raise MissingTable(f"no table file for class {label}: {path}")
-        rep = self.lattice.classes[class_index].element_set
-        sub = subgroup_as_group(self.group, rep, name=label)
-        table = load_character_table(str(path), sub)
-        return table
+        return load_character_table(str(path), self._class_group(class_index))
 
 
 @dataclass(frozen=True)
@@ -204,19 +211,24 @@ def equalizer_lattice(family: list[int], provider: TableProvider,
         raise EmptyFamily("equalizer over an empty family")
     tables = [provider.class_table(i) for i in family]
     top_table = provider.class_table(lattice.full_index)
-    stacked = [row for table in tables for row in _stacked_block(table, top_table)]
+    g_classes, index = conjugacy_classes(lattice.group), lattice.group.core.index
+    fusions = [[g_classes.class_of[index[rep]] for rep in table.classes.representatives] for table in tables]
+    stacked = [row for table, fusion in zip(tables, fusions) for row in _stacked_block(table, fusion, top_table)]
     echelon = row_echelon(stacked, top_table.size)
     eq = EqualizerLattice(tuple(family), IntMatrix.from_rows(stacked), IntMatrix.from_rows(echelon),
                           IntMatrix.from_rows(_solve_coordinates(echelon, stacked)))
-    met = _check_fusion(eq.basis, tables, lattice)
+    met = _check_fusion(eq.basis, tables, fusions, [lattice.label_of(i) for i in family])
     if met != eq.rank:
         raise RestrictionError(f"equalizer rank {eq.rank}, but the family meets {met} G-classes")
     return eq
 
 
-def _stacked_block(table: CharacterTable, top_table: CharacterTable) -> list[tuple[int, ...]]:
-    """The rows (K, psi) of M for K's table: <res_K chi, psi> over chi in irr(G)."""
-    return list(zip(*(table.coordinates(restrict(chi, table.group))
+def _stacked_block(table: CharacterTable, fusion: Sequence[int],
+                   top_table: CharacterTable) -> list[tuple[int, ...]]:
+    """The rows (K, psi) of M for K's table: <res_K chi, psi> over chi in
+    irr(G), where res_K chi takes chi's value at fusion[c] on K's class c."""
+    return list(zip(*(table.coordinates(ClassFunction(table.group, table.classes,
+                                                      tuple(chi.values[f] for f in fusion)))
                       for chi in top_table.rows)))
 
 
@@ -235,28 +247,26 @@ def _solve_coordinates(echelon: list[list[int]], rows: Sequence[Sequence[int]]) 
         raise RestrictionError(f"non-integral equalizer coordinate: {exc}") from exc
 
 
-def _check_fusion(basis: IntMatrix, tables: list[CharacterTable], lattice: SubgroupLattice) -> int:
+def _check_fusion(basis: IntMatrix, tables: list[CharacterTable], fusions: list[list[int]], labels: list[str]) -> int:
     """Check x_K(y) = x_L(z) on every basis column for y in K and z in L
     conjugate in G, comparing each family class with the first one in its
-    G-class at n, the lcm of the tables' conductors; return the number of
-    G-classes met."""
-    g_classes = conjugacy_classes(lattice.group)
+    G-class, read from the member's fusion list, at n, the lcm of the
+    tables' conductors; return the number of G-classes met."""
     n = math.lcm(*(t.conductor for t in tables))
     phi = euler_phi(n)
     first: dict[int, list] = {}  # G-class -> values of every basis column at its first family class
     offset = 0
-    for table in tables:
+    for table, fusion, label in zip(tables, fusions, labels, strict=True):
         block = basis.entries[offset:offset + table.size]
         offset += table.size
-        for c, rep in enumerate(table.classes.representatives):
+        for c, g_class in enumerate(fusion):
             values = [[0] * basis.cols for _ in range(phi)]  # power-basis coefficient -> column
             for x, row in zip(block, table.rows):
                 for i, v in enumerate(row.values[c].to_conductor(n).coeffs):
                     if v:
                         values[i] = [a + v * b for a, b in zip(values[i], x)]
-            if first.setdefault(g_classes.index_of(rep), values) != values:
-                raise RestrictionError(f"equalizer basis is not compatible at class {c} "
-                                       f"of {table.group.name}")
+            if first.setdefault(g_class, values) != values:
+                raise RestrictionError(f"equalizer basis is not compatible at class {c} of {label}")
     return len(first)
 
 

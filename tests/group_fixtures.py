@@ -4,7 +4,7 @@ BENCHMARK_GROUPS holds the groups of the benchmark workloads (read from
 perfbench/data/workloads.json, which is not written here),
 small_subgroups_of_s6 draws random subgroups of S6 of order at most 48, and
 coset_fixed_points counts |(G/H)^g| coset by coset, the reference for
-marks.fixed_points_of_element and characters.perm_character, and
+marks.fixed_points_of_element and oracles.perm_character, and
 induced_by_cosets sums a class function over the same cosets, the reference
 for characters.induce.  dense and sparse convert Burnside-ring and
 ghost elements between their {class: value} maps and lattice-order tuples,
@@ -48,6 +48,8 @@ from burnside.marks import (
     solve_ghost,
 )
 
+from oracles import left_coset_representatives
+
 WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "data" / "workloads.json"
 # name -> {"generators": [...], "conjugacy_classes": k, ...}
 BENCHMARK_GROUPS = json.loads(WORKLOADS.read_text())["groups"]
@@ -85,7 +87,7 @@ def coset_fixed_points(table: MarksTable, h: int, g) -> int:
     mul, inverse = core.table, core.inverse
     x = core.index[g]
     hmask = lattice.orbits[h][0]
-    return sum(hmask >> mul[mul[inverse[r]][x]][r] & 1 for r in core.left_coset_representatives(hmask))
+    return sum(hmask >> mul[mul[inverse[r]][x]][r] & 1 for r in left_coset_representatives(core, hmask))
 
 
 def induced_by_cosets(xi: ClassFunction, group: Group) -> ClassFunction:
@@ -95,7 +97,7 @@ def induced_by_cosets(xi: ClassFunction, group: Group) -> ClassFunction:
     core = group.core
     classes = conjugacy_classes(group)
     mask = core.mask(xi.group.elements)
-    cosets = core.left_coset_representatives(mask)
+    cosets = left_coset_representatives(core, mask)
     conductor = xi.values[0].conductor if xi.values else 1
     values = []
     for rep in classes.representatives:

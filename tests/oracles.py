@@ -1,0 +1,193 @@
+"""Permutation-level oracles for the tests, kept out of the package.
+
+The package computes on element indices and class masks; these helpers
+work on permutation tuples and frozensets, or compose the package's public
+class-function operations, so they check the pipeline from outside it.
+inner_product pairs two class functions through the same integer
+convolution as CharacterTable.coordinates; from_coordinates and
+constant_function build class functions; perm_character is g -> |(G/H)^g|;
+frobenius_check and mackey_check test Frobenius reciprocity and the Mackey
+formula with induce, restrict and conjugate_function.  is_n_hyper,
+p_perfect_core and abelian_min_generators classify a subgroup from its
+permutations alone, the oracle for brauer.in_hyper_family and the
+lattice's generator counts.  Not a test module: nothing here is collected.
+"""
+
+import math
+from fractions import Fraction
+from typing import Sequence
+
+from burnside.characters import (
+    CharacterTable,
+    ClassFunction,
+    _convolve,
+    _spread,
+    conjugate_function,
+    induce,
+    restrict,
+)
+from burnside.exact import Cyclotomic, NotInSubfield, prime_factors
+from burnside.groups import (
+    Group,
+    GroupCore,
+    GroupError,
+    Perm,
+    ConjugacyClasses,
+    close_under_product,
+    conjugacy_classes,
+    double_cosets,
+    perm_identity,
+    perm_mul,
+    subgroup_as_group,
+)
+
+
+class NotAbelian(GroupError):
+    """An abelian-only operation was applied to a nonabelian subgroup."""
+
+
+# ---------------------------------------------------------------------------
+# class functions
+
+
+def constant_function(group: Group, classes: ConjugacyClasses, value, conductor: int = 1) -> ClassFunction:
+    c = Cyclotomic.from_rational(value, conductor) if not isinstance(value, Cyclotomic) else value
+    return ClassFunction(group, classes, tuple(c for _ in classes.members))
+
+
+def inner_product(a: ClassFunction, b: ClassFunction) -> Fraction:
+    """(1/|G|) sum_g a(g) * conj(b(g)), exactly; NotInSubfield when it is
+    not rational, which it always is for virtual characters."""
+    n = math.lcm(1, *(v.conductor for v in a.values), *(v.conductor for v in b.values))
+    coeffs = _convolve(_spread(a.values, n, a.classes.sizes), _spread(b.values, n, conjugate=True), n)
+    if any(coeffs[1:]):
+        raise NotInSubfield(f"{Cyclotomic(n, coeffs)!r} / {a.group.order} is not rational")
+    return Fraction(coeffs[0], a.group.order)
+
+
+def from_coordinates(table: CharacterTable, coords: Sequence[int]) -> ClassFunction:
+    """The virtual character with the given coordinates in table's irreducibles."""
+    total = constant_function(table.group, table.classes, Cyclotomic.zero())
+    for c, row in zip(coords, table.rows):
+        if c:
+            total = total + row.scale(c)
+    return total
+
+
+def perm_character(group: Group, subgroup: frozenset) -> ClassFunction:
+    """Character of the action on G/H: g -> |(G/H)^g|."""
+    classes = conjugacy_classes(group)
+    mask = group.core.mask(subgroup)
+    return ClassFunction(group, classes, tuple(
+        Cyclotomic.from_rational(classes.conjugators_into(c, mask) // len(subgroup))
+        for c in range(len(classes.members))))
+
+
+def frobenius_check(e: ClassFunction, m: ClassFunction, group: Group) -> bool:
+    """ind(e) * m == ind(e * res m), exactly."""
+    sub = subgroup_as_group(group, frozenset(e.group.elements))
+    left = induce(e, group) * m
+    right = induce(e * restrict(m, sub), group)
+    return left == right
+
+
+def mackey_check(k_sub: frozenset, xi: ClassFunction, group: Group) -> bool:
+    """res_K ind_H xi == sum over K\\G/H of ind res of the conjugated xi."""
+    k_group = subgroup_as_group(group, k_sub)
+    left = restrict(induce(xi, group), k_group)
+    h_sub = frozenset(xi.group.elements)
+    decomposition = double_cosets(group, k_sub, h_sub)
+    k_classes = conjugacy_classes(k_group)
+    conductor = xi.values[0].conductor if xi.values else 1
+    total = constant_function(k_group, k_classes, Cyclotomic.zero(conductor))
+    for coset in decomposition.cosets:
+        conj = conjugate_function(xi, coset.representative, group)
+        inter = subgroup_as_group(group, coset.intersection)
+        piece = induce(restrict(conj, inter), k_group)
+        total = total + piece
+    return left == total
+
+
+# ---------------------------------------------------------------------------
+# permutations, cosets and subgroup classifications
+
+
+def _perm_pow(p: Perm, n: int) -> Perm:
+    result = perm_identity(len(p))
+    base = p
+    while n:
+        if n & 1:
+            result = perm_mul(result, base)
+        base = perm_mul(base, base)
+        n >>= 1
+    return result
+
+
+def perm_order(p: Perm) -> int:
+    e = perm_identity(len(p))
+    q, n = p, 1
+    while q != e:
+        q = perm_mul(q, p)
+        n += 1
+    return n
+
+
+def left_coset_representatives(core: GroupCore, mask: int) -> list[int]:
+    """The first element, in index order, of each left coset g*H of the
+    subgroup H with the given mask over core."""
+    members = [i for i in range(len(core.table)) if mask >> i & 1]
+    seen = bytearray(len(core.table))
+    reps = []
+    for g, row in enumerate(core.table):
+        if not seen[g]:
+            reps.append(g)
+            for h in members:
+                seen[row[h]] = 1
+    return reps
+
+
+def left_cosets(group: Group, subgroup: frozenset) -> list[Perm]:
+    """The first element, in element order, of each left coset g*H."""
+    core = group.core
+    return [core.elements[g] for g in left_coset_representatives(core, core.mask(subgroup))]
+
+
+def is_abelian_subgroup(elements) -> bool:
+    elems = list(elements)
+    return all(perm_mul(a, b) == perm_mul(b, a) for i, a in enumerate(elems) for b in elems[i + 1:])
+
+
+def abelian_min_generators(elements: frozenset, degree: int) -> int:
+    """max over primes p of the rank of H/H^p, for abelian H: the r with
+    [H : H^p] = p^r, found by dividing the index by p until it is 1."""
+    if not is_abelian_subgroup(elements):
+        raise NotAbelian("subgroup is not abelian")
+    ranks = [0]
+    for p in prime_factors(len(elements)):
+        index, rank = len(elements) // len({_perm_pow(h, p) for h in elements}), 0
+        while index % p == 0:
+            index, rank = index // p, rank + 1
+        assert index == 1, f"[H : H^{p}] is not a power of {p}"
+        ranks.append(rank)
+    return max(ranks)
+
+
+def p_perfect_core(subgroup: frozenset, p: int, degree: int) -> frozenset:
+    """O^p(H): the subgroup generated by all elements of order prime to p."""
+    gens = [h for h in subgroup if perm_order(h) % p != 0]
+    return close_under_product(degree, gens, cap=len(subgroup))
+
+
+def is_n_hyper(subgroup: frozenset, n: int | float, p: int, degree: int) -> bool:
+    """Extension of an abelian p'-group on <= n generators by a p-group.
+
+    Tested via A = O^p(H): any witness A contains O^p(H), and subgroups of
+    abelian groups on <= n generators again need <= n generators, so the
+    core is a witness whenever one exists.
+    """
+    core = p_perfect_core(subgroup, p, degree)
+    if not is_abelian_subgroup(core):
+        return False
+    if len(core) % p == 0:
+        return False
+    return abelian_min_generators(core, degree) <= n

@@ -20,16 +20,11 @@ from burnside.brauer import (
     core_classification,
 )
 from burnside.exact import Cyclotomic
-from burnside.characters import (
-    ClassFunction,
-    frobenius_check,
-    mackey_check,
-)
+from burnside.characters import ClassFunction
 from burnside.groups import (
     builtin_group,
     conjugacy_classes,
     exponent,
-    is_n_hyper,
     parse_group,
     subgroup_as_group,
     subgroup_lattice,
@@ -45,6 +40,7 @@ from burnside.marks import (
 from burnside.restriction import verify_artin_restriction, verify_brauer_restriction
 
 from group_fixtures import benchmark_group, local_idempotent, pointwise, sparse
+from oracles import frobenius_check, is_n_hyper, mackey_check
 
 FIXTURES = ["C2", "C3", "C4", "C6", "C2xC2", "S3", "D4", "Q8", "A4", "S4"]
 

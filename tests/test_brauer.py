@@ -19,7 +19,6 @@ from burnside.exact import prime_factors
 from burnside.groups import (
     BUILTIN_GROUPS,
     builtin_group,
-    is_n_hyper,
     perm_mul,
     subgroup_lattice,
 )
@@ -35,6 +34,7 @@ from group_fixtures import (
     small_subgroups_of_s6,
     sparse,
 )
+from oracles import is_n_hyper
 
 FIXTURES = ["C2", "C3", "C4", "C6", "C2xC2", "S3", "D4", "Q8", "A4", "S4"]
 

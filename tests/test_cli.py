@@ -305,6 +305,23 @@ class TestExitCodes:
             "kind": "internal error", "type": "InternalInvariantViolation", "message": "planted",
         }
 
+    def test_bezout_failure_is_internal(self, capsys, monkeypatch):
+        # the coprime parts of |G|_n always have gcd 1, so a GcdNotOne from
+        # Brauer's Bezout step is an internal error, not an input error
+        from burnside import brauer
+        from burnside.exact import GcdNotOne
+
+        def broken(values):
+            raise GcdNotOne("planted")
+
+        monkeypatch.setattr(brauer, "extended_euclid_set", broken)
+        code, out, err = run(capsys, "brauer", "--group", "S4", "--json")
+        assert code == 3
+        assert not out
+        assert json.loads(err)["error"] == {
+            "kind": "internal error", "type": "GcdNotOne", "message": "planted",
+        }
+
     def test_equalizer_point_off_the_lattice_is_a_failed_check(self, capsys, monkeypatch):
         # doubling a basis column leaves a sublattice of index 2, which misses
         # the image of restriction (onto, in Brauer mode)

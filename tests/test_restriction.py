@@ -34,6 +34,7 @@ from burnside.restriction import (
 )
 
 from group_fixtures import BENCHMARK_GROUPS, benchmark_group, dense, small_subgroups_of_s6, sparse
+from oracles import from_coordinates, perm_character
 
 
 @pytest.fixture(scope="module")
@@ -88,7 +89,7 @@ class TestEqualizerLattice:
             functions = []
             offset = 0
             for tbl in tables:
-                functions.append(tbl.from_coordinates(column[offset:offset + tbl.size]))
+                functions.append(from_coordinates(tbl, column[offset:offset + tbl.size]))
                 offset += tbl.size
             for a, idx_a in enumerate(family):
                 for b, idx_b in enumerate(family):
@@ -251,16 +252,45 @@ class TestEqualizerChecks:
         family = list(abelian_family(lattice, 1).class_indices)
         return family, provider, lattice
 
+    @staticmethod
+    def fusion_inputs(family, provider, lattice):
+        """The tables, fusion lists and labels that _check_fusion reads,
+        the fusion found through ConjugacyClasses.index_of."""
+        tables = [provider.class_table(i) for i in family]
+        g_classes = conjugacy_classes(lattice.group)
+        fusions = [[g_classes.index_of(rep) for rep in t.classes.representatives] for t in tables]
+        return tables, fusions, [lattice.label_of(i) for i in family]
+
     def test_incompatible_basis_column(self, s3_setup):
         family, provider, lattice = self.s3_cyclic(s3_setup)
         eq = equalizer_lattice(family, provider, lattice)
-        tables = [provider.class_table(i) for i in family]
-        assert restriction._check_fusion(eq.basis, tables, lattice) == eq.rank
+        inputs = self.fusion_inputs(family, provider, lattice)
+        assert restriction._check_fusion(eq.basis, *inputs) == eq.rank
         # one more trivial character of the first member, the trivial group,
-        # in column 0 moves that column's value at the identity there alone
+        # in column 0 moves that column's value at the identity there alone;
+        # the next member to meet the identity class, 2a, no longer agrees
         moved = [[v + (i == j == 0) for j, v in enumerate(row)] for i, row in enumerate(eq.basis.entries)]
-        with pytest.raises(RestrictionError, match="not compatible at class 0"):
-            restriction._check_fusion(IntMatrix.from_rows(moved), tables, lattice)
+        with pytest.raises(RestrictionError, match="not compatible at class 0 of 2a$"):
+            restriction._check_fusion(IntMatrix.from_rows(moved), *inputs)
+
+    def test_incompatible_column_in_the_full_group_block(self):
+        # S3 from a file with no name line: G's table lives on G itself, so
+        # the message names the member by its lattice label, not group.name
+        group = parse_group("(0 1)\n(0 1 2)")
+        lattice = subgroup_lattice(group)
+        assert group.name == "" and lattice.label_of(lattice.full_index) == "6a"
+        provider = TableProvider(group, lattice)
+        family = [i for i in range(len(lattice)) if lattice.label_of(i) in ("2a", "6a")]
+        eq = equalizer_lattice(family, provider, lattice)
+        inputs = self.fusion_inputs(family, provider, lattice)
+        assert restriction._check_fusion(eq.basis, *inputs) == eq.rank == 3
+        # G's block comes second: one more trivial character of G in column 0
+        # moves G's values away from those of 2a at the identity
+        g_row = provider.class_table(family[0]).size
+        moved = [[v + (i == g_row and j == 0) for j, v in enumerate(row)]
+                 for i, row in enumerate(eq.basis.entries)]
+        with pytest.raises(RestrictionError, match="not compatible at class 0 of 6a$"):
+            restriction._check_fusion(IntMatrix.from_rows(moved), *inputs)
 
     def test_rank_below_the_classes_met(self, s3_setup, monkeypatch):
         # one echelon row: its basis column is the restricted trivial character,
@@ -481,6 +511,48 @@ class TestFullFamilyOracle:
         assert_maximal_equalizer_matches_full(table, TableProvider(group, table.lattice), n)
 
 
+class TestFusionOracle:
+    """Each member's fusion list, checked without ConjugacyClasses.index_of:
+    a member class's representative is conjugate in G to that of its fused
+    class, by brute force over G; the fused class sizes add up to |K cap d|
+    for each G-class d; and the member's block of M equals the coordinates
+    of restrict(chi, K), the per-character lookup the fusion replaced."""
+
+    @pytest.mark.parametrize("name", ["S4", "D8", "Q8", "A4", "SL(2,3)", "C2^4"])
+    @pytest.mark.parametrize("mode", ["artin", "brauer"])
+    @pytest.mark.parametrize("n", [1, math.inf])
+    def test_every_member_read(self, monkeypatch, name, mode, n):
+        from burnside.characters import restrict
+        from burnside.groups import perm_inv, perm_mul
+
+        table, provider = lattice_provider(name)
+        group = table.lattice.group
+        reads = []
+        original = restriction._stacked_block
+
+        def recording(member, fusion, top):
+            block = original(member, fusion, top)
+            reads.append((member, fusion, top, block))
+            return block
+
+        monkeypatch.setattr(restriction, "_stacked_block", recording)
+        verify = verify_artin_restriction if mode == "artin" else verify_brauer_restriction
+        assert verify(table, n, provider).verified
+        assert reads
+        g_classes = conjugacy_classes(group)
+        g_sets = [{group.elements[x] for x in cls} for cls in g_classes.members]
+        for member, fusion, top, block in reads:
+            assert top.group is group
+            elements = set(member.group.elements)
+            for rep, d in zip(member.classes.representatives, fusion, strict=True):
+                target = g_classes.representatives[d]
+                assert any(perm_mul(perm_mul(g, rep), perm_inv(g)) == target for g in group.elements)
+            for d, g_set in enumerate(g_sets):
+                fused = sum(size for size, f in zip(member.classes.sizes, fusion) if f == d)
+                assert fused == len(elements & g_set)
+            assert block == list(zip(*(member.coordinates(restrict(chi, member.group)) for chi in top.rows)))
+
+
 class CountingTables(TableProvider):
     """Records the class of every table it builds."""
 
@@ -531,6 +603,34 @@ class TestTablesRead:
         if mode == "artin":
             expected |= set(artin_certificate(table, 1).alpha.coefficients)
         assert sorted(CountingDirectoryTables.loaded) == sorted(expected)
+
+
+# GroupCore builds per equalizer run: one for G, whose table lives on G
+# itself, and one for each other member whose table is read
+@pytest.mark.parametrize("group,mode,tables,builds", [
+    ("S4", "artin", False, 5),
+    ("S4", "brauer", False, 3),
+    ("S4", "brauer", True, 3),
+    ("C2^3", "brauer", False, 1),
+])
+def test_one_core_for_g_and_one_per_member_read(capsys, monkeypatch, group, mode, tables, builds):
+    from burnside.groups import GroupCore
+
+    built = []
+    original = GroupCore.__init__
+
+    def counting(self, group):
+        built.append(group.name)
+        original(self, group)
+
+    monkeypatch.setattr(GroupCore, "__init__", counting)
+    spec = group if group in BUILTIN_GROUPS else "\n".join(BENCHMARK_GROUPS[group]["generators"])
+    argv = ["equalizer", "--group", spec, "--mode", mode, "--json"]
+    if tables:
+        argv += ["--tables", str(Path(cli.__file__).parent / "data" / "tables")]
+    assert cli.main(argv) == 0
+    capsys.readouterr()
+    assert len(built) == builds
 
 
 class TestHyperFamily:
@@ -623,7 +723,7 @@ class TestPermutationRealization:
 
     @pytest.mark.parametrize("name", ["S3", "D4", "Q8", "A4", "S4"])
     def test_artin_element_maps_to_order_times_unit(self, name):
-        from burnside.characters import character_table, perm_character
+        from burnside.characters import character_table
 
         group = builtin_group(name)
         lattice = subgroup_lattice(group)
@@ -644,7 +744,6 @@ class TestPermutationRealization:
         # to the zero character: values on cyclic subgroups determine traces
         import random
 
-        from burnside.characters import perm_character
         from burnside.marks import GhostElement, solve_ghost
 
         group = builtin_group(name)
@@ -687,3 +786,6 @@ class TestDirectoryTables:
         directory = DirectoryTables(group, lattice, tmp_path)
         report = verify_artin_restriction(table, 1, directory)
         assert report.verified
+        # G's table, computed or loaded, lives on G itself
+        for tables in (provider, directory):
+            assert tables.class_table(lattice.full_index).group is lattice.group
