@@ -21,7 +21,7 @@ character mod p; each value is lifted exactly from the multiplicities of the
 eigenvalues of g, integers in [0, chi(1)].  A table that is returned has
 passed both orthogonality relations.
 
-Character values are cyclotomic integers (exact.Cyclotomic), so pairings
+Character values are cyclotomic integers (cyclotomic.Cyclotomic), so pairings
 sum_i w_i a_i conj(b_i), that is inner products, both orthogonality
 relations and the coordinates of a virtual character in the irreducible
 basis, run on plain integers.  Each value becomes (exponent, integer
@@ -45,7 +45,8 @@ from fractions import Fraction
 from itertools import count, product
 from typing import Sequence
 
-from .exact import Cyclotomic, prime_factors, reduce_mod_phi
+from .cyclotomic import Cyclotomic, reduce_mod_phi
+from .exact import prime_factors
 from .groups import (
     Group,
     GroupCore,
@@ -60,7 +61,7 @@ from .groups import (
 
 
 class CharacterError(Exception):
-    pass
+    exit_code = 2  # an input error
 
 
 class MalformedEntry(CharacterError):
@@ -100,26 +101,11 @@ class ClassFunction:
     def degree(self) -> Cyclotomic:
         return self.values[0]
 
-    def __add__(self, other: "ClassFunction") -> "ClassFunction":
-        return ClassFunction(self.group, self.classes, tuple(a + b for a, b in zip(self.values, other.values, strict=True)))
-
-    def __sub__(self, other: "ClassFunction") -> "ClassFunction":
-        return ClassFunction(self.group, self.classes, tuple(a - b for a, b in zip(self.values, other.values, strict=True)))
-
-    def __mul__(self, other: "ClassFunction") -> "ClassFunction":
-        return ClassFunction(self.group, self.classes, tuple(a * b for a, b in zip(self.values, other.values, strict=True)))
-
-    def scale(self, k) -> "ClassFunction":
-        return ClassFunction(self.group, self.classes, tuple(v * k for v in self.values))
-
     def __eq__(self, other):
         return isinstance(other, ClassFunction) and all(a == b for a, b in zip(self.values, other.values)) \
             and len(self.values) == len(other.values)
 
     __hash__ = None
-
-    def is_zero(self) -> bool:
-        return all(v.is_zero() for v in self.values)
 
 
 def _spread(values: Sequence[Cyclotomic], n: int, weights: Sequence[int] | None = None,
@@ -209,9 +195,6 @@ class CharacterTable:
     def conductor(self) -> int:
         """The lcm of the conductors of the table's values."""
         return math.lcm(1, *(v.conductor for row in self.rows for v in row.values))
-
-    def degrees(self) -> list[int]:
-        return [row.degree.as_rational() for row in self.rows]
 
     def coordinates(self, chi: ClassFunction) -> list[int]:
         """Integer coordinates of a virtual character in the irreducible basis."""

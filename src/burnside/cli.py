@@ -1,8 +1,11 @@
 """Command-line interface: group ingestion, certificates, verification runs.
 
 Exit codes: 0 all checks pass, 1 a check failed, 2 input error, 3 internal
-error (an invariant the code relies on did not hold).
+error (an invariant the code relies on did not hold).  Each package error
+class names its code in its exit_code attribute.
 JSON reports are deterministic for identical inputs (timing is text-only).
+The character, restriction and compact-group layers are imported by the
+commands that run them, so verify, marks, artin and brauer never load them.
 """
 
 from __future__ import annotations
@@ -17,7 +20,6 @@ from dataclasses import dataclass, field
 
 from . import artin as artin_mod
 from . import brauer as brauer_mod
-from .exact import GcdNotOne
 from .groups import (
     DEFAULT_ORDER_CAP,
     Group,
@@ -25,17 +27,7 @@ from .groups import (
     subgroup_lattice,
     parse_group,
 )
-from .characters import CharacterError
-from .lie import LieDataError, load_phi_data, order_n_lie, power
-from .marks import GhostElement, InternalInvariantViolation, NotInImage, marks_table, solve_ghost
-from .restriction import (
-    DirectoryTables,
-    MissingTable,
-    RestrictionError,
-    TableProvider,
-    verify_artin_restriction,
-    verify_brauer_restriction,
-)
+from .marks import GhostElement, NotInImage, marks_table, solve_ghost
 
 
 @dataclass
@@ -131,6 +123,8 @@ def cmd_certificate(args) -> Report:
 
 
 def cmd_equalizer(args) -> Report:
+    from .restriction import DirectoryTables, TableProvider, verify_artin_restriction, verify_brauer_restriction
+
     group = _load_group(args)
     lattice = subgroup_lattice(group)
     table = marks_table(lattice)
@@ -154,6 +148,8 @@ def cmd_equalizer(args) -> Report:
 
 
 def cmd_lie(args) -> Report:
+    from .lie import load_phi_data, order_n_lie, power
+
     data = power(load_phi_data(args.file), args.power)
     value = order_n_lie(data, args.n)
     report = Report("lie", {"file": args.file, "power": args.power, "n": _format_n(args.n)})
@@ -252,15 +248,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-INPUT_ERRORS = (
-    GroupError,
-    LieDataError,
-    CharacterError,
-    MissingTable,
-    OSError,
-    ValueError,
-    json.JSONDecodeError,
-)
+# errors the standard library raises while reading input; the package's
+# own errors carry their exit code in exit_code
+INPUT_ERRORS = (OSError, ValueError, json.JSONDecodeError)
+KINDS = {1: "check failed", 2: "error", 3: "internal error"}
 
 
 def _emit_error(kind: str, exc: Exception, as_json: bool) -> None:
@@ -277,16 +268,12 @@ def main(argv: list[str] | None = None) -> int:
     start = time.monotonic()
     try:
         report: Report = args.func(args)
-    except INPUT_ERRORS as exc:
-        _emit_error("error", exc, getattr(args, "json", False))
-        return 2
-    except (NotInImage, RestrictionError) as exc:
-        _emit_error("check failed", exc, getattr(args, "json", False))
-        return 1
-    # Brauer's Bezout step combines the coprime parts of |G|_n, whose gcd is 1
-    except (InternalInvariantViolation, GcdNotOne) as exc:
-        _emit_error("internal error", exc, getattr(args, "json", False))
-        return 3
+    except Exception as exc:
+        code = 2 if isinstance(exc, INPUT_ERRORS) else getattr(exc, "exit_code", None)
+        if code is None:
+            raise
+        _emit_error(KINDS[code], exc, getattr(args, "json", False))
+        return code
     report.timing = time.monotonic() - start
     if getattr(args, "json", False):
         print(report.to_json())

@@ -40,6 +40,8 @@ DEFAULT_ORDER_CAP = 5000
 class GroupError(Exception):
     """Base class for group-construction and classification errors."""
 
+    exit_code = 2  # an input error
+
 
 class MalformedCycle(GroupError):
     """A generator string is not valid disjoint-cycle notation."""

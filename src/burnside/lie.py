@@ -18,7 +18,7 @@ from .exact import prime_factors
 
 
 class LieDataError(Exception):
-    pass
+    exit_code = 2  # an input error
 
 
 class NoQualifyingClass(LieDataError):

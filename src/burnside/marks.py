@@ -51,6 +51,8 @@ class BurnsideError(Exception):
 class NotInImage(BurnsideError):
     """A ghost vector is not in the image of the marks homomorphism."""
 
+    exit_code = 1  # a failed check
+
     def __init__(self, class_index: int, label: str, remainder: int):
         self.class_index = class_index
         self.label = label
@@ -64,6 +66,8 @@ class UnknownClass(BurnsideError):
 
 class InternalInvariantViolation(BurnsideError):
     """A computation contradicted a theorem; indicates a bug, never expected."""
+
+    exit_code = 3
 
 
 @dataclass(frozen=True)

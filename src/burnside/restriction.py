@@ -66,11 +66,13 @@ from .marks import MarksTable, element_checks
 
 
 class RestrictionError(Exception):
-    pass
+    exit_code = 1  # a failed check
 
 
 class MissingTable(RestrictionError):
     """No character table is available for a required subgroup."""
+
+    exit_code = 2  # an input error: the --tables directory lacks a file
 
 
 class EmptyFamily(RestrictionError):
@@ -251,10 +253,12 @@ def _check_fusion(basis: IntMatrix, tables: list[CharacterTable], fusions: list[
     """Check x_K(y) = x_L(z) on every basis column for y in K and z in L
     conjugate in G, comparing each family class with the first one in its
     G-class, read from the member's fusion list, at n, the lcm of the
-    tables' conductors; return the number of G-classes met."""
+    tables' conductors; return the number of G-classes met.  A failure
+    names both classes, the first one and the one that disagrees with it."""
     n = math.lcm(*(t.conductor for t in tables))
     phi = euler_phi(n)
-    first: dict[int, list] = {}  # G-class -> values of every basis column at its first family class
+    # G-class -> (class, label, values of every basis column) at its first family class
+    first: dict[int, tuple[int, str, list]] = {}
     offset = 0
     for table, fusion, label in zip(tables, fusions, labels, strict=True):
         block = basis.entries[offset:offset + table.size]
@@ -265,8 +269,10 @@ def _check_fusion(basis: IntMatrix, tables: list[CharacterTable], fusions: list[
                 for i, v in enumerate(row.values[c].to_conductor(n).coeffs):
                     if v:
                         values[i] = [a + v * b for a, b in zip(values[i], x)]
-            if first.setdefault(g_class, values) != values:
-                raise RestrictionError(f"equalizer basis is not compatible at class {c} of {label}")
+            ref_c, ref_label, ref_values = first.setdefault(g_class, (c, label, values))
+            if ref_values != values:
+                raise RestrictionError(f"equalizer basis values at class {ref_c} of {ref_label} "
+                                       f"are not compatible at class {c} of {label}")
     return len(first)
 
 

@@ -27,7 +27,7 @@ from hypothesis import strategies as st
 from burnside.artin import AbelianClassFamily, abelian_family
 from burnside.brauer import coprime_part
 from burnside.characters import ClassFunction
-from burnside.exact import Cyclotomic
+from burnside.cyclotomic import Cyclotomic
 from burnside.groups import (
     Group,
     all_subgroups,

@@ -3,8 +3,11 @@
 The package computes on element indices and class masks; these helpers
 work on permutation tuples and frozensets, or compose the package's public
 class-function operations, so they check the pipeline from outside it.
-inner_product pairs two class functions through the same integer
-convolution as CharacterTable.coordinates; from_coordinates and
+add, subtract, multiply, scale and is_zero are the pointwise ring
+operations on class functions, and degrees reads a table's first column;
+the package itself needs none of them.  inner_product pairs two class
+functions through the same integer convolution as
+CharacterTable.coordinates; from_coordinates and
 constant_function build class functions; perm_character is g -> |(G/H)^g|;
 frobenius_check and mackey_check test Frobenius reciprocity and the Mackey
 formula with induce, restrict and conjugate_function.  is_n_hyper,
@@ -26,7 +29,8 @@ from burnside.characters import (
     induce,
     restrict,
 )
-from burnside.exact import Cyclotomic, NotInSubfield, prime_factors
+from burnside.cyclotomic import Cyclotomic, NotInSubfield
+from burnside.exact import prime_factors
 from burnside.groups import (
     Group,
     GroupCore,
@@ -50,6 +54,30 @@ class NotAbelian(GroupError):
 # class functions
 
 
+def add(a: ClassFunction, b: ClassFunction) -> ClassFunction:
+    return ClassFunction(a.group, a.classes, tuple(x + y for x, y in zip(a.values, b.values, strict=True)))
+
+
+def subtract(a: ClassFunction, b: ClassFunction) -> ClassFunction:
+    return ClassFunction(a.group, a.classes, tuple(x - y for x, y in zip(a.values, b.values, strict=True)))
+
+
+def multiply(a: ClassFunction, b: ClassFunction) -> ClassFunction:
+    return ClassFunction(a.group, a.classes, tuple(x * y for x, y in zip(a.values, b.values, strict=True)))
+
+
+def scale(a: ClassFunction, k) -> ClassFunction:
+    return ClassFunction(a.group, a.classes, tuple(v * k for v in a.values))
+
+
+def is_zero(a: ClassFunction) -> bool:
+    return all(v.is_zero() for v in a.values)
+
+
+def degrees(table: CharacterTable) -> list[int]:
+    return [row.degree.as_rational() for row in table.rows]
+
+
 def constant_function(group: Group, classes: ConjugacyClasses, value, conductor: int = 1) -> ClassFunction:
     c = Cyclotomic.from_rational(value, conductor) if not isinstance(value, Cyclotomic) else value
     return ClassFunction(group, classes, tuple(c for _ in classes.members))
@@ -70,7 +98,7 @@ def from_coordinates(table: CharacterTable, coords: Sequence[int]) -> ClassFunct
     total = constant_function(table.group, table.classes, Cyclotomic.zero())
     for c, row in zip(coords, table.rows):
         if c:
-            total = total + row.scale(c)
+            total = add(total, scale(row, c))
     return total
 
 
@@ -86,8 +114,8 @@ def perm_character(group: Group, subgroup: frozenset) -> ClassFunction:
 def frobenius_check(e: ClassFunction, m: ClassFunction, group: Group) -> bool:
     """ind(e) * m == ind(e * res m), exactly."""
     sub = subgroup_as_group(group, frozenset(e.group.elements))
-    left = induce(e, group) * m
-    right = induce(e * restrict(m, sub), group)
+    left = multiply(induce(e, group), m)
+    right = induce(multiply(e, restrict(m, sub)), group)
     return left == right
 
 
@@ -104,7 +132,7 @@ def mackey_check(k_sub: frozenset, xi: ClassFunction, group: Group) -> bool:
         conj = conjugate_function(xi, coset.representative, group)
         inter = subgroup_as_group(group, coset.intersection)
         piece = induce(restrict(conj, inter), k_group)
-        total = total + piece
+        total = add(total, piece)
     return left == total
 
 

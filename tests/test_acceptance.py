@@ -19,7 +19,7 @@ from burnside.brauer import (
     coprime_part,
     core_classification,
 )
-from burnside.exact import Cyclotomic
+from burnside.cyclotomic import Cyclotomic
 from burnside.characters import ClassFunction
 from burnside.groups import (
     builtin_group,

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from burnside.exact import Cyclotomic, NotInSubfield
+from burnside.cyclotomic import Cyclotomic, NotInSubfield
 from burnside.characters import (
     CharacterError,
     CharacterTable,
@@ -50,11 +50,14 @@ from group_fixtures import (
 )
 from oracles import (
     constant_function,
+    degrees,
     frobenius_check,
     from_coordinates,
     inner_product,
     mackey_check,
     perm_character,
+    scale,
+    subtract,
 )
 
 FIXTURES = ["C2", "C3", "C4", "C6", "C2xC2", "S3", "D4", "Q8", "A4", "S4"]
@@ -277,27 +280,27 @@ class TestCharacterTables:
     def test_computed_tables_validate(self, name):
         group = builtin_group(name)
         table = character_table(group)
-        assert sum(d * d for d in table.degrees()) == group.order
+        assert sum(d * d for d in degrees(table)) == group.order
 
     def test_s3_degrees(self):
-        assert character_table(builtin_group("S3")).degrees() == [1, 1, 2]
+        assert degrees(character_table(builtin_group("S3"))) == [1, 1, 2]
 
     def test_s4_degrees(self):
-        assert character_table(builtin_group("S4")).degrees() == [1, 1, 2, 3, 3]
+        assert degrees(character_table(builtin_group("S4"))) == [1, 1, 2, 3, 3]
 
     def test_q8_degrees(self):
-        assert character_table(builtin_group("Q8")).degrees() == [1, 1, 1, 1, 2]
+        assert degrees(character_table(builtin_group("Q8"))) == [1, 1, 1, 1, 2]
 
     @pytest.mark.parametrize("name", sorted(PUBLISHED_DEGREES))
     def test_published_degrees(self, name):
-        generators, degrees = PUBLISHED_DEGREES[name]
-        assert character_table(parse_group(generators)).degrees() == degrees
+        generators, expected = PUBLISHED_DEGREES[name]
+        assert degrees(character_table(parse_group(generators))) == expected
 
     @settings(max_examples=15, deadline=None)
     @given(small_subgroups_of_s6())
     def test_degrees_galois_orbits_and_real_rows(self, group):
         table = character_table(group)
-        assert all(group.order % d == 0 for d in table.degrees())
+        assert all(group.order % d == 0 for d in degrees(table))
         n = table.conductor
 
         def row_set(a):
@@ -373,7 +376,7 @@ class TestTableFiles:
         path = tmp_path / "s3.tbl"
         path.write_text(table_to_text(table))
         loaded = load_character_table(str(path), s3)
-        assert loaded.degrees() == table.degrees()
+        assert degrees(loaded) == degrees(table)
 
     def test_s3_handwritten(self, tmp_path, s3):
         text = (
@@ -389,7 +392,7 @@ class TestTableFiles:
         path = tmp_path / "s3.tbl"
         path.write_text(text)
         table = load_character_table(str(path), s3)
-        assert table.degrees() == [1, 1, 2]
+        assert degrees(table) == [1, 1, 2]
 
     def test_a4_with_cyclotomic_entries(self, tmp_path):
         group = builtin_group("A4")
@@ -411,7 +414,7 @@ class TestTableFiles:
         path = tmp_path / "a4.tbl"
         path.write_text("\n".join(lines) + "\n")
         table = load_character_table(str(path), group)
-        assert table.degrees() == [1, 1, 1, 3]
+        assert degrees(table) == [1, 1, 1, 3]
 
     def test_duplicated_row_fails_orthogonality(self, tmp_path, s3):
         text = (
@@ -559,4 +562,4 @@ class TestIntegerPairing:
         identity_class = ClassFunction(table.group, table.classes, (Cyclotomic.one(), zero, zero))
         with pytest.raises(CharacterError):
             table.coordinates(identity_class)
-        assert table.coordinates(table.rows[2].scale(3) - table.rows[0]) == [-1, 0, 3]
+        assert table.coordinates(subtract(scale(table.rows[2], 3), table.rows[0])) == [-1, 0, 3]

@@ -1,19 +1,27 @@
 """Command-line interface: subcommands, exit codes, JSON determinism."""
 
 import json
+import os
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-from burnside import groups
+from burnside import artin, brauer, cli, groups, lie, restriction
+from burnside.characters import CharacterError
 from burnside.cli import main
-from burnside.exact import IntMatrix
-from burnside.marks import MarksTable
+from burnside.exact import GcdNotOne, IntMatrix, NotIntegral
+from burnside.groups import GroupError
+from burnside.lie import LieDataError
+from burnside.marks import InternalInvariantViolation, MarksTable, NotInImage, UnknownClass
+from burnside.restriction import MissingTable, RestrictionError
 
 from group_fixtures import BENCHMARK_GROUPS
 
-DATA_DIR = Path(__file__).parent.parent / "src" / "burnside" / "data"
+SRC_DIR = Path(__file__).parent.parent / "src"
+DATA_DIR = SRC_DIR / "burnside" / "data"
 
 
 def run(capsys, *argv):
@@ -289,7 +297,52 @@ class TestDeterminism:
         assert first == second
 
 
+S3 = ["--group", "S3", "--json"]
+SO3 = ["--file", str(DATA_DIR / "so3.json"), "--json"]
+
+# (error type, its arguments, where it is planted, the command, exit code, kind):
+# one row per error family that main maps to an exit code
+EXIT_CODES = [
+    (GroupError, ("planted",), (cli, "parse_group"), ["marks", *S3], 2, "error"),
+    (OSError, ("planted",), (cli, "parse_group"), ["verify", *S3], 2, "error"),
+    (ValueError, ("planted",), (artin, "artin_certificate"), ["artin", *S3], 2, "error"),
+    (json.JSONDecodeError, ("planted", "", 0), (lie.PhiData, "validate"), ["lie", *SO3], 2, "error"),
+    (LieDataError, ("planted",), (lie.PhiData, "validate"), ["lie", *SO3], 2, "error"),
+    (CharacterError, ("planted",), (restriction.TableProvider, "_build"), ["equalizer", *S3], 2, "error"),
+    # MissingTable subclasses RestrictionError, but is an input error
+    (MissingTable, ("planted",), (restriction.DirectoryTables, "_build"),
+     ["equalizer", "--tables", str(DATA_DIR / "tables"), *S3], 2, "error"),
+    (RestrictionError, ("planted",), (restriction, "equalizer_lattice"),
+     ["equalizer", "--mode", "brauer", *S3], 1, "check failed"),
+    (NotInImage, (0, "1a", 1), (brauer, "brauer_certificate"), ["brauer", *S3], 1, "check failed"),
+    (InternalInvariantViolation, ("planted",), (artin, "artin_certificate"), ["artin", *S3], 3, "internal error"),
+    (GcdNotOne, ("planted",), (brauer, "extended_euclid_set"), ["brauer", *S3], 3, "internal error"),
+]
+
+
+def plant(monkeypatch, site, error, args):
+    def raise_error(*_, **__):
+        raise error(*args)
+
+    monkeypatch.setattr(*site, raise_error)
+
+
 class TestExitCodes:
+    @pytest.mark.parametrize("error,args,site,argv,code,kind", EXIT_CODES,
+                             ids=[row[0].__name__ for row in EXIT_CODES])
+    def test_exit_code_matrix(self, capsys, monkeypatch, error, args, site, argv, code, kind):
+        plant(monkeypatch, site, error, args)
+        assert run(capsys, *argv) == (code, "", json.dumps(
+            {"error": {"kind": kind, "type": error.__name__, "message": str(error(*args))}}, sort_keys=True) + "\n")
+
+    # errors with no exit code are bugs: they keep their traceback
+    @pytest.mark.parametrize("error,args", [(UnknownClass, ("planted",)), (NotIntegral, (0, 1))],
+                             ids=["UnknownClass", "NotIntegral"])
+    def test_unmapped_error_propagates(self, capsys, monkeypatch, error, args):
+        plant(monkeypatch, (artin, "artin_certificate"), error, args)
+        with pytest.raises(error):
+            main(["artin", *S3])
+
     def test_internal_invariant_violation(self, capsys, monkeypatch):
         from burnside import artin
         from burnside.marks import InternalInvariantViolation
@@ -431,3 +484,27 @@ def test_nonabelian_generator_count_is_never_searched(capsys, monkeypatch, group
     code, out, err = run(capsys, *argv, "--group", spec, "--json")
     assert code == 0
     assert json.loads(out)["status"] == "pass"
+
+
+# verify, marks, artin and brauer run on the marks alone, so a fresh
+# interpreter that runs them never loads the character layers
+IMPORT_GUARD = """
+import contextlib, io, json, sys
+from burnside.cli import main
+codes = []
+for command in ("verify", "marks", "artin", "brauer"):
+    with contextlib.redirect_stdout(io.StringIO()):
+        codes.append(main([command, "--group", "S4", "--json"]))
+print(json.dumps({"codes": codes, "modules": sorted(sys.modules)}))
+"""
+
+
+def test_marks_commands_load_no_character_layer():
+    env = dict(os.environ, PYTHONPATH=str(SRC_DIR))
+    done = subprocess.run([sys.executable, "-c", IMPORT_GUARD], env=env, capture_output=True,
+                          text=True, timeout=60, check=True)
+    result = json.loads(done.stdout)
+    assert result["codes"] == [0, 0, 0, 0]
+    assert "burnside.marks" in result["modules"]
+    for name in ("characters", "restriction", "lie", "cyclotomic"):
+        assert f"burnside.{name}" not in result["modules"]

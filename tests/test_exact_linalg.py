@@ -7,17 +7,15 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from burnside.cyclotomic import Cyclotomic, cyclotomic_polynomial, mobius
 from burnside.exact import (
-    Cyclotomic,
     GcdNotOne,
     IntMatrix,
     NotIntegral,
-    cyclotomic_polynomial,
     divisors,
     euler_phi,
     extended_euclid_set,
     integer_kernel_basis,
-    mobius,
     row_echelon,
     smith_normal_form,
     solve_triangular_integer,

@@ -1,15 +1,23 @@
 """The benchmark tracer in perfbench/spans.py wraps burnside functions and
 methods by name.  Every name it lists must resolve to a callable, so that
 removing or renaming a traced function fails here and not only in a traced
-benchmark run.  The file is loaded read-only, outside the perfbench package."""
+benchmark run.  The cli imports the character and restriction layers only
+when a command needs them, so a traced run mirrors run.py --trace 1 in a
+fresh interpreter and checks that the equalizer's layers are still traced.
+The file is loaded read-only, outside the perfbench package."""
 
 import importlib
 import importlib.util
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-SPANS_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+ROOT = Path(__file__).resolve().parents[1]
+SPANS_PATH = ROOT / "perfbench" / "spans.py"
 
 
 def load_spans():
@@ -53,3 +61,34 @@ def test_install_and_uninstall_restore_every_name():
     finally:
         tracer.uninstall()
     assert (groups.conjugacy_classes, characters.conjugate_function, groups.close_under_product) == before
+
+
+# run.py --trace 1 in a fresh interpreter: one untraced pass, which imports
+# the layers the commands load on first use, then the tracer, then a traced pass
+TRACED_AFTER_UNTRACED = """
+import contextlib, importlib.util, io, json, sys
+spec = importlib.util.spec_from_file_location("perfbench_spans", sys.argv[1])
+spans = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(spans)
+from burnside import cli
+argv = ["equalizer", "--group", "S3", "--mode", "artin", "--json"]
+with contextlib.redirect_stdout(io.StringIO()):
+    cli.main(argv)
+tracer = spans.Tracer()
+tracer.install()
+try:
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(argv)
+finally:
+    tracer.uninstall()
+print(json.dumps({"code": code, "names": sorted({span[3] for span in tracer.spans})}))
+"""
+
+
+def test_traced_equalizer_after_an_untraced_one_records_its_layers():
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    done = subprocess.run([sys.executable, "-c", TRACED_AFTER_UNTRACED, str(SPANS_PATH)], env=env,
+                          capture_output=True, text=True, timeout=60, check=True)
+    result = json.loads(done.stdout)
+    assert result["code"] == 0
+    assert {"restriction.verify", "characters.table", "characters.coordinates"} <= set(result["names"])

@@ -11,7 +11,8 @@ from hypothesis import given, settings, strategies as st
 
 from burnside import cli, restriction
 from burnside.artin import abelian_family, artin_certificate
-from burnside.exact import Cyclotomic, IntMatrix, smith_normal_form
+from burnside.cyclotomic import Cyclotomic
+from burnside.exact import IntMatrix, smith_normal_form
 from burnside.groups import (
     BUILTIN_GROUPS,
     builtin_group,
@@ -34,7 +35,7 @@ from burnside.restriction import (
 )
 
 from group_fixtures import BENCHMARK_GROUPS, benchmark_group, dense, small_subgroups_of_s6, sparse
-from oracles import from_coordinates, perm_character
+from oracles import add, from_coordinates, is_zero, perm_character, scale
 
 
 @pytest.fixture(scope="module")
@@ -268,9 +269,10 @@ class TestEqualizerChecks:
         assert restriction._check_fusion(eq.basis, *inputs) == eq.rank
         # one more trivial character of the first member, the trivial group,
         # in column 0 moves that column's value at the identity there alone;
-        # the next member to meet the identity class, 2a, no longer agrees
+        # the next member to meet the identity class, 2a, no longer agrees,
+        # and the message names both
         moved = [[v + (i == j == 0) for j, v in enumerate(row)] for i, row in enumerate(eq.basis.entries)]
-        with pytest.raises(RestrictionError, match="not compatible at class 0 of 2a$"):
+        with pytest.raises(RestrictionError, match="values at class 0 of 1a are not compatible at class 0 of 2a$"):
             restriction._check_fusion(IntMatrix.from_rows(moved), *inputs)
 
     def test_incompatible_column_in_the_full_group_block(self):
@@ -591,7 +593,7 @@ class TestTablesRead:
     @pytest.mark.parametrize("name", ["S3", "D4", "Q8", "A4", "S4"])
     @pytest.mark.parametrize("mode", ["artin", "brauer"])
     def test_loaded_tables(self, capsys, monkeypatch, name, mode):
-        monkeypatch.setattr(cli, "DirectoryTables", CountingDirectoryTables)
+        monkeypatch.setattr(restriction, "DirectoryTables", CountingDirectoryTables)
         monkeypatch.setattr(CountingDirectoryTables, "loaded", [])
         tables = Path(cli.__file__).parent / "data" / "tables"
         code = cli.main(["equalizer", "--group", name, "--mode", mode, "--tables", str(tables), "--json"])
@@ -732,8 +734,8 @@ class TestPermutationRealization:
         top = character_table(group)
         image = None
         for idx, c in cert.alpha.coefficients.items():
-            chi = perm_character(group, lattice.classes[idx].element_set).scale(c)
-            image = chi if image is None else image + chi
+            chi = scale(perm_character(group, lattice.classes[idx].element_set), c)
+            image = chi if image is None else add(image, chi)
         coords = top.coordinates(image)
         assert coords[0] == cert.order_n
         assert all(v == 0 for v in coords[1:])
@@ -761,10 +763,10 @@ class TestPermutationRealization:
             for idx, c in enumerate(dense(element, table.size)):
                 if c == 0:
                     continue
-                chi = perm_character(group, lattice.classes[idx].element_set).scale(c)
-                image = chi if image is None else image + chi
+                chi = scale(perm_character(group, lattice.classes[idx].element_set), c)
+                image = chi if image is None else add(image, chi)
             if image is not None:
-                assert image.is_zero()
+                assert is_zero(image)
 
 
 class TestDirectoryTables:
