@@ -18,21 +18,22 @@ exactly: abelian groups by enumerating homomorphisms into roots of unity,
 the rest by Dixon's method as revised by Schneider.  The common eigenvectors
 of the class matrices over F_p, with p = 1 mod exp(G), give each irreducible
 character mod p; each value is lifted exactly from the multiplicities of the
-eigenvalues of g, integers in [0, chi(1)].  A table that is returned has
-passed both orthogonality relations.
+eigenvalues of g, integers in [0, chi(1)], at the exponent of G (a loaded
+table keeps its file's conductor).  A returned table has passed the row
+orthogonality relation, which implies the column one for a square table.
 
 Character values are cyclotomic integers (cyclotomic.Cyclotomic), so pairings
-sum_i w_i a_i conj(b_i), that is inner products, both orthogonality
-relations and the coordinates of a virtual character in the irreducible
+sum_i w_i a_i conj(b_i), that is inner products, the orthogonality
+relation and the coordinates of a virtual character in the irreducible
 basis, run on plain integers.  Each value becomes (exponent, integer
 coefficient) pairs at n, the lcm of the conductors; conjugation negates
 exponents mod n.  The products accumulate in one length-n integer vector,
 an element of Z[x]/(x^n - 1), which is reduced once modulo Phi_n.  A
 pairing is rational exactly when that leaves (e, 0, ..., 0), and only the
 division of e by |G| leaves the integers.  Each table keeps its
-size-weighted, conjugated rows per n, so a coordinate costs one such
-convolution.  Validation spreads each row and each column of a table once,
-at the table's conductor, and convolves every pair.
+size-weighted, conjugated rows per n, and one routine pairs a class
+function with all of them (CharacterTable._pairings): validation pairs each
+row with the table, and a coordinate is one such pairing divided by |G|.
 """
 
 from __future__ import annotations
@@ -76,11 +77,6 @@ class OrthogonalityFailure(CharacterError):
 
 class DegreeSumMismatch(CharacterError):
     pass
-
-
-class ConductorTooSmall(CharacterError):
-    """The group exponent, or some generator order, does not divide the
-    requested conductor, so not every character value lies in Z[zeta_n]."""
 
 
 @dataclass(frozen=True)
@@ -196,18 +192,23 @@ class CharacterTable:
         """The lcm of the conductors of the table's values."""
         return math.lcm(1, *(v.conductor for row in self.rows for v in row.values))
 
-    def coordinates(self, chi: ClassFunction) -> list[int]:
-        """Integer coordinates of a virtual character in the irreducible basis."""
-        n = math.lcm(self.conductor, *(v.conductor for v in chi.values))
+    def _pairings(self, values: Sequence[Cyclotomic]) -> list[list[int]]:
+        """|G| <v, chi_i> = sum_c |c| v(c) conj(chi_i(c)) per row chi_i, in power-basis
+        coordinates at n, the lcm of the conductors of the table and of v."""
+        n = math.lcm(self.conductor, *(v.conductor for v in values))
         if n not in self._weighted_rows:
             self._weighted_rows[n] = [_spread(row.values, n, self.classes.sizes, conjugate=True)
                                       for row in self.rows]
-        terms = _spread(chi.values, n)
+        terms = _spread(values, n)
+        return [_convolve(terms, row_terms, n) for row_terms in self._weighted_rows[n]]
+
+    def coordinates(self, chi: ClassFunction) -> list[int]:
+        """Integer coordinates of a virtual character in the irreducible basis."""
         order = self.group.order
         out = []
-        for i, row_terms in enumerate(self._weighted_rows[n]):
-            coeffs = _convolve(terms, row_terms, n)
+        for i, coeffs in enumerate(self._pairings(chi.values)):
             if any(coeffs[1:]):
+                n = math.lcm(self.conductor, *(v.conductor for v in chi.values))
                 raise CharacterError(f"inner product with row {i} is {Cyclotomic(n, coeffs)!r} / {order}, "
                                      "not rational")
             if coeffs[0] % order:
@@ -231,38 +232,23 @@ def validate_table(table: CharacterTable) -> None:
         raise DegreeSumMismatch(f"degree squares sum to {sum(d * d for d in degrees)}, not {group.order}")
     if any(not v == 1 for v in rows[0].values):
         raise CharacterError("first row must be the trivial character")
-    sizes = table.classes.sizes
-    n = table.conductor
-    _check_orthogonal([row.values for row in rows], sizes, [group.order] * len(rows), n)
-    # column orthogonality: sum_i chi_i(c) conj(chi_i(c')) = delta * |C_G(g_c)|
-    _check_orthogonal([[row.values[c] for row in rows] for c in range(n_classes)], None,
-                      [group.order // size for size in sizes], n)
-
-
-def _check_orthogonal(vectors: Sequence[Sequence[Cyclotomic]], weights: Sequence[int] | None,
-                      norms: Sequence[int], n: int) -> None:
-    """Raise OrthogonalityFailure(i, j) at the first i <= j, in order, where
-    sum_c w_c v_i(c) conj(v_j(c)) differs from norms[i] when i = j and from
-    0 otherwise.  Each vector is spread once; a value at conductor n is the integer e exactly
-    when its power-basis vector is (e, 0, ..., 0), since 1, z, ...,
-    z^(phi(n)-1) is a basis of Q(zeta_n)."""
-    plain = [_spread(v, n, weights) for v in vectors]
-    conjugated = [_spread(v, n, conjugate=True) for v in vectors]
-    for i, left in enumerate(plain):
-        for j in range(i, len(vectors)):
-            coeffs = _convolve(left, conjugated[j], n)
-            if coeffs[0] != (norms[i] if i == j else 0) or any(coeffs[1:]):
+    # For the square X[i][c] = chi_i(c) and D = diag(|c|), the row relation
+    # X D X* = |G| I gives X* X = |G| D^-1, the column relation (Serre, Linear
+    # Representations of Finite Groups (1977), 2.5).  OrthogonalityFailure
+    # names the first failing i <= j: each j < i passed as (j, i).
+    for i, row in enumerate(rows):
+        for j, coeffs in enumerate(table._pairings(row.values)):
+            if coeffs[0] != (group.order if i == j else 0) or any(coeffs[1:]):
                 raise OrthogonalityFailure(i, j)
 
 
-def linear_characters(group: Group, conductor: int) -> list[ClassFunction]:
-    """All homomorphisms G -> roots of unity, as class functions."""
+def linear_characters(group: Group) -> list[ClassFunction]:
+    """All homomorphisms G -> roots of unity, as class functions at the
+    exponent of G."""
     classes = conjugacy_classes(group)
     core = group.core
     gens = core.generating_set((1 << group.order) - 1)
-    if any(conductor % core.orders[g] for g in gens):
-        orders = sorted({core.orders[g] for g in gens})
-        raise ConductorTooSmall(f"conductor {conductor} is not a multiple of every generator order {orders}")
+    conductor = exponent(group)
     choices = [[conductor // core.orders[g] * t for t in range(core.orders[g])] for g in gens]
     zetas = [Cyclotomic.zeta(conductor, k) for k in range(conductor)]
     # one homomorphism per element of the abelianization
@@ -305,22 +291,19 @@ def _extend_homomorphism(core: GroupCore, gens: list[int], powers: Sequence[int]
     return out
 
 
-def character_table(group: Group, conductor: int | None = None) -> CharacterTable:
-    """Exact character table; conductor defaults to the group exponent."""
-    conductor = conductor or exponent(group)
-    if conductor % exponent(group):
-        raise ConductorTooSmall(f"conductor {conductor} is not a multiple of the exponent {exponent(group)}")
+def character_table(group: Group) -> CharacterTable:
+    """Exact character table, its values at the exponent of the group."""
     classes = conjugacy_classes(group)
     if group.core.commute(group.core.generators):
-        rows = linear_characters(group, conductor)
+        rows = linear_characters(group)
     else:
-        rows = _dixon_schneider(group, classes, conductor)
+        rows = _dixon_schneider(group, classes)
     return CharacterTable(group, classes, tuple(_order_rows(rows)))
 
 
-def _dixon_schneider(group: Group, classes: ConjugacyClasses, conductor: int) -> list[ClassFunction]:
+def _dixon_schneider(group: Group, classes: ConjugacyClasses) -> list[ClassFunction]:
     """The irreducible characters, from the common eigenvectors of the class
-    matrices over F_p, each value lifted exactly to Z[zeta_conductor]."""
+    matrices over F_p, each value lifted exactly to Z[zeta_e], e = exp(G)."""
     core, order, e = group.core, group.order, exponent(group)
     members, class_of = classes.members, classes.class_of
     reps, sizes, k = [cls[0] for cls in members], classes.sizes, len(members)
@@ -352,11 +335,11 @@ def _dixon_schneider(group: Group, classes: ConjugacyClasses, conductor: int) ->
         for powers in power_classes:
             # chi(g) = sum_l m_l zeta_o^l, with multiplicities m_l in [0, chi(1)]
             o = len(powers)
-            coeffs = [0] * conductor
+            coeffs = [0] * e
             for l in range(o):
                 total = sum(chi[c] * zetas[-(e // o) * l * i % e] for i, c in enumerate(powers))
-                coeffs[conductor // o * l] = total * pow(o, -1, p) % p
-            values.append(Cyclotomic(conductor, coeffs))
+                coeffs[e // o * l] = total * pow(o, -1, p) % p
+            values.append(Cyclotomic(e, coeffs))
         rows.append(ClassFunction(group, classes, tuple(values)))
     return rows
 
@@ -462,8 +445,11 @@ def load_character_table(path: str, group: Group) -> CharacterTable:
     line per conjugacy class (representative in cycle notation), then one
     `row:` line per irreducible with entries like `2`, `-1`, `z^2`, `1+z`.
     """
-    with open(path, "r", encoding="utf-8") as handle:
-        lines = [ln.strip() for ln in handle if ln.strip() and not ln.strip().startswith("#")]
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            lines = [ln.strip() for ln in handle if ln.strip() and not ln.strip().startswith("#")]
+    except UnicodeDecodeError as exc:
+        raise MalformedEntry(f"{path} is not UTF-8 text: {exc}") from exc
     conductor = None
     class_reps: list[Perm] = []
     class_sizes: list[int] = []
@@ -472,13 +458,14 @@ def load_character_table(path: str, group: Group) -> CharacterTable:
         if line.lower().startswith("group:"):
             continue
         if line.lower().startswith("conductor:"):
-            conductor = int(line.split(":", 1)[1].strip())
+            conductor = _integer(line.split(":", 1)[1], line)
             continue
         if line.lower().startswith("class:"):
-            body = line.split(":", 1)[1].strip()
-            rep_text, size_text = body.rsplit(None, 1)
-            class_reps.append(parse_cycles(rep_text.strip(), degree=group.degree))
-            class_sizes.append(int(size_text))
+            parts = line.split(":", 1)[1].strip().rsplit(None, 1)
+            if len(parts) != 2:
+                raise MalformedEntry(f"class line {line!r} needs a representative and a size")
+            class_reps.append(parse_cycles(parts[0].strip(), degree=group.degree))
+            class_sizes.append(_integer(parts[1], line))
             continue
         if line.lower().startswith("row:"):
             raw_rows.append(line.split(":", 1)[1].split())
@@ -514,11 +501,18 @@ def load_character_table(path: str, group: Group) -> CharacterTable:
         rows.append(ClassFunction(group, classes, tuple(values)))
     trivial_first = sorted(rows, key=lambda r: not all(v == 1 for v in r.values))
     table = CharacterTable(group, classes, tuple(trivial_first))
-    _check_power_maps(table, conductor)
+    _check_power_maps(table)
     return table
 
 
-def _check_power_maps(table: CharacterTable, conductor: int) -> None:
+def _integer(text: str, line: str) -> int:
+    try:
+        return int(text)
+    except ValueError as exc:
+        raise MalformedEntry(f"{text.strip()!r} in {line!r} is not an integer") from exc
+
+
+def _check_power_maps(table: CharacterTable) -> None:
     """Raise CharacterError unless chi(g^a) = sigma_a(chi(g)) for every row
     chi, class representative g and a prime to m = lcm(conductor, |g|),
     where sigma_a sends zeta_m to zeta_m^a.  Columns that name the wrong
@@ -529,7 +523,7 @@ def _check_power_maps(table: CharacterTable, conductor: int) -> None:
     core = table.group.core
     classes = table.classes
     for c, (x, *_) in enumerate(classes.members):
-        m = math.lcm(conductor, core.orders[x])
+        m = math.lcm(table.conductor, core.orders[x])
         for a in range(2, m):
             if math.gcd(a, m) != 1:
                 continue

@@ -2,7 +2,8 @@
 
 Exit codes: 0 all checks pass, 1 a check failed, 2 input error, 3 internal
 error (an invariant the code relies on did not hold).  Each package error
-class names its code in its exit_code attribute.
+class names its code in its exit_code attribute; an OSError is an input
+error, and any other exception an internal one.
 JSON reports are deterministic for identical inputs (timing is text-only).
 The character, restriction and compact-group layers are imported by the
 commands that run them, so verify, marks, artin and brauer never load them.
@@ -88,8 +89,12 @@ def _format_n(n: int | float) -> str:
 def _load_group(args) -> Group:
     cap = DEFAULT_ORDER_CAP if args.cap is None else args.cap
     if getattr(args, "file", None):
-        with open(args.file, "r", encoding="utf-8") as handle:
-            return parse_group(handle.read(), cap=cap)
+        try:
+            with open(args.file, "r", encoding="utf-8") as handle:
+                text = handle.read()
+        except UnicodeDecodeError as exc:
+            raise GroupError(f"{args.file} is not UTF-8 text: {exc}") from exc
+        return parse_group(text, cap=cap)
     if getattr(args, "group", None):
         return parse_group(args.group, cap=cap)
     raise GroupError("specify --group or --file")
@@ -128,8 +133,7 @@ def cmd_equalizer(args) -> Report:
     group = _load_group(args)
     lattice = subgroup_lattice(group)
     table = marks_table(lattice)
-    provider = DirectoryTables(group, lattice, args.tables) if args.tables \
-        else TableProvider(group, lattice)
+    provider = DirectoryTables(lattice, args.tables) if args.tables else TableProvider(lattice)
     report = Report("equalizer", {
         "group": group.name or "file", "n": _format_n(args.n), "mode": args.mode,
     })
@@ -249,8 +253,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 # errors the standard library raises while reading input; the package's
-# own errors carry their exit code in exit_code
-INPUT_ERRORS = (OSError, ValueError, json.JSONDecodeError)
+# own errors carry their exit code in exit_code, and any other error is a bug
+INPUT_ERRORS = (OSError,)
 KINDS = {1: "check failed", 2: "error", 3: "internal error"}
 
 
@@ -269,9 +273,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         report: Report = args.func(args)
     except Exception as exc:
-        code = 2 if isinstance(exc, INPUT_ERRORS) else getattr(exc, "exit_code", None)
-        if code is None:
-            raise
+        code = 2 if isinstance(exc, INPUT_ERRORS) else getattr(exc, "exit_code", 3)
         _emit_error(KINDS[code], exc, getattr(args, "json", False))
         return code
     report.timing = time.monotonic() - start

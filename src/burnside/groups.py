@@ -110,7 +110,7 @@ def parse_cycles(text: str, degree: int | None = None) -> Perm:
         for token in re.split(r"[,\s]+", body.strip()):
             if not token:
                 continue
-            if not token.isdigit():
+            if not token.isdecimal():
                 raise MalformedCycle(f"bad point {token!r} in {text!r}")
             point = int(token)
             if point in seen:
@@ -356,26 +356,21 @@ def close_under_product(degree: int, generators: Iterable[Perm], cap: int = DEFA
     return frozenset(elements)
 
 
-def group_from_generators(generators: Sequence[Perm], name: str = "", degree: int | None = None,
-                          cap: int = DEFAULT_ORDER_CAP) -> Group:
-    d = degree if degree is not None else max((len(g) for g in generators), default=1)
-    gens = tuple(_pad(g, d) for g in generators)
+def group_from_generators(generators: Sequence[Perm], name: str = "", cap: int = DEFAULT_ORDER_CAP) -> Group:
+    """The group the generators generate, each fixing the points past its
+    length, on the largest degree among them."""
+    d = max((len(g) for g in generators), default=1)
+    gens = tuple(g + tuple(range(len(g), d)) for g in generators)
     elements = close_under_product(d, gens, cap)
     return Group(d, gens, tuple(sorted(elements)), name)
-
-
-def _pad(p: Perm, degree: int) -> Perm:
-    if len(p) == degree:
-        return p
-    if len(p) > degree:
-        raise ValueError("permutation exceeds degree")
-    return p + tuple(range(len(p), degree))
 
 
 def _cyclic(n: int) -> list[str]:
     return ["(" + " ".join(str(i) for i in range(n)) + ")"]
 
 
+# Q8 acts on itself by left multiplication, its points ordered 1, -1, i, -i,
+# j, -j, k, -k; its generators are left multiplication by i and by j.
 BUILTIN_GROUPS: dict[str, list[str]] = {
     "trivial": [],
     "C1": [],
@@ -388,20 +383,11 @@ BUILTIN_GROUPS: dict[str, list[str]] = {
     "D4": ["(0 1 2 3)", "(1 3)"],
     "A4": ["(0 1 2)", "(0 1)(2 3)"],
     "S4": ["(0 1)", "(0 1 2 3)"],
+    "Q8": ["(0 2 1 3)(4 6 5 7)", "(0 4 1 5)(2 7 3 6)"],
 }
-
-# Q8 on itself by left multiplication; points ordered 1,-1,i,-i,j,-j,k,-k.
-_Q8_GENERATORS = [
-    (2, 3, 1, 0, 6, 7, 5, 4),  # left multiplication by i
-    (4, 5, 7, 6, 1, 0, 2, 3),  # left multiplication by j
-]
 
 
 def builtin_group(name: str, cap: int = DEFAULT_ORDER_CAP) -> Group:
-    if name in ("trivial", "C1"):
-        return Group(1, (), (perm_identity(1),), name)
-    if name == "Q8":
-        return group_from_generators(_Q8_GENERATORS, name="Q8", cap=cap)
     if name not in BUILTIN_GROUPS:
         raise GroupError(f"unknown builtin group {name!r}")
     gens = [parse_cycles(s) for s in BUILTIN_GROUPS[name]]
@@ -429,11 +415,7 @@ def parse_group(spec: str, cap: int = DEFAULT_ORDER_CAP) -> Group:
             continue
         gen_strings.append(line)
     gens = [parse_cycles(s) for s in gen_strings]
-    if not gens:
-        return Group(1, (), (perm_identity(1),), name or "trivial")
-    degree = max(len(g) for g in gens)
-    gens = [_pad(g, degree) for g in gens]
-    return group_from_generators(gens, name=name, cap=cap)
+    return group_from_generators(gens, name=name or ("" if gens else "trivial"), cap=cap)
 
 
 # ---------------------------------------------------------------------------

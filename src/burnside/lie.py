@@ -126,9 +126,9 @@ def power(data: PhiData, exponent: int) -> PhiData:
 
 
 def load_phi_data(path: str | Path) -> PhiData:
-    with open(path, "r", encoding="utf-8") as handle:
-        raw = json.load(handle)
     try:
+        with open(path, "r", encoding="utf-8") as handle:
+            raw = json.load(handle)  # a JSONDecodeError or UnicodeDecodeError is a ValueError
         classes = tuple(
             PhiClass(
                 label=cls["label"],

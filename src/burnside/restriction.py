@@ -59,7 +59,6 @@ from .groups import (
     Group,
     SubgroupLattice,
     conjugacy_classes,
-    exponent,
     subgroup_as_group,
 )
 from .marks import MarksTable, element_checks
@@ -100,10 +99,8 @@ class TableProvider:
     transports a class's table to an explicit conjugate subgroup.
     """
 
-    def __init__(self, group: Group, lattice: SubgroupLattice):
-        self.group = group
+    def __init__(self, lattice: SubgroupLattice):
         self.lattice = lattice
-        self.conductor = exponent(group)
         self._class_tables: dict[int, CharacterTable] = {}
         self._conjugate_tables: dict[frozenset, CharacterTable] = {}
 
@@ -113,7 +110,7 @@ class TableProvider:
         return self._class_tables[class_index]
 
     def _build(self, class_index: int) -> CharacterTable:
-        return character_table(self._class_group(class_index), conductor=self.conductor)
+        return character_table(self._class_group(class_index))
 
     def _class_group(self, class_index: int) -> Group:
         """The group a class's table lives on: G itself for the full class,
@@ -121,7 +118,7 @@ class TableProvider:
         if class_index == self.lattice.full_index:
             return self.lattice.group
         rep = self.lattice.classes[class_index].element_set
-        return subgroup_as_group(self.group, rep, name=self.lattice.label_of(class_index))
+        return subgroup_as_group(self.lattice.group, rep, name=self.lattice.label_of(class_index))
 
     def table_for(self, subgroup: frozenset) -> CharacterTable:
         if subgroup in self._conjugate_tables:
@@ -131,7 +128,7 @@ class TableProvider:
         if frozenset(base.group.elements) == subgroup:
             table = base
         else:
-            rows = tuple(conjugate_function(row, g, self.group) for row in base.rows)
+            rows = tuple(conjugate_function(row, g, self.lattice.group) for row in base.rows)
             table = CharacterTable(rows[0].group, rows[0].classes, rows)
         self._conjugate_tables[subgroup] = table
         return table
@@ -140,13 +137,13 @@ class TableProvider:
 class DirectoryTables(TableProvider):
     """Tables loaded from <dir>/<group name>/<class label>.tbl files."""
 
-    def __init__(self, group: Group, lattice: SubgroupLattice, directory: str | Path):
-        super().__init__(group, lattice)
+    def __init__(self, lattice: SubgroupLattice, directory: str | Path):
+        super().__init__(lattice)
         self.directory = Path(directory)
 
     def _build(self, class_index: int) -> CharacterTable:
         label = self.lattice.label_of(class_index)
-        path = self.directory / (self.group.name or "unnamed") / f"{label}.tbl"
+        path = self.directory / (self.lattice.group.name or "unnamed") / f"{label}.tbl"
         if not path.exists():
             raise MissingTable(f"no table file for class {label}: {path}")
         return load_character_table(str(path), self._class_group(class_index))
@@ -308,8 +305,7 @@ def verify_artin_restriction(table: MarksTable, n: int | float,
     happens at n = 0 only, on a nontrivial group.
     """
     lattice = table.lattice
-    group = lattice.group
-    provider = provider or TableProvider(group, lattice)
+    provider = provider or TableProvider(lattice)
     certificate = artin_certificate(table, n)
     if not certificate.verified:
         raise RestrictionError("Artin certificate failed; restriction check not applicable")
@@ -393,8 +389,7 @@ def verify_brauer_restriction(table: MarksTable, n: int | float = 1,
     applicable.
     """
     lattice = table.lattice
-    group = lattice.group
-    provider = provider or TableProvider(group, lattice)
+    provider = provider or TableProvider(lattice)
     certificate = brauer_certificate(table, n)
     if not certificate.verified:
         raise RestrictionError("Brauer certificate failed; restriction check not applicable")

@@ -12,7 +12,6 @@ from burnside.characters import (
     CharacterError,
     CharacterTable,
     ClassFunction,
-    ConductorTooSmall,
     DegreeSumMismatch,
     MalformedEntry,
     OrthogonalityFailure,
@@ -262,11 +261,10 @@ class TestReciprocity:
     def test_inner_product_form(self, name):
         group = builtin_group(name)
         lattice = subgroup_lattice(group)
-        cond = exponent(group)
-        top = character_table(subgroup_as_group(group, frozenset(group.elements), name), cond)
+        top = character_table(subgroup_as_group(group, frozenset(group.elements), name))
         for cls in lattice.classes:
             sub = subgroup_as_group(group, cls.element_set)
-            for xi in character_table(sub, cond).rows:
+            for xi in character_table(sub).rows:
                 up = induce(xi, group)
                 for chi in top.rows:
                     chi_on_group = ClassFunction(group, conjugacy_classes(group), chi.values)
@@ -316,35 +314,53 @@ class TestCharacterTables:
 
     @pytest.mark.parametrize("name", ["C2", "C3", "C4", "C6", "C2xC2"])
     def test_dixon_schneider_agrees_with_linear_characters(self, name):
-        # the two branches of character_table, compared where both apply
+        # the two branches of character_table, compared where both apply,
+        # each value at the exponent
         group = builtin_group(name)
-        classes, conductor = conjugacy_classes(group), 2 * exponent(group)
-        expected = _order_rows(linear_characters(group, conductor))
-        assert _order_rows(_dixon_schneider(group, classes, conductor)) == expected
-
-    @pytest.mark.parametrize("name,conductor", [("S3", 2), ("S3", 3), ("S3", 4), ("C4", 2)])
-    def test_conductor_must_be_a_multiple_of_the_exponent(self, name, conductor):
-        with pytest.raises(ConductorTooSmall):
-            character_table(builtin_group(name), conductor)
+        expected = _order_rows(linear_characters(group))
+        assert _order_rows(_dixon_schneider(group, conjugacy_classes(group))) == expected
+        assert {v.conductor for row in expected for v in row.values} == {exponent(group)}
 
     def test_linear_characters_count(self):
         # |G/[G,G]|: S3 -> 2, A4 -> 3, D4 -> 4, Q8 -> 4, S4 -> 2
         for name, count in [("S3", 2), ("A4", 3), ("D4", 4), ("Q8", 4), ("S4", 2)]:
-            group = builtin_group(name)
-            assert len(linear_characters(group, exponent(group))) == count
+            assert len(linear_characters(builtin_group(name))) == count
 
-    def test_linear_characters_need_every_generator_order_to_divide_the_conductor(self):
-        c4 = builtin_group("C4")
-        with pytest.raises(ConductorTooSmall):
-            linear_characters(c4, 2)
-        assert len(linear_characters(c4, 4)) == 4
+    @pytest.mark.parametrize("name", ["S4", "SL(2,3)"])
+    def test_provider_tables_live_at_their_own_exponent(self, name):
+        from burnside.restriction import TableProvider
+
+        lattice = subgroup_lattice(benchmark_group(name))
+        provider = TableProvider(lattice)
+        for idx in range(len(lattice.classes)):
+            table = provider.class_table(idx)
+            assert table.conductor == exponent(table.group)
+        assert provider.class_table(lattice.full_index).conductor == 12
+
+    @pytest.mark.parametrize("name", ["S4", "SL(2,3)"])
+    def test_mixed_conductor_blocks_match_blocks_at_the_exponent_of_g(self, name):
+        # a member's table at exp(K) reads G's rows at lcm(exp(K), exp(G)),
+        # as a loaded table at its file's conductor does
+        from burnside.restriction import TableProvider, _stacked_block
+
+        lattice = subgroup_lattice(benchmark_group(name))
+        provider = TableProvider(lattice)
+        top = provider.class_table(lattice.full_index)
+        g_classes, index, n = conjugacy_classes(lattice.group), lattice.group.core.index, top.conductor
+        for idx in range(len(lattice.classes)):
+            table = provider.class_table(idx)
+            embedded = CharacterTable(table.group, table.classes, tuple(
+                ClassFunction(table.group, table.classes, tuple(v.to_conductor(n) for v in row.values))
+                for row in table.rows))
+            assert embedded.conductor == n
+            fusion = [g_classes.class_of[index[rep]] for rep in table.classes.representatives]
+            assert _stacked_block(table, fusion, top) == _stacked_block(embedded, fusion, top)
 
     def test_conjugate_transport_preserves_tables(self):
         group = builtin_group("S4")
         lattice = subgroup_lattice(group)
-        cond = exponent(group)
         cls = next(c for c in lattice.classes if c.order == 3)
-        base = character_table(subgroup_as_group(group, cls.element_set), cond)
+        base = character_table(subgroup_as_group(group, cls.element_set))
         g = group.elements[5]
         rows = tuple(conjugate_function(row, g, group) for row in base.rows)
         CharacterTable(rows[0].group, rows[0].classes, rows)  # validates
@@ -468,8 +484,8 @@ class TestTableFiles:
         directory = Path(__file__).parent.parent / "src" / "burnside" / "data" / "tables"
         group = builtin_group(name)
         lattice = subgroup_lattice(group)
-        shipped = DirectoryTables(group, lattice, directory)
-        computed = TableProvider(group, lattice)
+        shipped = DirectoryTables(lattice, directory)
+        computed = TableProvider(lattice)
         for idx in range(len(lattice.classes)):
             a = shipped.class_table(idx)
             b = computed.class_table(idx)

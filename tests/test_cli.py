@@ -300,23 +300,66 @@ class TestDeterminism:
 S3 = ["--group", "S3", "--json"]
 SO3 = ["--file", str(DATA_DIR / "so3.json"), "--json"]
 
-# (error type, its arguments, where it is planted, the command, exit code, kind):
-# one row per error family that main maps to an exit code
+def planted(error, args, site, argv, code, kind):
+    """A row that plants error(*args) at site and runs argv."""
+    return pytest.param((site, error, args), {}, argv, code, kind, error.__name__, str(error(*args)),
+                        id=error.__name__)
+
+
+def malformed(name, files, argv, error, message):
+    """A row that writes files (relative path -> bytes) under a temporary
+    directory, {tmp} in argv and message, and runs argv on them: an input error."""
+    return pytest.param(None, files, argv, 2, "error", error, message, id=name)
+
+
+def s3_tables(old, new):
+    """The shipped S3 tables, with old replaced by new in 3a.tbl, which
+    `equalizer` on S3 reads."""
+    files = {f"S3/{path.name}": path.read_bytes() for path in (DATA_DIR / "tables" / "S3").glob("*.tbl")}
+    assert old in files["S3/3a.tbl"]
+    files["S3/3a.tbl"] = files["S3/3a.tbl"].replace(old, new)
+    return files
+
+
+S3_TABLES = ["equalizer", "--tables", "{tmp}", *S3]
+NOT_UTF8 = "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"
+
+# one row per error family that main maps to an exit code, and one per
+# kind of malformed input the standard library would otherwise report
 EXIT_CODES = [
-    (GroupError, ("planted",), (cli, "parse_group"), ["marks", *S3], 2, "error"),
-    (OSError, ("planted",), (cli, "parse_group"), ["verify", *S3], 2, "error"),
-    (ValueError, ("planted",), (artin, "artin_certificate"), ["artin", *S3], 2, "error"),
-    (json.JSONDecodeError, ("planted", "", 0), (lie.PhiData, "validate"), ["lie", *SO3], 2, "error"),
-    (LieDataError, ("planted",), (lie.PhiData, "validate"), ["lie", *SO3], 2, "error"),
-    (CharacterError, ("planted",), (restriction.TableProvider, "_build"), ["equalizer", *S3], 2, "error"),
+    planted(GroupError, ("planted",), (cli, "parse_group"), ["marks", *S3], 2, "error"),
+    planted(OSError, ("planted",), (cli, "parse_group"), ["verify", *S3], 2, "error"),
+    planted(LieDataError, ("planted",), (lie.PhiData, "validate"), ["lie", *SO3], 2, "error"),
+    planted(CharacterError, ("planted",), (restriction.TableProvider, "_build"), ["equalizer", *S3], 2, "error"),
     # MissingTable subclasses RestrictionError, but is an input error
-    (MissingTable, ("planted",), (restriction.DirectoryTables, "_build"),
-     ["equalizer", "--tables", str(DATA_DIR / "tables"), *S3], 2, "error"),
-    (RestrictionError, ("planted",), (restriction, "equalizer_lattice"),
-     ["equalizer", "--mode", "brauer", *S3], 1, "check failed"),
-    (NotInImage, (0, "1a", 1), (brauer, "brauer_certificate"), ["brauer", *S3], 1, "check failed"),
-    (InternalInvariantViolation, ("planted",), (artin, "artin_certificate"), ["artin", *S3], 3, "internal error"),
-    (GcdNotOne, ("planted",), (brauer, "extended_euclid_set"), ["brauer", *S3], 3, "internal error"),
+    planted(MissingTable, ("planted",), (restriction.DirectoryTables, "_build"),
+            ["equalizer", "--tables", str(DATA_DIR / "tables"), *S3], 2, "error"),
+    planted(RestrictionError, ("planted",), (restriction, "equalizer_lattice"),
+            ["equalizer", "--mode", "brauer", *S3], 1, "check failed"),
+    planted(NotInImage, (0, "1a", 1), (brauer, "brauer_certificate"), ["brauer", *S3], 1, "check failed"),
+    planted(InternalInvariantViolation, ("planted",), (artin, "artin_certificate"), ["artin", *S3], 3,
+            "internal error"),
+    # the coprime parts of |G|_n always have gcd 1, so a GcdNotOne from
+    # Brauer's Bezout step is an internal error, not an input error
+    planted(GcdNotOne, ("planted",), (brauer, "extended_euclid_set"), ["brauer", *S3], 3, "internal error"),
+    # an error with no exit code is a bug, whatever its type
+    planted(ValueError, ("planted",), (artin, "artin_certificate"), ["artin", *S3], 3, "internal error"),
+    planted(json.JSONDecodeError, ("planted", "", 0), (lie.PhiData, "validate"), ["lie", *SO3], 3,
+            "internal error"),
+    planted(UnknownClass, ("planted",), (artin, "artin_certificate"), ["artin", *S3], 3, "internal error"),
+    planted(NotIntegral, (0, 1), (artin, "artin_certificate"), ["artin", *S3], 3, "internal error"),
+    malformed("bad-conductor", s3_tables(b"conductor: 6", b"conductor: six"), S3_TABLES, "MalformedEntry",
+              "'six' in 'conductor: six' is not an integer"),
+    malformed("class-without-size", s3_tables(b"class: () 1", b"class: ()"), S3_TABLES, "MalformedEntry",
+              "class line 'class: ()' needs a representative and a size"),
+    malformed("table-not-utf8", s3_tables(b"group", b"\xffgroup"), S3_TABLES, "MalformedEntry",
+              f"{{tmp}}/S3/3a.tbl is not UTF-8 text: {NOT_UTF8}"),
+    malformed("phi-json", {"bad.json": b'{"name": '}, ["lie", "--file", "{tmp}/bad.json", "--json"],
+              "LieDataError", "malformed data file: Expecting value: line 1 column 10 (char 9)"),
+    malformed("phi-not-utf8", {"bad.json": b"\xff{}"}, ["lie", "--file", "{tmp}/bad.json", "--json"],
+              "LieDataError", f"malformed data file: {NOT_UTF8}"),
+    malformed("group-not-utf8", {"bad.grp": b"\xff(0 1)\n"}, ["marks", "--file", "{tmp}/bad.grp", "--json"],
+              "GroupError", f"{{tmp}}/bad.grp is not UTF-8 text: {NOT_UTF8}"),
 ]
 
 
@@ -328,52 +371,17 @@ def plant(monkeypatch, site, error, args):
 
 
 class TestExitCodes:
-    @pytest.mark.parametrize("error,args,site,argv,code,kind", EXIT_CODES,
-                             ids=[row[0].__name__ for row in EXIT_CODES])
-    def test_exit_code_matrix(self, capsys, monkeypatch, error, args, site, argv, code, kind):
-        plant(monkeypatch, site, error, args)
+    @pytest.mark.parametrize("planting,files,argv,code,kind,error,message", EXIT_CODES)
+    def test_exit_code_matrix(self, capsys, monkeypatch, tmp_path, planting, files, argv, code, kind, error,
+                              message):
+        if planting:
+            plant(monkeypatch, *planting)
+        for name, data in files.items():
+            (tmp_path / name).parent.mkdir(exist_ok=True)
+            (tmp_path / name).write_bytes(data)
+        argv = [arg.format(tmp=tmp_path) for arg in argv]
         assert run(capsys, *argv) == (code, "", json.dumps(
-            {"error": {"kind": kind, "type": error.__name__, "message": str(error(*args))}}, sort_keys=True) + "\n")
-
-    # errors with no exit code are bugs: they keep their traceback
-    @pytest.mark.parametrize("error,args", [(UnknownClass, ("planted",)), (NotIntegral, (0, 1))],
-                             ids=["UnknownClass", "NotIntegral"])
-    def test_unmapped_error_propagates(self, capsys, monkeypatch, error, args):
-        plant(monkeypatch, (artin, "artin_certificate"), error, args)
-        with pytest.raises(error):
-            main(["artin", *S3])
-
-    def test_internal_invariant_violation(self, capsys, monkeypatch):
-        from burnside import artin
-        from burnside.marks import InternalInvariantViolation
-
-        def broken(table, n):
-            raise InternalInvariantViolation("planted")
-
-        monkeypatch.setattr(artin, "artin_certificate", broken)
-        code, out, err = run(capsys, "artin", "--group", "S3", "--json")
-        assert code == 3
-        assert not out
-        assert json.loads(err)["error"] == {
-            "kind": "internal error", "type": "InternalInvariantViolation", "message": "planted",
-        }
-
-    def test_bezout_failure_is_internal(self, capsys, monkeypatch):
-        # the coprime parts of |G|_n always have gcd 1, so a GcdNotOne from
-        # Brauer's Bezout step is an internal error, not an input error
-        from burnside import brauer
-        from burnside.exact import GcdNotOne
-
-        def broken(values):
-            raise GcdNotOne("planted")
-
-        monkeypatch.setattr(brauer, "extended_euclid_set", broken)
-        code, out, err = run(capsys, "brauer", "--group", "S4", "--json")
-        assert code == 3
-        assert not out
-        assert json.loads(err)["error"] == {
-            "kind": "internal error", "type": "GcdNotOne", "message": "planted",
-        }
+            {"error": {"kind": kind, "type": error, "message": message.format(tmp=tmp_path)}}, sort_keys=True) + "\n")
 
     def test_equalizer_point_off_the_lattice_is_a_failed_check(self, capsys, monkeypatch):
         # doubling a basis column leaves a sublattice of index 2, which misses

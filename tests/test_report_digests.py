@@ -40,7 +40,7 @@ COMMANDS = [["marks"], ["verify"]] + [
 def _groups():
     for name in sorted(BENCHMARK_GROUPS):
         yield f"benchmark/{name}", "\n".join(BENCHMARK_GROUPS[name]["generators"])
-    for name in sorted([*BUILTIN_GROUPS, "Q8"]):
+    for name in sorted(BUILTIN_GROUPS):
         yield f"builtin/{name}", name
 
 

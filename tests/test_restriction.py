@@ -42,7 +42,7 @@ from oracles import add, from_coordinates, is_zero, perm_character, scale
 def s3_setup():
     group = builtin_group("S3")
     lattice = subgroup_lattice(group)
-    return group, lattice, marks_table(lattice), TableProvider(group, lattice)
+    return group, lattice, marks_table(lattice), TableProvider(lattice)
 
 
 class TestEqualizerLattice:
@@ -81,7 +81,7 @@ class TestEqualizerLattice:
 
         group = builtin_group(name)
         lattice = subgroup_lattice(group)
-        provider = TableProvider(group, lattice)
+        provider = TableProvider(lattice)
         family = list(abelian_family(lattice, n).class_indices)
         eq = equalizer_lattice(family, provider, lattice)
         tables = [provider.class_table(i) for i in family]
@@ -170,8 +170,8 @@ class FamilyTablesOnly(TableProvider):
     """A provider that fails on any table the equalizer should not need:
     conjugated tables, and class tables outside the family and the top group."""
 
-    def __init__(self, group, lattice, family):
-        super().__init__(group, lattice)
+    def __init__(self, lattice, family):
+        super().__init__(lattice)
         self.family = {*family, lattice.full_index}
 
     def class_table(self, class_index):
@@ -186,7 +186,7 @@ class FamilyTablesOnly(TableProvider):
 class TestEqualizerReference:
     @staticmethod
     def assert_same_lattice_as_reference(lattice, family, provider=None):
-        reference_provider = TableProvider(lattice.group, lattice)
+        reference_provider = TableProvider(lattice)
         provider = provider or reference_provider
         basis = equalizer_lattice(family, provider, lattice).basis
         reference = reference_equalizer_basis(family, reference_provider, lattice)
@@ -239,7 +239,7 @@ class TestEqualizerReference:
         lattice = subgroup_lattice(ladder_group(name))
         family = production_family(lattice, "brauer") if labels is None else \
             [i for i in range(len(lattice)) if lattice.label_of(i) in labels.split(",")]
-        provider = FamilyTablesOnly(lattice.group, lattice, family)
+        provider = FamilyTablesOnly(lattice, family)
         self.assert_same_lattice_as_reference(lattice, family, provider)
 
 
@@ -281,7 +281,7 @@ class TestEqualizerChecks:
         group = parse_group("(0 1)\n(0 1 2)")
         lattice = subgroup_lattice(group)
         assert group.name == "" and lattice.label_of(lattice.full_index) == "6a"
-        provider = TableProvider(group, lattice)
+        provider = TableProvider(lattice)
         family = [i for i in range(len(lattice)) if lattice.label_of(i) in ("2a", "6a")]
         eq = equalizer_lattice(family, provider, lattice)
         inputs = self.fusion_inputs(family, provider, lattice)
@@ -463,7 +463,7 @@ def lattice_provider(name):
     provider for it, shared by the oracle tests."""
     group = builtin_group(name) if name in BUILTIN_GROUPS else benchmark_group(name)
     table = marks_table(subgroup_lattice(group))
-    return table, TableProvider(group, table.lattice)
+    return table, TableProvider(table.lattice)
 
 
 def assert_maximal_equalizer_matches_full(table, provider, n):
@@ -510,7 +510,7 @@ class TestFullFamilyOracle:
     @given(small_subgroups_of_s6(), st.sampled_from([1, 2, math.inf]))
     def test_small_subgroups_of_s6(self, group, n):
         table = marks_table(subgroup_lattice(group))
-        assert_maximal_equalizer_matches_full(table, TableProvider(group, table.lattice), n)
+        assert_maximal_equalizer_matches_full(table, TableProvider(table.lattice), n)
 
 
 class TestFusionOracle:
@@ -558,8 +558,8 @@ class TestFusionOracle:
 class CountingTables(TableProvider):
     """Records the class of every table it builds."""
 
-    def __init__(self, group, lattice):
-        super().__init__(group, lattice)
+    def __init__(self, lattice):
+        super().__init__(lattice)
         self.built = []
 
     def _build(self, class_index):
@@ -585,7 +585,7 @@ class TestTablesRead:
     @pytest.mark.parametrize("name", ["C2^4", "C2^5"])
     def test_elementary_abelian_brauer_reads_one_table(self, name):
         lattice = subgroup_lattice(ladder_group(name))
-        provider = CountingTables(lattice.group, lattice)
+        provider = CountingTables(lattice)
         report = verify_brauer_restriction(marks_table(lattice), 1, provider)
         assert report.verified
         assert provider.built == [lattice.full_index]
@@ -772,7 +772,7 @@ class TestPermutationRealization:
 class TestDirectoryTables:
     def test_missing_table(self, s3_setup, tmp_path):
         group, lattice, table, provider = s3_setup
-        directory = DirectoryTables(group, lattice, tmp_path)
+        directory = DirectoryTables(lattice, tmp_path)
         with pytest.raises(MissingTable):
             directory.class_table(0)
 
@@ -785,7 +785,7 @@ class TestDirectoryTables:
         for idx in range(len(lattice.classes)):
             text = table_to_text(provider.class_table(idx))
             (outdir / f"{lattice.label_of(idx)}.tbl").write_text(text)
-        directory = DirectoryTables(group, lattice, tmp_path)
+        directory = DirectoryTables(lattice, tmp_path)
         report = verify_artin_restriction(table, 1, directory)
         assert report.verified
         # G's table, computed or loaded, lives on G itself

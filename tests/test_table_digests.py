@@ -34,7 +34,7 @@ DIGESTS = HERE / "data" / "table_digests.json"
 def _groups():
     for name in sorted(BENCHMARK_GROUPS):
         yield f"benchmark/{name}", benchmark_group(name)
-    for name in sorted([*BUILTIN_GROUPS, "Q8"]):
+    for name in sorted(BUILTIN_GROUPS):
         yield f"builtin/{name}", builtin_group(name)
 
 
