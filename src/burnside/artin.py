@@ -8,7 +8,6 @@ subgroups on at most n generators, verified pointwise on group elements.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
 
 from .groups import SubgroupLattice
@@ -24,7 +23,6 @@ from .marks import (
 )
 
 
-@dataclass(frozen=True)
 class AbelianClassFamily:
     """Conjugacy classes of abelian subgroups on at most n generators, and
     their order |G|_n, the least common multiple of their Weyl-group orders.
@@ -34,9 +32,8 @@ class AbelianClassFamily:
     Weyl order |N_G(A):A| divides |G|.  The lcm form is kept because it is
     the definition that carries over to compact groups (lie.order_n_lie)."""
 
-    n: int | float
-    class_indices: tuple[int, ...]
-    order: int
+    def __init__(self, n: int | float, class_indices: tuple[int, ...], order: int):
+        self.n, self.class_indices, self.order = n, class_indices, order
 
     @cached_property
     def members(self) -> frozenset[int]:
@@ -44,14 +41,16 @@ class AbelianClassFamily:
         return frozenset(self.class_indices)
 
 
-@dataclass(frozen=True)
 class ArtinCertificate:
-    n: int | float
-    order_n: int
-    alpha: BurnsideElement  # sum_A c_A [G/A]
-    element_checks: tuple[tuple[str, int, int], ...]  # (element class label, lhs, rhs)
-    ghost_checks: tuple[tuple[str, int, int], ...]  # (subgroup class label, value, expected)
-    in_ideal: bool  # order_n * [pt] - alpha lies in J_n: alpha's ghost is order_n on the family
+    def __init__(self, n: int | float, order_n: int, alpha: BurnsideElement,
+                 element_checks: tuple[tuple[str, int, int], ...],
+                 ghost_checks: tuple[tuple[str, int, int], ...], in_ideal: bool):
+        self.n, self.order_n = n, order_n
+        self.alpha = alpha  # sum_A c_A [G/A]
+        self.element_checks = element_checks  # (element class label, lhs, rhs)
+        self.ghost_checks = ghost_checks  # (subgroup class label, value, expected)
+        # order_n * [pt] - alpha lies in J_n: alpha's ghost is order_n on the family
+        self.in_ideal = in_ideal
 
     @property
     def verified(self) -> bool:

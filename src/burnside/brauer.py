@@ -6,7 +6,6 @@ n-hyper subgroup classes verified pointwise.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .exact import extended_euclid_set, prime_factors
 from .groups import SubgroupLattice
@@ -29,16 +28,16 @@ def coprime_part(value: int, p: int) -> int:
     return value
 
 
-@dataclass(frozen=True)
 class BrauerCertificate:
-    n: int | float
-    order_n: int
-    bezout: dict[int, int]  # prime -> z_p
-    i_n_ghost: GhostElement
-    decomposition: BurnsideElement  # sum_H k_H [G/H]
-    element_checks: tuple[tuple[str, int, int], ...]
-    family_values: tuple[tuple[str, int], ...]  # i_n_ghost restricted to the abelian family
-    support_hyper: bool
+    def __init__(self, n: int | float, order_n: int, bezout: dict[int, int], i_n_ghost: GhostElement,
+                 decomposition: BurnsideElement, element_checks: tuple[tuple[str, int, int], ...],
+                 family_values: tuple[tuple[str, int], ...], support_hyper: bool):
+        self.n, self.order_n = n, order_n
+        self.bezout = bezout  # prime -> z_p
+        self.i_n_ghost = i_n_ghost
+        self.decomposition = decomposition  # sum_H k_H [G/H]
+        self.element_checks, self.support_hyper = element_checks, support_hyper
+        self.family_values = family_values  # i_n_ghost restricted to the abelian family
 
     @property
     def verified(self) -> bool:

@@ -40,7 +40,6 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
 from itertools import count, product
@@ -79,16 +78,12 @@ class DegreeSumMismatch(CharacterError):
     pass
 
 
-@dataclass(frozen=True)
 class ClassFunction:
     """A cyclotomic-valued function on the element conjugacy classes of a group."""
 
-    group: Group
-    classes: ConjugacyClasses
-    values: tuple[Cyclotomic, ...]
-
-    def __post_init__(self):
-        assert len(self.values) == len(self.classes.members)
+    def __init__(self, group: Group, classes: ConjugacyClasses, values: tuple[Cyclotomic, ...]):
+        assert len(values) == len(classes.members)
+        self.group, self.classes, self.values = group, classes, values
 
     def value_at(self, element: Perm) -> Cyclotomic:
         return self.values[self.classes.index_of(element)]
@@ -100,8 +95,6 @@ class ClassFunction:
     def __eq__(self, other):
         return isinstance(other, ClassFunction) and all(a == b for a, b in zip(self.values, other.values)) \
             and len(self.values) == len(other.values)
-
-    __hash__ = None
 
 
 def _spread(values: Sequence[Cyclotomic], n: int, weights: Sequence[int] | None = None,
@@ -172,15 +165,11 @@ def conjugate_function(xi: ClassFunction, g: Perm, parent: Group) -> ClassFuncti
 # character tables
 
 
-@dataclass(frozen=True)
 class CharacterTable:
-    group: Group
-    classes: ConjugacyClasses
-    rows: tuple[ClassFunction, ...]
-    # conductor n -> per row, size-weighted conjugated values at n
-    _weighted_rows: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-
-    def __post_init__(self):
+    def __init__(self, group: Group, classes: ConjugacyClasses, rows: tuple[ClassFunction, ...]):
+        self.group, self.classes, self.rows = group, classes, rows
+        # conductor n -> per row, size-weighted conjugated values at n
+        self._weighted_rows: dict = {}
         validate_table(self)
 
     @property

@@ -17,7 +17,6 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass, field
 
 from . import artin as artin_mod
 from . import brauer as brauer_mod
@@ -31,13 +30,12 @@ from .groups import (
 from .marks import GhostElement, NotInImage, marks_table, solve_ghost
 
 
-@dataclass
 class Report:
-    command: str
-    inputs: dict
-    results: dict = field(default_factory=dict)
-    checks: list = field(default_factory=list)  # (name, ok) pairs
-    timing: float = 0.0
+    def __init__(self, command: str, inputs: dict, results: dict | None = None,
+                 checks: list | None = None, timing: float = 0.0):
+        self.command, self.inputs, self.timing = command, inputs, timing
+        self.results = {} if results is None else results
+        self.checks = [] if checks is None else checks  # (name, ok) pairs
 
     @property
     def status(self) -> str:

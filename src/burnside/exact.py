@@ -10,7 +10,6 @@ anywhere in the package.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Sequence
 
@@ -111,13 +110,15 @@ def euler_phi(n: int) -> int:
 # integer matrices
 
 
-@dataclass(frozen=True)
 class IntMatrix:
-    """Dense matrix of arbitrary-precision integers."""
+    """Dense matrix of arbitrary-precision integers, equal by value."""
 
-    rows: int
-    cols: int
-    entries: tuple[tuple[int, ...], ...]
+    def __init__(self, rows: int, cols: int, entries: tuple[tuple[int, ...], ...]):
+        self.rows, self.cols, self.entries = rows, cols, entries
+
+    def __eq__(self, other):
+        return isinstance(other, IntMatrix) and (self.rows, self.cols, self.entries) == (
+            other.rows, other.cols, other.entries)
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[int]]) -> "IntMatrix":

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations
 from typing import Iterable, NamedTuple, Sequence
@@ -134,17 +133,13 @@ def parse_cycles(text: str, degree: int | None = None) -> Perm:
 # groups
 
 
-@dataclass(frozen=True)
 class Group:
     """A finite permutation group with fully enumerated elements."""
 
-    degree: int
-    generators: tuple[Perm, ...]
-    elements: tuple[Perm, ...]
-    name: str = ""
-
-    def __post_init__(self):
-        assert self.elements, "a group has at least the identity"
+    def __init__(self, degree: int, generators: tuple[Perm, ...], elements: tuple[Perm, ...],
+                 name: str = ""):
+        assert elements, "a group has at least the identity"
+        self.degree, self.generators, self.elements, self.name = degree, generators, elements, name
 
     @property
     def order(self) -> int:
@@ -422,7 +417,6 @@ def parse_group(spec: str, cap: int = DEFAULT_ORDER_CAP) -> Group:
 # element conjugacy classes
 
 
-@dataclass(frozen=True)
 class ConjugacyClasses:
     """Element conjugacy classes in index form, with a deterministic order
     (identity first): members[c] lists the element indices of class c over
@@ -430,9 +424,8 @@ class ConjugacyClasses:
     Permutations appear only at the boundary, in representatives and
     index_of."""
 
-    group: Group
-    members: tuple[tuple[int, ...], ...]
-    class_of: tuple[int, ...]
+    def __init__(self, group: Group, members: tuple[tuple[int, ...], ...], class_of: tuple[int, ...]):
+        self.group, self.members, self.class_of = group, members, class_of
 
     @property
     def representatives(self) -> list[Perm]:
@@ -496,19 +489,16 @@ def exponent(group: Group) -> int:
 # subgroup lattice
 
 
-@dataclass(frozen=True)
 class SubgroupClass:
     """A conjugacy class of subgroups, with its classification data."""
 
-    representative: tuple[Perm, ...]
-    class_index: int
-    order: int
-    weyl_order: int
-    is_abelian: bool
-    label: str
-    # what min_generators reads: the group's core, the representative's
-    # bitmask over it and the size of a known generating set
-    generation: tuple[GroupCore, int, int] = field(repr=False, compare=False)
+    def __init__(self, representative: tuple[Perm, ...], class_index: int, order: int,
+                 weyl_order: int, is_abelian: bool, label: str, generation: tuple[GroupCore, int, int]):
+        self.representative, self.class_index, self.label = representative, class_index, label
+        self.order, self.weyl_order, self.is_abelian = order, weyl_order, is_abelian
+        # what min_generators reads: the group's core, the representative's
+        # bitmask over it and the size of a known generating set
+        self.generation = generation
 
     @property
     def element_set(self) -> frozenset:
@@ -524,15 +514,15 @@ class SubgroupClass:
         return _abelian_rank(core, elems) if self.is_abelian else _min_generators(core, elems, bound)
 
 
-@dataclass(frozen=True)
 class SubgroupLattice:
     """Conjugacy classes of subgroups ordered compatibly with subconjugacy."""
 
-    group: Group
-    classes: tuple[SubgroupClass, ...]
-    down_sets: tuple[int, ...]  # per class (H), bit k set iff (K) <= (H)
-    # per class, the bitmasks (over group.core) of all conjugates, representative first
-    orbits: tuple[tuple[int, ...], ...] = field(repr=False, compare=False)
+    def __init__(self, group: Group, classes: tuple[SubgroupClass, ...], down_sets: tuple[int, ...],
+                 orbits: tuple[tuple[int, ...], ...]):
+        self.group, self.classes = group, classes
+        self.down_sets = down_sets  # per class (H), bit k set iff (K) <= (H)
+        # per class, the bitmasks (over group.core) of all conjugates, representative first
+        self.orbits = orbits
 
     def __len__(self):
         return len(self.classes)
@@ -788,19 +778,16 @@ def subgroup_lattice(group: Group) -> SubgroupLattice:
 # cosets and double cosets
 
 
-@dataclass(frozen=True)
 class DoubleCoset:
-    representative: Perm
-    intersection: frozenset  # K cap g H g^-1
-    size: int
+    def __init__(self, representative: Perm, intersection: frozenset, size: int):
+        self.representative, self.size = representative, size
+        self.intersection = intersection  # K cap g H g^-1
 
 
-@dataclass(frozen=True)
 class DoubleCosetDecomposition:
-    group: Group
-    left: frozenset  # K
-    right: frozenset  # H
-    cosets: tuple[DoubleCoset, ...]
+    def __init__(self, group: Group, left: frozenset, right: frozenset, cosets: tuple[DoubleCoset, ...]):
+        self.group, self.cosets = group, cosets
+        self.left, self.right = left, right  # K, H
 
 
 def double_cosets(group: Group, k_sub: frozenset, h_sub: frozenset) -> DoubleCosetDecomposition:

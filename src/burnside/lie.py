@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 from pathlib import Path
 
 from .exact import prime_factors
@@ -25,20 +24,21 @@ class NoQualifyingClass(LieDataError):
     """No class satisfies the generator bound for the requested order."""
 
 
-@dataclass(frozen=True)
+MAX_POWER_CLASSES = 10_000  # the classes power() may build over all its products
+
+
 class PhiClass:
-    label: str
-    weyl_order: int
-    torus_rank: int
-    component_invariants: tuple[int, ...]
-    omega_closure: tuple[str, ...]
-    maximal_torus: bool = False
+    def __init__(self, label: str, weyl_order: int, torus_rank: int,
+                 component_invariants: tuple[int, ...], omega_closure: tuple[str, ...],
+                 maximal_torus: bool = False):
+        self.label, self.weyl_order, self.torus_rank = label, weyl_order, torus_rank
+        self.component_invariants, self.omega_closure = component_invariants, omega_closure
+        self.maximal_torus = maximal_torus
 
 
-@dataclass(frozen=True)
 class PhiData:
-    name: str
-    classes: tuple[PhiClass, ...]
+    def __init__(self, name: str, classes: tuple[PhiClass, ...]):
+        self.name, self.classes = name, classes
 
     def validate(self) -> None:
         labels = {cls.label for cls in self.classes}
@@ -117,32 +117,74 @@ def product(a: PhiData, b: PhiData) -> PhiData:
 
 
 def power(data: PhiData, exponent: int) -> PhiData:
+    """The exponent-fold product of data with itself, refused up front if its
+    products would build more than MAX_POWER_CLASSES classes in all (each
+    product counts as at least one, so the count stops within that many steps)."""
     if exponent < 1:
         raise LieDataError("power must be at least 1")
+    size = built = len(data.classes)
+    for _ in range(exponent - 1):
+        size *= len(data.classes)
+        built += size or 1
+        if built > MAX_POWER_CLASSES:
+            raise LieDataError(f"power {exponent} of {len(data.classes)}-class data would build more "
+                               f"than {MAX_POWER_CLASSES} classes")
     result = data
     for _ in range(exponent - 1):
         result = product(result, data)
     return result
 
 
+def _is_int(value) -> bool:
+    return type(value) is int  # JSON true and 2.5 are not integers
+
+
+def _is_str(value) -> bool:
+    return isinstance(value, str)
+
+
+# docs/phidata.schema.json field by field: key -> (required, test, what the test asks)
+_FILE_FIELDS = {"name": (True, _is_str, "a string"),
+                "classes": (True, lambda v: isinstance(v, list) and v != [], "a non-empty list")}
+_CLASS_FIELDS = {
+    "label": (True, _is_str, "a string"),
+    "weyl_order": (True, _is_int, "an integer"),
+    "torus_rank": (True, _is_int, "an integer"),
+    "component_invariants": (False, lambda v: isinstance(v, list) and all(map(_is_int, v)), "a list of integers"),
+    "omega_closure": (False, lambda v: isinstance(v, list) and all(map(_is_str, v)), "a list of strings"),
+    "maximal_torus": (False, lambda v: isinstance(v, bool), "a boolean"),
+}
+
+
+def _check_fields(record, fields: dict, where: str) -> None:
+    """Raise LieDataError naming where and the key unless record is an object
+    with every required key, no other, and values that pass their tests."""
+    if not isinstance(record, dict):
+        raise LieDataError(f"{where}: not an object")
+    for key in sorted(record.keys() - fields.keys()):
+        raise LieDataError(f"{where}: unknown field {key!r}")
+    for key, (required, test, kind) in fields.items():
+        if key in record and not test(record[key]) or required and key not in record:
+            raise LieDataError(f"{where}: field {key!r} must be {kind}")
+
+
 def load_phi_data(path: str | Path) -> PhiData:
+    """Read a class-data file; a field against the schema raises LieDataError."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            raw = json.load(handle)  # a JSONDecodeError or UnicodeDecodeError is a ValueError
-        classes = tuple(
-            PhiClass(
-                label=cls["label"],
-                weyl_order=int(cls["weyl_order"]),
-                torus_rank=int(cls["torus_rank"]),
-                component_invariants=tuple(int(f) for f in cls.get("component_invariants", [])),
-                omega_closure=tuple(cls.get("omega_closure", [cls["label"]])),
-                maximal_torus=bool(cls.get("maximal_torus", False)),
-            )
-            for cls in raw["classes"]
-        )
-        data = PhiData(raw["name"], classes)
-    except (KeyError, TypeError, ValueError) as exc:
+            raw = json.load(handle)
+    except ValueError as exc:  # a JSONDecodeError or UnicodeDecodeError
         raise LieDataError(f"malformed data file: {exc}") from exc
+    _check_fields(raw, _FILE_FIELDS, "data file")
+    classes = []
+    for i, cls in enumerate(raw["classes"]):
+        label = cls.get("label") if isinstance(cls, dict) else None
+        _check_fields(cls, _CLASS_FIELDS, f"class {label!r}" if isinstance(label, str) else f"class {i}")
+        classes.append(PhiClass(label, cls["weyl_order"], cls["torus_rank"],
+                                tuple(cls.get("component_invariants", ())),
+                                tuple(cls.get("omega_closure", (label,))),
+                                cls.get("maximal_torus", False)))
+    data = PhiData(raw["name"], tuple(classes))
     data.validate()
     return data
 

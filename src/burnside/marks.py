@@ -37,7 +37,6 @@ element_checks reads it per class index, with no permutation lookup.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from functools import cached_property
 
 from .exact import IntMatrix
@@ -70,12 +69,12 @@ class InternalInvariantViolation(BurnsideError):
     exit_code = 3
 
 
-@dataclass(frozen=True)
 class MarksTable:
-    lattice: SubgroupLattice
-    # per class (K), the pairs (H, m[H][K]) of every nonzero mark in its
-    # column, H ascending, where m[H][K] = |(G/H)^K|
-    columns: tuple[tuple[tuple[int, int], ...], ...]
+    def __init__(self, lattice: SubgroupLattice, columns: tuple[tuple[tuple[int, int], ...], ...]):
+        self.lattice = lattice
+        # per class (K), the pairs (H, m[H][K]) of every nonzero mark in its
+        # column, H ascending, where m[H][K] = |(G/H)^K|
+        self.columns = columns
 
     @property
     def size(self) -> int:
@@ -115,15 +114,15 @@ def _combine(a: dict[int, int], b: dict[int, int], sign: int) -> dict[int, int]:
     return out
 
 
-@dataclass(frozen=True)
 class BurnsideElement:
     """Integer coefficients on the transitive basis [G/H], as {class index:
-    coefficient} with no zero entries."""
+    coefficient} with no zero entries; equal by value."""
 
-    coefficients: dict[int, int]
+    def __init__(self, coefficients: dict[int, int]):
+        self.coefficients = {h: c for h, c in coefficients.items() if c}
 
-    def __post_init__(self):
-        object.__setattr__(self, "coefficients", {h: c for h, c in self.coefficients.items() if c})
+    def __eq__(self, other):
+        return isinstance(other, BurnsideElement) and self.coefficients == other.coefficients
 
     def __sub__(self, other: "BurnsideElement") -> "BurnsideElement":
         return BurnsideElement(_combine(self.coefficients, other.coefficients, -1))
@@ -132,15 +131,15 @@ class BurnsideElement:
         return BurnsideElement({h: k * c for h, c in self.coefficients.items()})
 
 
-@dataclass(frozen=True)
 class GhostElement:
     """An integer-valued function on subgroup classes, as {class index:
-    value} with no zero entries."""
+    value} with no zero entries; equal by value."""
 
-    values: dict[int, int]
+    def __init__(self, values: dict[int, int]):
+        self.values = {k: v for k, v in values.items() if v}
 
-    def __post_init__(self):
-        object.__setattr__(self, "values", {k: v for k, v in self.values.items() if v})
+    def __eq__(self, other):
+        return isinstance(other, GhostElement) and self.values == other.values
 
     def __add__(self, other: "GhostElement") -> "GhostElement":
         return GhostElement(_combine(self.values, other.values, 1))

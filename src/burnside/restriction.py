@@ -34,7 +34,6 @@ classes, and the fusion check compares the basis columns along the lists.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
@@ -149,13 +148,14 @@ class DirectoryTables(TableProvider):
         return load_character_table(str(path), self._class_group(class_index))
 
 
-@dataclass(frozen=True)
 class EqualizerLattice:
-    family: tuple[int, ...]  # subgroup class indices
-    # rows: one per family coordinate (K, psi), block by block; columns: irr(G)
-    stacked: IntMatrix  # M, the multiplicities <res_K chi, psi>
-    restriction: IntMatrix  # H, a row echelon basis of M's row lattice: res in basis coordinates
-    basis: IntMatrix  # columns: a basis of the integer equalizer, C with C * H = M
+    def __init__(self, family: tuple[int, ...], stacked: IntMatrix, restriction: IntMatrix,
+                 basis: IntMatrix):
+        self.family = family  # subgroup class indices
+        # rows: one per family coordinate (K, psi), block by block; columns: irr(G)
+        self.stacked = stacked  # M, the multiplicities <res_K chi, psi>
+        self.restriction = restriction  # H, a row echelon basis of M's row lattice: res in basis coordinates
+        self.basis = basis  # columns: a basis of the integer equalizer, C with C * H = M
 
     @property
     def rank(self) -> int:
@@ -281,12 +281,9 @@ def _restriction_matrix(eq: EqualizerLattice) -> IntMatrix:
     return eq.restriction
 
 
-@dataclass(frozen=True)
 class ArtinRestrictionReport:
-    order: int
-    rank: int
-    psi_res_ok: bool
-    res_psi_ok: bool
+    def __init__(self, order: int, rank: int, psi_res_ok: bool, res_psi_ok: bool):
+        self.order, self.rank, self.psi_res_ok, self.res_psi_ok = order, rank, psi_res_ok, res_psi_ok
 
     @property
     def verified(self) -> bool:
@@ -357,11 +354,9 @@ def _artin_section(eq: EqualizerLattice, coefficients: dict[int, int],
     return IntMatrix.from_rows(scaled).transpose() @ eq.basis
 
 
-@dataclass(frozen=True)
 class BrauerRestrictionReport:
-    rank: int
-    irreducibles: int
-    elementary_divisors: tuple[int, ...]
+    def __init__(self, rank: int, irreducibles: int, elementary_divisors: tuple[int, ...]):
+        self.rank, self.irreducibles, self.elementary_divisors = rank, irreducibles, elementary_divisors
 
     @property
     def verified(self) -> bool:

@@ -1,7 +1,6 @@
 """Local idempotents, their Bezout combination, and Brauer certificates."""
 
 import math
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -14,7 +13,7 @@ from burnside.brauer import (
     i_pn,
     in_hyper_family,
 )
-from burnside.artin import abelian_family
+from burnside.artin import AbelianClassFamily, abelian_family
 from burnside.exact import prime_factors
 from burnside.groups import (
     BUILTIN_GROUPS,
@@ -245,7 +244,8 @@ def assert_hyper_rule_matches_reference(lattice):
     degree = lattice.group.degree
     for p in prime_factors(lattice.group.order) or [2]:
         for n in (0, 1, 2, math.inf):
-            family = replace(abelian_family(lattice, n), order=p)
+            family = abelian_family(lattice, n)
+            family = AbelianClassFamily(family.n, family.class_indices, p)
             for h, cls in enumerate(lattice.classes):
                 expected = is_n_hyper(cls.element_set, n, p, degree)
                 assert in_hyper_family(lattice, h, family) == expected, (cls.label, p, n)

@@ -5,6 +5,7 @@ import os
 import shutil
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -265,6 +266,20 @@ class TestLie:
         code, out, err = run(capsys, "lie", "--file", str(bad))
         assert code == 2
 
+    @pytest.mark.parametrize("power", ["13", "40", str(10**9)])
+    def test_power_past_the_class_limit_fails_fast(self, capsys, power):
+        # power 12 of the two SO(3) classes builds 8,190 classes over its
+        # products and runs; 13 would build 16,382, past lie.MAX_POWER_CLASSES
+        started = time.perf_counter()
+        code, out, err = run(capsys, "lie", "--file", str(DATA_DIR / "so3.json"),
+                             "--power", power, "--json")
+        assert time.perf_counter() - started < 5.0
+        assert code == 2
+        assert not out
+        error = json.loads(err)["error"]
+        assert error["type"] == "LieDataError"
+        assert f"power {power} of 2-class data" in error["message"]
+
 
 class TestVerify:
     @pytest.mark.parametrize("name", ["S3", "Q8"])
@@ -411,14 +426,11 @@ class TestExitCodes:
     def test_equalizer_point_off_the_lattice_is_a_failed_check(self, capsys, monkeypatch):
         # doubling a basis column leaves a sublattice of index 2, which misses
         # the image of restriction (onto, in Brauer mode)
-        from dataclasses import replace
-
-        from burnside import restriction
-
         def doubled(family, provider, lattice):
             eq = original(family, provider, lattice)
             basis = [[2 * row[0], *row[1:]] for row in eq.basis.entries]
-            return replace(eq, basis=IntMatrix.from_rows(basis))
+            return restriction.EqualizerLattice(eq.family, eq.stacked, eq.restriction,
+                                                IntMatrix.from_rows(basis))
 
         original = restriction.equalizer_lattice
         monkeypatch.setattr(restriction, "equalizer_lattice", doubled)
@@ -519,25 +531,46 @@ def test_nonabelian_generator_count_is_never_searched(capsys, monkeypatch, group
     assert json.loads(out)["status"] == "pass"
 
 
-# verify, marks, artin and brauer run on the marks alone, so a fresh
-# interpreter that runs them never loads the character layers
+# a fresh interpreter runs the argument lists given as JSON in argv[1], then
+# prints their exit codes and the modules it loaded
 IMPORT_GUARD = """
 import contextlib, io, json, sys
 from burnside.cli import main
 codes = []
-for command in ("verify", "marks", "artin", "brauer"):
+for argv in json.loads(sys.argv[1]):
     with contextlib.redirect_stdout(io.StringIO()):
-        codes.append(main([command, "--group", "S4", "--json"]))
+        codes.append(main(argv))
 print(json.dumps({"codes": codes, "modules": sorted(sys.modules)}))
 """
 
 
-def test_marks_commands_load_no_character_layer():
+def run_fresh(*argvs):
     env = dict(os.environ, PYTHONPATH=str(SRC_DIR))
-    done = subprocess.run([sys.executable, "-c", IMPORT_GUARD], env=env, capture_output=True,
-                          text=True, timeout=60, check=True)
-    result = json.loads(done.stdout)
+    done = subprocess.run([sys.executable, "-c", IMPORT_GUARD, json.dumps(argvs)], env=env,
+                          capture_output=True, text=True, timeout=60, check=True)
+    return json.loads(done.stdout)
+
+
+def test_marks_commands_load_no_character_layer():
+    # verify, marks, artin and brauer run on the marks alone, so they never
+    # load the character layers
+    result = run_fresh(*([command, "--group", "S4", "--json"]
+                         for command in ("verify", "marks", "artin", "brauer")))
     assert result["codes"] == [0, 0, 0, 0]
     assert "burnside.marks" in result["modules"]
     for name in ("characters", "restriction", "lie", "cyclotomic"):
         assert f"burnside.{name}" not in result["modules"]
+
+
+def test_no_command_loads_dataclasses():
+    # the records are plain classes, so no command pays for dataclasses and
+    # the inspect module it pulls in
+    result = run_fresh(*([command, "--group", "S4", "--json"]
+                         for command in ("verify", "marks", "artin", "brauer")),
+                       ["equalizer", "--group", "S4", "--mode", "artin", "--json"],
+                       ["equalizer", "--group", "S4", "--mode", "brauer", "--json"],
+                       ["lie", "--file", str(DATA_DIR / "so3.json"), "--json"])
+    assert result["codes"] == [0] * 7
+    assert {"burnside.characters", "burnside.restriction", "burnside.lie"} <= set(result["modules"])
+    assert "dataclasses" not in result["modules"]
+    assert "inspect" not in result["modules"]

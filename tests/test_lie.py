@@ -5,6 +5,7 @@ import json
 import pytest
 
 from burnside.lie import (
+    MAX_POWER_CLASSES,
     LieDataError,
     NoQualifyingClass,
     PhiClass,
@@ -77,6 +78,21 @@ class TestProducts:
         left = product(so3, point)
         for n in range(0, 5):
             assert order_n_lie(left, n) == order_n_lie(so3, n)
+
+    def test_power_limit_counts_the_classes_of_every_product(self, so3):
+        # powers 2..12 of two classes build 4 + 8 + ... + 4096 = 8,188 classes
+        assert MAX_POWER_CLASSES == 10_000
+        assert len(power(so3, 12).classes) == 4096
+        with pytest.raises(LieDataError, match="power 13 of 2-class data"):
+            power(so3, 13)
+
+    def test_one_class_power_is_refused_without_building(self):
+        # each product of one-class data builds one class, so a large
+        # exponent is refused although the result has one class
+        point = PhiData("pt", (PhiClass("1", 1, 0, (), ("1",), True),))
+        assert len(power(point, 100).classes) == 1
+        with pytest.raises(LieDataError, match="power 1000000000 of 1-class data"):
+            power(point, 10**9)
 
     def test_product_fields(self, so3):
         sq = product(so3, so3)

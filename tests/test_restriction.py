@@ -1,6 +1,5 @@
 """Equalizer lattices and the induction-restriction isomorphism verifications."""
 
-import dataclasses
 import functools
 import math
 from fractions import Fraction
@@ -10,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from burnside import cli, restriction
-from burnside.artin import abelian_family, artin_certificate
+from burnside.artin import ArtinCertificate, abelian_family, artin_certificate
 from burnside.cyclotomic import Cyclotomic
 from burnside.exact import IntMatrix, smith_normal_form
 from burnside.groups import (
@@ -315,8 +314,13 @@ class TestEqualizerChecks:
         # so a failed one leaves the check not applicable: a failed check
         group, lattice, table, provider = s3_setup
         original = restriction.artin_certificate
-        monkeypatch.setattr(restriction, "artin_certificate",
-                            lambda table, n: dataclasses.replace(original(table, n), in_ideal=False))
+
+        def outside_the_ideal(table, n):
+            cert = original(table, n)
+            return ArtinCertificate(cert.n, cert.order_n, cert.alpha, cert.element_checks,
+                                    cert.ghost_checks, in_ideal=False)
+
+        monkeypatch.setattr(restriction, "artin_certificate", outside_the_ideal)
         with pytest.raises(RestrictionError, match="Artin certificate failed; restriction check not applicable"):
             verify_artin_restriction(table, 1, provider)
         assert cli.main(["equalizer", "--group", "S3", "--mode", "artin"]) == 1
