@@ -17,10 +17,13 @@ Character tables are either loaded from validated fixture files or computed
 exactly: abelian groups by enumerating homomorphisms into roots of unity,
 the rest by Dixon's method as revised by Schneider.  The common eigenvectors
 of the class matrices over F_p, with p = 1 mod exp(G), give each irreducible
-character mod p; each value is lifted exactly from the multiplicities of the
-eigenvalues of g, integers in [0, chi(1)], at the exponent of G (a loaded
-table keeps its file's conductor).  A returned table has passed the row
-orthogonality relation, which implies the column one for a square table.
+character mod p.  Each class matrix in turn splits every space found so far:
+its eigenvalues there are the roots in F_p of one characteristic polynomial,
+and each eigenspace is read from one echelon form.  Each value is lifted
+exactly from the multiplicities of the eigenvalues of g, integers in
+[0, chi(1)], at the exponent of G (a loaded table keeps its file's
+conductor).  A returned table has passed the row orthogonality relation,
+which implies the column one for a square table.
 
 Character values are cyclotomic integers (cyclotomic.Cyclotomic), so pairings
 sum_i w_i a_i conj(b_i), that is inner products, the orthogonality
@@ -28,12 +31,13 @@ relation and the coordinates of a virtual character in the irreducible
 basis, run on plain integers.  Each value becomes (exponent, integer
 coefficient) pairs at n, the lcm of the conductors; conjugation negates
 exponents mod n.  The products accumulate in one length-n integer vector,
-an element of Z[x]/(x^n - 1), which is reduced once modulo Phi_n.  A
-pairing is rational exactly when that leaves (e, 0, ..., 0), and only the
-division of e by |G| leaves the integers.  Each table keeps its
-size-weighted, conjugated rows per n, and one routine pairs a class
-function with all of them (CharacterTable._pairings): validation pairs each
-row with the table, and a coordinate is one such pairing divided by |G|.
+an element of Z[x]/(x^n - 1), which is reduced once modulo Phi_n unless it
+is already rational.  A pairing is rational exactly when that leaves
+(e, 0, ..., 0), and only the division of e by |G| leaves the integers.
+Each table keeps its size-weighted, conjugated rows per n, and one routine
+pairs a class function with all of them (CharacterTable._pairings):
+validation pairs each row with the table, and a coordinate is one such
+pairing divided by |G|.
 """
 
 from __future__ import annotations
@@ -45,7 +49,7 @@ from fractions import Fraction
 from itertools import count, product
 from typing import Sequence
 
-from .cyclotomic import Cyclotomic, reduce_mod_phi
+from .cyclotomic import Cyclotomic, cyclotomic_polynomial, reduce_mod_phi
 from .exact import prime_factors
 from .groups import (
     Group,
@@ -111,12 +115,14 @@ def _spread(values: Sequence[Cyclotomic], n: int, weights: Sequence[int] | None 
 
 def _convolve(left: list[list[tuple[int, int]]], right: list[list[tuple[int, int]]], n: int) -> list[int]:
     """sum_i left_i * right_i in Z[x]/(x^n - 1), reduced modulo Phi_n:
-    power-basis coefficients."""
+    power-basis coefficients.  A rational sum is already reduced."""
     acc = [0] * n
     for ls, rs in zip(left, right, strict=True):
         for e, a in ls:
             for f, b in rs:
                 acc[(e + f) % n] += a * b
+    if not any(acc[1:]):
+        return [acc[0]] + [0] * (len(cyclotomic_polynomial(n)) - 2)
     return reduce_mod_phi(acc, n)
 
 
@@ -305,12 +311,7 @@ def _dixon_schneider(group: Group, classes: ConjugacyClasses) -> list[ClassFunct
     for j in range(1, k):
         if len(spaces) == k:
             break
-        # A_j[r][s] = #{x in C_j : x^-1 g_s in C_r}, so A_j w = omega(C_j) w for
-        # the central character w_s = omega(C_s) = |C_s| chi(g_s) / chi(1)
-        matrix = [[0] * k for _ in range(k)]
-        for s, g in enumerate(reps):
-            for x in members[j]:
-                matrix[class_of[core.table[core.inverse[x]][g]]][s] += 1
+        matrix = _class_matrix(group, classes, j)
         spaces = [piece for space in spaces for piece in _eigenspaces(space, matrix, p)]
     inverse_class = [class_of[core.inverse[x]] for x in reps]
     power_classes = [[class_of[core.power(x, i)] for i in range(core.orders[x])] for x in reps]
@@ -333,27 +334,85 @@ def _dixon_schneider(group: Group, classes: ConjugacyClasses) -> list[ClassFunct
     return rows
 
 
+def _class_matrix(group: Group, classes: ConjugacyClasses, j: int) -> list[list[int]]:
+    """A_j[r][s] = #{x in C_j : x^-1 g_s in C_r}, so A_j w = omega(C_j) w for
+    the central character w_s = omega(C_s) = |C_s| chi(g_s) / chi(1)."""
+    core, class_of, k = group.core, classes.class_of, len(classes.members)
+    matrix = [[0] * k for _ in range(k)]
+    for s, (g, *_) in enumerate(classes.members):
+        for x in classes.members[j]:
+            matrix[class_of[core.table[core.inverse[x]][g]]][s] += 1
+    return matrix
+
+
 def _eigenspaces(basis: list[list[int]], matrix: list[list[int]], p: int) -> list[list[list[int]]]:
     """The eigenspaces mod p of a class matrix A on a space it maps into
-    itself, as echelon bases; eigenvalues are scanned over F_p until their
-    dimensions add up to that of the space."""
-    if len(basis) == 1:
+    itself, as reduced echelon bases in ascending order of eigenvalue.
+
+    With the basis v_1..v_d in reduced echelon form, A v_i = sum_j B[i][j] v_j
+    where B[i][j] is (A v_i) at the pivot of v_j, and c B = lam c exactly
+    when sum_i c_i v_i is an eigenvector.  The eigenvalues are the roots of
+    B's characteristic polynomial, found by evaluating it at every lam in
+    F_p.  For each root, the rows [B - lam | I] in echelon form with zero
+    left half give a reduced echelon basis c of the left kernel, and
+    sum_i c_i v_i is one too: it equals c at the pivots of the v_i, and the
+    v_i vanish before their pivots."""
+    d = len(basis)
+    if d == 1:
         return [basis]
-    k = len(basis[0])
-    images = [[sum(a * b for a, b in zip(row, vector)) for row in matrix] for vector in basis]
-    pieces, found = [], 0
+    pivots = [next(s for s, v in enumerate(vector) if v) for vector in basis]
+    restricted = [[sum(a * b for a, b in zip(matrix[r], vector)) % p for r in pivots] for vector in basis]
+    poly, columns = _charpoly(restricted, p), list(zip(*basis))
+    pieces = []
     for lam in range(p):
-        if found == len(basis):
-            break
-        # echelon rows [(A - lam) v | v] over v in the space: those with
-        # (A - lam) v = 0 come last, and their v form an echelon basis
-        reduced, cols = _echelon([[a - lam * b for a, b in zip(image, vector)] + vector
-                                  for image, vector in zip(images, basis)], p)
-        kernel = [row[k:] for row, c in zip(reduced, cols) if c >= k]
-        if kernel:
-            pieces.append(kernel)
-            found += len(kernel)
+        value = 0
+        for c in reversed(poly):
+            value = (value * lam + c) % p
+        if value:
+            continue
+        reduced, cols = _echelon([[b - lam * (i == j) for j, b in enumerate(row)] + [int(i == j) for j in range(d)]
+                                  for i, row in enumerate(restricted)], p)
+        pieces.append([[sum(c * v for c, v in zip(row[d:], column)) % p for column in columns]
+                       for row, col in zip(reduced, cols) if col >= d])
     return pieces
+
+
+def _charpoly(matrix: list[list[int]], p: int) -> list[int]:
+    """det(x I - B) mod p, little-endian.  B is first brought to upper
+    Hessenberg form H by similarity, then the leading minors of x I - H
+    follow a recurrence down the last column (Cohen, A Course in
+    Computational Algebraic Number Theory (1993), 2.2.9).  Nothing is
+    divided by the dimension, so every p will do."""
+    h = [[v % p for v in row] for row in matrix]
+    d = len(h)
+    for m in range(1, d - 1):
+        hit = next((r for r in range(m, d) if h[r][m - 1]), None)
+        if hit is None:
+            continue
+        h[m], h[hit] = h[hit], h[m]
+        for row in h:
+            row[m], row[hit] = row[hit], row[m]
+        scale = pow(h[m][m - 1], -1, p)
+        for r in range(m + 1, d):
+            u = h[r][m - 1] * scale % p
+            if u:
+                # row r -= u row m, then column m += u column r: E H E^-1
+                h[r] = [(a - u * b) % p for a, b in zip(h[r], h[m])]
+                for row in h:
+                    row[m] = (row[m] + u * row[r]) % p
+    minors = [[1]]
+    for m in range(d):
+        poly = [0] + minors[m]
+        for i, c in enumerate(minors[m]):
+            poly[i] -= h[m][m] * c
+        below = 1
+        for i in range(m - 1, -1, -1):
+            below = below * h[i + 1][i] % p
+            f = below * h[i][m]
+            for j, c in enumerate(minors[i]):
+                poly[j] -= f * c
+        minors.append([c % p for c in poly])
+    return minors[d]
 
 
 def _echelon(rows: list[list[int]], p: int) -> tuple[list[list[int]], list[int]]:
@@ -407,7 +466,7 @@ def _parse_cyclotomic_entry(text: str, conductor: int) -> Cyclotomic:
     terms = re.findall(r"[+-]?[^+-]+", cleaned)
     if "".join(terms) != cleaned:
         raise MalformedEntry(f"cannot split {text!r} into terms")
-    total = Cyclotomic.zero(conductor)
+    coeffs = [0] * conductor
     for term in terms:
         m = _TERM_RE.match(term)
         if not m or not term:
@@ -419,12 +478,9 @@ def _parse_cyclotomic_entry(text: str, conductor: int) -> Cyclotomic:
         if bare_sign is not None and not has_z:
             raise MalformedEntry(f"bad term {term!r} in {text!r}")
         coeff = int(digits) if digits is not None else (-1 if bare_sign == "-" else 1)
-        if has_z:
-            k = int(power) if power is not None else 1
-            total = total + Cyclotomic.zeta(conductor, k) * coeff
-        else:
-            total = total + Cyclotomic.from_rational(coeff, conductor)
-    return total
+        k = int(power or 1) if has_z else 0
+        coeffs[k % conductor] += coeff
+    return Cyclotomic(conductor, coeffs)
 
 
 def load_character_table(path: str, group: Group) -> CharacterTable:

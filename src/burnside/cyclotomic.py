@@ -144,6 +144,8 @@ class Cyclotomic:
         n = self.conductor
         if math.gcd(a, n) != 1:
             raise ValueError(f"{a} is not prime to conductor {n}")
+        if self.is_rational():
+            return self
         out = [0] * n
         for k, c in enumerate(self.coeffs):
             out[(a * k) % n] += c

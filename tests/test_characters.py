@@ -3,11 +3,13 @@
 import math
 import random
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from burnside.cyclotomic import Cyclotomic, NotInSubfield
+from burnside import characters
 from burnside.characters import (
     CharacterError,
     CharacterTable,
@@ -22,7 +24,10 @@ from burnside.characters import (
     load_character_table,
     restrict,
     table_to_text,
+    _charpoly,
+    _class_matrix,
     _dixon_schneider,
+    _eigenspaces,
     _order_rows,
     _parse_cyclotomic_entry,
 )
@@ -372,6 +377,96 @@ class TestCharacterTables:
         coords = [rng.randint(-3, 3) for _ in range(table.size)]
         chi = from_coordinates(table, coords)
         assert table.coordinates(chi) == coords
+
+
+def determinant_mod(matrix, p):
+    """det(matrix) mod p by the Leibniz formula: a sum over permutations."""
+    total = 0
+    for sigma in permutations(range(len(matrix))):
+        inversions = sum(sigma[i] > sigma[j] for i in range(len(sigma)) for j in range(i + 1, len(sigma)))
+        term = (-1) ** inversions
+        for i, j in enumerate(sigma):
+            term *= matrix[i][j]
+        total += term
+    return total % p
+
+
+def is_reduced_echelon(rows, p):
+    pivots = [next((s for s, v in enumerate(row) if v % p), None) for row in rows]
+    return (None not in pivots and pivots == sorted(set(pivots))
+            and all(row[c] == (i == r) for r, c in enumerate(pivots) for i, row in enumerate(rows))
+            and all(0 <= v < p for row in rows for v in row))
+
+
+@st.composite
+def square_matrices_mod_p(draw):
+    p = draw(st.sampled_from([2, 3, 5, 7, 13]))
+    d = draw(st.integers(1, 5))
+    entries = st.lists(st.integers(-2 * p, 2 * p), min_size=d, max_size=d)
+    return draw(st.lists(entries, min_size=d, max_size=d)), p
+
+
+# p = 1 mod exp(G), so F_p holds every eigenvalue of the class matrices
+CLASS_MATRIX_GROUPS = {
+    "S4": (builtin_group("S4"), 13),
+    "GL(2,3)": (parse_group(PUBLISHED_DEGREES["GL(2,3)"][0]), 73),
+}
+
+
+class TestEigenspaces:
+    @settings(max_examples=60, deadline=None)
+    @given(square_matrices_mod_p())
+    def test_charpoly_is_det_of_lambda_minus_b(self, case):
+        matrix, p = case
+        d = len(matrix)
+        poly = _charpoly(matrix, p)
+        assert len(poly) == d + 1 and poly[-1] == 1
+        for lam in range(p):
+            shifted = [[lam * (i == j) - v for j, v in enumerate(row)] for i, row in enumerate(matrix)]
+            assert sum(c * lam ** t for t, c in enumerate(poly)) % p == determinant_mod(shifted, p)
+
+    @pytest.mark.parametrize("name", sorted(CLASS_MATRIX_GROUPS))
+    def test_class_matrices_split_into_eigenspaces(self, name):
+        group, p = CLASS_MATRIX_GROUPS[name]
+        classes = conjugacy_classes(group)
+        k = len(classes.members)
+        spaces = [[[int(r == s) for s in range(k)] for r in range(k)]]
+        for j in range(1, k):
+            matrix = _class_matrix(group, classes, j)
+            refined = []
+            for space in spaces:
+                pieces = _eigenspaces(space, matrix, p)
+                assert sum(len(piece) for piece in pieces) == len(space)
+                eigenvalues = []
+                for piece in pieces:
+                    assert is_reduced_echelon(piece, p)
+                    images = [[sum(a * b for a, b in zip(row, v)) % p for row in matrix] for v in piece]
+                    lam = next(image[s] for image, v in zip(images, piece) for s in range(k) if v[s])
+                    assert all(image == [lam * b % p for b in v] for image, v in zip(images, piece))
+                    eigenvalues.append(lam)
+                assert eigenvalues == sorted(set(eigenvalues))
+                refined += pieces
+            spaces = refined
+        assert len(spaces) == k
+
+    def test_echelon_calls_per_eigenspace(self, monkeypatch):
+        calls, pieces = [0], [0]
+        echelon, eigenspaces = characters._echelon, characters._eigenspaces
+
+        def counted_echelon(rows, p):
+            calls[0] += 1
+            return echelon(rows, p)
+
+        def counted_eigenspaces(basis, matrix, p):
+            found = eigenspaces(basis, matrix, p)
+            pieces[0] += len(found)
+            return found
+
+        monkeypatch.setattr(characters, "_echelon", counted_echelon)
+        monkeypatch.setattr(characters, "_eigenspaces", counted_eigenspaces)
+        group, _ = CLASS_MATRIX_GROUPS["GL(2,3)"]
+        assert character_table(group).size == 8
+        assert 0 < calls[0] <= 2 * pieces[0]
 
 
 class TestTableFiles:

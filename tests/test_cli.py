@@ -440,6 +440,32 @@ class TestExitCodes:
         error = json.loads(err)["error"]
         assert (error["kind"], error["type"]) == ("check failed", "RestrictionError")
 
+    def test_scaled_artin_section_is_a_composite_mismatch(self, capsys, monkeypatch):
+        # twice the section makes psi . res = 2 |G|_n I, not |G|_n I
+        original = restriction._artin_section
+        monkeypatch.setattr(restriction, "_artin_section", lambda *args: original(*args).scale(2))
+        code, out, err = run(capsys, "equalizer", "--group", "S3", "--mode", "artin", "--json")
+        assert code == 1
+        assert not out
+        error = json.loads(err)["error"]
+        assert (error["kind"], error["type"]) == ("check failed", "CompositeMismatch")
+
+    def test_elementary_divisor_two_is_not_an_isomorphism(self, capsys, monkeypatch):
+        def doubled(m):
+            u, d, v = original(m)
+            entries = d.to_lists()
+            entries[0][0] *= 2
+            return u, IntMatrix.from_rows(entries), v
+
+        original = restriction.smith_normal_form
+        monkeypatch.setattr(restriction, "smith_normal_form", doubled)
+        code, out, err = run(capsys, "equalizer", "--group", "S3", "--mode", "brauer", "--json")
+        assert code == 1
+        assert not out
+        error = json.loads(err)["error"]
+        assert (error["kind"], error["type"]) == ("check failed", "NotIsomorphism")
+        assert "elementary divisors (2, 1, 1)" in error["message"]
+
     def test_sl23_equalizer_passes_in_both_modes(self, capsys):
         # SL(2,3) is not monomial: no irreducible of degree 2 is induced
         # from a linear character of a subgroup
