@@ -14,16 +14,16 @@ not call restrict: it reads G's characters on a subgroup through one
 class-fusion list per subgroup (restriction).
 
 Character tables are either loaded from validated fixture files or computed
-exactly: abelian groups by enumerating homomorphisms into roots of unity,
-the rest by Dixon's method as revised by Schneider.  The common eigenvectors
-of the class matrices over F_p, with p = 1 mod exp(G), give each irreducible
-character mod p.  Each class matrix in turn splits every space found so far:
-its eigenvalues there are the roots in F_p of one characteristic polynomial,
-and each eigenspace is read from one echelon form.  Each value is lifted
-exactly from the multiplicities of the eigenvalues of g, integers in
-[0, chi(1)], at the exponent of G (a loaded table keeps its file's
-conductor).  A returned table has passed the row orthogonality relation,
-which implies the column one for a square table.
+exactly: abelian groups by extending each character generator by generator
+(linear_characters), the rest by Dixon's method as revised by Schneider.
+The common eigenvectors of the class matrices over F_p, with p = 1 mod
+exp(G), give each irreducible character mod p.  Each class matrix in turn
+splits every space found so far: its eigenvalues there are the roots in F_p
+of one characteristic polynomial, and each eigenspace is read from one
+echelon form.  Each value is lifted exactly from the multiplicities of the
+eigenvalues of g, integers in [0, chi(1)], at the exponent of G (a loaded
+table keeps its file's conductor).  A returned table has passed the row
+orthogonality relation, which implies the column one for a square table.
 
 Character values are cyclotomic integers (cyclotomic.Cyclotomic), so pairings
 sum_i w_i a_i conj(b_i), that is inner products, the orthogonality
@@ -46,14 +46,13 @@ import math
 import re
 from functools import cached_property
 from fractions import Fraction
-from itertools import count, product
+from itertools import count
 from typing import Sequence
 
 from .cyclotomic import Cyclotomic, cyclotomic_polynomial, reduce_mod_phi
 from .exact import prime_factors
 from .groups import (
     Group,
-    GroupCore,
     Perm,
     conjugacy_classes,
     ConjugacyClasses,
@@ -238,52 +237,29 @@ def validate_table(table: CharacterTable) -> None:
 
 
 def linear_characters(group: Group) -> list[ClassFunction]:
-    """All homomorphisms G -> roots of unity, as class functions at the
-    exponent of G."""
-    classes = conjugacy_classes(group)
-    core = group.core
-    gens = core.generating_set((1 << group.order) - 1)
-    conductor = exponent(group)
-    choices = [[conductor // core.orders[g] * t for t in range(core.orders[g])] for g in gens]
-    zetas = [Cyclotomic.zeta(conductor, k) for k in range(conductor)]
-    # one homomorphism per element of the abelianization
-    unique: dict[tuple, ClassFunction] = {}
-    for assignment in product(*choices):
-        powers = _extend_homomorphism(core, gens, assignment, conductor)
-        if powers is not None:
-            ks = tuple(powers[cls[0]] for cls in classes.members)
-            if ks not in unique:
-                unique[ks] = ClassFunction(group, classes, tuple(zetas[k] for k in ks))
-    return list(unique.values())
+    """The |G| characters of an abelian group G, as class functions at its
+    exponent e, built by extension along its greedy generators.
 
-
-def _extend_homomorphism(core: GroupCore, gens: list[int], powers: Sequence[int],
-                         conductor: int) -> list[int] | None:
-    """Per element index, the k with chi(x) = zeta^k, or None when the
-    generator powers do not extend to a homomorphism.
-
-    Every element enters the frontier once and every edge x -> x*g is
-    checked there, so chi(x*g) = chi(x)*chi(g) holds for all x and all
-    generators g, which makes chi multiplicative.
-    """
-    table = core.table
-    out: list[int | None] = [None] * len(table)
-    out[0] = 0
-    frontier = [0]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            row = table[x]
-            for g, k in zip(gens, powers):
-                y = row[g]
-                val = (out[x] + k) % conductor
-                if out[y] is None:
-                    out[y] = val
-                    nxt.append(y)
-                elif out[y] != val:
-                    return None
-        frontier = nxt
-    return out
+    Let H be generated by the generators before g, and m the least exponent
+    with g^m in H.  The cosets H g^j, 0 <= j < m, make up <H, g>, and each
+    character chi of H has exactly m extensions: chi(g) = zeta_e^t with
+    m t = chi(g^m) mod e, and chi(h g^j) = chi(h) chi(g)^j.  As g^m has order
+    |g| / m, which divides e / m, the exponent of chi(g^m) is a multiple of m."""
+    classes, core, e = conjugacy_classes(group), group.core, exponent(group)
+    elems, position = [0], {0: 0}  # the elements of H, and the position of each
+    chars = [[0]]  # chars[i][r] = k with chi_i(elems[r]) = zeta_e^k
+    for g in core.generating_set((1 << group.order) - 1):
+        powers = [0, g]
+        while powers[-1] not in position:
+            powers.append(core.table[powers[-1]][g])
+        m, at = len(powers) - 1, position[powers[-1]]
+        chars = [[(k + j * t) % e for j in range(m) for k in chi]
+                 for chi in chars for t in range(chi[at] // m, e, e // m)]
+        elems = [core.table[h][x] for x in powers[:m] for h in elems]
+        position = {x: r for r, x in enumerate(elems)}
+    zetas = [Cyclotomic.zeta(e, k) for k in range(e)]
+    return [ClassFunction(group, classes, tuple(zetas[chi[position[cls[0]]]] for cls in classes.members))
+            for chi in chars]
 
 
 def character_table(group: Group) -> CharacterTable:

@@ -111,10 +111,6 @@ class Cyclotomic:
     def zero(cls, conductor: int = 1) -> "Cyclotomic":
         return cls(conductor, [])
 
-    @classmethod
-    def one(cls, conductor: int = 1) -> "Cyclotomic":
-        return cls(conductor, [1])
-
     # -- structure
 
     def is_zero(self) -> bool:
@@ -211,7 +207,7 @@ class Cyclotomic:
     def __pow__(self, exponent: int):
         if exponent < 0:
             raise ValueError("negative powers are not supported")
-        result = Cyclotomic.one(self.conductor)
+        result = Cyclotomic(self.conductor, [1])
         base = self
         while exponent:
             if exponent & 1:

@@ -132,16 +132,6 @@ class IntMatrix:
     def identity(cls, n: int) -> "IntMatrix":
         return cls.from_rows([[1 if i == j else 0 for j in range(n)] for i in range(n)])
 
-    @classmethod
-    def zeros(cls, r: int, c: int) -> "IntMatrix":
-        return cls(r, c, tuple(tuple(0 for _ in range(c)) for _ in range(r)))
-
-    def __getitem__(self, idx: tuple[int, int]) -> int:
-        return self.entries[idx[0]][idx[1]]
-
-    def row(self, i: int) -> tuple[int, ...]:
-        return self.entries[i]
-
     def to_lists(self) -> list[list[int]]:
         return [list(row) for row in self.entries]
 
@@ -162,40 +152,8 @@ class IntMatrix:
                         out[i][j] += a * orow[j]
         return IntMatrix(self.rows, other.cols, tuple(map(tuple, out)))
 
-    def mul_vector(self, vec: Sequence[int]) -> list[int]:
-        if self.cols != len(vec):
-            raise ValueError("dimension mismatch")
-        return [sum(a * v for a, v in zip(row, vec)) for row in self.entries]
-
     def scale(self, k: int) -> "IntMatrix":
         return IntMatrix(self.rows, self.cols, tuple(tuple(k * v for v in row) for row in self.entries))
-
-    def determinant(self) -> int:
-        """Exact determinant by fraction-free Bareiss elimination."""
-        if self.rows != self.cols:
-            raise ValueError("determinant of non-square matrix")
-        n = self.rows
-        if n == 0:
-            return 1
-        a = [list(row) for row in self.entries]
-        sign = 1
-        prev = 1
-        for k in range(n - 1):
-            if a[k][k] == 0:
-                pivot = next((i for i in range(k + 1, n) if a[i][k] != 0), None)
-                if pivot is None:
-                    return 0
-                a[k], a[pivot] = a[pivot], a[k]
-                sign = -sign
-            for i in range(k + 1, n):
-                for j in range(k + 1, n):
-                    a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-                a[i][k] = 0
-            prev = a[k][k]
-        return sign * a[n - 1][n - 1]
-
-    def is_unimodular(self) -> bool:
-        return self.rows == self.cols and abs(self.determinant()) == 1
 
 
 def _snf_pivot(a: list[list[int]], t: int) -> tuple[int, int] | None:
@@ -355,5 +313,5 @@ def integer_kernel_basis(m: IntMatrix) -> list[list[int]]:
     """Basis of the integer kernel {x : M*x = 0}, as a list of column vectors:
     the columns of V in U*M*V = D past the nonzero diagonal of D."""
     _, d, v = smith_normal_form(m)
-    rank = sum(1 for i in range(min(d.rows, d.cols)) if d[i, i])
+    rank = sum(1 for i in range(min(d.rows, d.cols)) if d.entries[i][i])
     return [[row[j] for row in v.entries] for j in range(rank, m.cols)]

@@ -492,9 +492,9 @@ def exponent(group: Group) -> int:
 class SubgroupClass:
     """A conjugacy class of subgroups, with its classification data."""
 
-    def __init__(self, representative: tuple[Perm, ...], class_index: int, order: int,
-                 weyl_order: int, is_abelian: bool, label: str, generation: tuple[GroupCore, int, int]):
-        self.representative, self.class_index, self.label = representative, class_index, label
+    def __init__(self, representative: tuple[Perm, ...], order: int, weyl_order: int, is_abelian: bool,
+                 label: str, generation: tuple[GroupCore, int, int]):
+        self.representative, self.label = representative, label
         self.order, self.weyl_order, self.is_abelian = order, weyl_order, is_abelian
         # what min_generators reads: the group's core, the representative's
         # bitmask over it and the size of a known generating set
@@ -761,7 +761,6 @@ def subgroup_lattice(group: Group) -> SubgroupLattice:
         order_counts[order] = seq + 1
         classes.append(SubgroupClass(
             representative=core.perms(rep_mask),
-            class_index=idx,
             order=order,
             weyl_order=group.order // len(orbit) // order,
             is_abelian=core.commute(gens),

@@ -188,8 +188,3 @@ def load_phi_data(path: str | Path) -> PhiData:
     data.validate()
     return data
 
-
-def builtin_so3() -> PhiData:
-    """The rotation group's abelian class data shipped with the package."""
-    path = Path(__file__).parent / "data" / "so3.json"
-    return load_phi_data(path)

@@ -134,15 +134,21 @@ class TableProvider:
 
 
 class DirectoryTables(TableProvider):
-    """Tables loaded from <dir>/<group name>/<class label>.tbl files."""
+    """Tables loaded from <dir>/<group name>/<class label>.tbl files.  The name
+    is free text from a group file: one that is not a plain path component,
+    such as ../other or /tmp/S3, would lead outside <dir>, and is refused."""
 
     def __init__(self, lattice: SubgroupLattice, directory: str | Path):
         super().__init__(lattice)
-        self.directory = Path(directory)
+        name = lattice.group.name or "unnamed"
+        if Path(name).name != name or name == ".." or "\0" in name:
+            raise MissingTable(f"group name {name!r} is not one plain path component, "
+                               "so it names no table directory")
+        self.directory = Path(directory) / name
 
     def _build(self, class_index: int) -> CharacterTable:
         label = self.lattice.label_of(class_index)
-        path = self.directory / (self.lattice.group.name or "unnamed") / f"{label}.tbl"
+        path = self.directory / f"{label}.tbl"
         if not path.exists():
             raise MissingTable(f"no table file for class {label}: {path}")
         return load_character_table(str(path), self._class_group(class_index))
@@ -160,10 +166,6 @@ class EqualizerLattice:
     @property
     def rank(self) -> int:
         return self.basis.cols
-
-    @property
-    def total_dim(self) -> int:
-        return self.basis.rows
 
 
 def maximal_members(family: Sequence[int], lattice: SubgroupLattice) -> list[int]:
@@ -273,11 +275,16 @@ def _check_fusion(basis: IntMatrix, tables: list[CharacterTable], fusions: list[
     return len(first)
 
 
-def _restriction_matrix(eq: EqualizerLattice) -> IntMatrix:
+def _restriction_matrix(eq: EqualizerLattice, provider: TableProvider) -> IntMatrix:
     """Matrix of res: R(G) -> equalizer, in basis coordinates (rank x #irr),
-    once the basis is checked to carry it onto the stacked restrictions."""
-    if eq.basis @ eq.restriction != eq.stacked:
-        raise RestrictionError("restriction is not in the equalizer lattice")
+    once the basis is checked to carry it onto the stacked restrictions.  A
+    failure names the first row (K, psi) of M that C * H misses."""
+    product = eq.basis @ eq.restriction
+    if product != eq.stacked:
+        r = next(r for r, (a, b) in enumerate(zip(product.entries, eq.stacked.entries)) if a != b)
+        members = [k for k in eq.family for _ in range(provider.class_table(k).size)]
+        raise RestrictionError("restriction is not in the equalizer lattice: C * H misses the row of M for irreducible "
+                               f"{r - members.index(members[r])} of {provider.lattice.label_of(members[r])}")
     return eq.restriction
 
 
@@ -311,7 +318,7 @@ def verify_artin_restriction(table: MarksTable, n: int | float,
     order = certificate.order_n
     nirr = eq.restriction.cols
 
-    res_matrix = _restriction_matrix(eq)
+    res_matrix = _restriction_matrix(eq, provider)
     if eq.rank < nirr:
         raise RestrictionError(f"the family meets {eq.rank} of {nirr} G-classes; "
                                f"restriction check not applicable at n = {n}")
@@ -394,7 +401,7 @@ def verify_brauer_restriction(table: MarksTable, n: int | float = 1,
                 raise RestrictionError(f"sum_H k_H |(G/H)^g| = 1 fails at g = {g}; "
                                        f"restriction check not applicable at n = {n}")
     eq = equalizer_lattice(maximal_members(hyper_family(table, n), lattice), provider, lattice)
-    _, d, _ = smith_normal_form(_restriction_matrix(eq))
+    _, d, _ = smith_normal_form(_restriction_matrix(eq, provider))
     divisors = tuple(
         d.entries[i][i] for i in range(min(d.rows, d.cols)) if d.entries[i][i] != 0
     )

@@ -29,7 +29,7 @@ from burnside.groups import (
     subgroup_as_group,
     subgroup_lattice,
 )
-from burnside.lie import builtin_so3, order_n_lie, power
+from burnside.lie import load_phi_data, order_n_lie, power
 from burnside.marks import (
     GhostElement,
     NotInImage,
@@ -308,7 +308,7 @@ def test_criterion_8_mackey_frobenius_random():
 
 def test_criterion_9_lie_orders():
     start = time.monotonic()
-    so3 = builtin_so3()
+    so3 = load_phi_data(Path(__file__).parent.parent / "src" / "burnside" / "data" / "so3.json")
     assert order_n_lie(so3, 0) == 2
     assert order_n_lie(so3, 1) == 2
     for n in range(2, 7):

@@ -80,7 +80,7 @@ class TestMarksTable:
     @pytest.mark.parametrize("name", FIXTURES)
     def test_full_group_row_all_ones(self, name, tables):
         table = tables[name]
-        assert list(table.matrix.row(table.size - 1)) == [1] * table.size
+        assert list(table.matrix.entries[table.size - 1]) == [1] * table.size
 
     @pytest.mark.parametrize("name", ["S3", "C2xC2", "D4", "A4"])
     def test_against_coset_oracle(self, name, tables):

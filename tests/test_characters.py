@@ -66,6 +66,13 @@ from oracles import (
 
 FIXTURES = ["C2", "C3", "C4", "C6", "C2xC2", "S3", "D4", "Q8", "A4", "S4"]
 
+# abelian groups whose greedy generators have orders 2, 2, 2 and 2, 2, 4:
+# in C2xC4 the last generator's square lies in the subgroup of the first two
+ABELIAN_PRESENTATIONS = {
+    "C2^3": "(0 1)\n(2 3)\n(4 5)",
+    "C2xC4": "(0 1)(2 3 4 5)\n(2 4)(3 5)(6 7)",
+}
+
 # generators, and the published degrees of the irreducible characters
 # (the ATLAS of Finite Groups; James and Liebeck, Representations and
 # Characters of Groups)
@@ -134,7 +141,7 @@ class TestInduce:
         classes = conjugacy_classes(sub)
         z = Cyclotomic.zeta(3)
         # classes of C3 ordered e, g, g^2 with g the sorted-first 3-cycle
-        lam = ClassFunction(sub, classes, (Cyclotomic.one(3), z, z * z))
+        lam = ClassFunction(sub, classes, (Cyclotomic(3, [1]), z, z * z))
         induced = induce(lam, s3)
         values = induced.values
         assert values[0] == 2
@@ -317,19 +324,23 @@ class TestCharacterTables:
         real_classes = sum(classes.index_of(perm_inv(rep)) == i for i, rep in enumerate(classes.representatives))
         assert real_rows == real_classes
 
-    @pytest.mark.parametrize("name", ["C2", "C3", "C4", "C6", "C2xC2"])
+    @pytest.mark.parametrize("name", ["C2", "C3", "C4", "C6", "C2xC2", *ABELIAN_PRESENTATIONS])
     def test_dixon_schneider_agrees_with_linear_characters(self, name):
         # the two branches of character_table, compared where both apply,
         # each value at the exponent
-        group = builtin_group(name)
+        group = parse_group(ABELIAN_PRESENTATIONS.get(name, name))
         expected = _order_rows(linear_characters(group))
         assert _order_rows(_dixon_schneider(group, conjugacy_classes(group))) == expected
         assert {v.conductor for row in expected for v in row.values} == {exponent(group)}
 
     def test_linear_characters_count(self):
-        # |G/[G,G]|: S3 -> 2, A4 -> 3, D4 -> 4, Q8 -> 4, S4 -> 2
+        # the degree-1 rows number |G/[G,G]|: S3 -> 2, A4 -> 3, D4 -> 4, Q8 -> 4, S4 -> 2
         for name, count in [("S3", 2), ("A4", 3), ("D4", 4), ("Q8", 4), ("S4", 2)]:
-            assert len(linear_characters(builtin_group(name))) == count
+            assert degrees(character_table(builtin_group(name))).count(1) == count
+        # an abelian group has one character per element
+        for spec in ["trivial", "C2", "C3", "C4", "C6", "C2xC2", *ABELIAN_PRESENTATIONS.values()]:
+            group = parse_group(spec)
+            assert len(linear_characters(group)) == group.order
 
     @pytest.mark.parametrize("name", ["S4", "SL(2,3)"])
     def test_provider_tables_live_at_their_own_exponent(self, name):
@@ -670,7 +681,7 @@ class TestIntegerPairing:
     def test_coordinates_reject_non_integral_combinations(self):
         table = character_table(builtin_group("S3"))
         zero = Cyclotomic.zero()
-        identity_class = ClassFunction(table.group, table.classes, (Cyclotomic.one(), zero, zero))
+        identity_class = ClassFunction(table.group, table.classes, (Cyclotomic(1, [1]), zero, zero))
         with pytest.raises(CharacterError):
             table.coordinates(identity_class)
         assert table.coordinates(subtract(scale(table.rows[2], 3), table.rows[0])) == [-1, 0, 3]

@@ -137,6 +137,24 @@ class TestBrauer:
         assert payload["results"]["checks"] == []
         assert payload["results"]["family_values"] == [{"class": "1a", "value": 1}]
 
+    def test_doubled_bezout_coefficients_fail_the_certificate(self, capsys, monkeypatch):
+        # twice the Bezout coefficients make I_n twice the unit, so the sum
+        # at each element is 2, and every command that reads the certificate
+        # fails its check
+        original = brauer.extended_euclid_set
+        monkeypatch.setattr(brauer, "extended_euclid_set", lambda values: [2 * z for z in original(values)])
+        code, out, err = run(capsys, "brauer", "--group", "S3", "--json")
+        assert code == 1
+        assert json.loads(out)["checks"] == [{"name": "certificate verified", "ok": False}]
+        code, out, err = run(capsys, "equalizer", "--group", "S3", "--mode", "brauer", "--json")
+        assert (code, out) == (1, "")
+        error = json.loads(err)["error"]
+        assert (error["kind"], error["message"]) == (
+            "check failed", "Brauer certificate failed; restriction check not applicable")
+        code, out, err = run(capsys, "verify", "--group", "S4", "--json")
+        assert code == 1
+        assert [c["name"] for c in json.loads(out)["checks"] if not c["ok"]] == ["Brauer certificate n=1"]
+
 
 class TestEqualizer:
     def test_artin_mode(self, capsys):
@@ -228,6 +246,21 @@ class TestEqualizer:
                              "--tables", str(tables), "--json")
         assert code == 2
         assert json.loads(err)["error"]["type"] == "DegreeSumMismatch"
+
+    @pytest.mark.parametrize("name", ["../outside/S3", "{tmp}/outside/S3"], ids=["relative", "absolute"])
+    def test_group_name_that_leaves_the_tables_directory_is_an_input_error(self, capsys, tmp_path, name):
+        # valid S3 tables wait outside --tables, where the name would lead
+        shutil.copytree(DATA_DIR / "tables" / "S3", tmp_path / "outside" / "S3")
+        (tmp_path / "tables").mkdir()
+        name = name.format(tmp=tmp_path)
+        group = tmp_path / "s3.grp"
+        group.write_text(f"name: {name}\n(0 1)\n(0 1 2)\n")
+        code, out, err = run(capsys, "equalizer", "--file", str(group), "--mode", "artin",
+                             "--tables", str(tmp_path / "tables"), "--json")
+        assert (code, out) == (2, "")
+        error = json.loads(err)["error"]
+        assert (error["type"], error["message"]) == (
+            "MissingTable", f"group name {name!r} is not one plain path component, so it names no table directory")
 
     @pytest.mark.parametrize("conductor", ["0", "-6"])
     def test_nonpositive_conductor_is_an_input_error(self, capsys, tmp_path, conductor):
@@ -439,6 +472,10 @@ class TestExitCodes:
         assert not out
         error = json.loads(err)["error"]
         assert (error["kind"], error["type"]) == ("check failed", "RestrictionError")
+        # the message names the first row missed: S3's hyper family has one
+        # maximal member, G (6a), and C * H already misses its first row
+        assert error["message"] == ("restriction is not in the equalizer lattice: "
+                                    "C * H misses the row of M for irreducible 0 of 6a")
 
     def test_scaled_artin_section_is_a_composite_mismatch(self, capsys, monkeypatch):
         # twice the section makes psi . res = 2 |G|_n I, not |G|_n I

@@ -1,6 +1,7 @@
 """Declarative compact-group class data and the order computations."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -10,7 +11,6 @@ from burnside.lie import (
     NoQualifyingClass,
     PhiClass,
     PhiData,
-    builtin_so3,
     generator_count,
     load_phi_data,
     order_n_lie,
@@ -18,10 +18,12 @@ from burnside.lie import (
     product,
 )
 
+SO3 = Path(__file__).parent.parent / "src" / "burnside" / "data" / "so3.json"
+
 
 @pytest.fixture()
 def so3():
-    return builtin_so3()
+    return load_phi_data(SO3)
 
 
 class TestGeneratorCount:

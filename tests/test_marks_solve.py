@@ -61,7 +61,8 @@ def dense_solve(ghost: GhostElement, table: MarksTable) -> BurnsideElement:
 
 
 def dense_phi(element: BurnsideElement, table: MarksTable) -> GhostElement:
-    return GhostElement(sparse(table.matrix.transpose().mul_vector(list(dense(element, table.size)))))
+    (row,) = (IntMatrix.from_rows([list(dense(element, table.size))]) @ table.matrix).entries
+    return GhostElement(sparse(row))
 
 
 def outcome(solve, ghost, table):

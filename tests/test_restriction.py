@@ -56,7 +56,7 @@ class TestEqualizerLattice:
         eq = equalizer_lattice([lattice.full_index], provider, lattice)
         assert eq.rank == 3
         # basis must span all of R(G): the restriction matrix is invertible
-        assert eq.total_dim == 3
+        assert eq.basis.rows == 3
 
     def test_non_integral_value_raises(self):
         # character values are cyclotomic integers: a half cannot be built
@@ -85,7 +85,7 @@ class TestEqualizerLattice:
         eq = equalizer_lattice(family, provider, lattice)
         tables = [provider.class_table(i) for i in family]
         for j in range(eq.rank):
-            column = [eq.basis.entries[i][j] for i in range(eq.total_dim)]
+            column = [eq.basis.entries[i][j] for i in range(eq.basis.rows)]
             functions = []
             offset = 0
             for tbl in tables:
