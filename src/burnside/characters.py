@@ -412,20 +412,10 @@ def _echelon(rows: list[list[int]], p: int) -> tuple[list[list[int]], list[int]]
 
 
 def _order_rows(rows: list[ClassFunction]) -> list[ClassFunction]:
-    def key(chi: ClassFunction):
-        return (
-            chi.degree.as_rational(),
-            [tuple(v.coeffs) for v in chi.values],
-        )
-
-    ordered = sorted(rows, key=key)
-    # the trivial character sorts first among degree-1 rows with all-one values;
-    # make that explicit so validation's first-row check is meaningful
-    for idx, chi in enumerate(ordered):
-        if all(v == 1 for v in chi.values):
-            ordered.insert(0, ordered.pop(idx))
-            break
-    return ordered
+    """Rows by degree, then coefficients, except that the trivial character
+    comes first, so that validation's first-row check is meaningful."""
+    return sorted(rows, key=lambda chi: (chi.degree.as_rational(), not all(v == 1 for v in chi.values),
+                                         [tuple(v.coeffs) for v in chi.values]))
 
 
 # ---------------------------------------------------------------------------

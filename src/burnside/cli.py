@@ -167,16 +167,13 @@ def cmd_verify(args) -> Report:
     table = marks_table(lattice)
     report = Report("verify", {"group": group.name or "file", "order": group.order})
 
-    columns, classes = table.columns, lattice.classes
-    report.add_check("marks triangular", all(
-        k <= h for k, column in enumerate(columns) for h, _ in column
-    ))
+    rows, classes = table.rows, lattice.classes
+    report.add_check("marks triangular", all(k <= h for h, row in enumerate(rows) for k, _ in row))
     report.add_check("diagonal equals Weyl orders", all(
-        next((m for h, m in column if h == k), 0) == classes[k].weyl_order
-        for k, column in enumerate(columns)
+        row[-1:] == ((h, classes[h].weyl_order),) for h, row in enumerate(rows)
     ))
     report.add_check("Weyl order divides row", all(
-        m % classes[h].weyl_order == 0 for column in columns for h, m in column
+        m % classes[h].weyl_order == 0 for h, row in enumerate(rows) for _, m in row
     ))
 
     tom_dieck = True

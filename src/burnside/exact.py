@@ -1,11 +1,11 @@
 """Exact integer substrate: integer helpers and integer matrices.
 
 The integer helpers (gcds and Bezout combinations, prime factors, divisors,
-Euler's phi) serve every layer.  Integer matrices get Smith forms,
-triangular solves and row echelon bases of streamed row lattices, all over
-Z.  The cyclotomic integers of character values build on these helpers in
-cyclotomic; nothing here leaves the integers, and no floating point is used
-anywhere in the package.
+Euler's phi) serve every layer.  Integer matrices get Smith forms and row
+echelon bases of streamed row lattices, all over Z.  The cyclotomic
+integers of character values build on these helpers in cyclotomic; nothing
+here leaves the integers, and no floating point is used anywhere in the
+package.
 """
 
 from __future__ import annotations
@@ -16,15 +16,6 @@ from typing import Iterable, Sequence
 
 class ExactError(Exception):
     """Base class for errors raised by the exact-arithmetic layer."""
-
-
-class NotIntegral(ExactError):
-    """A triangular solve required a non-integral quotient at some pivot."""
-
-    def __init__(self, pivot: int, remainder: int):
-        self.pivot = pivot
-        self.remainder = remainder
-        super().__init__(f"non-integral pivot {pivot}: remainder {remainder}")
 
 
 class GcdNotOne(ExactError):
@@ -237,43 +228,6 @@ def smith_normal_form(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
             u[t] = [-x for x in u[t]]
         t += 1
     return IntMatrix.from_rows(u), IntMatrix.from_rows(a), IntMatrix.from_rows(v)
-
-
-def solve_triangular_integer(m: IntMatrix, rhs: Sequence[Sequence[int]]) -> list[list[int]]:
-    """Solve M*x = b exactly over the integers for triangular square M, for
-    every b in rhs; the solutions come back in the order of rhs.
-
-    Shape, triangularity and the diagonal are checked once per call, and
-    each substitution step sums only over the nonzero entries of M at
-    coordinates already solved.  Raises NotIntegral(pivot, remainder) at the
-    first right-hand side with a failing division, at its first pivot in
-    substitution order; remainder is reported in [0, |pivot|).
-    """
-    n = m.rows
-    if m.cols != n or any(len(b) != n for b in rhs):
-        raise ValueError("need square M and matching b")
-    entries = m.entries
-    lower = not any(any(row[i + 1:]) for i, row in enumerate(entries))
-    upper = not any(any(row[:i]) for i, row in enumerate(entries))
-    if not (lower or upper):
-        raise ValueError("matrix is not triangular")
-    if any(entries[i][i] == 0 for i in range(n)):
-        raise ValueError("zero diagonal entry")
-    order = range(n) if lower else range(n - 1, -1, -1)
-    steps = []
-    for i in order:
-        solved = range(i) if lower else range(i + 1, n)
-        steps.append((i, entries[i][i], [(j, entries[i][j]) for j in solved if entries[i][j]]))
-    out = []
-    for b in rhs:
-        x = [0] * n
-        for i, pivot, terms in steps:
-            acc = b[i] - sum(a * x[j] for j, a in terms)
-            if acc % pivot != 0:
-                raise NotIntegral(i, acc % abs(pivot))
-            x[i] = acc // pivot
-        out.append(x)
-    return out
 
 
 def row_echelon(rows: Iterable[Sequence[int]], cols: int) -> list[list[int]]:

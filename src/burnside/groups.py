@@ -510,8 +510,7 @@ class SubgroupClass:
         counted on first read: the certificates read it for abelian classes
         only, and the search is costly for nonabelian ones."""
         core, mask, bound = self.generation
-        elems = _bits(mask)
-        return _abelian_rank(core, elems) if self.is_abelian else _min_generators(core, elems, bound)
+        return _abelian_rank(core, _bits(mask)) if self.is_abelian else _min_generators(core, mask, bound)
 
 
 class SubgroupLattice:
@@ -672,30 +671,22 @@ def _subgroup_orbits(core: GroupCore) -> list[_ClassOrbit]:
     return found
 
 
-def _min_generators(core: GroupCore, rep: list[int], bound: int) -> int:
+def _min_generators(core: GroupCore, mask: int, bound: int) -> int:
     """Smallest k so that some k elements generate the nonabelian subgroup
-    with sorted element indices rep, given a generating set of size bound.
+    with element bitmask mask, given a generating set of size bound.
 
     A nonabelian group needs at least two generators, and a generating set
     of size k <= 3 settles k once smaller sets have failed.  Otherwise sets
     of two and three elements are searched exhaustively, and a larger count
-    comes from greedy growth over the sorted elements, an upper bound.
+    is the smaller of bound and the greedy generating set, an upper bound.
     """
-    order = len(rep)
+    rep = _bits(mask)
     for k in (2, 3):
         if bound <= k:
             return k
-        if any(len(core.closure(combo)) == order for combo in combinations(rep[1:], k)):
+        if any(len(core.closure(combo)) == len(rep) for combo in combinations(rep[1:], k)):
             return k
-    chosen: list[int] = []
-    members = {0}
-    for g in rep:
-        if g not in members:
-            chosen.append(g)
-            members = set(core.closure(chosen))
-            if len(members) == order:
-                return len(chosen)
-    raise GroupError("generation search failed")
+    return min(bound, len(core.generating_set(mask)))
 
 
 def _abelian_rank(core: GroupCore, elems: list[int]) -> int:

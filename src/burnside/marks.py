@@ -13,14 +13,15 @@ is a sum of idempotents e_K, each supported on the classes below (K), so
 the maps stay far smaller than the lattice; only the JSON reports list
 values in lattice order.
 
-The table stores only the nonzero marks, as a column index: for each
-class (K) the pairs (H, m[H][K]) with m[H][K] != 0, that is (K) and the
-classes above it, counted once per such pair from the lattice's down-sets.
-The dense matrix is built from the columns on first read, for the marks
-report and the tests.  Since subconjugacy is transitive, the solution of a
-ghost vanishes outside the classes below its keys, and solve_ghost visits
-only those; the solve for {K: v} follows the down-set of (K).  verify's
-tom Dieck check solves {K: |G|}, the element |G|*e_K, once per class (the
+The table stores only the nonzero marks, by rows: for each class (H) the
+pairs (K, m[H][K]) with m[H][K] != 0, that is the down-set of (H), K
+ascending, so the last pair is (H, |W_H|).  marks_table writes each row
+while it walks the lattice's down-set of (H), and the dense matrix is built
+from the rows on first read, for the marks report and the tests.  Since
+subconjugacy is transitive, the solution of a ghost vanishes outside the
+classes below its keys, and solve_ghost reads only the rows of those
+classes; the solve for {K: v} follows the down-set of (K).  verify's tom
+Dieck check solves {K: |G|}, the element |G|*e_K, once per class (the
 idempotents e_K of the rational Burnside ring: T. Yoshida, J. Algebra 80
 (1983)), while each Artin certificate solves its whole ghost, |G|_n on the
 family, once.
@@ -70,11 +71,11 @@ class InternalInvariantViolation(BurnsideError):
 
 
 class MarksTable:
-    def __init__(self, lattice: SubgroupLattice, columns: tuple[tuple[tuple[int, int], ...], ...]):
+    def __init__(self, lattice: SubgroupLattice, rows: tuple[tuple[tuple[int, int], ...], ...]):
         self.lattice = lattice
-        # per class (K), the pairs (H, m[H][K]) of every nonzero mark in its
-        # column, H ascending, where m[H][K] = |(G/H)^K|
-        self.columns = columns
+        # per class (H), the pairs (K, m[H][K]) of every nonzero mark in its
+        # row, K ascending and (H, |W_H|) last, where m[H][K] = |(G/H)^K|
+        self.rows = rows
 
     @property
     def size(self) -> int:
@@ -86,11 +87,11 @@ class MarksTable:
     @cached_property
     def matrix(self) -> IntMatrix:
         """The dense matrix, m[H][K] in row H and column K, built on first read."""
-        rows = [[0] * self.size for _ in range(self.size)]
-        for k, column in enumerate(self.columns):
-            for h, m in column:
-                rows[h][k] = m
-        return IntMatrix.from_rows(rows)
+        dense = [[0] * self.size for _ in range(self.size)]
+        for h, row in enumerate(self.rows):
+            for k, m in row:
+                dense[h][k] = m
+        return IntMatrix.from_rows(dense)
 
     @cached_property
     def element_classes(self) -> ConjugacyClasses:
@@ -159,55 +160,68 @@ def marks_table(lattice: SubgroupLattice) -> MarksTable:
     elements g, which make up |N_G(H):H| cosets gH, so
     m[H][K] = |N_G(H):H| * #{H' ~ H : K <= H'} (Pfeiffer, Exp. Math. 6 (1997)).
     That count is nonzero exactly when (K) <= (H), so only the classes in
-    the down-set of (H) are counted.
+    the down-set of (H) are counted, lowest bit first.  Each pair holds
+    the one int object of its class, read from a list of the indices, so a
+    large table does not keep a copy of K per pair.
     """
     orbits = lattice.orbits
-    columns: list[list[tuple[int, int]]] = [[] for _ in lattice.classes]
+    indices = list(range(len(lattice.classes)))
+    rows = []
     for h, (hcls, down_set) in enumerate(zip(lattice.classes, lattice.down_sets)):
+        orbit, row = orbits[h], []
         while down_set:
-            k = (down_set & -down_set).bit_length() - 1
+            k = indices[(down_set & -down_set).bit_length() - 1]
             down_set &= down_set - 1
-            columns[k].append((h, hcls.weyl_order * _count_containing(orbits[h], orbits[k][0])))
-    return MarksTable(lattice, tuple(map(tuple, columns)))
+            row.append((k, hcls.weyl_order * _count_containing(orbit, orbits[k][0])))
+        rows.append(tuple(row))
+    return MarksTable(lattice, tuple(rows))
 
 
 def phi(element: BurnsideElement, table: MarksTable) -> GhostElement:
-    """Marks homomorphism: value at (K) is sum_H x_H * m[H][K]."""
-    x = element.coefficients
-    return GhostElement({
-        k: sum(x[h] * m for h, m in column if h in x) for k, column in enumerate(table.columns)
-    })
+    """Marks homomorphism: value at (K) is sum_H x_H * m[H][K], each nonzero
+    x_H added along row H."""
+    ghost: dict[int, int] = {}
+    rows = table.rows
+    for h, c in element.coefficients.items():
+        for k, m in rows[h]:
+            ghost[k] = ghost.get(k, 0) + c * m
+    return GhostElement(ghost)
 
 
 def solve_ghost(ghost: GhostElement, table: MarksTable) -> BurnsideElement:
     """The unique x with phi(x) = ghost, solved by descending back-substitution.
 
     Only classes below some key of the ghost are visited: elsewhere the
-    ghost and every term of the sum vanish, so x does too.  Each visited
-    class (K) sums over the nonzero marks above it in its column and divides
-    by the first, m[K][K].
+    ghost and every term of the sum vanish, so x does too.  At each visited
+    class (K), from the top down, what remains of the ghost value is divided
+    by the last mark of row K, m[K][K]; a nonzero x_K then subtracts x_K
+    times row K from the remainders below.  So a solve reads only the rows
+    of the classes it visits.
 
     Raises UnknownClass for a key outside the lattice, and NotInImage at the
     first class (descending from the maximal one) where the required
     quotient is not an integer.
     """
-    values = ghost.values
     down_sets = table.lattice.down_sets
     visit = 0
-    for k in values:
+    for k in ghost.values:
         if not 0 <= k < table.size:
             raise UnknownClass(f"no subgroup class with index {k}")
         visit |= down_sets[k]
+    rest = dict(ghost.values)
     x: dict[int, int] = {}
-    columns = table.columns
+    rows = table.rows
     while visit:
         k = visit.bit_length() - 1
         visit ^= 1 << k
-        (_, pivot), *above = columns[k]
-        q, r = divmod(values.get(k, 0) - sum(x[h] * m for h, m in above if h in x), pivot)
+        row = rows[k]
+        q, r = divmod(rest.get(k, 0), row[-1][1])
         if r:
             raise NotInImage(k, table.lattice.classes[k].label, r)
-        x[k] = q
+        if q:
+            x[k] = q
+            for j, m in row:
+                rest[j] = rest.get(j, 0) - q * m
     return BurnsideElement(x)
 
 

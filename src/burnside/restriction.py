@@ -39,14 +39,7 @@ from typing import Sequence
 
 from .artin import abelian_family, artin_certificate
 from .brauer import brauer_certificate, in_hyper_family
-from .exact import (
-    IntMatrix,
-    NotIntegral,
-    euler_phi,
-    row_echelon,
-    smith_normal_form,
-    solve_triangular_integer,
-)
+from .exact import IntMatrix, euler_phi, row_echelon, smith_normal_form
 from .characters import (
     CharacterTable,
     ClassFunction,
@@ -234,18 +227,30 @@ def _stacked_block(table: CharacterTable, fusion: Sequence[int],
 
 
 def _solve_coordinates(echelon: list[list[int]], rows: Sequence[Sequence[int]]) -> list[list[int]]:
-    """The integer C with C * H = rows on H's pivot columns, H = echelon.
+    """The integer C with C * H = rows on H's pivot columns, H = echelon, by
+    forward substitution on the echelon rows.
 
-    H's pivot columns, as rows, form a lower-triangular matrix with a
-    nonzero diagonal; whether C * H = rows in every column is for the
-    caller to check.
+    Every row of H is zero at the pivots before its own, so pivot column
+    p_t reads only c_0, ..., c_t, and c_t = (m[p_t] - sum_{s<t} c_s
+    H[s][p_t]) / H[t][p_t]; each pivot's nonzero terms are listed once per
+    call.  A quotient that is not
+    an integer raises RestrictionError naming the pivot and the remainder.
+    Whether C * H = rows in every column is for the caller to check.
     """
-    pivots = [next(j for j, v in enumerate(row) if v) for row in echelon]
-    square = IntMatrix.from_rows([[row[p] for row in echelon] for p in pivots])
-    try:
-        return solve_triangular_integer(square, [[m[p] for p in pivots] for m in rows])
-    except NotIntegral as exc:
-        raise RestrictionError(f"non-integral equalizer coordinate: {exc}") from exc
+    steps = []
+    for t, row in enumerate(echelon):
+        p = next(j for j, v in enumerate(row) if v)
+        steps.append((p, row[p], [(s, echelon[s][p]) for s in range(t) if echelon[s][p]]))
+    solution = []
+    for m in rows:
+        c: list[int] = []
+        for t, (p, pivot, terms) in enumerate(steps):
+            q, r = divmod(m[p] - sum(a * c[s] for s, a in terms), pivot)
+            if r:
+                raise RestrictionError(f"non-integral equalizer coordinate: pivot {t}, remainder {r}")
+            c.append(q)
+        solution.append(c)
+    return solution
 
 
 def _check_fusion(basis: IntMatrix, tables: list[CharacterTable], fusions: list[list[int]], labels: list[str]) -> int:

@@ -13,7 +13,8 @@ import pytest
 from burnside import artin, brauer, cli, groups, lie, restriction
 from burnside.characters import CharacterError
 from burnside.cli import main
-from burnside.exact import GcdNotOne, IntMatrix, NotIntegral
+from burnside.cyclotomic import NotInSubfield
+from burnside.exact import GcdNotOne, IntMatrix
 from burnside.groups import GroupError
 from burnside.lie import LieDataError
 from burnside.marks import InternalInvariantViolation, MarksTable, NotInImage, UnknownClass
@@ -395,7 +396,8 @@ EXIT_CODES = [
     planted(json.JSONDecodeError, ("planted", "", 0), (lie.PhiData, "validate"), ["lie", *SO3], 3,
             "internal error"),
     planted(UnknownClass, ("planted",), (artin, "artin_certificate"), ["artin", *S3], 3, "internal error"),
-    planted(NotIntegral, (0, 1), (artin, "artin_certificate"), ["artin", *S3], 3, "internal error"),
+    # an exact-arithmetic error with no exit code of its own
+    planted(NotInSubfield, ("planted",), (artin, "artin_certificate"), ["artin", *S3], 3, "internal error"),
     malformed("bad-conductor", s3_tables(b"conductor: 6", b"conductor: six"), S3_TABLES, "MalformedEntry",
               "'six' in 'conductor: six' is not an integer"),
     malformed("class-without-size", s3_tables(b"class: () 1", b"class: ()"), S3_TABLES, "MalformedEntry",

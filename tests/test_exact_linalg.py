@@ -1,4 +1,4 @@
-"""Exact arithmetic: Smith normal form, triangular solves, Bezout sets, cyclotomics."""
+"""Exact arithmetic: Smith normal form, the equalizer's triangular solve, Bezout sets, cyclotomics."""
 
 import cmath
 import math
@@ -11,16 +11,15 @@ from burnside.cyclotomic import Cyclotomic, cyclotomic_polynomial, mobius
 from burnside.exact import (
     GcdNotOne,
     IntMatrix,
-    NotIntegral,
     divisors,
     euler_phi,
     extended_euclid_set,
     integer_kernel_basis,
     row_echelon,
     smith_normal_form,
-    solve_triangular_integer,
     xgcd,
 )
+from burnside.restriction import RestrictionError, _solve_coordinates
 
 
 def zeros(r: int, c: int) -> IntMatrix:
@@ -184,51 +183,34 @@ class TestNumberTheory:
 
 
 class TestTriangularSolve:
+    """The equalizer's coordinates C with C * H = M, solved by forward
+    substitution on the pivot columns of the echelon rows H."""
+
     def test_lower_triangular(self):
-        m = IntMatrix.from_rows([[6, 0], [3, 1]])
-        # forward substitution: x0 = 1, then 3*1 + x1 = 6
-        assert solve_triangular_integer(m, [[6, 6]]) == [[1, 3]]
-        assert m @ IntMatrix.from_rows([[1], [3]]) == IntMatrix.from_rows([[6], [6]])
+        h = [[6, 2, 3], [0, 0, 1]]
+        # pivots in columns 0 and 2: 6*c0 = 6, then 3*1 + c1 = 6; column 1 is not read
+        assert _solve_coordinates(h, [[6, 2, 6]]) == [[1, 3]]
+        assert IntMatrix.from_rows([[1, 3]]) @ IntMatrix.from_rows(h) == IntMatrix.from_rows([[6, 2, 6]])
 
     def test_identity(self):
-        m = IntMatrix.identity(3)
-        assert solve_triangular_integer(m, [[5, -2, 7]]) == [[5, -2, 7]]
+        assert _solve_coordinates(IntMatrix.identity(3).to_lists(), [[5, -2, 7]]) == [[5, -2, 7]]
 
     def test_parity_obstruction(self):
-        m = IntMatrix.from_rows([[2]])
-        with pytest.raises(NotIntegral) as excinfo:
-            solve_triangular_integer(m, [[1]])
-        assert excinfo.value.pivot == 0
-        assert excinfo.value.remainder == 1
-
-    def test_upper_triangular(self):
-        m = IntMatrix.from_rows([[2, 3], [0, 5]])
-        assert solve_triangular_integer(m, [[16, 10]]) == [[5, 2]]
-
-    def test_rejects_non_triangular(self):
-        m = IntMatrix.from_rows([[1, 2], [3, 4]])
-        with pytest.raises(ValueError):
-            solve_triangular_integer(m, [[1, 1]])
-
-    def test_rejects_a_short_right_hand_side(self):
-        m = IntMatrix.identity(2)
-        with pytest.raises(ValueError):
-            solve_triangular_integer(m, [[1, 1], [1]])
+        with pytest.raises(RestrictionError, match="^non-integral equalizer coordinate: pivot 0, remainder 1$"):
+            _solve_coordinates([[2]], [[1]])
 
     def test_many_right_hand_sides_in_order(self):
-        m = IntMatrix.from_rows([[2, 0, 0], [1, 3, 0], [0, 4, 5]])
+        h = IntMatrix.from_rows([[2, 1, 0], [0, 3, 4], [0, 0, 5]])
         xs = IntMatrix.from_rows([[1, 2, 3], [-4, 0, 7], [0, 0, 0]])
-        rhs = (xs @ m.transpose()).to_lists()
-        assert solve_triangular_integer(m, rhs) == [[1, 2, 3], [-4, 0, 7], [0, 0, 0]]
-        assert solve_triangular_integer(m, []) == []
+        assert _solve_coordinates(h.to_lists(), (xs @ h).to_lists()) == xs.to_lists()
+        assert _solve_coordinates(h.to_lists(), []) == []
 
     def test_raises_at_the_first_failing_right_hand_side(self):
-        m = IntMatrix.from_rows([[2, 0], [1, 3]])
-        # the second b fails at pivot 1 (3 - 1 = 2 is not a multiple of 3),
+        h = [[2, 1], [0, 3]]
+        # the second row fails at pivot 1 (3 - 1 = 2 is not a multiple of 3),
         # the third at pivot 0; the second is reported
-        with pytest.raises(NotIntegral) as excinfo:
-            solve_triangular_integer(m, [[2, 4], [2, 3], [1, 0]])
-        assert (excinfo.value.pivot, excinfo.value.remainder) == (1, 2)
+        with pytest.raises(RestrictionError, match="pivot 1, remainder 2$"):
+            _solve_coordinates(h, [[2, 4], [2, 3], [1, 0]])
 
 
 class TestExtendedEuclid:

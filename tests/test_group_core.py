@@ -246,6 +246,16 @@ class TestMinGenerators:
         with pytest.raises(NotAbelian):
             abelian_min_generators(frozenset(g.elements), g.degree)
 
+    def test_nonabelian_count_stays_within_the_known_bound(self):
+        # S3 x C2^3: its abelianization C2^4 needs four generators, and
+        # (0 1 2)(3 4), (0 1), (5 6), (7 8) are four that generate it
+        group = parse_group("(0 1 2)\n(0 1)\n(3 4)\n(5 6)\n(7 8)")
+        four = [parse_cycles(c, group.degree) for c in ("(0 1 2)(3 4)", "(0 1)", "(5 6)", "(7 8)")]
+        assert len(close_under_product(group.degree, four, cap=48)) == group.order == 48
+        lattice = subgroup_lattice(group)
+        full = lattice.classes[lattice.full_index]
+        assert (full.label, full.min_generators) == ("48a", 4)
+
     @pytest.mark.parametrize("name", FIXTURES)
     def test_generating_set_exists(self, name):
         group = builtin_group(name)

@@ -114,12 +114,63 @@ def test_phi_reads_every_nonzero_of_any_matrix():
     rng = random.Random(3)
     n = len(lattice.classes)
     rows = [[rng.choice((0, 0, 1, -2, 5)) for _ in range(n)] for _ in range(n)]
-    columns = tuple(tuple((h, row[k]) for h, row in enumerate(rows) if row[k]) for k in range(n))
-    table = MarksTable(lattice, columns)
+    table = MarksTable(lattice, tuple(tuple((k, m) for k, m in enumerate(row) if m) for row in rows))
     assert table.matrix == IntMatrix.from_rows(rows)
     for _ in range(5):
         x = BurnsideElement(sparse(rng.randint(-3, 3) for _ in range(n)))
         assert phi(x, table) == dense_phi(x, table)
+
+
+# ---------------------------------------------------------------------------
+# the table by rows: row H is the down-set of (H), and a solve reads only
+# the rows of the classes below its keys
+
+
+def assert_rows_are_down_sets(table: MarksTable) -> None:
+    classes, down_sets = table.lattice.classes, table.lattice.down_sets
+    assert len(table.rows) == table.size
+    for h, row in enumerate(table.rows):
+        ks = [k for k, _ in row]
+        assert ks == sorted(set(ks)), f"row {h} does not ascend"
+        assert row[-1] == (h, classes[h].weyl_order)
+        assert sum(1 << k for k in ks) == down_sets[h]
+        assert all(m for _, m in row)
+
+
+@pytest.mark.parametrize("name", sorted(BENCHMARK_GROUPS))
+def test_rows_are_down_sets_on_benchmark_groups(name):
+    assert_rows_are_down_sets(benchmark_table(name))
+
+
+@settings(max_examples=12, deadline=None)
+@given(small_subgroups_of_s6())
+def test_rows_are_down_sets_on_subgroups_of_s6(group):
+    assert_rows_are_down_sets(marks_table(subgroup_lattice(group)))
+
+
+class RecordingRows:
+    """A table's rows that record which ones are read."""
+
+    def __init__(self, rows):
+        self.rows, self.read = rows, set()
+
+    def __getitem__(self, h):
+        self.read.add(h)
+        return self.rows[h]
+
+    def __len__(self):
+        return len(self.rows)
+
+
+def test_solve_reads_only_the_rows_below_its_key():
+    table = benchmark_table("C2^4")
+    down_sets, order = table.lattice.down_sets, table.lattice.group.order
+    for k in range(table.size):
+        rows = RecordingRows(table.rows)
+        recording = MarksTable(table.lattice, rows)
+        assert solve_ghost(GhostElement({k: order}), recording) == solve_ghost(GhostElement({k: order}), table)
+        assert k in rows.read
+        assert all(down_sets[k] >> h & 1 for h in rows.read), f"class {k} read a row above its down-set"
 
 
 # ---------------------------------------------------------------------------
