@@ -43,11 +43,11 @@ class AbelianClassFamily:
 
 class ArtinCertificate:
     def __init__(self, n: int | float, order_n: int, alpha: BurnsideElement,
-                 element_checks: tuple[tuple[str, int, int], ...],
+                 element_checks: tuple[tuple[int, int, int], ...],
                  ghost_checks: tuple[tuple[str, int, int], ...], in_ideal: bool):
         self.n, self.order_n = n, order_n
         self.alpha = alpha  # sum_A c_A [G/A]
-        self.element_checks = element_checks  # (element class label, lhs, rhs)
+        self.element_checks = element_checks  # (element class index, lhs, rhs)
         self.ghost_checks = ghost_checks  # (subgroup class label, value, expected)
         # order_n * [pt] - alpha lies in J_n: alpha's ghost is order_n on the family
         self.in_ideal = in_ideal
@@ -69,11 +69,6 @@ def abelian_family(lattice: SubgroupLattice, n: int | float) -> AbelianClassFami
         if cls.is_abelian and cls.min_generators <= n
     )
     return AbelianClassFamily(n, indices, math.lcm(*(lattice.classes[i].weyl_order for i in indices)))
-
-
-def in_ideal_jn(element: BurnsideElement, family: AbelianClassFamily, table: MarksTable) -> bool:
-    """True iff phi(element) vanishes on every class of the family."""
-    return phi(element, table).values.keys().isdisjoint(family.members)
 
 
 def artin_certificate(table: MarksTable, n: int | float) -> ArtinCertificate:
@@ -115,7 +110,7 @@ def artin_certificate(table: MarksTable, n: int | float) -> ArtinCertificate:
 
 def certificate_payload(cert: ArtinCertificate, table: MarksTable) -> dict:
     """JSON-ready dictionary for a certificate."""
-    lattice = table.lattice
+    lattice, classes = table.lattice, table.element_classes
     return {
         "group": lattice.group.name or "unnamed",
         "n": "inf" if cert.n == math.inf else cert.n,
@@ -124,8 +119,8 @@ def certificate_payload(cert: ArtinCertificate, table: MarksTable) -> dict:
             {"class": lattice.label_of(i), "c": c} for i, c in sorted(cert.alpha.coefficients.items())
         ],
         "checks": [
-            {"element_class": label, "lhs": lhs, "rhs": rhs}
-            for label, lhs, rhs in cert.element_checks
+            {"element_class": classes.label(c), "lhs": lhs, "rhs": rhs}
+            for c, lhs, rhs in cert.element_checks
         ],
         "ghost_checks": [
             {"class": label, "value": value, "expected": expected}

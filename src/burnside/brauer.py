@@ -30,13 +30,14 @@ def coprime_part(value: int, p: int) -> int:
 
 class BrauerCertificate:
     def __init__(self, n: int | float, order_n: int, bezout: dict[int, int], i_n_ghost: GhostElement,
-                 decomposition: BurnsideElement, element_checks: tuple[tuple[str, int, int], ...],
+                 decomposition: BurnsideElement, element_checks: tuple[tuple[int, int, int], ...],
                  family_values: tuple[tuple[str, int], ...], support_hyper: bool):
         self.n, self.order_n = n, order_n
         self.bezout = bezout  # prime -> z_p
         self.i_n_ghost = i_n_ghost
         self.decomposition = decomposition  # sum_H k_H [G/H]
-        self.element_checks, self.support_hyper = element_checks, support_hyper
+        self.element_checks = element_checks  # (element class index, lhs, rhs)
+        self.support_hyper = support_hyper
         self.family_values = family_values  # i_n_ghost restricted to the abelian family
 
     @property
@@ -118,7 +119,7 @@ def brauer_certificate(table: MarksTable, n: int | float = 1) -> BrauerCertifica
 
 
 def certificate_payload(cert: BrauerCertificate, table: MarksTable) -> dict:
-    lattice = table.lattice
+    lattice, classes = table.lattice, table.element_classes
     idempotents = []
     for p in sorted(cert.bezout):
         cores = lattice.p_core_classes(p)
@@ -138,8 +139,8 @@ def certificate_payload(cert: BrauerCertificate, table: MarksTable) -> dict:
             {"class": lattice.label_of(i), "k": k} for i, k in sorted(cert.decomposition.coefficients.items())
         ],
         "checks": [
-            {"element_class": label, "lhs": lhs, "rhs": rhs}
-            for label, lhs, rhs in cert.element_checks
+            {"element_class": classes.label(c), "lhs": lhs, "rhs": rhs}
+            for c, lhs, rhs in cert.element_checks
         ],
         "family_values": [
             {"class": label, "value": value} for label, value in cert.family_values

@@ -543,24 +543,8 @@ def _check_power_maps(table: CharacterTable) -> None:
                 value = row.values[c]
                 if row.values[target] != value.galois(a % value.conductor):
                     raise CharacterError(f"row {i} breaks chi(g^{a}) = sigma_{a}(chi(g)) at "
-                                         f"g = {perm_to_cycles(core.elements[x])}: the columns do not match "
+                                         f"g = {classes.label(c)}: the columns do not match "
                                          "the group's classes")
-
-
-def table_to_text(table: CharacterTable) -> str:
-    """Serialize a table in the load_character_table file format."""
-    lines = [f"group: {table.group.name or 'unnamed'}"]
-    conductor = table.conductor
-    lines.append(f"conductor: {conductor}")
-    for rep, size in zip(table.classes.representatives, table.classes.sizes):
-        lines.append(f"class: {perm_to_cycles(rep)} {size}")
-    for row in table.rows:
-        entries = []
-        for v in row.values:
-            vv = v.to_conductor(conductor)
-            entries.append(_format_cyclotomic(vv))
-        lines.append("row: " + " ".join(entries))
-    return "\n".join(lines) + "\n"
 
 
 def _format_cyclotomic(value: Cyclotomic) -> str:

@@ -113,9 +113,6 @@ class Cyclotomic:
 
     # -- structure
 
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
-
     def is_rational(self) -> bool:
         return all(c == 0 for c in self.coeffs[1:])
 
@@ -146,9 +143,6 @@ class Cyclotomic:
         for k, c in enumerate(self.coeffs):
             out[(a * k) % n] += c
         return Cyclotomic(n, out)
-
-    def conjugate(self) -> "Cyclotomic":
-        return self.galois(self.conductor - 1) if self.conductor > 1 else self
 
     # -- arithmetic
 
@@ -185,9 +179,6 @@ class Cyclotomic:
             return NotImplemented
         return self + (-other)
 
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             return Cyclotomic(self.conductor, [c * other for c in self.coeffs])
@@ -204,18 +195,6 @@ class Cyclotomic:
 
     __rmul__ = __mul__
 
-    def __pow__(self, exponent: int):
-        if exponent < 0:
-            raise ValueError("negative powers are not supported")
-        result = Cyclotomic(self.conductor, [1])
-        base = self
-        while exponent:
-            if exponent & 1:
-                result = result * base
-            base = base * base
-            exponent >>= 1
-        return result
-
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
             return self.coeffs[0] == other and not any(self.coeffs[1:])
@@ -226,9 +205,6 @@ class Cyclotomic:
         return a.coeffs == b.coeffs
 
     __hash__ = None  # cross-conductor equality makes a consistent hash impractical
-
-    def __bool__(self):
-        return not self.is_zero()
 
     def __repr__(self):
         return f"Cyclotomic({self.conductor}, {[str(c) for c in self.coeffs]})"

@@ -10,7 +10,10 @@ Cayley-table lookups, and a subgroup is an int bitmask with bit i set when
 element i belongs to it.  Conjugacy classes, cosets and generating sets come
 from the core.  Element classes are held in index form, each class's
 element indices and the class of each index; their permutations are read
-only for table files, report labels and ClassFunction.value_at.  One count,
+only for table files, report labels (ConjugacyClasses.label) and
+ClassFunction.value_at.  A subgroup class holds its representative as a
+bitmask too, and its permutations are read on demand, for the explicit
+subgroups whose character tables are built or loaded.  One count,
 |C_G(g)| * |g^G cap S| from g's class mask and the bitmask of S
 (ConjugacyClasses.conjugators_into), gives the marks at single elements
 and induced characters.  The subgroup lattice is
@@ -61,13 +64,6 @@ def perm_identity(degree: int) -> Perm:
 def perm_mul(p: Perm, q: Perm) -> Perm:
     """Composition p after q: i -> p[q[i]]."""
     return tuple(p[q[i]] for i in range(len(p)))
-
-
-def perm_inv(p: Perm) -> Perm:
-    out = [0] * len(p)
-    for i, v in enumerate(p):
-        out[v] = i
-    return tuple(out)
 
 
 def perm_to_cycles(p: Perm) -> str:
@@ -421,7 +417,7 @@ class ConjugacyClasses:
     """Element conjugacy classes in index form, with a deterministic order
     (identity first): members[c] lists the element indices of class c over
     group.core, ascending, and class_of[x] is the class of element index x.
-    Permutations appear only at the boundary, in representatives and
+    Permutations appear only at the boundary, in representatives, label and
     index_of."""
 
     def __init__(self, group: Group, members: tuple[tuple[int, ...], ...], class_of: tuple[int, ...]):
@@ -437,6 +433,10 @@ class ConjugacyClasses:
 
     def index_of(self, element: Perm) -> int:
         return self.class_of[self.group.core.index[element]]
+
+    def label(self, c: int) -> str:
+        """Class c's name in reports: its first member in cycle notation."""
+        return perm_to_cycles(self.group.elements[self.members[c][0]])
 
     @cached_property
     def masks(self) -> tuple[int, ...]:
@@ -490,15 +490,20 @@ def exponent(group: Group) -> int:
 
 
 class SubgroupClass:
-    """A conjugacy class of subgroups, with its classification data."""
+    """A conjugacy class of subgroups, with its classification data.  The
+    representative is held as its bitmask over the group's core, and its
+    permutations are read from the core only when representative or
+    element_set is read."""
 
-    def __init__(self, representative: tuple[Perm, ...], order: int, weyl_order: int, is_abelian: bool,
-                 label: str, generation: tuple[GroupCore, int, int]):
-        self.representative, self.label = representative, label
+    def __init__(self, core: GroupCore, mask: int, bound: int, order: int, weyl_order: int,
+                 is_abelian: bool, label: str):
+        self.core, self.mask, self.label = core, mask, label
+        self.bound = bound  # the size of a known generating set
         self.order, self.weyl_order, self.is_abelian = order, weyl_order, is_abelian
-        # what min_generators reads: the group's core, the representative's
-        # bitmask over it and the size of a known generating set
-        self.generation = generation
+
+    @property
+    def representative(self) -> tuple[Perm, ...]:
+        return self.core.perms(self.mask)
 
     @property
     def element_set(self) -> frozenset:
@@ -509,8 +514,9 @@ class SubgroupClass:
         """The least number of elements generating the representative,
         counted on first read: the certificates read it for abelian classes
         only, and the search is costly for nonabelian ones."""
-        core, mask, bound = self.generation
-        return _abelian_rank(core, _bits(mask)) if self.is_abelian else _min_generators(core, mask, bound)
+        if self.is_abelian:
+            return _abelian_rank(self.core, _bits(self.mask))
+        return _min_generators(self.core, self.mask, self.bound)
 
 
 class SubgroupLattice:
@@ -525,9 +531,6 @@ class SubgroupLattice:
 
     def __len__(self):
         return len(self.classes)
-
-    def leq(self, k: int, h: int) -> bool:
-        return bool(self.down_sets[h] >> k & 1)
 
     @property
     def full_index(self) -> int:
@@ -719,12 +722,25 @@ def _least_member(orbit: list[int]) -> int:
     return least
 
 
+def _letters(seq: int) -> str:
+    """The letters of the seq-th label of an order, counted from 0 in
+    bijective base 26: a, ..., z, aa, ab, ..., zz, aaa, ..."""
+    letters = ""
+    while seq >= 0:
+        seq, r = divmod(seq, 26)
+        letters = chr(ord("a") + r) + letters
+        seq -= 1
+    return letters
+
+
 def subgroup_lattice(group: Group) -> SubgroupLattice:
     """Conjugacy classes of all subgroups with subconjugacy and Weyl orders.
 
     Classes are sorted by order and then by the sorted elements of their
-    representative, the least member of the class in that order.  The orbit
-    of H under conjugation gives |N_G(H)| = |G| / |orbit|.
+    representative, the least member of the class in that order, and each
+    is labelled by its order and its place among the classes of that order
+    (_letters): 2a, 2b, ..., 2z, 2aa, ...  The orbit of H under conjugation
+    gives |N_G(H)| = |G| / |orbit|.
 
     Subconjugacy, (K) <= (H) iff K lies in a conjugate of H, is the closure
     of the extension edges (K) -> (<K, z>) of _subgroup_orbits, which are
@@ -750,14 +766,8 @@ def subgroup_lattice(group: Group) -> SubgroupLattice:
         orbits.append((rep_mask,) + tuple(m for m in orbit if m != rep_mask))
         seq = order_counts.get(order, 0)
         order_counts[order] = seq + 1
-        classes.append(SubgroupClass(
-            representative=core.perms(rep_mask),
-            order=order,
-            weyl_order=group.order // len(orbit) // order,
-            is_abelian=core.commute(gens),
-            label=f"{order}{chr(ord('a') + seq)}",
-            generation=(core, rep_mask, len(gens)),
-        ))
+        classes.append(SubgroupClass(core, rep_mask, len(gens), order, group.order // len(orbit) // order,
+                                     core.commute(gens), f"{order}{_letters(seq)}"))
         down_sets[idx] |= 1 << idx
         for target in above:
             down_sets[index[target]] |= down_sets[idx]

@@ -31,17 +31,17 @@ The certificates are also checked at single elements g, where the value of
 the element classes of G and the bitmask of H: |g^G cap H| is the popcount
 of H's mask ANDed with the mask of g's class, so it stays independent of
 the table of marks it is checked against.  It is the count behind
-characters.induce too (ConjugacyClasses.conjugators_into), and
-element_checks reads it per class index, with no permutation lookup.
+characters.induce too (ConjugacyClasses.conjugators_into).  element_checks
+reads it per element class and returns each check by class index, with no
+permutation lookup; only a report turns the index into a label.
 """
 
 from __future__ import annotations
 
-import json
 from functools import cached_property
 
 from .exact import IntMatrix
-from .groups import ConjugacyClasses, Perm, SubgroupLattice, conjugacy_classes, perm_to_cycles
+from .groups import ConjugacyClasses, Perm, SubgroupLattice, conjugacy_classes
 
 
 class BurnsideError(Exception):
@@ -81,9 +81,6 @@ class MarksTable:
     def size(self) -> int:
         return len(self.lattice.classes)
 
-    def mark(self, h: int, k: int) -> int:
-        return self.matrix.entries[h][k]
-
     @cached_property
     def matrix(self) -> IntMatrix:
         """The dense matrix, m[H][K] in row H and column K, built on first read."""
@@ -98,22 +95,6 @@ class MarksTable:
         """The element conjugacy classes of G, with their bitmasks."""
         return conjugacy_classes(self.lattice.group)
 
-    def to_json(self) -> str:
-        payload = {
-            "group": self.lattice.group.name or "unnamed",
-            "classes": [cls.label for cls in self.lattice.classes],
-            "matrix": self.matrix.to_lists(),
-        }
-        return json.dumps(payload, sort_keys=True)
-
-
-def _combine(a: dict[int, int], b: dict[int, int], sign: int) -> dict[int, int]:
-    """a + sign * b, key by key; the constructors drop the zeros."""
-    out = dict(a)
-    for k, v in b.items():
-        out[k] = out.get(k, 0) + sign * v
-    return out
-
 
 class BurnsideElement:
     """Integer coefficients on the transitive basis [G/H], as {class index:
@@ -124,12 +105,6 @@ class BurnsideElement:
 
     def __eq__(self, other):
         return isinstance(other, BurnsideElement) and self.coefficients == other.coefficients
-
-    def __sub__(self, other: "BurnsideElement") -> "BurnsideElement":
-        return BurnsideElement(_combine(self.coefficients, other.coefficients, -1))
-
-    def scale(self, k: int) -> "BurnsideElement":
-        return BurnsideElement({h: k * c for h, c in self.coefficients.items()})
 
 
 class GhostElement:
@@ -143,7 +118,10 @@ class GhostElement:
         return isinstance(other, GhostElement) and self.values == other.values
 
     def __add__(self, other: "GhostElement") -> "GhostElement":
-        return GhostElement(_combine(self.values, other.values, 1))
+        values = dict(self.values)
+        for k, v in other.values.items():
+            values[k] = values.get(k, 0) + v
+        return GhostElement(values)
 
     def scale(self, k: int) -> "GhostElement":
         return GhostElement({h: k * v for h, v in self.values.items()})
@@ -225,11 +203,6 @@ def solve_ghost(ghost: GhostElement, table: MarksTable) -> BurnsideElement:
     return BurnsideElement(x)
 
 
-def unit(table: MarksTable) -> BurnsideElement:
-    """[G/G], the multiplicative unit."""
-    return BurnsideElement({table.size - 1: 1})
-
-
 def fixed_points_of_element(table: MarksTable, h: int, g: Perm) -> int:
     """|(G/H)^g| for a single group element g, from its class mask.
 
@@ -247,18 +220,18 @@ def _fixed_points(table: MarksTable, h: int, c: int) -> int:
     classes = table.element_classes
     fixed, remainder = divmod(classes.conjugators_into(c, lattice.orbits[h][0]), lattice.classes[h].order)
     if remainder:
-        g = lattice.group.elements[classes.members[c][0]]
         raise InternalInvariantViolation(
-            f"|(G/H)^g| not integral for H = {lattice.label_of(h)}, g = {perm_to_cycles(g)}"
+            f"|(G/H)^g| not integral for H = {lattice.label_of(h)}, g = {classes.label(c)}"
         )
     return fixed
 
 
-def element_checks(element: BurnsideElement, table: MarksTable, expected: int) -> tuple[tuple[str, int, int], ...]:
-    """(g, sum_H x_H |(G/H)^g|, expected) for one g per element conjugacy
-    class of G, g in cycle notation."""
+def element_checks(element: BurnsideElement, table: MarksTable, expected: int) -> tuple[tuple[int, int, int], ...]:
+    """(c, sum_H x_H |(G/H)^g|, expected) for every element conjugacy class
+    c of G and g in c, by class index; the reports label c with
+    ConjugacyClasses.label."""
     x = element.coefficients
     return tuple(
-        (perm_to_cycles(g), sum(v * _fixed_points(table, h, c) for h, v in x.items()), expected)
-        for c, g in enumerate(table.element_classes.representatives)
+        (c, sum(v * _fixed_points(table, h, c) for h, v in x.items()), expected)
+        for c in range(len(table.element_classes.members))
     )

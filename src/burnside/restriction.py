@@ -401,9 +401,9 @@ def verify_brauer_restriction(table: MarksTable, n: int | float = 1,
     if not certificate.verified:
         raise RestrictionError("Brauer certificate failed; restriction check not applicable")
     if n < 1:
-        for g, lhs, rhs in element_checks(certificate.decomposition, table, 1):
+        for c, lhs, rhs in element_checks(certificate.decomposition, table, 1):
             if lhs != rhs:
-                raise RestrictionError(f"sum_H k_H |(G/H)^g| = 1 fails at g = {g}; "
+                raise RestrictionError(f"sum_H k_H |(G/H)^g| = 1 fails at g = {table.element_classes.label(c)}; "
                                        f"restriction check not applicable at n = {n}")
     eq = equalizer_lattice(maximal_members(hyper_family(table, n), lattice), provider, lattice)
     _, d, _ = smith_normal_form(_restriction_matrix(eq, provider))

@@ -9,7 +9,8 @@ induced_by_cosets sums a class function over the same cosets, the reference
 for characters.induce.  dense and sparse convert Burnside-ring and
 ghost elements between their {class: value} maps and lattice-order tuples,
 so assertions can keep tuple literals; pointwise and multiply are the ghost
-and Burnside-ring products, the ring-axiom oracles.
+and Burnside-ring products, the ring-axiom oracles, unit is [G/G], and
+in_ideal_jn tests an element against the ideal J_n of the abelian family.
 gluck_scaled_idempotents gives |G| e_K by Gluck's formula, and
 artin_member_terms scales it to the per-member terms |G|_n e_K whose sum
 is the Artin certificate: the oracle for one ghost solve.  local_idempotent
@@ -35,7 +36,6 @@ from burnside.groups import (
     group_from_generators,
     parse_cycles,
     parse_group,
-    perm_inv,
     perm_mul,
 )
 from burnside.marks import (
@@ -48,7 +48,7 @@ from burnside.marks import (
     solve_ghost,
 )
 
-from oracles import left_coset_representatives
+from oracles import left_coset_representatives, perm_inv
 
 WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "data" / "workloads.json"
 # name -> {"generators": [...], "conjugacy_classes": k, ...}
@@ -126,6 +126,16 @@ def pointwise(a: GhostElement, b: GhostElement) -> GhostElement:
 def multiply(a: BurnsideElement, b: BurnsideElement, table: MarksTable) -> BurnsideElement:
     """The ring product, solved back from the pointwise product of the ghosts."""
     return solve_ghost(pointwise(phi(a, table), phi(b, table)), table)
+
+
+def unit(table: MarksTable) -> BurnsideElement:
+    """[G/G], the multiplicative unit."""
+    return BurnsideElement({table.size - 1: 1})
+
+
+def in_ideal_jn(element: BurnsideElement, family: AbelianClassFamily, table: MarksTable) -> bool:
+    """True iff phi(element) vanishes on every class of the family."""
+    return phi(element, table).values.keys().isdisjoint(family.members)
 
 
 def conjugates(subgroup: frozenset, elements) -> set[frozenset]:

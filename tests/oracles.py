@@ -10,7 +10,8 @@ functions through the same integer convolution as
 CharacterTable.coordinates; from_coordinates and
 constant_function build class functions; perm_character is g -> |(G/H)^g|;
 frobenius_check and mackey_check test Frobenius reciprocity and the Mackey
-formula with induce, restrict and conjugate_function.  is_n_hyper,
+formula with induce, restrict and conjugate_function; table_to_text writes
+a table in the file format load_character_table reads.  is_n_hyper,
 p_perfect_core and abelian_min_generators classify a subgroup from its
 permutations alone, the oracle for brauer.in_hyper_family and the
 lattice's generator counts.  Not a test module: nothing here is collected.
@@ -24,6 +25,7 @@ from burnside.characters import (
     CharacterTable,
     ClassFunction,
     _convolve,
+    _format_cyclotomic,
     _spread,
     conjugate_function,
     induce,
@@ -42,6 +44,7 @@ from burnside.groups import (
     double_cosets,
     perm_identity,
     perm_mul,
+    perm_to_cycles,
     subgroup_as_group,
 )
 
@@ -71,7 +74,7 @@ def scale(a: ClassFunction, k) -> ClassFunction:
 
 
 def is_zero(a: ClassFunction) -> bool:
-    return all(v.is_zero() for v in a.values)
+    return all(v == 0 for v in a.values)
 
 
 def degrees(table: CharacterTable) -> list[int]:
@@ -136,8 +139,25 @@ def mackey_check(k_sub: frozenset, xi: ClassFunction, group: Group) -> bool:
     return left == total
 
 
+def table_to_text(table: CharacterTable) -> str:
+    """A table in the load_character_table file format, at its conductor."""
+    lines = [f"group: {table.group.name or 'unnamed'}", f"conductor: {table.conductor}"]
+    for rep, size in zip(table.classes.representatives, table.classes.sizes):
+        lines.append(f"class: {perm_to_cycles(rep)} {size}")
+    for row in table.rows:
+        lines.append("row: " + " ".join(_format_cyclotomic(v.to_conductor(table.conductor)) for v in row.values))
+    return "\n".join(lines) + "\n"
+
+
 # ---------------------------------------------------------------------------
 # permutations, cosets and subgroup classifications
+
+
+def perm_inv(p: Perm) -> Perm:
+    out = [0] * len(p)
+    for i, v in enumerate(p):
+        out[v] = i
+    return tuple(out)
 
 
 def _perm_pow(p: Perm, n: int) -> Perm:

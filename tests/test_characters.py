@@ -23,7 +23,6 @@ from burnside.characters import (
     linear_characters,
     load_character_table,
     restrict,
-    table_to_text,
     _charpoly,
     _class_matrix,
     _dixon_schneider,
@@ -38,7 +37,6 @@ from burnside.groups import (
     exponent,
     parse_cycles,
     parse_group,
-    perm_inv,
     subgroup_as_group,
     subgroup_lattice,
 )
@@ -60,8 +58,10 @@ from oracles import (
     inner_product,
     mackey_check,
     perm_character,
+    perm_inv,
     scale,
     subtract,
+    table_to_text,
 )
 
 FIXTURES = ["C2", "C3", "C4", "C6", "C2xC2", "S3", "D4", "Q8", "A4", "S4"]
@@ -319,7 +319,7 @@ class TestCharacterTables:
         rows = row_set(1)
         assert all(row_set(a) == rows for a in range(2, n) if math.gcd(a, n) == 1)
         # Brauer's permutation lemma: complex conjugation fixes as many rows as classes
-        real_rows = sum(all(v == v.conjugate() for v in row.values) for row in table.rows)
+        real_rows = sum(all(v == v.galois(v.conductor - 1) for v in row.values) for row in table.rows)
         classes = table.classes
         real_classes = sum(classes.index_of(perm_inv(rep)) == i for i, rep in enumerate(classes.representatives))
         assert real_rows == real_classes
@@ -604,7 +604,7 @@ def reference_pairing(weights, left, right):
     """sum_i w_i * left_i * conj(right_i) by Cyclotomic arithmetic, term by term."""
     total = Cyclotomic.zero()
     for w, a, b in zip(weights, left, right):
-        total = total + a * b.conjugate() * w
+        total = total + a * b.galois(b.conductor - 1) * w
     return total
 
 
@@ -662,7 +662,7 @@ class TestIntegerPairing:
         # the degree column stays intact, so validation reaches the orthogonality sums
         r = data.draw(st.integers(0, table.size - 1))
         c = data.draw(st.integers(1, table.size - 1))
-        delta = data.draw(cyclotomics().filter(lambda v: not v.is_zero()))
+        delta = data.draw(cyclotomics().filter(lambda v: v != 0))
         values = list(table.rows[r].values)
         values[c] = values[c] + delta
         rows = list(table.rows)

@@ -333,6 +333,22 @@ class TestVerify:
         assert code == 0
         assert "status: pass" in out
 
+    @pytest.mark.parametrize("name", ["S4", "C2^4"])
+    def test_builds_no_permutation(self, capsys, monkeypatch, name):
+        """verify runs on element indices and subgroup bitmasks: it formats
+        no cycle string and reads no subgroup's permutations."""
+        def refuse(*_):
+            raise AssertionError("verify built a permutation")
+
+        for module in list(sys.modules.values()):
+            if getattr(module, "__name__", "").startswith("burnside") and hasattr(module, "perm_to_cycles"):
+                monkeypatch.setattr(module, "perm_to_cycles", refuse)
+        monkeypatch.setattr(groups.GroupCore, "perms", refuse)
+        spec = name if name in groups.BUILTIN_GROUPS else "\n".join(BENCHMARK_GROUPS[name]["generators"])
+        code, out, err = run(capsys, "verify", "--group", spec, "--json")
+        assert code == 0, err
+        assert json.loads(out)["status"] == "pass"
+
 
 class TestDeterminism:
     def test_identical_json(self, capsys):

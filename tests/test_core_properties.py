@@ -12,12 +12,12 @@ from hypothesis import given, settings
 
 from burnside.artin import artin_certificate
 from burnside.brauer import brauer_certificate
-from burnside.groups import conjugacy_classes, perm_inv, perm_mul, subgroup_as_group, subgroup_lattice
+from burnside.groups import conjugacy_classes, perm_mul, subgroup_as_group, subgroup_lattice
 from burnside.marks import marks_table
 from burnside.restriction import verify_artin_restriction, verify_brauer_restriction
 
 from group_fixtures import small_subgroups_of_s6
-from oracles import frobenius_check, mackey_check, perm_character
+from oracles import frobenius_check, mackey_check, perm_character, perm_inv
 
 
 def order_of(x) -> int:

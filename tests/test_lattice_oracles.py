@@ -21,13 +21,13 @@ from burnside.groups import (
     builtin_group,
     close_under_product,
     parse_group,
-    perm_inv,
     perm_mul,
     subgroup_lattice,
 )
 from burnside.marks import _count_containing, marks_table
 
 from group_fixtures import BENCHMARK_GROUPS, benchmark_group, small_subgroups_of_s6
+from oracles import perm_inv
 
 FIXTURES = ["C2", "C3", "C4", "C6", "C2xC2", "S3", "D4", "Q8", "A4", "S4"]
 
@@ -234,11 +234,28 @@ def test_c2_5_lattice_and_marks_against_gaussian_binomials():
     assert n == subspaces(5) == 374
     # each subgroup of order 2^d contains subspaces(d) subgroups, and in an
     # abelian group each class is one subgroup
-    comparable = [(k, h) for h in range(n) for k in range(n) if lattice.leq(k, h)]
+    comparable = [(k, h) for h in range(n) for k in range(n) if lattice.down_sets[h] >> k & 1]
     assert len(comparable) == sum(gaussian_binomial(5, d) * subspaces(d) for d in range(6))
     # G/H is a group on which K <= H acts trivially: m[H][K] = |G:H|
-    nonzero = {(k, h): table.mark(h, k) for h in range(n) for k in range(n) if table.mark(h, k)}
+    marks = table.matrix.entries
+    nonzero = {(k, h): marks[h][k] for h in range(n) for k in range(n) if marks[h][k]}
     assert nonzero == {(k, h): 32 // lattice.classes[h].order for k, h in comparable}
+
+
+def test_labels_past_the_alphabet_are_printable_and_distinct():
+    """C2^6 has 2,825 subgroup classes, 1,395 of them of order 8 (the
+    Gaussian binomial), so labels run past z: in bijective base 26, 8z is
+    followed by 8aa and 8zz by 8aaa, and the first 26 labels of an order
+    keep their single letter."""
+    group = parse_group("\n".join(f"({2 * i} {2 * i + 1})" for i in range(6)))
+    lattice = subgroup_lattice(group)
+    labels = [cls.label for cls in lattice.classes]
+    assert len(labels) == len(set(labels)) == 2825
+    assert all(label.isascii() and label.isalnum() for label in labels)
+    eights = [cls.label for cls in lattice.classes if cls.order == 8]
+    assert len(eights) == gaussian_binomial(6, 3) == 1395
+    assert eights[:27] == [f"8{chr(ord('a') + i)}" for i in range(26)] + ["8aa"]
+    assert eights[701:703] == ["8zz", "8aaa"]
 
 
 EDGE_GROUPS = [("builtin", name) for name in BUILTIN_GROUPS] + [("benchmark", name) for name in BENCHMARK_GROUPS]
@@ -251,7 +268,7 @@ def test_leq_is_containment_in_a_conjugate(source, name):
     orbits = lattice.orbits
     for h in range(len(orbits)):
         for k in range(len(orbits)):
-            assert lattice.leq(k, h) == (_count_containing(orbits[h], orbits[k][0]) > 0)
+            assert lattice.down_sets[h] >> k & 1 == (_count_containing(orbits[h], orbits[k][0]) > 0)
 
 
 @pytest.mark.parametrize("name", ["C2^4", "S5", "GL(2,3)"])
@@ -322,7 +339,7 @@ def test_lattice_and_marks_match_reference(group):
         for cls in lattice.classes
     ] == classes
     n = len(lattice.classes)
-    assert tuple(tuple(lattice.leq(k, h) for h in range(n)) for k in range(n)) == leq
+    assert tuple(tuple(lattice.down_sets[h] >> k & 1 for h in range(n)) for k in range(n)) == leq
     assert marks_table(lattice).matrix.to_lists() == marks
 
 

@@ -1,0 +1,85 @@
+"""Every function and method of the package is used by the package.
+
+A static scan of src/burnside: a function or method defined there must be
+referenced by name somewhere in the package (as a Name, an Attribute or an
+imported alias), be a target that the benchmark tracer in perfbench/spans.py
+wraps or counts, be a dunder, or be the command-line entry point cli.main.
+A helper that only tests call belongs in tests/oracles.py.  The tracer's
+file is loaded read-only.
+"""
+
+import ast
+import importlib.util
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "burnside"
+SPANS_PATH = ROOT / "perfbench" / "spans.py"
+
+
+def traced_targets() -> set[str]:
+    spec = importlib.util.spec_from_file_location("perfbench_spans_surface", SPANS_PATH)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return {*module.SPANNED, *module.COUNTED}
+
+
+def definitions(module: str, tree: ast.Module):
+    """(dotted target, name) of every function and method in the module,
+    nested ones included, named like the tracer's targets."""
+    stack = [(module, tree)]
+    while stack:
+        prefix, node = stack.pop()
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                if not isinstance(child, ast.ClassDef):
+                    yield f"{prefix}.{child.name}", child.name
+                stack.append((f"{prefix}.{child.name}", child))
+            else:
+                stack.append((prefix, child))
+
+
+def references(tree: ast.Module) -> set[str]:
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            names.update(alias.name for alias in node.names)
+    return names
+
+
+def unreferenced(sources: dict[str, str], traced: set[str]) -> list[str]:
+    """The targets of the definitions in sources (module name -> text) that
+    none of the exemptions covers."""
+    trees = {module: ast.parse(text) for module, text in sources.items()}
+    used = set().union(*map(references, trees.values()))
+    return sorted(
+        target for module, tree in trees.items() for target, name in definitions(module, tree)
+        if name not in used and target not in traced and target != "cli.main"
+        and not (name.startswith("__") and name.endswith("__"))
+    )
+
+
+def test_every_definition_is_used_by_the_package():
+    sources = {path.stem: path.read_text(encoding="utf-8") for path in sorted(PACKAGE.glob("*.py"))}
+    assert {"groups", "marks", "cli"} <= sources.keys()
+    assert unreferenced(sources, traced_targets()) == []
+
+
+def test_scan_flags_what_only_tests_would_call():
+    source = (
+        "class Table:\n"
+        "    def __len__(self): return 0\n"
+        "    def used(self): return 1\n"
+        "    def spanned(self): return 2\n"
+        "    def unused(self): return 3\n"
+        "def helper(): return Table().used()\n"
+        "def main(): return helper()\n"
+        "def orphan(): return None\n"
+    )
+    traced = {"m.Table.spanned"}
+    assert unreferenced({"m": source}, traced) == ["m.Table.unused", "m.main", "m.orphan"]
+    assert unreferenced({"cli": source}, {"cli.Table.spanned"}) == ["cli.Table.unused", "cli.orphan"]

@@ -8,8 +8,6 @@ import pytest
 jsonschema = pytest.importorskip("jsonschema")
 
 from burnside.cli import main
-from burnside.marks import marks_table
-from burnside.groups import builtin_group, subgroup_lattice
 
 DOCS = Path(__file__).parent.parent / "docs"
 DATA = Path(__file__).parent.parent / "src" / "burnside" / "data"
@@ -54,9 +52,9 @@ def test_brauer_results_validate(capsys):
     jsonschema.validate(payload["results"], schema("brauer-certificate.schema.json"))
 
 
-def test_marks_export_validates():
-    table = marks_table(subgroup_lattice(builtin_group("S4")))
-    jsonschema.validate(json.loads(table.to_json()), schema("marks.schema.json"))
+def test_marks_report_results_validate(capsys):
+    payload = cli_json(capsys, "marks", "--group", "D4", "--json")
+    jsonschema.validate(payload["results"], schema("marks.schema.json"))
 
 
 def test_so3_fixture_validates():

@@ -18,7 +18,7 @@ HERE = Path(__file__).resolve().parent
 sys.path.insert(0, str(HERE))
 sys.path.insert(0, str(HERE.parent / "src"))
 
-from burnside.characters import CharacterError, character_table, table_to_text  # noqa: E402
+from burnside.characters import CharacterError, character_table  # noqa: E402
 from burnside.groups import (  # noqa: E402
     BUILTIN_GROUPS,
     builtin_group,
@@ -27,6 +27,7 @@ from burnside.groups import (  # noqa: E402
 )
 
 from group_fixtures import BENCHMARK_GROUPS, benchmark_group  # noqa: E402
+from oracles import table_to_text  # noqa: E402
 
 DIGESTS = HERE / "data" / "table_digests.json"
 
