@@ -1,17 +1,18 @@
 """Exact class functions and representation-ring data for finite groups.
 
-Class functions take cyclotomic values on element conjugacy classes.
-Permutation tuples are the boundary: they name class representatives in
-table files, ClassFunction.value_at looks a value up by one, and they carry
-elements between a group and an explicit subgroup, each with its own index
-core (GroupCore).  Every loop over elements, in the class matrices, power
-maps, conjugation by g and linear characters, runs on element indices and
-the index form of the classes (groups.ConjugacyClasses).  Induction reads
-the count of groups that also gives the marks at single elements,
-|C_G(g)| * |g^G cap S| from class bitmasks: no coset is walked (Serre,
-Linear Representations of Finite Groups (1977), 7.2).  The equalizer does
-not call restrict: it reads G's characters on a subgroup through one
-class-fusion list per subgroup (restriction).
+Class functions take cyclotomic values on element conjugacy classes.  A
+table lives on G's index core (GroupCore): G's own on G, a subgroup's on a
+view of that core (groups.Subgroup), whose classes are keyed by G's indices,
+so values move between G and its subgroups by element index, and
+permutation tuples only name class representatives in table files.  Every
+loop over elements, in the class matrices, power maps, conjugation by g and
+linear characters, runs on element indices and the index form of the
+classes (groups.ConjugacyClasses).  Induction reads the count of groups
+that also gives the marks at single elements, |C_G(g)| * |g^G cap S| from
+class bitmasks: no coset is walked (Serre, Linear Representations of Finite
+Groups (1977), 7.2).  The equalizer does not call restrict: it reads G's
+characters on a subgroup through one class-fusion list per subgroup
+(restriction).
 
 Character tables are either loaded from validated fixture files or computed
 exactly: abelian groups by extending each character generator by generator
@@ -54,12 +55,14 @@ from .exact import prime_factors
 from .groups import (
     Group,
     Perm,
+    Subgroup,
     conjugacy_classes,
     ConjugacyClasses,
     exponent,
     perm_to_cycles,
     parse_cycles,
-    subgroup_as_group,
+    _bits,
+    _mask,
 )
 
 
@@ -82,14 +85,11 @@ class DegreeSumMismatch(CharacterError):
 
 
 class ClassFunction:
-    """A cyclotomic-valued function on the element conjugacy classes of a group."""
+    """A cyclotomic-valued function on the element classes of a group or a subgroup view."""
 
-    def __init__(self, group: Group, classes: ConjugacyClasses, values: tuple[Cyclotomic, ...]):
+    def __init__(self, group: Group | Subgroup, classes: ConjugacyClasses, values: tuple[Cyclotomic, ...]):
         assert len(values) == len(classes.members)
         self.group, self.classes, self.values = group, classes, values
-
-    def value_at(self, element: Perm) -> Cyclotomic:
-        return self.values[self.classes.index_of(element)]
 
     @property
     def degree(self) -> Cyclotomic:
@@ -135,34 +135,31 @@ def induce(xi: ClassFunction, group: Group) -> ClassFunction:
 
     The elements of H are bucketed by their class in H, which lies in one
     class of G; the class h^H adds |C_G(g)| * |h^H| / |H| = [C_G(h) : C_H(h)]
-    times xi(h) to the value at its G-class."""
-    classes, core, sub = conjugacy_classes(group), group.core, xi.group.elements
+    times xi(h) to the value at its G-class.  H is a view of G's core."""
+    classes = conjugacy_classes(group)
     conductor = xi.values[0].conductor if xi.values else 1
     values = [Cyclotomic.zero(conductor)] * len(classes.members)
-    for cls, value in zip(xi.classes.members, xi.values):
-        c = classes.index_of(sub[cls[0]])
-        weight = classes.conjugators_into(c, core.mask(sub[h] for h in cls)) // len(sub)
-        values[c] = values[c] + value * weight
+    for cls, mask, value in zip(xi.classes.members, xi.classes.masks, xi.values):
+        c = classes.class_of[cls[0]]
+        values[c] = values[c] + value * (classes.conjugators_into(c, mask) // xi.group.order)
     return ClassFunction(group, classes, tuple(values))
 
 
-def restrict(chi: ClassFunction, subgroup: Group) -> ClassFunction:
-    """Pull values back along the inclusion of an explicit subgroup."""
+def restrict(chi: ClassFunction, subgroup: Group | Subgroup) -> ClassFunction:
+    """Pull values back along the inclusion of a subgroup on chi's core."""
     sub_classes = conjugacy_classes(subgroup)
-    values = tuple(chi.value_at(rep) for rep in sub_classes.representatives)
+    values = tuple(chi.values[chi.classes.class_of[cls[0]]] for cls in sub_classes.members)
     return ClassFunction(subgroup, sub_classes, values)
 
 
 def conjugate_function(xi: ClassFunction, g: Perm, parent: Group) -> ClassFunction:
-    """Transport xi on H to g H g^-1 by x -> xi(g^-1 x g)."""
+    """Transport xi on H to g H g^-1 by x -> xi(g^-1 x g), on parent's core."""
     core = parent.core
     c = core.index[g]
     ci = core.inverse[c]
-    target = subgroup_as_group(parent, frozenset(
-        core.elements[core.conjugate(core.index[h], ci)] for h in xi.group.elements))
+    target = Subgroup(core, _mask(core.conjugate(h, ci) for h in _bits(xi.group.mask)))
     target_classes = conjugacy_classes(target)
-    values = tuple(xi.value_at(core.elements[core.conjugate(core.index[rep], c)])
-                   for rep in target_classes.representatives)
+    values = tuple(xi.values[xi.classes.class_of[core.conjugate(cls[0], c)]] for cls in target_classes.members)
     return ClassFunction(target, target_classes, values)
 
 
@@ -171,7 +168,7 @@ def conjugate_function(xi: ClassFunction, g: Perm, parent: Group) -> ClassFuncti
 
 
 class CharacterTable:
-    def __init__(self, group: Group, classes: ConjugacyClasses, rows: tuple[ClassFunction, ...]):
+    def __init__(self, group: Group | Subgroup, classes: ConjugacyClasses, rows: tuple[ClassFunction, ...]):
         self.group, self.classes, self.rows = group, classes, rows
         # conductor n -> per row, size-weighted conjugated values at n
         self._weighted_rows: dict = {}
@@ -236,7 +233,7 @@ def validate_table(table: CharacterTable) -> None:
                 raise OrthogonalityFailure(i, j)
 
 
-def linear_characters(group: Group) -> list[ClassFunction]:
+def linear_characters(group: Group | Subgroup) -> list[ClassFunction]:
     """The |G| characters of an abelian group G, as class functions at its
     exponent e, built by extension along its greedy generators.
 
@@ -248,7 +245,7 @@ def linear_characters(group: Group) -> list[ClassFunction]:
     classes, core, e = conjugacy_classes(group), group.core, exponent(group)
     elems, position = [0], {0: 0}  # the elements of H, and the position of each
     chars = [[0]]  # chars[i][r] = k with chi_i(elems[r]) = zeta_e^k
-    for g in core.generating_set((1 << group.order) - 1):
+    for g in core.generating_set(group.mask):
         powers = [0, g]
         while powers[-1] not in position:
             powers.append(core.table[powers[-1]][g])
@@ -262,17 +259,17 @@ def linear_characters(group: Group) -> list[ClassFunction]:
             for chi in chars]
 
 
-def character_table(group: Group) -> CharacterTable:
+def character_table(group: Group | Subgroup) -> CharacterTable:
     """Exact character table, its values at the exponent of the group."""
     classes = conjugacy_classes(group)
-    if group.core.commute(group.core.generators):
+    if group.core.commute(group.gens):
         rows = linear_characters(group)
     else:
         rows = _dixon_schneider(group, classes)
     return CharacterTable(group, classes, tuple(_order_rows(rows)))
 
 
-def _dixon_schneider(group: Group, classes: ConjugacyClasses) -> list[ClassFunction]:
+def _dixon_schneider(group: Group | Subgroup, classes: ConjugacyClasses) -> list[ClassFunction]:
     """The irreducible characters, from the common eigenvectors of the class
     matrices over F_p, each value lifted exactly to Z[zeta_e], e = exp(G)."""
     core, order, e = group.core, group.order, exponent(group)
@@ -310,7 +307,7 @@ def _dixon_schneider(group: Group, classes: ConjugacyClasses) -> list[ClassFunct
     return rows
 
 
-def _class_matrix(group: Group, classes: ConjugacyClasses, j: int) -> list[list[int]]:
+def _class_matrix(group: Group | Subgroup, classes: ConjugacyClasses, j: int) -> list[list[int]]:
     """A_j[r][s] = #{x in C_j : x^-1 g_s in C_r}, so A_j w = omega(C_j) w for
     the central character w_s = omega(C_s) = |C_s| chi(g_s) / chi(1)."""
     core, class_of, k = group.core, classes.class_of, len(classes.members)
@@ -449,8 +446,9 @@ def _parse_cyclotomic_entry(text: str, conductor: int) -> Cyclotomic:
     return Cyclotomic(conductor, coeffs)
 
 
-def load_character_table(path: str, group: Group) -> CharacterTable:
-    """Load and validate a character table file for an explicit group.
+def load_character_table(path: str, group: Group | Subgroup) -> CharacterTable:
+    """Load and validate a character table file for a group or a view of a
+    subgroup.
 
     Format: `group:` and `conductor:` headers, one `class: <cycles> <size>`
     line per conjugacy class (representative in cycle notation), then one
@@ -475,7 +473,7 @@ def load_character_table(path: str, group: Group) -> CharacterTable:
             parts = line.split(":", 1)[1].strip().rsplit(None, 1)
             if len(parts) != 2:
                 raise MalformedEntry(f"class line {line!r} needs a representative and a size")
-            class_reps.append(parse_cycles(parts[0].strip(), degree=group.degree))
+            class_reps.append(parse_cycles(parts[0].strip(), degree=len(group.core.elements[0])))
             class_sizes.append(_integer(parts[1], line))
             continue
         if line.lower().startswith("row:"):
@@ -494,9 +492,10 @@ def load_character_table(path: str, group: Group) -> CharacterTable:
     # map file columns onto the group's class order via the representatives
     column_of: list[int] = []
     for rep, size in zip(class_reps, class_sizes):
-        if rep not in group.core.index:
+        x = group.core.index.get(rep)
+        if x is None or not group.mask >> x & 1:
             raise MalformedEntry(f"representative {perm_to_cycles(rep)} not in group")
-        idx = classes.index_of(rep)
+        idx = classes.class_of[x]
         if classes.sizes[idx] != size:
             raise MalformedEntry(f"class {perm_to_cycles(rep)} has size {classes.sizes[idx]}, file says {size}")
         column_of.append(idx)

@@ -254,11 +254,12 @@ KINDS = {1: "check failed", 2: "error", 3: "internal error"}
 
 
 def _emit_error(kind: str, exc: Exception, as_json: bool) -> None:
+    message = str(exc) or type(exc).__name__  # a bare MemoryError() has no message
     if as_json:
-        payload = {"error": {"kind": kind, "type": type(exc).__name__, "message": str(exc)}}
+        payload = {"error": {"kind": kind, "type": type(exc).__name__, "message": message}}
         print(json.dumps(payload, sort_keys=True), file=sys.stderr)
     else:
-        print(f"{kind}: {exc}", file=sys.stderr)
+        print(f"{kind}: {message}", file=sys.stderr)
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -4,19 +4,19 @@ Permutations are tuples mapping point i to perm[i]; composition is
 (p * q)(i) = p(q(i)).  Permutation tuples are the boundary: they are parsed,
 closed into a group by group_from_generators, turned into a Cayley table by
 the GroupCore constructor and printed, and the public API passes subgroups
-as frozensets of them.  Every loop behind that boundary runs on the group's
-index core (GroupCore): element i is group.elements[i], products are
-Cayley-table lookups, and a subgroup is an int bitmask with bit i set when
-element i belongs to it.  Conjugacy classes, cosets and generating sets come
-from the core.  Element classes are held in index form, each class's
-element indices and the class of each index; their permutations are read
-only for table files, report labels (ConjugacyClasses.label) and
-ClassFunction.value_at.  A subgroup class holds its representative as a
-bitmask too, and its permutations are read on demand, for the explicit
-subgroups whose character tables are built or loaded.  One count,
-|C_G(g)| * |g^G cap S| from g's class mask and the bitmask of S
-(ConjugacyClasses.conjugators_into), gives the marks at single elements
-and induced characters.  The subgroup lattice is
+as frozensets of them.  Every loop behind that boundary runs on G's index
+core (GroupCore), the only core a command builds: element i is
+group.elements[i], products are Cayley-table lookups, and a subgroup is an
+int bitmask with bit i set when element i belongs to it.  A subgroup whose
+character table is read is a Subgroup, a view of G's core and its bitmask.
+Group and Subgroup offer the same attributes, core, mask, order and gens
+(generator indices), and conjugacy_classes gives the element classes of
+either in G's index space: each class's element indices, and the class of
+each index.  Their permutations are read only for table files and report
+labels (ConjugacyClasses.label).  A subgroup class holds its representative
+as a bitmask too.  One count, |C_G(g)| * |g^G cap S| from g's class mask
+and the bitmask of S (ConjugacyClasses.conjugators_into), gives the marks
+at single elements and induced characters.  The subgroup lattice is
 enumerated by cyclic extension, one representative per conjugacy class
 extended by one cyclic subgroup per orbit of its normalizer.  Normalizer
 orders and marks are read off the conjugation orbits of those bitmasks, and
@@ -136,6 +136,7 @@ class Group:
                  name: str = ""):
         assert elements, "a group has at least the identity"
         self.degree, self.generators, self.elements, self.name = degree, generators, elements, name
+        self.mask = (1 << len(elements)) - 1
 
     @property
     def order(self) -> int:
@@ -144,6 +145,10 @@ class Group:
     @property
     def identity(self) -> Perm:
         return perm_identity(self.degree)
+
+    @property
+    def gens(self) -> list[int]:
+        return self.core.generators
 
     @cached_property
     def core(self) -> "GroupCore":
@@ -315,6 +320,19 @@ class GroupCore:
         return out, root
 
 
+class Subgroup:
+    """A subgroup of G as a view of G's core: the set bits of mask are its elements and the
+    greedy generating set its gens, all G's indices, so it keeps G's sorted element order."""
+
+    def __init__(self, core: GroupCore, mask: int, name: str = ""):
+        self.core, self.mask, self.name = core, mask, name
+        self.order, self.gens = mask.bit_count(), core.generating_set(mask)
+
+    @cached_property
+    def _conjugacy_classes(self) -> "ConjugacyClasses":
+        return _element_classes(self)
+
+
 def _mask(indices: Iterable[int]) -> int:
     mask = 0
     for i in indices:
@@ -416,16 +434,16 @@ def parse_group(spec: str, cap: int = DEFAULT_ORDER_CAP) -> Group:
 class ConjugacyClasses:
     """Element conjugacy classes in index form, with a deterministic order
     (identity first): members[c] lists the element indices of class c over
-    group.core, ascending, and class_of[x] is the class of element index x.
-    Permutations appear only at the boundary, in representatives, label and
-    index_of."""
+    group.core, ascending, and class_of[x] is the class of element index x,
+    keyed by the group's elements.  Permutations appear only at the
+    boundary, in representatives, label and index_of."""
 
-    def __init__(self, group: Group, members: tuple[tuple[int, ...], ...], class_of: tuple[int, ...]):
+    def __init__(self, group: Group | Subgroup, members: tuple[tuple[int, ...], ...], class_of: dict[int, int]):
         self.group, self.members, self.class_of = group, members, class_of
 
-    @property
+    @cached_property
     def representatives(self) -> list[Perm]:
-        return [self.group.elements[cls[0]] for cls in self.members]
+        return [self.group.core.elements[cls[0]] for cls in self.members]
 
     @property
     def sizes(self) -> list[int]:
@@ -436,7 +454,7 @@ class ConjugacyClasses:
 
     def label(self, c: int) -> str:
         """Class c's name in reports: its first member in cycle notation."""
-        return perm_to_cycles(self.group.elements[self.members[c][0]])
+        return perm_to_cycles(self.representatives[c])
 
     @cached_property
     def masks(self) -> tuple[int, ...]:
@@ -451,38 +469,36 @@ class ConjugacyClasses:
         return self.group.order // len(self.members[c]) * (mask & self.masks[c]).bit_count()
 
 
-def conjugacy_classes(group: Group) -> ConjugacyClasses:
+def conjugacy_classes(group: Group | Subgroup) -> ConjugacyClasses:
     """Orbits under conjugation by the generators, sorted by element order,
     then size, then least member.  Computed once per group and kept on it."""
     return group._conjugacy_classes
 
 
-def _element_classes(group: Group) -> ConjugacyClasses:
+def _element_classes(group: Group | Subgroup) -> ConjugacyClasses:
     core = group.core
-    seen = bytearray(len(core.elements))
+    table, orders = core.table, core.orders
+    acting = [(table[core.inverse[s]], s) for s in group.gens]  # table[row[y]][s] = s^-1*y*s
+    seen = bytearray(len(table))
     classes = []
-    for x in range(len(core.elements)):
+    for x in _bits(group.mask):
         if seen[x]:
             continue
         seen[x] = 1
         orbit = [x]
         for y in orbit:
-            for conj in core.conjugations:
-                z = conj[y]
+            for row, s in acting:
+                z = table[row[y]][s]
                 if not seen[z]:
                     seen[z] = 1
                     orbit.append(z)
         classes.append(tuple(sorted(orbit)))
-    classes.sort(key=lambda cls: (core.orders[cls[0]], len(cls), cls[0]))
-    class_of = [0] * len(core.elements)
-    for c, cls in enumerate(classes):
-        for x in cls:
-            class_of[x] = c
-    return ConjugacyClasses(group, tuple(classes), tuple(class_of))
+    classes.sort(key=lambda cls: (orders[cls[0]], len(cls), cls[0]))
+    return ConjugacyClasses(group, tuple(classes), {x: c for c, cls in enumerate(classes) for x in cls})
 
 
-def exponent(group: Group) -> int:
-    return math.lcm(*group.core.orders)
+def exponent(group: Group | Subgroup) -> int:
+    return math.lcm(*(group.core.orders[x] for x in _bits(group.mask)))
 
 
 # ---------------------------------------------------------------------------
@@ -491,23 +507,13 @@ def exponent(group: Group) -> int:
 
 class SubgroupClass:
     """A conjugacy class of subgroups, with its classification data.  The
-    representative is held as its bitmask over the group's core, and its
-    permutations are read from the core only when representative or
-    element_set is read."""
+    representative is held as its bitmask over the group's core."""
 
     def __init__(self, core: GroupCore, mask: int, bound: int, order: int, weyl_order: int,
                  is_abelian: bool, label: str):
         self.core, self.mask, self.label = core, mask, label
         self.bound = bound  # the size of a known generating set
         self.order, self.weyl_order, self.is_abelian = order, weyl_order, is_abelian
-
-    @property
-    def representative(self) -> tuple[Perm, ...]:
-        return self.core.perms(self.mask)
-
-    @property
-    def element_set(self) -> frozenset:
-        return frozenset(self.representative)
 
     @cached_property
     def min_generators(self) -> int:
@@ -808,11 +814,3 @@ def double_cosets(group: Group, k_sub: frozenset, h_sub: frozenset) -> DoubleCos
         cosets.append(DoubleCoset(elements[rep], k_sub.intersection(conj_h), len(orbit)))
     return DoubleCosetDecomposition(group, k_sub, h_sub, tuple(cosets))
 
-
-def subgroup_as_group(parent: Group, elements: frozenset, name: str = "") -> Group:
-    """Wrap an explicit subgroup as a standalone Group value, generated by
-    the greedy generating set of the parent's core."""
-    core = parent.core
-    mask = core.mask(elements)
-    gens = tuple(core.elements[g] for g in core.generating_set(mask))
-    return Group(parent.degree, gens, core.perms(mask), name)

@@ -26,8 +26,10 @@ _artin_section), so the section reads all its rows from the equalizer.
 So tables are read, and with --tables loaded, for the maximal members of
 the n-hyper family, the support of the Artin certificate and G alone.
 
-G's table lives on G itself.  Each member is read through one fusion list,
-fusion[c] the G-class of its class c: M's block takes G's rows at those
+G's table lives on G itself, and each member's on a view of G's core
+(groups.Subgroup), so the command builds one core.  Each member is read
+through one fusion list, fusion[c] the G-class of its class c, read off the
+least element index of the class: M's block takes G's rows at those
 classes, and the fusion check compares the basis columns along the lists.
 """
 
@@ -47,12 +49,7 @@ from .characters import (
     conjugate_function,
     load_character_table,
 )
-from .groups import (
-    Group,
-    SubgroupLattice,
-    conjugacy_classes,
-    subgroup_as_group,
-)
+from .groups import Group, Subgroup, SubgroupLattice, conjugacy_classes
 from .marks import MarksTable, element_checks
 
 
@@ -85,10 +82,13 @@ class NotIsomorphism(RestrictionError):
 
 
 class TableProvider:
-    """Character tables for the subgroup classes of one ambient group.
+    """Character tables for the subgroup classes of one ambient group G.
 
-    The equalizer and the verifications read class tables only; table_for
-    transports a class's table to an explicit conjugate subgroup.
+    A class's table lives on G for the full class and otherwise on a view
+    of its representative's bitmask on G's core, so every table shares G's
+    element indices.  The equalizer and the verifications read class tables
+    only; table_for transports a class's table to a conjugate subgroup,
+    again a view of G's core.
     """
 
     def __init__(self, lattice: SubgroupLattice):
@@ -104,20 +104,20 @@ class TableProvider:
     def _build(self, class_index: int) -> CharacterTable:
         return character_table(self._class_group(class_index))
 
-    def _class_group(self, class_index: int) -> Group:
+    def _class_group(self, class_index: int) -> Group | Subgroup:
         """The group a class's table lives on: G itself for the full class,
-        else the class representative as an explicit subgroup."""
+        else the view of the class representative on G's core."""
         if class_index == self.lattice.full_index:
             return self.lattice.group
-        rep = self.lattice.classes[class_index].element_set
-        return subgroup_as_group(self.lattice.group, rep, name=self.lattice.label_of(class_index))
+        cls = self.lattice.classes[class_index]
+        return Subgroup(self.lattice.group.core, cls.mask, cls.label)
 
     def table_for(self, subgroup: frozenset) -> CharacterTable:
         if subgroup in self._conjugate_tables:
             return self._conjugate_tables[subgroup]
         class_index, g = self.lattice.class_of_subgroup(subgroup)
         base = self.class_table(class_index)
-        if frozenset(base.group.elements) == subgroup:
+        if base.group.mask == self.lattice.group.core.mask(subgroup):
             table = base
         else:
             rows = tuple(conjugate_function(row, g, self.lattice.group) for row in base.rows)
@@ -205,8 +205,8 @@ def equalizer_lattice(family: list[int], provider: TableProvider,
         raise EmptyFamily("equalizer over an empty family")
     tables = [provider.class_table(i) for i in family]
     top_table = provider.class_table(lattice.full_index)
-    g_classes, index = conjugacy_classes(lattice.group), lattice.group.core.index
-    fusions = [[g_classes.class_of[index[rep]] for rep in table.classes.representatives] for table in tables]
+    g_classes = conjugacy_classes(lattice.group)
+    fusions = [[g_classes.class_of[cls[0]] for cls in table.classes.members] for table in tables]
     stacked = [row for table, fusion in zip(tables, fusions) for row in _stacked_block(table, fusion, top_table)]
     echelon = row_echelon(stacked, top_table.size)
     eq = EqualizerLattice(tuple(family), IntMatrix.from_rows(stacked), IntMatrix.from_rows(echelon),

@@ -48,7 +48,7 @@ from burnside.marks import (
     solve_ghost,
 )
 
-from oracles import left_coset_representatives, perm_inv
+from oracles import element_set, left_coset_representatives, perm_inv, value_at
 
 WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "data" / "workloads.json"
 # name -> {"generators": [...], "conjugacy_classes": k, ...}
@@ -96,13 +96,13 @@ def induced_by_cosets(xi: ClassFunction, group: Group) -> ClassFunction:
     c^-1 g c in H, one for each coset cH that g fixes."""
     core = group.core
     classes = conjugacy_classes(group)
-    mask = core.mask(xi.group.elements)
+    mask = xi.group.mask
     cosets = left_coset_representatives(core, mask)
     conductor = xi.values[0].conductor if xi.values else 1
     values = []
     for rep in classes.representatives:
         moved = (core.conjugate(core.index[rep], c) for c in cosets)
-        values.append(sum((xi.value_at(core.elements[m]) for m in moved if mask >> m & 1),
+        values.append(sum((value_at(xi, core.elements[m]) for m in moved if mask >> m & 1),
                           Cyclotomic.zero(conductor)))
     return ClassFunction(group, classes, tuple(values))
 
@@ -150,11 +150,11 @@ def gluck_scaled_idempotents(table: MarksTable) -> list[tuple[int, ...]]:
     subgroups = all_subgroups(group)
     class_of = {}
     for idx, cls in enumerate(table.lattice.classes):
-        for conjugate in conjugates(cls.element_set, group.elements):
+        for conjugate in conjugates(element_set(cls), group.elements):
             class_of[conjugate] = idx
     out = []
     for cls in table.lattice.classes:
-        top = cls.element_set
+        top = element_set(cls)
         below = sorted((s for s in subgroups if s <= top), key=len, reverse=True)
         mu = {}
         for low in below:

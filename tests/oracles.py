@@ -11,9 +11,12 @@ CharacterTable.coordinates; from_coordinates and
 constant_function build class functions; perm_character is g -> |(G/H)^g|;
 frobenius_check and mackey_check test Frobenius reciprocity and the Mackey
 formula with induce, restrict and conjugate_function; table_to_text writes
-a table in the file format load_character_table reads.  is_n_hyper,
-p_perfect_core and abelian_min_generators classify a subgroup from its
-permutations alone, the oracle for brauer.in_hyper_family and the
+a table in the file format load_character_table reads; value_at reads a
+class function at a permutation.  subgroup_view wraps a frozenset of
+permutations as a view of G's core (groups.Subgroup), and element_set and
+representative read a subgroup class's permutations off its bitmask.
+is_n_hyper, p_perfect_core and abelian_min_generators classify a subgroup
+from its permutations alone, the oracle for brauer.in_hyper_family and the
 lattice's generator counts.  Not a test module: nothing here is collected.
 """
 
@@ -45,7 +48,8 @@ from burnside.groups import (
     perm_identity,
     perm_mul,
     perm_to_cycles,
-    subgroup_as_group,
+    Subgroup,
+    SubgroupClass,
 )
 
 
@@ -105,6 +109,10 @@ def from_coordinates(table: CharacterTable, coords: Sequence[int]) -> ClassFunct
     return total
 
 
+def value_at(chi: ClassFunction, element: Perm) -> Cyclotomic:
+    return chi.values[chi.classes.index_of(element)]
+
+
 def perm_character(group: Group, subgroup: frozenset) -> ClassFunction:
     """Character of the action on G/H: g -> |(G/H)^g|."""
     classes = conjugacy_classes(group)
@@ -116,24 +124,23 @@ def perm_character(group: Group, subgroup: frozenset) -> ClassFunction:
 
 def frobenius_check(e: ClassFunction, m: ClassFunction, group: Group) -> bool:
     """ind(e) * m == ind(e * res m), exactly."""
-    sub = subgroup_as_group(group, frozenset(e.group.elements))
     left = multiply(induce(e, group), m)
-    right = induce(multiply(e, restrict(m, sub)), group)
+    right = induce(multiply(e, restrict(m, e.group)), group)
     return left == right
 
 
 def mackey_check(k_sub: frozenset, xi: ClassFunction, group: Group) -> bool:
     """res_K ind_H xi == sum over K\\G/H of ind res of the conjugated xi."""
-    k_group = subgroup_as_group(group, k_sub)
+    k_group = subgroup_view(group, k_sub)
     left = restrict(induce(xi, group), k_group)
-    h_sub = frozenset(xi.group.elements)
+    h_sub = frozenset(group.core.perms(xi.group.mask))
     decomposition = double_cosets(group, k_sub, h_sub)
     k_classes = conjugacy_classes(k_group)
     conductor = xi.values[0].conductor if xi.values else 1
     total = constant_function(k_group, k_classes, Cyclotomic.zero(conductor))
     for coset in decomposition.cosets:
         conj = conjugate_function(xi, coset.representative, group)
-        inter = subgroup_as_group(group, coset.intersection)
+        inter = subgroup_view(group, coset.intersection)
         piece = induce(restrict(conj, inter), k_group)
         total = add(total, piece)
     return left == total
@@ -151,6 +158,20 @@ def table_to_text(table: CharacterTable) -> str:
 
 # ---------------------------------------------------------------------------
 # permutations, cosets and subgroup classifications
+
+
+def subgroup_view(group: Group, elements: frozenset, name: str = "") -> Subgroup:
+    """The subgroup with the given permutations, as a view of group's core."""
+    return Subgroup(group.core, group.core.mask(elements), name)
+
+
+def representative(cls: SubgroupClass) -> tuple[Perm, ...]:
+    """The permutations of a subgroup class's representative, sorted."""
+    return cls.core.perms(cls.mask)
+
+
+def element_set(cls: SubgroupClass) -> frozenset:
+    return frozenset(representative(cls))
 
 
 def perm_inv(p: Perm) -> Perm:

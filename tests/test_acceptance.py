@@ -26,7 +26,6 @@ from burnside.groups import (
     conjugacy_classes,
     exponent,
     parse_group,
-    subgroup_as_group,
     subgroup_lattice,
 )
 from burnside.lie import load_phi_data, order_n_lie, power
@@ -40,7 +39,7 @@ from burnside.marks import (
 from burnside.restriction import verify_artin_restriction, verify_brauer_restriction
 
 from group_fixtures import benchmark_group, local_idempotent, pointwise, sparse
-from oracles import frobenius_check, is_n_hyper, mackey_check
+from oracles import element_set, frobenius_check, is_n_hyper, mackey_check, subgroup_view
 
 FIXTURES = ["C2", "C3", "C4", "C6", "C2xC2", "S3", "D4", "Q8", "A4", "S4"]
 
@@ -120,7 +119,7 @@ def test_criterion_4_brauer_certificates():
         primes = sorted(cert.bezout) or [2]
         for h in cert.decomposition.coefficients:
             assert any(
-                is_n_hyper(table.lattice.classes[h].element_set, 1, p, group.degree)
+                is_n_hyper(element_set(table.lattice.classes[h]), 1, p, group.degree)
                 for p in primes
             )
         for g in group.elements:
@@ -282,7 +281,7 @@ def test_criterion_8_mackey_frobenius_random():
         cond = exponent(group)
         g_classes = conjugacy_classes(group)
         rng = random.Random(20240 + len(name) * 31 + group.order)
-        sub_groups = [subgroup_as_group(group, cls.element_set) for cls in lattice.classes]
+        sub_groups = [subgroup_view(group, element_set(cls)) for cls in lattice.classes]
         sub_classes = [conjugacy_classes(s) for s in sub_groups]
 
         def random_function(grp, classes):
@@ -301,7 +300,7 @@ def test_criterion_8_mackey_frobenius_random():
             i = rng.randrange(len(sub_groups))
             j = rng.randrange(len(sub_groups))
             xi = random_function(sub_groups[i], sub_classes[i])
-            assert mackey_check(lattice.classes[j].element_set, xi, group)
+            assert mackey_check(element_set(lattice.classes[j]), xi, group)
     elapsed = time.monotonic() - start
     print(f"ACCEPTANCE 8 PASS 100 random Frobenius/Mackey instances per fixture ({elapsed:.2f}s)")
 

@@ -13,6 +13,7 @@ from burnside.groups import builtin_group, perm_mul, subgroup_lattice
 from burnside.marks import BurnsideElement, GhostElement, marks_table, phi
 
 from group_fixtures import artin_member_terms, benchmark_group, dense, in_ideal_jn
+from oracles import element_set
 
 FIXTURES = ["C2", "C3", "C4", "C6", "C2xC2", "S3", "D4", "Q8", "A4", "S4"]
 N_VALUES = [0, 1, 2, math.inf]
@@ -31,7 +32,7 @@ def oracle_fixed_points(table, h: int, g) -> int:
     """Count fixed cosets of g on explicit coset sets."""
     lattice = table.lattice
     group = lattice.group
-    hset = lattice.classes[h].element_set
+    hset = element_set(lattice.classes[h])
     count = 0
     seen = set()
     for rep in group.elements:

@@ -33,7 +33,7 @@ from group_fixtures import (
     small_subgroups_of_s6,
     sparse,
 )
-from oracles import is_n_hyper
+from oracles import element_set, is_n_hyper
 
 FIXTURES = ["C2", "C3", "C4", "C6", "C2xC2", "S3", "D4", "Q8", "A4", "S4"]
 
@@ -50,7 +50,7 @@ def tables():
 def oracle_fixed_points(table, h: int, g) -> int:
     lattice = table.lattice
     group = lattice.group
-    hset = lattice.classes[h].element_set
+    hset = element_set(lattice.classes[h])
     count = 0
     seen = set()
     for rep in group.elements:
@@ -145,7 +145,7 @@ class TestIPN:
         scale = coprime_part(lattice.group.order, p)
         values = dense(i_pn(p, abelian_family(lattice, 1), table), table.size)
         for idx, cls in enumerate(lattice.classes):
-            expected = scale if is_n_hyper(cls.element_set, 1, p, degree) else 0
+            expected = scale if is_n_hyper(element_set(cls), 1, p, degree) else 0
             assert values[idx] == expected
 
 
@@ -176,7 +176,7 @@ class TestBrauerCertificate:
         # all subgroups of a p-group are 1-hyper
         degree = table.lattice.group.degree
         for h in cert.decomposition.coefficients:
-            assert is_n_hyper(table.lattice.classes[h].element_set, 1, 2, degree)
+            assert is_n_hyper(element_set(table.lattice.classes[h]), 1, 2, degree)
 
     def test_trivial_group(self, tables):
         cert = brauer_certificate(tables["trivial"], 1)
@@ -213,7 +213,7 @@ class TestBrauerCertificate:
         primes = sorted(cert.bezout) or [2]
         for h in cert.decomposition.coefficients:
             assert any(
-                is_n_hyper(table.lattice.classes[h].element_set, 1, p, degree) for p in primes
+                is_n_hyper(element_set(table.lattice.classes[h]), 1, p, degree) for p in primes
             )
 
     def test_bezout_identity(self, tables):
@@ -247,7 +247,7 @@ def assert_hyper_rule_matches_reference(lattice):
             family = abelian_family(lattice, n)
             family = AbelianClassFamily(family.n, family.class_indices, p)
             for h, cls in enumerate(lattice.classes):
-                expected = is_n_hyper(cls.element_set, n, p, degree)
+                expected = is_n_hyper(element_set(cls), n, p, degree)
                 assert in_hyper_family(lattice, h, family) == expected, (cls.label, p, n)
 
 

@@ -32,6 +32,7 @@ from group_fixtures import (
     sparse,
     unit,
 )
+from oracles import element_set, representative
 
 FIXTURES = ["C2", "C3", "C4", "C6", "C2xC2", "S3", "D4", "Q8", "A4", "S4"]
 
@@ -49,8 +50,8 @@ def oracle_marks(table, h: int, k: int) -> int:
     """Fixed cosets counted on explicit coset sets acted on by K."""
     lattice = table.lattice
     group = lattice.group
-    hset = lattice.classes[h].element_set
-    kset = lattice.classes[k].representative
+    hset = element_set(lattice.classes[h])
+    kset = representative(lattice.classes[k])
     cosets = []
     seen = set()
     for g in group.elements:
@@ -180,7 +181,7 @@ class TestMultiply:
         # [S3/C2] x [S3/C2] decomposed by counting orbits of the product G-set
         table = tables["S3"]
         group = table.lattice.group
-        c2 = table.lattice.classes[1].element_set
+        c2 = element_set(table.lattice.classes[1])
         cosets = []
         seen = set()
         for g in group.elements:

@@ -37,7 +37,6 @@ from burnside.groups import (
     exponent,
     parse_cycles,
     parse_group,
-    subgroup_as_group,
     subgroup_lattice,
 )
 
@@ -53,6 +52,7 @@ from group_fixtures import (
 from oracles import (
     constant_function,
     degrees,
+    element_set,
     frobenius_check,
     from_coordinates,
     inner_product,
@@ -60,6 +60,7 @@ from oracles import (
     perm_character,
     perm_inv,
     scale,
+    subgroup_view,
     subtract,
     table_to_text,
 )
@@ -123,21 +124,21 @@ class TestPermCharacter:
 class TestInduce:
     def test_trivial_character_of_c3(self, s3):
         c3 = explicit_subgroup(s3, "(0 1 2)")
-        sub = subgroup_as_group(s3, c3)
+        sub = subgroup_view(s3, c3)
         one = constant_function(sub, conjugacy_classes(sub), 1)
         induced = induce(one, s3)
         assert [v.as_rational() for v in induced.values] == [2, 0, 2]
         assert induced == perm_character(s3, c3)
 
     def test_induce_from_full_group_is_identity(self, s3):
-        sub = subgroup_as_group(s3, frozenset(s3.elements))
+        sub = subgroup_view(s3, frozenset(s3.elements))
         table = character_table(sub)
         for row in table.rows:
             assert induce(row, s3) == ClassFunction(s3, conjugacy_classes(s3), row.values)
 
     def test_nontrivial_character_of_c3(self, s3):
         c3 = explicit_subgroup(s3, "(0 1 2)")
-        sub = subgroup_as_group(s3, c3)
+        sub = subgroup_view(s3, c3)
         classes = conjugacy_classes(sub)
         z = Cyclotomic.zeta(3)
         # classes of C3 ordered e, g, g^2 with g the sorted-first 3-cycle
@@ -162,10 +163,10 @@ def assert_class_counts_match_cosets(group) -> None:
     assert all(classes.class_of[x] == c for c, cls in enumerate(classes.members) for x in cls)
     table = marks_table(subgroup_lattice(group))
     for h, cls in enumerate(table.lattice.classes):
-        chi = perm_character(group, cls.element_set)
+        chi = perm_character(group, element_set(cls))
         assert [v.as_rational() for v in chi.values] == \
             [coset_fixed_points(table, h, g) for g in classes.representatives]
-        for xi in character_table(subgroup_as_group(group, cls.element_set)).rows:
+        for xi in character_table(subgroup_view(group, element_set(cls))).rows:
             assert exact_values(induce(xi, group)) == exact_values(induced_by_cosets(xi, group))
 
 
@@ -187,32 +188,32 @@ class TestClassCountsAgainstCosets:
 class TestRestrict:
     def test_perm_character_restriction(self, s3):
         c2 = explicit_subgroup(s3, "(0 1)")
-        sub = subgroup_as_group(s3, c2)
+        sub = subgroup_view(s3, c2)
         chi = perm_character(s3, c2)
         res = restrict(chi, sub)
         assert [v.as_rational() for v in res.values] == [3, 1]
 
     def test_constant_restricts_to_constant(self, s3):
         one = constant_function(s3, conjugacy_classes(s3), 1)
-        c3 = subgroup_as_group(s3, explicit_subgroup(s3, "(0 1 2)"))
+        c3 = subgroup_view(s3, explicit_subgroup(s3, "(0 1 2)"))
         assert all(v == 1 for v in restrict(one, c3).values)
 
     def test_restrict_to_trivial_gives_degree(self, s3):
         chi = perm_character(s3, explicit_subgroup(s3, "(0 1)"))
-        triv = subgroup_as_group(s3, frozenset([s3.identity]))
+        triv = subgroup_view(s3, frozenset([s3.identity]))
         res = restrict(chi, triv)
         assert [v.as_rational() for v in res.values] == [3]
 
 
 class TestFrobenius:
     def test_worked_example(self, s3):
-        c2 = subgroup_as_group(s3, explicit_subgroup(s3, "(0 1)"))
+        c2 = subgroup_view(s3, explicit_subgroup(s3, "(0 1)"))
         e = constant_function(c2, conjugacy_classes(c2), 1)
         m = perm_character(s3, explicit_subgroup(s3, "(0 1 2)"))
         assert frobenius_check(e, m, s3)
 
     def test_zero(self, s3):
-        c2 = subgroup_as_group(s3, explicit_subgroup(s3, "(0 1)"))
+        c2 = subgroup_view(s3, explicit_subgroup(s3, "(0 1)"))
         zero = constant_function(c2, conjugacy_classes(c2), 0)
         m = perm_character(s3, explicit_subgroup(s3, "(0 1 2)"))
         assert frobenius_check(zero, m, s3)
@@ -226,7 +227,7 @@ class TestFrobenius:
         rng = random.Random(hash(name) % 100000)
         for _ in range(10):
             cls = lattice.classes[rng.randrange(len(lattice.classes))]
-            sub = subgroup_as_group(group, cls.element_set)
+            sub = subgroup_view(group, element_set(cls))
             e = random_class_function(sub, conjugacy_classes(sub), rng, cond)
             m = random_class_function(group, g_classes, rng, cond)
             assert frobenius_check(e, m, group)
@@ -235,7 +236,7 @@ class TestFrobenius:
 class TestMackey:
     def test_worked_example(self, s3):
         c2 = explicit_subgroup(s3, "(0 1)")
-        sub = subgroup_as_group(s3, c2)
+        sub = subgroup_view(s3, c2)
         xi = constant_function(sub, conjugacy_classes(sub), 1)
         assert mackey_check(c2, xi, s3)
         # by hand: left side res(ind 1) = (3, 1); right side (1,1) + (2,0)
@@ -243,12 +244,12 @@ class TestMackey:
         assert [v.as_rational() for v in left.values] == [3, 1]
 
     def test_k_is_full_group(self, s3):
-        c3 = subgroup_as_group(s3, explicit_subgroup(s3, "(0 1 2)"))
+        c3 = subgroup_view(s3, explicit_subgroup(s3, "(0 1 2)"))
         xi = constant_function(c3, conjugacy_classes(c3), 1)
         assert mackey_check(frozenset(s3.elements), xi, s3)
 
     def test_h_is_full_group(self, s3):
-        sub = subgroup_as_group(s3, frozenset(s3.elements))
+        sub = subgroup_view(s3, frozenset(s3.elements))
         xi = perm_character(s3, explicit_subgroup(s3, "(0 1)"))
         xi = ClassFunction(sub, conjugacy_classes(sub), xi.values)
         c2 = explicit_subgroup(s3, "(0 1)")
@@ -263,9 +264,9 @@ class TestMackey:
         for _ in range(6):
             hcls = lattice.classes[rng.randrange(len(lattice.classes))]
             kcls = lattice.classes[rng.randrange(len(lattice.classes))]
-            sub = subgroup_as_group(group, hcls.element_set)
+            sub = subgroup_view(group, element_set(hcls))
             xi = random_class_function(sub, conjugacy_classes(sub), rng, cond)
-            assert mackey_check(kcls.element_set, xi, group)
+            assert mackey_check(element_set(kcls), xi, group)
 
 
 class TestReciprocity:
@@ -273,9 +274,9 @@ class TestReciprocity:
     def test_inner_product_form(self, name):
         group = builtin_group(name)
         lattice = subgroup_lattice(group)
-        top = character_table(subgroup_as_group(group, frozenset(group.elements), name))
+        top = character_table(subgroup_view(group, frozenset(group.elements), name))
         for cls in lattice.classes:
-            sub = subgroup_as_group(group, cls.element_set)
+            sub = subgroup_view(group, element_set(cls))
             for xi in character_table(sub).rows:
                 up = induce(xi, group)
                 for chi in top.rows:
@@ -376,7 +377,7 @@ class TestCharacterTables:
         group = builtin_group("S4")
         lattice = subgroup_lattice(group)
         cls = next(c for c in lattice.classes if c.order == 3)
-        base = character_table(subgroup_as_group(group, cls.element_set))
+        base = character_table(subgroup_view(group, element_set(cls)))
         g = group.elements[5]
         rows = tuple(conjugate_function(row, g, group) for row in base.rows)
         CharacterTable(rows[0].group, rows[0].classes, rows)  # validates
@@ -598,6 +599,18 @@ class TestTableFiles:
             keys_a = sorted(tuple(tuple(v.to_conductor(12).coeffs for v in row.values)) for row in a.rows)
             keys_b = sorted(tuple(tuple(v.to_conductor(12).coeffs for v in row.values)) for row in b.rows)
             assert keys_a == keys_b
+
+
+def test_table_file_naming_an_element_outside_the_subgroup_is_refused(tmp_path, s3):
+    """A subgroup's table is loaded onto a view of G's core, whose index
+    holds all of G: a class line naming an element of G outside the
+    subgroup is refused all the same."""
+    c3 = subgroup_view(s3, explicit_subgroup(s3, "(0 1 2)"))
+    path = tmp_path / "3a.tbl"
+    path.write_text("group: 3a\nconductor: 3\nclass: () 1\nclass: (0 1 2) 1\nclass: (0 1) 1\n"
+                    "row: 1 1 1\nrow: 1 z z^2\nrow: 1 z^2 z\n")
+    with pytest.raises(MalformedEntry, match=r"representative \(0 1\) not in group"):
+        load_character_table(str(path), c3)
 
 
 def reference_pairing(weights, left, right):

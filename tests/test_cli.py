@@ -365,10 +365,11 @@ class TestDeterminism:
 S3 = ["--group", "S3", "--json"]
 SO3 = ["--file", str(DATA_DIR / "so3.json"), "--json"]
 
-def planted(error, args, site, argv, code, kind):
-    """A row that plants error(*args) at site and runs argv."""
-    return pytest.param((site, error, args), {}, argv, code, kind, error.__name__, str(error(*args)),
-                        id=error.__name__)
+def planted(error, args, site, argv, code, kind, message=None, id=None):
+    """A row that plants error(*args) at site and runs argv; the message is
+    str(error(*args)) unless given."""
+    message = str(error(*args)) if message is None else message
+    return pytest.param((site, error, args), {}, argv, code, kind, error.__name__, message, id=id or error.__name__)
 
 
 def malformed(name, files, argv, error, message):
@@ -407,6 +408,11 @@ EXIT_CODES = [
     # the coprime parts of |G|_n always have gcd 1, so a GcdNotOne from
     # Brauer's Bezout step is an internal error, not an input error
     planted(GcdNotOne, ("planted",), (brauer, "extended_euclid_set"), ["brauer", *S3], 3, "internal error"),
+    # on S4, whose |G|_n has two coprime parts to combine
+    planted(GcdNotOne, ("planted",), (brauer, "extended_euclid_set"), ["brauer", "--group", "S4", "--json"], 3,
+            "internal error", id="GcdNotOne-S4"),
+    # an exception whose str() is empty reports its type name as the message
+    planted(MemoryError, (), (cli, "subgroup_lattice"), ["verify", *S3], 3, "internal error", message="MemoryError"),
     # an error with no exit code is a bug, whatever its type
     planted(ValueError, ("planted",), (artin, "artin_certificate"), ["artin", *S3], 3, "internal error"),
     planted(json.JSONDecodeError, ("planted", "", 0), (lie.PhiData, "validate"), ["lie", *SO3], 3,
@@ -448,31 +454,6 @@ class TestExitCodes:
         argv = [arg.format(tmp=tmp_path) for arg in argv]
         assert run(capsys, *argv) == (code, "", json.dumps(
             {"error": {"kind": kind, "type": error, "message": message.format(tmp=tmp_path)}}, sort_keys=True) + "\n")
-
-    def test_internal_invariant_violation(self, capsys, monkeypatch):
-        def broken(table, n):
-            raise InternalInvariantViolation("planted")
-
-        monkeypatch.setattr(artin, "artin_certificate", broken)
-        code, out, err = run(capsys, "artin", "--group", "S3", "--json")
-        assert code == 3
-        assert not out
-        assert json.loads(err)["error"] == {
-            "kind": "internal error", "type": "InternalInvariantViolation", "message": "planted",
-        }
-
-    def test_bezout_failure_is_internal(self, capsys, monkeypatch):
-        # on S4, whose |G|_n has two coprime parts to combine
-        def broken(values):
-            raise GcdNotOne("planted")
-
-        monkeypatch.setattr(brauer, "extended_euclid_set", broken)
-        code, out, err = run(capsys, "brauer", "--group", "S4", "--json")
-        assert code == 3
-        assert not out
-        assert json.loads(err)["error"] == {
-            "kind": "internal error", "type": "GcdNotOne", "message": "planted",
-        }
 
     def test_equalizer_point_off_the_lattice_is_a_failed_check(self, capsys, monkeypatch):
         # doubling a basis column leaves a sublattice of index 2, which misses

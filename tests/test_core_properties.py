@@ -12,12 +12,20 @@ from hypothesis import given, settings
 
 from burnside.artin import artin_certificate
 from burnside.brauer import brauer_certificate
-from burnside.groups import conjugacy_classes, perm_mul, subgroup_as_group, subgroup_lattice
+from burnside.groups import conjugacy_classes, perm_mul, subgroup_lattice
 from burnside.marks import marks_table
 from burnside.restriction import verify_artin_restriction, verify_brauer_restriction
 
 from group_fixtures import small_subgroups_of_s6
-from oracles import frobenius_check, mackey_check, perm_character, perm_inv
+from oracles import (
+    element_set,
+    frobenius_check,
+    mackey_check,
+    perm_character,
+    perm_inv,
+    subgroup_view,
+    value_at,
+)
 
 
 def order_of(x) -> int:
@@ -51,16 +59,16 @@ def test_character_layer_properties(group):
     assert [tuple(group.elements[i] for i in cls) for cls in classes.members] == brute_force_classes(group)
 
     lattice = subgroup_lattice(group)
-    reps = [cls.element_set for cls in lattice.classes]
+    reps = [element_set(cls) for cls in lattice.classes]
     for subgroup in reps:
         chi = perm_character(group, subgroup)
-        assert [chi.value_at(g) for g in classes.representatives] == \
+        assert [value_at(chi, g) for g in classes.representatives] == \
             [fixed_coset_count(group, subgroup, g) for g in classes.representatives]
 
     # each class H is paired with a class K from the other end of the lattice
     trivial = frozenset([group.identity])
     for h_set, k_set in zip(reps, reversed(reps)):
-        regular = perm_character(subgroup_as_group(group, h_set), trivial)
+        regular = perm_character(subgroup_view(group, h_set), trivial)
         assert frobenius_check(regular, perm_character(group, k_set), group)
         assert mackey_check(k_set, regular, group)
 

@@ -1,11 +1,15 @@
-"""Every function and method of the package is used by the package.
+"""Every function and method of the package is used by the package, and
+the package builds one group and one index core per group it parses.
 
 A static scan of src/burnside: a function or method defined there must be
 referenced by name somewhere in the package (as a Name, an Attribute or an
 imported alias), be a target that the benchmark tracer in perfbench/spans.py
 wraps or counts, be a dunder, or be the command-line entry point cli.main.
 A helper that only tests call belongs in tests/oracles.py.  The tracer's
-file is loaded read-only.
+file is loaded read-only.  A second scan finds every call of Group(...)
+and GroupCore(...): a subgroup is a view of G's core (groups.Subgroup), so
+Group is built only by groups.group_from_generators and GroupCore only by
+Group.core.
 """
 
 import ast
@@ -83,3 +87,52 @@ def test_scan_flags_what_only_tests_would_call():
     traced = {"m.Table.spanned"}
     assert unreferenced({"m": source}, traced) == ["m.Table.unused", "m.main", "m.orphan"]
     assert unreferenced({"cli": source}, {"cli.Table.spanned"}) == ["cli.Table.unused", "cli.orphan"]
+
+
+CONSTRUCTORS = {"Group": {"groups.group_from_generators"}, "GroupCore": {"groups.Group.core"}}
+
+
+def constructor_calls(sources: dict[str, str]) -> set[tuple[str, str]]:
+    """(class name, dotted caller) for every call of a class in CONSTRUCTORS,
+    by bare name or as an attribute, in sources (module name -> text)."""
+    calls = set()
+    for module, text in sources.items():
+        stack = [(module, ast.parse(text))]
+        while stack:
+            prefix, node = stack.pop()
+            for child in ast.iter_child_nodes(node):
+                if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                    stack.append((f"{prefix}.{child.name}", child))
+                    continue
+                if isinstance(child, ast.Call):
+                    func = child.func
+                    name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                    if name in CONSTRUCTORS:
+                        calls.add((name, prefix))
+                stack.append((prefix, child))
+    return calls
+
+
+def misplaced(calls: set[tuple[str, str]]) -> list[tuple[str, str]]:
+    return sorted((name, caller) for name, caller in calls if caller not in CONSTRUCTORS[name])
+
+
+def test_one_group_and_one_core_per_parsed_group():
+    sources = {path.stem: path.read_text(encoding="utf-8") for path in sorted(PACKAGE.glob("*.py"))}
+    calls = constructor_calls(sources)
+    assert misplaced(calls) == []
+    assert calls == {("Group", "groups.group_from_generators"), ("GroupCore", "groups.Group.core")}
+
+
+def test_constructor_scan_flags_a_second_core():
+    source = (
+        "class Group:\n"
+        "    def core(self): return GroupCore(self)\n"
+        "def group_from_generators(gens): return Group(gens)\n"
+        "def subgroup_as_group(parent, mask):\n"
+        "    sub = Group([g for g in parent.gens if mask >> g & 1])\n"
+        "    return sub, groups.GroupCore(sub)\n"
+    )
+    assert misplaced(constructor_calls({"groups": source})) == [
+        ("Group", "groups.subgroup_as_group"), ("GroupCore", "groups.subgroup_as_group"),
+    ]

@@ -22,12 +22,11 @@ from burnside.characters import CharacterError, character_table  # noqa: E402
 from burnside.groups import (  # noqa: E402
     BUILTIN_GROUPS,
     builtin_group,
-    subgroup_as_group,
     subgroup_lattice,
 )
 
 from group_fixtures import BENCHMARK_GROUPS, benchmark_group  # noqa: E402
-from oracles import table_to_text  # noqa: E402
+from oracles import element_set, subgroup_view, table_to_text  # noqa: E402
 
 DIGESTS = HERE / "data" / "table_digests.json"
 
@@ -47,7 +46,7 @@ def table_digests() -> dict[str, str]:
         lattice = subgroup_lattice(group)
         for i, cls in enumerate(lattice.classes):
             label = lattice.label_of(i)
-            sub = subgroup_as_group(group, cls.element_set, name=label)
+            sub = subgroup_view(group, element_set(cls), name=label)
             try:
                 text = table_to_text(character_table(sub))
             except CharacterError as exc:
