@@ -455,6 +455,18 @@ class TestExitCodes:
         assert run(capsys, *argv) == (code, "", json.dumps(
             {"error": {"kind": kind, "type": error, "message": message.format(tmp=tmp_path)}}, sort_keys=True) + "\n")
 
+    def test_internal_invariant_violation(self, capsys, monkeypatch):
+        def broken(table, n):
+            raise InternalInvariantViolation("planted")
+
+        monkeypatch.setattr(artin, "artin_certificate", broken)
+        code, out, err = run(capsys, "artin", "--group", "S3", "--json")
+        assert code == 3
+        assert not out
+        assert json.loads(err)["error"] == {
+            "kind": "internal error", "type": "InternalInvariantViolation", "message": "planted",
+        }
+
     def test_equalizer_point_off_the_lattice_is_a_failed_check(self, capsys, monkeypatch):
         # doubling a basis column leaves a sublattice of index 2, which misses
         # the image of restriction (onto, in Brauer mode)
