@@ -1,8 +1,9 @@
 """Exact integer substrate: integer helpers and integer matrices.
 
 The integer helpers (gcds and Bezout combinations, prime factors, divisors,
-Euler's phi) serve every layer.  Integer matrices get Smith forms and row
-echelon bases of streamed row lattices, all over Z.  The cyclotomic
+Euler's phi) serve every layer.  Integer matrices get row echelon bases
+of streamed row lattices, all over Z, and Smith forms built from nothing
+but those eliminations, alternated on rows and columns.  The cyclotomic
 integers of character values build on these helpers in cyclotomic; nothing
 here leaves the integers, and no floating point is used anywhere in the
 package.
@@ -147,87 +148,41 @@ class IntMatrix:
         return IntMatrix(self.rows, self.cols, tuple(tuple(k * v for v in row) for row in self.entries))
 
 
-def _snf_pivot(a: list[list[int]], t: int) -> tuple[int, int] | None:
-    """Smallest-absolute-value nonzero pivot; ties by lowest row then column."""
-    best = None
-    for i in range(t, len(a)):
-        for j in range(t, len(a[0])):
-            v = abs(a[i][j])
-            if v and (best is None or v < best[0]):
-                best = (v, i, j)
-    return (best[1], best[2]) if best else None
-
-
 def smith_normal_form(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
-    """Return unimodular (U, D, V) with U*M*V = D, D diagonal, d_i | d_(i+1), d_i >= 0."""
-    a = m.to_lists()
+    """Return unimodular (U, D, V) with U*M*V = D, D diagonal, d_i | d_(i+1), d_i >= 0.
+
+    Built from row_echelon passes (Kannan and Bachem, SIAM J. Comput. 8
+    (1979); Cohen, 2.4).  Eliminating the rows of [A | U], from A = M and U
+    the identity, applies row operations to A and records them in U;
+    eliminating the rows of [A^T | V^T] applies column operations and records
+    them in V.  The two alternate until A is diagonal.  Where d_i does not
+    divide a later d_j, row j is added to row i and the passes resume, which
+    leaves gcd and lcm on the diagonal.  Each pass is unimodular: the xgcd
+    pair has determinant x*(a/g) + y*(b/g) = 1, and subtracting a multiple
+    of one row from another and flipping a sign are unimodular too.
+
+    It ends: the entry at the first unfinished diagonal position only
+    shrinks, since each pass's value is the gcd of a row or column holding
+    the last one.  Once it divides its row and column, both passes leave
+    them cleared.  The gcd/lcm step lowers d_i strictly.
+    """
     nr, nc = m.rows, m.cols
-    u = IntMatrix.identity(nr).to_lists()
-    v = IntMatrix.identity(nc).to_lists()
-
-    def swap_rows(i, j):
-        a[i], a[j] = a[j], a[i]
-        u[i], u[j] = u[j], u[i]
-
-    def swap_cols(i, j):
-        for row in a:
-            row[i], row[j] = row[j], row[i]
-        for row in v:
-            row[i], row[j] = row[j], row[i]
-
-    def add_row(src, dst, factor):
-        a[dst] = [x + factor * y for x, y in zip(a[dst], a[src])]
-        u[dst] = [x + factor * y for x, y in zip(u[dst], u[src])]
-
-    def add_col(src, dst, factor):
-        for row in a:
-            row[dst] += factor * row[src]
-        for row in v:
-            row[dst] += factor * row[src]
-
-    t = 0
-    while t < min(nr, nc):
-        pos = _snf_pivot(a, t)
-        if pos is None:
+    a, u, vt = m.to_lists(), IntMatrix.identity(nr).to_lists(), IntMatrix.identity(nc).to_lists()
+    while True:
+        rows = row_echelon([x + y for x, y in zip(a, u)], nc + nr)
+        u = [row[nc:] for row in rows]
+        cols = row_echelon([[row[j] for row in rows] + vt[j] for j in range(nc)], nr + nc)
+        vt = [col[nr:] for col in cols]
+        a = [[col[i] for col in cols] for i in range(nr)]
+        if any(x for i, row in enumerate(a) for j, x in enumerate(row) if i != j):
+            continue
+        d = [a[i][i] for i in range(min(nr, nc))]
+        bad = next(((i, j) for i, x in enumerate(d) for j in range(i + 1, len(d)) if x and d[j] % x), None)
+        if bad is None:
             break
-        while True:
-            pos = _snf_pivot(a, t)
-            swap_rows(t, pos[0])
-            swap_cols(t, pos[1])
-            pivot = a[t][t]
-            dirty = False
-            for i in range(t + 1, nr):
-                if a[i][t]:
-                    q = a[i][t] // pivot
-                    add_row(t, i, -q)
-                    if a[i][t]:
-                        dirty = True
-            for j in range(t + 1, nc):
-                if a[t][j]:
-                    q = a[t][j] // pivot
-                    add_col(t, j, -q)
-                    if a[t][j]:
-                        dirty = True
-            if dirty:
-                continue
-            # pivot now divides and has cleared its row and column;
-            # enforce divisibility into the remaining block
-            offender = None
-            for i in range(t + 1, nr):
-                for j in range(t + 1, nc):
-                    if a[i][j] % pivot != 0:
-                        offender = i
-                        break
-                if offender is not None:
-                    break
-            if offender is None:
-                break
-            add_row(offender, t, 1)
-        if a[t][t] < 0:
-            a[t] = [-x for x in a[t]]
-            u[t] = [-x for x in u[t]]
-        t += 1
-    return IntMatrix.from_rows(u), IntMatrix.from_rows(a), IntMatrix.from_rows(v)
+        i, j = bad
+        a[i], u[i] = [x + y for x, y in zip(a[i], a[j])], [x + y for x, y in zip(u[i], u[j])]
+    return IntMatrix.from_rows(u), IntMatrix(nr, nc, tuple(map(tuple, a))), IntMatrix.from_rows(vt).transpose()
 
 
 def row_echelon(rows: Iterable[Sequence[int]], cols: int) -> list[list[int]]:

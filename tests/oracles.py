@@ -17,11 +17,14 @@ permutations as a view of G's core (groups.Subgroup), and element_set and
 representative read a subgroup class's permutations off its bitmask.
 is_n_hyper, p_perfect_core and abelian_min_generators classify a subgroup
 from its permutations alone, the oracle for brauer.in_hyper_family and the
-lattice's generator counts.  Not a test module: nothing here is collected.
+lattice's generator counts.  determinant and elementary_divisors read an
+integer matrix's Smith diagonal off its minors, with no row operation the
+package's Smith form shares.  Not a test module: nothing here is collected.
 """
 
 import math
 from fractions import Fraction
+from itertools import combinations
 from typing import Sequence
 
 from burnside.characters import (
@@ -35,7 +38,7 @@ from burnside.characters import (
     restrict,
 )
 from burnside.cyclotomic import Cyclotomic, NotInSubfield
-from burnside.exact import prime_factors
+from burnside.exact import IntMatrix, prime_factors
 from burnside.groups import (
     Group,
     GroupCore,
@@ -260,3 +263,37 @@ def is_n_hyper(subgroup: frozenset, n: int | float, p: int, degree: int) -> bool
     if len(core) % p == 0:
         return False
     return abelian_min_generators(core, degree) <= n
+
+
+# ---------------------------------------------------------------------------
+# integer matrices
+
+
+def determinant(rows: Sequence[Sequence[int]]) -> int:
+    """The determinant of a square integer matrix by fraction-free (Bareiss)
+    elimination: every division is exact, so no fraction arises; 1 for 0 x 0."""
+    a = [list(row) for row in rows]
+    n, sign, prev = len(a), 1, 1
+    for k in range(n - 1):
+        if not a[k][k]:
+            swap = next((i for i in range(k + 1, n) if a[i][k]), None)
+            if swap is None:
+                return 0
+            a[k], a[swap], sign = a[swap], a[k], -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+        prev = a[k][k]
+    return sign * a[-1][-1] if n else 1
+
+
+def elementary_divisors(m: IntMatrix) -> list[int]:
+    """The Smith diagonal d_1 | d_2 | ... of m, min(rows, cols) long, from its
+    determinantal divisors: d_1 * ... * d_k is the gcd of the k x k minors."""
+    out, prev = [], 1
+    for k in range(1, min(m.rows, m.cols) + 1):
+        g = math.gcd(*(determinant([[m.entries[i][j] for j in cs] for i in rs])
+                       for rs in combinations(range(m.rows), k) for cs in combinations(range(m.cols), k)))
+        out.append(g // prev if prev else 0)
+        prev = g
+    return out

@@ -514,6 +514,26 @@ class TestExitCodes:
         assert (error["kind"], error["type"]) == ("check failed", "NotIsomorphism")
         assert "elementary divisors (2, 1, 1)" in error["message"]
 
+    def test_non_unimodular_restriction_runs_the_smith_form(self, capsys, monkeypatch):
+        # S4's H is unitriangular, 5 x 5; twice its fourth row and three times
+        # its fifth leave determinant 6, and the real Smith form has to move
+        # the 2 and the 3 into one lcm on the last diagonal entry
+        def scaled(eq, provider):
+            rows = original(eq, provider).to_lists()
+            rows[-2] = [2 * v for v in rows[-2]]
+            rows[-1] = [3 * v for v in rows[-1]]
+            return IntMatrix.from_rows(rows)
+
+        original = restriction._restriction_matrix
+        monkeypatch.setattr(restriction, "_restriction_matrix", scaled)
+        code, out, err = run(capsys, "equalizer", "--group", "S4", "--mode", "brauer", "--json")
+        assert code == 1
+        assert not out
+        assert json.loads(err)["error"] == {
+            "kind": "check failed", "type": "NotIsomorphism",
+            "message": "restriction has elementary divisors (1, 1, 1, 1, 6)",
+        }
+
     def test_sl23_equalizer_passes_in_both_modes(self, capsys):
         # SL(2,3) is not monomial: no irreducible of degree 2 is induced
         # from a linear character of a subgroup

@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -21,23 +22,20 @@ from burnside.exact import (
 )
 from burnside.restriction import RestrictionError, _solve_coordinates
 
+from oracles import determinant, elementary_divisors
+
 
 def zeros(r: int, c: int) -> IntMatrix:
     return IntMatrix(r, c, ((0,) * c,) * r)
 
 
-def assert_unimodular(m: IntMatrix):
-    # a square integer matrix is invertible over Z exactly when its rows span
-    # Z^n: a row echelon basis of n rows whose leading entries are all 1
-    echelon = row_echelon(m.entries, m.cols)
-    assert len(echelon) == m.rows == m.cols
-    assert all(next(v for v in row if v) == 1 for row in echelon)
-
-
 def assert_snf_valid(m: IntMatrix):
     u, d, v = smith_normal_form(m)
-    assert_unimodular(u)
-    assert_unimodular(v)
+    # a square integer matrix is invertible over Z exactly when its
+    # determinant is a unit; the oracle's determinant shares no step with
+    # the Smith form, which is built from row_echelon
+    assert (u.rows, u.cols, v.rows, v.cols) == (m.rows, m.rows, m.cols, m.cols)
+    assert abs(determinant(u.entries)) == abs(determinant(v.entries)) == 1
     assert (u @ m) @ v == d
     diag = [d.entries[i][i] for i in range(min(d.rows, d.cols))]
     for i in range(d.rows):
@@ -95,6 +93,51 @@ class TestSmithNormalForm:
         basis = integer_kernel_basis(m)
         assert len(basis) == 2
         assert m @ IntMatrix.from_rows(basis).transpose() == IntMatrix.from_rows([[0, 0]])
+
+
+def random_matrix(rng: random.Random, deficient: bool) -> IntMatrix:
+    """A matrix of at most 5 x 5 with entries in -10..10.  A deficient one
+    has a line on its short side that is the sum of two others (a copy of the
+    other one, or zero, when the short side has fewer), so its rank is below
+    min(rows, cols)."""
+    k, n = sorted((rng.randint(1, 5), rng.randint(1, 5)))
+    span = 5 if deficient else 10
+    lines = [[rng.randint(-span, span) for _ in range(n)] for _ in range(k)]
+    if deficient:
+        t = rng.randrange(k)
+        sources = rng.sample([i for i in range(k) if i != t], min(2, k - 1))
+        lines[t] = [sum(lines[i][j] for i in sources) for j in range(n)]
+    m = IntMatrix.from_rows(lines)
+    return m if rng.random() < 0.5 else m.transpose()
+
+
+class TestSmithAgainstDeterminantalDivisors:
+    """The Smith diagonal against the oracle's elementary divisors, read off
+    the gcds of k x k minors by Bareiss determinants."""
+
+    def test_seeded_random_matrices(self):
+        rng = random.Random(0)
+        deficient = 0
+        for trial in range(200):
+            m = random_matrix(rng, trial % 3 == 0)
+            d = assert_snf_valid(m)
+            expected = elementary_divisors(m)
+            assert [d.entries[i][i] for i in range(min(m.rows, m.cols))] == expected, m.entries
+            deficient += 0 in expected
+        assert deficient >= 67
+
+    @pytest.mark.parametrize("rows,cols,diagonal", [
+        ([[2, 0], [0, 3]], 2, [1, 6]),
+        ([[4, 0], [0, 6]], 2, [2, 12]),
+        ([[6, 0, 0], [0, 10, 0], [0, 0, 15]], 3, [1, 30, 30]),
+        ([[0, 0], [0, 0]], 2, [0, 0]),
+        ([], 3, []),
+        ([[], [], []], 0, []),
+    ])
+    def test_named_cases(self, rows, cols, diagonal):
+        m = IntMatrix(len(rows), cols, tuple(map(tuple, rows)))
+        d = assert_snf_valid(m)
+        assert [d.entries[i][i] for i in range(min(m.rows, m.cols))] == elementary_divisors(m) == diagonal
 
 
 class TestZeroDimensions:
