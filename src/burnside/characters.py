@@ -1,18 +1,18 @@
 """Exact class functions and representation-ring data for finite groups.
 
 Class functions take cyclotomic values on element conjugacy classes.  A
-table lives on G's index core (GroupCore): G's own on G, a subgroup's on a
-view of that core (groups.Subgroup), whose classes are keyed by G's indices,
-so values move between G and its subgroups by element index, and
-permutation tuples only name class representatives in table files.  Every
-loop over elements, in the class matrices, power maps, conjugation by g and
-linear characters, runs on element indices and the index form of the
-classes (groups.ConjugacyClasses).  Induction reads the count of groups
-that also gives the marks at single elements, |C_G(g)| * |g^G cap S| from
-class bitmasks: no coset is walked (Serre, Linear Representations of Finite
-Groups (1977), 7.2).  The equalizer does not call restrict: it reads G's
-characters on a subgroup through one class-fusion list per subgroup
-(restriction).
+table lives on G's index core (GroupCore), as does every groups.Group: G's
+own on G, the core's full mask, a subgroup's on the subgroup's mask, whose
+classes are keyed by G's indices, so values move between G and its subgroups
+by element index, and permutation tuples only name class representatives in
+table files.  Every loop over elements, in the class matrices, power maps,
+conjugation by g and linear characters, runs on element indices and the
+index form of the classes (groups.ConjugacyClasses).  Induction reads the
+count of groups that also gives the marks at single elements, |C_G(g)| *
+|g^G cap S| from class bitmasks: no coset is walked (Serre, Linear
+Representations of Finite Groups (1977), 7.2).  The equalizer does not call
+restrict: it reads G's characters on a subgroup through one class-fusion
+list per subgroup (restriction).
 
 Character tables are either loaded from validated fixture files or computed
 exactly: abelian groups by extending each character generator by generator
@@ -55,7 +55,6 @@ from .exact import prime_factors
 from .groups import (
     Group,
     Perm,
-    Subgroup,
     conjugacy_classes,
     ConjugacyClasses,
     exponent,
@@ -85,9 +84,9 @@ class DegreeSumMismatch(CharacterError):
 
 
 class ClassFunction:
-    """A cyclotomic-valued function on the element classes of a group or a subgroup view."""
+    """A cyclotomic-valued function on the element classes of a group."""
 
-    def __init__(self, group: Group | Subgroup, classes: ConjugacyClasses, values: tuple[Cyclotomic, ...]):
+    def __init__(self, group: Group, classes: ConjugacyClasses, values: tuple[Cyclotomic, ...]):
         assert len(values) == len(classes.members)
         self.group, self.classes, self.values = group, classes, values
 
@@ -145,7 +144,7 @@ def induce(xi: ClassFunction, group: Group) -> ClassFunction:
     return ClassFunction(group, classes, tuple(values))
 
 
-def restrict(chi: ClassFunction, subgroup: Group | Subgroup) -> ClassFunction:
+def restrict(chi: ClassFunction, subgroup: Group) -> ClassFunction:
     """Pull values back along the inclusion of a subgroup on chi's core."""
     sub_classes = conjugacy_classes(subgroup)
     values = tuple(chi.values[chi.classes.class_of[cls[0]]] for cls in sub_classes.members)
@@ -157,7 +156,7 @@ def conjugate_function(xi: ClassFunction, g: Perm, parent: Group) -> ClassFuncti
     core = parent.core
     c = core.index[g]
     ci = core.inverse[c]
-    target = Subgroup(core, _mask(core.conjugate(h, ci) for h in _bits(xi.group.mask)))
+    target = Group(core, _mask(core.conjugate(h, ci) for h in _bits(xi.group.mask)))
     target_classes = conjugacy_classes(target)
     values = tuple(xi.values[xi.classes.class_of[core.conjugate(cls[0], c)]] for cls in target_classes.members)
     return ClassFunction(target, target_classes, values)
@@ -168,7 +167,7 @@ def conjugate_function(xi: ClassFunction, g: Perm, parent: Group) -> ClassFuncti
 
 
 class CharacterTable:
-    def __init__(self, group: Group | Subgroup, classes: ConjugacyClasses, rows: tuple[ClassFunction, ...]):
+    def __init__(self, group: Group, classes: ConjugacyClasses, rows: tuple[ClassFunction, ...]):
         self.group, self.classes, self.rows = group, classes, rows
         # conductor n -> per row, size-weighted conjugated values at n
         self._weighted_rows: dict = {}
@@ -233,7 +232,7 @@ def validate_table(table: CharacterTable) -> None:
                 raise OrthogonalityFailure(i, j)
 
 
-def linear_characters(group: Group | Subgroup) -> list[ClassFunction]:
+def linear_characters(group: Group) -> list[ClassFunction]:
     """The |G| characters of an abelian group G, as class functions at its
     exponent e, built by extension along its greedy generators.
 
@@ -245,7 +244,7 @@ def linear_characters(group: Group | Subgroup) -> list[ClassFunction]:
     classes, core, e = conjugacy_classes(group), group.core, exponent(group)
     elems, position = [0], {0: 0}  # the elements of H, and the position of each
     chars = [[0]]  # chars[i][r] = k with chi_i(elems[r]) = zeta_e^k
-    for g in core.generating_set(group.mask):
+    for g in group.gens:
         powers = [0, g]
         while powers[-1] not in position:
             powers.append(core.table[powers[-1]][g])
@@ -259,7 +258,7 @@ def linear_characters(group: Group | Subgroup) -> list[ClassFunction]:
             for chi in chars]
 
 
-def character_table(group: Group | Subgroup) -> CharacterTable:
+def character_table(group: Group) -> CharacterTable:
     """Exact character table, its values at the exponent of the group."""
     classes = conjugacy_classes(group)
     if group.core.commute(group.gens):
@@ -269,7 +268,7 @@ def character_table(group: Group | Subgroup) -> CharacterTable:
     return CharacterTable(group, classes, tuple(_order_rows(rows)))
 
 
-def _dixon_schneider(group: Group | Subgroup, classes: ConjugacyClasses) -> list[ClassFunction]:
+def _dixon_schneider(group: Group, classes: ConjugacyClasses) -> list[ClassFunction]:
     """The irreducible characters, from the common eigenvectors of the class
     matrices over F_p, each value lifted exactly to Z[zeta_e], e = exp(G)."""
     core, order, e = group.core, group.order, exponent(group)
@@ -307,7 +306,7 @@ def _dixon_schneider(group: Group | Subgroup, classes: ConjugacyClasses) -> list
     return rows
 
 
-def _class_matrix(group: Group | Subgroup, classes: ConjugacyClasses, j: int) -> list[list[int]]:
+def _class_matrix(group: Group, classes: ConjugacyClasses, j: int) -> list[list[int]]:
     """A_j[r][s] = #{x in C_j : x^-1 g_s in C_r}, so A_j w = omega(C_j) w for
     the central character w_s = omega(C_s) = |C_s| chi(g_s) / chi(1)."""
     core, class_of, k = group.core, classes.class_of, len(classes.members)
@@ -446,13 +445,15 @@ def _parse_cyclotomic_entry(text: str, conductor: int) -> Cyclotomic:
     return Cyclotomic(conductor, coeffs)
 
 
-def load_character_table(path: str, group: Group | Subgroup) -> CharacterTable:
-    """Load and validate a character table file for a group or a view of a
-    subgroup.
+def load_character_table(path: str, group: Group) -> CharacterTable:
+    """Load and validate a character table file for a group, G or a
+    subgroup of G on G's core.
 
     Format: `group:` and `conductor:` headers, one `class: <cycles> <size>`
     line per conjugacy class (representative in cycle notation), then one
     `row:` line per irreducible with entries like `2`, `-1`, `z^2`, `1+z`.
+    The conductor must divide 2 * exp(G): every subgroup's values lie in
+    Q(zeta_exp(G)), and the factor 2 admits zeta_2m spellings for odd m.
     """
     try:
         with open(path, "r", encoding="utf-8") as handle:
@@ -473,7 +474,7 @@ def load_character_table(path: str, group: Group | Subgroup) -> CharacterTable:
             parts = line.split(":", 1)[1].strip().rsplit(None, 1)
             if len(parts) != 2:
                 raise MalformedEntry(f"class line {line!r} needs a representative and a size")
-            class_reps.append(parse_cycles(parts[0].strip(), degree=len(group.core.elements[0])))
+            class_reps.append(parse_cycles(parts[0].strip(), degree=group.core.degree))
             class_sizes.append(_integer(parts[1], line))
             continue
         if line.lower().startswith("row:"):
@@ -484,6 +485,9 @@ def load_character_table(path: str, group: Group | Subgroup) -> CharacterTable:
         raise MalformedEntry("missing conductor header")
     if conductor < 1:
         raise MalformedEntry(f"conductor must be positive, not {conductor}")
+    e = math.lcm(*group.core.orders)
+    if 2 * e % conductor:
+        raise MalformedEntry(f"conductor {conductor} does not divide 2 * exp(G) = 2 * {e}")
     classes = conjugacy_classes(group)
     if len(class_reps) != len(classes.members):
         raise MalformedEntry(

@@ -6,14 +6,15 @@ closed into a group by group_from_generators, turned into a Cayley table by
 the GroupCore constructor and printed, and the public API passes subgroups
 as frozensets of them.  Every loop behind that boundary runs on G's index
 core (GroupCore), the only core a command builds: element i is
-group.elements[i], products are Cayley-table lookups, and a subgroup is an
-int bitmask with bit i set when element i belongs to it.  A subgroup whose
-character table is read is a Subgroup, a view of G's core and its bitmask.
-Group and Subgroup offer the same attributes, core, mask, order and gens
-(generator indices), and conjugacy_classes gives the element classes of
-either in G's index space: each class's element indices, and the class of
-each index.  Their permutations are read only for table files and report
-labels (ConjugacyClasses.label).  A subgroup class holds its representative
+core.elements[i], products are Cayley-table lookups, and a subgroup is an
+int bitmask with bit i set when element i belongs to it.  A Group is a core
+and a bitmask: G is the full mask of its own core, and a subgroup whose
+character table is read is G's core with the subgroup's mask.  Its order is
+the mask's popcount, its gens are greedy generator indices, and
+conjugacy_classes gives its element classes in G's index space: each
+class's element indices, and the class of each index.  Permutations live
+on the core and are read only for table files and report labels
+(ConjugacyClasses.label).  A subgroup class holds its representative
 as a bitmask too.  One count, |C_G(g)| * |g^G cap S| from g's class mask
 and the bitmask of S (ConjugacyClasses.conjugators_into), gives the marks
 at single elements and induced characters.  The subgroup lattice is
@@ -130,30 +131,19 @@ def parse_cycles(text: str, degree: int | None = None) -> Perm:
 
 
 class Group:
-    """A finite permutation group with fully enumerated elements."""
+    """A finite group as a view of an index core: the set bits of mask are
+    its elements.  group_from_generators returns G as the full mask of its
+    own core, and a subgroup of G is G's core with the subgroup's bitmask, so
+    both keep G's indices and G's sorted element order."""
 
-    def __init__(self, degree: int, generators: tuple[Perm, ...], elements: tuple[Perm, ...],
-                 name: str = ""):
-        assert elements, "a group has at least the identity"
-        self.degree, self.generators, self.elements, self.name = degree, generators, elements, name
-        self.mask = (1 << len(elements)) - 1
-
-    @property
-    def order(self) -> int:
-        return len(self.elements)
-
-    @property
-    def identity(self) -> Perm:
-        return perm_identity(self.degree)
-
-    @property
-    def gens(self) -> list[int]:
-        return self.core.generators
+    def __init__(self, core: "GroupCore", mask: int, name: str = ""):
+        self.core, self.mask, self.name = core, mask, name
+        self.order = mask.bit_count()
 
     @cached_property
-    def core(self) -> "GroupCore":
-        """The index core, built on first use and kept on this instance."""
-        return GroupCore(self)
+    def gens(self) -> list[int]:
+        """Greedy generators, as indices into the core."""
+        return self.core.generating_set(self.mask)
 
     @cached_property
     def _conjugacy_classes(self) -> "ConjugacyClasses":
@@ -161,27 +151,20 @@ class Group:
         instance; read them through conjugacy_classes."""
         return _element_classes(self)
 
-    def __repr__(self):
-        label = self.name or f"degree-{self.degree} group"
-        return f"Group({label}, order {self.order})"
-
 
 class GroupCore:
     """Index form of a group for the combinatorial layers.
 
-    Element i is group.elements[i], so index order is the sorted order of
-    the permutations and the identity is 0.  table[a][b] is the index of
+    Element i is elements[i], so index order is the sorted order of the
+    permutations and the identity is 0.  table[a][b] is the index of
     elements[a] * elements[b]; a subgroup is an int bitmask with bit i set
     when element i belongs to it.
     """
 
-    def __init__(self, group: Group):
-        elements = group.elements
-        if elements[0] != group.identity:
-            raise GroupError("group elements must be sorted, identity first")
+    def __init__(self, elements: tuple[Perm, ...], generators: Iterable[Perm]):
         n = len(elements)
         index = {g: i for i, g in enumerate(elements)}
-        gens = [i for i in dict.fromkeys(index[g] for g in group.generators) if i != 0]
+        gens = [i for i in dict.fromkeys(index[g] for g in generators) if i != 0]
         # The row of c*s is the row of c composed with left multiplication by
         # s, so rows follow a spanning tree from the identity.
         left = {s: [index[perm_mul(elements[s], x)] for x in elements] for s in gens}
@@ -198,9 +181,7 @@ class GroupCore:
                         table[b] = [row[v] for v in left[s]]
                         nxt.append(b)
             frontier = nxt
-        if any(row is None for row in table):
-            raise GroupError("generators do not generate the listed elements")
-        self.elements = elements
+        self.elements, self.degree = elements, len(elements[0])
         self.index = index
         self.generators = gens
         self.table = table
@@ -320,19 +301,6 @@ class GroupCore:
         return out, root
 
 
-class Subgroup:
-    """A subgroup of G as a view of G's core: the set bits of mask are its elements and the
-    greedy generating set its gens, all G's indices, so it keeps G's sorted element order."""
-
-    def __init__(self, core: GroupCore, mask: int, name: str = ""):
-        self.core, self.mask, self.name = core, mask, name
-        self.order, self.gens = mask.bit_count(), core.generating_set(mask)
-
-    @cached_property
-    def _conjugacy_classes(self) -> "ConjugacyClasses":
-        return _element_classes(self)
-
-
 def _mask(indices: Iterable[int]) -> int:
     mask = 0
     for i in indices:
@@ -370,8 +338,8 @@ def group_from_generators(generators: Sequence[Perm], name: str = "", cap: int =
     length, on the largest degree among them."""
     d = max((len(g) for g in generators), default=1)
     gens = tuple(g + tuple(range(len(g), d)) for g in generators)
-    elements = close_under_product(d, gens, cap)
-    return Group(d, gens, tuple(sorted(elements)), name)
+    elements = tuple(sorted(close_under_product(d, gens, cap)))
+    return Group(GroupCore(elements, gens), (1 << len(elements)) - 1, name)
 
 
 def _cyclic(n: int) -> list[str]:
@@ -438,7 +406,7 @@ class ConjugacyClasses:
     keyed by the group's elements.  Permutations appear only at the
     boundary, in representatives, label and index_of."""
 
-    def __init__(self, group: Group | Subgroup, members: tuple[tuple[int, ...], ...], class_of: dict[int, int]):
+    def __init__(self, group: Group, members: tuple[tuple[int, ...], ...], class_of: dict[int, int]):
         self.group, self.members, self.class_of = group, members, class_of
 
     @cached_property
@@ -469,13 +437,13 @@ class ConjugacyClasses:
         return self.group.order // len(self.members[c]) * (mask & self.masks[c]).bit_count()
 
 
-def conjugacy_classes(group: Group | Subgroup) -> ConjugacyClasses:
+def conjugacy_classes(group: Group) -> ConjugacyClasses:
     """Orbits under conjugation by the generators, sorted by element order,
     then size, then least member.  Computed once per group and kept on it."""
     return group._conjugacy_classes
 
 
-def _element_classes(group: Group | Subgroup) -> ConjugacyClasses:
+def _element_classes(group: Group) -> ConjugacyClasses:
     core = group.core
     table, orders = core.table, core.orders
     acting = [(table[core.inverse[s]], s) for s in group.gens]  # table[row[y]][s] = s^-1*y*s
@@ -497,7 +465,7 @@ def _element_classes(group: Group | Subgroup) -> ConjugacyClasses:
     return ConjugacyClasses(group, tuple(classes), {x: c for c, cls in enumerate(classes) for x in cls})
 
 
-def exponent(group: Group | Subgroup) -> int:
+def exponent(group: Group) -> int:
     return math.lcm(*(group.core.orders[x] for x in _bits(group.mask)))
 
 

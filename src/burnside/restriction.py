@@ -26,8 +26,8 @@ _artin_section), so the section reads all its rows from the equalizer.
 So tables are read, and with --tables loaded, for the maximal members of
 the n-hyper family, the support of the Artin certificate and G alone.
 
-G's table lives on G itself, and each member's on a view of G's core
-(groups.Subgroup), so the command builds one core.  Each member is read
+G's table lives on G itself, and each member's on a groups.Group of G's
+core and the member's bitmask, so the command builds one core.  Each member is read
 through one fusion list, fusion[c] the G-class of its class c, read off the
 least element index of the class: M's block takes G's rows at those
 classes, and the fusion check compares the basis columns along the lists.
@@ -49,7 +49,7 @@ from .characters import (
     conjugate_function,
     load_character_table,
 )
-from .groups import Group, Subgroup, SubgroupLattice, conjugacy_classes
+from .groups import Group, SubgroupLattice, conjugacy_classes
 from .marks import MarksTable, element_checks
 
 
@@ -84,9 +84,9 @@ class NotIsomorphism(RestrictionError):
 class TableProvider:
     """Character tables for the subgroup classes of one ambient group G.
 
-    A class's table lives on G for the full class and otherwise on a view
-    of its representative's bitmask on G's core, so every table shares G's
-    element indices.  The equalizer and the verifications read class tables
+    A class's table lives on G for the full class and otherwise on G's core
+    with its representative's bitmask, so every table shares G's element
+    indices.  The equalizer and the verifications read class tables
     only; table_for transports a class's table to a conjugate subgroup,
     again a view of G's core.
     """
@@ -104,13 +104,13 @@ class TableProvider:
     def _build(self, class_index: int) -> CharacterTable:
         return character_table(self._class_group(class_index))
 
-    def _class_group(self, class_index: int) -> Group | Subgroup:
+    def _class_group(self, class_index: int) -> Group:
         """The group a class's table lives on: G itself for the full class,
-        else the view of the class representative on G's core."""
+        else G's core with the class representative's mask."""
         if class_index == self.lattice.full_index:
             return self.lattice.group
         cls = self.lattice.classes[class_index]
-        return Subgroup(self.lattice.group.core, cls.mask, cls.label)
+        return Group(self.lattice.group.core, cls.mask, cls.label)
 
     def table_for(self, subgroup: frozenset) -> CharacterTable:
         if subgroup in self._conjugate_tables:

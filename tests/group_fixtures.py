@@ -75,7 +75,7 @@ OVERGROUPS = [
 def small_subgroups_of_s6(draw) -> Group:
     over = draw(st.sampled_from(OVERGROUPS))
     relabel = tuple(draw(st.permutations(range(6))))
-    picks = [draw(st.sampled_from(over.elements)) for _ in range(2)]
+    picks = [draw(st.sampled_from(over.core.elements)) for _ in range(2)]
     return group_from_generators([perm_mul(perm_mul(relabel, x), perm_inv(relabel)) for x in picks])
 
 
@@ -150,7 +150,7 @@ def gluck_scaled_idempotents(table: MarksTable) -> list[tuple[int, ...]]:
     subgroups = all_subgroups(group)
     class_of = {}
     for idx, cls in enumerate(table.lattice.classes):
-        for conjugate in conjugates(element_set(cls), group.elements):
+        for conjugate in conjugates(element_set(cls), group.core.elements):
             class_of[conjugate] = idx
     out = []
     for cls in table.lattice.classes:
@@ -159,7 +159,7 @@ def gluck_scaled_idempotents(table: MarksTable) -> list[tuple[int, ...]]:
         mu = {}
         for low in below:
             mu[low] = 1 if low == top else -sum(mu[m] for m in mu if low < m)
-        count = len(conjugates(top, group.elements))
+        count = len(conjugates(top, group.core.elements))
         coefficients = [0] * table.size
         for low in below:
             coefficients[class_of[low]] += count * len(low) * mu[low]

@@ -13,7 +13,7 @@ frobenius_check and mackey_check test Frobenius reciprocity and the Mackey
 formula with induce, restrict and conjugate_function; table_to_text writes
 a table in the file format load_character_table reads; value_at reads a
 class function at a permutation.  subgroup_view wraps a frozenset of
-permutations as a view of G's core (groups.Subgroup), and element_set and
+permutations as a groups.Group on G's core, and element_set and
 representative read a subgroup class's permutations off its bitmask.
 is_n_hyper, p_perfect_core and abelian_min_generators classify a subgroup
 from its permutations alone, the oracle for brauer.in_hyper_family and the
@@ -51,7 +51,6 @@ from burnside.groups import (
     perm_identity,
     perm_mul,
     perm_to_cycles,
-    Subgroup,
     SubgroupClass,
 )
 
@@ -163,9 +162,9 @@ def table_to_text(table: CharacterTable) -> str:
 # permutations, cosets and subgroup classifications
 
 
-def subgroup_view(group: Group, elements: frozenset, name: str = "") -> Subgroup:
-    """The subgroup with the given permutations, as a view of group's core."""
-    return Subgroup(group.core, group.core.mask(elements), name)
+def subgroup_view(group: Group, elements: frozenset, name: str = "") -> Group:
+    """The subgroup with the given permutations, on group's core."""
+    return Group(group.core, group.core.mask(elements), name)
 
 
 def representative(cls: SubgroupClass) -> tuple[Perm, ...]:

@@ -97,7 +97,7 @@ def test_criterion_3_artin_certificates():
         for n in (1, 2, math.inf):
             cert = artin_certificate(table, n)
             assert cert.order_n == group.order
-            for g in group.elements:
+            for g in group.core.elements:
                 total = sum(
                     c * fixed_points_of_element(table, h, g)
                     for h, c in cert.alpha.coefficients.items()
@@ -119,10 +119,10 @@ def test_criterion_4_brauer_certificates():
         primes = sorted(cert.bezout) or [2]
         for h in cert.decomposition.coefficients:
             assert any(
-                is_n_hyper(element_set(table.lattice.classes[h]), 1, p, group.degree)
+                is_n_hyper(element_set(table.lattice.classes[h]), 1, p, group.core.degree)
                 for p in primes
             )
-        for g in group.elements:
+        for g in group.core.elements:
             total = sum(
                 k * fixed_points_of_element(table, h, g)
                 for h, k in cert.decomposition.coefficients.items()

@@ -53,7 +53,7 @@ def oracle_fixed_points(table, h: int, g) -> int:
     hset = element_set(lattice.classes[h])
     count = 0
     seen = set()
-    for rep in group.elements:
+    for rep in group.core.elements:
         if rep in seen:
             continue
         coset = frozenset(perm_mul(rep, x) for x in hset)
@@ -141,7 +141,7 @@ class TestIPN:
         # an abelian p'-class of the family by a p-group
         table = tables[name]
         lattice = table.lattice
-        degree = lattice.group.degree
+        degree = lattice.group.core.degree
         scale = coprime_part(lattice.group.order, p)
         values = dense(i_pn(p, abelian_family(lattice, 1), table), table.size)
         for idx, cls in enumerate(lattice.classes):
@@ -162,7 +162,7 @@ class TestBrauerCertificate:
         table = tables["S3"]
         cert = brauer_certificate(table, 1)
         group = table.lattice.group
-        for g in group.elements:
+        for g in group.core.elements:
             total = sum(
                 k * oracle_fixed_points(table, h, g) for h, k in cert.decomposition.coefficients.items()
             )
@@ -174,7 +174,7 @@ class TestBrauerCertificate:
         assert cert.bezout == {2: 1}
         assert cert.verified
         # all subgroups of a p-group are 1-hyper
-        degree = table.lattice.group.degree
+        degree = table.lattice.group.core.degree
         for h in cert.decomposition.coefficients:
             assert is_n_hyper(element_set(table.lattice.classes[h]), 1, 2, degree)
 
@@ -191,7 +191,7 @@ class TestBrauerCertificate:
         cert = brauer_certificate(table, n)
         assert cert.verified
         group = table.lattice.group
-        for g in group.elements:
+        for g in group.core.elements:
             total = sum(
                 k * oracle_fixed_points(table, h, g) for h, k in cert.decomposition.coefficients.items()
             )
@@ -209,7 +209,7 @@ class TestBrauerCertificate:
     def test_support_is_hyper(self, name, tables):
         table = tables[name]
         cert = brauer_certificate(table, 1)
-        degree = table.lattice.group.degree
+        degree = table.lattice.group.core.degree
         primes = sorted(cert.bezout) or [2]
         for h in cert.decomposition.coefficients:
             assert any(
@@ -241,7 +241,7 @@ def assert_hyper_rule_matches_reference(lattice):
     """in_hyper_family on a family of order p reads the class of O^p(H) off
     the lattice; is_n_hyper closes the permutations of O^p(H) and tests them
     directly."""
-    degree = lattice.group.degree
+    degree = lattice.group.core.degree
     for p in prime_factors(lattice.group.order) or [2]:
         for n in (0, 1, 2, math.inf):
             family = abelian_family(lattice, n)

@@ -54,7 +54,7 @@ def oracle_marks(table, h: int, k: int) -> int:
     kset = representative(lattice.classes[k])
     cosets = []
     seen = set()
-    for g in group.elements:
+    for g in group.core.elements:
         if g in seen:
             continue
         coset = frozenset(perm_mul(g, x) for x in hset)
@@ -184,7 +184,7 @@ class TestMultiply:
         c2 = element_set(table.lattice.classes[1])
         cosets = []
         seen = set()
-        for g in group.elements:
+        for g in group.core.elements:
             if g in seen:
                 continue
             coset = frozenset(perm_mul(g, x) for x in c2)
@@ -203,7 +203,7 @@ class TestMultiply:
                 if idx in orbit:
                     continue
                 orbit.add(idx)
-                for g in group.elements:
+                for g in group.core.elements:
                     moved = (
                         frozenset(perm_mul(g, x) for x in pt[0]),
                         frozenset(perm_mul(g, x) for x in pt[1]),
@@ -256,8 +256,8 @@ class TestFixedPoints:
         group = lattice.group
         from burnside.groups import close_under_product
 
-        for g in list(group.elements)[:8]:
-            cyclic = close_under_product(group.degree, [g])
+        for g in list(group.core.elements)[:8]:
+            cyclic = close_under_product(group.core.degree, [g])
             k, _ = lattice.class_of_subgroup(cyclic)
             for h in range(table.size):
                 assert fixed_points_of_element(table, h, g) == table.matrix.entries[h][k]

@@ -94,8 +94,8 @@ def s3():
 
 
 def explicit_subgroup(group, *cycle_strings):
-    gens = [parse_cycles(s, group.degree) for s in cycle_strings]
-    return close_under_product(group.degree, gens)
+    gens = [parse_cycles(s, group.core.degree) for s in cycle_strings]
+    return close_under_product(group.core.degree, gens)
 
 
 def random_class_function(group, classes, rng, conductor):
@@ -113,11 +113,11 @@ class TestPermCharacter:
         assert [v.as_rational() for v in chi.values] == [3, 1, 0]
 
     def test_full_group(self, s3):
-        chi = perm_character(s3, frozenset(s3.elements))
+        chi = perm_character(s3, frozenset(s3.core.elements))
         assert all(v == 1 for v in chi.values)
 
     def test_trivial_subgroup(self, s3):
-        chi = perm_character(s3, frozenset([s3.identity]))
+        chi = perm_character(s3, frozenset([s3.core.elements[0]]))
         assert [v.as_rational() for v in chi.values] == [6, 0, 0]
 
 
@@ -131,7 +131,7 @@ class TestInduce:
         assert induced == perm_character(s3, c3)
 
     def test_induce_from_full_group_is_identity(self, s3):
-        sub = subgroup_view(s3, frozenset(s3.elements))
+        sub = subgroup_view(s3, frozenset(s3.core.elements))
         table = character_table(sub)
         for row in table.rows:
             assert induce(row, s3) == ClassFunction(s3, conjugacy_classes(s3), row.values)
@@ -200,7 +200,7 @@ class TestRestrict:
 
     def test_restrict_to_trivial_gives_degree(self, s3):
         chi = perm_character(s3, explicit_subgroup(s3, "(0 1)"))
-        triv = subgroup_view(s3, frozenset([s3.identity]))
+        triv = subgroup_view(s3, frozenset([s3.core.elements[0]]))
         res = restrict(chi, triv)
         assert [v.as_rational() for v in res.values] == [3]
 
@@ -246,10 +246,10 @@ class TestMackey:
     def test_k_is_full_group(self, s3):
         c3 = subgroup_view(s3, explicit_subgroup(s3, "(0 1 2)"))
         xi = constant_function(c3, conjugacy_classes(c3), 1)
-        assert mackey_check(frozenset(s3.elements), xi, s3)
+        assert mackey_check(frozenset(s3.core.elements), xi, s3)
 
     def test_h_is_full_group(self, s3):
-        sub = subgroup_view(s3, frozenset(s3.elements))
+        sub = subgroup_view(s3, frozenset(s3.core.elements))
         xi = perm_character(s3, explicit_subgroup(s3, "(0 1)"))
         xi = ClassFunction(sub, conjugacy_classes(sub), xi.values)
         c2 = explicit_subgroup(s3, "(0 1)")
@@ -274,7 +274,7 @@ class TestReciprocity:
     def test_inner_product_form(self, name):
         group = builtin_group(name)
         lattice = subgroup_lattice(group)
-        top = character_table(subgroup_view(group, frozenset(group.elements), name))
+        top = character_table(subgroup_view(group, frozenset(group.core.elements), name))
         for cls in lattice.classes:
             sub = subgroup_view(group, element_set(cls))
             for xi in character_table(sub).rows:
@@ -378,7 +378,7 @@ class TestCharacterTables:
         lattice = subgroup_lattice(group)
         cls = next(c for c in lattice.classes if c.order == 3)
         base = character_table(subgroup_view(group, element_set(cls)))
-        g = group.elements[5]
+        g = group.core.elements[5]
         rows = tuple(conjugate_function(row, g, group) for row in base.rows)
         CharacterTable(rows[0].group, rows[0].classes, rows)  # validates
 

@@ -272,6 +272,19 @@ class TestEqualizer:
         assert code == 2
         assert json.loads(err)["error"]["type"] == "MalformedEntry"
 
+    # exp(S3) = 6, so a conductor must divide 12; a huge one is refused
+    # before any entry is parsed at it
+    @pytest.mark.parametrize("conductor", ["3000000", "24"])
+    def test_conductor_not_dividing_twice_the_exponent_is_an_input_error(self, capsys, tmp_path, conductor):
+        shutil.copytree(DATA_DIR / "tables" / "S3", tmp_path / "S3")
+        path = tmp_path / "S3" / "3a.tbl"
+        path.write_text(path.read_text().replace("conductor: 6", f"conductor: {conductor}"))
+        code, out, err = run(capsys, "equalizer", "--group", "S3", "--tables", str(tmp_path), "--json")
+        assert code == 2
+        error = json.loads(err)["error"]
+        assert (error["type"], error["message"]) == (
+            "MalformedEntry", f"conductor {conductor} does not divide 2 * exp(G) = 2 * 6")
+
 
 class TestLie:
     def test_so3_n2(self, capsys):

@@ -6,6 +6,7 @@ from itertools import combinations
 import pytest
 
 from burnside.groups import (
+    BUILTIN_GROUPS,
     Group,
     MalformedCycle,
     OrderCapExceeded,
@@ -22,6 +23,7 @@ from burnside.groups import (
     subgroup_lattice,
 )
 
+from group_fixtures import BENCHMARK_GROUPS, benchmark_group
 from oracles import (
     NotAbelian,
     abelian_min_generators,
@@ -43,12 +45,12 @@ FIXTURES = ["C2", "C3", "C4", "C6", "C2xC2", "S3", "D4", "Q8", "A4", "S4"]
 
 def brute_force_subgroups(group: Group) -> set:
     """All subsets containing the identity that are closed under multiplication."""
-    elements = list(group.elements)
-    non_identity = [g for g in elements if g != group.identity]
+    elements = list(group.core.elements)
+    non_identity = [g for g in elements if g != group.core.elements[0]]
     out = set()
     for r in range(len(non_identity) + 1):
         for combo in combinations(non_identity, r):
-            candidate = frozenset(combo) | {group.identity}
+            candidate = frozenset(combo) | {group.core.elements[0]}
             if all(perm_mul(a, b) in candidate for a in candidate for b in candidate):
                 out.add(candidate)
     return out
@@ -91,7 +93,7 @@ def oracle_is_n_hyper(group: Group, subgroup: frozenset, n, p: int) -> bool:
             continue
         if not _is_p_power(len(subgroup) // len(cand), p):
             continue
-        if abelian_min_generators(cand, group.degree) <= n:
+        if abelian_min_generators(cand, group.core.degree) <= n:
             return True
     return False
 
@@ -108,7 +110,7 @@ class TestParseGroup:
     def test_q8_builtin(self):
         g = parse_group("Q8")
         assert g.order == 8
-        assert sum(1 for x in g.elements if perm_order(x) == 2) == 1
+        assert sum(1 for x in g.core.elements if perm_order(x) == 2) == 1
 
     def test_malformed(self):
         with pytest.raises(MalformedCycle):
@@ -199,7 +201,7 @@ class TestSubgroupLattice:
         lat = subgroup_lattice(group)
         for k, cls in enumerate(lat.classes):
             rep = element_set(cls)
-            for g in group.elements[:6]:
+            for g in group.core.elements[:6]:
                 conj = frozenset(perm_mul(perm_mul(g, s), perm_inv(g)) for s in rep)
                 idx, mover = lat.class_of_subgroup(conj)
                 assert idx == k
@@ -222,21 +224,21 @@ class TestSubgroupLattice:
 class TestMinGenerators:
     def test_c6(self):
         g = builtin_group("C6")
-        assert abelian_min_generators(frozenset(g.elements), g.degree) == 1
+        assert abelian_min_generators(frozenset(g.core.elements), g.core.degree) == 1
 
     def test_c2xc2(self):
         g = builtin_group("C2xC2")
-        assert abelian_min_generators(frozenset(g.elements), g.degree) == 2
+        assert abelian_min_generators(frozenset(g.core.elements), g.core.degree) == 2
 
     def test_c4xc2(self):
         g = group_from_generators([parse_cycles("(0 1 2 3)"), parse_cycles("(4 5)")], name="C4xC2")
         assert g.order == 8
-        mine = abelian_min_generators(frozenset(g.elements), g.degree)
+        mine = abelian_min_generators(frozenset(g.core.elements), g.core.degree)
         # oracle: exhaustive search over generating pairs
-        elems = list(g.elements)
-        single = any(len(close_under_product(g.degree, [x], cap=8)) == 8 for x in elems)
+        elems = list(g.core.elements)
+        single = any(len(close_under_product(g.core.degree, [x], cap=8)) == 8 for x in elems)
         pair = any(
-            len(close_under_product(g.degree, [x, y], cap=8)) == 8
+            len(close_under_product(g.core.degree, [x, y], cap=8)) == 8
             for x, y in combinations(elems, 2)
         )
         assert not single and pair
@@ -245,14 +247,14 @@ class TestMinGenerators:
     def test_not_abelian(self):
         g = builtin_group("S3")
         with pytest.raises(NotAbelian):
-            abelian_min_generators(frozenset(g.elements), g.degree)
+            abelian_min_generators(frozenset(g.core.elements), g.core.degree)
 
     def test_nonabelian_count_stays_within_the_known_bound(self):
         # S3 x C2^3: its abelianization C2^4 needs four generators, and
         # (0 1 2)(3 4), (0 1), (5 6), (7 8) are four that generate it
         group = parse_group("(0 1 2)\n(0 1)\n(3 4)\n(5 6)\n(7 8)")
-        four = [parse_cycles(c, group.degree) for c in ("(0 1 2)(3 4)", "(0 1)", "(5 6)", "(7 8)")]
-        assert len(close_under_product(group.degree, four, cap=48)) == group.order == 48
+        four = [parse_cycles(c, group.core.degree) for c in ("(0 1 2)(3 4)", "(0 1)", "(5 6)", "(7 8)")]
+        assert len(close_under_product(group.core.degree, four, cap=48)) == group.order == 48
         lattice = subgroup_lattice(group)
         full = lattice.classes[lattice.full_index]
         assert (full.label, full.min_generators) == ("48a", 4)
@@ -266,7 +268,7 @@ class TestMinGenerators:
                 continue
             k = cls.min_generators
             found = any(
-                len(close_under_product(group.degree, combo, cap=cls.order)) == cls.order
+                len(close_under_product(group.core.degree, combo, cap=cls.order)) == cls.order
                 for combo in combinations(sorted(element_set(cls)), k)
             )
             assert found, f"{name} class {cls.label} not generated by {k} elements"
@@ -279,16 +281,16 @@ class TestMinGenerators:
 class TestPPerfectCore:
     def test_s3_examples(self):
         group = builtin_group("S3")
-        full = frozenset(group.elements)
-        core2 = p_perfect_core(full, 2, group.degree)
+        full = frozenset(group.core.elements)
+        core2 = p_perfect_core(full, 2, group.core.degree)
         assert len(core2) == 3  # the rotation subgroup
-        core3 = p_perfect_core(full, 3, group.degree)
+        core3 = p_perfect_core(full, 3, group.core.degree)
         assert core3 == full
 
     def test_c2(self):
         group = builtin_group("C2")
-        core = p_perfect_core(frozenset(group.elements), 2, group.degree)
-        assert core == frozenset([group.identity])
+        core = p_perfect_core(frozenset(group.core.elements), 2, group.core.degree)
+        assert core == frozenset([group.core.elements[0]])
 
     @pytest.mark.parametrize("name", ["S3", "D4", "A4", "C6"])
     @pytest.mark.parametrize("p", [2, 3])
@@ -296,7 +298,7 @@ class TestPPerfectCore:
         group = builtin_group(name)
         lat = subgroup_lattice(group)
         for cls in lat.classes:
-            mine = p_perfect_core(element_set(cls), p, group.degree)
+            mine = p_perfect_core(element_set(cls), p, group.core.degree)
             assert mine == oracle_p_perfect_core(group, element_set(cls), p)
 
     @pytest.mark.parametrize("name", FIXTURES)
@@ -305,14 +307,14 @@ class TestPPerfectCore:
         lat = subgroup_lattice(group)
         for cls in lat.classes:
             for p in (2, 3):
-                core = p_perfect_core(element_set(cls), p, group.degree)
-                assert p_perfect_core(core, p, group.degree) == core
+                core = p_perfect_core(element_set(cls), p, group.core.degree)
+                assert p_perfect_core(core, p, group.core.degree) == core
 
     def test_core_is_normal(self):
         group = builtin_group("S4")
-        full = frozenset(group.elements)
+        full = frozenset(group.core.elements)
         for p in (2, 3):
-            core = p_perfect_core(full, p, group.degree)
+            core = p_perfect_core(full, p, group.core.degree)
             for h in full:
                 assert frozenset(perm_mul(perm_mul(h, x), perm_inv(h)) for x in core) == core
 
@@ -320,13 +322,13 @@ class TestPPerfectCore:
 class TestNHyper:
     def test_s3_examples(self):
         group = builtin_group("S3")
-        full = frozenset(group.elements)
-        assert is_n_hyper(full, 1, 2, group.degree)
-        assert not is_n_hyper(full, 1, 3, group.degree)
+        full = frozenset(group.core.elements)
+        assert is_n_hyper(full, 1, 2, group.core.degree)
+        assert not is_n_hyper(full, 1, 3, group.core.degree)
 
     def test_c2(self):
         group = builtin_group("C2")
-        assert is_n_hyper(frozenset(group.elements), 1, 2, group.degree)
+        assert is_n_hyper(frozenset(group.core.elements), 1, 2, group.core.degree)
 
     @pytest.mark.parametrize("name", ["S3", "D4", "A4", "Q8"])
     @pytest.mark.parametrize("p", [2, 3])
@@ -335,7 +337,7 @@ class TestNHyper:
         group = builtin_group(name)
         lat = subgroup_lattice(group)
         for cls in lat.classes:
-            mine = is_n_hyper(element_set(cls), n, p, group.degree)
+            mine = is_n_hyper(element_set(cls), n, p, group.core.degree)
             assert mine == oracle_is_n_hyper(group, element_set(cls), n, p)
 
 
@@ -346,7 +348,7 @@ class TestNHyper:
 class TestDoubleCosets:
     def test_c2_c2_in_s3(self):
         group = builtin_group("S3")
-        c2 = close_under_product(group.degree, [parse_cycles("(0 1)", 3)])
+        c2 = close_under_product(group.core.degree, [parse_cycles("(0 1)", 3)])
         decomposition = double_cosets(group, c2, c2)
         sizes = sorted(c.size for c in decomposition.cosets)
         assert sizes == [2, 4]
@@ -355,13 +357,13 @@ class TestDoubleCosets:
 
     def test_full_group(self):
         group = builtin_group("S4")
-        full = frozenset(group.elements)
+        full = frozenset(group.core.elements)
         decomposition = double_cosets(group, full, full)
         assert len(decomposition.cosets) == 1
 
     def test_trivial(self):
         group = builtin_group("S3")
-        triv = frozenset([group.identity])
+        triv = frozenset([group.core.elements[0]])
         decomposition = double_cosets(group, triv, triv)
         assert len(decomposition.cosets) == group.order
 
@@ -404,9 +406,39 @@ class TestConjugacyClasses:
         for name in FIXTURES:
             group = builtin_group(name)
             classes = conjugacy_classes(group)
-            assert classes.representatives[0] == group.identity
+            assert classes.representatives[0] == group.core.elements[0]
 
     def test_exponents(self):
         assert exponent(builtin_group("S4")) == 12
         assert exponent(builtin_group("Q8")) == 4
         assert exponent(builtin_group("C6")) == 6
+
+
+def brute_force_element_classes(subgroup: frozenset) -> list[tuple]:
+    """The sets {g^-1 x g : g in H} for x in H, sorted by element order, then
+    size, then least member."""
+    classes, seen = [], set()
+    for x in sorted(subgroup):
+        if x not in seen:
+            cls = {perm_mul(perm_mul(perm_inv(g), x), g) for g in subgroup}
+            seen |= cls
+            classes.append(tuple(sorted(cls)))
+    return sorted(classes, key=lambda cls: (perm_order(cls[0]), len(cls), cls[0]))
+
+
+# G's classes come from its greedy generators, and a subgroup's from those of
+# its mask on G's core: both must be the orbits under conjugation by every
+# element of the group.
+@pytest.mark.parametrize("kind,name", [
+    *(("builtin", name) for name in BUILTIN_GROUPS),
+    *(("benchmark", name) for name in BENCHMARK_GROUPS),
+])
+def test_element_classes_match_conjugation_by_every_element(kind, name):
+    group = builtin_group(name) if kind == "builtin" else benchmark_group(name)
+    core = group.core
+    views = [group] + [Group(core, cls.mask, cls.label) for cls in subgroup_lattice(group).classes]
+    for view in views:
+        classes = conjugacy_classes(view)
+        assert [tuple(core.elements[x] for x in cls) for cls in classes.members] == \
+            brute_force_element_classes(frozenset(core.perms(view.mask)))
+        assert classes.class_of == {x: c for c, cls in enumerate(classes.members) for x in cls}

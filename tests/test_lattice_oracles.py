@@ -77,10 +77,10 @@ def literal_marks(group: Group, reps: list[frozenset]) -> list[list[int]]:
     """m[H][K] = |(G/H)^K|: the left cosets gH that every generator of K fixes."""
     rows = []
     for h_set in reps:
-        cosets = {frozenset(perm_mul(g, h) for h in h_set) for g in group.elements}
+        cosets = {frozenset(perm_mul(g, h) for h in h_set) for g in group.core.elements}
         row = []
         for k_set in reps:
-            k_gens = small_generating_set(k_set, group.degree)
+            k_gens = small_generating_set(k_set, group.core.degree)
             row.append(sum(
                 1 for coset in cosets
                 if all(frozenset(perm_mul(k, x) for x in coset) == coset for k in k_gens)
@@ -203,9 +203,9 @@ def test_class_of_subgroup_returns_first_conjugator(name):
     lattice = subgroup_lattice(group)
     for idx, cls in enumerate(lattice.classes):
         rep = element_set(cls)
-        for x in group.elements[::5]:
+        for x in group.core.elements[::5]:
             subgroup = conjugate(x, rep)
-            expected = next(g for g in group.elements if conjugate(perm_inv(g), subgroup) == rep)
+            expected = next(g for g in group.core.elements if conjugate(perm_inv(g), subgroup) == rep)
             assert lattice.class_of_subgroup(subgroup) == (idx, expected)
 
 
@@ -292,16 +292,16 @@ def reference_lattice(group: Group):
     """Classes (representative, order, Weyl order, label, abelian),
     subconjugacy and literal marks, from the perm-tuple extension of every
     known subgroup by every element."""
-    trivial = frozenset([group.identity])
+    trivial = frozenset([group.core.elements[0]])
     generators = {trivial: ()}
     frontier = [trivial]
     while frontier:
         nxt = []
         for sub in frontier:
-            for g in group.elements:
+            for g in group.core.elements:
                 if g in sub:
                     continue
-                extended = close_under_product(group.degree, generators[sub] + (g,), cap=group.order)
+                extended = close_under_product(group.core.degree, generators[sub] + (g,), cap=group.order)
                 if extended not in generators:
                     generators[extended] = generators[sub] + (g,)
                     nxt.append(extended)
@@ -309,20 +309,20 @@ def reference_lattice(group: Group):
     reps, seen = [], set()
     for sub in sorted(generators, key=lambda s: (len(s), tuple(sorted(s)))):
         if sub not in seen:
-            orbit = {conjugate(g, sub) for g in group.elements}
+            orbit = {conjugate(g, sub) for g in group.core.elements}
             seen |= orbit
             reps.append(min(orbit, key=lambda s: tuple(sorted(s))))
     reps.sort(key=lambda s: (len(s), tuple(sorted(s))))
     classes, counts = [], {}
     for rep in reps:
-        normalizer = sum(1 for g in group.elements if conjugate(g, rep) == rep)
+        normalizer = sum(1 for g in group.core.elements if conjugate(g, rep) == rep)
         seq = counts.get(len(rep), 0)
         counts[len(rep)] = seq + 1
         abelian = all(perm_mul(a, b) == perm_mul(b, a) for a in rep for b in rep)
         classes.append((tuple(sorted(rep)), len(rep), normalizer // len(rep),
                         f"{len(rep)}{chr(ord('a') + seq)}", abelian))
     leq = tuple(
-        tuple(len(k) <= len(h) and any(conjugate(g, k) <= h for g in group.elements) for h in reps)
+        tuple(len(k) <= len(h) and any(conjugate(g, k) <= h for g in group.core.elements) for h in reps)
         for k in reps
     )
     return classes, leq, literal_marks(group, reps)

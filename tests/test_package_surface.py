@@ -7,13 +7,17 @@ imported alias), be a target that the benchmark tracer in perfbench/spans.py
 wraps or counts, be a dunder, or be the command-line entry point cli.main.
 A helper that only tests call belongs in tests/oracles.py.  The tracer's
 file is loaded read-only.  A second scan finds every call of Group(...)
-and GroupCore(...): a subgroup is a view of G's core (groups.Subgroup), so
-Group is built only by groups.group_from_generators and GroupCore only by
-Group.core.
+and GroupCore(...): a group is a core and a bitmask, G the full mask of its
+own core and a subgroup G's core with the subgroup's mask, so GroupCore is
+built only by groups.group_from_generators, and Group only there, by
+restriction.TableProvider._class_group and by characters.conjugate_function.
+A third scan finds the name Subgroup anywhere in the package: there is one
+group type.
 """
 
 import ast
 import importlib.util
+import re
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -89,7 +93,11 @@ def test_scan_flags_what_only_tests_would_call():
     assert unreferenced({"cli": source}, {"cli.Table.spanned"}) == ["cli.Table.unused", "cli.orphan"]
 
 
-CONSTRUCTORS = {"Group": {"groups.group_from_generators"}, "GroupCore": {"groups.Group.core"}}
+CONSTRUCTORS = {
+    "Group": {"groups.group_from_generators", "restriction.TableProvider._class_group",
+              "characters.conjugate_function"},
+    "GroupCore": {"groups.group_from_generators"},
+}
 
 
 def constructor_calls(sources: dict[str, str]) -> set[tuple[str, str]]:
@@ -121,14 +129,19 @@ def test_one_group_and_one_core_per_parsed_group():
     sources = {path.stem: path.read_text(encoding="utf-8") for path in sorted(PACKAGE.glob("*.py"))}
     calls = constructor_calls(sources)
     assert misplaced(calls) == []
-    assert calls == {("Group", "groups.group_from_generators"), ("GroupCore", "groups.Group.core")}
+    assert calls == {(name, caller) for name, callers in CONSTRUCTORS.items() for caller in callers}
+
+
+def test_one_group_type():
+    sources = {path.name: path.read_text(encoding="utf-8") for path in sorted(PACKAGE.glob("*.py"))}
+    assert [name for name, text in sources.items() if re.search(r"\bSubgroup\b", text)] == []
 
 
 def test_constructor_scan_flags_a_second_core():
     source = (
         "class Group:\n"
-        "    def core(self): return GroupCore(self)\n"
-        "def group_from_generators(gens): return Group(gens)\n"
+        "    def __init__(self, core, mask): self.core, self.mask = core, mask\n"
+        "def group_from_generators(gens): return Group(GroupCore(gens), 1)\n"
         "def subgroup_as_group(parent, mask):\n"
         "    sub = Group([g for g in parent.gens if mask >> g & 1])\n"
         "    return sub, groups.GroupCore(sub)\n"

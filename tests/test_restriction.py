@@ -548,13 +548,13 @@ class TestFusionOracle:
         assert verify(table, n, provider).verified
         assert reads
         g_classes = conjugacy_classes(group)
-        g_sets = [{group.elements[x] for x in cls} for cls in g_classes.members]
+        g_sets = [{group.core.elements[x] for x in cls} for cls in g_classes.members]
         for member, fusion, top, block in reads:
             assert top.group is group
             elements = set(group.core.perms(member.group.mask))
             for rep, d in zip(member.classes.representatives, fusion, strict=True):
                 target = g_classes.representatives[d]
-                assert any(perm_mul(perm_mul(g, rep), perm_inv(g)) == target for g in group.elements)
+                assert any(perm_mul(perm_mul(g, rep), perm_inv(g)) == target for g in group.core.elements)
             for d, g_set in enumerate(g_sets):
                 fused = sum(size for size, f in zip(member.classes.sizes, fusion) if f == d)
                 assert fused == len(elements & g_set)
@@ -614,7 +614,7 @@ class TestTablesRead:
 
 
 # GroupCore builds per equalizer run: only G's, since G's table lives on G
-# and every member's on a view of G's core (groups.Subgroup)
+# and every member's on a groups.Group of G's core and the member's mask
 @pytest.mark.parametrize("group,mode,tables", [
     ("S4", "artin", False),
     ("S4", "brauer", False),
@@ -629,9 +629,9 @@ def test_each_command_builds_one_core(capsys, monkeypatch, group, mode, tables):
     built = []
     original = GroupCore.__init__
 
-    def counting(self, group):
-        built.append(group)
-        original(self, group)
+    def counting(self, *args):
+        built.append(args)
+        original(self, *args)
 
     monkeypatch.setattr(GroupCore, "__init__", counting)
     spec = group if group in BUILTIN_GROUPS else "\n".join(BENCHMARK_GROUPS[group]["generators"])
