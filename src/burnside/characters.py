@@ -1,10 +1,13 @@
-"""Exact class functions and representation-ring data for finite groups.
+"""Exact character tables and representation-ring data for finite groups.
 
-Class functions take cyclotomic values on element conjugacy classes.  A
-table lives on G's index core (GroupCore), as does every groups.Group: G's
-own on G, the core's full mask, a subgroup's on the subgroup's mask, whose
-classes are keyed by G's indices, so values move between G and its subgroups
-by element index, and permutation tuples only name class representatives in
+A character table is its group and its rows of values: each row is a tuple
+of cyclotomic values, one per class of conjugacy_classes(group), and row[0]
+is the degree.  ClassFunction pairs a group with such a tuple for induce,
+restrict and conjugate_function, which no command calls.  A table lives
+on G's index core (GroupCore), as does every groups.Group: G's own on G,
+the core's full mask, a subgroup's on the subgroup's mask, whose classes
+are keyed by G's indices, so values move between G and its subgroups by
+element index, and permutation tuples only name class representatives in
 table files.  Every loop over elements, in the class matrices, power maps,
 conjugation by g and linear characters, runs on element indices and the
 index form of the classes (groups.ConjugacyClasses).  Induction reads the
@@ -84,15 +87,11 @@ class DegreeSumMismatch(CharacterError):
 
 
 class ClassFunction:
-    """A cyclotomic-valued function on the element classes of a group."""
+    """A cyclotomic-valued function on the element classes of a group, one
+    value per class of conjugacy_classes(group)."""
 
-    def __init__(self, group: Group, classes: ConjugacyClasses, values: tuple[Cyclotomic, ...]):
-        assert len(values) == len(classes.members)
-        self.group, self.classes, self.values = group, classes, values
-
-    @property
-    def degree(self) -> Cyclotomic:
-        return self.values[0]
+    def __init__(self, group: Group, values: tuple[Cyclotomic, ...]):
+        self.group, self.classes, self.values = group, conjugacy_classes(group), values
 
     def __eq__(self, other):
         return isinstance(other, ClassFunction) and all(a == b for a, b in zip(self.values, other.values)) \
@@ -141,14 +140,13 @@ def induce(xi: ClassFunction, group: Group) -> ClassFunction:
     for cls, mask, value in zip(xi.classes.members, xi.classes.masks, xi.values):
         c = classes.class_of[cls[0]]
         values[c] = values[c] + value * (classes.conjugators_into(c, mask) // xi.group.order)
-    return ClassFunction(group, classes, tuple(values))
+    return ClassFunction(group, tuple(values))
 
 
 def restrict(chi: ClassFunction, subgroup: Group) -> ClassFunction:
     """Pull values back along the inclusion of a subgroup on chi's core."""
-    sub_classes = conjugacy_classes(subgroup)
-    values = tuple(chi.values[chi.classes.class_of[cls[0]]] for cls in sub_classes.members)
-    return ClassFunction(subgroup, sub_classes, values)
+    values = tuple(chi.values[chi.classes.class_of[cls[0]]] for cls in conjugacy_classes(subgroup).members)
+    return ClassFunction(subgroup, values)
 
 
 def conjugate_function(xi: ClassFunction, g: Perm, parent: Group) -> ClassFunction:
@@ -157,9 +155,9 @@ def conjugate_function(xi: ClassFunction, g: Perm, parent: Group) -> ClassFuncti
     c = core.index[g]
     ci = core.inverse[c]
     target = Group(core, _mask(core.conjugate(h, ci) for h in _bits(xi.group.mask)))
-    target_classes = conjugacy_classes(target)
-    values = tuple(xi.values[xi.classes.class_of[core.conjugate(cls[0], c)]] for cls in target_classes.members)
-    return ClassFunction(target, target_classes, values)
+    values = tuple(xi.values[xi.classes.class_of[core.conjugate(cls[0], c)]]
+                   for cls in conjugacy_classes(target).members)
+    return ClassFunction(target, values)
 
 
 # ---------------------------------------------------------------------------
@@ -167,8 +165,11 @@ def conjugate_function(xi: ClassFunction, g: Perm, parent: Group) -> ClassFuncti
 
 
 class CharacterTable:
-    def __init__(self, group: Group, classes: ConjugacyClasses, rows: tuple[ClassFunction, ...]):
-        self.group, self.classes, self.rows = group, classes, rows
+    """The irreducible characters of a group, each row a tuple of values,
+    one per class of conjugacy_classes(group)."""
+
+    def __init__(self, group: Group, rows: tuple[tuple[Cyclotomic, ...], ...]):
+        self.group, self.classes, self.rows = group, conjugacy_classes(group), rows
         # conductor n -> per row, size-weighted conjugated values at n
         self._weighted_rows: dict = {}
         validate_table(self)
@@ -180,25 +181,26 @@ class CharacterTable:
     @cached_property
     def conductor(self) -> int:
         """The lcm of the conductors of the table's values."""
-        return math.lcm(1, *(v.conductor for row in self.rows for v in row.values))
+        return math.lcm(1, *(v.conductor for row in self.rows for v in row))
 
     def _pairings(self, values: Sequence[Cyclotomic]) -> list[list[int]]:
         """|G| <v, chi_i> = sum_c |c| v(c) conj(chi_i(c)) per row chi_i, in power-basis
         coordinates at n, the lcm of the conductors of the table and of v."""
         n = math.lcm(self.conductor, *(v.conductor for v in values))
         if n not in self._weighted_rows:
-            self._weighted_rows[n] = [_spread(row.values, n, self.classes.sizes, conjugate=True)
+            self._weighted_rows[n] = [_spread(row, n, self.classes.sizes, conjugate=True)
                                       for row in self.rows]
         terms = _spread(values, n)
         return [_convolve(terms, row_terms, n) for row_terms in self._weighted_rows[n]]
 
-    def coordinates(self, chi: ClassFunction) -> list[int]:
-        """Integer coordinates of a virtual character in the irreducible basis."""
+    def coordinates(self, values: Sequence[Cyclotomic]) -> list[int]:
+        """Integer coordinates of a virtual character, given by its values on
+        the table's classes, in the irreducible basis."""
         order = self.group.order
         out = []
-        for i, coeffs in enumerate(self._pairings(chi.values)):
+        for i, coeffs in enumerate(self._pairings(values)):
             if any(coeffs[1:]):
-                n = math.lcm(self.conductor, *(v.conductor for v in chi.values))
+                n = math.lcm(self.conductor, *(v.conductor for v in values))
                 raise CharacterError(f"inner product with row {i} is {Cyclotomic(n, coeffs)!r} / {order}, "
                                      "not rational")
             if coeffs[0] % order:
@@ -214,27 +216,29 @@ def validate_table(table: CharacterTable) -> None:
     if len(rows) != n_classes:
         raise DegreeSumMismatch(f"{len(rows)} rows for {n_classes} classes")
     degrees = []
-    for row in rows:
-        if not row.degree.is_rational() or row.degree.as_rational() <= 0:
-            raise DegreeSumMismatch(f"bad degree {_format_cyclotomic(row.degree)}")
-        degrees.append(row.degree.as_rational())
+    for i, row in enumerate(rows):
+        if len(row) != n_classes:
+            raise CharacterError(f"row {i} has {len(row)} values for {n_classes} classes")
+        if not row[0].is_rational() or row[0].as_rational() <= 0:
+            raise DegreeSumMismatch(f"bad degree {_format_cyclotomic(row[0])}")
+        degrees.append(row[0].as_rational())
     if sum(d * d for d in degrees) != group.order:
         raise DegreeSumMismatch(f"degree squares sum to {sum(d * d for d in degrees)}, not {group.order}")
-    if any(not v == 1 for v in rows[0].values):
+    if any(not v == 1 for v in rows[0]):
         raise CharacterError("first row must be the trivial character")
     # For the square X[i][c] = chi_i(c) and D = diag(|c|), the row relation
     # X D X* = |G| I gives X* X = |G| D^-1, the column relation (Serre, Linear
     # Representations of Finite Groups (1977), 2.5).  OrthogonalityFailure
     # names the first failing i <= j: each j < i passed as (j, i).
     for i, row in enumerate(rows):
-        for j, coeffs in enumerate(table._pairings(row.values)):
+        for j, coeffs in enumerate(table._pairings(row)):
             if coeffs[0] != (group.order if i == j else 0) or any(coeffs[1:]):
                 raise OrthogonalityFailure(i, j)
 
 
-def linear_characters(group: Group) -> list[ClassFunction]:
-    """The |G| characters of an abelian group G, as class functions at its
-    exponent e, built by extension along its greedy generators.
+def linear_characters(group: Group) -> list[tuple[Cyclotomic, ...]]:
+    """The |G| characters of an abelian group G, as rows of values at its
+    exponent e, built by extension along its generators.
 
     Let H be generated by the generators before g, and m the least exponent
     with g^m in H.  The cosets H g^j, 0 <= j < m, make up <H, g>, and each
@@ -254,24 +258,19 @@ def linear_characters(group: Group) -> list[ClassFunction]:
         elems = [core.table[h][x] for x in powers[:m] for h in elems]
         position = {x: r for r, x in enumerate(elems)}
     zetas = [Cyclotomic.zeta(e, k) for k in range(e)]
-    return [ClassFunction(group, classes, tuple(zetas[chi[position[cls[0]]]] for cls in classes.members))
-            for chi in chars]
+    return [tuple(zetas[chi[position[cls[0]]]] for cls in classes.members) for chi in chars]
 
 
 def character_table(group: Group) -> CharacterTable:
     """Exact character table, its values at the exponent of the group."""
-    classes = conjugacy_classes(group)
-    if group.core.commute(group.gens):
-        rows = linear_characters(group)
-    else:
-        rows = _dixon_schneider(group, classes)
-    return CharacterTable(group, classes, tuple(_order_rows(rows)))
+    rows = linear_characters(group) if group.core.commute(group.gens) else _dixon_schneider(group)
+    return CharacterTable(group, tuple(_order_rows(rows)))
 
 
-def _dixon_schneider(group: Group, classes: ConjugacyClasses) -> list[ClassFunction]:
+def _dixon_schneider(group: Group) -> list[tuple[Cyclotomic, ...]]:
     """The irreducible characters, from the common eigenvectors of the class
     matrices over F_p, each value lifted exactly to Z[zeta_e], e = exp(G)."""
-    core, order, e = group.core, group.order, exponent(group)
+    core, order, e, classes = group.core, group.order, exponent(group), conjugacy_classes(group)
     members, class_of = classes.members, classes.class_of
     reps, sizes, k = [cls[0] for cls in members], classes.sizes, len(members)
     # F_p holds the e-th roots of unity as p = 1 mod e; p^2 > 4|G| makes the
@@ -302,7 +301,7 @@ def _dixon_schneider(group: Group, classes: ConjugacyClasses) -> list[ClassFunct
                 total = sum(chi[c] * zetas[-(e // o) * l * i % e] for i, c in enumerate(powers))
                 coeffs[e // o * l] = total * pow(o, -1, p) % p
             values.append(Cyclotomic(e, coeffs))
-        rows.append(ClassFunction(group, classes, tuple(values)))
+        rows.append(tuple(values))
     return rows
 
 
@@ -407,11 +406,11 @@ def _echelon(rows: list[list[int]], p: int) -> tuple[list[list[int]], list[int]]
     return rows[:len(cols)], cols
 
 
-def _order_rows(rows: list[ClassFunction]) -> list[ClassFunction]:
+def _order_rows(rows: list[tuple[Cyclotomic, ...]]) -> list[tuple[Cyclotomic, ...]]:
     """Rows by degree, then coefficients, except that the trivial character
     comes first, so that validation's first-row check is meaningful."""
-    return sorted(rows, key=lambda chi: (chi.degree.as_rational(), not all(v == 1 for v in chi.values),
-                                         [tuple(v.coeffs) for v in chi.values]))
+    return sorted(rows, key=lambda chi: (chi[0].as_rational(), not all(v == 1 for v in chi),
+                                         [tuple(v.coeffs) for v in chi]))
 
 
 # ---------------------------------------------------------------------------
@@ -422,25 +421,21 @@ _TERM_RE = re.compile(r"^(?:([+-]?\d+)|([+-]))?(?:(?:\*)?z(?:\^(\d+))?)?$")
 
 
 def _parse_cyclotomic_entry(text: str, conductor: int) -> Cyclotomic:
+    """A row entry: terms c, c*z^k, c*z, z^k and z, each signed.  A term
+    from the split holds a character other than a sign, so a match without
+    z has its digits."""
     cleaned = text.replace(" ", "")
-    if not cleaned:
-        raise MalformedEntry("empty entry")
     terms = re.findall(r"[+-]?[^+-]+", cleaned)
     if "".join(terms) != cleaned:
         raise MalformedEntry(f"cannot split {text!r} into terms")
     coeffs = [0] * conductor
     for term in terms:
         m = _TERM_RE.match(term)
-        if not m or not term:
+        if not m:
             raise MalformedEntry(f"bad term {term!r} in {text!r}")
-        digits, bare_sign, power = m.group(1), m.group(2), m.group(3)
-        has_z = "z" in term
-        if digits is None and bare_sign is None and not has_z:
-            raise MalformedEntry(f"bad term {term!r} in {text!r}")
-        if bare_sign is not None and not has_z:
-            raise MalformedEntry(f"bad term {term!r} in {text!r}")
-        coeff = int(digits) if digits is not None else (-1 if bare_sign == "-" else 1)
-        k = int(power or 1) if has_z else 0
+        digits, bare_sign, power = m.groups()
+        coeff = _integer(digits, text) if digits is not None else (-1 if bare_sign == "-" else 1)
+        k = _integer(power, text) if power else int("z" in term)
         coeffs[k % conductor] += coeff
     return Cyclotomic(conductor, coeffs)
 
@@ -512,9 +507,9 @@ def load_character_table(path: str, group: Group) -> CharacterTable:
         values: list[Cyclotomic | None] = [None] * len(class_reps)
         for text, col in zip(raw, column_of):
             values[col] = _parse_cyclotomic_entry(text, conductor)
-        rows.append(ClassFunction(group, classes, tuple(values)))
-    trivial_first = sorted(rows, key=lambda r: not all(v == 1 for v in r.values))
-    table = CharacterTable(group, classes, tuple(trivial_first))
+        rows.append(tuple(values))
+    trivial_first = sorted(rows, key=lambda r: not all(v == 1 for v in r))
+    table = CharacterTable(group, tuple(trivial_first))
     _check_power_maps(table)
     return table
 
@@ -543,8 +538,7 @@ def _check_power_maps(table: CharacterTable) -> None:
                 continue
             target = classes.class_of[core.power(x, a)]
             for i, row in enumerate(table.rows):
-                value = row.values[c]
-                if row.values[target] != value.galois(a % value.conductor):
+                if row[target] != row[c].galois(a % row[c].conductor):
                     raise CharacterError(f"row {i} breaks chi(g^{a}) = sigma_{a}(chi(g)) at "
                                          f"g = {classes.label(c)}: the columns do not match "
                                          "the group's classes")

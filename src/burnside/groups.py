@@ -96,8 +96,6 @@ def parse_cycles(text: str, degree: int | None = None) -> Perm:
     consumed = _CYCLE_RE.sub("", stripped).strip()
     if consumed:
         raise MalformedCycle(f"unexpected text {consumed!r} in {text!r}")
-    if stripped.count("(") != stripped.count(")") or not stripped.startswith("("):
-        raise MalformedCycle(f"unbalanced parentheses in {text!r}")
     cycles: list[list[int]] = []
     seen: set[int] = set()
     maxpoint = -1
@@ -106,9 +104,12 @@ def parse_cycles(text: str, degree: int | None = None) -> Perm:
         for token in re.split(r"[,\s]+", body.strip()):
             if not token:
                 continue
-            if not token.isdecimal():
+            try:
+                point = int(token) if token.isdecimal() else -1
+            except ValueError:  # more digits than int() converts
+                point = -1
+            if point < 0:
                 raise MalformedCycle(f"bad point {token!r} in {text!r}")
-            point = int(token)
             if point in seen:
                 raise MalformedCycle(f"point {point} appears twice in {text!r}")
             seen.add(point)
@@ -142,7 +143,8 @@ class Group:
 
     @cached_property
     def gens(self) -> list[int]:
-        """Greedy generators, as indices into the core."""
+        """Greedy generators, as indices into the core; group_from_generators
+        gives G the core's own generators instead."""
         return self.core.generating_set(self.mask)
 
     @cached_property
@@ -339,7 +341,9 @@ def group_from_generators(generators: Sequence[Perm], name: str = "", cap: int =
     d = max((len(g) for g in generators), default=1)
     gens = tuple(g + tuple(range(len(g), d)) for g in generators)
     elements = tuple(sorted(close_under_product(d, gens, cap)))
-    return Group(GroupCore(elements, gens), (1 << len(elements)) - 1, name)
+    group = Group(GroupCore(elements, gens), (1 << len(elements)) - 1, name)
+    group.gens = group.core.generators
+    return group
 
 
 def _cyclic(n: int) -> list[str]:
@@ -406,8 +410,9 @@ class ConjugacyClasses:
     keyed by the group's elements.  Permutations appear only at the
     boundary, in representatives, label and index_of."""
 
-    def __init__(self, group: Group, members: tuple[tuple[int, ...], ...], class_of: dict[int, int]):
-        self.group, self.members, self.class_of = group, members, class_of
+    def __init__(self, group: Group, members: tuple[tuple[int, ...], ...]):
+        self.group, self.members = group, members
+        self.class_of = {x: c for c, cls in enumerate(members) for x in cls}
 
     @cached_property
     def representatives(self) -> list[Perm]:
@@ -462,7 +467,7 @@ def _element_classes(group: Group) -> ConjugacyClasses:
                     orbit.append(z)
         classes.append(tuple(sorted(orbit)))
     classes.sort(key=lambda cls: (orders[cls[0]], len(cls), cls[0]))
-    return ConjugacyClasses(group, tuple(classes), {x: c for c, cls in enumerate(classes) for x in cls})
+    return ConjugacyClasses(group, tuple(classes))
 
 
 def exponent(group: Group) -> int:
@@ -477,11 +482,10 @@ class SubgroupClass:
     """A conjugacy class of subgroups, with its classification data.  The
     representative is held as its bitmask over the group's core."""
 
-    def __init__(self, core: GroupCore, mask: int, bound: int, order: int, weyl_order: int,
-                 is_abelian: bool, label: str):
+    def __init__(self, core: GroupCore, mask: int, bound: int, weyl_order: int, is_abelian: bool, label: str):
         self.core, self.mask, self.label = core, mask, label
         self.bound = bound  # the size of a known generating set
-        self.order, self.weyl_order, self.is_abelian = order, weyl_order, is_abelian
+        self.order, self.weyl_order, self.is_abelian = mask.bit_count(), weyl_order, is_abelian
 
     @cached_property
     def min_generators(self) -> int:
@@ -740,7 +744,7 @@ def subgroup_lattice(group: Group) -> SubgroupLattice:
         orbits.append((rep_mask,) + tuple(m for m in orbit if m != rep_mask))
         seq = order_counts.get(order, 0)
         order_counts[order] = seq + 1
-        classes.append(SubgroupClass(core, rep_mask, len(gens), order, group.order // len(orbit) // order,
+        classes.append(SubgroupClass(core, rep_mask, len(gens), group.order // len(orbit) // order,
                                      core.commute(gens), f"{order}{_letters(seq)}"))
         down_sets[idx] |= 1 << idx
         for target in above:

@@ -29,8 +29,9 @@ the n-hyper family, the support of the Artin certificate and G alone.
 G's table lives on G itself, and each member's on a groups.Group of G's
 core and the member's bitmask, so the command builds one core.  Each member is read
 through one fusion list, fusion[c] the G-class of its class c, read off the
-least element index of the class: M's block takes G's rows at those
-classes, and the fusion check compares the basis columns along the lists.
+least element index of the class: M's block reads each row of G's table, a
+tuple of values, at those classes and takes its coordinates in the member's
+table, and the fusion check compares the basis columns along the lists.
 """
 
 from __future__ import annotations
@@ -120,8 +121,8 @@ class TableProvider:
         if base.group.mask == self.lattice.group.core.mask(subgroup):
             table = base
         else:
-            rows = tuple(conjugate_function(row, g, self.lattice.group) for row in base.rows)
-            table = CharacterTable(rows[0].group, rows[0].classes, rows)
+            rows = [conjugate_function(ClassFunction(base.group, row), g, self.lattice.group) for row in base.rows]
+            table = CharacterTable(rows[0].group, tuple(row.values for row in rows))
         self._conjugate_tables[subgroup] = table
         return table
 
@@ -172,8 +173,7 @@ def maximal_members(family: Sequence[int], lattice: SubgroupLattice) -> list[int
     return [k for k in family if not below >> k & 1]
 
 
-def equalizer_lattice(family: list[int], provider: TableProvider,
-                      lattice: SubgroupLattice) -> EqualizerLattice:
+def equalizer_lattice(family: list[int], provider: TableProvider) -> EqualizerLattice:
     """Integral basis of the equalizer of the two restriction-conjugation maps.
 
     A tuple (x_K) lies in the equalizer when res_I x_K = c_g res x_L on
@@ -203,6 +203,7 @@ def equalizer_lattice(family: list[int], provider: TableProvider,
     """
     if not family:
         raise EmptyFamily("equalizer over an empty family")
+    lattice = provider.lattice
     tables = [provider.class_table(i) for i in family]
     top_table = provider.class_table(lattice.full_index)
     g_classes = conjugacy_classes(lattice.group)
@@ -221,9 +222,7 @@ def _stacked_block(table: CharacterTable, fusion: Sequence[int],
                    top_table: CharacterTable) -> list[tuple[int, ...]]:
     """The rows (K, psi) of M for K's table: <res_K chi, psi> over chi in
     irr(G), where res_K chi takes chi's value at fusion[c] on K's class c."""
-    return list(zip(*(table.coordinates(ClassFunction(table.group, table.classes,
-                                                      tuple(chi.values[f] for f in fusion)))
-                      for chi in top_table.rows)))
+    return list(zip(*(table.coordinates([chi[f] for f in fusion]) for chi in top_table.rows)))
 
 
 def _solve_coordinates(echelon: list[list[int]], rows: Sequence[Sequence[int]]) -> list[list[int]]:
@@ -270,7 +269,7 @@ def _check_fusion(basis: IntMatrix, tables: list[CharacterTable], fusions: list[
         for c, g_class in enumerate(fusion):
             values = [[0] * basis.cols for _ in range(phi)]  # power-basis coefficient -> column
             for x, row in zip(block, table.rows):
-                for i, v in enumerate(row.values[c].to_conductor(n).coeffs):
+                for i, v in enumerate(row[c].to_conductor(n).coeffs):
                     if v:
                         values[i] = [a + v * b for a, b in zip(values[i], x)]
             ref_c, ref_label, ref_values = first.setdefault(g_class, (c, label, values))
@@ -319,7 +318,7 @@ def verify_artin_restriction(table: MarksTable, n: int | float,
     if not certificate.verified:
         raise RestrictionError("Artin certificate failed; restriction check not applicable")
     coefficients = certificate.alpha.coefficients
-    eq = equalizer_lattice(sorted(coefficients), provider, lattice)
+    eq = equalizer_lattice(sorted(coefficients), provider)
     order = certificate.order_n
     nirr = eq.restriction.cols
 
@@ -405,7 +404,7 @@ def verify_brauer_restriction(table: MarksTable, n: int | float = 1,
             if lhs != rhs:
                 raise RestrictionError(f"sum_H k_H |(G/H)^g| = 1 fails at g = {table.element_classes.label(c)}; "
                                        f"restriction check not applicable at n = {n}")
-    eq = equalizer_lattice(maximal_members(hyper_family(table, n), lattice), provider, lattice)
+    eq = equalizer_lattice(maximal_members(hyper_family(table, n), lattice), provider)
     _, d, _ = smith_normal_form(_restriction_matrix(eq, provider))
     divisors = tuple(
         d.entries[i][i] for i in range(min(d.rows, d.cols)) if d.entries[i][i] != 0

@@ -104,7 +104,7 @@ def induced_by_cosets(xi: ClassFunction, group: Group) -> ClassFunction:
         moved = (core.conjugate(core.index[rep], c) for c in cosets)
         values.append(sum((value_at(xi, core.elements[m]) for m in moved if mask >> m & 1),
                           Cyclotomic.zero(conductor)))
-    return ClassFunction(group, classes, tuple(values))
+    return ClassFunction(group, tuple(values))
 
 
 def dense(x: BurnsideElement | GhostElement, n: int) -> tuple[int, ...]:

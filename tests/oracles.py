@@ -64,19 +64,19 @@ class NotAbelian(GroupError):
 
 
 def add(a: ClassFunction, b: ClassFunction) -> ClassFunction:
-    return ClassFunction(a.group, a.classes, tuple(x + y for x, y in zip(a.values, b.values, strict=True)))
+    return ClassFunction(a.group, tuple(x + y for x, y in zip(a.values, b.values, strict=True)))
 
 
 def subtract(a: ClassFunction, b: ClassFunction) -> ClassFunction:
-    return ClassFunction(a.group, a.classes, tuple(x - y for x, y in zip(a.values, b.values, strict=True)))
+    return ClassFunction(a.group, tuple(x - y for x, y in zip(a.values, b.values, strict=True)))
 
 
 def multiply(a: ClassFunction, b: ClassFunction) -> ClassFunction:
-    return ClassFunction(a.group, a.classes, tuple(x * y for x, y in zip(a.values, b.values, strict=True)))
+    return ClassFunction(a.group, tuple(x * y for x, y in zip(a.values, b.values, strict=True)))
 
 
 def scale(a: ClassFunction, k) -> ClassFunction:
-    return ClassFunction(a.group, a.classes, tuple(v * k for v in a.values))
+    return ClassFunction(a.group, tuple(v * k for v in a.values))
 
 
 def is_zero(a: ClassFunction) -> bool:
@@ -84,12 +84,12 @@ def is_zero(a: ClassFunction) -> bool:
 
 
 def degrees(table: CharacterTable) -> list[int]:
-    return [row.degree.as_rational() for row in table.rows]
+    return [row[0].as_rational() for row in table.rows]
 
 
 def constant_function(group: Group, classes: ConjugacyClasses, value, conductor: int = 1) -> ClassFunction:
     c = Cyclotomic.from_rational(value, conductor) if not isinstance(value, Cyclotomic) else value
-    return ClassFunction(group, classes, tuple(c for _ in classes.members))
+    return ClassFunction(group, tuple(c for _ in classes.members))
 
 
 def inner_product(a: ClassFunction, b: ClassFunction) -> Fraction:
@@ -107,7 +107,7 @@ def from_coordinates(table: CharacterTable, coords: Sequence[int]) -> ClassFunct
     total = constant_function(table.group, table.classes, Cyclotomic.zero())
     for c, row in zip(coords, table.rows):
         if c:
-            total = add(total, scale(row, c))
+            total = add(total, scale(ClassFunction(table.group, row), c))
     return total
 
 
@@ -119,7 +119,7 @@ def perm_character(group: Group, subgroup: frozenset) -> ClassFunction:
     """Character of the action on G/H: g -> |(G/H)^g|."""
     classes = conjugacy_classes(group)
     mask = group.core.mask(subgroup)
-    return ClassFunction(group, classes, tuple(
+    return ClassFunction(group, tuple(
         Cyclotomic.from_rational(classes.conjugators_into(c, mask) // len(subgroup))
         for c in range(len(classes.members))))
 
@@ -154,7 +154,7 @@ def table_to_text(table: CharacterTable) -> str:
     for rep, size in zip(table.classes.representatives, table.classes.sizes):
         lines.append(f"class: {perm_to_cycles(rep)} {size}")
     for row in table.rows:
-        lines.append("row: " + " ".join(_format_cyclotomic(v.to_conductor(table.conductor)) for v in row.values))
+        lines.append("row: " + " ".join(_format_cyclotomic(v.to_conductor(table.conductor)) for v in row))
     return "\n".join(lines) + "\n"
 
 

@@ -289,7 +289,7 @@ def test_criterion_8_mackey_frobenius_random():
                 Cyclotomic(cond, [Fraction(rng.randint(-2, 2)) for _ in range(2)])
                 for _ in classes.members
             )
-            return ClassFunction(grp, classes, values)
+            return ClassFunction(grp, values)
 
         for _ in range(50):
             i = rng.randrange(len(sub_groups))

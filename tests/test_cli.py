@@ -53,6 +53,15 @@ class TestMarks:
         assert code == 2
         assert "error" in err
 
+    def test_text_report_prints_the_matrix(self, capsys):
+        code, out, err = run(capsys, "marks", "--group", "S3")
+        assert code == 0
+        lines = out.splitlines()
+        start = lines.index("matrix:") + 1
+        assert lines[start:start + 5] == ["      6     0     0     0", "      3     1     0     0",
+                                          "      2     0     2     0", "      1     1     1     1",
+                                          "[ok] marks computed"]
+
     @pytest.mark.parametrize("text", ["name: triv", "# a comment"])
     def test_one_line_file_parses_like_a_longer_one(self, capsys, tmp_path, text):
         one, two = tmp_path / "one.grp", tmp_path / "two.grp"
@@ -439,6 +448,40 @@ EXIT_CODES = [
               "class line 'class: ()' needs a representative and a size"),
     malformed("table-not-utf8", s3_tables(b"group", b"\xffgroup"), S3_TABLES, "MalformedEntry",
               f"{{tmp}}/S3/3a.tbl is not UTF-8 text: {NOT_UTF8}"),
+    malformed("entry-cannot-split", s3_tables(b"row: 1 1 1", b"row: 1 1+ 1"), S3_TABLES, "MalformedEntry",
+              "cannot split '1+' into terms"),
+    malformed("entry-bad-term", s3_tables(b"row: 1 1 1", b"row: 1 2^3 1"), S3_TABLES, "MalformedEntry",
+              "bad term '2^3' in '2^3'"),
+    # a term holds a character other than a sign, so a bare sign cannot split
+    malformed("entry-bare-sign", s3_tables(b"row: 1 1 1", b"row: 1 + 1"), S3_TABLES, "MalformedEntry",
+              "cannot split '+' into terms"),
+    # past int()'s digit limit: an input error, not a ValueError
+    malformed("entry-huge-integer", s3_tables(b"row: 1 1 1", b"row: 1 -" + b"9" * 5000 + b" 1"), S3_TABLES,
+              "MalformedEntry", f"'-{'9' * 5000}' in '-{'9' * 5000}' is not an integer"),
+    malformed("unrecognized-line", s3_tables(b"group: 3a", b"group: 3a\nfoo: bar"), S3_TABLES, "MalformedEntry",
+              "unrecognized line 'foo: bar'"),
+    malformed("missing-conductor", s3_tables(b"conductor: 6\n", b""), S3_TABLES, "MalformedEntry",
+              "missing conductor header"),
+    malformed("class-count", s3_tables(b"class: (0 2 1) 1\n", b""), S3_TABLES, "MalformedEntry",
+              "file has 2 classes, group has 3"),
+    malformed("duplicated-class", s3_tables(b"class: (0 2 1) 1", b"class: (0 1 2) 1"), S3_TABLES, "MalformedEntry",
+              "file classes do not cover the group's classes"),
+    malformed("short-row", s3_tables(b"row: 1 1 1", b"row: 1 1"), S3_TABLES, "MalformedEntry",
+              "row has 2 entries for 3 classes"),
+    malformed("missing-row", s3_tables(b"row: 1 1 1\n", b""), S3_TABLES, "DegreeSumMismatch",
+              "2 rows for 3 classes"),
+    malformed("class-point-out-of-range", s3_tables(b"class: (0 2 1) 1", b"class: (0 5) 1"), S3_TABLES,
+              "MalformedCycle", "point 5 out of range for degree 3"),
+    malformed("group-huge-point", {}, ["verify", "--group", f"(0 {'9' * 5000})", "--json"], "MalformedCycle",
+              f"bad point '{'9' * 5000}' in '(0 {'9' * 5000})'"),
+    malformed("unknown-builtin", {}, ["verify", "--group", "S9", "--json"], "GroupError",
+              "unknown builtin group 'S9'"),
+    malformed("phi-duplicate-labels", {"dup.json": json.dumps({"name": "x", "classes": [
+        {"label": "a", "weyl_order": 1, "torus_rank": 0}, {"label": "a", "weyl_order": 2, "torus_rank": 0},
+    ]}).encode()}, ["lie", "--file", "{tmp}/dup.json", "--json"], "LieDataError", "duplicate class labels"),
+    malformed("phi-negative-torus-rank", {"neg.json": json.dumps({"name": "x", "classes": [
+        {"label": "a", "weyl_order": 1, "torus_rank": -1},
+    ]}).encode()}, ["lie", "--file", "{tmp}/neg.json", "--json"], "LieDataError", "a: negative torus rank"),
     malformed("phi-json", {"bad.json": b'{"name": '}, ["lie", "--file", "{tmp}/bad.json", "--json"],
               "LieDataError", "malformed data file: Expecting value: line 1 column 10 (char 9)"),
     malformed("phi-not-utf8", {"bad.json": b"\xff{}"}, ["lie", "--file", "{tmp}/bad.json", "--json"],
@@ -468,6 +511,12 @@ class TestExitCodes:
         assert run(capsys, *argv) == (code, "", json.dumps(
             {"error": {"kind": kind, "type": error, "message": message.format(tmp=tmp_path)}}, sort_keys=True) + "\n")
 
+    def test_negative_n_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["equalizer", "--group", "S3", "--n", "-1", "--json"])
+        assert excinfo.value.code == 2
+        assert "argument --n: invalid _parse_n value: '-1'" in capsys.readouterr().err
+
     def test_internal_invariant_violation(self, capsys, monkeypatch):
         def broken(table, n):
             raise InternalInvariantViolation("planted")
@@ -483,8 +532,8 @@ class TestExitCodes:
     def test_equalizer_point_off_the_lattice_is_a_failed_check(self, capsys, monkeypatch):
         # doubling a basis column leaves a sublattice of index 2, which misses
         # the image of restriction (onto, in Brauer mode)
-        def doubled(family, provider, lattice):
-            eq = original(family, provider, lattice)
+        def doubled(family, provider):
+            eq = original(family, provider)
             basis = [[2 * row[0], *row[1:]] for row in eq.basis.entries]
             return restriction.EqualizerLattice(eq.family, eq.stacked, eq.restriction,
                                                 IntMatrix.from_rows(basis))

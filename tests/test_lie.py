@@ -1,6 +1,7 @@
 """Declarative compact-group class data and the order computations."""
 
 import json
+import time
 from pathlib import Path
 
 import pytest
@@ -124,6 +125,32 @@ class TestValidation:
                 PhiClass("B", 1, 1, (), ("B", "C")),
                 PhiClass("C", 1, 1, (), ("C",)),
             )).validate()
+
+    def test_not_transitive_names_the_first_missing_label_in_closure_order(self):
+        with pytest.raises(LieDataError, match=r"^A: omega_closure missing 'D' \(not transitively closed\)$"):
+            PhiData("bad", (
+                PhiClass("A", 1, 1, (), ("A", "B")),
+                PhiClass("B", 1, 1, (), ("B", "D", "C")),
+                PhiClass("C", 1, 1, (), ("C",)),
+                PhiClass("D", 1, 1, (), ("D",)),
+            )).validate()
+
+    def test_chain_power_validates_in_time(self, tmp_path):
+        # each power's product is validated, transitivity included: 3^7
+        # classes, whose closures reach every later class in each coordinate
+        path = tmp_path / "chain.json"
+        path.write_text(json.dumps({"name": "chain", "classes": [
+            {"label": "a", "weyl_order": 6, "torus_rank": 0, "component_invariants": [2],
+             "omega_closure": ["a", "b", "c"]},
+            {"label": "b", "weyl_order": 3, "torus_rank": 1, "omega_closure": ["b", "c"]},
+            {"label": "c", "weyl_order": 1, "torus_rank": 1, "omega_closure": ["c"]},
+        ]}))
+        started = time.perf_counter()
+        data = power(load_phi_data(path), 7)
+        assert time.perf_counter() - started < 5.0
+        assert len(data.classes) == 3 ** 7
+        # one generator allows at most one coordinate at a: 6 * 3^6
+        assert order_n_lie(data, 1) == 4374
 
     def test_bad_weyl_order(self):
         with pytest.raises(LieDataError):

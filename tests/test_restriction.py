@@ -49,12 +49,12 @@ class TestEqualizerLattice:
     def test_s3_cyclic_family_rank(self, s3_setup):
         group, lattice, table, provider = s3_setup
         family = list(abelian_family(lattice, 1).class_indices)
-        eq = equalizer_lattice(family, provider, lattice)
+        eq = equalizer_lattice(family, provider)
         assert eq.rank == 3  # number of irreducibles of S3
 
     def test_single_full_group_family(self, s3_setup):
         group, lattice, table, provider = s3_setup
-        eq = equalizer_lattice([lattice.full_index], provider, lattice)
+        eq = equalizer_lattice([lattice.full_index], provider)
         assert eq.rank == 3
         # basis must span all of R(G): the restriction matrix is invertible
         assert eq.basis.rows == 3
@@ -69,7 +69,7 @@ class TestEqualizerLattice:
     def test_empty_family(self, s3_setup):
         group, lattice, table, provider = s3_setup
         with pytest.raises(EmptyFamily):
-            equalizer_lattice([], provider, lattice)
+            equalizer_lattice([], provider)
 
     @pytest.mark.parametrize("name,n", [("S3", 1), ("A4", 1), ("C2xC2", 2)])
     def test_basis_vectors_equalize(self, name, n):
@@ -83,7 +83,7 @@ class TestEqualizerLattice:
         lattice = subgroup_lattice(group)
         provider = TableProvider(lattice)
         family = list(abelian_family(lattice, n).class_indices)
-        eq = equalizer_lattice(family, provider, lattice)
+        eq = equalizer_lattice(family, provider)
         tables = [provider.class_table(i) for i in family]
         for j in range(eq.rank):
             column = [eq.basis.entries[i][j] for i in range(eq.basis.rows)]
@@ -122,7 +122,7 @@ def ladder_group(name):
 def reference_equalizer_basis(family, provider, lattice):
     """Kernel basis of every (a, b) pair's rows, built with conjugate_function,
     from the V columns of the Smith form of the full constraint matrix."""
-    from burnside.characters import conjugate_function, restrict
+    from burnside.characters import ClassFunction, conjugate_function, restrict
     from burnside.groups import double_cosets
 
     group = lattice.group
@@ -138,9 +138,10 @@ def reference_equalizer_basis(family, provider, lattice):
             for coset in double_cosets(group, k_set, l_set).cosets:
                 inter_table = provider.table_for(coset.intersection)
                 inter = inter_table.group
-                res_k = [inter_table.coordinates(restrict(chi, inter)) for chi in tables[a].rows]
-                res_l = [inter_table.coordinates(
-                    restrict(conjugate_function(chi, coset.representative, group), inter))
+                res_k = [inter_table.coordinates(restrict(ClassFunction(tables[a].group, chi), inter).values)
+                         for chi in tables[a].rows]
+                res_l = [inter_table.coordinates(restrict(conjugate_function(
+                    ClassFunction(tables[b].group, chi), coset.representative, group), inter).values)
                     for chi in tables[b].rows]
                 for r in range(inter_table.size):
                     row = [0] * offsets[-1]
@@ -188,7 +189,7 @@ class TestEqualizerReference:
     def assert_same_lattice_as_reference(lattice, family, provider=None):
         reference_provider = TableProvider(lattice)
         provider = provider or reference_provider
-        basis = equalizer_lattice(family, provider, lattice).basis
+        basis = equalizer_lattice(family, provider).basis
         reference = reference_equalizer_basis(family, reference_provider, lattice)
         rank = reference.cols
         assert basis.cols == rank
@@ -264,7 +265,7 @@ class TestEqualizerChecks:
 
     def test_incompatible_basis_column(self, s3_setup):
         family, provider, lattice = self.s3_cyclic(s3_setup)
-        eq = equalizer_lattice(family, provider, lattice)
+        eq = equalizer_lattice(family, provider)
         inputs = self.fusion_inputs(family, provider, lattice)
         assert restriction._check_fusion(eq.basis, *inputs) == eq.rank
         # one more trivial character of the first member, the trivial group,
@@ -283,7 +284,7 @@ class TestEqualizerChecks:
         assert group.name == "" and lattice.label_of(lattice.full_index) == "6a"
         provider = TableProvider(lattice)
         family = [i for i in range(len(lattice)) if lattice.label_of(i) in ("2a", "6a")]
-        eq = equalizer_lattice(family, provider, lattice)
+        eq = equalizer_lattice(family, provider)
         inputs = self.fusion_inputs(family, provider, lattice)
         assert restriction._check_fusion(eq.basis, *inputs) == eq.rank == 3
         # G's block comes second: one more trivial character of G in column 0
@@ -300,7 +301,7 @@ class TestEqualizerChecks:
         original = restriction.row_echelon
         monkeypatch.setattr(restriction, "row_echelon", lambda rows, cols: original(rows, cols)[:1])
         with pytest.raises(RestrictionError, match="equalizer rank 1, but the family meets 3 G-classes"):
-            equalizer_lattice(*self.s3_cyclic(s3_setup))
+            equalizer_lattice(*self.s3_cyclic(s3_setup)[:2])
 
     def test_non_integral_coordinate(self, s3_setup, monkeypatch):
         # a doubled echelon row leaves a sublattice that misses the rows of M
@@ -308,7 +309,7 @@ class TestEqualizerChecks:
         monkeypatch.setattr(restriction, "row_echelon",
                             lambda rows, cols: [[2 * v for v in row] for row in original(rows, cols)])
         with pytest.raises(RestrictionError, match="non-integral equalizer coordinate"):
-            equalizer_lattice(*self.s3_cyclic(s3_setup))
+            equalizer_lattice(*self.s3_cyclic(s3_setup)[:2])
 
     def test_unverified_certificate(self, s3_setup, monkeypatch, capsys):
         # the section and the equalizer's family are read off the certificate,
@@ -479,8 +480,8 @@ def assert_maximal_equalizer_matches_full(table, provider, n):
     for mode in ("artin", "brauer"):
         family = list(abelian_family(lattice, n).class_indices) if mode == "artin" \
             else hyper_family(table, n)
-        full = equalizer_lattice(family, provider, lattice)
-        top = equalizer_lattice(maximal_members(family, lattice), provider, lattice)
+        full = equalizer_lattice(family, provider)
+        top = equalizer_lattice(maximal_members(family, lattice), provider)
         assert top.rank == full.rank
         divisors = rank_and_divisors(full.restriction)
         assert rank_and_divisors(top.restriction) == divisors
@@ -488,7 +489,7 @@ def assert_maximal_equalizer_matches_full(table, provider, n):
         both = IntMatrix.from_rows(full.restriction.entries + top.restriction.entries)
         assert rank_and_divisors(both) == divisors
     certificate = artin_certificate(table, n)
-    eq = equalizer_lattice(list(abelian_family(lattice, n).class_indices), provider, lattice)
+    eq = equalizer_lattice(list(abelian_family(lattice, n).class_indices), provider)
     psi = restriction._artin_section(eq, certificate.alpha.coefficients, provider)
     order = certificate.order_n
     assert psi @ eq.restriction == IntMatrix.identity(eq.restriction.cols).scale(order)
@@ -529,7 +530,7 @@ class TestFusionOracle:
     @pytest.mark.parametrize("mode", ["artin", "brauer"])
     @pytest.mark.parametrize("n", [1, math.inf])
     def test_every_member_read(self, monkeypatch, name, mode, n):
-        from burnside.characters import restrict
+        from burnside.characters import ClassFunction, restrict
         from burnside.groups import perm_mul
         from oracles import perm_inv
 
@@ -558,7 +559,8 @@ class TestFusionOracle:
             for d, g_set in enumerate(g_sets):
                 fused = sum(size for size, f in zip(member.classes.sizes, fusion) if f == d)
                 assert fused == len(elements & g_set)
-            assert block == list(zip(*(member.coordinates(restrict(chi, member.group)) for chi in top.rows)))
+            assert block == list(zip(*(member.coordinates(restrict(ClassFunction(group, chi), member.group).values)
+                                       for chi in top.rows)))
 
 
 class CountingTables(TableProvider):
@@ -744,7 +746,7 @@ class TestPermutationRealization:
         for idx, c in cert.alpha.coefficients.items():
             chi = scale(perm_character(group, element_set(lattice.classes[idx])), c)
             image = chi if image is None else add(image, chi)
-        coords = top.coordinates(image)
+        coords = top.coordinates(image.values)
         assert coords[0] == cert.order_n
         assert all(v == 0 for v in coords[1:])
 
