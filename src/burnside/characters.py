@@ -417,7 +417,7 @@ def _order_rows(rows: list[tuple[Cyclotomic, ...]]) -> list[tuple[Cyclotomic, ..
 # character table files
 
 
-_TERM_RE = re.compile(r"^(?:([+-]?\d+)|([+-]))?(?:(?:\*)?z(?:\^(\d+))?)?$")
+_TERM_RE = re.compile(r"^(?:([+-]?[0-9]+)|([+-]))?(?:(?:\*)?z(?:\^([0-9]+))?)?$")
 
 
 def _parse_cyclotomic_entry(text: str, conductor: int) -> Cyclotomic:
@@ -515,10 +515,13 @@ def load_character_table(path: str, group: Group) -> CharacterTable:
 
 
 def _integer(text: str, line: str) -> int:
-    try:
-        return int(text)
-    except ValueError as exc:
-        raise MalformedEntry(f"{text.strip()!r} in {line!r} is not an integer") from exc
+    """An optional sign and the digits 0-9, around which text may have spaces."""
+    if re.fullmatch("[+-]?[0-9]+", text.strip()):
+        try:
+            return int(text)
+        except ValueError:  # more digits than int() converts
+            pass
+    raise MalformedEntry(f"{text.strip()!r} in {line!r} is not an integer")
 
 
 def _check_power_maps(table: CharacterTable) -> None:

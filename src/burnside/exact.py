@@ -2,16 +2,18 @@
 
 The integer helpers (gcds and Bezout combinations, prime factors, divisors,
 Euler's phi) serve every layer.  Integer matrices get row echelon bases
-of streamed row lattices, all over Z, and Smith forms built from nothing
-but those eliminations, alternated on rows and columns.  The cyclotomic
-integers of character values build on these helpers in cyclotomic; nothing
-here leaves the integers, and no floating point is used anywhere in the
-package.
+of streamed row lattices, all over Z.  Those eliminations alternated on
+rows and columns give a Smith form's elementary divisors, with no transform
+matrices, and one echelon of [M^T | I] gives an integer kernel.  The
+cyclotomic integers of character values build on these helpers in
+cyclotomic; nothing here leaves the integers, and no floating point is used
+anywhere in the package.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 
@@ -148,41 +150,31 @@ class IntMatrix:
         return IntMatrix(self.rows, self.cols, tuple(tuple(k * v for v in row) for row in self.entries))
 
 
-def smith_normal_form(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
-    """Return unimodular (U, D, V) with U*M*V = D, D diagonal, d_i | d_(i+1), d_i >= 0.
+def smith_normal_form(m: IntMatrix) -> tuple[int, ...]:
+    """The nonzero elementary divisors d_1 | d_2 | ... | d_r of M, all positive.
 
-    Built from row_echelon passes (Kannan and Bachem, SIAM J. Comput. 8
-    (1979); Cohen, 2.4).  Eliminating the rows of [A | U], from A = M and U
-    the identity, applies row operations to A and records them in U;
-    eliminating the rows of [A^T | V^T] applies column operations and records
-    them in V.  The two alternate until A is diagonal.  Where d_i does not
-    divide a later d_j, row j is added to row i and the passes resume, which
-    leaves gcd and lcm on the diagonal.  Each pass is unimodular: the xgcd
-    pair has determinant x*(a/g) + y*(b/g) = 1, and subtracting a multiple
-    of one row from another and flipping a sign are unimodular too.
-
-    It ends: the entry at the first unfinished diagonal position only
-    shrinks, since each pass's value is the gcd of a row or column holding
-    the last one.  Once it divides its row and column, both passes leave
-    them cleared.  The gcd/lcm step lowers d_i strictly.
+    Built from row_echelon passes alone (Kannan and Bachem, SIAM J. Comput. 8
+    (1979); Cohen, 2.4), with no transform matrices: a pass on the rows, a
+    transpose, and again, until each row holds one nonzero entry.  Each pass
+    is unimodular, and the zero lines it drops change no nonzero invariant.
+    A pass on A alone leaves A's part exactly as the pass on [A | U] did, so
+    the argument for the transform-carrying form still ends it: the entry at
+    the first unfinished diagonal position only shrinks, since each pass's
+    value is the gcd of a row or column holding the last one, and once it
+    divides its row and column both passes leave them cleared.  Replacing
+    each pair d_i, d_j (i < j) by their gcd and lcm then gives the chain.
     """
-    nr, nc = m.rows, m.cols
-    a, u, vt = m.to_lists(), IntMatrix.identity(nr).to_lists(), IntMatrix.identity(nc).to_lists()
+    a, cols = m.to_lists(), m.cols
     while True:
-        rows = row_echelon([x + y for x, y in zip(a, u)], nc + nr)
-        u = [row[nc:] for row in rows]
-        cols = row_echelon([[row[j] for row in rows] + vt[j] for j in range(nc)], nr + nc)
-        vt = [col[nr:] for col in cols]
-        a = [[col[i] for col in cols] for i in range(nr)]
-        if any(x for i, row in enumerate(a) for j, x in enumerate(row) if i != j):
-            continue
-        d = [a[i][i] for i in range(min(nr, nc))]
-        bad = next(((i, j) for i, x in enumerate(d) for j in range(i + 1, len(d)) if x and d[j] % x), None)
-        if bad is None:
+        a = row_echelon(a, cols)
+        if all(sum(1 for x in row if x) == 1 for row in a):
             break
-        i, j = bad
-        a[i], u[i] = [x + y for x, y in zip(a[i], a[j])], [x + y for x, y in zip(u[i], u[j])]
-    return IntMatrix.from_rows(u), IntMatrix(nr, nc, tuple(map(tuple, a))), IntMatrix.from_rows(vt).transpose()
+        a, cols = [list(col) for col in zip(*a)], len(a)
+    d = [max(row) for row in a]
+    for i in range(len(d)):
+        for j in range(i + 1, len(d)):
+            d[i], d[j] = gcd(d[i], d[j]), lcm(d[i], d[j])
+    return tuple(d)
 
 
 def row_echelon(rows: Iterable[Sequence[int]], cols: int) -> list[list[int]]:
@@ -220,7 +212,7 @@ def row_echelon(rows: Iterable[Sequence[int]], cols: int) -> list[list[int]]:
 
 def integer_kernel_basis(m: IntMatrix) -> list[list[int]]:
     """Basis of the integer kernel {x : M*x = 0}, as a list of column vectors:
-    the columns of V in U*M*V = D past the nonzero diagonal of D."""
-    _, d, v = smith_normal_form(m)
-    rank = sum(1 for i in range(min(d.rows, d.cols)) if d.entries[i][i])
-    return [[row[j] for row in v.entries] for j in range(rank, m.cols)]
+    the I parts of the rows of the echelon of [M^T | I] whose M^T part is zero."""
+    n = m.cols
+    rows = row_echelon((r + e for r, e in zip(m.transpose().entries, IntMatrix.identity(n).entries)), m.rows + n)
+    return [row[m.rows:] for row in rows if not any(row[:m.rows])]

@@ -105,7 +105,7 @@ def parse_cycles(text: str, degree: int | None = None) -> Perm:
             if not token:
                 continue
             try:
-                point = int(token) if token.isdecimal() else -1
+                point = int(token) if token.isascii() and token.isdecimal() else -1
             except ValueError:  # more digits than int() converts
                 point = -1
             if point < 0:

@@ -107,9 +107,7 @@ def product(a: PhiData, b: PhiData) -> PhiData:
                 ),
                 maximal_torus=ca.maximal_torus and cb.maximal_torus,
             ))
-    data = PhiData(f"{a.name}x{b.name}", tuple(classes))
-    data.validate()
-    return data
+    return PhiData(f"{a.name}x{b.name}", tuple(classes))
 
 
 def power(data: PhiData, exponent: int) -> PhiData:

@@ -405,10 +405,7 @@ def verify_brauer_restriction(table: MarksTable, n: int | float = 1,
                 raise RestrictionError(f"sum_H k_H |(G/H)^g| = 1 fails at g = {table.element_classes.label(c)}; "
                                        f"restriction check not applicable at n = {n}")
     eq = equalizer_lattice(maximal_members(hyper_family(table, n), lattice), provider)
-    _, d, _ = smith_normal_form(_restriction_matrix(eq, provider))
-    divisors = tuple(
-        d.entries[i][i] for i in range(min(d.rows, d.cols)) if d.entries[i][i] != 0
-    )
+    divisors = smith_normal_form(_restriction_matrix(eq, provider))
     report = BrauerRestrictionReport(
         rank=eq.rank,
         irreducibles=eq.restriction.cols,

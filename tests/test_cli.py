@@ -322,6 +322,18 @@ class TestLie:
         code, out, err = run(capsys, "lie", "--file", str(bad))
         assert code == 2
 
+    def test_colliding_product_labels_are_not_an_error(self, capsys, tmp_path):
+        # x times "x,x" and "x,x" times x are both labelled (x,x,x); the order
+        # never reads a label, and a product of valid data is not validated
+        path = tmp_path / "collide.json"
+        path.write_text(json.dumps({"name": "collide", "classes": [
+            {"label": "x", "weyl_order": 6, "torus_rank": 1},
+            {"label": "x,x", "weyl_order": 1, "torus_rank": 1},
+        ]}))
+        code, out, err = run(capsys, "lie", "--file", str(path), "--power", "2", "--json")
+        assert code == 0
+        assert json.loads(out)["results"]["order"] == 36
+
     @pytest.mark.parametrize("power", ["13", "40", str(10**9)])
     def test_power_past_the_class_limit_fails_fast(self, capsys, power):
         # power 12 of the two SO(3) classes builds 8,190 classes over its
@@ -474,6 +486,16 @@ EXIT_CODES = [
               "MalformedCycle", "point 5 out of range for degree 3"),
     malformed("group-huge-point", {}, ["verify", "--group", f"(0 {'9' * 5000})", "--json"], "MalformedCycle",
               f"bad point '{'9' * 5000}' in '(0 {'9' * 5000})'"),
+    # integers are an optional sign and the ASCII digits 0-9: no other
+    # decimal digits, and no underscores
+    malformed("group-arabic-indic-point", {}, ["verify", "--group", "(0 \u0661)", "--json"], "MalformedCycle",
+              "bad point '\u0661' in '(0 \u0661)'"),
+    malformed("group-fullwidth-point", {}, ["verify", "--group", "(0 \uff11)", "--json"], "MalformedCycle",
+              "bad point '\uff11' in '(0 \uff11)'"),
+    malformed("entry-arabic-indic-power", s3_tables(b"row: 1 -1+z^1", "row: 1 z^\u0662".encode()), S3_TABLES,
+              "MalformedEntry", "bad term 'z^\u0662' in 'z^\u0662'"),
+    malformed("conductor-underscore", s3_tables(b"conductor: 6", b"conductor: 0_6"), S3_TABLES, "MalformedEntry",
+              "'0_6' in 'conductor: 0_6' is not an integer"),
     malformed("unknown-builtin", {}, ["verify", "--group", "S9", "--json"], "GroupError",
               "unknown builtin group 'S9'"),
     malformed("phi-duplicate-labels", {"dup.json": json.dumps({"name": "x", "classes": [
@@ -562,10 +584,8 @@ class TestExitCodes:
 
     def test_elementary_divisor_two_is_not_an_isomorphism(self, capsys, monkeypatch):
         def doubled(m):
-            u, d, v = original(m)
-            entries = d.to_lists()
-            entries[0][0] *= 2
-            return u, IntMatrix.from_rows(entries), v
+            d = original(m)
+            return (2 * d[0], *d[1:])
 
         original = restriction.smith_normal_form
         monkeypatch.setattr(restriction, "smith_normal_form", doubled)

@@ -22,77 +22,68 @@ from burnside.exact import (
 )
 from burnside.restriction import RestrictionError, _solve_coordinates
 
-from oracles import determinant, elementary_divisors
+from oracles import elementary_divisors
 
 
 def zeros(r: int, c: int) -> IntMatrix:
     return IntMatrix(r, c, ((0,) * c,) * r)
 
 
-def assert_snf_valid(m: IntMatrix):
-    u, d, v = smith_normal_form(m)
-    # a square integer matrix is invertible over Z exactly when its
-    # determinant is a unit; the oracle's determinant shares no step with
-    # the Smith form, which is built from row_echelon
-    assert (u.rows, u.cols, v.rows, v.cols) == (m.rows, m.rows, m.cols, m.cols)
-    assert abs(determinant(u.entries)) == abs(determinant(v.entries)) == 1
-    assert (u @ m) @ v == d
-    diag = [d.entries[i][i] for i in range(min(d.rows, d.cols))]
-    for i in range(d.rows):
-        for j in range(d.cols):
-            if i != j:
-                assert d.entries[i][j] == 0
-    assert all(x >= 0 for x in diag)
-    for a, b in zip(diag, diag[1:]):
-        if a != 0:
-            assert b % a == 0
-        else:
-            assert b == 0
+def assert_snf_valid(m: IntMatrix) -> tuple[int, ...]:
+    d = smith_normal_form(m)
+    # the nonzero divisors are positive and form a divisibility chain; the
+    # oracle's gcds of minors, which share no step with the Smith form, check
+    # their values
+    assert all(x > 0 for x in d)
+    assert all(b % a == 0 for a, b in zip(d, d[1:]))
     return d
+
+
+def nonzero_divisors(m: IntMatrix) -> tuple[int, ...]:
+    return tuple(x for x in elementary_divisors(m) if x)
 
 
 class TestSmithNormalForm:
     def test_worked_example(self):
-        m = IntMatrix.from_rows([[2, 4], [6, 8]])
-        d = assert_snf_valid(m)
-        assert [d.entries[0][0], d.entries[1][1]] == [2, 4]
+        assert assert_snf_valid(IntMatrix.from_rows([[2, 4], [6, 8]])) == (2, 4)
 
     def test_identity(self):
-        m = IntMatrix.identity(3)
-        d = assert_snf_valid(m)
-        assert d == IntMatrix.identity(3)
+        assert assert_snf_valid(IntMatrix.identity(3)) == (1, 1, 1)
 
     def test_zero(self):
-        m = zeros(2, 2)
-        d = assert_snf_valid(m)
-        assert d == zeros(2, 2)
+        assert assert_snf_valid(zeros(2, 2)) == ()
 
     def test_rectangular(self):
         m = IntMatrix.from_rows([[2, 4, 6], [4, 8, 10]])
-        assert_snf_valid(m)
+        assert assert_snf_valid(m) == nonzero_divisors(m)
 
     def test_divisibility_fixup(self):
-        # coprime diagonal forces the chain-repair step
-        m = IntMatrix.from_rows([[2, 0], [0, 3]])
-        d = assert_snf_valid(m)
-        assert [d.entries[0][0], d.entries[1][1]] == [1, 6]
+        # a coprime diagonal needs the gcd and lcm step
+        assert assert_snf_valid(IntMatrix.from_rows([[2, 0], [0, 3]])) == (1, 6)
 
     def test_negative_determinant(self):
-        m = IntMatrix.from_rows([[0, 1], [1, 0]])
-        d = assert_snf_valid(m)
-        assert [d.entries[0][0], d.entries[1][1]] == [1, 1]
+        assert assert_snf_valid(IntMatrix.from_rows([[0, 1], [1, 0]])) == (1, 1)
 
     @settings(max_examples=150, deadline=None)
     @given(st.lists(st.lists(st.integers(-9, 9), min_size=1, max_size=4), min_size=1, max_size=4)
            .filter(lambda rows: len({len(r) for r in rows}) == 1))
     def test_random_matrices(self, rows):
-        assert_snf_valid(IntMatrix.from_rows(rows))
+        m = IntMatrix.from_rows(rows)
+        assert assert_snf_valid(m) == nonzero_divisors(m)
 
     def test_kernel_basis(self):
         m = IntMatrix.from_rows([[1, 2, 3]])
         basis = integer_kernel_basis(m)
         assert len(basis) == 2
         assert m @ IntMatrix.from_rows(basis).transpose() == IntMatrix.from_rows([[0, 0]])
+
+    def test_tall_matrix_and_its_transpose(self):
+        rng = random.Random(3)
+        m = IntMatrix.from_rows([[2 * rng.randint(-4, 4), 6 * rng.randint(-4, 4), rng.randint(-4, 4)]
+                                 for _ in range(40)])
+        assert (m.rows, m.cols) == (40, 3)
+        for a in (m, m.transpose()):
+            assert assert_snf_valid(a) == nonzero_divisors(a)
 
 
 def random_matrix(rng: random.Random, deficient: bool) -> IntMatrix:
@@ -120,9 +111,8 @@ class TestSmithAgainstDeterminantalDivisors:
         deficient = 0
         for trial in range(200):
             m = random_matrix(rng, trial % 3 == 0)
-            d = assert_snf_valid(m)
             expected = elementary_divisors(m)
-            assert [d.entries[i][i] for i in range(min(m.rows, m.cols))] == expected, m.entries
+            assert assert_snf_valid(m) == tuple(x for x in expected if x), m.entries
             deficient += 0 in expected
         assert deficient >= 67
 
@@ -136,8 +126,8 @@ class TestSmithAgainstDeterminantalDivisors:
     ])
     def test_named_cases(self, rows, cols, diagonal):
         m = IntMatrix(len(rows), cols, tuple(map(tuple, rows)))
-        d = assert_snf_valid(m)
-        assert [d.entries[i][i] for i in range(min(m.rows, m.cols))] == elementary_divisors(m) == diagonal
+        assert elementary_divisors(m) == diagonal
+        assert assert_snf_valid(m) == tuple(x for x in diagonal if x)
 
 
 class TestZeroDimensions:
@@ -164,9 +154,8 @@ class TestZeroDimensions:
 
 
 def _rank_and_divisors(m: IntMatrix) -> tuple[int, list[int]]:
-    _, d, _ = smith_normal_form(m)
-    diag = [d.entries[i][i] for i in range(min(d.rows, d.cols)) if d.entries[i][i]]
-    return len(diag), diag
+    d = smith_normal_form(m)
+    return len(d), list(d)
 
 
 @st.composite
@@ -182,6 +171,23 @@ def kernel_inputs(draw):
             source = rows[draw(st.integers(0, len(rows) - 1))]
             rows.append(list(source) if kind == "duplicate" else [-v for v in source])
     return rows, cols
+
+
+class TestIntegerKernel:
+    @settings(max_examples=100, deadline=None)
+    @given(kernel_inputs())
+    def test_primitive_basis_of_the_kernel(self, data):
+        rows, cols = data
+        m = IntMatrix.from_rows(rows) if rows else zeros(0, cols)
+        basis = integer_kernel_basis(m)
+        assert all(len(x) == cols for x in basis)
+        # each vector is annihilated, there are cols - rank of them, and the
+        # oracle's divisors of the basis are all 1: it spans every kernel
+        # vector, not a sublattice of index above 1
+        assert all(sum(a * b for a, b in zip(row, x)) == 0 for row in rows for x in basis)
+        assert len(basis) == cols - len(row_echelon(rows, cols))
+        if basis:
+            assert elementary_divisors(IntMatrix.from_rows(basis)) == [1] * len(basis)
 
 
 class TestRowEchelon:

@@ -135,9 +135,9 @@ class TestValidation:
                 PhiClass("D", 1, 1, (), ("D",)),
             )).validate()
 
-    def test_chain_power_validates_in_time(self, tmp_path):
-        # each power's product is validated, transitivity included: 3^7
-        # classes, whose closures reach every later class in each coordinate
+    @staticmethod
+    def chain(tmp_path):
+        """Three classes whose closures reach every later class."""
         path = tmp_path / "chain.json"
         path.write_text(json.dumps({"name": "chain", "classes": [
             {"label": "a", "weyl_order": 6, "torus_rank": 0, "component_invariants": [2],
@@ -145,12 +145,25 @@ class TestValidation:
             {"label": "b", "weyl_order": 3, "torus_rank": 1, "omega_closure": ["b", "c"]},
             {"label": "c", "weyl_order": 1, "torus_rank": 1, "omega_closure": ["c"]},
         ]}))
+        return path
+
+    def test_chain_power_validates_in_time(self, tmp_path):
+        # the loaded data is validated, transitivity included; its products
+        # are not, since a product of closed data is closed: 3^7 classes
         started = time.perf_counter()
-        data = power(load_phi_data(path), 7)
+        data = power(load_phi_data(self.chain(tmp_path)), 7)
         assert time.perf_counter() - started < 5.0
         assert len(data.classes) == 3 ** 7
         # one generator allows at most one coordinate at a: 6 * 3^6
         assert order_n_lie(data, 1) == 4374
+
+    def test_chain_power_8_in_time(self, tmp_path):
+        started = time.perf_counter()
+        data = power(load_phi_data(self.chain(tmp_path)), 8)
+        assert time.perf_counter() - started < 5.0
+        assert len(data.classes) == 3 ** 8
+        # at most one coordinate at a for n = 1, at most two for n = 2
+        assert (order_n_lie(data, 1), order_n_lie(data, 2)) == (13122, 26244)
 
     def test_bad_weyl_order(self):
         with pytest.raises(LieDataError):

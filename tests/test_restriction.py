@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 from burnside import cli, restriction
 from burnside.artin import ArtinCertificate, abelian_family, artin_certificate
 from burnside.cyclotomic import Cyclotomic
-from burnside.exact import IntMatrix, smith_normal_form
+from burnside.exact import IntMatrix, integer_kernel_basis, smith_normal_form
 from burnside.groups import (
     BUILTIN_GROUPS,
     builtin_group,
@@ -121,7 +121,7 @@ def ladder_group(name):
 
 def reference_equalizer_basis(family, provider, lattice):
     """Kernel basis of every (a, b) pair's rows, built with conjugate_function,
-    from the V columns of the Smith form of the full constraint matrix."""
+    as the columns of integer_kernel_basis of the full constraint matrix."""
     from burnside.characters import ClassFunction, conjugate_function, restrict
     from burnside.groups import double_cosets
 
@@ -150,15 +150,12 @@ def reference_equalizer_basis(family, provider, lattice):
                     for t, coords in enumerate(res_l):
                         row[offsets[b] + t] -= coords[r]
                     rows.append(row)
-    _, d, v = smith_normal_form(IntMatrix.from_rows(rows))
-    rank = sum(1 for i in range(min(d.rows, d.cols)) if d.entries[i][i])
-    return IntMatrix.from_rows([list(row[rank:]) for row in v.entries])
+    return IntMatrix.from_rows(integer_kernel_basis(IntMatrix.from_rows(rows))).transpose()
 
 
 def rank_and_divisors(m):
-    _, d, _ = smith_normal_form(m)
-    diag = [d.entries[i][i] for i in range(min(d.rows, d.cols)) if d.entries[i][i]]
-    return len(diag), diag
+    d = smith_normal_form(m)
+    return len(d), list(d)
 
 
 def production_family(lattice, mode, n=1):
