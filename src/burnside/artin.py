@@ -3,6 +3,8 @@ element whose ghost is the order on every family class.
 
 The certificate exhibits |G|_n times the unit as induced from abelian
 subgroups on at most n generators, verified pointwise on group elements.
+Like every Burnside-ring element (see marks), alpha = sum_A c_A [G/A] is
+the dict {class index of A: c_A}, with no zero values.
 """
 
 from __future__ import annotations
@@ -11,16 +13,7 @@ import math
 from functools import cached_property
 
 from .groups import SubgroupLattice
-from .marks import (
-    BurnsideElement,
-    GhostElement,
-    InternalInvariantViolation,
-    MarksTable,
-    NotInImage,
-    element_checks,
-    phi,
-    solve_ghost,
-)
+from .marks import InternalInvariantViolation, MarksTable, NotInImage, element_checks, phi, solve_ghost
 
 
 class AbelianClassFamily:
@@ -42,11 +35,11 @@ class AbelianClassFamily:
 
 
 class ArtinCertificate:
-    def __init__(self, n: int | float, order_n: int, alpha: BurnsideElement,
+    def __init__(self, n: int | float, order_n: int, alpha: dict[int, int],
                  element_checks: tuple[tuple[int, int, int], ...],
                  ghost_checks: tuple[tuple[str, int, int], ...], in_ideal: bool):
         self.n, self.order_n = n, order_n
-        self.alpha = alpha  # sum_A c_A [G/A]
+        self.alpha = alpha  # sum_A c_A [G/A], as {class index of A: c_A}
         self.element_checks = element_checks  # (element class index, lhs, rhs)
         self.ghost_checks = ghost_checks  # (subgroup class label, value, expected)
         # order_n * [pt] - alpha lies in J_n: alpha's ghost is order_n on the family
@@ -86,14 +79,14 @@ def artin_certificate(table: MarksTable, n: int | float) -> ArtinCertificate:
     family = abelian_family(lattice, n)
     order = family.order
     try:
-        alpha = solve_ghost(GhostElement(dict.fromkeys(family.class_indices, order)), table)
+        alpha = solve_ghost(dict.fromkeys(family.class_indices, order), table)
     except NotInImage as exc:  # pragma: no cover - contradicts tom Dieck's theorem
         raise InternalInvariantViolation(str(exc)) from exc
-    outside = alpha.coefficients.keys() - family.members
+    outside = alpha.keys() - family.members
     if outside:
         raise InternalInvariantViolation(f"support class {lattice.label_of(min(outside))} outside the family")
 
-    ghost = phi(alpha, table).values
+    ghost = phi(alpha, table)
     ghost_checks = tuple(
         (cls.label, ghost.get(idx, 0), order if idx in family.members else 0)
         for idx, cls in enumerate(lattice.classes)
@@ -116,7 +109,7 @@ def certificate_payload(cert: ArtinCertificate, table: MarksTable) -> dict:
         "n": "inf" if cert.n == math.inf else cert.n,
         "order_n": cert.order_n,
         "coefficients": [
-            {"class": lattice.label_of(i), "c": c} for i, c in sorted(cert.alpha.coefficients.items())
+            {"class": lattice.label_of(i), "c": c} for i, c in sorted(cert.alpha.items())
         ],
         "checks": [
             {"element_class": classes.label(c), "lhs": lhs, "rhs": rhs}

@@ -1,6 +1,10 @@
 """Brauer induction certificates: p-local idempotents, their Bezout
 combination with value 1 on the abelian family, and the decomposition over
 n-hyper subgroup classes verified pointwise.
+
+Ghosts and Burnside-ring elements are {class index: integer} dicts with no
+zero values (see marks): the ghost I_n is summed key by key from the
+scaled I_(p,n), and the decomposition is solved from it.
 """
 
 from __future__ import annotations
@@ -9,15 +13,7 @@ import math
 
 from .exact import extended_euclid_set, prime_factors
 from .groups import SubgroupLattice
-from .marks import (
-    BurnsideElement,
-    GhostElement,
-    InternalInvariantViolation,
-    MarksTable,
-    NotInImage,
-    element_checks,
-    solve_ghost,
-)
+from .marks import InternalInvariantViolation, MarksTable, NotInImage, element_checks, solve_ghost
 from .artin import AbelianClassFamily, abelian_family
 
 
@@ -29,13 +25,13 @@ def coprime_part(value: int, p: int) -> int:
 
 
 class BrauerCertificate:
-    def __init__(self, n: int | float, order_n: int, bezout: dict[int, int], i_n_ghost: GhostElement,
-                 decomposition: BurnsideElement, element_checks: tuple[tuple[int, int, int], ...],
+    def __init__(self, n: int | float, order_n: int, bezout: dict[int, int], i_n_ghost: dict[int, int],
+                 decomposition: dict[int, int], element_checks: tuple[tuple[int, int, int], ...],
                  family_values: tuple[tuple[str, int], ...], support_hyper: bool):
         self.n, self.order_n = n, order_n
         self.bezout = bezout  # prime -> z_p
-        self.i_n_ghost = i_n_ghost
-        self.decomposition = decomposition  # sum_H k_H [G/H]
+        self.i_n_ghost = i_n_ghost  # {class index of K: value at (K)}
+        self.decomposition = decomposition  # sum_H k_H [G/H], as {class index of H: k_H}
         self.element_checks = element_checks  # (element class index, lhs, rhs)
         self.support_hyper = support_hyper
         self.family_values = family_values  # i_n_ghost restricted to the abelian family
@@ -65,14 +61,14 @@ def in_hyper_family(lattice: SubgroupLattice, h: int, family: AbelianClassFamily
     return any(lattice.p_core_classes(p)[h] in family.members for p in prime_factors(family.order) or [2])
 
 
-def i_pn(p: int, family: AbelianClassFamily, table: MarksTable) -> GhostElement:
+def i_pn(p: int, family: AbelianClassFamily, table: MarksTable) -> dict[int, int]:
     """(|G|_n)_(p) times the sum of local idempotents over abelian p'-classes
     of the family; equals that scale on every extension of such a class by a
     p-group and 0 elsewhere."""
     lattice = table.lattice
     scale = coprime_part(family.order, p)
     selected = {a for a in family.class_indices if lattice.classes[a].order % p != 0}
-    return GhostElement({k: scale for k, core in enumerate(lattice.p_core_classes(p)) if core in selected})
+    return {k: scale for k, core in enumerate(lattice.p_core_classes(p)) if core in selected}
 
 
 def brauer_certificate(table: MarksTable, n: int | float = 1) -> BrauerCertificate:
@@ -89,22 +85,24 @@ def brauer_certificate(table: MarksTable, n: int | float = 1) -> BrauerCertifica
     primes = prime_factors(order)
 
     if not primes:
-        i_n = GhostElement(dict.fromkeys(range(table.size), 1))
+        i_n = dict.fromkeys(range(table.size), 1)
         bezout: dict[int, int] = {}
     else:
-        parts = [coprime_part(order, p) for p in primes]
-        zs = extended_euclid_set(parts)
-        bezout = dict(zip(primes, zs))
-        i_n = sum((i_pn(p, family, table).scale(z) for p, z in bezout.items()), GhostElement({}))
+        bezout = dict(zip(primes, extended_euclid_set([coprime_part(order, p) for p in primes])))
+        i_n = {}
+        for p, z in bezout.items():
+            for k, v in i_pn(p, family, table).items():
+                i_n[k] = i_n.get(k, 0) + z * v
+        i_n = {k: v for k, v in i_n.items() if v}
 
     try:
         decomposition = solve_ghost(i_n, table)
     except NotInImage as exc:  # pragma: no cover - contradicts the decomposition lemma
         raise InternalInvariantViolation(str(exc)) from exc
 
-    support_hyper = all(in_hyper_family(lattice, h, family) for h in decomposition.coefficients)
+    support_hyper = all(in_hyper_family(lattice, h, family) for h in decomposition)
     family_values = tuple(
-        (lattice.label_of(i), i_n.values.get(i, 0)) for i in family.class_indices
+        (lattice.label_of(i), i_n.get(i, 0)) for i in family.class_indices
     )
     return BrauerCertificate(
         n=n,
@@ -134,9 +132,9 @@ def certificate_payload(cert: BrauerCertificate, table: MarksTable) -> dict:
         "order_n": cert.order_n,
         "bezout": [{"p": p, "z_p": z} for p, z in sorted(cert.bezout.items())],
         "idempotents": idempotents,
-        "i_n_ghost": [cert.i_n_ghost.values.get(i, 0) for i in range(len(lattice))],
+        "i_n_ghost": [cert.i_n_ghost.get(i, 0) for i in range(len(lattice))],
         "decomposition": [
-            {"class": lattice.label_of(i), "k": k} for i, k in sorted(cert.decomposition.coefficients.items())
+            {"class": lattice.label_of(i), "k": k} for i, k in sorted(cert.decomposition.items())
         ],
         "checks": [
             {"element_class": classes.label(c), "lhs": lhs, "rhs": rhs}

@@ -54,7 +54,7 @@ from itertools import count
 from typing import Sequence
 
 from .cyclotomic import Cyclotomic, cyclotomic_polynomial, reduce_mod_phi
-from .exact import prime_factors
+from .exact import integer, prime_factors, quoted
 from .groups import (
     Group,
     Perm,
@@ -427,12 +427,12 @@ def _parse_cyclotomic_entry(text: str, conductor: int) -> Cyclotomic:
     cleaned = text.replace(" ", "")
     terms = re.findall(r"[+-]?[^+-]+", cleaned)
     if "".join(terms) != cleaned:
-        raise MalformedEntry(f"cannot split {text!r} into terms")
+        raise MalformedEntry(f"cannot split {quoted(text)} into terms")
     coeffs = [0] * conductor
     for term in terms:
         m = _TERM_RE.match(term)
         if not m:
-            raise MalformedEntry(f"bad term {term!r} in {text!r}")
+            raise MalformedEntry(f"bad term {quoted(term)} in {quoted(text)}")
         digits, bare_sign, power = m.groups()
         coeff = _integer(digits, text) if digits is not None else (-1 if bare_sign == "-" else 1)
         k = _integer(power, text) if power else int("z" in term)
@@ -468,14 +468,14 @@ def load_character_table(path: str, group: Group) -> CharacterTable:
         if line.lower().startswith("class:"):
             parts = line.split(":", 1)[1].strip().rsplit(None, 1)
             if len(parts) != 2:
-                raise MalformedEntry(f"class line {line!r} needs a representative and a size")
+                raise MalformedEntry(f"class line {quoted(line)} needs a representative and a size")
             class_reps.append(parse_cycles(parts[0].strip(), degree=group.core.degree))
             class_sizes.append(_integer(parts[1], line))
             continue
         if line.lower().startswith("row:"):
             raw_rows.append(line.split(":", 1)[1].split())
             continue
-        raise MalformedEntry(f"unrecognized line {line!r}")
+        raise MalformedEntry(f"unrecognized line {quoted(line)}")
     if conductor is None:
         raise MalformedEntry("missing conductor header")
     if conductor < 1:
@@ -515,13 +515,11 @@ def load_character_table(path: str, group: Group) -> CharacterTable:
 
 
 def _integer(text: str, line: str) -> int:
-    """An optional sign and the digits 0-9, around which text may have spaces."""
-    if re.fullmatch("[+-]?[0-9]+", text.strip()):
-        try:
-            return int(text)
-        except ValueError:  # more digits than int() converts
-            pass
-    raise MalformedEntry(f"{text.strip()!r} in {line!r} is not an integer")
+    """exact.integer of text, or MalformedEntry naming the line it is from."""
+    try:
+        return integer(text)
+    except ValueError:
+        raise MalformedEntry(f"{quoted(text.strip())} in {quoted(line)} is not an integer") from None
 
 
 def _check_power_maps(table: CharacterTable) -> None:

@@ -20,6 +20,7 @@ import time
 
 from . import artin as artin_mod
 from . import brauer as brauer_mod
+from .exact import integer
 from .groups import (
     DEFAULT_ORDER_CAP,
     Group,
@@ -27,15 +28,13 @@ from .groups import (
     subgroup_lattice,
     parse_group,
 )
-from .marks import GhostElement, NotInImage, marks_table, solve_ghost
+from .marks import NotInImage, marks_table, solve_ghost
 
 
 class Report:
-    def __init__(self, command: str, inputs: dict, results: dict | None = None,
-                 checks: list | None = None, timing: float = 0.0):
-        self.command, self.inputs, self.timing = command, inputs, timing
-        self.results = {} if results is None else results
-        self.checks = [] if checks is None else checks  # (name, ok) pairs
+    def __init__(self, command: str, inputs: dict):
+        self.command, self.inputs, self.timing = command, inputs, 0.0
+        self.results, self.checks = {}, []  # checks: (name, ok) pairs
 
     @property
     def status(self) -> str:
@@ -74,7 +73,7 @@ class Report:
 def _parse_n(text: str) -> int | float:
     if text.strip().lower() in ("inf", "infinity"):
         return math.inf
-    value = int(text)
+    value = integer(text)
     if value < 0:
         raise ValueError("n must be nonnegative or inf")
     return value
@@ -179,7 +178,7 @@ def cmd_verify(args) -> Report:
     tom_dieck = True
     for idx in range(table.size):
         try:
-            solve_ghost(GhostElement({idx: group.order}), table)
+            solve_ghost({idx: group.order}, table)
         except NotInImage:
             tom_dieck = False
     report.add_check("order * indicator solves integrally", tom_dieck)
@@ -210,7 +209,7 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p, with_n=True):
         p.add_argument("--group", help="builtin fixture name")
         p.add_argument("--file", help="group definition file")
-        p.add_argument("--cap", type=int, default=None, help="element enumeration cap")
+        p.add_argument("--cap", type=integer, default=None, help="element enumeration cap")
         p.add_argument("--json", action="store_true", help="machine-readable output")
         if with_n:
             p.add_argument("--n", type=_parse_n, default=1, help="generator bound (0, 1, 2, ..., inf)")
@@ -235,7 +234,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_lie = sub.add_parser("lie", help="orders from compact-group class data")
     p_lie.add_argument("--file", required=True, help="class data JSON file")
-    p_lie.add_argument("--power", type=int, default=1, help="cartesian power of the data")
+    p_lie.add_argument("--power", type=integer, default=1, help="cartesian power of the data")
     p_lie.add_argument("--n", type=_parse_n, default=1)
     p_lie.add_argument("--json", action="store_true")
     p_lie.set_defaults(func=cmd_lie)

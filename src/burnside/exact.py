@@ -1,17 +1,19 @@
 """Exact integer substrate: integer helpers and integer matrices.
 
 The integer helpers (gcds and Bezout combinations, prime factors, divisors,
-Euler's phi) serve every layer.  Integer matrices get row echelon bases
-of streamed row lattices, all over Z.  Those eliminations alternated on
-rows and columns give a Smith form's elementary divisors, with no transform
-matrices, and one echelon of [M^T | I] gives an integer kernel.  The
-cyclotomic integers of character values build on these helpers in
-cyclotomic; nothing here leaves the integers, and no floating point is used
-anywhere in the package.
+Euler's phi) serve every layer; integer() is the grammar of an integer in
+every input, from table files to command-line options.  Integer matrices
+get row echelon bases of streamed row lattices, all over Z.  Those
+eliminations alternated on rows and columns give a Smith form's elementary
+divisors, with no transform matrices, and one echelon of [M^T | I] gives an
+integer kernel.  The cyclotomic integers of character values build on
+these helpers in cyclotomic; nothing here leaves the integers, and no
+floating point is used anywhere in the package.
 """
 
 from __future__ import annotations
 
+import re
 from functools import lru_cache
 from math import gcd, lcm
 from typing import Iterable, Sequence
@@ -98,6 +100,23 @@ def euler_phi(n: int) -> int:
     for p in prime_factors(n):
         count -= count // p
     return count
+
+
+def quoted(text: str) -> str:
+    """repr(text), or for a text over 32 characters the repr of its first
+    32 and its length, so an error message stays short."""
+    if len(text) <= 32:
+        return repr(text)
+    return f"{text[:32]!r}... ({len(text)} characters)"
+
+
+def integer(text: str) -> int:
+    """An optional sign and the ASCII digits 0-9, around which text may
+    have spaces.  Raises ValueError on any other text, such as other
+    decimal digits or underscores, and past int()'s digit limit."""
+    if not re.fullmatch("[+-]?[0-9]+", text.strip()):
+        raise ValueError(f"{quoted(text)} is not an integer")
+    return int(text)
 
 
 # ---------------------------------------------------------------------------

@@ -33,7 +33,7 @@ from functools import cached_property
 from itertools import combinations
 from typing import Iterable, NamedTuple, Sequence
 
-from .exact import prime_factors
+from .exact import prime_factors, quoted
 
 Perm = tuple[int, ...]
 
@@ -95,7 +95,7 @@ def parse_cycles(text: str, degree: int | None = None) -> Perm:
         return perm_identity(degree or 1)
     consumed = _CYCLE_RE.sub("", stripped).strip()
     if consumed:
-        raise MalformedCycle(f"unexpected text {consumed!r} in {text!r}")
+        raise MalformedCycle(f"unexpected text {quoted(consumed)} in {quoted(text)}")
     cycles: list[list[int]] = []
     seen: set[int] = set()
     maxpoint = -1
@@ -109,9 +109,9 @@ def parse_cycles(text: str, degree: int | None = None) -> Perm:
             except ValueError:  # more digits than int() converts
                 point = -1
             if point < 0:
-                raise MalformedCycle(f"bad point {token!r} in {text!r}")
+                raise MalformedCycle(f"bad point {quoted(token)} in {quoted(text)}")
             if point in seen:
-                raise MalformedCycle(f"point {point} appears twice in {text!r}")
+                raise MalformedCycle(f"point {point} appears twice in {quoted(text)}")
             seen.add(point)
             points.append(point)
         if points:
@@ -370,7 +370,7 @@ BUILTIN_GROUPS: dict[str, list[str]] = {
 
 def builtin_group(name: str, cap: int = DEFAULT_ORDER_CAP) -> Group:
     if name not in BUILTIN_GROUPS:
-        raise GroupError(f"unknown builtin group {name!r}")
+        raise GroupError(f"unknown builtin group {quoted(name)}")
     gens = [parse_cycles(s) for s in BUILTIN_GROUPS[name]]
     return group_from_generators(gens, name=name, cap=cap)
 

@@ -6,11 +6,12 @@ lattice order.  The marks homomorphism phi sends an element of the Burnside
 ring to its ghost, the function of fixed-point counts on subgroup classes;
 solve_ghost inverts it exactly when possible.
 
-Both kinds of element are sparse: a BurnsideElement holds its coefficients
-and a GhostElement its values as one {class index: value} map with no zero
-entries, dropped by the constructor.  Each element the certificates build
-is a sum of idempotents e_K, each supported on the classes below (K), so
-the maps stay far smaller than the lattice; only the JSON reports list
+Both kinds of element are plain sparse dicts: an element of the Burnside
+ring is {class index H: coefficient of [G/H]} and a ghost is {class index
+K: value at (K)}.  phi and solve_ghost return no zero values, and a zero
+value passed in counts as an absent key.  Each element the certificates
+build is a sum of idempotents e_K, each supported on the classes below (K),
+so the dicts stay far smaller than the lattice; only the JSON reports list
 values in lattice order.
 
 The table stores only the nonzero marks, by rows: for each class (H) the
@@ -96,37 +97,6 @@ class MarksTable:
         return conjugacy_classes(self.lattice.group)
 
 
-class BurnsideElement:
-    """Integer coefficients on the transitive basis [G/H], as {class index:
-    coefficient} with no zero entries; equal by value."""
-
-    def __init__(self, coefficients: dict[int, int]):
-        self.coefficients = {h: c for h, c in coefficients.items() if c}
-
-    def __eq__(self, other):
-        return isinstance(other, BurnsideElement) and self.coefficients == other.coefficients
-
-
-class GhostElement:
-    """An integer-valued function on subgroup classes, as {class index:
-    value} with no zero entries; equal by value."""
-
-    def __init__(self, values: dict[int, int]):
-        self.values = {k: v for k, v in values.items() if v}
-
-    def __eq__(self, other):
-        return isinstance(other, GhostElement) and self.values == other.values
-
-    def __add__(self, other: "GhostElement") -> "GhostElement":
-        values = dict(self.values)
-        for k, v in other.values.items():
-            values[k] = values.get(k, 0) + v
-        return GhostElement(values)
-
-    def scale(self, k: int) -> "GhostElement":
-        return GhostElement({h: k * v for h, v in self.values.items()})
-
-
 def _count_containing(orbit: tuple[int, ...], mask: int) -> int:
     return sum(1 for m in orbit if m & mask == mask)
 
@@ -155,18 +125,18 @@ def marks_table(lattice: SubgroupLattice) -> MarksTable:
     return MarksTable(lattice, tuple(rows))
 
 
-def phi(element: BurnsideElement, table: MarksTable) -> GhostElement:
-    """Marks homomorphism: value at (K) is sum_H x_H * m[H][K], each nonzero
-    x_H added along row H."""
+def phi(element: dict[int, int], table: MarksTable) -> dict[int, int]:
+    """Marks homomorphism: value at (K) is sum_H x_H * m[H][K], each x_H
+    added along row H; the ghost holds no zero values."""
     ghost: dict[int, int] = {}
     rows = table.rows
-    for h, c in element.coefficients.items():
+    for h, c in element.items():
         for k, m in rows[h]:
             ghost[k] = ghost.get(k, 0) + c * m
-    return GhostElement(ghost)
+    return {k: v for k, v in ghost.items() if v}
 
 
-def solve_ghost(ghost: GhostElement, table: MarksTable) -> BurnsideElement:
+def solve_ghost(ghost: dict[int, int], table: MarksTable) -> dict[int, int]:
     """The unique x with phi(x) = ghost, solved by descending back-substitution.
 
     Only classes below some key of the ghost are visited: elsewhere the
@@ -176,17 +146,18 @@ def solve_ghost(ghost: GhostElement, table: MarksTable) -> BurnsideElement:
     times row K from the remainders below.  So a solve reads only the rows
     of the classes it visits.
 
-    Raises UnknownClass for a key outside the lattice, and NotInImage at the
-    first class (descending from the maximal one) where the required
-    quotient is not an integer.
+    Raises UnknownClass for a key outside the lattice, whatever its value,
+    and NotInImage at the first class (descending from the maximal one)
+    where the required quotient is not an integer.  The solution holds no
+    zero values.
     """
     down_sets = table.lattice.down_sets
     visit = 0
-    for k in ghost.values:
+    for k in ghost:
         if not 0 <= k < table.size:
             raise UnknownClass(f"no subgroup class with index {k}")
         visit |= down_sets[k]
-    rest = dict(ghost.values)
+    rest = dict(ghost)
     x: dict[int, int] = {}
     rows = table.rows
     while visit:
@@ -200,7 +171,7 @@ def solve_ghost(ghost: GhostElement, table: MarksTable) -> BurnsideElement:
             x[k] = q
             for j, m in row:
                 rest[j] = rest.get(j, 0) - q * m
-    return BurnsideElement(x)
+    return x
 
 
 def fixed_points_of_element(table: MarksTable, h: int, g: Perm) -> int:
@@ -226,12 +197,11 @@ def _fixed_points(table: MarksTable, h: int, c: int) -> int:
     return fixed
 
 
-def element_checks(element: BurnsideElement, table: MarksTable, expected: int) -> tuple[tuple[int, int, int], ...]:
+def element_checks(element: dict[int, int], table: MarksTable, expected: int) -> tuple[tuple[int, int, int], ...]:
     """(c, sum_H x_H |(G/H)^g|, expected) for every element conjugacy class
     c of G and g in c, by class index; the reports label c with
     ConjugacyClasses.label."""
-    x = element.coefficients
     return tuple(
-        (c, sum(v * _fixed_points(table, h, c) for h, v in x.items()), expected)
+        (c, sum(v * _fixed_points(table, h, c) for h, v in element.items()), expected)
         for c in range(len(table.element_classes.members))
     )

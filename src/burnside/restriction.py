@@ -317,7 +317,7 @@ def verify_artin_restriction(table: MarksTable, n: int | float,
     certificate = artin_certificate(table, n)
     if not certificate.verified:
         raise RestrictionError("Artin certificate failed; restriction check not applicable")
-    coefficients = certificate.alpha.coefficients
+    coefficients = certificate.alpha
     eq = equalizer_lattice(sorted(coefficients), provider)
     order = certificate.order_n
     nirr = eq.restriction.cols

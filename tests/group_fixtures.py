@@ -39,8 +39,6 @@ from burnside.groups import (
     perm_mul,
 )
 from burnside.marks import (
-    BurnsideElement,
-    GhostElement,
     InternalInvariantViolation,
     MarksTable,
     NotInImage,
@@ -107,10 +105,9 @@ def induced_by_cosets(xi: ClassFunction, group: Group) -> ClassFunction:
     return ClassFunction(group, tuple(values))
 
 
-def dense(x: BurnsideElement | GhostElement, n: int) -> tuple[int, ...]:
+def dense(x: dict[int, int], n: int) -> tuple[int, ...]:
     """The coefficients or values of x in lattice order, for n classes."""
-    values = x.coefficients if isinstance(x, BurnsideElement) else x.values
-    return tuple(values.get(i, 0) for i in range(n))
+    return tuple(x.get(i, 0) for i in range(n))
 
 
 def sparse(values) -> dict[int, int]:
@@ -118,24 +115,29 @@ def sparse(values) -> dict[int, int]:
     return {i: v for i, v in enumerate(values) if v}
 
 
-def pointwise(a: GhostElement, b: GhostElement) -> GhostElement:
+def pointwise(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
     """The product of two ghosts, class by class."""
-    return GhostElement({k: v * b.values[k] for k, v in a.values.items() if k in b.values})
+    return {k: v * b[k] for k, v in a.items() if k in b}
 
 
-def multiply(a: BurnsideElement, b: BurnsideElement, table: MarksTable) -> BurnsideElement:
+def scaled_by(x: dict[int, int], k: int) -> dict[int, int]:
+    """k times a ghost or element, class by class."""
+    return {h: k * v for h, v in x.items()}
+
+
+def multiply(a: dict[int, int], b: dict[int, int], table: MarksTable) -> dict[int, int]:
     """The ring product, solved back from the pointwise product of the ghosts."""
     return solve_ghost(pointwise(phi(a, table), phi(b, table)), table)
 
 
-def unit(table: MarksTable) -> BurnsideElement:
+def unit(table: MarksTable) -> dict[int, int]:
     """[G/G], the multiplicative unit."""
-    return BurnsideElement({table.size - 1: 1})
+    return {table.size - 1: 1}
 
 
-def in_ideal_jn(element: BurnsideElement, family: AbelianClassFamily, table: MarksTable) -> bool:
+def in_ideal_jn(element: dict[int, int], family: AbelianClassFamily, table: MarksTable) -> bool:
     """True iff phi(element) vanishes on every class of the family."""
-    return phi(element, table).values.keys().isdisjoint(family.members)
+    return phi(element, table).keys().isdisjoint(family.members)
 
 
 def conjugates(subgroup: frozenset, elements) -> set[frozenset]:
@@ -167,7 +169,7 @@ def gluck_scaled_idempotents(table: MarksTable) -> list[tuple[int, ...]]:
     return out
 
 
-def artin_member_terms(table: MarksTable, family: AbelianClassFamily) -> dict[int, BurnsideElement]:
+def artin_member_terms(table: MarksTable, family: AbelianClassFamily) -> dict[int, dict[int, int]]:
     """{K: |G|_n e_K} for each class K of the family: Gluck's |G| e_K times
     |G|_n / |G|, divided exactly.  Their sum is the Artin certificate's
     alpha, built one member at a time with no call to solve_ghost.  Raises
@@ -181,8 +183,9 @@ def artin_member_terms(table: MarksTable, family: AbelianClassFamily) -> dict[in
             q, r = divmod(c * family.order, order)
             if r:
                 raise ArithmeticError(f"{family.order} * e_{k} not integral at class {h}")
-            coefficients[h] = q
-        terms[k] = BurnsideElement(coefficients)
+            if q:
+                coefficients[h] = q
+        terms[k] = coefficients
     return terms
 
 
@@ -194,8 +197,8 @@ class NotPPerfect(Exception):
 class LocalIdempotent:
     class_index: int  # the p-perfect class (H)
     p: int
-    ghost: GhostElement  # 1 at (K) iff (O^p(K)) = (H)
-    scaled_element: BurnsideElement  # solves N_(p) * ghost
+    ghost: dict[int, int]  # 1 at (K) iff (O^p(K)) = (H)
+    scaled_element: dict[int, int]  # solves N_(p) * ghost
 
 
 def local_idempotent(h: int, p: int, table: MarksTable, n: int | float = 1) -> LocalIdempotent:
@@ -205,10 +208,10 @@ def local_idempotent(h: int, p: int, table: MarksTable, n: int | float = 1) -> L
     cores = lattice.p_core_classes(p)
     if cores[h] != h:
         raise NotPPerfect(f"class {lattice.label_of(h)} is not {p}-perfect")
-    ghost = GhostElement({k: 1 for k, core in enumerate(cores) if core == h})
+    ghost = {k: 1 for k, core in enumerate(cores) if core == h}
     scale = coprime_part(abelian_family(lattice, n).order, p)
     try:
-        scaled = solve_ghost(ghost.scale(scale), table)
+        scaled = solve_ghost(scaled_by(ghost, scale), table)
     except NotInImage as exc:  # pragma: no cover - contradicts the idempotent theorem
         raise InternalInvariantViolation(str(exc)) from exc
     return LocalIdempotent(h, p, ghost, scaled)

@@ -1,6 +1,7 @@
 """Local idempotents, their Bezout combination, and Brauer certificates."""
 
 import math
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -21,7 +22,7 @@ from burnside.groups import (
     perm_mul,
     subgroup_lattice,
 )
-from burnside.marks import GhostElement, marks_table, phi
+from burnside.marks import marks_table, phi
 
 from group_fixtures import (
     BENCHMARK_GROUPS,
@@ -30,6 +31,7 @@ from group_fixtures import (
     dense,
     local_idempotent,
     pointwise,
+    scaled_by,
     small_subgroups_of_s6,
     sparse,
 )
@@ -82,7 +84,7 @@ class TestLocalIdempotent:
         li = local_idempotent(2, 2, table, n=1)  # (C3), p = 2
         assert dense(li.ghost, 4) == (0, 0, 1, 1)
         assert dense(li.scaled_element, 4) == (1, -3, 0, 3)
-        assert phi(li.scaled_element, table) == li.ghost.scale(3)
+        assert phi(li.scaled_element, table) == scaled_by(li.ghost, 3)
 
     def test_s3_trivial_p2(self, tables):
         table = tables["S3"]
@@ -99,14 +101,14 @@ class TestLocalIdempotent:
         table = tables[name]
         classes = p_perfect_classes(table, p)
         ghosts = [local_idempotent(h, p, table).ghost for h in classes]
-        total = GhostElement({})
+        total = Counter()
         for ghost in ghosts:
             assert pointwise(ghost, ghost) == ghost
-            total = total + ghost
-        assert total == GhostElement(sparse((1,) * table.size))
+            total.update(ghost)
+        assert total == sparse((1,) * table.size)
         for i, a in enumerate(ghosts):
             for b in ghosts[i + 1:]:
-                assert pointwise(a, b) == GhostElement({})
+                assert pointwise(a, b) == {}
 
     @pytest.mark.parametrize("name", FIXTURES)
     @pytest.mark.parametrize("p", [2, 3])
@@ -115,7 +117,7 @@ class TestLocalIdempotent:
         scale = coprime_part(table.lattice.group.order, p)
         for h in p_perfect_classes(table, p):
             li = local_idempotent(h, p, table)
-            assert phi(li.scaled_element, table) == li.ghost.scale(scale)
+            assert phi(li.scaled_element, table) == scaled_by(li.ghost, scale)
 
 
 class TestIPN:
@@ -155,7 +157,7 @@ class TestBrauerCertificate:
         cert = brauer_certificate(table, 1)
         assert cert.bezout == {2: 1, 3: -1}
         assert dense(cert.i_n_ghost, 4) == (1, 1, 1, 3)
-        assert cert.decomposition.coefficients == {0: 1, 1: -2, 2: -1, 3: 3}
+        assert cert.decomposition == {0: 1, 1: -2, 2: -1, 3: 3}
         assert cert.verified
 
     def test_s3_per_element(self, tables):
@@ -164,7 +166,7 @@ class TestBrauerCertificate:
         group = table.lattice.group
         for g in group.core.elements:
             total = sum(
-                k * oracle_fixed_points(table, h, g) for h, k in cert.decomposition.coefficients.items()
+                k * oracle_fixed_points(table, h, g) for h, k in cert.decomposition.items()
             )
             assert total == 1
 
@@ -175,12 +177,12 @@ class TestBrauerCertificate:
         assert cert.verified
         # all subgroups of a p-group are 1-hyper
         degree = table.lattice.group.core.degree
-        for h in cert.decomposition.coefficients:
+        for h in cert.decomposition:
             assert is_n_hyper(element_set(table.lattice.classes[h]), 1, 2, degree)
 
     def test_trivial_group(self, tables):
         cert = brauer_certificate(tables["trivial"], 1)
-        assert cert.decomposition.coefficients == {0: 1}
+        assert cert.decomposition == {0: 1}
         assert cert.bezout == {}
         assert cert.verified
 
@@ -193,7 +195,7 @@ class TestBrauerCertificate:
         group = table.lattice.group
         for g in group.core.elements:
             total = sum(
-                k * oracle_fixed_points(table, h, g) for h, k in cert.decomposition.coefficients.items()
+                k * oracle_fixed_points(table, h, g) for h, k in cert.decomposition.items()
             )
             assert total == 1
 
@@ -211,7 +213,7 @@ class TestBrauerCertificate:
         cert = brauer_certificate(table, 1)
         degree = table.lattice.group.core.degree
         primes = sorted(cert.bezout) or [2]
-        for h in cert.decomposition.coefficients:
+        for h in cert.decomposition:
             assert any(
                 is_n_hyper(element_set(table.lattice.classes[h]), 1, p, degree) for p in primes
             )

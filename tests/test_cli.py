@@ -422,6 +422,9 @@ def s3_tables(old, new):
 
 
 S3_TABLES = ["equalizer", "--tables", "{tmp}", *S3]
+# a message quotes at most 32 characters of an offending token or text
+HUGE_ENTRY_MESSAGE = f"'-{'9' * 31}'... (5001 characters) in '-{'9' * 31}'... (5001 characters) is not an integer"
+HUGE_POINT_MESSAGE = f"bad point '{'9' * 32}'... (5000 characters) in '(0 {'9' * 29}'... (5004 characters)"
 NOT_UTF8 = "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"
 
 # one row per error family that main maps to an exit code, and one per
@@ -469,7 +472,7 @@ EXIT_CODES = [
               "cannot split '+' into terms"),
     # past int()'s digit limit: an input error, not a ValueError
     malformed("entry-huge-integer", s3_tables(b"row: 1 1 1", b"row: 1 -" + b"9" * 5000 + b" 1"), S3_TABLES,
-              "MalformedEntry", f"'-{'9' * 5000}' in '-{'9' * 5000}' is not an integer"),
+              "MalformedEntry", HUGE_ENTRY_MESSAGE),
     malformed("unrecognized-line", s3_tables(b"group: 3a", b"group: 3a\nfoo: bar"), S3_TABLES, "MalformedEntry",
               "unrecognized line 'foo: bar'"),
     malformed("missing-conductor", s3_tables(b"conductor: 6\n", b""), S3_TABLES, "MalformedEntry",
@@ -485,7 +488,7 @@ EXIT_CODES = [
     malformed("class-point-out-of-range", s3_tables(b"class: (0 2 1) 1", b"class: (0 5) 1"), S3_TABLES,
               "MalformedCycle", "point 5 out of range for degree 3"),
     malformed("group-huge-point", {}, ["verify", "--group", f"(0 {'9' * 5000})", "--json"], "MalformedCycle",
-              f"bad point '{'9' * 5000}' in '(0 {'9' * 5000})'"),
+              HUGE_POINT_MESSAGE),
     # integers are an optional sign and the ASCII digits 0-9: no other
     # decimal digits, and no underscores
     malformed("group-arabic-indic-point", {}, ["verify", "--group", "(0 \u0661)", "--json"], "MalformedCycle",
@@ -538,6 +541,23 @@ class TestExitCodes:
             main(["equalizer", "--group", "S3", "--n", "-1", "--json"])
         assert excinfo.value.code == 2
         assert "argument --n: invalid _parse_n value: '-1'" in capsys.readouterr().err
+
+    # an integer option takes an optional sign and the ASCII digits 0-9, as
+    # the input files do: no other decimal digits, and no underscores
+    @pytest.mark.parametrize("argv,usage", [
+        (["artin", "--group", "S3", "--n", "\u0662"], "argument --n: invalid _parse_n value: '\u0662'"),
+        (["lie", *SO3, "--power", "\u0662"], "argument --power: invalid integer value: '\u0662'"),
+        (["verify", "--group", "S3", "--cap", "1_0"], "argument --cap: invalid integer value: '1_0'"),
+    ], ids=["n-arabic-indic", "power-arabic-indic", "cap-underscore"])
+    def test_non_ascii_integer_option_is_a_usage_error(self, capsys, argv, usage):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        assert usage in capsys.readouterr().err
+
+    def test_huge_tokens_give_short_messages(self):
+        # the exit-code rows entry-huge-integer and group-huge-point expect these
+        assert len(HUGE_ENTRY_MESSAGE) < 200 and len(HUGE_POINT_MESSAGE) < 200
 
     def test_internal_invariant_violation(self, capsys, monkeypatch):
         def broken(table, n):
@@ -637,14 +657,13 @@ class TestArtinCertificateFails:
         """Make the certificate's solve return alpha plus [G/H] at the class
         extra(table) picks."""
         from burnside import artin
-        from burnside.marks import BurnsideElement
 
         original = artin.solve_ghost
 
         def planted(ghost, table):
-            alpha = original(ghost, table).coefficients
+            alpha = original(ghost, table)
             h = extra(table)
-            return BurnsideElement({**alpha, h: alpha.get(h, 0) + 1})
+            return {**alpha, h: alpha.get(h, 0) + 1}
 
         monkeypatch.setattr(artin, "solve_ghost", planted)
 

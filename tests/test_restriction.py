@@ -410,7 +410,7 @@ def assert_support_between_maximal_members_and_family(table):
         family = abelian_family(lattice, n).class_indices
         certificate = artin_certificate(table, n)
         assert certificate.verified
-        assert set(maximal_members(family, lattice)) <= set(certificate.alpha.coefficients) <= set(family)
+        assert set(maximal_members(family, lattice)) <= set(certificate.alpha) <= set(family)
 
 
 class TestArtinSupport:
@@ -487,7 +487,7 @@ def assert_maximal_equalizer_matches_full(table, provider, n):
         assert rank_and_divisors(both) == divisors
     certificate = artin_certificate(table, n)
     eq = equalizer_lattice(list(abelian_family(lattice, n).class_indices), provider)
-    psi = restriction._artin_section(eq, certificate.alpha.coefficients, provider)
+    psi = restriction._artin_section(eq, certificate.alpha, provider)
     order = certificate.order_n
     assert psi @ eq.restriction == IntMatrix.identity(eq.restriction.cols).scale(order)
     assert eq.restriction @ psi == IntMatrix.identity(eq.rank).scale(order)
@@ -608,7 +608,7 @@ class TestTablesRead:
         table = marks_table(lattice)
         expected = {*maximal_members(production_family(lattice, mode), lattice), lattice.full_index}
         if mode == "artin":
-            expected |= set(artin_certificate(table, 1).alpha.coefficients)
+            expected |= set(artin_certificate(table, 1).alpha)
         assert sorted(CountingDirectoryTables.loaded) == sorted(expected)
 
 
@@ -740,7 +740,7 @@ class TestPermutationRealization:
         cert = artin_certificate(table, 1)
         top = character_table(group)
         image = None
-        for idx, c in cert.alpha.coefficients.items():
+        for idx, c in cert.alpha.items():
             chi = scale(perm_character(group, element_set(lattice.classes[idx])), c)
             image = chi if image is None else add(image, chi)
         coords = top.coordinates(image.values)
@@ -753,7 +753,7 @@ class TestPermutationRealization:
         # to the zero character: values on cyclic subgroups determine traces
         import random
 
-        from burnside.marks import GhostElement, solve_ghost
+        from burnside.marks import solve_ghost
 
         group = builtin_group(name)
         lattice = subgroup_lattice(group)
@@ -765,7 +765,7 @@ class TestPermutationRealization:
                 0 if idx in cyclic else rng.randint(-3, 3) * group.order
                 for idx in range(table.size)
             )
-            element = solve_ghost(GhostElement(sparse(values)), table)
+            element = solve_ghost(sparse(values), table)
             image = None
             for idx, c in enumerate(dense(element, table.size)):
                 if c == 0:
