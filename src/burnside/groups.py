@@ -88,6 +88,10 @@ def perm_to_cycles(p: Perm) -> str:
 _CYCLE_RE = re.compile(r"\(([^()]*)\)")
 
 
+def _point(point: int) -> str:
+    return str(point) if point < 10 ** 32 else quoted(str(point))
+
+
 def parse_cycles(text: str, degree: int | None = None) -> Perm:
     """Parse disjoint-cycle notation like "(0 1 2)(3 4)" into a permutation."""
     stripped = text.strip()
@@ -111,7 +115,7 @@ def parse_cycles(text: str, degree: int | None = None) -> Perm:
             if point < 0:
                 raise MalformedCycle(f"bad point {quoted(token)} in {quoted(text)}")
             if point in seen:
-                raise MalformedCycle(f"point {point} appears twice in {quoted(text)}")
+                raise MalformedCycle(f"point {_point(point)} appears twice in {quoted(text)}")
             seen.add(point)
             points.append(point)
         if points:
@@ -119,7 +123,7 @@ def parse_cycles(text: str, degree: int | None = None) -> Perm:
             maxpoint = max(maxpoint, max(points))
     d = degree if degree is not None else maxpoint + 1
     if maxpoint >= d:
-        raise MalformedCycle(f"point {maxpoint} out of range for degree {d}")
+        raise MalformedCycle(f"point {_point(maxpoint)} out of range for degree {d}")
     out = list(range(max(d, 1)))
     for cycle in cycles:
         for i, pt in enumerate(cycle):

@@ -10,9 +10,9 @@ holds the coordinates of ind_K psi.  The equalizer is computed from the G
 side: a row echelon basis H of M's row lattice, streamed in k(G) columns, is
 the matrix of restriction, and the integer solution C of C * H = M is the
 basis.  The Artin verification checks that restriction and the induced
-section compose to the group order in both directions; the Brauer
-verification checks that restriction is a lattice isomorphism via the Smith
-elementary divisors of H, which is Brauer's induction theorem itself.
+section compose to |G|_n both ways and returns (|G|_n, rank); the Brauer one
+checks by H's Smith form that restriction is a lattice isomorphism, Brauer's
+induction theorem itself, and returns (rank, divisors).  A failed check raises.
 
 Neither verification builds the equalizer over its whole family F.  The
 abelian and the n-hyper families are closed under subgroups and
@@ -292,18 +292,9 @@ def _restriction_matrix(eq: EqualizerLattice, provider: TableProvider) -> IntMat
     return eq.restriction
 
 
-class ArtinRestrictionReport:
-    def __init__(self, order: int, rank: int, psi_res_ok: bool, res_psi_ok: bool):
-        self.order, self.rank, self.psi_res_ok, self.res_psi_ok = order, rank, psi_res_ok, res_psi_ok
-
-    @property
-    def verified(self) -> bool:
-        return self.psi_res_ok and self.res_psi_ok
-
-
-def verify_artin_restriction(table: MarksTable, n: int | float,
-                             provider: TableProvider | None = None) -> ArtinRestrictionReport:
-    """Check that restriction and the induced section form an order-isomorphism pair.
+def verify_artin_restriction(table: MarksTable, n: int | float, provider: TableProvider) -> tuple[int, int]:
+    """Check that psi . res and then res . psi are |G|_n times the identity;
+    return (|G|_n, rank), or raise CompositeMismatch naming the first that fails.
 
     psi sends a compatible family (m_A) to sum_A c_A ind_A^G(m_A), with the
     c_A taken from the Artin certificate.  The check is not applicable
@@ -312,13 +303,10 @@ def verify_artin_restriction(table: MarksTable, n: int | float,
     identity.  For n >= 1 the family holds every cyclic subgroup, so that
     happens at n = 0 only, on a nontrivial group.
     """
-    lattice = table.lattice
-    provider = provider or TableProvider(lattice)
     certificate = artin_certificate(table, n)
     if not certificate.verified:
         raise RestrictionError("Artin certificate failed; restriction check not applicable")
-    coefficients = certificate.alpha
-    eq = equalizer_lattice(sorted(coefficients), provider)
+    eq = equalizer_lattice(sorted(certificate.alpha), provider)
     order = certificate.order_n
     nirr = eq.restriction.cols
 
@@ -326,21 +314,12 @@ def verify_artin_restriction(table: MarksTable, n: int | float,
     if eq.rank < nirr:
         raise RestrictionError(f"the family meets {eq.rank} of {nirr} G-classes; "
                                f"restriction check not applicable at n = {n}")
-    psi_matrix = _artin_section(eq, coefficients, provider)
-    left = psi_matrix @ res_matrix  # on R(G)
-    right = res_matrix @ psi_matrix  # on the equalizer
-    left_expected = IntMatrix.identity(nirr).scale(order)
-    right_expected = IntMatrix.identity(eq.rank).scale(order)
-    report = ArtinRestrictionReport(
-        order=order,
-        rank=eq.rank,
-        psi_res_ok=left == left_expected,
-        res_psi_ok=right == right_expected,
-    )
-    if not report.verified:
-        witness = "psi.res" if not report.psi_res_ok else "res.psi"
-        raise CompositeMismatch(witness)
-    return report
+    psi_matrix = _artin_section(eq, certificate.alpha, provider)
+    if psi_matrix @ res_matrix != IntMatrix.identity(nirr).scale(order):  # on R(G)
+        raise CompositeMismatch("psi.res")
+    if res_matrix @ psi_matrix != IntMatrix.identity(eq.rank).scale(order):  # on the equalizer
+        raise CompositeMismatch("res.psi")
+    return order, eq.rank
 
 
 def _artin_section(eq: EqualizerLattice, coefficients: dict[int, int],
@@ -365,19 +344,6 @@ def _artin_section(eq: EqualizerLattice, coefficients: dict[int, int],
     return IntMatrix.from_rows(scaled).transpose() @ eq.basis
 
 
-class BrauerRestrictionReport:
-    def __init__(self, rank: int, irreducibles: int, elementary_divisors: tuple[int, ...]):
-        self.rank, self.irreducibles, self.elementary_divisors = rank, irreducibles, elementary_divisors
-
-    @property
-    def verified(self) -> bool:
-        return (
-            self.rank == self.irreducibles
-            and len(self.elementary_divisors) == self.rank
-            and all(d == 1 for d in self.elementary_divisors)
-        )
-
-
 def hyper_family(table: MarksTable, n: int | float) -> list[int]:
     """Classes that are n-hyper for at least one prime dividing |G|_n."""
     lattice = table.lattice
@@ -385,17 +351,15 @@ def hyper_family(table: MarksTable, n: int | float) -> list[int]:
     return [i for i in range(len(lattice)) if in_hyper_family(lattice, i, family)]
 
 
-def verify_brauer_restriction(table: MarksTable, n: int | float = 1,
-                              provider: TableProvider | None = None) -> BrauerRestrictionReport:
+def verify_brauer_restriction(table: MarksTable, n: int | float,
+                              provider: TableProvider) -> tuple[int, tuple[int, ...]]:
     """Check that restriction onto the n-hyper equalizer is a lattice isomorphism.
 
-    The check rests on the certificate's identity sum_H k_H |(G/H)^g| = 1 at
-    every element g.  The certificate leaves that identity out for n < 1,
-    so there it is checked here; where it fails, the check is not
-    applicable.
+    Return (rank, divisors), or raise NotIsomorphism unless they are k(G) and
+    all 1.  The check rests on the certificate's identity sum_H k_H
+    |(G/H)^g| = 1 at every element g.  The certificate leaves that identity out
+    for n < 1, so it is checked here; where it fails, the check does not apply.
     """
-    lattice = table.lattice
-    provider = provider or TableProvider(lattice)
     certificate = brauer_certificate(table, n)
     if not certificate.verified:
         raise RestrictionError("Brauer certificate failed; restriction check not applicable")
@@ -404,13 +368,8 @@ def verify_brauer_restriction(table: MarksTable, n: int | float = 1,
             if lhs != rhs:
                 raise RestrictionError(f"sum_H k_H |(G/H)^g| = 1 fails at g = {table.element_classes.label(c)}; "
                                        f"restriction check not applicable at n = {n}")
-    eq = equalizer_lattice(maximal_members(hyper_family(table, n), lattice), provider)
+    eq = equalizer_lattice(maximal_members(hyper_family(table, n), table.lattice), provider)
     divisors = smith_normal_form(_restriction_matrix(eq, provider))
-    report = BrauerRestrictionReport(
-        rank=eq.rank,
-        irreducibles=eq.restriction.cols,
-        elementary_divisors=divisors,
-    )
-    if not report.verified:
+    if eq.rank != eq.restriction.cols or divisors != (1,) * eq.rank:
         raise NotIsomorphism(divisors)
-    return report
+    return eq.rank, divisors

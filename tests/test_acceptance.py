@@ -36,7 +36,7 @@ from burnside.marks import (
     marks_table,
     solve_ghost,
 )
-from burnside.restriction import verify_artin_restriction, verify_brauer_restriction
+from burnside.restriction import TableProvider, verify_artin_restriction, verify_brauer_restriction
 
 from group_fixtures import benchmark_group, local_idempotent, pointwise, scaled_by, sparse
 from oracles import element_set, frobenius_check, is_n_hyper, mackey_check, subgroup_view
@@ -162,9 +162,9 @@ def test_criterion_6_artin_restriction():
     start = time.monotonic()
     for name in ("S3", "S4"):
         table = fixture_table(name)
-        report = verify_artin_restriction(table, 1)
-        assert report.order == table.lattice.group.order
-        assert report.psi_res_ok and report.res_psi_ok
+        order, rank = verify_artin_restriction(table, 1, TableProvider(table.lattice))
+        assert order == table.lattice.group.order
+        assert rank == len(conjugacy_classes(table.lattice.group).members)
     elapsed = time.monotonic() - start
     assert elapsed < 30.0
     print(f"ACCEPTANCE 6 PASS Artin restriction composites equal order*id ({elapsed:.2f}s)")
@@ -174,9 +174,9 @@ def test_criterion_7_brauer_restriction():
     start = time.monotonic()
     for name in ("S3", "D4", "Q8", "A4"):
         table = fixture_table(name)
-        report = verify_brauer_restriction(table, 1)
-        assert report.rank == report.irreducibles
-        assert all(d == 1 for d in report.elementary_divisors)
+        rank, divisors = verify_brauer_restriction(table, 1, TableProvider(table.lattice))
+        assert rank == len(conjugacy_classes(table.lattice.group).members)
+        assert divisors == (1,) * rank
     elapsed = time.monotonic() - start
     assert elapsed < 60.0
     print(f"ACCEPTANCE 7 PASS Brauer restriction is a lattice isomorphism ({elapsed:.2f}s)")
@@ -189,12 +189,10 @@ def test_criterion_11_restriction_on_non_monomial_groups():
     for name in ("SL(2,3)", "GL(2,3)", "A5", "S5", "C2xS4"):
         group = benchmark_group(name)
         table = marks_table(subgroup_lattice(group))
-        artin = verify_artin_restriction(table, 1)
-        assert artin.order == group.order
-        assert artin.psi_res_ok and artin.res_psi_ok, name
-        brauer = verify_brauer_restriction(table, 1)
-        assert brauer.rank == brauer.irreducibles
-        assert all(d == 1 for d in brauer.elementary_divisors), name
+        provider = TableProvider(table.lattice)
+        k = len(conjugacy_classes(group).members)
+        assert verify_artin_restriction(table, 1, provider) == (group.order, k), name
+        assert verify_brauer_restriction(table, 1, provider) == (k, (1,) * k), name
     elapsed = time.monotonic() - start
     assert elapsed < 30.0
     print(f"ACCEPTANCE 11 PASS Artin and Brauer restriction on five groups with computed tables ({elapsed:.2f}s)")
@@ -205,9 +203,9 @@ def test_c2_4_brauer_restriction():
     # member is G and the equalizer reads G's table alone
     start = time.monotonic()
     group = parse_group("(0 1)\n(2 3)\n(4 5)\n(6 7)")
-    report = verify_brauer_restriction(marks_table(subgroup_lattice(group)), 1)
-    assert report.rank == 16 and report.irreducibles == 16
-    assert report.elementary_divisors == (1,) * 16
+    table = marks_table(subgroup_lattice(group))
+    assert verify_brauer_restriction(table, 1, TableProvider(table.lattice)) == (16, (1,) * 16)
+    assert len(conjugacy_classes(group).members) == 16
     elapsed = time.monotonic() - start
     assert elapsed < 30.0
     print(f"ACCEPTANCE C2^4 PASS Brauer restriction, rank 16, unit divisors ({elapsed:.2f}s)")
@@ -218,9 +216,9 @@ def test_c2_5_brauer_restriction():
     # over the family's one maximal member, G, not over all 374 classes
     start = time.monotonic()
     group = parse_group("(0 1)\n(2 3)\n(4 5)\n(6 7)\n(8 9)")
-    report = verify_brauer_restriction(marks_table(subgroup_lattice(group)), 1)
-    assert report.rank == 32 and report.irreducibles == 32
-    assert report.elementary_divisors == (1,) * 32
+    table = marks_table(subgroup_lattice(group))
+    assert verify_brauer_restriction(table, 1, TableProvider(table.lattice)) == (32, (1,) * 32)
+    assert len(conjugacy_classes(group).members) == 32
     elapsed = time.monotonic() - start
     assert elapsed < 10.0
     print(f"ACCEPTANCE C2^5 PASS Brauer restriction, rank 32, unit divisors ({elapsed:.2f}s)")

@@ -425,6 +425,10 @@ S3_TABLES = ["equalizer", "--tables", "{tmp}", *S3]
 # a message quotes at most 32 characters of an offending token or text
 HUGE_ENTRY_MESSAGE = f"'-{'9' * 31}'... (5001 characters) in '-{'9' * 31}'... (5001 characters) is not an integer"
 HUGE_POINT_MESSAGE = f"bad point '{'9' * 32}'... (5000 characters) in '(0 {'9' * 29}'... (5004 characters)"
+# a point of more than 32 digits is cut as a text is
+HUGE_REPEATED_POINT_MESSAGE = (f"point '{'9' * 32}'... (4000 characters) appears twice "
+                               f"in '({'9' * 31}'... (8008 characters)")
+HUGE_CLASS_POINT_MESSAGE = f"point '{'9' * 32}'... (4000 characters) out of range for degree 3"
 NOT_UTF8 = "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"
 
 # one row per error family that main maps to an exit code, and one per
@@ -489,6 +493,10 @@ EXIT_CODES = [
               "MalformedCycle", "point 5 out of range for degree 3"),
     malformed("group-huge-point", {}, ["verify", "--group", f"(0 {'9' * 5000})", "--json"], "MalformedCycle",
               HUGE_POINT_MESSAGE),
+    malformed("group-huge-repeated-point", {}, ["verify", "--group", f"({'9' * 4000} 1)({'9' * 4000} 2)", "--json"],
+              "MalformedCycle", HUGE_REPEATED_POINT_MESSAGE),
+    malformed("class-huge-point-out-of-range", s3_tables(b"class: (0 2 1) 1", b"class: (0 " + b"9" * 4000 + b") 1"),
+              S3_TABLES, "MalformedCycle", HUGE_CLASS_POINT_MESSAGE),
     # integers are an optional sign and the ASCII digits 0-9: no other
     # decimal digits, and no underscores
     malformed("group-arabic-indic-point", {}, ["verify", "--group", "(0 \u0661)", "--json"], "MalformedCycle",
@@ -556,8 +564,10 @@ class TestExitCodes:
         assert usage in capsys.readouterr().err
 
     def test_huge_tokens_give_short_messages(self):
-        # the exit-code rows entry-huge-integer and group-huge-point expect these
+        # the exit-code rows entry-huge-integer, group-huge-point,
+        # group-huge-repeated-point and class-huge-point-out-of-range expect these
         assert len(HUGE_ENTRY_MESSAGE) < 200 and len(HUGE_POINT_MESSAGE) < 200
+        assert len(HUGE_REPEATED_POINT_MESSAGE) < 200 and len(HUGE_CLASS_POINT_MESSAGE) < 200
 
     def test_internal_invariant_violation(self, capsys, monkeypatch):
         def broken(table, n):
@@ -615,6 +625,17 @@ class TestExitCodes:
         error = json.loads(err)["error"]
         assert (error["kind"], error["type"]) == ("check failed", "NotIsomorphism")
         assert "elementary divisors (2, 1, 1)" in error["message"]
+
+    def test_rank_below_class_count_is_not_an_isomorphism(self, capsys, monkeypatch):
+        # over the trivial class alone the equalizer has rank 1 < k(S3) = 3
+        # and unit divisors, so only the rank condition rejects it
+        monkeypatch.setattr(restriction, "maximal_members", lambda family, lattice: [0])
+        code, out, err = run(capsys, "equalizer", "--group", "S3", "--mode", "brauer", "--json")
+        assert (code, out) == (1, "")
+        assert json.loads(err)["error"] == {
+            "kind": "check failed", "type": "NotIsomorphism",
+            "message": "restriction has elementary divisors (1,)",
+        }
 
     def test_non_unimodular_restriction_runs_the_smith_form(self, capsys, monkeypatch):
         # S4's H is unitriangular, 5 x 5; twice its fourth row and three times

@@ -14,7 +14,7 @@ from burnside.artin import artin_certificate
 from burnside.brauer import brauer_certificate
 from burnside.groups import conjugacy_classes, perm_mul, subgroup_lattice
 from burnside.marks import marks_table
-from burnside.restriction import verify_artin_restriction, verify_brauer_restriction
+from burnside.restriction import TableProvider, verify_artin_restriction, verify_brauer_restriction
 
 from group_fixtures import small_subgroups_of_s6
 from oracles import (
@@ -77,8 +77,7 @@ def test_character_layer_properties(group):
     assert artin_certificate(table, math.inf).verified
     assert brauer_certificate(table, 1).verified
 
-    artin = verify_artin_restriction(table, 1)
-    assert artin.psi_res_ok and artin.res_psi_ok
-    brauer = verify_brauer_restriction(table, 1)
-    assert brauer.rank == brauer.irreducibles
-    assert all(d == 1 for d in brauer.elementary_divisors)
+    provider = TableProvider(lattice)
+    k = len(classes.members)
+    assert verify_artin_restriction(table, 1, provider) == (group.order, k)
+    assert verify_brauer_restriction(table, 1, provider) == (k, (1,) * k)

@@ -340,10 +340,9 @@ class TestBenchmarkGroupOracles:
     def test_ranks_are_class_counts(self, name, n):
         table = benchmark_marks(name)
         classes = BENCHMARK_GROUPS[name]["conjugacy_classes"]
-        brauer = verify_brauer_restriction(table, n)
-        assert (brauer.rank, brauer.elementary_divisors) == (classes, (1,) * classes)
-        artin = verify_artin_restriction(table, n)
-        assert (artin.order, artin.rank) == (artin_certificate(table, n).order_n, classes)
+        provider = TableProvider(table.lattice)
+        assert verify_brauer_restriction(table, n, provider) == (classes, (1,) * classes)
+        assert verify_artin_restriction(table, n, provider) == (artin_certificate(table, n).order_n, classes)
 
 
 def production_families(lattice):
@@ -491,8 +490,7 @@ def assert_maximal_equalizer_matches_full(table, provider, n):
     order = certificate.order_n
     assert psi @ eq.restriction == IntMatrix.identity(eq.restriction.cols).scale(order)
     assert eq.restriction @ psi == IntMatrix.identity(eq.rank).scale(order)
-    report = verify_artin_restriction(table, n, provider)
-    assert (report.order, report.rank, report.verified) == (order, eq.rank, True)
+    assert verify_artin_restriction(table, n, provider) == (order, eq.rank)
 
 
 class TestFullFamilyOracle:
@@ -543,7 +541,7 @@ class TestFusionOracle:
 
         monkeypatch.setattr(restriction, "_stacked_block", recording)
         verify = verify_artin_restriction if mode == "artin" else verify_brauer_restriction
-        assert verify(table, n, provider).verified
+        verify(table, n, provider)  # raises on a failed check
         assert reads
         g_classes = conjugacy_classes(group)
         g_sets = [{group.core.elements[x] for x in cls} for cls in g_classes.members]
@@ -591,8 +589,9 @@ class TestTablesRead:
     def test_elementary_abelian_brauer_reads_one_table(self, name):
         lattice = subgroup_lattice(ladder_group(name))
         provider = CountingTables(lattice)
-        report = verify_brauer_restriction(marks_table(lattice), 1, provider)
-        assert report.verified
+        rank, divisors = verify_brauer_restriction(marks_table(lattice), 1, provider)
+        assert rank == len(conjugacy_classes(lattice.group).members)
+        assert divisors == (1,) * rank
         assert provider.built == [lattice.full_index]
 
     @pytest.mark.parametrize("name", ["S3", "D4", "Q8", "A4", "S4"])
@@ -666,18 +665,18 @@ class TestHyperFamily:
 class TestArtinRestriction:
     def test_s3(self, s3_setup):
         group, lattice, table, provider = s3_setup
-        report = verify_artin_restriction(table, 1, provider)
-        assert report.order == 6
-        assert report.rank == 3
-        assert report.verified
+        order, rank = verify_artin_restriction(table, 1, provider)
+        assert order == 6
+        assert rank == 3
+        assert rank == len(conjugacy_classes(group).members)
 
     def test_trivial_group(self):
         group = builtin_group("trivial")
         lattice = subgroup_lattice(group)
         table = marks_table(lattice)
-        report = verify_artin_restriction(table, 1)
-        assert report.order == 1
-        assert report.verified
+        order, rank = verify_artin_restriction(table, 1, TableProvider(lattice))
+        assert order == 1
+        assert rank == len(conjugacy_classes(group).members)
 
     def test_s4(self):
         group = builtin_group("S4")
@@ -687,18 +686,18 @@ class TestArtinRestriction:
         family = abelian_family(lattice, 1)
         orders = sorted(lattice.classes[i].order for i in family.class_indices)
         assert orders == [1, 2, 2, 3, 4]
-        report = verify_artin_restriction(table, 1)
-        assert report.order == 24
-        assert report.rank == 5
-        assert report.verified
+        order, rank = verify_artin_restriction(table, 1, TableProvider(lattice))
+        assert order == 24
+        assert rank == 5
+        assert rank == len(conjugacy_classes(group).members)
 
     def test_c2xc2_n2(self):
         group = builtin_group("C2xC2")
         lattice = subgroup_lattice(group)
         table = marks_table(lattice)
-        report = verify_artin_restriction(table, 2)
-        assert report.order == 4
-        assert report.verified
+        order, rank = verify_artin_restriction(table, 2, TableProvider(lattice))
+        assert order == 4
+        assert rank == len(conjugacy_classes(group).members)
 
 
 class TestBrauerRestriction:
@@ -706,25 +705,25 @@ class TestBrauerRestriction:
     def test_unit_divisors(self, name, rank):
         group = builtin_group(name)
         table = marks_table(subgroup_lattice(group))
-        report = verify_brauer_restriction(table, 1)
-        assert report.rank == rank
-        assert report.elementary_divisors == (1,) * rank
-        assert report.verified
+        assert verify_brauer_restriction(table, 1, TableProvider(table.lattice)) == (rank, (1,) * rank)
+        assert rank == len(conjugacy_classes(group).members)
 
     def test_s4_nine_class_family(self):
         group = builtin_group("S4")
         table = marks_table(subgroup_lattice(group))
         assert len(hyper_family(table, 1)) == 9
-        report = verify_brauer_restriction(table, 1)
-        assert report.rank == 5
-        assert report.verified
+        rank, divisors = verify_brauer_restriction(table, 1, TableProvider(table.lattice))
+        assert rank == 5
+        assert rank == len(conjugacy_classes(group).members)
+        assert divisors == (1,) * rank
 
     @pytest.mark.parametrize("name", ["S3", "A4"])
     def test_n2_families(self, name):
         group = builtin_group(name)
         table = marks_table(subgroup_lattice(group))
-        report = verify_brauer_restriction(table, 2)
-        assert report.verified
+        rank, divisors = verify_brauer_restriction(table, 2, TableProvider(table.lattice))
+        assert rank == len(conjugacy_classes(group).members)
+        assert divisors == (1,) * rank
 
 
 class TestPermutationRealization:
@@ -793,8 +792,8 @@ class TestDirectoryTables:
             text = table_to_text(provider.class_table(idx))
             (outdir / f"{lattice.label_of(idx)}.tbl").write_text(text)
         directory = DirectoryTables(lattice, tmp_path)
-        report = verify_artin_restriction(table, 1, directory)
-        assert report.verified
+        _, rank = verify_artin_restriction(table, 1, directory)
+        assert rank == len(conjugacy_classes(group).members)
         # G's table, computed or loaded, lives on G itself
         for tables in (provider, directory):
             assert tables.class_table(lattice.full_index).group is lattice.group
