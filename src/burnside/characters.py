@@ -49,7 +49,6 @@ from __future__ import annotations
 import math
 import re
 from functools import cached_property
-from fractions import Fraction
 from itertools import count
 from typing import Sequence
 
@@ -204,7 +203,8 @@ class CharacterTable:
                 raise CharacterError(f"inner product with row {i} is {Cyclotomic(n, coeffs)!r} / {order}, "
                                      "not rational")
             if coeffs[0] % order:
-                raise CharacterError(f"inner product {Fraction(coeffs[0], order)} is not an integer")
+                g = math.gcd(coeffs[0], order)
+                raise CharacterError(f"inner product {coeffs[0] // g}/{order // g} is not an integer")
             out.append(coeffs[0] // order)
         return out
 

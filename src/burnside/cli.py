@@ -15,6 +15,7 @@ import argparse
 import functools
 import json
 import math
+import os
 import sys
 import time
 
@@ -262,18 +263,18 @@ def _emit_error(kind: str, exc: Exception, as_json: bool) -> None:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    as_json = getattr(args, "json", False)
     start = time.monotonic()
     try:
         report: Report = args.func(args)
+        report.timing = time.monotonic() - start
+        print(report.to_json() if as_json else report.to_text(), flush=True)
     except Exception as exc:
+        if isinstance(exc, BrokenPipeError):  # stdout's reader is gone: keep shutdown's flush silent
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         code = 2 if isinstance(exc, INPUT_ERRORS) else getattr(exc, "exit_code", 3)
-        _emit_error(KINDS[code], exc, getattr(args, "json", False))
+        _emit_error(KINDS[code], exc, as_json)
         return code
-    report.timing = time.monotonic() - start
-    if getattr(args, "json", False):
-        print(report.to_json())
-    else:
-        print(report.to_text())
     return 0 if report.status == "pass" else 1
 
 

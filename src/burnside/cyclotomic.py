@@ -1,7 +1,8 @@
 """Cyclotomic integers, the values of characters.
 
 Character values are sums of roots of unity, so they lie in Z[zeta_N], and
-Cyclotomic keeps their power-basis coordinates as integers.  Cyclotomic
+Cyclotomic keeps their power-basis coordinates as ints and takes them as
+given, since every value the package builds has int coordinates.  Cyclotomic
 polynomials are built over Z by Mobius inversion, and every reduction
 modulo the monic Phi_N (reduce_mod_phi) stays integral.  Only the
 character layer imports this module; it builds on the integer helpers of
@@ -11,7 +12,6 @@ exact.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable
 
@@ -81,27 +81,17 @@ def reduce_mod_phi(coeffs: list[int], n: int) -> list[int]:
 class Cyclotomic:
     """Element of Z[zeta_N] in the power basis 1, zeta, ..., zeta^(phi(N)-1).
 
-    Coordinates are integers, reduced modulo the N-th cyclotomic polynomial;
-    a non-integral coordinate raises ValueError.  Mixed-conductor operands
-    are aligned by embedding into the lcm conductor.
+    Coordinates are ints, reduced modulo the N-th cyclotomic polynomial.
+    Mixed-conductor operands are aligned by embedding into the lcm conductor.
     """
 
     __slots__ = ("conductor", "coeffs")
 
-    def __init__(self, conductor: int, coeffs: Iterable[Fraction | int]):
-        cs = []
-        for c in coeffs:
-            if c.denominator != 1:
-                raise ValueError(f"non-integral coordinate {c} of a cyclotomic integer")
-            cs.append(int(c))
+    def __init__(self, conductor: int, coeffs: Iterable[int]):
         self.conductor = conductor
-        self.coeffs = tuple(reduce_mod_phi(cs, conductor))
+        self.coeffs = tuple(reduce_mod_phi(list(coeffs), conductor))
 
     # -- constructors
-
-    @classmethod
-    def from_rational(cls, value: Fraction | int, conductor: int = 1) -> "Cyclotomic":
-        return cls(conductor, [value])
 
     @classmethod
     def zeta(cls, conductor: int, power: int = 1) -> "Cyclotomic":
@@ -157,8 +147,8 @@ class Cyclotomic:
     def _coerce(value) -> "Cyclotomic":
         if isinstance(value, Cyclotomic):
             return value
-        if isinstance(value, (int, Fraction)):
-            return Cyclotomic.from_rational(value)
+        if isinstance(value, int):
+            return Cyclotomic(1, [value])
         return NotImplemented
 
     def __add__(self, other):
@@ -180,7 +170,7 @@ class Cyclotomic:
         return self + (-other)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, int):
             return Cyclotomic(self.conductor, [c * other for c in self.coeffs])
         other = Cyclotomic._coerce(other)
         if other is NotImplemented:
@@ -196,7 +186,7 @@ class Cyclotomic:
     __rmul__ = __mul__
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, int):
             return self.coeffs[0] == other and not any(self.coeffs[1:])
         other = Cyclotomic._coerce(other)
         if other is NotImplemented:

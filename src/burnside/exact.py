@@ -139,7 +139,7 @@ class IntMatrix:
         c = len(rows[0]) if r else 0
         if any(len(row) != c for row in rows):
             raise ValueError("ragged rows")
-        return cls(r, c, tuple(tuple(int(v) for v in row) for row in rows))
+        return cls(r, c, tuple(map(tuple, rows)))
 
     @classmethod
     def identity(cls, n: int) -> "IntMatrix":
@@ -183,12 +183,12 @@ def smith_normal_form(m: IntMatrix) -> tuple[int, ...]:
     divides its row and column both passes leave them cleared.  Replacing
     each pair d_i, d_j (i < j) by their gcd and lcm then gives the chain.
     """
-    a, cols = m.to_lists(), m.cols
+    a, cols = m.entries, m.cols
     while True:
         a = row_echelon(a, cols)
         if all(sum(1 for x in row if x) == 1 for row in a):
             break
-        a, cols = [list(col) for col in zip(*a)], len(a)
+        a, cols = zip(*a), len(a)
     d = [max(row) for row in a]
     for i in range(len(d)):
         for j in range(i + 1, len(d)):

@@ -15,16 +15,17 @@ a table in the file format load_character_table reads; value_at reads a
 class function at a permutation.  subgroup_view wraps a frozenset of
 permutations as a groups.Group on G's core, and element_set and
 representative read a subgroup class's permutations off its bitmask.
-is_n_hyper, p_perfect_core and abelian_min_generators classify a subgroup
-from its permutations alone, the oracle for brauer.in_hyper_family and the
-lattice's generator counts.  determinant and elementary_divisors read an
-integer matrix's Smith diagonal off its minors, with no row operation the
-package's Smith form shares.  Not a test module: nothing here is collected.
+is_n_hyper, p_perfect_core, abelian_min_generators and min_generators
+classify a subgroup from its permutations alone, the oracle for
+brauer.in_hyper_family and the lattice's generator counts.  determinant
+and elementary_divisors read an integer matrix's Smith diagonal off its
+minors, with no row operation the package's Smith form shares.  Not a
+test module: nothing here is collected.
 """
 
 import math
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, count
 from typing import Sequence
 
 from burnside.characters import (
@@ -88,7 +89,7 @@ def degrees(table: CharacterTable) -> list[int]:
 
 
 def constant_function(group: Group, classes: ConjugacyClasses, value, conductor: int = 1) -> ClassFunction:
-    c = Cyclotomic.from_rational(value, conductor) if not isinstance(value, Cyclotomic) else value
+    c = Cyclotomic(conductor, [value]) if not isinstance(value, Cyclotomic) else value
     return ClassFunction(group, tuple(c for _ in classes.members))
 
 
@@ -120,7 +121,7 @@ def perm_character(group: Group, subgroup: frozenset) -> ClassFunction:
     classes = conjugacy_classes(group)
     mask = group.core.mask(subgroup)
     return ClassFunction(group, tuple(
-        Cyclotomic.from_rational(classes.conjugators_into(c, mask) // len(subgroup))
+        Cyclotomic(1, [classes.conjugators_into(c, mask) // len(subgroup)])
         for c in range(len(classes.members))))
 
 
@@ -241,6 +242,24 @@ def abelian_min_generators(elements: frozenset, degree: int) -> int:
         assert index == 1, f"[H : H^{p}] is not a power of {p}"
         ranks.append(rank)
     return max(ranks)
+
+
+def min_generators(elements: frozenset) -> int:
+    """The least k for which some k elements of the finite group elements
+    close to all of it, by trying every k-subset for k = 0, 1, 2, ..."""
+    identity = perm_identity(len(next(iter(elements))))
+    for k in count():
+        for gens in combinations(sorted(elements), k):
+            reached = {identity}
+            frontier = [identity]
+            for x in frontier:
+                for g in gens:
+                    y = perm_mul(x, g)
+                    if y not in reached:
+                        reached.add(y)
+                        frontier.append(y)
+            if len(reached) == len(elements):
+                return k
 
 
 def p_perfect_core(subgroup: frozenset, p: int, degree: int) -> frozenset:

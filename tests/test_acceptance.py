@@ -9,7 +9,6 @@ import math
 import random
 import time
 from collections import Counter
-from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -284,7 +283,7 @@ def test_criterion_8_mackey_frobenius_random():
 
         def random_function(grp, classes):
             values = tuple(
-                Cyclotomic(cond, [Fraction(rng.randint(-2, 2)) for _ in range(2)])
+                Cyclotomic(cond, [rng.randint(-2, 2) for _ in range(2)])
                 for _ in classes.members
             )
             return ClassFunction(grp, values)

@@ -101,7 +101,7 @@ def explicit_subgroup(group, *cycle_strings):
 def random_class_function(group, classes, rng, conductor):
     values = []
     for _ in classes.members:
-        coeffs = [Fraction(rng.randint(-2, 2)) for _ in range(2)]
+        coeffs = [rng.randint(-2, 2) for _ in range(2)]
         values.append(Cyclotomic(conductor, coeffs))
     return ClassFunction(group, tuple(values))
 
@@ -703,3 +703,18 @@ class TestIntegerPairing:
             table.coordinates(identity_class)
         rows = [ClassFunction(table.group, row) for row in table.rows]
         assert table.coordinates(subtract(scale(rows[2], 3), rows[0]).values) == [-1, 0, 3]
+
+    @pytest.mark.parametrize("name,values,message", [
+        ("C3", [Cyclotomic.zeta(3)] * 3,
+         "inner product with row 0 is Cyclotomic(3, ['0', '3']) / 3, not rational"),
+        ("C3", [1, 0, 0], "inner product 1/3 is not an integer"),
+        ("C3", [-2, 0, 0], "inner product -2/3 is not an integer"),
+        ("C4", [2, 0, 0, 0], "inner product 1/2 is not an integer"),
+    ])
+    def test_coordinates_messages(self, name, values, message):
+        # the quotient prints in lowest terms, its sign on the numerator
+        table = character_table(builtin_group(name))
+        values = [v if isinstance(v, Cyclotomic) else Cyclotomic(1, [v]) for v in values]
+        with pytest.raises(CharacterError) as info:
+            table.coordinates(values)
+        assert str(info.value) == message

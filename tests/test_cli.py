@@ -362,6 +362,11 @@ class TestVerify:
         code, out, err = run(capsys, "verify", "--group", "S4", "--json")
         assert code == 0
 
+    def test_empty_cycle(self, capsys):
+        code, out, err = run(capsys, "verify", "--group", "(0 1)()", "--json")
+        assert code == 0
+        assert json.loads(out)["inputs"]["order"] == 2
+
     def test_text_output(self, capsys):
         code, out, err = run(capsys, "verify", "--group", "S3")
         assert code == 0
@@ -790,3 +795,22 @@ def test_no_command_loads_dataclasses():
     assert {"burnside.characters", "burnside.restriction", "burnside.lie"} <= set(result["modules"])
     assert "dataclasses" not in result["modules"]
     assert "inspect" not in result["modules"]
+    # cyclotomic coordinates are ints, so no command loads fractions and
+    # the decimal and numbers modules it pulls in
+    for name in ("fractions", "decimal", "numbers"):
+        assert name not in result["modules"]
+
+
+def test_closed_stdout_exits_2():
+    # C2^5's marks report is far larger than a pipe's buffer, so the write
+    # meets the closed pipe
+    spec = "\n".join(f"({2 * i} {2 * i + 1})" for i in range(5))
+    env = dict(os.environ, PYTHONPATH=str(SRC_DIR))
+    with subprocess.Popen([sys.executable, "-m", "burnside.cli", "marks", "--group", spec, "--json"],
+                          env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        proc.stdout.read(10)
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        assert proc.wait(timeout=60) == 2
+    assert "BrokenPipeError" in err
+    assert "Traceback" not in err and "Exception ignored" not in err

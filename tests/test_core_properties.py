@@ -6,7 +6,6 @@ Brauer (n = 1) certificates, and the Artin and Brauer restriction
 verifications at n = 1 on computed character tables."""
 
 import math
-from fractions import Fraction
 
 from hypothesis import given, settings
 
@@ -46,10 +45,12 @@ def brute_force_classes(group) -> list[tuple]:
     return sorted(classes, key=lambda cls: (order_of(cls[0]), len(cls), cls[0]))
 
 
-def fixed_coset_count(group, subgroup: frozenset, g) -> Fraction:
-    """#{c in G : c^-1 g c in H} / |H|."""
+def fixed_coset_count(group, subgroup: frozenset, g) -> int:
+    """#{c in G : c^-1 g c in H} / |H|, which divides exactly."""
     hits = sum(1 for c in group.core.elements if perm_mul(perm_mul(perm_inv(c), g), c) in subgroup)
-    return Fraction(hits, len(subgroup))
+    count, rest = divmod(hits, len(subgroup))
+    assert not rest, f"{hits} conjugators into a subgroup of order {len(subgroup)}"
+    return count
 
 
 @settings(max_examples=15, deadline=None)

@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from burnside.characters import MalformedEntry, _parse_cyclotomic_entry
 from burnside.cyclotomic import Cyclotomic, cyclotomic_polynomial, mobius
 from burnside.exact import (
     GcdNotOne,
@@ -289,7 +290,7 @@ class TestExtendedEuclid:
 class TestCyclotomic:
     def test_cube_root_identity(self):
         z = Cyclotomic.zeta(3)
-        assert z * z + z == Cyclotomic.from_rational(-1)
+        assert z * z + z == Cyclotomic(1, [-1])
 
     def test_fourth_root(self):
         i = Cyclotomic.zeta(4)
@@ -309,7 +310,7 @@ class TestCyclotomic:
     def test_equality_with_rationals(self):
         assert Cyclotomic(12, [1]) == 1
         assert Cyclotomic.zero(5) == 0
-        assert Cyclotomic.from_rational(-3, 4) == Fraction(-3)
+        assert Cyclotomic(4, [-3]) == -3
         assert not Cyclotomic.zeta(4) == 1
         assert Cyclotomic(3, [1, 1]) != 1  # 1 + zeta_3 = -zeta_3^2
         assert Cyclotomic(3, [0, -1, -1]) == 1  # -zeta_3 - zeta_3^2 = 1
@@ -322,7 +323,7 @@ class TestCyclotomic:
             raise AssertionError("comparison built a value")
 
         value = Cyclotomic(8, [1])
-        monkeypatch.setattr(Cyclotomic, "from_rational", refuse)
+        monkeypatch.setattr(Cyclotomic, "__init__", refuse)
         monkeypatch.setattr(Cyclotomic, "to_conductor", refuse)
         assert value == 1 and value != 2 and value != Fraction(1, 3)
 
@@ -346,8 +347,8 @@ class TestCyclotomic:
         st.lists(st.integers(-3, 3), min_size=1, max_size=2),
     )
     def test_embedding_preserves_arithmetic(self, conductor, factor, coeffs, other):
-        a = Cyclotomic(conductor, [Fraction(c) for c in coeffs])
-        b = Cyclotomic(conductor, [Fraction(c) for c in other])
+        a = Cyclotomic(conductor, coeffs)
+        b = Cyclotomic(conductor, other)
         target = conductor * factor
         assert (a * b).to_conductor(target) == a.to_conductor(target) * b.to_conductor(target)
         assert (a + b).to_conductor(target) == a.to_conductor(target) + b.to_conductor(target)
@@ -397,9 +398,13 @@ class TestCyclotomicAgainstComplexNumbers:
                     assert abs(sum(c * root ** j for j, c in enumerate(phi))) < 1e-9
 
     def test_non_integral_coordinate_raises(self):
-        with pytest.raises(ValueError):
-            Cyclotomic(4, [0, Fraction(1, 3)])
-        with pytest.raises(ValueError):
-            Cyclotomic.from_rational(Fraction(-1, 2))
-        assert Cyclotomic(4, [Fraction(6, 3)]).coeffs == (2, 0)
-        assert Cyclotomic.from_rational(-1).as_rational() == -1
+        # Cyclotomic takes int coordinates as given: a table file's entries
+        # are the only text that becomes a value, and a fraction there raises
+        for text in ("1/3*z", "-1/2"):
+            with pytest.raises(MalformedEntry):
+                _parse_cyclotomic_entry(text, 4)
+        assert Cyclotomic(4, [6 // 3]).coeffs == (2, 0)
+        assert Cyclotomic(1, [-1]).as_rational() == -1
+        # arithmetic keeps the coordinates ints
+        z = Cyclotomic.zeta(4)
+        assert all(type(c) is int for c in (z * z * 3 + z - 2).to_conductor(12).galois(5).coeffs)

@@ -21,6 +21,7 @@ from burnside.groups import (
     parse_group,
     perm_mul,
     subgroup_lattice,
+    _min_generators,
 )
 
 from group_fixtures import BENCHMARK_GROUPS, benchmark_group
@@ -31,6 +32,7 @@ from oracles import (
     is_abelian_subgroup,
     is_n_hyper,
     left_cosets,
+    min_generators,
     p_perfect_core,
     perm_inv,
     perm_order,
@@ -134,6 +136,7 @@ class TestParseGroup:
     def test_cycle_edge_cases(self):
         assert parse_cycles("()") == (0,)
         assert parse_cycles("(0 1)(2 3)") == (1, 0, 3, 2)
+        assert parse_cycles("(0 1)()") == parse_cycles("(0 1)")  # an empty cycle is skipped
         for text in ("(0 0)", "(0 1 2)(0 2 1)", "(0 1 2)(2 3)"):
             with pytest.raises(MalformedCycle):
                 parse_cycles(text)
@@ -272,6 +275,25 @@ class TestMinGenerators:
                 for combo in combinations(sorted(element_set(cls)), k)
             )
             assert found, f"{name} class {cls.label} not generated by {k} elements"
+
+    # With bound |H| the search over two- and three-element sets decides
+    # every case below; a smaller bound settles k without a search.
+    @pytest.mark.parametrize("name", sorted(BENCHMARK_GROUPS))
+    def test_nonabelian_search_matches_brute_force(self, name):
+        group = benchmark_group(name)
+        for cls in subgroup_lattice(group).classes:
+            if cls.is_abelian or cls.order > 48:
+                continue
+            expected = min_generators(element_set(cls))
+            assert _min_generators(group.core, cls.mask, cls.order) == expected, (name, cls.label)
+
+    @pytest.mark.parametrize("generators,bound,expected", [
+        (("(0 1)", "(0 1 2 3)"), 4, 2),  # S4
+        (("(0 1 2 3)", "(1 3)", "(4 5)"), 5, 3),  # C2 x D4
+    ])
+    def test_nonabelian_search_pins(self, generators, bound, expected):
+        group = parse_group("\n".join(generators))
+        assert _min_generators(group.core, group.mask, bound) == expected
 
 
 # ---------------------------------------------------------------------------

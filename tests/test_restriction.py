@@ -3,7 +3,6 @@
 import functools
 import json
 import math
-from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -11,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from burnside import cli, restriction
 from burnside.artin import ArtinCertificate, abelian_family, artin_certificate
+from burnside.characters import MalformedEntry, _parse_cyclotomic_entry
 from burnside.cyclotomic import Cyclotomic
 from burnside.exact import IntMatrix, integer_kernel_basis, smith_normal_form
 from burnside.groups import (
@@ -60,9 +60,9 @@ class TestEqualizerLattice:
         assert eq.basis.rows == 3
 
     def test_non_integral_value_raises(self):
-        # character values are cyclotomic integers: a half cannot be built
-        with pytest.raises(ValueError):
-            Cyclotomic(3, [Fraction(1, 2), Fraction(1, 2)])
+        # character values are cyclotomic integers: a table file cannot spell a half
+        with pytest.raises(MalformedEntry):
+            _parse_cyclotomic_entry("1/2+1/2*z", 3)
         # zeta_3 = zeta_6^2 = zeta_6 - 1, since Phi_6 = x^2 - x + 1
         assert Cyclotomic.zeta(3).to_conductor(6).coeffs == (-1, 1)
 
