@@ -35,22 +35,20 @@ class AbelianClassFamily:
 
 
 class ArtinCertificate:
-    def __init__(self, n: int | float, order_n: int, alpha: dict[int, int],
-                 element_checks: tuple[tuple[int, int, int], ...],
-                 ghost_checks: tuple[tuple[str, int, int], ...], in_ideal: bool):
-        self.n, self.order_n = n, order_n
+    def __init__(self, family: AbelianClassFamily, alpha: dict[int, int], ghost: dict[int, int],
+                 element_checks: tuple[tuple[int, int, int], ...]):
+        self.family = family  # the abelian classes on at most n generators, and |G|_n
         self.alpha = alpha  # sum_A c_A [G/A], as {class index of A: c_A}
+        self.ghost = ghost  # phi(alpha), as {class index of K: value at (K)}
         self.element_checks = element_checks  # (element class index, lhs, rhs)
-        self.ghost_checks = ghost_checks  # (subgroup class label, value, expected)
-        # order_n * [pt] - alpha lies in J_n: alpha's ghost is order_n on the family
-        self.in_ideal = in_ideal
 
     @property
     def verified(self) -> bool:
+        """The element checks pass and the ghost is |G|_n on the family and 0
+        off it, so |G|_n * [pt] - alpha lies in J_n."""
         return (
             all(lhs == rhs for _, lhs, rhs in self.element_checks)
-            and all(lhs == rhs for _, lhs, rhs in self.ghost_checks)
-            and self.in_ideal
+            and self.ghost == dict.fromkeys(self.family.class_indices, self.family.order)
         )
 
 
@@ -77,37 +75,25 @@ def artin_certificate(table: MarksTable, n: int | float) -> ArtinCertificate:
     """
     lattice = table.lattice
     family = abelian_family(lattice, n)
-    order = family.order
     try:
-        alpha = solve_ghost(dict.fromkeys(family.class_indices, order), table)
+        alpha = solve_ghost(dict.fromkeys(family.class_indices, family.order), table)
     except NotInImage as exc:  # pragma: no cover - contradicts tom Dieck's theorem
         raise InternalInvariantViolation(str(exc)) from exc
     outside = alpha.keys() - family.members
     if outside:
         raise InternalInvariantViolation(f"support class {lattice.label_of(min(outside))} outside the family")
-
-    ghost = phi(alpha, table)
-    ghost_checks = tuple(
-        (cls.label, ghost.get(idx, 0), order if idx in family.members else 0)
-        for idx, cls in enumerate(lattice.classes)
-    )
-    return ArtinCertificate(
-        n=n,
-        order_n=order,
-        alpha=alpha,
-        element_checks=element_checks(alpha, table, order) if n >= 1 else (),
-        ghost_checks=ghost_checks,
-        in_ideal=all(ghost.get(k, 0) == order for k in family.class_indices),
-    )
+    checks = element_checks(alpha, table, family.order) if n >= 1 else ()
+    return ArtinCertificate(family, alpha, phi(alpha, table), checks)
 
 
 def certificate_payload(cert: ArtinCertificate, table: MarksTable) -> dict:
     """JSON-ready dictionary for a certificate."""
     lattice, classes = table.lattice, table.element_classes
+    family, ghost = cert.family, cert.ghost
     return {
         "group": lattice.group.name or "unnamed",
-        "n": "inf" if cert.n == math.inf else cert.n,
-        "order_n": cert.order_n,
+        "n": "inf" if family.n == math.inf else family.n,
+        "order_n": family.order,
         "coefficients": [
             {"class": lattice.label_of(i), "c": c} for i, c in sorted(cert.alpha.items())
         ],
@@ -116,9 +102,9 @@ def certificate_payload(cert: ArtinCertificate, table: MarksTable) -> dict:
             for c, lhs, rhs in cert.element_checks
         ],
         "ghost_checks": [
-            {"class": label, "value": value, "expected": expected}
-            for label, value, expected in cert.ghost_checks
+            {"class": cls.label, "value": ghost.get(i, 0), "expected": family.order if i in family.members else 0}
+            for i, cls in enumerate(lattice.classes)
         ],
-        "in_ideal": cert.in_ideal,
+        "in_ideal": all(ghost.get(k, 0) == family.order for k in family.class_indices),
         "verified": cert.verified,
     }

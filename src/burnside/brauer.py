@@ -25,23 +25,24 @@ def coprime_part(value: int, p: int) -> int:
 
 
 class BrauerCertificate:
-    def __init__(self, n: int | float, order_n: int, bezout: dict[int, int], i_n_ghost: dict[int, int],
-                 decomposition: dict[int, int], element_checks: tuple[tuple[int, int, int], ...],
-                 family_values: tuple[tuple[str, int], ...], support_hyper: bool):
-        self.n, self.order_n = n, order_n
+    def __init__(self, family: AbelianClassFamily, hyper: frozenset[int], bezout: dict[int, int],
+                 i_n_ghost: dict[int, int], decomposition: dict[int, int],
+                 element_checks: tuple[tuple[int, int, int], ...]):
+        self.family = family  # the abelian classes on at most n generators, and |G|_n
+        self.hyper = hyper  # the n-hyper classes: hyper_classes over the primes of |G|_n, or 2
         self.bezout = bezout  # prime -> z_p
         self.i_n_ghost = i_n_ghost  # {class index of K: value at (K)}
         self.decomposition = decomposition  # sum_H k_H [G/H], as {class index of H: k_H}
         self.element_checks = element_checks  # (element class index, lhs, rhs)
-        self.support_hyper = support_hyper
-        self.family_values = family_values  # i_n_ghost restricted to the abelian family
 
     @property
     def verified(self) -> bool:
+        """The element checks pass, I_n is 1 on the family, and the
+        decomposition lies on n-hyper classes."""
         return (
             all(lhs == rhs for _, lhs, rhs in self.element_checks)
-            and all(v == 1 for _, v in self.family_values)
-            and self.support_hyper
+            and all(self.i_n_ghost.get(k, 0) == 1 for k in self.family.class_indices)
+            and self.decomposition.keys() <= self.hyper
         )
 
 
@@ -51,24 +52,15 @@ def core_classification(lattice: SubgroupLattice, p: int) -> list[int]:
     return list(lattice.p_core_classes(p))
 
 
-def in_hyper_family(lattice: SubgroupLattice, h: int, family: AbelianClassFamily) -> bool:
-    """Whether class h is n-hyper for some prime p dividing |G|_n, or for 2
-    when |G|_n is 1: the class of O^p(H) is in the abelian family.  H is
-    n-hyper for p when it extends an abelian p'-group on at most n
-    generators by a p-group, and any such subgroup contains O^p(H), so
-    O^p(H) is one whenever one exists.  Being generated by elements of order
-    prime to p, an abelian O^p(H) is a p'-group."""
-    return any(lattice.p_core_classes(p)[h] in family.members for p in prime_factors(family.order) or [2])
-
-
-def i_pn(p: int, family: AbelianClassFamily, table: MarksTable) -> dict[int, int]:
-    """(|G|_n)_(p) times the sum of local idempotents over abelian p'-classes
-    of the family; equals that scale on every extension of such a class by a
-    p-group and 0 elsewhere."""
-    lattice = table.lattice
-    scale = coprime_part(family.order, p)
-    selected = {a for a in family.class_indices if lattice.classes[a].order % p != 0}
-    return {k: scale for k, core in enumerate(lattice.p_core_classes(p)) if core in selected}
+def hyper_classes(lattice: SubgroupLattice, family: AbelianClassFamily, p: int) -> list[int]:
+    """The classes n-hyper for p: those whose class of O^p(H) is in the
+    abelian family.  H is n-hyper for p when it extends an abelian p'-group
+    on at most n generators by a p-group, and any such subgroup contains
+    O^p(H), so O^p(H) is one whenever one exists.  Being generated by
+    elements of order prime to p, an abelian O^p(H) is a p'-group, so no
+    p' test is needed.  I_(p,n) is (|G|_n)_(p') on these classes and 0
+    elsewhere."""
+    return [k for k, core in enumerate(lattice.p_core_classes(p)) if core in family.members]
 
 
 def brauer_certificate(table: MarksTable, n: int | float = 1) -> BrauerCertificate:
@@ -81,55 +73,46 @@ def brauer_certificate(table: MarksTable, n: int | float = 1) -> BrauerCertifica
     """
     lattice = table.lattice
     family = abelian_family(lattice, n)
-    order = family.order
-    primes = prime_factors(order)
+    primes = prime_factors(family.order)
+    hyper_by_prime = {p: hyper_classes(lattice, family, p) for p in primes or [2]}
+    scales = [coprime_part(family.order, p) for p in primes]
+    bezout = dict(zip(primes, extended_euclid_set(scales))) if primes else {}
 
-    if not primes:
-        i_n = dict.fromkeys(range(table.size), 1)
-        bezout: dict[int, int] = {}
-    else:
-        bezout = dict(zip(primes, extended_euclid_set([coprime_part(order, p) for p in primes])))
-        i_n = {}
-        for p, z in bezout.items():
-            for k, v in i_pn(p, family, table).items():
-                i_n[k] = i_n.get(k, 0) + z * v
-        i_n = {k: v for k, v in i_n.items() if v}
+    i_n: dict[int, int] = {} if primes else dict.fromkeys(range(table.size), 1)
+    for (p, z), scale in zip(bezout.items(), scales):
+        for k in hyper_by_prime[p]:
+            i_n[k] = i_n.get(k, 0) + z * scale
+    i_n = {k: v for k, v in i_n.items() if v}
 
     try:
         decomposition = solve_ghost(i_n, table)
     except NotInImage as exc:  # pragma: no cover - contradicts the decomposition lemma
         raise InternalInvariantViolation(str(exc)) from exc
-
-    support_hyper = all(in_hyper_family(lattice, h, family) for h in decomposition)
-    family_values = tuple(
-        (lattice.label_of(i), i_n.get(i, 0)) for i in family.class_indices
-    )
     return BrauerCertificate(
-        n=n,
-        order_n=order,
+        family=family,
+        hyper=frozenset().union(*hyper_by_prime.values()),
         bezout=bezout,
         i_n_ghost=i_n,
         decomposition=decomposition,
         element_checks=element_checks(decomposition, table, 1) if n >= 1 else (),
-        family_values=family_values,
-        support_hyper=support_hyper,
     )
 
 
 def certificate_payload(cert: BrauerCertificate, table: MarksTable) -> dict:
     lattice, classes = table.lattice, table.element_classes
+    family = cert.family
     idempotents = []
     for p in sorted(cert.bezout):
         cores = lattice.p_core_classes(p)
-        for a in abelian_family(lattice, cert.n).class_indices:
-            if lattice.classes[a].order % p == 0:
+        for a in family.class_indices:
+            if lattice.classes[a].order % p == 0:  # the report lists the p'-classes' idempotents only
                 continue
             ghost = [1 if core == a else 0 for core in cores]
             idempotents.append({"class": lattice.label_of(a), "p": p, "ghost": ghost})
     return {
         "group": lattice.group.name or "unnamed",
-        "n": "inf" if cert.n == math.inf else cert.n,
-        "order_n": cert.order_n,
+        "n": "inf" if family.n == math.inf else family.n,
+        "order_n": family.order,
         "bezout": [{"p": p, "z_p": z} for p, z in sorted(cert.bezout.items())],
         "idempotents": idempotents,
         "i_n_ghost": [cert.i_n_ghost.get(i, 0) for i in range(len(lattice))],
@@ -141,8 +124,8 @@ def certificate_payload(cert: BrauerCertificate, table: MarksTable) -> dict:
             for c, lhs, rhs in cert.element_checks
         ],
         "family_values": [
-            {"class": label, "value": value} for label, value in cert.family_values
+            {"class": lattice.label_of(i), "value": cert.i_n_ghost.get(i, 0)} for i in family.class_indices
         ],
-        "support_hyper": cert.support_hyper,
+        "support_hyper": cert.decomposition.keys() <= cert.hyper,
         "verified": cert.verified,
     }

@@ -192,7 +192,7 @@ def cmd_verify(args) -> Report:
     report.add_check("Brauer certificate n=1", bcert.verified)
 
     report.results["subgroup_classes"] = table.size
-    report.results["order_n"] = certs[math.inf].order_n
+    report.results["order_n"] = certs[math.inf].family.order
     return report
 
 

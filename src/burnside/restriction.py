@@ -40,8 +40,8 @@ import math
 from pathlib import Path
 from typing import Sequence
 
-from .artin import abelian_family, artin_certificate
-from .brauer import brauer_certificate, in_hyper_family
+from .artin import artin_certificate
+from .brauer import brauer_certificate
 from .exact import IntMatrix, euler_phi, row_echelon, smith_normal_form
 from .characters import (
     CharacterTable,
@@ -307,7 +307,7 @@ def verify_artin_restriction(table: MarksTable, n: int | float, provider: TableP
     if not certificate.verified:
         raise RestrictionError("Artin certificate failed; restriction check not applicable")
     eq = equalizer_lattice(sorted(certificate.alpha), provider)
-    order = certificate.order_n
+    order = certificate.family.order
     nirr = eq.restriction.cols
 
     res_matrix = _restriction_matrix(eq, provider)
@@ -344,13 +344,6 @@ def _artin_section(eq: EqualizerLattice, coefficients: dict[int, int],
     return IntMatrix.from_rows(scaled).transpose() @ eq.basis
 
 
-def hyper_family(table: MarksTable, n: int | float) -> list[int]:
-    """Classes that are n-hyper for at least one prime dividing |G|_n."""
-    lattice = table.lattice
-    family = abelian_family(lattice, n)
-    return [i for i in range(len(lattice)) if in_hyper_family(lattice, i, family)]
-
-
 def verify_brauer_restriction(table: MarksTable, n: int | float,
                               provider: TableProvider) -> tuple[int, tuple[int, ...]]:
     """Check that restriction onto the n-hyper equalizer is a lattice isomorphism.
@@ -368,7 +361,7 @@ def verify_brauer_restriction(table: MarksTable, n: int | float,
             if lhs != rhs:
                 raise RestrictionError(f"sum_H k_H |(G/H)^g| = 1 fails at g = {table.element_classes.label(c)}; "
                                        f"restriction check not applicable at n = {n}")
-    eq = equalizer_lattice(maximal_members(hyper_family(table, n), table.lattice), provider)
+    eq = equalizer_lattice(maximal_members(sorted(certificate.hyper), table.lattice), provider)
     divisors = smith_normal_form(_restriction_matrix(eq, provider))
     if eq.rank != eq.restriction.cols or divisors != (1,) * eq.rank:
         raise NotIsomorphism(divisors)

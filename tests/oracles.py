@@ -17,7 +17,7 @@ permutations as a groups.Group on G's core, and element_set and
 representative read a subgroup class's permutations off its bitmask.
 is_n_hyper, p_perfect_core, abelian_min_generators and min_generators
 classify a subgroup from its permutations alone, the oracle for
-brauer.in_hyper_family and the lattice's generator counts.  determinant
+brauer.hyper_classes and the lattice's generator counts.  determinant
 and elementary_divisors read an integer matrix's Smith diagonal off its
 minors, with no row operation the package's Smith form shares.  Not a
 test module: nothing here is collected.

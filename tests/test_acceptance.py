@@ -95,7 +95,7 @@ def test_criterion_3_artin_certificates():
         group = table.lattice.group
         for n in (1, 2, math.inf):
             cert = artin_certificate(table, n)
-            assert cert.order_n == group.order
+            assert cert.family.order == group.order
             for g in group.core.elements:
                 total = sum(
                     c * fixed_points_of_element(table, h, g)

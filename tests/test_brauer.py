@@ -11,10 +11,9 @@ from burnside.brauer import (
     certificate_payload,
     coprime_part,
     core_classification,
-    i_pn,
-    in_hyper_family,
+    hyper_classes,
 )
-from burnside.artin import AbelianClassFamily, abelian_family
+from burnside.artin import abelian_family
 from burnside.exact import prime_factors
 from burnside.groups import (
     BUILTIN_GROUPS,
@@ -121,34 +120,37 @@ class TestLocalIdempotent:
 
 
 class TestIPN:
+    """I_(p,n) is (|G|_n)_(p') on hyper_classes(p) and 0 elsewhere."""
+
     def test_s3_p2(self, tables):
-        assert dense(i_pn(2, abelian_family(tables["S3"].lattice, 1), tables["S3"]), 4) == (3, 3, 3, 3)
+        family = abelian_family(tables["S3"].lattice, 1)
+        assert hyper_classes(tables["S3"].lattice, family, 2) == [0, 1, 2, 3]
+        assert coprime_part(family.order, 2) == 3
 
     def test_s3_p3(self, tables):
-        assert dense(i_pn(3, abelian_family(tables["S3"].lattice, 1), tables["S3"]), 4) == (2, 2, 2, 0)
+        family = abelian_family(tables["S3"].lattice, 1)
+        assert hyper_classes(tables["S3"].lattice, family, 3) == [0, 1, 2]
+        assert coprime_part(family.order, 3) == 2
 
     def test_prime_not_dividing_order(self, tables):
         # p coprime to |G|: every class is its own p-perfect core, so the
         # pattern is the order on family classes and 0 elsewhere
         table = tables["S3"]
         family = abelian_family(table.lattice, 1)
-        values = dense(i_pn(5, family, table), table.size)
-        for idx in range(table.size):
-            assert values[idx] == (6 if idx in family.members else 0)
+        assert hyper_classes(table.lattice, family, 5) == list(family.class_indices)
+        assert coprime_part(family.order, 5) == 6
 
     @pytest.mark.parametrize("name", FIXTURES)
     @pytest.mark.parametrize("p", [2, 3])
     def test_extension_pattern(self, name, p, tables):
-        # value is the coprime part exactly on classes that are extensions of
-        # an abelian p'-class of the family by a p-group
+        # the classes are exactly the extensions of an abelian p'-class of
+        # the family by a p-group
         table = tables[name]
         lattice = table.lattice
         degree = lattice.group.core.degree
-        scale = coprime_part(lattice.group.order, p)
-        values = dense(i_pn(p, abelian_family(lattice, 1), table), table.size)
+        hyper = hyper_classes(lattice, abelian_family(lattice, 1), p)
         for idx, cls in enumerate(lattice.classes):
-            expected = scale if is_n_hyper(element_set(cls), 1, p, degree) else 0
-            assert values[idx] == expected
+            assert (idx in hyper) == is_n_hyper(element_set(cls), 1, p, degree), cls.label
 
 
 class TestBrauerCertificate:
@@ -240,17 +242,16 @@ class TestBrauerCertificate:
 
 
 def assert_hyper_rule_matches_reference(lattice):
-    """in_hyper_family on a family of order p reads the class of O^p(H) off
-    the lattice; is_n_hyper closes the permutations of O^p(H) and tests them
-    directly."""
+    """hyper_classes reads the class of O^p(H) off the lattice, for each
+    prime of |G| or 2; is_n_hyper closes the permutations of O^p(H) and
+    tests them directly."""
     degree = lattice.group.core.degree
     for p in prime_factors(lattice.group.order) or [2]:
         for n in (0, 1, 2, math.inf):
-            family = abelian_family(lattice, n)
-            family = AbelianClassFamily(family.n, family.class_indices, p)
+            hyper = set(hyper_classes(lattice, abelian_family(lattice, n), p))
             for h, cls in enumerate(lattice.classes):
                 expected = is_n_hyper(element_set(cls), n, p, degree)
-                assert in_hyper_family(lattice, h, family) == expected, (cls.label, p, n)
+                assert (h in hyper) == expected, (cls.label, p, n)
 
 
 class TestHyperRuleOnTheLattice:

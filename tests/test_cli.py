@@ -147,6 +147,24 @@ class TestBrauer:
         assert payload["results"]["checks"] == []
         assert payload["results"]["family_values"] == [{"class": "1a", "value": 1}]
 
+    def test_decomposition_outside_the_hyper_family_fails(self, capsys, monkeypatch):
+        # S4's own class 24a is not 1-hyper: neither O^2(S4) = A4 nor
+        # O^3(S4) = S4 is abelian.  [G/G] adds 1 at every element, so the
+        # element checks fail too, and support_hyper is asserted itself
+        original = brauer.solve_ghost
+
+        def planted(ghost, table):
+            decomposition = original(ghost, table)
+            h = next(i for i, cls in enumerate(table.lattice.classes) if cls.label == "24a")
+            return {**decomposition, h: decomposition.get(h, 0) + 1}
+
+        monkeypatch.setattr(brauer, "solve_ghost", planted)
+        code, out, err = run(capsys, "brauer", "--group", "S4", "--json")
+        assert code == 1
+        results = json.loads(out)["results"]
+        assert results["support_hyper"] is False
+        assert results["verified"] is False
+
     def test_doubled_bezout_coefficients_fail_the_certificate(self, capsys, monkeypatch):
         # twice the Bezout coefficients make I_n twice the unit, so the sum
         # at each element is 2, and every command that reads the certificate
@@ -250,12 +268,17 @@ class TestEqualizer:
         assert json.loads(err)["error"]["type"] == "CharacterError"
 
     def test_irrational_degree_is_an_input_error(self, capsys, tmp_path):
-        # C2 is a maximal member of S3's cyclic family, so its table is read
-        tables = self.edited_tables(tmp_path, "S3", "2a.tbl", lambda text: text.replace("row: 1 -1", "row: z -1"))
-        code, out, err = run(capsys, "equalizer", "--group", "S3", "--mode", "artin",
-                             "--tables", str(tables), "--json")
-        assert code == 2
-        assert json.loads(err)["error"]["type"] == "DegreeSumMismatch"
+        # C2 and C3 are the maximal members of S3's cyclic family, so their
+        # tables are read; the second degree prints a coefficient times z^k
+        for name, row, edited, degree in [("2a.tbl", "row: 1 -1", "row: z -1", "z^1"),
+                                          ("3a.tbl", "row: 1 1 1", "row: 2+2*z 1 1", "2+2*z^1")]:
+            (tmp_path / name).mkdir()
+            tables = self.edited_tables(tmp_path / name, "S3", name, lambda text: text.replace(row, edited))
+            code, out, err = run(capsys, "equalizer", "--group", "S3", "--mode", "artin",
+                                 "--tables", str(tables), "--json")
+            assert code == 2
+            error = json.loads(err)["error"]
+            assert (error["type"], error["message"]) == ("DegreeSumMismatch", f"bad degree {degree}")
 
     @pytest.mark.parametrize("name", ["../outside/S3", "{tmp}/outside/S3"], ids=["relative", "absolute"])
     def test_group_name_that_leaves_the_tables_directory_is_an_input_error(self, capsys, tmp_path, name):
@@ -719,6 +742,27 @@ class TestArtinCertificateFails:
         error = json.loads(err)["error"]
         assert (error["kind"], error["type"]) == ("internal error", "InternalInvariantViolation")
         assert "outside the family" in error["message"]
+
+
+# the Brauer certificate holds its abelian family, so neither its payload nor
+# the restriction check builds another
+@pytest.mark.parametrize("argv", [["brauer"], ["equalizer", "--mode", "brauer"]], ids=["brauer", "equalizer-brauer"])
+def test_brauer_commands_build_the_abelian_family_once(capsys, monkeypatch, argv):
+    original = artin.abelian_family
+    built = []
+
+    def counted(*args):
+        built.append(args)
+        return original(*args)
+
+    for name, module in list(sys.modules.items()):
+        if name == "burnside" or name.startswith("burnside."):
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, counted)
+    code, out, err = run(capsys, *argv, "--group", "S4", "--json")
+    assert code == 0
+    assert len(built) == 1
 
 
 # verify and the equalizer read the nonzero marks only, column by column

@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from burnside import cli, restriction
 from burnside.artin import ArtinCertificate, abelian_family, artin_certificate
+from burnside.brauer import brauer_certificate
 from burnside.characters import MalformedEntry, _parse_cyclotomic_entry
 from burnside.cyclotomic import Cyclotomic
 from burnside.exact import IntMatrix, integer_kernel_basis, smith_normal_form
@@ -28,7 +29,6 @@ from burnside.restriction import (
     RestrictionError,
     TableProvider,
     equalizer_lattice,
-    hyper_family,
     maximal_members,
     verify_artin_restriction,
     verify_brauer_restriction,
@@ -156,6 +156,11 @@ def reference_equalizer_basis(family, provider, lattice):
 def rank_and_divisors(m):
     d = smith_normal_form(m)
     return len(d), list(d)
+
+
+def hyper_family(table, n):
+    """The n-hyper family as the Brauer certificate holds it, in class order."""
+    return sorted(brauer_certificate(table, n).hyper)
 
 
 def production_family(lattice, mode, n=1):
@@ -316,8 +321,9 @@ class TestEqualizerChecks:
 
         def outside_the_ideal(table, n):
             cert = original(table, n)
-            return ArtinCertificate(cert.n, cert.order_n, cert.alpha, cert.element_checks,
-                                    cert.ghost_checks, in_ideal=False)
+            ghost = dict(cert.ghost)
+            ghost[0] += 1  # wrong at the trivial class, which every family holds
+            return ArtinCertificate(cert.family, cert.alpha, ghost, cert.element_checks)
 
         monkeypatch.setattr(restriction, "artin_certificate", outside_the_ideal)
         with pytest.raises(RestrictionError, match="Artin certificate failed; restriction check not applicable"):
@@ -342,7 +348,7 @@ class TestBenchmarkGroupOracles:
         classes = BENCHMARK_GROUPS[name]["conjugacy_classes"]
         provider = TableProvider(table.lattice)
         assert verify_brauer_restriction(table, n, provider) == (classes, (1,) * classes)
-        assert verify_artin_restriction(table, n, provider) == (artin_certificate(table, n).order_n, classes)
+        assert verify_artin_restriction(table, n, provider) == (artin_certificate(table, n).family.order, classes)
 
 
 def production_families(lattice):
@@ -487,7 +493,7 @@ def assert_maximal_equalizer_matches_full(table, provider, n):
     certificate = artin_certificate(table, n)
     eq = equalizer_lattice(list(abelian_family(lattice, n).class_indices), provider)
     psi = restriction._artin_section(eq, certificate.alpha, provider)
-    order = certificate.order_n
+    order = certificate.family.order
     assert psi @ eq.restriction == IntMatrix.identity(eq.restriction.cols).scale(order)
     assert eq.restriction @ psi == IntMatrix.identity(eq.rank).scale(order)
     assert verify_artin_restriction(table, n, provider) == (order, eq.rank)
@@ -743,7 +749,7 @@ class TestPermutationRealization:
             chi = scale(perm_character(group, element_set(lattice.classes[idx])), c)
             image = chi if image is None else add(image, chi)
         coords = top.coordinates(image.values)
-        assert coords[0] == cert.order_n
+        assert coords[0] == cert.family.order
         assert all(v == 0 for v in coords[1:])
 
     @pytest.mark.parametrize("name", ["S3", "D4", "A4"])
