@@ -63,7 +63,7 @@ def hyper_classes(lattice: SubgroupLattice, family: AbelianClassFamily, p: int) 
     return [k for k, core in enumerate(lattice.p_core_classes(p)) if core in family.members]
 
 
-def brauer_certificate(table: MarksTable, n: int | float = 1) -> BrauerCertificate:
+def brauer_certificate(table: MarksTable, n: int | float) -> BrauerCertificate:
     """Bezout-combine the I_(p,n) over primes dividing |G|_n, solve back to
     the Burnside ring, and verify the unit identity on every element class.
 

@@ -3,10 +3,10 @@
 Character values are sums of roots of unity, so they lie in Z[zeta_N], and
 Cyclotomic keeps their power-basis coordinates as ints and takes them as
 given, since every value the package builds has int coordinates.  Cyclotomic
-polynomials are built over Z by Mobius inversion, and every reduction
-modulo the monic Phi_N (reduce_mod_phi) stays integral.  Only the
-character layer imports this module; it builds on the integer helpers of
-exact.
+polynomials are built over Z by Mobius inversion, and every reduction modulo
+the monic Phi_N (reduce_mod_phi) stays integral.  The character layer and
+the equalizer's fusion check import this module; it builds on the integer
+helpers of exact.
 """
 
 from __future__ import annotations

@@ -1,20 +1,18 @@
 """Exact integer substrate: integer helpers and integer matrices.
 
-The integer helpers (gcds and Bezout combinations, prime factors, divisors,
-Euler's phi) serve every layer; integer() is the grammar of an integer in
-every input, from table files to command-line options.  Integer matrices
-get row echelon bases of streamed row lattices, all over Z.  Those
-eliminations alternated on rows and columns give a Smith form's elementary
-divisors, with no transform matrices, and one echelon of [M^T | I] gives an
-integer kernel.  The cyclotomic integers of character values build on
-these helpers in cyclotomic; nothing here leaves the integers, and no
-floating point is used anywhere in the package.
+The integer helpers (gcds, Bezout combinations, prime factors, divisors)
+serve every layer; integer() is the grammar of an integer in every input,
+from table files to command-line options.  Integer matrices get row echelon
+bases of streamed row lattices.  Those eliminations alternated on rows and
+columns give a Smith form's elementary divisors, with no transform matrices,
+and one echelon of [M^T | I] gives an integer kernel.  The cyclotomic
+integers of character values build on these helpers in cyclotomic; nothing
+here leaves the integers, and the package uses no floating point.
 """
 
 from __future__ import annotations
 
 import re
-from functools import lru_cache
 from math import gcd, lcm
 from typing import Iterable, Sequence
 
@@ -90,16 +88,6 @@ def divisors(n: int) -> list[int]:
             powers.append(powers[-1] * p)
         ds = [d * q for d in ds for q in powers]
     return sorted(ds)
-
-
-@lru_cache(maxsize=None)
-def euler_phi(n: int) -> int:
-    if n < 1:
-        return 0
-    count = n
-    for p in prime_factors(n):
-        count -= count // p
-    return count
 
 
 def quoted(text: str) -> str:

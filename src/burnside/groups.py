@@ -92,8 +92,9 @@ def _point(point: int) -> str:
     return str(point) if point < 10 ** 32 else quoted(str(point))
 
 
-def parse_cycles(text: str, degree: int | None = None) -> Perm:
-    """Parse disjoint-cycle notation like "(0 1 2)(3 4)" into a permutation."""
+def parse_cycles(text: str, degree: int | None = None, cap: int = DEFAULT_ORDER_CAP) -> Perm:
+    """Parse disjoint-cycle notation like "(0 1 2)(3 4)" into a permutation.
+    With no degree given, a point at or past the order cap is refused."""
     stripped = text.strip()
     if stripped in ("()", "e", ""):
         return perm_identity(degree or 1)
@@ -121,6 +122,8 @@ def parse_cycles(text: str, degree: int | None = None) -> Perm:
         if points:
             cycles.append(points)
             maxpoint = max(maxpoint, max(points))
+    if degree is None and maxpoint >= cap:
+        raise OrderCapExceeded(f"point {_point(maxpoint)} is not below the order cap {cap}; raise --cap")
     d = degree if degree is not None else maxpoint + 1
     if maxpoint >= d:
         raise MalformedCycle(f"point {_point(maxpoint)} out of range for degree {d}")
@@ -375,7 +378,7 @@ BUILTIN_GROUPS: dict[str, list[str]] = {
 def builtin_group(name: str, cap: int = DEFAULT_ORDER_CAP) -> Group:
     if name not in BUILTIN_GROUPS:
         raise GroupError(f"unknown builtin group {quoted(name)}")
-    gens = [parse_cycles(s) for s in BUILTIN_GROUPS[name]]
+    gens = [parse_cycles(s, cap=cap) for s in BUILTIN_GROUPS[name]]
     return group_from_generators(gens, name=name, cap=cap)
 
 
@@ -399,7 +402,7 @@ def parse_group(spec: str, cap: int = DEFAULT_ORDER_CAP) -> Group:
             name = line.split(":", 1)[1].strip()
             continue
         gen_strings.append(line)
-    gens = [parse_cycles(s) for s in gen_strings]
+    gens = [parse_cycles(s, cap=cap) for s in gen_strings]
     return group_from_generators(gens, name=name or ("" if gens else "trivial"), cap=cap)
 
 

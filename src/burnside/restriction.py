@@ -3,16 +3,17 @@ verification of the induction-restriction isomorphism pairs.
 
 The equalizer is the lattice of families (x_K) in the product of the
 representation rings of a family of subgroup classes on which the two
-restriction-conjugation maps agree: x_K(y) = x_L(z) whenever y in K and
-z in L are conjugate in G.  Restriction from the top group lands in it, and
-by Frobenius reciprocity row (K, psi) of the stacked restriction matrix M
-holds the coordinates of ind_K psi.  The equalizer is computed from the G
-side: a row echelon basis H of M's row lattice, streamed in k(G) columns, is
-the matrix of restriction, and the integer solution C of C * H = M is the
-basis.  The Artin verification checks that restriction and the induced
-section compose to |G|_n both ways and returns (|G|_n, rank); the Brauer one
-checks by H's Smith form that restriction is a lattice isomorphism, Brauer's
-induction theorem itself, and returns (rank, divisors).  A failed check raises.
+restriction-conjugation maps agree: x_K(y) = x_L(z) whenever y in K and z in
+L are conjugate in G.  Restriction from the top group lands in it, and by
+Frobenius reciprocity row (K, psi) of the stacked restriction matrix M holds
+the coordinates of ind_K psi.  The equalizer is computed from the G side: a
+row echelon basis H of M's row lattice, streamed in k(G) columns, is the
+matrix of restriction, and the integer solution C of C * H = M is the basis;
+equalizer_lattice checks it before it returns.  The Artin verification
+checks that restriction and the induced section compose to |G|_n both ways
+and returns (|G|_n, rank); the Brauer one checks by H's Smith form that
+restriction is a lattice isomorphism, Brauer's induction theorem itself, and
+returns (rank, divisors).  A failed check raises.
 
 Neither verification builds the equalizer over its whole family F.  The
 abelian and the n-hyper families are closed under subgroups and
@@ -26,12 +27,12 @@ _artin_section), so the section reads all its rows from the equalizer.
 So tables are read, and with --tables loaded, for the maximal members of
 the n-hyper family, the support of the Artin certificate and G alone.
 
-G's table lives on G itself, and each member's on a groups.Group of G's
-core and the member's bitmask, so the command builds one core.  Each member is read
-through one fusion list, fusion[c] the G-class of its class c, read off the
-least element index of the class: M's block reads each row of G's table, a
-tuple of values, at those classes and takes its coordinates in the member's
-table, and the fusion check compares the basis columns along the lists.
+G's table lives on G itself, and each member's on a groups.Group of G's core
+and the member's bitmask, so the command builds one core.  Each member is
+read through one fusion list, fusion[c] the G-class in G's table of the
+least element of its class c: M's block reads each row of G's table, a tuple
+of values, at those classes and takes its coordinates in the member's table,
+and the fusion check compares the basis columns along the lists.
 """
 
 from __future__ import annotations
@@ -42,7 +43,8 @@ from typing import Sequence
 
 from .artin import artin_certificate
 from .brauer import brauer_certificate
-from .exact import IntMatrix, euler_phi, row_echelon, smith_normal_form
+from .cyclotomic import cyclotomic_polynomial
+from .exact import IntMatrix, row_echelon, smith_normal_form
 from .characters import (
     CharacterTable,
     ClassFunction,
@@ -50,7 +52,7 @@ from .characters import (
     conjugate_function,
     load_character_table,
 )
-from .groups import Group, SubgroupLattice, conjugacy_classes
+from .groups import Group, SubgroupLattice
 from .marks import MarksTable, element_checks
 
 
@@ -196,18 +198,17 @@ def equalizer_lattice(family: list[int], provider: TableProvider) -> EqualizerLa
     form, and x_L = res x_K recovers the dropped coordinates.  Only the
     tables of the given members and of G are read.
 
-    Three checks keep the result honest: every basis column satisfies the
-    class-fusion equalities above, r equals the number of G-classes the
-    family's tables meet, and C * H = M is checked where restriction is
-    read (_restriction_matrix).
+    All three checks run before the function returns: every basis column
+    satisfies the class-fusion equalities above, r equals the number of
+    G-classes the family's tables meet, and C * H = M, whose failure names
+    the first row (K, psi) of M that it misses.
     """
     if not family:
         raise EmptyFamily("equalizer over an empty family")
     lattice = provider.lattice
     tables = [provider.class_table(i) for i in family]
     top_table = provider.class_table(lattice.full_index)
-    g_classes = conjugacy_classes(lattice.group)
-    fusions = [[g_classes.class_of[cls[0]] for cls in table.classes.members] for table in tables]
+    fusions = [[top_table.classes.class_of[cls[0]] for cls in table.classes.members] for table in tables]
     stacked = [row for table, fusion in zip(tables, fusions) for row in _stacked_block(table, fusion, top_table)]
     echelon = row_echelon(stacked, top_table.size)
     eq = EqualizerLattice(tuple(family), IntMatrix.from_rows(stacked), IntMatrix.from_rows(echelon),
@@ -215,6 +216,11 @@ def equalizer_lattice(family: list[int], provider: TableProvider) -> EqualizerLa
     met = _check_fusion(eq.basis, tables, fusions, [lattice.label_of(i) for i in family])
     if met != eq.rank:
         raise RestrictionError(f"equalizer rank {eq.rank}, but the family meets {met} G-classes")
+    for r, (product_row, row) in enumerate(zip((eq.basis @ eq.restriction).entries, stacked, strict=True)):
+        if product_row != row:
+            members = [k for k, table in zip(family, tables) for _ in range(table.size)]
+            raise RestrictionError("restriction is not in the equalizer lattice: C * H misses the row of M for "
+                                   f"irreducible {r - members.index(members[r])} of {lattice.label_of(members[r])}")
     return eq
 
 
@@ -232,9 +238,9 @@ def _solve_coordinates(echelon: list[list[int]], rows: Sequence[Sequence[int]]) 
     Every row of H is zero at the pivots before its own, so pivot column
     p_t reads only c_0, ..., c_t, and c_t = (m[p_t] - sum_{s<t} c_s
     H[s][p_t]) / H[t][p_t]; each pivot's nonzero terms are listed once per
-    call.  A quotient that is not
-    an integer raises RestrictionError naming the pivot and the remainder.
-    Whether C * H = rows in every column is for the caller to check.
+    call.  A quotient that is not an integer raises RestrictionError naming
+    the pivot and the remainder.
+    Whether C * H = rows in every column is for equalizer_lattice to check.
     """
     steps = []
     for t, row in enumerate(echelon):
@@ -259,7 +265,7 @@ def _check_fusion(basis: IntMatrix, tables: list[CharacterTable], fusions: list[
     tables' conductors; return the number of G-classes met.  A failure
     names both classes, the first one and the one that disagrees with it."""
     n = math.lcm(*(t.conductor for t in tables))
-    phi = euler_phi(n)
+    phi = len(cyclotomic_polynomial(n)) - 1
     # G-class -> (class, label, values of every basis column) at its first family class
     first: dict[int, tuple[int, str, list]] = {}
     offset = 0
@@ -279,19 +285,6 @@ def _check_fusion(basis: IntMatrix, tables: list[CharacterTable], fusions: list[
     return len(first)
 
 
-def _restriction_matrix(eq: EqualizerLattice, provider: TableProvider) -> IntMatrix:
-    """Matrix of res: R(G) -> equalizer, in basis coordinates (rank x #irr),
-    once the basis is checked to carry it onto the stacked restrictions.  A
-    failure names the first row (K, psi) of M that C * H misses."""
-    product = eq.basis @ eq.restriction
-    if product != eq.stacked:
-        r = next(r for r, (a, b) in enumerate(zip(product.entries, eq.stacked.entries)) if a != b)
-        members = [k for k in eq.family for _ in range(provider.class_table(k).size)]
-        raise RestrictionError("restriction is not in the equalizer lattice: C * H misses the row of M for irreducible "
-                               f"{r - members.index(members[r])} of {provider.lattice.label_of(members[r])}")
-    return eq.restriction
-
-
 def verify_artin_restriction(table: MarksTable, n: int | float, provider: TableProvider) -> tuple[int, int]:
     """Check that psi . res and then res . psi are |G|_n times the identity;
     return (|G|_n, rank), or raise CompositeMismatch naming the first that fails.
@@ -309,15 +302,13 @@ def verify_artin_restriction(table: MarksTable, n: int | float, provider: TableP
     eq = equalizer_lattice(sorted(certificate.alpha), provider)
     order = certificate.family.order
     nirr = eq.restriction.cols
-
-    res_matrix = _restriction_matrix(eq, provider)
     if eq.rank < nirr:
         raise RestrictionError(f"the family meets {eq.rank} of {nirr} G-classes; "
                                f"restriction check not applicable at n = {n}")
     psi_matrix = _artin_section(eq, certificate.alpha, provider)
-    if psi_matrix @ res_matrix != IntMatrix.identity(nirr).scale(order):  # on R(G)
+    if psi_matrix @ eq.restriction != IntMatrix.identity(nirr).scale(order):  # on R(G)
         raise CompositeMismatch("psi.res")
-    if res_matrix @ psi_matrix != IntMatrix.identity(eq.rank).scale(order):  # on the equalizer
+    if eq.restriction @ psi_matrix != IntMatrix.identity(eq.rank).scale(order):  # on the equalizer
         raise CompositeMismatch("res.psi")
     return order, eq.rank
 
@@ -362,7 +353,7 @@ def verify_brauer_restriction(table: MarksTable, n: int | float,
                 raise RestrictionError(f"sum_H k_H |(G/H)^g| = 1 fails at g = {table.element_classes.label(c)}; "
                                        f"restriction check not applicable at n = {n}")
     eq = equalizer_lattice(maximal_members(sorted(certificate.hyper), table.lattice), provider)
-    divisors = smith_normal_form(_restriction_matrix(eq, provider))
+    divisors = smith_normal_form(eq.restriction)
     if eq.rank != eq.restriction.cols or divisors != (1,) * eq.rank:
         raise NotIsomorphism(divisors)
     return eq.rank, divisors

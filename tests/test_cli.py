@@ -86,6 +86,12 @@ class TestMarks:
         assert code == 2
         assert json.loads(err)["error"]["type"] == "OrderCapExceeded"
 
+    def test_point_at_the_cap_needs_a_larger_cap(self, capsys):
+        code, out, err = run(capsys, "verify", "--group", "(0 5000)", "--json")
+        assert (code, json.loads(err)["error"]["type"]) == (2, "OrderCapExceeded")
+        code, out, err = run(capsys, "verify", "--group", "(0 5000)", "--cap", "5001", "--json")
+        assert code == 0 and json.loads(out)["inputs"]["order"] == 2
+
     def test_missing_group(self, capsys):
         code, out, err = run(capsys, "marks")
         assert code == 2
@@ -523,6 +529,11 @@ EXIT_CODES = [
               HUGE_POINT_MESSAGE),
     malformed("group-huge-repeated-point", {}, ["verify", "--group", f"({'9' * 4000} 1)({'9' * 4000} 2)", "--json"],
               "MalformedCycle", HUGE_REPEATED_POINT_MESSAGE),
+    # a point at or past the order cap is refused before its degree is built
+    malformed("group-point-past-the-cap", {}, ["verify", "--group", "(0 99999999999)", "--json"],
+              "OrderCapExceeded", "point 99999999999 is not below the order cap 5000; raise --cap"),
+    malformed("group-point-past-ssize-t", {}, ["verify", "--group", f"(0 {'9' * 30})", "--json"],
+              "OrderCapExceeded", f"point {'9' * 30} is not below the order cap 5000; raise --cap"),
     malformed("class-huge-point-out-of-range", s3_tables(b"class: (0 2 1) 1", b"class: (0 " + b"9" * 4000 + b") 1"),
               S3_TABLES, "MalformedCycle", HUGE_CLASS_POINT_MESSAGE),
     # integers are an optional sign and the ASCII digits 0-9: no other
@@ -612,14 +623,11 @@ class TestExitCodes:
     def test_equalizer_point_off_the_lattice_is_a_failed_check(self, capsys, monkeypatch):
         # doubling a basis column leaves a sublattice of index 2, which misses
         # the image of restriction (onto, in Brauer mode)
-        def doubled(family, provider):
-            eq = original(family, provider)
-            basis = [[2 * row[0], *row[1:]] for row in eq.basis.entries]
-            return restriction.EqualizerLattice(eq.family, eq.stacked, eq.restriction,
-                                                IntMatrix.from_rows(basis))
+        def doubled(echelon, rows):
+            return [[2 * row[0], *row[1:]] for row in original(echelon, rows)]
 
-        original = restriction.equalizer_lattice
-        monkeypatch.setattr(restriction, "equalizer_lattice", doubled)
+        original = restriction._solve_coordinates
+        monkeypatch.setattr(restriction, "_solve_coordinates", doubled)
         code, out, err = run(capsys, "equalizer", "--group", "S3", "--mode", "brauer", "--json")
         assert code == 1
         assert not out
@@ -669,14 +677,15 @@ class TestExitCodes:
         # S4's H is unitriangular, 5 x 5; twice its fourth row and three times
         # its fifth leave determinant 6, and the real Smith form has to move
         # the 2 and the 3 into one lcm on the last diagonal entry
-        def scaled(eq, provider):
-            rows = original(eq, provider).to_lists()
+        def scaled(family, provider):
+            eq = original(family, provider)
+            rows = eq.restriction.to_lists()
             rows[-2] = [2 * v for v in rows[-2]]
             rows[-1] = [3 * v for v in rows[-1]]
-            return IntMatrix.from_rows(rows)
+            return restriction.EqualizerLattice(eq.family, eq.stacked, IntMatrix.from_rows(rows), eq.basis)
 
-        original = restriction._restriction_matrix
-        monkeypatch.setattr(restriction, "_restriction_matrix", scaled)
+        original = restriction.equalizer_lattice
+        monkeypatch.setattr(restriction, "equalizer_lattice", scaled)
         code, out, err = run(capsys, "equalizer", "--group", "S4", "--mode", "brauer", "--json")
         assert code == 1
         assert not out

@@ -9,12 +9,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from burnside.characters import MalformedEntry, _parse_cyclotomic_entry
-from burnside.cyclotomic import Cyclotomic, cyclotomic_polynomial, mobius
+from burnside.cyclotomic import Cyclotomic, NotInSubfield, cyclotomic_polynomial, mobius
 from burnside.exact import (
     GcdNotOne,
     IntMatrix,
     divisors,
-    euler_phi,
     extended_euclid_set,
     integer_kernel_basis,
     row_echelon,
@@ -221,11 +220,33 @@ class TestRowEchelon:
         assert row_echelon([[0, -3], [2, 1], [0, 2]], 2) == [[2, 1], [0, 1]]
 
 
+# each error path of the exact layer: its type and its whole message
+ERROR_PATHS = [
+    pytest.param(lambda: IntMatrix.from_rows([[1, 2], [3]]), ValueError, "ragged rows", id="ragged-rows"),
+    pytest.param(lambda: IntMatrix.identity(2) @ IntMatrix.identity(3), ValueError, "dimension mismatch",
+                 id="matmul-dimensions"),
+    pytest.param(lambda: extended_euclid_set([]), GcdNotOne, "empty input", id="bezout-empty"),
+    pytest.param(lambda: extended_euclid_set([0, 1]), ValueError, "values must be positive", id="bezout-zero"),
+    pytest.param(lambda: Cyclotomic.zeta(4).as_rational(), NotInSubfield,
+                 "Cyclotomic(4, ['0', '1']) is not rational", id="zeta4-as-rational"),
+    pytest.param(lambda: Cyclotomic.zeta(4).to_conductor(6), ValueError, "cannot embed conductor 4 into 6",
+                 id="zeta4-to-conductor-6"),
+    pytest.param(lambda: Cyclotomic.zeta(4).galois(2), ValueError, "2 is not prime to conductor 4",
+                 id="zeta4-galois-2"),
+]
+
+
+@pytest.mark.parametrize("call, error, message", ERROR_PATHS)
+def test_error_paths(call, error, message):
+    with pytest.raises(error) as info:
+        call()
+    assert type(info.value) is error and str(info.value) == message
+
+
 class TestNumberTheory:
     def test_divisors_and_phi_match_definitions(self):
         for n in range(-3, 201):
             assert divisors(n) == [d for d in range(1, n + 1) if n % d == 0]
-            assert euler_phi(n) == sum(1 for k in range(1, n + 1) if math.gcd(k, n) == 1)
 
     def test_mobius_sums_to_the_unit_indicator(self):
         for n in range(1, 201):
@@ -391,7 +412,7 @@ class TestCyclotomicAgainstComplexNumbers:
     def test_cyclotomic_polynomial_vanishes_at_primitive_roots(self):
         for n in range(1, 61):
             phi = cyclotomic_polynomial(n)
-            assert len(phi) - 1 == euler_phi(n)
+            assert len(phi) - 1 == sum(1 for k in range(1, n + 1) if math.gcd(k, n) == 1)
             for k in range(1, n + 1):
                 if math.gcd(k, n) == 1:
                     root = cmath.exp(2j * cmath.pi * k / n)

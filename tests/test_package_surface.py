@@ -12,12 +12,14 @@ own core and a subgroup G's core with the subgroup's mask, so GroupCore is
 built only by groups.group_from_generators, and Group only there, by
 restriction.TableProvider._class_group and by characters.conjugate_function.
 A third scan finds the name Subgroup anywhere in the package: there is one
-group type.
+group type.  A fourth finds every import of a module outside the standard
+library and the package: the package has no runtime dependencies.
 """
 
 import ast
 import importlib.util
 import re
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -149,3 +151,40 @@ def test_constructor_scan_flags_a_second_core():
     assert misplaced(constructor_calls({"groups": source})) == [
         ("Group", "groups.subgroup_as_group"), ("GroupCore", "groups.subgroup_as_group"),
     ]
+
+
+def foreign_imports(sources: dict[str, str]) -> list[tuple[str, str]]:
+    """(module, imported name) for every import and absolute from-import in
+    sources (module name -> text) of a module outside the standard library;
+    a relative import stays inside the package."""
+    found = []
+    for module, text in sources.items():
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            found += [(module, name) for name in names if name.split(".")[0] not in sys.stdlib_module_names]
+    return sorted(found)
+
+
+def test_the_package_imports_only_the_standard_library():
+    sources = {path.stem: path.read_text(encoding="utf-8") for path in sorted(PACKAGE.glob("*.py"))}
+    assert {"groups", "exact", "cli"} <= sources.keys()
+    assert foreign_imports(sources) == []
+
+
+def test_import_scan_flags_a_third_party_module():
+    source = (
+        "from __future__ import annotations\n"
+        "import math, numpy.linalg\n"
+        "from collections import abc\n"
+        "from sympy import Matrix\n"
+        "from .exact import integer\n"
+        "def solve():\n"
+        "    import networkx as nx\n"
+        "    return nx\n"
+    )
+    assert foreign_imports({"m": source}) == [("m", "networkx"), ("m", "numpy.linalg"), ("m", "sympy")]

@@ -313,6 +313,20 @@ class TestEqualizerChecks:
         with pytest.raises(RestrictionError, match="non-integral equalizer coordinate"):
             equalizer_lattice(*self.s3_cyclic(s3_setup)[:2])
 
+    def test_basis_that_misses_a_row_of_m(self, s3_setup, monkeypatch):
+        # a doubled first column of C still passes the fusion and rank checks,
+        # but C * H misses M; S3's Brauer family has one maximal member, G (6a),
+        # and the error names the first row missed, G's trivial character
+        group, lattice, table, provider = s3_setup
+        family = maximal_members(sorted(brauer_certificate(table, 1).hyper), lattice)
+        assert [lattice.label_of(k) for k in family] == ["6a"]
+        original = restriction._solve_coordinates
+        monkeypatch.setattr(restriction, "_solve_coordinates",
+                            lambda echelon, rows: [[2 * c[0], *c[1:]] for c in original(echelon, rows)])
+        with pytest.raises(RestrictionError, match=r"^restriction is not in the equalizer lattice: "
+                                                   r"C \* H misses the row of M for irreducible 0 of 6a$"):
+            equalizer_lattice(family, provider)
+
     def test_unverified_certificate(self, s3_setup, monkeypatch, capsys):
         # the section and the equalizer's family are read off the certificate,
         # so a failed one leaves the check not applicable: a failed check
