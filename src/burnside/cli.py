@@ -59,12 +59,7 @@ class Report:
         for key, value in self.inputs.items():
             lines.append(f"  {key}: {value}")
         for key, value in self.results.items():
-            if isinstance(value, list) and value and isinstance(value[0], list):
-                lines.append(f"{key}:")
-                for row in value:
-                    lines.append("  " + " ".join(f"{v:>5}" for v in row))
-            else:
-                lines.append(f"{key}: {value}")
+            lines.append(f"{key}: {value}")
         for name, ok in self.checks:
             lines.append(f"[{'ok' if ok else 'FAIL'}] {name}")
         lines.append(f"status: {self.status} ({self.timing:.3f}s)")
@@ -85,16 +80,15 @@ def _format_n(n: int | float) -> str:
 
 
 def _load_group(args) -> Group:
-    cap = DEFAULT_ORDER_CAP if args.cap is None else args.cap
-    if getattr(args, "file", None):
+    if args.file:
         try:
             with open(args.file, "r", encoding="utf-8") as handle:
                 text = handle.read()
         except UnicodeDecodeError as exc:
             raise GroupError(f"{args.file} is not UTF-8 text: {exc}") from exc
-        return parse_group(text, cap=cap)
-    if getattr(args, "group", None):
-        return parse_group(args.group, cap=cap)
+        return parse_group(text, cap=args.cap)
+    if args.group:
+        return parse_group(args.group, cap=args.cap)
     raise GroupError("specify --group or --file")
 
 
@@ -108,7 +102,7 @@ def cmd_marks(args) -> Report:
          "abelian": cls.is_abelian, "generators": cls.min_generators}
         for cls in lattice.classes
     ]
-    report.results["matrix"] = table.matrix.to_lists()
+    report.results["rows"] = table.rows
     report.add_check("marks computed", True)
     return report
 
@@ -208,7 +202,8 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p, with_n=True):
         p.add_argument("--group", help="builtin fixture name")
         p.add_argument("--file", help="group definition file")
-        p.add_argument("--cap", type=integer, default=None, help="element enumeration cap")
+        p.add_argument("--cap", type=integer, default=DEFAULT_ORDER_CAP,
+                       help="bound on the group order and on every point (default %(default)s)")
         p.add_argument("--json", action="store_true", help="machine-readable output")
         if with_n:
             p.add_argument("--n", type=_parse_n, default=1, help="generator bound (0, 1, 2, ..., inf)")

@@ -133,9 +133,6 @@ class IntMatrix:
     def identity(cls, n: int) -> "IntMatrix":
         return cls.from_rows([[1 if i == j else 0 for j in range(n)] for i in range(n)])
 
-    def to_lists(self) -> list[list[int]]:
-        return [list(row) for row in self.entries]
-
     def transpose(self) -> "IntMatrix":
         return IntMatrix(self.cols, self.rows,
                          tuple(tuple(row[j] for row in self.entries) for j in range(self.cols)))

@@ -1,7 +1,7 @@
 """The Burnside ring via the table of marks and the ghost ring of integer functions.
 
-The marks matrix m[H][K] counts fixed points |(G/H)^K|; rows are indexed by
-the basis elements [G/H] and columns by the evaluation classes (K), both in
+The mark m[H][K] counts fixed points |(G/H)^K|; rows are indexed by the
+basis elements [G/H] and columns by the evaluation classes (K), both in
 lattice order.  The marks homomorphism phi sends an element of the Burnside
 ring to its ghost, the function of fixed-point counts on subgroup classes;
 solve_ghost inverts it exactly when possible.
@@ -17,15 +17,14 @@ values in lattice order.
 The table stores only the nonzero marks, by rows: for each class (H) the
 pairs (K, m[H][K]) with m[H][K] != 0, that is the down-set of (H), K
 ascending, so the last pair is (H, |W_H|).  marks_table writes each row
-while it walks the lattice's down-set of (H), and the dense matrix is built
-from the rows on first read, for the marks report and the tests.  Since
-subconjugacy is transitive, the solution of a ghost vanishes outside the
-classes below its keys, and solve_ghost reads only the rows of those
-classes; the solve for {K: v} follows the down-set of (K).  verify's tom
-Dieck check solves {K: |G|}, the element |G|*e_K, once per class (the
-idempotents e_K of the rational Burnside ring: T. Yoshida, J. Algebra 80
-(1983)), while each Artin certificate solves its whole ghost, |G|_n on the
-family, once.
+while it walks the lattice's down-set of (H), and the marks report lists
+the rows as they are stored.  Since subconjugacy is transitive, the
+solution of a ghost vanishes outside the classes below its keys, and
+solve_ghost reads only the rows of those classes; the solve for {K: v}
+follows the down-set of (K).  verify's tom Dieck check solves {K: |G|},
+the element |G|*e_K, once per class (the idempotents e_K of the rational
+Burnside ring: T. Yoshida, J. Algebra 80 (1983)), while each Artin
+certificate solves its whole ghost, |G|_n on the family, once.
 
 The certificates are also checked at single elements g, where the value of
 [G/H] is |(G/H)^g| = |C_G(g)| * |g^G cap H| / |H|.  That count reads only
@@ -41,7 +40,6 @@ from __future__ import annotations
 
 from functools import cached_property
 
-from .exact import IntMatrix
 from .groups import ConjugacyClasses, Perm, SubgroupLattice, conjugacy_classes
 
 
@@ -81,15 +79,6 @@ class MarksTable:
     @property
     def size(self) -> int:
         return len(self.lattice.classes)
-
-    @cached_property
-    def matrix(self) -> IntMatrix:
-        """The dense matrix, m[H][K] in row H and column K, built on first read."""
-        dense = [[0] * self.size for _ in range(self.size)]
-        for h, row in enumerate(self.rows):
-            for k, m in row:
-                dense[h][k] = m
-        return IntMatrix.from_rows(dense)
 
     @cached_property
     def element_classes(self) -> ConjugacyClasses:

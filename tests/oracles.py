@@ -19,8 +19,10 @@ is_n_hyper, p_perfect_core, abelian_min_generators and min_generators
 classify a subgroup from its permutations alone, the oracle for
 brauer.hyper_classes and the lattice's generator counts.  determinant
 and elementary_divisors read an integer matrix's Smith diagonal off its
-minors, with no row operation the package's Smith form shares.  Not a
-test module: nothing here is collected.
+minors, with no row operation the package's Smith form shares.
+dense_marks expands a table of marks' stored rows into the square matrix,
+m[H][K] in row H and column K, zeros included.  Not a test module: nothing
+here is collected.
 """
 
 import math
@@ -54,6 +56,7 @@ from burnside.groups import (
     perm_to_cycles,
     SubgroupClass,
 )
+from burnside.marks import MarksTable
 
 
 class NotAbelian(GroupError):
@@ -285,6 +288,16 @@ def is_n_hyper(subgroup: frozenset, n: int | float, p: int, degree: int) -> bool
 
 # ---------------------------------------------------------------------------
 # integer matrices
+
+
+def dense_marks(table: MarksTable) -> list[list[int]]:
+    """The table of marks as a classes x classes list of rows, built from
+    the pairs (K, m[H][K]) that the table stores for each row H."""
+    dense = [[0] * table.size for _ in range(table.size)]
+    for h, row in enumerate(table.rows):
+        for k, m in row:
+            dense[h][k] = m
+    return dense
 
 
 def determinant(rows: Sequence[Sequence[int]]) -> int:

@@ -30,7 +30,7 @@ from group_fixtures import (
     sparse,
     unit,
 )
-from oracles import element_set, representative
+from oracles import dense_marks, element_set, representative
 
 FIXTURES = ["C2", "C3", "C4", "C6", "C2xC2", "S3", "D4", "Q8", "A4", "S4"]
 
@@ -67,7 +67,7 @@ def oracle_marks(table, h: int, k: int) -> int:
 
 class TestMarksTable:
     def test_s3_rows(self, tables):
-        assert tables["S3"].matrix.to_lists() == [
+        assert dense_marks(tables["S3"]) == [
             [6, 0, 0, 0],
             [3, 1, 0, 0],
             [2, 0, 2, 0],
@@ -75,33 +75,35 @@ class TestMarksTable:
         ]
 
     def test_trivial_group(self, tables):
-        assert tables["trivial"].matrix.to_lists() == [[1]]
+        assert dense_marks(tables["trivial"]) == [[1]]
 
     @pytest.mark.parametrize("name", FIXTURES)
     def test_full_group_row_all_ones(self, name, tables):
         table = tables[name]
-        assert list(table.matrix.entries[table.size - 1]) == [1] * table.size
+        assert dense_marks(table)[table.size - 1] == [1] * table.size
 
     @pytest.mark.parametrize("name", ["S3", "C2xC2", "D4", "A4"])
     def test_against_coset_oracle(self, name, tables):
         table = tables[name]
+        marks = dense_marks(table)
         for h in range(table.size):
             for k in range(table.size):
-                assert table.matrix.entries[h][k] == oracle_marks(table, h, k)
+                assert marks[h][k] == oracle_marks(table, h, k)
 
     @pytest.mark.parametrize("name", FIXTURES)
     def test_invariants(self, name, tables):
         table = tables[name]
         lattice = table.lattice
         group_order = lattice.group.order
+        marks = dense_marks(table)
         for h in range(table.size):
             weyl = lattice.classes[h].weyl_order
-            assert table.matrix.entries[h][h] == weyl
-            assert table.matrix.entries[h][0] == group_order // lattice.classes[h].order
+            assert marks[h][h] == weyl
+            assert marks[h][0] == group_order // lattice.classes[h].order
             for k in range(table.size):
-                if table.matrix.entries[h][k] != 0:
+                if marks[h][k] != 0:
                     assert lattice.down_sets[h] >> k & 1
-                assert table.matrix.entries[h][k] % weyl == 0
+                assert marks[h][k] % weyl == 0
 
 
 class TestPhi:
@@ -259,13 +261,14 @@ class TestFixedPoints:
         table = tables["S4"]
         lattice = table.lattice
         group = lattice.group
+        marks = dense_marks(table)
         from burnside.groups import close_under_product
 
         for g in list(group.core.elements)[:8]:
             cyclic = close_under_product(group.core.degree, [g])
             k, _ = lattice.class_of_subgroup(cyclic)
             for h in range(table.size):
-                assert fixed_points_of_element(table, h, g) == table.matrix.entries[h][k]
+                assert fixed_points_of_element(table, h, g) == marks[h][k]
 
 
 def assert_fixed_points_match_coset_count(table) -> None:

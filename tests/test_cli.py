@@ -2,6 +2,7 @@
 
 import json
 import os
+import resource
 import shutil
 import subprocess
 import sys
@@ -17,7 +18,7 @@ from burnside.cyclotomic import NotInSubfield
 from burnside.exact import GcdNotOne, IntMatrix
 from burnside.groups import GroupError
 from burnside.lie import LieDataError
-from burnside.marks import InternalInvariantViolation, MarksTable, NotInImage, UnknownClass
+from burnside.marks import InternalInvariantViolation, NotInImage, UnknownClass
 from burnside.restriction import MissingTable, RestrictionError
 
 from group_fixtures import BENCHMARK_GROUPS
@@ -37,14 +38,15 @@ class TestMarks:
         code, out, err = run(capsys, "marks", "--group", "S3", "--json")
         assert code == 0
         payload = json.loads(out)
-        assert payload["results"]["matrix"] == [
-            [6, 0, 0, 0], [3, 1, 0, 0], [2, 0, 2, 0], [1, 1, 1, 1],
+        # row H lists [K, m[H][K]] over the classes K below H, ending at [H, |W_H|]
+        assert payload["results"]["rows"] == [
+            [[0, 6]], [[0, 3], [1, 1]], [[0, 2], [2, 2]], [[0, 1], [1, 1], [2, 1], [3, 1]],
         ]
 
     def test_trivial(self, capsys):
         code, out, err = run(capsys, "marks", "--group", "trivial", "--json")
         assert code == 0
-        assert json.loads(out)["results"]["matrix"] == [[1]]
+        assert json.loads(out)["results"]["rows"] == [[[0, 1]]]
 
     def test_malformed_file(self, capsys, tmp_path):
         bad = tmp_path / "bad.grp"
@@ -57,10 +59,9 @@ class TestMarks:
         code, out, err = run(capsys, "marks", "--group", "S3")
         assert code == 0
         lines = out.splitlines()
-        start = lines.index("matrix:") + 1
-        assert lines[start:start + 5] == ["      6     0     0     0", "      3     1     0     0",
-                                          "      2     0     2     0", "      1     1     1     1",
-                                          "[ok] marks computed"]
+        rows = "rows: (((0, 6),), ((0, 3), (1, 1)), ((0, 2), (2, 2)), ((0, 1), (1, 1), (2, 1), (3, 1)))"
+        start = lines.index(rows)
+        assert lines[start:start + 2] == [rows, "[ok] marks computed"]
 
     @pytest.mark.parametrize("text", ["name: triv", "# a comment"])
     def test_one_line_file_parses_like_a_longer_one(self, capsys, tmp_path, text):
@@ -69,7 +70,7 @@ class TestMarks:
         two.write_text(text + "\n# a second line\n")
         code, out, err = run(capsys, "marks", "--file", str(one), "--json")
         assert code == 0
-        assert json.loads(out)["results"]["matrix"] == [[1]]
+        assert json.loads(out)["results"]["rows"] == [[[0, 1]]]
         assert run(capsys, "marks", "--file", str(two), "--json") == (code, out, err)
 
     def test_malformed_file_json_error(self, capsys, tmp_path):
@@ -679,7 +680,7 @@ class TestExitCodes:
         # the 2 and the 3 into one lcm on the last diagonal entry
         def scaled(family, provider):
             eq = original(family, provider)
-            rows = eq.restriction.to_lists()
+            rows = list(eq.restriction.entries)
             rows[-2] = [2 * v for v in rows[-2]]
             rows[-1] = [3 * v for v in rows[-1]]
             return restriction.EqualizerLattice(eq.family, eq.stacked, IntMatrix.from_rows(rows), eq.basis)
@@ -774,21 +775,6 @@ def test_brauer_commands_build_the_abelian_family_once(capsys, monkeypatch, argv
     assert len(built) == 1
 
 
-# verify and the equalizer read the nonzero marks only, column by column
-@pytest.mark.parametrize("group", ["S4", "C2^4", "S5"])
-@pytest.mark.parametrize("argv", [["verify"], ["equalizer", "--mode", "artin"], ["equalizer", "--mode", "brauer"]],
-                         ids=["verify", "equalizer-artin", "equalizer-brauer"])
-def test_dense_marks_matrix_is_never_built(capsys, monkeypatch, group, argv):
-    def refuse(table):
-        raise AssertionError("dense marks matrix built")
-
-    monkeypatch.setattr(MarksTable, "matrix", property(refuse))
-    spec = "\n".join(BENCHMARK_GROUPS[group]["generators"])
-    code, out, err = run(capsys, *argv, "--group", spec, "--json")
-    assert code == 0
-    assert json.loads(out)["status"] == "pass"
-
-
 # S4, GL(2,3) and S5 have nonabelian classes, whose generator count only
 # `marks` reports; verify and the equalizer must not search for it.
 @pytest.mark.parametrize("group", ["GL(2,3)", "S4", "S5"])
@@ -852,6 +838,21 @@ def test_no_command_loads_dataclasses():
     # the decimal and numbers modules it pulls in
     for name in ("fractions", "decimal", "numbers"):
         assert name not in result["modules"]
+
+
+def test_c2_6_marks_report_fits_in_256_mb():
+    # C2^6 has 2,825 subgroup classes; the report lists each row's nonzero
+    # marks as the table stores them, so no classes x classes square is built
+    spec = "\n".join(f"({2 * i} {2 * i + 1})" for i in range(6))
+    limit = 256 * 2**20
+    env = dict(os.environ, PYTHONPATH=str(SRC_DIR))
+    done = subprocess.run([sys.executable, "-m", "burnside.cli", "marks", "--group", spec, "--json"],
+                          env=env, capture_output=True, timeout=120,
+                          preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)))
+    assert done.returncode == 0, done.stderr
+    rows = json.loads(done.stdout)["results"]["rows"]
+    assert len(rows) == 2825
+    assert (rows[0], rows[-1][-1]) == ([[0, 64]], [2824, 1])
 
 
 def test_closed_stdout_exits_2():

@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import operator
 import random
 from fractions import Fraction
 
@@ -264,17 +265,17 @@ class TestTriangularSolve:
         assert IntMatrix.from_rows([[1, 3]]) @ IntMatrix.from_rows(h) == IntMatrix.from_rows([[6, 2, 6]])
 
     def test_identity(self):
-        assert _solve_coordinates(IntMatrix.identity(3).to_lists(), [[5, -2, 7]]) == [[5, -2, 7]]
+        assert _solve_coordinates(IntMatrix.identity(3).entries, [[5, -2, 7]]) == [[5, -2, 7]]
 
     def test_parity_obstruction(self):
         with pytest.raises(RestrictionError, match="^non-integral equalizer coordinate: pivot 0, remainder 1$"):
             _solve_coordinates([[2]], [[1]])
 
     def test_many_right_hand_sides_in_order(self):
-        h = IntMatrix.from_rows([[2, 1, 0], [0, 3, 4], [0, 0, 5]])
-        xs = IntMatrix.from_rows([[1, 2, 3], [-4, 0, 7], [0, 0, 0]])
-        assert _solve_coordinates(h.to_lists(), (xs @ h).to_lists()) == xs.to_lists()
-        assert _solve_coordinates(h.to_lists(), []) == []
+        h = [[2, 1, 0], [0, 3, 4], [0, 0, 5]]
+        xs = [[1, 2, 3], [-4, 0, 7], [0, 0, 0]]
+        assert _solve_coordinates(h, (IntMatrix.from_rows(xs) @ IntMatrix.from_rows(h)).entries) == xs
+        assert _solve_coordinates(h, []) == []
 
     def test_raises_at_the_first_failing_right_hand_side(self):
         h = [[2, 1], [0, 3]]
@@ -338,6 +339,16 @@ class TestCyclotomic:
         # a non-integral rational is never a cyclotomic integer
         assert not Cyclotomic(1, [1]) == Fraction(1, 2)
         assert Cyclotomic(6, [1]) != Fraction(3, 2)
+
+    @pytest.mark.parametrize("value", [0.5, Fraction(1, 2)], ids=["float", "fraction"])
+    @pytest.mark.parametrize("operation", [operator.add, operator.sub, operator.mul], ids=["add", "sub", "mul"])
+    @pytest.mark.parametrize("swap", [False, True], ids=["cyclotomic-left", "cyclotomic-right"])
+    def test_floats_and_fractions_are_refused(self, value, operation, swap):
+        # coordinates are ints, so no float or fraction ever becomes one
+        z = Cyclotomic.zeta(4)
+        with pytest.raises(TypeError):
+            operation(value, z) if swap else operation(z, value)
+        assert not z == value
 
     def test_equality_with_rationals_builds_no_value(self, monkeypatch):
         def refuse(*args):

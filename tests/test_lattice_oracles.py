@@ -27,7 +27,7 @@ from burnside.groups import (
 from burnside.marks import _count_containing, marks_table
 
 from group_fixtures import BENCHMARK_GROUPS, benchmark_group, small_subgroups_of_s6
-from oracles import element_set, perm_inv, representative
+from oracles import dense_marks, element_set, perm_inv, representative
 
 FIXTURES = ["C2", "C3", "C4", "C6", "C2xC2", "S3", "D4", "Q8", "A4", "S4"]
 
@@ -107,7 +107,7 @@ def test_marks_equal_literal_fixed_point_counts(name):
     group = named_group(name)
     lattice = subgroup_lattice(group)
     reps = [element_set(cls) for cls in lattice.classes]
-    assert marks_table(lattice).matrix.to_lists() == literal_marks(group, reps)
+    assert dense_marks(marks_table(lattice)) == literal_marks(group, reps)
 
 
 # ---------------------------------------------------------------------------
@@ -237,7 +237,7 @@ def test_c2_5_lattice_and_marks_against_gaussian_binomials():
     comparable = [(k, h) for h in range(n) for k in range(n) if lattice.down_sets[h] >> k & 1]
     assert len(comparable) == sum(gaussian_binomial(5, d) * subspaces(d) for d in range(6))
     # G/H is a group on which K <= H acts trivially: m[H][K] = |G:H|
-    marks = table.matrix.entries
+    marks = dense_marks(table)
     nonzero = {(k, h): marks[h][k] for h in range(n) for k in range(n) if marks[h][k]}
     assert nonzero == {(k, h): 32 // lattice.classes[h].order for k, h in comparable}
 
@@ -281,7 +281,7 @@ def test_containing_conjugates_are_counted_once_per_nonzero_mark(monkeypatch, na
 
     monkeypatch.setattr(marks, "_count_containing", counted)
     table = marks_table(subgroup_lattice(benchmark_group(name)))
-    assert len(calls) == sum(1 for row in table.matrix.entries for m in row if m)
+    assert len(calls) == sum(1 for row in dense_marks(table) for m in row if m)
 
 
 # ---------------------------------------------------------------------------
@@ -340,7 +340,7 @@ def test_lattice_and_marks_match_reference(group):
     ] == classes
     n = len(lattice.classes)
     assert tuple(tuple(lattice.down_sets[h] >> k & 1 for h in range(n)) for k in range(n)) == leq
-    assert marks_table(lattice).matrix.to_lists() == marks
+    assert dense_marks(marks_table(lattice)) == marks
 
 
 @settings(max_examples=12, deadline=None)

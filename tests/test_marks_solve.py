@@ -33,6 +33,7 @@ from group_fixtures import (
     small_subgroups_of_s6,
     sparse,
 )
+from oracles import dense_marks
 
 _tables = {}
 
@@ -47,11 +48,11 @@ def dense_solve(ghost: dict[int, int], table: MarksTable) -> dict[int, int]:
     """Reference: descending back-substitution over every class and every
     entry of the dense matrix."""
     n = table.size
-    values = dense(ghost, n)
+    values, marks = dense(ghost, n), dense_marks(table)
     x = [0] * n
     for k in range(n - 1, -1, -1):
-        acc = values[k] - sum(x[h] * table.matrix.entries[h][k] for h in range(k + 1, n))
-        q, r = divmod(acc, table.matrix.entries[k][k])
+        acc = values[k] - sum(x[h] * marks[h][k] for h in range(k + 1, n))
+        q, r = divmod(acc, marks[k][k])
         if r:
             raise NotInImage(k, table.lattice.label_of(k), r)
         x[k] = q
@@ -59,7 +60,8 @@ def dense_solve(ghost: dict[int, int], table: MarksTable) -> dict[int, int]:
 
 
 def dense_phi(element: dict[int, int], table: MarksTable) -> dict[int, int]:
-    (row,) = (IntMatrix.from_rows([list(dense(element, table.size))]) @ table.matrix).entries
+    marks = IntMatrix.from_rows(dense_marks(table))
+    (row,) = (IntMatrix.from_rows([list(dense(element, table.size))]) @ marks).entries
     return sparse(row)
 
 
@@ -113,7 +115,7 @@ def test_phi_reads_every_nonzero_of_any_matrix():
     n = len(lattice.classes)
     rows = [[rng.choice((0, 0, 1, -2, 5)) for _ in range(n)] for _ in range(n)]
     table = MarksTable(lattice, tuple(tuple((k, m) for k, m in enumerate(row) if m) for row in rows))
-    assert table.matrix == IntMatrix.from_rows(rows)
+    assert dense_marks(table) == rows
     for _ in range(5):
         x = sparse(rng.randint(-3, 3) for _ in range(n))
         assert phi(x, table) == dense_phi(x, table)
