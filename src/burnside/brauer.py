@@ -2,6 +2,10 @@
 combination with value 1 on the abelian family, and the decomposition over
 n-hyper subgroup classes verified pointwise.
 
+The certificate owns its p-local data: core_classification reads the class
+of each p-perfect core O^p(H) off the lattice once per prime of |G|_n, and
+the n-hyper classes and the report's idempotents are read from those cores.
+
 Ghosts and Burnside-ring elements are {class index: integer} dicts with no
 zero values (see marks): the ghost I_n is summed key by key from the
 scaled I_(p,n), and the decomposition is solved from it.
@@ -11,25 +15,24 @@ from __future__ import annotations
 
 import math
 
-from .exact import extended_euclid_set, prime_factors
-from .groups import SubgroupLattice
+from .exact import extended_euclid_set, factorization
+from .groups import SubgroupLattice, _bits, _mask
 from .marks import InternalInvariantViolation, MarksTable, NotInImage, element_checks, solve_ghost
 from .artin import AbelianClassFamily, abelian_family
 
 
 def coprime_part(value: int, p: int) -> int:
     """Largest factor of value that is relatively prime to p."""
-    while value % p == 0:
-        value //= p
-    return value
+    return value // p ** factorization(value).get(p, 0)
 
 
 class BrauerCertificate:
-    def __init__(self, family: AbelianClassFamily, hyper: frozenset[int], bezout: dict[int, int],
+    def __init__(self, family: AbelianClassFamily, cores: dict[int, list[int]], bezout: dict[int, int],
                  i_n_ghost: dict[int, int], decomposition: dict[int, int],
                  element_checks: tuple[tuple[int, int, int], ...]):
         self.family = family  # the abelian classes on at most n generators, and |G|_n
-        self.hyper = hyper  # the n-hyper classes: hyper_classes over the primes of |G|_n, or 2
+        self.cores = cores  # prime -> core_classification, over the primes of |G|_n, or 2
+        self.hyper = frozenset(k for c in cores.values() for k in hyper_classes(c, family))  # n-hyper classes
         self.bezout = bezout  # prime -> z_p
         self.i_n_ghost = i_n_ghost  # {class index of K: value at (K)}
         self.decomposition = decomposition  # sum_H k_H [G/H], as {class index of H: k_H}
@@ -47,20 +50,27 @@ class BrauerCertificate:
 
 
 def core_classification(lattice: SubgroupLattice, p: int) -> list[int]:
-    """For each class (K), the class index of (O^p(K)); computed once per
-    lattice and prime."""
-    return list(lattice.p_core_classes(p))
+    """For each class (K), the class index of O^p(K), the subgroup
+    generated by the elements of order prime to p; that is K itself when p
+    does not divide |K|."""
+    core = lattice.group.core
+    return [
+        k if cls.order % p else lattice.class_of_mask[_mask(core.closure(
+            x for x in _bits(orbit[0]) if core.orders[x] % p
+        ))]
+        for k, (cls, orbit) in enumerate(zip(lattice.classes, lattice.orbits))
+    ]
 
 
-def hyper_classes(lattice: SubgroupLattice, family: AbelianClassFamily, p: int) -> list[int]:
-    """The classes n-hyper for p: those whose class of O^p(H) is in the
-    abelian family.  H is n-hyper for p when it extends an abelian p'-group
-    on at most n generators by a p-group, and any such subgroup contains
-    O^p(H), so O^p(H) is one whenever one exists.  Being generated by
-    elements of order prime to p, an abelian O^p(H) is a p'-group, so no
-    p' test is needed.  I_(p,n) is (|G|_n)_(p') on these classes and 0
-    elsewhere."""
-    return [k for k, core in enumerate(lattice.p_core_classes(p)) if core in family.members]
+def hyper_classes(cores: list[int], family: AbelianClassFamily) -> list[int]:
+    """The classes n-hyper for p, from core_classification at p: those whose
+    class of O^p(H) is in the abelian family.  H is n-hyper for p when it
+    extends an abelian p'-group on at most n generators by a p-group, and
+    any such subgroup contains O^p(H), so O^p(H) is one whenever one exists.
+    Being generated by elements of order prime to p, an abelian O^p(H) is a
+    p'-group, so no p' test is needed.  I_(p,n) is (|G|_n)_(p') on these
+    classes and 0 elsewhere."""
+    return [k for k, core in enumerate(cores) if core in family.members]
 
 
 def brauer_certificate(table: MarksTable, n: int | float) -> BrauerCertificate:
@@ -73,14 +83,14 @@ def brauer_certificate(table: MarksTable, n: int | float) -> BrauerCertificate:
     """
     lattice = table.lattice
     family = abelian_family(lattice, n)
-    primes = prime_factors(family.order)
-    hyper_by_prime = {p: hyper_classes(lattice, family, p) for p in primes or [2]}
+    primes = list(factorization(family.order))
+    cores = {p: core_classification(lattice, p) for p in primes or [2]}
     scales = [coprime_part(family.order, p) for p in primes]
     bezout = dict(zip(primes, extended_euclid_set(scales))) if primes else {}
 
     i_n: dict[int, int] = {} if primes else dict.fromkeys(range(table.size), 1)
     for (p, z), scale in zip(bezout.items(), scales):
-        for k in hyper_by_prime[p]:
+        for k in hyper_classes(cores[p], family):
             i_n[k] = i_n.get(k, 0) + z * scale
     i_n = {k: v for k, v in i_n.items() if v}
 
@@ -90,7 +100,7 @@ def brauer_certificate(table: MarksTable, n: int | float) -> BrauerCertificate:
         raise InternalInvariantViolation(str(exc)) from exc
     return BrauerCertificate(
         family=family,
-        hyper=frozenset().union(*hyper_by_prime.values()),
+        cores=cores,
         bezout=bezout,
         i_n_ghost=i_n,
         decomposition=decomposition,
@@ -103,11 +113,10 @@ def certificate_payload(cert: BrauerCertificate, table: MarksTable) -> dict:
     family = cert.family
     idempotents = []
     for p in sorted(cert.bezout):
-        cores = lattice.p_core_classes(p)
         for a in family.class_indices:
             if lattice.classes[a].order % p == 0:  # the report lists the p'-classes' idempotents only
                 continue
-            ghost = [1 if core == a else 0 for core in cores]
+            ghost = [1 if core == a else 0 for core in cert.cores[p]]
             idempotents.append({"class": lattice.label_of(a), "p": p, "ghost": ghost})
     return {
         "group": lattice.group.name or "unnamed",

@@ -53,7 +53,7 @@ from itertools import count
 from typing import Sequence
 
 from .cyclotomic import Cyclotomic, cyclotomic_polynomial, reduce_mod_phi
-from .exact import integer, prime_factors, quoted
+from .exact import factorization, integer, quoted
 from .groups import (
     Group,
     Perm,
@@ -275,8 +275,8 @@ def _dixon_schneider(group: Group) -> list[tuple[Cyclotomic, ...]]:
     reps, sizes, k = [cls[0] for cls in members], classes.sizes, len(members)
     # F_p holds the e-th roots of unity as p = 1 mod e; p^2 > 4|G| makes the
     # degree the only root of its square in [1, sqrt|G|], and p prime to |G|
-    p = next(q for q in count(e + 1, e) if q * q > 4 * order and prime_factors(q) == [q])
-    root = next(a for a in range(2, p) if all(pow(a, (p - 1) // q, p) != 1 for q in prime_factors(p - 1)))
+    p = next(q for q in count(e + 1, e) if q * q > 4 * order and factorization(q) == {q: 1})
+    root = next(a for a in range(2, p) if all(pow(a, (p - 1) // q, p) != 1 for q in factorization(p - 1)))
     zetas = [pow(root, (p - 1) // e * t, p) for t in range(e)]
     spaces = [[[int(r == s) for s in range(k)] for r in range(k)]]
     for j in range(1, k):

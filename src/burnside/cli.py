@@ -18,6 +18,7 @@ import math
 import os
 import sys
 import time
+from itertools import islice
 
 from . import artin as artin_mod
 from . import brauer as brauer_mod
@@ -44,7 +45,11 @@ class Report:
     def add_check(self, name: str, ok: bool) -> None:
         self.checks.append((name, bool(ok)))
 
-    def to_json(self) -> str:
+    def write_json(self) -> None:
+        """Write the JSON report and a newline to stdout, then flush: the
+        encoder's chunks go out in batches, so no report's text is held whole.
+        Payloads hold only dicts, lists, tuples, strings, ints and bools, so
+        encoding cannot fail partway through a report."""
         payload = {
             "command": self.command,
             "inputs": self.inputs,
@@ -52,7 +57,10 @@ class Report:
             "checks": [{"name": n, "ok": ok} for n, ok in self.checks],
             "status": self.status,
         }
-        return json.dumps(payload, sort_keys=True, indent=2)
+        chunks = json.JSONEncoder(sort_keys=True, indent=2).iterencode(payload)
+        for batch in iter(lambda: "".join(islice(chunks, 8192)), ""):
+            sys.stdout.write(batch)
+        print(flush=True)
 
     def to_text(self) -> str:
         lines = [f"command: {self.command}"]
@@ -263,7 +271,10 @@ def main(argv: list[str] | None = None) -> int:
     try:
         report: Report = args.func(args)
         report.timing = time.monotonic() - start
-        print(report.to_json() if as_json else report.to_text(), flush=True)
+        if as_json:
+            report.write_json()
+        else:
+            print(report.to_text(), flush=True)
     except Exception as exc:
         if isinstance(exc, BrokenPipeError):  # stdout's reader is gone: keep shutdown's flush silent
             os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())

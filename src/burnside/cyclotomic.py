@@ -15,7 +15,7 @@ import math
 from functools import lru_cache
 from typing import Iterable
 
-from .exact import ExactError, divisors, prime_factors
+from .exact import ExactError, divisors, factorization
 
 
 class NotInSubfield(ExactError):
@@ -24,10 +24,8 @@ class NotInSubfield(ExactError):
 
 @lru_cache(maxsize=None)
 def mobius(n: int) -> int:
-    primes = prime_factors(n)
-    if any(n % (p * p) == 0 for p in primes):
-        return 0
-    return (-1) ** len(primes)
+    exponents = factorization(n).values()
+    return 0 if any(e > 1 for e in exponents) else (-1) ** len(exponents)
 
 
 # ---------------------------------------------------------------------------

@@ -1,13 +1,14 @@
 """Exact integer substrate: integer helpers and integer matrices.
 
-The integer helpers (gcds, Bezout combinations, prime factors, divisors)
-serve every layer; integer() is the grammar of an integer in every input,
-from table files to command-line options.  Integer matrices get row echelon
-bases of streamed row lattices.  Those eliminations alternated on rows and
-columns give a Smith form's elementary divisors, with no transform matrices,
-and one echelon of [M^T | I] gives an integer kernel.  The cyclotomic
-integers of character values build on these helpers in cyclotomic; nothing
-here leaves the integers, and the package uses no floating point.
+The integer helpers (gcds, Bezout combinations, factorization, divisors)
+serve every layer; factorization is the package's one trial division.
+integer() is the grammar of an integer in every input, from table files to
+command-line options.  Integer matrices get row echelon bases of streamed
+row lattices.  Those eliminations alternated on rows and columns give a
+Smith form's elementary divisors, with no transform matrices, and one
+echelon of [M^T | I] gives an integer kernel.  The cyclotomic integers of
+character values build on these helpers in cyclotomic; nothing here leaves
+the integers, and the package uses no floating point.
 """
 
 from __future__ import annotations
@@ -62,31 +63,26 @@ def extended_euclid_set(values: Sequence[int]) -> list[int]:
     return coeffs
 
 
-def prime_factors(n: int) -> list[int]:
-    """The distinct primes dividing n, ascending (empty for n < 2)."""
-    out = []
-    m = n
-    p = 2
-    while p * p <= m:
-        if m % p == 0:
-            out.append(p)
-            while m % p == 0:
-                m //= p
+def factorization(n: int) -> dict[int, int]:
+    """{p: e} with n the product of the p**e, primes ascending (empty for
+    n < 2): divisors, Mobius values, coprime parts and abelian ranks read
+    their primes and exponents here."""
+    out, p = {}, 2
+    while p * p <= n:
+        while n % p == 0:
+            n //= p
+            out[p] = out.get(p, 0) + 1
         p += 1
-    if m > 1:
-        out.append(m)
+    if n > 1:
+        out[n] = 1
     return out
 
 
 def divisors(n: int) -> list[int]:
     """The positive divisors of n, ascending (empty for n < 1)."""
     ds = [1] if n >= 1 else []
-    for p in prime_factors(n):
-        powers, m = [1], n
-        while m % p == 0:
-            m //= p
-            powers.append(powers[-1] * p)
-        ds = [d * q for d in ds for q in powers]
+    for p, e in factorization(n).items():
+        ds = [d * p**k for d in ds for k in range(e + 1)]
     return sorted(ds)
 
 

@@ -33,7 +33,7 @@ from functools import cached_property
 from itertools import combinations
 from typing import Iterable, NamedTuple, Sequence
 
-from .exact import prime_factors, quoted
+from .exact import factorization, quoted
 
 Perm = tuple[int, ...]
 
@@ -297,9 +297,10 @@ class GroupCore:
         every class that extending H by all of them would.
         """
         out, root = [], [0] * len(self.elements)
+        prime_powers = {order for order in set(self.orders) if len(factorization(order)) == 1}
         for x in range(1, len(self.elements)):
             order = self.orders[x]
-            if root[x] or len(prime_factors(order)) != 1:
+            if root[x] or order not in prime_powers:
                 continue
             out.append(x)
             y = x
@@ -540,28 +541,10 @@ class SubgroupLattice:
     def label_of(self, idx: int) -> str:
         return self.classes[idx].label
 
-    def p_core_classes(self, p: int) -> tuple[int, ...]:
-        """For each class (K), the class index of O^p(K), the subgroup
-        generated by the elements of order prime to p; that is K itself when
-        p does not divide |K|.  Computed once per p."""
-        if p not in self._p_core_classes:
-            core = self.group.core
-            self._p_core_classes[p] = tuple(
-                k if cls.order % p else self.class_of_mask[_mask(core.closure(
-                    x for x in _bits(orbit[0]) if core.orders[x] % p != 0
-                ))]
-                for k, (cls, orbit) in enumerate(zip(self.classes, self.orbits))
-            )
-        return self._p_core_classes[p]
-
     @cached_property
     def class_of_mask(self) -> dict[int, int]:
         """Class index of every subgroup, keyed by its bitmask over group.core."""
         return {mask: idx for idx, orbit in enumerate(self.orbits) for mask in orbit}
-
-    @cached_property
-    def _p_core_classes(self) -> dict[int, tuple[int, ...]]:
-        return {}
 
 
 def all_subgroups(group: Group) -> list[frozenset]:
@@ -678,21 +661,14 @@ def _min_generators(core: GroupCore, mask: int, bound: int) -> int:
 
 
 def _abelian_rank(core: GroupCore, elems: list[int]) -> int:
-    """max over primes p of the rank of H/H^p, for abelian H."""
-    order = len(elems)
-    return max(
-        (_elementary_rank(order // len({core.power(x, p) for x in elems}), p) for p in prime_factors(order)),
-        default=0,
-    )
-
-
-def _elementary_rank(quotient: int, p: int) -> int:
-    """The r with p**r == quotient."""
-    rank = 0
-    while p ** (rank + 1) <= quotient:
-        rank += 1
-    assert p ** rank == quotient
-    return rank
+    """max over primes p of the rank of H/H^p, for abelian H: the r with
+    |H/H^p| = p**r."""
+    order, ranks = len(elems), [0]
+    for p in factorization(order):
+        quotient = order // len({core.power(x, p) for x in elems})
+        ranks.append(factorization(quotient)[p])
+        assert p ** ranks[-1] == quotient
+    return max(ranks)
 
 
 def _least_member(orbit: list[int]) -> int:

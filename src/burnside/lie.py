@@ -13,7 +13,7 @@ import json
 import math
 from pathlib import Path
 
-from .exact import prime_factors
+from .exact import factorization
 
 
 class LieDataError(Exception):
@@ -70,7 +70,7 @@ def generator_count(cls: PhiClass) -> int:
     """Topological generators of the class: the component group's largest
     p-rank, with a torus folding into one generator when components are trivial."""
     max_rank = 0
-    for p in {p for v in cls.component_invariants for p in prime_factors(v)}:
+    for p in {p for v in cls.component_invariants for p in factorization(v)}:
         rank = sum(1 for f in cls.component_invariants if f % p == 0)
         max_rank = max(max_rank, rank)
     if max_rank == 0:

@@ -26,7 +26,7 @@ from pathlib import Path
 from hypothesis import strategies as st
 
 from burnside.artin import AbelianClassFamily, abelian_family
-from burnside.brauer import coprime_part
+from burnside.brauer import coprime_part, core_classification
 from burnside.characters import ClassFunction
 from burnside.cyclotomic import Cyclotomic
 from burnside.groups import (
@@ -205,7 +205,7 @@ def local_idempotent(h: int, p: int, table: MarksTable, n: int | float = 1) -> L
     """The idempotent ghost supported on classes whose p-perfect core is (H),
     together with the integral element solving its |G|_n-coprime multiple."""
     lattice = table.lattice
-    cores = lattice.p_core_classes(p)
+    cores = core_classification(lattice, p)
     if cores[h] != h:
         raise NotPPerfect(f"class {lattice.label_of(h)} is not {p}-perfect")
     ghost = {k: 1 for k, core in enumerate(cores) if core == h}

@@ -41,7 +41,7 @@ from burnside.characters import (
     restrict,
 )
 from burnside.cyclotomic import Cyclotomic, NotInSubfield
-from burnside.exact import IntMatrix, prime_factors
+from burnside.exact import IntMatrix, factorization
 from burnside.groups import (
     Group,
     GroupCore,
@@ -238,7 +238,7 @@ def abelian_min_generators(elements: frozenset, degree: int) -> int:
     if not is_abelian_subgroup(elements):
         raise NotAbelian("subgroup is not abelian")
     ranks = [0]
-    for p in prime_factors(len(elements)):
+    for p in factorization(len(elements)):
         index, rank = len(elements) // len({_perm_pow(h, p) for h in elements}), 0
         while index % p == 0:
             index, rank = index // p, rank + 1

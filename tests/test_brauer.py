@@ -14,7 +14,7 @@ from burnside.brauer import (
     hyper_classes,
 )
 from burnside.artin import abelian_family
-from burnside.exact import prime_factors
+from burnside.exact import factorization
 from burnside.groups import (
     BUILTIN_GROUPS,
     builtin_group,
@@ -124,12 +124,12 @@ class TestIPN:
 
     def test_s3_p2(self, tables):
         family = abelian_family(tables["S3"].lattice, 1)
-        assert hyper_classes(tables["S3"].lattice, family, 2) == [0, 1, 2, 3]
+        assert hyper_classes(core_classification(tables["S3"].lattice, 2), family) == [0, 1, 2, 3]
         assert coprime_part(family.order, 2) == 3
 
     def test_s3_p3(self, tables):
         family = abelian_family(tables["S3"].lattice, 1)
-        assert hyper_classes(tables["S3"].lattice, family, 3) == [0, 1, 2]
+        assert hyper_classes(core_classification(tables["S3"].lattice, 3), family) == [0, 1, 2]
         assert coprime_part(family.order, 3) == 2
 
     def test_prime_not_dividing_order(self, tables):
@@ -137,7 +137,7 @@ class TestIPN:
         # pattern is the order on family classes and 0 elsewhere
         table = tables["S3"]
         family = abelian_family(table.lattice, 1)
-        assert hyper_classes(table.lattice, family, 5) == list(family.class_indices)
+        assert hyper_classes(core_classification(table.lattice, 5), family) == list(family.class_indices)
         assert coprime_part(family.order, 5) == 6
 
     @pytest.mark.parametrize("name", FIXTURES)
@@ -148,7 +148,7 @@ class TestIPN:
         table = tables[name]
         lattice = table.lattice
         degree = lattice.group.core.degree
-        hyper = hyper_classes(lattice, abelian_family(lattice, 1), p)
+        hyper = hyper_classes(core_classification(lattice, p), abelian_family(lattice, 1))
         for idx, cls in enumerate(lattice.classes):
             assert (idx in hyper) == is_n_hyper(element_set(cls), 1, p, degree), cls.label
 
@@ -242,13 +242,14 @@ class TestBrauerCertificate:
 
 
 def assert_hyper_rule_matches_reference(lattice):
-    """hyper_classes reads the class of O^p(H) off the lattice, for each
-    prime of |G| or 2; is_n_hyper closes the permutations of O^p(H) and
-    tests them directly."""
+    """core_classification reads the class of O^p(H) off the lattice, for
+    each prime of |G| or 2, and hyper_classes reads the family off it;
+    is_n_hyper closes the permutations of O^p(H) and tests them directly."""
     degree = lattice.group.core.degree
-    for p in prime_factors(lattice.group.order) or [2]:
+    for p in factorization(lattice.group.order) or [2]:
+        cores = core_classification(lattice, p)
         for n in (0, 1, 2, math.inf):
-            hyper = set(hyper_classes(lattice, abelian_family(lattice, n), p))
+            hyper = set(hyper_classes(cores, abelian_family(lattice, n)))
             for h, cls in enumerate(lattice.classes):
                 expected = is_n_hyper(element_set(cls), n, p, degree)
                 assert (h in hyper) == expected, (cls.label, p, n)

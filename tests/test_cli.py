@@ -1,12 +1,16 @@
 """Command-line interface: subcommands, exit codes, JSON determinism."""
 
+import contextlib
+import hashlib
 import json
 import os
 import resource
+import shlex
 import shutil
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -23,7 +27,8 @@ from burnside.restriction import MissingTable, RestrictionError
 
 from group_fixtures import BENCHMARK_GROUPS
 
-SRC_DIR = Path(__file__).parent.parent / "src"
+ROOT = Path(__file__).parent.parent
+SRC_DIR = ROOT / "src"
 DATA_DIR = SRC_DIR / "burnside" / "data"
 
 
@@ -775,6 +780,40 @@ def test_brauer_commands_build_the_abelian_family_once(capsys, monkeypatch, argv
     assert len(built) == 1
 
 
+# the Brauer certificate holds each prime's p-perfect cores, so its payload,
+# verify and the restriction check classify them once per prime of |G|_n:
+# |S4|_1 = 12 has the primes 2 and 3
+@pytest.mark.parametrize("argv", [["brauer", "--n", "1"], ["verify"], ["equalizer", "--mode", "brauer"]],
+                         ids=["brauer", "verify", "equalizer-brauer"])
+def test_p_cores_are_classified_once_per_prime(capsys, monkeypatch, argv):
+    original = brauer.core_classification
+    primes = []
+
+    def counted(lattice, p):
+        primes.append(p)
+        return original(lattice, p)
+
+    for name, module in list(sys.modules.items()):
+        if name == "burnside" or name.startswith("burnside."):
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, counted)
+    code, out, err = run(capsys, *argv, "--group", "S4", "--json")
+    assert code == 0
+    assert sorted(primes) == [2, 3]
+
+
+def test_readme_command_examples_exit_0(capsys, monkeypatch):
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    commands = [shlex.split(line, comments=True) for line in block.splitlines() if line.startswith("burnside ")]
+    assert commands
+    monkeypatch.chdir(ROOT)  # the examples name files relative to the repository root
+    for argv in commands:
+        assert main(argv[1:]) == 0, argv
+        capsys.readouterr()
+
+
 # S4, GL(2,3) and S5 have nonabelian classes, whose generator count only
 # `marks` reports; verify and the equalizer must not search for it.
 @pytest.mark.parametrize("group", ["GL(2,3)", "S4", "S5"])
@@ -853,6 +892,32 @@ def test_c2_6_marks_report_fits_in_256_mb():
     rows = json.loads(done.stdout)["results"]["rows"]
     assert len(rows) == 2825
     assert (rows[0], rows[-1][-1]) == ([[0, 64]], [2824, 1])
+
+
+def test_c2_6_marks_json_streams_in_under_16_mb():
+    # the 5.0 MB report is written in batches of encoder chunks as it is
+    # encoded, so the traced peak is the lattice and the table, not the text;
+    # the digest pins the bytes that one json.dumps of the payload wrote
+    spec = "\n".join(f"({2 * i} {2 * i + 1})" for i in range(6))
+    digest = hashlib.sha256()
+
+    class Sink:
+        def write(self, text):
+            digest.update(text.encode())
+
+        def flush(self):
+            pass
+
+    tracemalloc.start()
+    try:
+        with contextlib.redirect_stdout(Sink()):
+            code = main(["marks", "--group", spec, "--json"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < 16 * 2**20
+    assert digest.hexdigest() == "035c1f74a4035a09ca9f4a4e02d25f6aede7ed86869330ca58e449e98d4c0c29"
 
 
 def test_closed_stdout_exits_2():

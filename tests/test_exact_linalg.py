@@ -16,6 +16,7 @@ from burnside.exact import (
     IntMatrix,
     divisors,
     extended_euclid_set,
+    factorization,
     integer_kernel_basis,
     row_echelon,
     smith_normal_form,
@@ -248,6 +249,13 @@ class TestNumberTheory:
     def test_divisors_and_phi_match_definitions(self):
         for n in range(-3, 201):
             assert divisors(n) == [d for d in range(1, n + 1) if n % d == 0]
+
+    def test_factorization_is_ascending_primes_and_their_exponents(self):
+        for n in range(-3, 201):
+            exponents = factorization(n)
+            assert list(exponents) == sorted(exponents)
+            assert all(divisors(p) == [1, p] and e >= 1 for p, e in exponents.items())
+            assert math.prod(p**e for p, e in exponents.items()) == max(n, 1)
 
     def test_mobius_sums_to_the_unit_indicator(self):
         for n in range(1, 201):
