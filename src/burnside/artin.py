@@ -88,7 +88,7 @@ def artin_certificate(table: MarksTable, n: int | float) -> ArtinCertificate:
 
 def certificate_payload(cert: ArtinCertificate, table: MarksTable) -> dict:
     """JSON-ready dictionary for a certificate."""
-    lattice, classes = table.lattice, table.element_classes
+    lattice, classes = table.lattice, table.lattice.group.element_classes
     family, ghost = cert.family, cert.ghost
     return {
         "group": lattice.group.name or "unnamed",

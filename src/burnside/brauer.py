@@ -109,7 +109,7 @@ def brauer_certificate(table: MarksTable, n: int | float) -> BrauerCertificate:
 
 
 def certificate_payload(cert: BrauerCertificate, table: MarksTable) -> dict:
-    lattice, classes = table.lattice, table.element_classes
+    lattice, classes = table.lattice, table.lattice.group.element_classes
     family = cert.family
     idempotents = []
     for p in sorted(cert.bezout):

@@ -1,7 +1,7 @@
 """Exact character tables and representation-ring data for finite groups.
 
 A character table is its group and its rows of values: each row is a tuple
-of cyclotomic values, one per class of conjugacy_classes(group), and row[0]
+of cyclotomic values, one per class of group.element_classes, and row[0]
 is the degree.  ClassFunction pairs a group with such a tuple for induce,
 restrict and conjugate_function, which no command calls.  A table lives
 on G's index core (GroupCore), as does every groups.Group: G's own on G,
@@ -10,7 +10,8 @@ are keyed by G's indices, so values move between G and its subgroups by
 element index, and permutation tuples only name class representatives in
 table files.  Every loop over elements, in the class matrices, power maps,
 conjugation by g and linear characters, runs on element indices and the
-index form of the classes (groups.ConjugacyClasses).  Induction reads the
+index form of the classes (groups.ConjugacyClasses), read from
+group.element_classes, which each group builds once.  Induction reads the
 count of groups that also gives the marks at single elements, |C_G(g)| *
 |g^G cap S| from class bitmasks: no coset is walked (Serre, Linear
 Representations of Finite Groups (1977), 7.2).  The equalizer does not call
@@ -57,7 +58,6 @@ from .exact import factorization, integer, quoted
 from .groups import (
     Group,
     Perm,
-    conjugacy_classes,
     ConjugacyClasses,
     exponent,
     perm_to_cycles,
@@ -87,10 +87,10 @@ class DegreeSumMismatch(CharacterError):
 
 class ClassFunction:
     """A cyclotomic-valued function on the element classes of a group, one
-    value per class of conjugacy_classes(group)."""
+    value per class of group.element_classes."""
 
     def __init__(self, group: Group, values: tuple[Cyclotomic, ...]):
-        self.group, self.classes, self.values = group, conjugacy_classes(group), values
+        self.group, self.classes, self.values = group, group.element_classes, values
 
     def __eq__(self, other):
         return isinstance(other, ClassFunction) and all(a == b for a, b in zip(self.values, other.values)) \
@@ -133,7 +133,7 @@ def induce(xi: ClassFunction, group: Group) -> ClassFunction:
     The elements of H are bucketed by their class in H, which lies in one
     class of G; the class h^H adds |C_G(g)| * |h^H| / |H| = [C_G(h) : C_H(h)]
     times xi(h) to the value at its G-class.  H is a view of G's core."""
-    classes = conjugacy_classes(group)
+    classes = group.element_classes
     conductor = xi.values[0].conductor if xi.values else 1
     values = [Cyclotomic.zero(conductor)] * len(classes.members)
     for cls, mask, value in zip(xi.classes.members, xi.classes.masks, xi.values):
@@ -144,7 +144,7 @@ def induce(xi: ClassFunction, group: Group) -> ClassFunction:
 
 def restrict(chi: ClassFunction, subgroup: Group) -> ClassFunction:
     """Pull values back along the inclusion of a subgroup on chi's core."""
-    values = tuple(chi.values[chi.classes.class_of[cls[0]]] for cls in conjugacy_classes(subgroup).members)
+    values = tuple(chi.values[chi.classes.class_of[cls[0]]] for cls in subgroup.element_classes.members)
     return ClassFunction(subgroup, values)
 
 
@@ -155,7 +155,7 @@ def conjugate_function(xi: ClassFunction, g: Perm, parent: Group) -> ClassFuncti
     ci = core.inverse[c]
     target = Group(core, _mask(core.conjugate(h, ci) for h in _bits(xi.group.mask)))
     values = tuple(xi.values[xi.classes.class_of[core.conjugate(cls[0], c)]]
-                   for cls in conjugacy_classes(target).members)
+                   for cls in target.element_classes.members)
     return ClassFunction(target, values)
 
 
@@ -165,10 +165,10 @@ def conjugate_function(xi: ClassFunction, g: Perm, parent: Group) -> ClassFuncti
 
 class CharacterTable:
     """The irreducible characters of a group, each row a tuple of values,
-    one per class of conjugacy_classes(group)."""
+    one per class of group.element_classes."""
 
     def __init__(self, group: Group, rows: tuple[tuple[Cyclotomic, ...], ...]):
-        self.group, self.classes, self.rows = group, conjugacy_classes(group), rows
+        self.group, self.classes, self.rows = group, group.element_classes, rows
         # conductor n -> per row, size-weighted conjugated values at n
         self._weighted_rows: dict = {}
         validate_table(self)
@@ -245,7 +245,7 @@ def linear_characters(group: Group) -> list[tuple[Cyclotomic, ...]]:
     character chi of H has exactly m extensions: chi(g) = zeta_e^t with
     m t = chi(g^m) mod e, and chi(h g^j) = chi(h) chi(g)^j.  As g^m has order
     |g| / m, which divides e / m, the exponent of chi(g^m) is a multiple of m."""
-    classes, core, e = conjugacy_classes(group), group.core, exponent(group)
+    classes, core, e = group.element_classes, group.core, exponent(group)
     elems, position = [0], {0: 0}  # the elements of H, and the position of each
     chars = [[0]]  # chars[i][r] = k with chi_i(elems[r]) = zeta_e^k
     for g in group.gens:
@@ -270,7 +270,7 @@ def character_table(group: Group) -> CharacterTable:
 def _dixon_schneider(group: Group) -> list[tuple[Cyclotomic, ...]]:
     """The irreducible characters, from the common eigenvectors of the class
     matrices over F_p, each value lifted exactly to Z[zeta_e], e = exp(G)."""
-    core, order, e, classes = group.core, group.order, exponent(group), conjugacy_classes(group)
+    core, order, e, classes = group.core, group.order, exponent(group), group.element_classes
     members, class_of = classes.members, classes.class_of
     reps, sizes, k = [cls[0] for cls in members], classes.sizes, len(members)
     # F_p holds the e-th roots of unity as p = 1 mod e; p^2 > 4|G| makes the
@@ -483,7 +483,7 @@ def load_character_table(path: str, group: Group) -> CharacterTable:
     e = math.lcm(*group.core.orders)
     if 2 * e % conductor:
         raise MalformedEntry(f"conductor {conductor} does not divide 2 * exp(G) = 2 * {e}")
-    classes = conjugacy_classes(group)
+    classes = group.element_classes
     if len(class_reps) != len(classes.members):
         raise MalformedEntry(
             f"file has {len(class_reps)} classes, group has {len(classes.members)}"

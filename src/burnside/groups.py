@@ -11,18 +11,19 @@ int bitmask with bit i set when element i belongs to it.  A Group is a core
 and a bitmask: G is the full mask of its own core, and a subgroup whose
 character table is read is G's core with the subgroup's mask.  Its order is
 the mask's popcount, its gens are greedy generator indices, and
-conjugacy_classes gives its element classes in G's index space: each
-class's element indices, and the class of each index.  Permutations live
-on the core and are read only for table files and report labels
-(ConjugacyClasses.label).  A subgroup class holds its representative
-as a bitmask too.  One count, |C_G(g)| * |g^G cap S| from g's class mask
-and the bitmask of S (ConjugacyClasses.conjugators_into), gives the marks
-at single elements and induced characters.  The subgroup lattice is
-enumerated by cyclic extension, one representative per conjugacy class
-extended by one cyclic subgroup per orbit of its normalizer.  Normalizer
-orders and marks are read off the conjugation orbits of those bitmasks, and
-subconjugacy is the closure of the extension edges, one down-set bitmask
-over the class indices per class.
+element_classes holds its element classes in G's index space, built once
+per group by conjugacy_classes: each class's element indices, and the class
+of each index.  Permutations live on the core and are read only for table
+files and report labels (ConjugacyClasses.label).  A subgroup class holds
+its representative as a bitmask too.  One count, |C_G(g)| * |g^G cap S|
+from g's class mask and the bitmask of S
+(ConjugacyClasses.conjugators_into), gives the marks at single elements and
+induced characters.  The subgroup lattice is enumerated by cyclic
+extension, one representative per conjugacy class extended by one cyclic
+subgroup per orbit of its normalizer.  Normalizer orders and marks are read
+off the conjugation orbits of those bitmasks, and subconjugacy is the
+closure of the extension edges, one down-set bitmask over the class indices
+per class.
 """
 
 from __future__ import annotations
@@ -155,10 +156,10 @@ class Group:
         return self.core.generating_set(self.mask)
 
     @cached_property
-    def _conjugacy_classes(self) -> "ConjugacyClasses":
-        """The element conjugacy classes, built on first use and kept on this
-        instance; read them through conjugacy_classes."""
-        return _element_classes(self)
+    def element_classes(self) -> "ConjugacyClasses":
+        """The element conjugacy classes, built by conjugacy_classes on first
+        read and kept on this instance."""
+        return conjugacy_classes(self)
 
 
 class GroupCore:
@@ -328,6 +329,8 @@ def close_under_product(degree: int, generators: Iterable[Perm], cap: int = DEFA
     identity = perm_identity(degree)
     gens = [g for g in generators if g != identity]
     elements = {identity}
+    if len(elements) > cap:
+        raise OrderCapExceeded(f"order exceeds cap {cap}")
     frontier = [identity]
     while frontier:
         nxt = []
@@ -416,7 +419,8 @@ class ConjugacyClasses:
     (identity first): members[c] lists the element indices of class c over
     group.core, ascending, and class_of[x] is the class of element index x,
     keyed by the group's elements.  Permutations appear only at the
-    boundary, in representatives, label and index_of."""
+    boundary, in representatives and label: callers name a class by its
+    index."""
 
     def __init__(self, group: Group, members: tuple[tuple[int, ...], ...]):
         self.group, self.members = group, members
@@ -429,9 +433,6 @@ class ConjugacyClasses:
     @property
     def sizes(self) -> list[int]:
         return [len(cls) for cls in self.members]
-
-    def index_of(self, element: Perm) -> int:
-        return self.class_of[self.group.core.index[element]]
 
     def label(self, c: int) -> str:
         """Class c's name in reports: its first member in cycle notation."""
@@ -452,11 +453,8 @@ class ConjugacyClasses:
 
 def conjugacy_classes(group: Group) -> ConjugacyClasses:
     """Orbits under conjugation by the generators, sorted by element order,
-    then size, then least member.  Computed once per group and kept on it."""
-    return group._conjugacy_classes
-
-
-def _element_classes(group: Group) -> ConjugacyClasses:
+    then size, then least member.  Each call builds them anew; the package
+    reads them through Group.element_classes, which calls this once."""
     core = group.core
     table, orders = core.table, core.orders
     acting = [(table[core.inverse[s]], s) for s in group.gens]  # table[row[y]][s] = s^-1*y*s

@@ -31,16 +31,15 @@ The certificates are also checked at single elements g, where the value of
 the element classes of G and the bitmask of H: |g^G cap H| is the popcount
 of H's mask ANDed with the mask of g's class, so it stays independent of
 the table of marks it is checked against.  It is the count behind
-characters.induce too (ConjugacyClasses.conjugators_into).  element_checks
-reads it per element class and returns each check by class index, with no
-permutation lookup; only a report turns the index into a label.
+characters.induce too (ConjugacyClasses.conjugators_into).
+fixed_points_of_element names g by its class index in G's element_classes,
+and element_checks calls it per element class and returns each check by
+class index; only a report turns the index into a label.
 """
 
 from __future__ import annotations
 
-from functools import cached_property
-
-from .groups import ConjugacyClasses, Perm, SubgroupLattice, conjugacy_classes
+from .groups import SubgroupLattice
 
 
 class BurnsideError(Exception):
@@ -79,11 +78,6 @@ class MarksTable:
     @property
     def size(self) -> int:
         return len(self.lattice.classes)
-
-    @cached_property
-    def element_classes(self) -> ConjugacyClasses:
-        """The element conjugacy classes of G, with their bitmasks."""
-        return conjugacy_classes(self.lattice.group)
 
 
 def _count_containing(orbit: tuple[int, ...], mask: int) -> int:
@@ -163,21 +157,16 @@ def solve_ghost(ghost: dict[int, int], table: MarksTable) -> dict[int, int]:
     return x
 
 
-def fixed_points_of_element(table: MarksTable, h: int, g: Perm) -> int:
-    """|(G/H)^g| for a single group element g, from its class mask.
+def fixed_points_of_element(table: MarksTable, h: int, c: int) -> int:
+    """|(G/H)^g| for g in element class c of G, from the class mask.
 
     g fixes the coset xH iff x^-1 g x lies in H, and each of the
     |g^G cap H| members of g's class in H is x^-1 g x for |C_G(g)| elements
     x, so |(G/H)^g| = |C_G(g)| * |g^G cap H| / |H|.  Raises
     InternalInvariantViolation if |H| does not divide that product.
     """
-    return _fixed_points(table, h, table.element_classes.index_of(g))
-
-
-def _fixed_points(table: MarksTable, h: int, c: int) -> int:
-    """|(G/H)^g| for g in element class c; see fixed_points_of_element."""
     lattice = table.lattice
-    classes = table.element_classes
+    classes = lattice.group.element_classes
     fixed, remainder = divmod(classes.conjugators_into(c, lattice.orbits[h][0]), lattice.classes[h].order)
     if remainder:
         raise InternalInvariantViolation(
@@ -191,6 +180,6 @@ def element_checks(element: dict[int, int], table: MarksTable, expected: int) ->
     c of G and g in c, by class index; the reports label c with
     ConjugacyClasses.label."""
     return tuple(
-        (c, sum(v * _fixed_points(table, h, c) for h, v in element.items()), expected)
-        for c in range(len(table.element_classes.members))
+        (c, sum(v * fixed_points_of_element(table, h, c) for h, v in element.items()), expected)
+        for c in range(len(table.lattice.group.element_classes.members))
     )

@@ -350,7 +350,8 @@ def verify_brauer_restriction(table: MarksTable, n: int | float,
     if n < 1:
         for c, lhs, rhs in element_checks(certificate.decomposition, table, 1):
             if lhs != rhs:
-                raise RestrictionError(f"sum_H k_H |(G/H)^g| = 1 fails at g = {table.element_classes.label(c)}; "
+                label = table.lattice.group.element_classes.label(c)
+                raise RestrictionError(f"sum_H k_H |(G/H)^g| = 1 fails at g = {label}; "
                                        f"restriction check not applicable at n = {n}")
     eq = equalizer_lattice(maximal_members(sorted(certificate.hyper), table.lattice), provider)
     divisors = smith_normal_form(eq.restriction)

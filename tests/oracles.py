@@ -11,7 +11,8 @@ CharacterTable.coordinates; from_coordinates and
 constant_function build class functions; perm_character is g -> |(G/H)^g|;
 frobenius_check and mackey_check test Frobenius reciprocity and the Mackey
 formula with induce, restrict and conjugate_function; table_to_text writes
-a table in the file format load_character_table reads; value_at reads a
+a table in the file format load_character_table reads; class_index names
+the element class of a permutation by its index, and value_at reads a
 class function at a permutation.  subgroup_view wraps a frozenset of
 permutations as a groups.Group on G's core, and element_set and
 representative read a subgroup class's permutations off its bitmask.
@@ -115,8 +116,13 @@ def from_coordinates(table: CharacterTable, coords: Sequence[int]) -> ClassFunct
     return total
 
 
+def class_index(classes: ConjugacyClasses, element: Perm) -> int:
+    """The index of the element class that holds a permutation."""
+    return classes.class_of[classes.group.core.index[element]]
+
+
 def value_at(chi: ClassFunction, element: Perm) -> Cyclotomic:
-    return chi.values[chi.classes.index_of(element)]
+    return chi.values[class_index(chi.classes, element)]
 
 
 def perm_character(group: Group, subgroup: frozenset) -> ClassFunction:

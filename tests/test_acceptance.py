@@ -38,7 +38,7 @@ from burnside.marks import (
 from burnside.restriction import TableProvider, verify_artin_restriction, verify_brauer_restriction
 
 from group_fixtures import benchmark_group, local_idempotent, pointwise, scaled_by, sparse
-from oracles import dense_marks, element_set, frobenius_check, is_n_hyper, mackey_check, subgroup_view
+from oracles import class_index, dense_marks, element_set, frobenius_check, is_n_hyper, mackey_check, subgroup_view
 
 FIXTURES = ["C2", "C3", "C4", "C6", "C2xC2", "S3", "D4", "Q8", "A4", "S4"]
 
@@ -99,7 +99,7 @@ def test_criterion_3_artin_certificates():
             assert cert.family.order == group.order
             for g in group.core.elements:
                 total = sum(
-                    c * fixed_points_of_element(table, h, g)
+                    c * fixed_points_of_element(table, h, class_index(group.element_classes, g))
                     for h, c in cert.alpha.items()
                 )
                 assert total == group.order
@@ -124,7 +124,7 @@ def test_criterion_4_brauer_certificates():
             )
         for g in group.core.elements:
             total = sum(
-                k * fixed_points_of_element(table, h, g)
+                k * fixed_points_of_element(table, h, class_index(group.element_classes, g))
                 for h, k in cert.decomposition.items()
             )
             assert total == 1

@@ -30,7 +30,7 @@ from group_fixtures import (
     sparse,
     unit,
 )
-from oracles import dense_marks, element_set, representative
+from oracles import class_index, dense_marks, element_set, representative
 
 FIXTURES = ["C2", "C3", "C4", "C6", "C2xC2", "S3", "D4", "Q8", "A4", "S4"]
 
@@ -268,15 +268,15 @@ class TestFixedPoints:
             cyclic = close_under_product(group.core.degree, [g])
             k, _ = lattice.class_of_subgroup(cyclic)
             for h in range(table.size):
-                assert fixed_points_of_element(table, h, g) == marks[h][k]
+                assert fixed_points_of_element(table, h, class_index(group.element_classes, g)) == marks[h][k]
 
 
 def assert_fixed_points_match_coset_count(table) -> None:
     """The class-mask count against the coset-by-coset count, for every
     subgroup class and element class."""
-    for g in conjugacy_classes(table.lattice.group).representatives:
+    for c, g in enumerate(conjugacy_classes(table.lattice.group).representatives):
         for h in range(table.size):
-            assert fixed_points_of_element(table, h, g) == coset_fixed_points(table, h, g)
+            assert fixed_points_of_element(table, h, c) == coset_fixed_points(table, h, g)
 
 
 class TestFixedPointsAgainstCosetCount:
@@ -298,12 +298,12 @@ class TestFixedPointsAgainstCosetCount:
         # of their class that also holds 2a's transposition gives
         # |C_G(g)| * |g^G cap H| / |H| = 3 * 1 / 2.
         table = marks_table(subgroup_lattice(builtin_group("S3")))
-        classes = conjugacy_classes(table.lattice.group)
+        classes = table.lattice.group.element_classes
         h = [cls.label for cls in table.lattice.classes].index("2a")
-        g = classes.representatives[2]  # classes are sorted by element order
-        assert fixed_points_of_element(table, h, g) == 0
+        c = 2  # classes are sorted by element order
+        assert fixed_points_of_element(table, h, c) == 0
         masks = list(classes.masks)
         masks[2] |= table.lattice.orbits[h][0] & ~1
         classes.__dict__["masks"] = tuple(masks)
         with pytest.raises(InternalInvariantViolation, match="not integral"):
-            fixed_points_of_element(table, h, g)
+            fixed_points_of_element(table, h, c)

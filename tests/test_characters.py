@@ -50,6 +50,7 @@ from group_fixtures import (
     small_subgroups_of_s6,
 )
 from oracles import (
+    class_index,
     constant_function,
     degrees,
     element_set,
@@ -322,7 +323,7 @@ class TestCharacterTables:
         # Brauer's permutation lemma: complex conjugation fixes as many rows as classes
         real_rows = sum(all(v == v.galois(v.conductor - 1) for v in row) for row in table.rows)
         classes = table.classes
-        real_classes = sum(classes.index_of(perm_inv(rep)) == i for i, rep in enumerate(classes.representatives))
+        real_classes = sum(class_index(classes, perm_inv(rep)) == i for i, rep in enumerate(classes.representatives))
         assert real_rows == real_classes
 
     @pytest.mark.parametrize("name", ["C2", "C3", "C4", "C6", "C2xC2", *ABELIAN_PRESENTATIONS])

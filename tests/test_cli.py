@@ -15,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from burnside import artin, brauer, cli, groups, lie, restriction
+from burnside import artin, brauer, cli, groups, lie, marks, restriction
 from burnside.characters import CharacterError
 from burnside.cli import main
 from burnside.cyclotomic import NotInSubfield
@@ -86,11 +86,23 @@ class TestMarks:
         payload = json.loads(err)
         assert payload["error"]["type"] == "MalformedCycle"
 
-    @pytest.mark.parametrize("cap", ["0", "3", "-5"])
-    def test_cap_below_the_order_is_an_input_error(self, capsys, cap):
-        code, out, err = run(capsys, "marks", "--group", "S3", "--cap", cap, "--json")
+    # the identity counts towards the cap, so a cap below 1 refuses even the
+    # trivial group, named, given as "e" or read from an empty file
+    @pytest.mark.parametrize("source, cap", [
+        (["--group", "S3"], "0"), (["--group", "S3"], "3"), (["--group", "S3"], "-5"),
+        (["--group", "trivial"], "0"), (["--group", "trivial"], "-5"), (["--group", "e"], "0"),
+        (["--file", os.devnull], "0"),
+    ], ids=["0", "3", "-5", "trivial-0", "trivial--5", "e-0", "empty-file-0"])
+    def test_cap_below_the_order_is_an_input_error(self, capsys, source, cap):
+        code, out, err = run(capsys, "marks", *source, "--cap", cap, "--json")
         assert code == 2
         assert json.loads(err)["error"]["type"] == "OrderCapExceeded"
+
+    @pytest.mark.parametrize("source", [["--group", "trivial"], ["--group", "e"], ["--file", os.devnull]],
+                             ids=["trivial", "e", "empty-file"])
+    def test_cap_of_one_admits_the_trivial_group(self, capsys, source):
+        code, out, err = run(capsys, "verify", *source, "--cap", "1", "--json")
+        assert code == 0 and json.loads(out)["inputs"]["order"] == 1
 
     def test_point_at_the_cap_needs_a_larger_cap(self, capsys):
         code, out, err = run(capsys, "verify", "--group", "(0 5000)", "--json")
@@ -801,6 +813,49 @@ def test_p_cores_are_classified_once_per_prime(capsys, monkeypatch, argv):
     code, out, err = run(capsys, *argv, "--group", "S4", "--json")
     assert code == 0
     assert sorted(primes) == [2, 3]
+
+
+def record_calls(monkeypatch, original) -> list:
+    """Rebind original in every loaded burnside module to a wrapper that
+    records each call's positional arguments; return the record."""
+    calls = []
+
+    def recorded(*args):
+        calls.append(args)
+        return original(*args)
+
+    for name, module in list(sys.modules.items()):
+        if name == "burnside" or name.startswith("burnside."):
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, recorded)
+    return calls
+
+
+# Group.element_classes builds a group's element classes on first read and
+# keeps them, so no stage of a command builds them twice for one Group
+@pytest.mark.parametrize("argv", [["verify"], ["artin", "--n", "1"], ["equalizer", "--mode", "artin"],
+                                  ["equalizer", "--mode", "brauer"]],
+                         ids=["verify", "artin", "equalizer-artin", "equalizer-brauer"])
+def test_element_classes_are_built_once_per_group(capsys, monkeypatch, argv):
+    calls = record_calls(monkeypatch, groups.conjugacy_classes)
+    code, out, err = run(capsys, *argv, "--group", "S4", "--json")
+    assert code == 0
+    built = [group for group, in calls]
+    assert built and len({id(group) for group in built}) == len(built)
+
+
+# the certificate's checks at single elements read |(G/H)^g| through
+# fixed_points_of_element, once per support class and element class
+def test_element_checks_run_through_fixed_points_of_element(capsys, monkeypatch):
+    calls = record_calls(monkeypatch, marks.fixed_points_of_element)
+    code, out, err = run(capsys, "artin", "--group", "S4", "--n", "1", "--json")
+    assert code == 0
+    results = json.loads(out)["results"]
+    support = [lattice_class["class"] for lattice_class in results["coefficients"]]
+    assert len(calls) == len(support) * len(results["checks"]) == 4 * 5
+    labels = {(table.lattice.label_of(h), c) for table, h, c in calls}
+    assert labels == {(label, c) for label in support for c in range(len(results["checks"]))}
 
 
 def test_readme_command_examples_exit_0(capsys, monkeypatch):

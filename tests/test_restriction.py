@@ -35,7 +35,7 @@ from burnside.restriction import (
 )
 
 from group_fixtures import BENCHMARK_GROUPS, benchmark_group, dense, small_subgroups_of_s6, sparse
-from oracles import add, element_set, from_coordinates, is_zero, perm_character, scale
+from oracles import add, class_index, element_set, from_coordinates, is_zero, perm_character, scale
 
 
 @pytest.fixture(scope="module")
@@ -259,10 +259,10 @@ class TestEqualizerChecks:
     @staticmethod
     def fusion_inputs(family, provider, lattice):
         """The tables, fusion lists and labels that _check_fusion reads,
-        the fusion found through ConjugacyClasses.index_of."""
+        the fusion found through oracles.class_index."""
         tables = [provider.class_table(i) for i in family]
         g_classes = conjugacy_classes(lattice.group)
-        fusions = [[g_classes.index_of(rep) for rep in t.classes.representatives] for t in tables]
+        fusions = [[class_index(g_classes, rep) for rep in t.classes.representatives] for t in tables]
         return tables, fusions, [lattice.label_of(i) for i in family]
 
     def test_incompatible_basis_column(self, s3_setup):
@@ -385,7 +385,7 @@ def assert_families_closed_under_subconjugacy(lattice):
 def g_classes_met(lattice, family):
     """The G-classes of the elements of the family's class representatives."""
     classes = conjugacy_classes(lattice.group)
-    return {classes.index_of(g) for i in family for g in element_set(lattice.classes[i])}
+    return {class_index(classes, g) for i in family for g in element_set(lattice.classes[i])}
 
 
 def assert_maximal_members_cover(lattice):
@@ -535,7 +535,7 @@ class TestFullFamilyOracle:
 
 
 class TestFusionOracle:
-    """Each member's fusion list, checked without ConjugacyClasses.index_of:
+    """Each member's fusion list, checked without oracles.class_index:
     a member class's representative is conjugate in G to that of its fused
     class, by brute force over G; the fused class sizes add up to |K cap d|
     for each G-class d; and the member's block of M equals the coordinates
