@@ -4,7 +4,7 @@ element whose ghost is the order on every family class.
 The certificate exhibits |G|_n times the unit as induced from abelian
 subgroups on at most n generators, verified pointwise on group elements.
 Like every Burnside-ring element (see marks), alpha = sum_A c_A [G/A] is
-the dict {class index of A: c_A}, with no zero values.
+the dict {class index of A: c_A}, with no zero values; cli writes the report.
 """
 
 from __future__ import annotations
@@ -85,26 +85,3 @@ def artin_certificate(table: MarksTable, n: int | float) -> ArtinCertificate:
     checks = element_checks(alpha, table, family.order) if n >= 1 else ()
     return ArtinCertificate(family, alpha, phi(alpha, table), checks)
 
-
-def certificate_payload(cert: ArtinCertificate, table: MarksTable) -> dict:
-    """JSON-ready dictionary for a certificate."""
-    lattice, classes = table.lattice, table.lattice.group.element_classes
-    family, ghost = cert.family, cert.ghost
-    return {
-        "group": lattice.group.name or "unnamed",
-        "n": "inf" if family.n == math.inf else family.n,
-        "order_n": family.order,
-        "coefficients": [
-            {"class": lattice.label_of(i), "c": c} for i, c in sorted(cert.alpha.items())
-        ],
-        "checks": [
-            {"element_class": classes.label(c), "lhs": lhs, "rhs": rhs}
-            for c, lhs, rhs in cert.element_checks
-        ],
-        "ghost_checks": [
-            {"class": cls.label, "value": ghost.get(i, 0), "expected": family.order if i in family.members else 0}
-            for i, cls in enumerate(lattice.classes)
-        ],
-        "in_ideal": all(ghost.get(k, 0) == family.order for k in family.class_indices),
-        "verified": cert.verified,
-    }

@@ -4,7 +4,7 @@ n-hyper subgroup classes verified pointwise.
 
 The certificate owns its p-local data: core_classification reads the class
 of each p-perfect core O^p(H) off the lattice once per prime of |G|_n, and
-the n-hyper classes and the report's idempotents are read from those cores.
+the n-hyper classes, and cli's report of the idempotents, read those cores.
 
 Ghosts and Burnside-ring elements are {class index: integer} dicts with no
 zero values (see marks): the ghost I_n is summed key by key from the
@@ -12,8 +12,6 @@ scaled I_(p,n), and the decomposition is solved from it.
 """
 
 from __future__ import annotations
-
-import math
 
 from .exact import extended_euclid_set, factorization
 from .groups import SubgroupLattice, _bits, _mask
@@ -107,34 +105,3 @@ def brauer_certificate(table: MarksTable, n: int | float) -> BrauerCertificate:
         element_checks=element_checks(decomposition, table, 1) if n >= 1 else (),
     )
 
-
-def certificate_payload(cert: BrauerCertificate, table: MarksTable) -> dict:
-    lattice, classes = table.lattice, table.lattice.group.element_classes
-    family = cert.family
-    idempotents = []
-    for p in sorted(cert.bezout):
-        for a in family.class_indices:
-            if lattice.classes[a].order % p == 0:  # the report lists the p'-classes' idempotents only
-                continue
-            ghost = [1 if core == a else 0 for core in cert.cores[p]]
-            idempotents.append({"class": lattice.label_of(a), "p": p, "ghost": ghost})
-    return {
-        "group": lattice.group.name or "unnamed",
-        "n": "inf" if family.n == math.inf else family.n,
-        "order_n": family.order,
-        "bezout": [{"p": p, "z_p": z} for p, z in sorted(cert.bezout.items())],
-        "idempotents": idempotents,
-        "i_n_ghost": [cert.i_n_ghost.get(i, 0) for i in range(len(lattice))],
-        "decomposition": [
-            {"class": lattice.label_of(i), "k": k} for i, k in sorted(cert.decomposition.items())
-        ],
-        "checks": [
-            {"element_class": classes.label(c), "lhs": lhs, "rhs": rhs}
-            for c, lhs, rhs in cert.element_checks
-        ],
-        "family_values": [
-            {"class": lattice.label_of(i), "value": cert.i_n_ghost.get(i, 0)} for i in family.class_indices
-        ],
-        "support_hyper": cert.decomposition.keys() <= cert.hyper,
-        "verified": cert.verified,
-    }

@@ -215,15 +215,15 @@ def validate_table(table: CharacterTable) -> None:
     n_classes = len(table.classes.members)
     if len(rows) != n_classes:
         raise DegreeSumMismatch(f"{len(rows)} rows for {n_classes} classes")
-    degrees = []
     for i, row in enumerate(rows):
         if len(row) != n_classes:
             raise CharacterError(f"row {i} has {len(row)} values for {n_classes} classes")
-        if not row[0].is_rational() or row[0].as_rational() <= 0:
+        # a degree divides |G|, so the sum of squares below stays small
+        if not row[0].is_rational() or not 0 < row[0].as_rational() <= group.order:
             raise DegreeSumMismatch(f"bad degree {_format_cyclotomic(row[0])}")
-        degrees.append(row[0].as_rational())
-    if sum(d * d for d in degrees) != group.order:
-        raise DegreeSumMismatch(f"degree squares sum to {sum(d * d for d in degrees)}, not {group.order}")
+    total = sum(row[0].as_rational() ** 2 for row in rows)
+    if total != group.order:
+        raise DegreeSumMismatch(f"degree squares sum to {total}, not {group.order}")
     if any(not v == 1 for v in rows[0]):
         raise CharacterError("first row must be the trivial character")
     # For the square X[i][c] = chi_i(c) and D = diag(|c|), the row relation

@@ -1,10 +1,11 @@
-"""Command-line interface: group ingestion, certificates, verification runs.
+"""Command-line interface: group ingestion, every report and its keys.
 
 Exit codes: 0 all checks pass, 1 a check failed, 2 input error, 3 internal
 error (an invariant the code relies on did not hold).  Each package error
 class names its code in its exit_code attribute; an OSError is an input
-error, and any other exception an internal one.
-JSON reports are deterministic for identical inputs (timing is text-only).
+error, and any other exception an internal one.  JSON reports are
+deterministic for identical inputs (timing is text-only); artin_results
+and brauer_results write the certificate reports from the certificates.
 The character, restriction and compact-group layers are imported by the
 commands that run them, so verify, marks, artin and brauer never load them.
 """
@@ -30,7 +31,7 @@ from .groups import (
     subgroup_lattice,
     parse_group,
 )
-from .marks import NotInImage, marks_table, solve_ghost
+from .marks import MarksTable, NotInImage, marks_table, solve_ghost
 
 
 class Report:
@@ -63,15 +64,13 @@ class Report:
         print(flush=True)
 
     def to_text(self) -> str:
-        lines = [f"command: {self.command}"]
-        for key, value in self.inputs.items():
-            lines.append(f"  {key}: {value}")
-        for key, value in self.results.items():
-            lines.append(f"{key}: {value}")
-        for name, ok in self.checks:
-            lines.append(f"[{'ok' if ok else 'FAIL'}] {name}")
-        lines.append(f"status: {self.status} ({self.timing:.3f}s)")
-        return "\n".join(lines)
+        return "\n".join([
+            f"command: {self.command}",
+            *(f"  {key}: {value}" for key, value in self.inputs.items()),
+            *(f"{key}: {value}" for key, value in self.results.items()),
+            *(f"[{'ok' if ok else 'FAIL'}] {name}" for name, ok in self.checks),
+            f"status: {self.status} ({self.timing:.3f}s)",
+        ])
 
 
 def _parse_n(text: str) -> int | float:
@@ -85,6 +84,12 @@ def _parse_n(text: str) -> int | float:
 
 def _format_n(n: int | float) -> str:
     return "inf" if n == math.inf else str(n)
+
+
+def _nonempty(text: str) -> str:
+    if text:
+        return text
+    raise argparse.ArgumentTypeError("expected a nonempty value")
 
 
 def _load_group(args) -> Group:
@@ -115,14 +120,53 @@ def cmd_marks(args) -> Report:
     return report
 
 
+def _certificate_results(cert, table: MarksTable, before_checks: dict, after_checks: dict) -> dict:
+    family, classes = cert.family, table.lattice.group.element_classes
+    checks = [{"element_class": classes.label(c), "lhs": lhs, "rhs": rhs} for c, lhs, rhs in cert.element_checks]
+    return {"group": table.lattice.group.name or "unnamed", "n": "inf" if family.n == math.inf else family.n,
+            "order_n": family.order, **before_checks, "checks": checks, **after_checks, "verified": cert.verified}
+
+
+def artin_results(cert: artin_mod.ArtinCertificate, table: MarksTable) -> dict:
+    lattice, family, ghost = table.lattice, cert.family, cert.ghost
+    coefficients = [{"class": lattice.label_of(i), "c": c} for i, c in sorted(cert.alpha.items())]
+    return _certificate_results(cert, table, {"coefficients": coefficients}, {
+        "ghost_checks": [
+            {"class": cls.label, "value": ghost.get(i, 0), "expected": family.order if i in family.members else 0}
+            for i, cls in enumerate(lattice.classes)
+        ],
+        "in_ideal": all(ghost.get(k, 0) == family.order for k in family.class_indices),
+    })
+
+
+def brauer_results(cert: brauer_mod.BrauerCertificate, table: MarksTable) -> dict:
+    lattice, family = table.lattice, cert.family
+    return _certificate_results(cert, table, {
+        "bezout": [{"p": p, "z_p": z} for p, z in sorted(cert.bezout.items())],
+        "idempotents": [  # the p'-classes' idempotents only
+            {"class": lattice.label_of(a), "p": p, "ghost": [1 if core == a else 0 for core in cert.cores[p]]}
+            for p in sorted(cert.bezout) for a in family.class_indices if lattice.classes[a].order % p
+        ],
+        "i_n_ghost": [cert.i_n_ghost.get(i, 0) for i in range(len(lattice))],
+        "decomposition": [{"class": lattice.label_of(i), "k": k} for i, k in sorted(cert.decomposition.items())],
+    }, {
+        "family_values": [{"class": lattice.label_of(i), "value": cert.i_n_ghost.get(i, 0)}
+                          for i in family.class_indices],
+        "support_hyper": cert.decomposition.keys() <= cert.hyper,
+    })
+
+
 def cmd_certificate(args) -> Report:
-    """The artin and brauer commands: one certificate at n and its payload."""
+    """The artin and brauer commands: one certificate at n and its results."""
     group = _load_group(args)
     table = marks_table(subgroup_lattice(group))
-    module = artin_mod if args.command == "artin" else brauer_mod
-    cert = getattr(module, f"{args.command}_certificate")(table, args.n)
     report = Report(args.command, {"group": group.name or "file", "n": _format_n(args.n)})
-    report.results.update(module.certificate_payload(cert, table))
+    if args.command == "artin":
+        cert = artin_mod.artin_certificate(table, args.n)
+        report.results = artin_results(cert, table)
+    else:
+        cert = brauer_mod.brauer_certificate(table, args.n)
+        report.results = brauer_results(cert, table)
     report.add_check("certificate verified", cert.verified)
     return report
 
@@ -208,8 +252,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p, with_n=True):
-        p.add_argument("--group", help="builtin fixture name")
-        p.add_argument("--file", help="group definition file")
+        source = p.add_mutually_exclusive_group()
+        source.add_argument("--group", type=_nonempty, help="builtin fixture name or group definition text")
+        source.add_argument("--file", type=_nonempty, help="group definition file")
         p.add_argument("--cap", type=integer, default=DEFAULT_ORDER_CAP,
                        help="bound on the group order and on every point (default %(default)s)")
         p.add_argument("--json", action="store_true", help="machine-readable output")
@@ -231,11 +276,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_eq = sub.add_parser("equalizer", help="restriction-theorem verification")
     common(p_eq)
     p_eq.add_argument("--mode", choices=["artin", "brauer"], default="artin")
-    p_eq.add_argument("--tables", help="directory of character table files")
+    p_eq.add_argument("--tables", type=_nonempty, help="directory of character table files")
     p_eq.set_defaults(func=cmd_equalizer)
 
     p_lie = sub.add_parser("lie", help="orders from compact-group class data")
-    p_lie.add_argument("--file", required=True, help="class data JSON file")
+    p_lie.add_argument("--file", type=_nonempty, required=True, help="class data JSON file")
     p_lie.add_argument("--power", type=integer, default=1, help="cartesian power of the data")
     p_lie.add_argument("--n", type=_parse_n, default=1)
     p_lie.add_argument("--json", action="store_true")
@@ -256,6 +301,7 @@ KINDS = {1: "check failed", 2: "error", 3: "internal error"}
 
 def _emit_error(kind: str, exc: Exception, as_json: bool) -> None:
     message = str(exc) or type(exc).__name__  # a bare MemoryError() has no message
+    message = message if len(message) <= 500 else f"{message[:500]}... ({len(message)} characters)"
     if as_json:
         payload = {"error": {"kind": kind, "type": type(exc).__name__, "message": message}}
         print(json.dumps(payload, sort_keys=True), file=sys.stderr)

@@ -7,8 +7,8 @@ import pytest
 from burnside.artin import (
     abelian_family,
     artin_certificate,
-    certificate_payload,
 )
+from burnside.cli import artin_results
 from burnside.groups import builtin_group, perm_mul, subgroup_lattice
 from burnside.marks import marks_table, phi
 
@@ -200,7 +200,7 @@ class TestArtinCertificate:
         top = table.size - 1
         leftover[top] = leftover.get(top, 0) + cert.family.order  # order_n * [G/G] - alpha
         assert in_ideal_jn(leftover, abelian_family(table.lattice, n), table)
-        assert certificate_payload(cert, table)["in_ideal"]
+        assert artin_results(cert, table)["in_ideal"]
 
     def test_n0_is_ghost_level(self, tables):
         table = tables["S3"]
@@ -212,7 +212,7 @@ class TestArtinCertificate:
     def test_payload_shape(self, tables):
         table = tables["S3"]
         cert = artin_certificate(table, 1)
-        payload = certificate_payload(cert, table)
+        payload = artin_results(cert, table)
         assert payload["coefficients"] == [
             {"class": "1a", "c": -3},
             {"class": "2a", "c": 6},

@@ -8,12 +8,12 @@ from hypothesis import given, settings
 
 from burnside.brauer import (
     brauer_certificate,
-    certificate_payload,
     coprime_part,
     core_classification,
     hyper_classes,
 )
 from burnside.artin import abelian_family
+from burnside.cli import brauer_results
 from burnside.exact import factorization
 from burnside.groups import (
     BUILTIN_GROUPS,
@@ -228,7 +228,7 @@ class TestBrauerCertificate:
 
     def test_payload_shape(self, tables):
         cert = brauer_certificate(tables["S3"], 1)
-        payload = certificate_payload(cert, tables["S3"])
+        payload = brauer_results(cert, tables["S3"])
         assert payload["bezout"] == [{"p": 2, "z_p": 1}, {"p": 3, "z_p": -1}]
         assert payload["decomposition"] == [
             {"class": "1a", "k": 1},

@@ -4,6 +4,7 @@ import contextlib
 import hashlib
 import json
 import os
+import re
 import resource
 import shlex
 import shutil
@@ -447,6 +448,69 @@ class TestDeterminism:
         _, second, _ = run(capsys, "marks", "--group", "D4", "--json")
         assert first == second
 
+    # each text report of S3, its status line without the timing: the keys
+    # print in the order each command adds them
+    @pytest.mark.parametrize("argv,lines", [
+        (["marks"], [
+            "command: marks", "  group: S3", "  order: 6",
+            "classes: [{'label': '1a', 'order': 1, 'weyl': 6, 'abelian': True, 'generators': 0}, "
+            "{'label': '2a', 'order': 2, 'weyl': 1, 'abelian': True, 'generators': 1}, "
+            "{'label': '3a', 'order': 3, 'weyl': 2, 'abelian': True, 'generators': 1}, "
+            "{'label': '6a', 'order': 6, 'weyl': 1, 'abelian': False, 'generators': 2}]",
+            "rows: (((0, 6),), ((0, 3), (1, 1)), ((0, 2), (2, 2)), ((0, 1), (1, 1), (2, 1), (3, 1)))",
+            "[ok] marks computed",
+        ]),
+        (["verify"], [
+            "command: verify", "  group: S3", "  order: 6", "subgroup_classes: 4", "order_n: 6",
+            "[ok] marks triangular", "[ok] diagonal equals Weyl orders", "[ok] Weyl order divides row",
+            "[ok] order * indicator solves integrally", "[ok] Artin certificate n=1", "[ok] Artin certificate n=2",
+            "[ok] Artin certificate n=inf", "[ok] Artin ghost certificate n=0", "[ok] Brauer certificate n=1",
+        ]),
+        (["artin", "--n", "1"], [
+            "command: artin", "  group: S3", "  n: 1", "group: S3", "n: 1", "order_n: 6",
+            "coefficients: [{'class': '1a', 'c': -3}, {'class': '2a', 'c': 6}, {'class': '3a', 'c': 3}]",
+            "checks: [{'element_class': '()', 'lhs': 6, 'rhs': 6}, {'element_class': '(1 2)', 'lhs': 6, 'rhs': 6}, "
+            "{'element_class': '(0 1 2)', 'lhs': 6, 'rhs': 6}]",
+            "ghost_checks: [{'class': '1a', 'value': 6, 'expected': 6}, {'class': '2a', 'value': 6, 'expected': 6}, "
+            "{'class': '3a', 'value': 6, 'expected': 6}, {'class': '6a', 'value': 0, 'expected': 0}]",
+            "in_ideal: True", "verified: True", "[ok] certificate verified",
+        ]),
+        (["brauer", "--n", "1"], [
+            "command: brauer", "  group: S3", "  n: 1", "group: S3", "n: 1", "order_n: 6",
+            "bezout: [{'p': 2, 'z_p': 1}, {'p': 3, 'z_p': -1}]",
+            "idempotents: [{'class': '1a', 'p': 2, 'ghost': [1, 1, 0, 0]}, "
+            "{'class': '3a', 'p': 2, 'ghost': [0, 0, 1, 1]}, {'class': '1a', 'p': 3, 'ghost': [1, 0, 1, 0]}, "
+            "{'class': '2a', 'p': 3, 'ghost': [0, 1, 0, 0]}]",
+            "i_n_ghost: [1, 1, 1, 3]",
+            "decomposition: [{'class': '1a', 'k': 1}, {'class': '2a', 'k': -2}, {'class': '3a', 'k': -1}, "
+            "{'class': '6a', 'k': 3}]",
+            "checks: [{'element_class': '()', 'lhs': 1, 'rhs': 1}, {'element_class': '(1 2)', 'lhs': 1, 'rhs': 1}, "
+            "{'element_class': '(0 1 2)', 'lhs': 1, 'rhs': 1}]",
+            "family_values: [{'class': '1a', 'value': 1}, {'class': '2a', 'value': 1}, {'class': '3a', 'value': 1}]",
+            "support_hyper: True", "verified: True", "[ok] certificate verified",
+        ]),
+        (["equalizer", "--mode", "artin"], [
+            "command: equalizer", "  group: S3", "  n: 1", "  mode: artin", "order: 6", "rank: 3",
+            "[ok] psi o res = order * id", "[ok] res o psi = order * id",
+        ]),
+        (["equalizer", "--mode", "brauer"], [
+            "command: equalizer", "  group: S3", "  n: 1", "  mode: brauer", "rank: 3",
+            "elementary_divisors: [1, 1, 1]",
+            "[ok] restriction is a lattice isomorphism",
+        ]),
+        (["lie"], [
+            "command: lie", f"  file: {DATA_DIR / 'so3.json'}", "  power: 1", "  n: 1", "name: SO(3)", "order: 2",
+            "[ok] order computed",
+        ]),
+    ], ids=["marks", "verify", "artin", "brauer", "equalizer-artin", "equalizer-brauer", "lie"])
+    def test_s3_text_report(self, capsys, argv, lines):
+        source = ["--file", str(DATA_DIR / "so3.json")] if argv == ["lie"] else ["--group", "S3"]
+        code, out, err = run(capsys, *argv, *source)
+        assert code == 0, err
+        *body, status = out.splitlines()
+        assert body == lines
+        assert re.fullmatch(r"status: pass \(\d+\.\d{3}s\)", status)
+
 
 S3 = ["--group", "S3", "--json"]
 SO3 = ["--file", str(DATA_DIR / "so3.json"), "--json"]
@@ -482,6 +546,9 @@ HUGE_REPEATED_POINT_MESSAGE = (f"point '{'9' * 32}'... (4000 characters) appears
                                f"in '({'9' * 31}'... (8008 characters)")
 HUGE_CLASS_POINT_MESSAGE = f"point '{'9' * 32}'... (4000 characters) out of range for degree 3"
 NOT_UTF8 = "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"
+# a message of more than 500 characters shows its first 500 and its length
+HUGE_DEGREE_MESSAGE = f"bad degree {'9' * 489}... (2511 characters)"
+HUGE_CONDUCTOR_MESSAGE = f"conductor must be positive, not -{'9' * 467}... (3033 characters)"
 
 # one row per error family that main maps to an exit code, and one per
 # kind of malformed input the standard library would otherwise report
@@ -529,6 +596,12 @@ EXIT_CODES = [
     # past int()'s digit limit: an input error, not a ValueError
     malformed("entry-huge-integer", s3_tables(b"row: 1 1 1", b"row: 1 -" + b"9" * 5000 + b" 1"), S3_TABLES,
               "MalformedEntry", HUGE_ENTRY_MESSAGE),
+    # a degree past |G| is refused before the squares of the degrees are
+    # summed, whose text would pass str()'s 4,300-digit limit
+    malformed("degree-past-the-order", s3_tables(b"row: 1 1 1", b"row: " + b"9" * 2500 + b" 1 1"), S3_TABLES,
+              "DegreeSumMismatch", HUGE_DEGREE_MESSAGE),
+    malformed("conductor-huge-negative", s3_tables(b"conductor: 6", b"conductor: -" + b"9" * 3000), S3_TABLES,
+              "MalformedEntry", HUGE_CONDUCTOR_MESSAGE),
     malformed("unrecognized-line", s3_tables(b"group: 3a", b"group: 3a\nfoo: bar"), S3_TABLES, "MalformedEntry",
               "unrecognized line 'foo: bar'"),
     malformed("missing-conductor", s3_tables(b"conductor: 6\n", b""), S3_TABLES, "MalformedEntry",
@@ -617,6 +690,24 @@ class TestExitCodes:
     def test_non_ascii_integer_option_is_a_usage_error(self, capsys, argv, usage):
         with pytest.raises(SystemExit) as excinfo:
             main(argv)
+        assert excinfo.value.code == 2
+        assert usage in capsys.readouterr().err
+
+    # --group and --file exclude each other, and neither they nor --tables
+    # take an empty value, so no input given is silently dropped
+    @pytest.mark.parametrize("argv,usage", [
+        (["verify", "--file", os.devnull, "--group", "S3"], "argument --group: not allowed with argument --file"),
+        (["artin", "--group", "S3", "--file", os.devnull], "argument --file: not allowed with argument --group"),
+        (["verify", "--file", "", "--group", "S3"], "argument --file: expected a nonempty value"),
+        (["marks", "--file", ""], "argument --file: expected a nonempty value"),
+        (["marks", "--group", ""], "argument --group: expected a nonempty value"),
+        (["equalizer", "--group", "S3", "--tables", ""], "argument --tables: expected a nonempty value"),
+        (["lie", "--file", ""], "argument --file: expected a nonempty value"),
+    ], ids=["file-then-group", "group-then-file", "empty-file-and-group", "empty-file", "empty-group",
+            "empty-tables", "lie-empty-file"])
+    def test_conflicting_or_empty_input_is_a_usage_error(self, capsys, argv, usage):
+        with pytest.raises(SystemExit) as excinfo:
+            main([*argv, "--json"])
         assert excinfo.value.code == 2
         assert usage in capsys.readouterr().err
 
@@ -951,9 +1042,11 @@ def test_c2_6_marks_report_fits_in_256_mb():
 
 def test_c2_6_marks_json_streams_in_under_16_mb():
     # the 5.0 MB report is written in batches of encoder chunks as it is
-    # encoded, so the traced peak is the lattice and the table, not the text;
-    # the digest pins the bytes that one json.dumps of the payload wrote
+    # encoded, so the write's traced peak is about a batch (0.5 MB), where
+    # one json.dumps of the payload peaks at 28 MB; the report is built
+    # untraced, and the digest pins the bytes that one json.dumps wrote
     spec = "\n".join(f"({2 * i} {2 * i + 1})" for i in range(6))
+    report = cli.cmd_marks(cli.build_parser().parse_args(["marks", "--group", spec, "--json"]))
     digest = hashlib.sha256()
 
     class Sink:
@@ -966,12 +1059,12 @@ def test_c2_6_marks_json_streams_in_under_16_mb():
     tracemalloc.start()
     try:
         with contextlib.redirect_stdout(Sink()):
-            code = main(["marks", "--group", spec, "--json"])
+            report.write_json()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert code == 0
-    assert peak < 16 * 2**20
+    assert report.status == "pass"
+    assert peak < 4 * 2**20
     assert digest.hexdigest() == "035c1f74a4035a09ca9f4a4e02d25f6aede7ed86869330ca58e449e98d4c0c29"
 
 
