@@ -11,9 +11,8 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from pathlib import Path
-
-from .exact import factorization
 
 
 class LieDataError(Exception):
@@ -66,13 +65,35 @@ class PhiData:
                     raise LieDataError(f"{cls.label}: omega_closure missing {beyond!r} (not transitively closed)")
 
 
+def _coprime_base(values: tuple[int, ...]) -> list[int]:
+    """Pairwise coprime integers > 1 of which every value is a product of
+    powers, by gcds alone (factor refinement; Bernstein, J. Algorithms 54
+    (2005)): a pending x that shares g > 1 with a base element b is replaced,
+    with b, by g, b/g and x/g.  Each split lowers the product of all pending
+    and base numbers, so the loop ends, and it factors nothing."""
+    base: list[int] = []
+    pending = [v for v in values if v > 1]
+    while pending:
+        x = pending.pop()
+        for i, b in enumerate(base):
+            g = math.gcd(x, b)
+            if g > 1:
+                del base[i]
+                pending += [q for q in (g, b // g, x // g) if q > 1]
+                break
+        else:
+            base.append(x)
+    return base
+
+
 def generator_count(cls: PhiClass) -> int:
     """Topological generators of the class: the component group's largest
-    p-rank, with a torus folding into one generator when components are trivial."""
-    max_rank = 0
-    for p in {p for v in cls.component_invariants for p in factorization(v)}:
-        rank = sum(1 for f in cls.component_invariants if f % p == 0)
-        max_rank = max(max_rank, rank)
+    p-rank, with a torus folding into one generator when components are trivial.
+    Every invariant is a product of powers of a coprime base, so each prime p
+    of a base element b divides exactly the invariants that meet b: that count
+    is the p-rank, and no invariant is factored."""
+    invariants = cls.component_invariants
+    max_rank = max((sum(1 for f in invariants if math.gcd(f, b) > 1) for b in _coprime_base(invariants)), default=0)
     if max_rank == 0:
         return 1 if cls.torus_rank >= 1 else 0
     return max_rank
@@ -89,7 +110,11 @@ def order_n_lie(data: PhiData, n: int | float) -> int:
         selected = [cls for cls in data.classes if generator_count(cls) <= n]
     if not selected:
         raise NoQualifyingClass(f"no class qualifies for n = {n}")
-    return math.lcm(*[cls.weyl_order for cls in selected])
+    order = math.lcm(*[cls.weyl_order for cls in selected])
+    limit = sys.get_int_max_str_digits()  # Python's bound on printing an int, 0 for none
+    if limit and order >= 10 ** limit:
+        raise LieDataError(f"the order has more than {limit} digits, more than a report can print")
+    return order
 
 
 def product(a: PhiData, b: PhiData) -> PhiData:
@@ -167,7 +192,7 @@ def load_phi_data(path: str | Path) -> PhiData:
     try:
         with open(path, "r", encoding="utf-8") as handle:
             raw = json.load(handle)
-    except ValueError as exc:  # a JSONDecodeError or UnicodeDecodeError
+    except (ValueError, RecursionError) as exc:  # a JSONDecodeError, UnicodeDecodeError or deep nesting
         raise LieDataError(f"malformed data file: {exc}") from exc
     _check_fields(raw, _FILE_FIELDS, "data file")
     classes = []

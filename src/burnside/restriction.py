@@ -25,7 +25,8 @@ of F.  The Brauer verification takes S = F_max; the Artin one takes the
 support of its verified certificate, which lies between the two (see
 _artin_section), so the section reads all its rows from the equalizer.
 So tables are read, and with --tables loaded, for the maximal members of
-the n-hyper family, the support of the Artin certificate and G alone.
+the n-hyper family, the support of the Artin certificate and G alone, each
+once per equalizer: no table is cached.
 
 G's table lives on G itself, and each member's on a groups.Group of G's core
 and the member's bitmask, so the command builds one core.  Each member is
@@ -89,22 +90,16 @@ class TableProvider:
 
     A class's table lives on G for the full class and otherwise on G's core
     with its representative's bitmask, so every table shares G's element
-    indices.  The equalizer and the verifications read class tables
-    only; table_for transports a class's table to a conjugate subgroup,
-    again a view of G's core.
+    indices.  Each call builds its table anew; nothing is cached, since the
+    equalizer asks for each table it reads once.  The equalizer and the
+    verifications read class tables only; table_for transports a class's
+    table to a conjugate subgroup, again a view of G's core.
     """
 
     def __init__(self, lattice: SubgroupLattice):
         self.lattice = lattice
-        self._class_tables: dict[int, CharacterTable] = {}
-        self._conjugate_tables: dict[frozenset, CharacterTable] = {}
 
     def class_table(self, class_index: int) -> CharacterTable:
-        if class_index not in self._class_tables:
-            self._class_tables[class_index] = self._build(class_index)
-        return self._class_tables[class_index]
-
-    def _build(self, class_index: int) -> CharacterTable:
         return character_table(self._class_group(class_index))
 
     def _class_group(self, class_index: int) -> Group:
@@ -116,17 +111,12 @@ class TableProvider:
         return Group(self.lattice.group.core, cls.mask, cls.label)
 
     def table_for(self, subgroup: frozenset) -> CharacterTable:
-        if subgroup in self._conjugate_tables:
-            return self._conjugate_tables[subgroup]
         class_index, g = self.lattice.class_of_subgroup(subgroup)
         base = self.class_table(class_index)
         if base.group.mask == self.lattice.group.core.mask(subgroup):
-            table = base
-        else:
-            rows = [conjugate_function(ClassFunction(base.group, row), g, self.lattice.group) for row in base.rows]
-            table = CharacterTable(rows[0].group, tuple(row.values for row in rows))
-        self._conjugate_tables[subgroup] = table
-        return table
+            return base
+        rows = [conjugate_function(ClassFunction(base.group, row), g, self.lattice.group) for row in base.rows]
+        return CharacterTable(rows[0].group, tuple(row.values for row in rows))
 
 
 class DirectoryTables(TableProvider):
@@ -142,7 +132,7 @@ class DirectoryTables(TableProvider):
                                "so it names no table directory")
         self.directory = Path(directory) / name
 
-    def _build(self, class_index: int) -> CharacterTable:
+    def class_table(self, class_index: int) -> CharacterTable:
         label = self.lattice.label_of(class_index)
         path = self.directory / f"{label}.tbl"
         if not path.exists():
@@ -151,9 +141,9 @@ class DirectoryTables(TableProvider):
 
 
 class EqualizerLattice:
-    def __init__(self, family: tuple[int, ...], stacked: IntMatrix, restriction: IntMatrix,
+    def __init__(self, row_classes: tuple[int, ...], stacked: IntMatrix, restriction: IntMatrix,
                  basis: IntMatrix):
-        self.family = family  # subgroup class indices
+        self.row_classes = row_classes  # the family class K of each row (K, psi) of M
         # rows: one per family coordinate (K, psi), block by block; columns: irr(G)
         self.stacked = stacked  # M, the multiplicities <res_K chi, psi>
         self.restriction = restriction  # H, a row echelon basis of M's row lattice: res in basis coordinates
@@ -196,7 +186,7 @@ def equalizer_lattice(family: list[int], provider: TableProvider) -> EqualizerLa
     the block M_L is R * M_K, R the integer matrix of res from K to L, so
     dropping L changes neither M's row lattice nor H, the rank or the Smith
     form, and x_L = res x_K recovers the dropped coordinates.  Only the
-    tables of the given members and of G are read.
+    tables of the given members and of G are read, each once.
 
     All three checks run before the function returns: every basis column
     satisfies the class-fusion equalities above, r equals the number of
@@ -206,21 +196,23 @@ def equalizer_lattice(family: list[int], provider: TableProvider) -> EqualizerLa
     if not family:
         raise EmptyFamily("equalizer over an empty family")
     lattice = provider.lattice
-    tables = [provider.class_table(i) for i in family]
-    top_table = provider.class_table(lattice.full_index)
+    by_class = {k: provider.class_table(k) for k in dict.fromkeys([*family, lattice.full_index])}
+    tables = [by_class[k] for k in family]
+    top_table = by_class[lattice.full_index]
     fusions = [[top_table.classes.class_of[cls[0]] for cls in table.classes.members] for table in tables]
     stacked = [row for table, fusion in zip(tables, fusions) for row in _stacked_block(table, fusion, top_table)]
     echelon = row_echelon(stacked, top_table.size)
-    eq = EqualizerLattice(tuple(family), IntMatrix.from_rows(stacked), IntMatrix.from_rows(echelon),
+    eq = EqualizerLattice(tuple(k for k, table in zip(family, tables) for _ in range(table.size)),
+                          IntMatrix.from_rows(stacked), IntMatrix.from_rows(echelon),
                           IntMatrix.from_rows(_solve_coordinates(echelon, stacked)))
     met = _check_fusion(eq.basis, tables, fusions, [lattice.label_of(i) for i in family])
     if met != eq.rank:
         raise RestrictionError(f"equalizer rank {eq.rank}, but the family meets {met} G-classes")
     for r, (product_row, row) in enumerate(zip((eq.basis @ eq.restriction).entries, stacked, strict=True)):
         if product_row != row:
-            members = [k for k, table in zip(family, tables) for _ in range(table.size)]
+            k = eq.row_classes[r]
             raise RestrictionError("restriction is not in the equalizer lattice: C * H misses the row of M for "
-                                   f"irreducible {r - members.index(members[r])} of {lattice.label_of(members[r])}")
+                                   f"irreducible {r - eq.row_classes.index(k)} of {lattice.label_of(k)}")
     return eq
 
 
@@ -305,7 +297,7 @@ def verify_artin_restriction(table: MarksTable, n: int | float, provider: TableP
     if eq.rank < nirr:
         raise RestrictionError(f"the family meets {eq.rank} of {nirr} G-classes; "
                                f"restriction check not applicable at n = {n}")
-    psi_matrix = _artin_section(eq, certificate.alpha, provider)
+    psi_matrix = _artin_section(eq, certificate.alpha)
     if psi_matrix @ eq.restriction != IntMatrix.identity(nirr).scale(order):  # on R(G)
         raise CompositeMismatch("psi.res")
     if eq.restriction @ psi_matrix != IntMatrix.identity(eq.rank).scale(order):  # on the equalizer
@@ -313,8 +305,7 @@ def verify_artin_restriction(table: MarksTable, n: int | float, provider: TableP
     return order, eq.rank
 
 
-def _artin_section(eq: EqualizerLattice, coefficients: dict[int, int],
-                   provider: TableProvider) -> IntMatrix:
+def _artin_section(eq: EqualizerLattice, coefficients: dict[int, int]) -> IntMatrix:
     """psi = sum_A c_A ind_A in basis coordinates (#irr x rank), as
     (diag(c) * M)^T * C over the rows (A, s) of eq, with c_A = 0 for a member
     outside the support: by Frobenius reciprocity row (A, s) of M holds the
@@ -330,8 +321,7 @@ def _artin_section(eq: EqualizerLattice, coefficients: dict[int, int],
     Then a maximal member K of F has no support class above it, and its
     ghost x_K * |W_K| = |G|_n makes x_K nonzero.
     """
-    scales = [coefficients.get(a, 0) for a in eq.family for _ in range(provider.class_table(a).size)]
-    scaled = [[c * v for v in row] for c, row in zip(scales, eq.stacked.entries, strict=True)]
+    scaled = [[coefficients.get(a, 0) * v for v in row] for a, row in zip(eq.row_classes, eq.stacked.entries)]
     return IntMatrix.from_rows(scaled).transpose() @ eq.basis
 
 

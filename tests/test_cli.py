@@ -382,6 +382,19 @@ class TestLie:
         assert code == 0
         assert json.loads(out)["results"]["order"] == 36
 
+    def test_large_prime_invariant_factor_is_not_factored(self, tmp_path):
+        # 10^18 + 3 is prime, so trial division would run to 10^9; a fresh
+        # interpreter is given 2 s, start-up included
+        path = tmp_path / "prime.json"
+        path.write_text(json.dumps({"name": "prime", "classes": [
+            {"label": "a", "weyl_order": 2, "torus_rank": 0, "component_invariants": [10**18 + 3]},
+        ]}))
+        done = subprocess.run([sys.executable, "-m", "burnside.cli", "lie", "--file", str(path), "--n", "1"],
+                              env=dict(os.environ, PYTHONPATH=str(SRC_DIR)), capture_output=True, text=True,
+                              timeout=2)
+        assert done.returncode == 0
+        assert "order: 2" in done.stdout.splitlines()
+
     @pytest.mark.parametrize("power", ["13", "40", str(10**9)])
     def test_power_past_the_class_limit_fails_fast(self, capsys, power):
         # power 12 of the two SO(3) classes builds 8,190 classes over its
@@ -556,9 +569,9 @@ EXIT_CODES = [
     planted(GroupError, ("planted",), (cli, "parse_group"), ["marks", *S3], 2, "error"),
     planted(OSError, ("planted",), (cli, "parse_group"), ["verify", *S3], 2, "error"),
     planted(LieDataError, ("planted",), (lie.PhiData, "validate"), ["lie", *SO3], 2, "error"),
-    planted(CharacterError, ("planted",), (restriction.TableProvider, "_build"), ["equalizer", *S3], 2, "error"),
+    planted(CharacterError, ("planted",), (restriction.TableProvider, "class_table"), ["equalizer", *S3], 2, "error"),
     # MissingTable subclasses RestrictionError, but is an input error
-    planted(MissingTable, ("planted",), (restriction.DirectoryTables, "_build"),
+    planted(MissingTable, ("planted",), (restriction.DirectoryTables, "class_table"),
             ["equalizer", "--tables", str(DATA_DIR / "tables"), *S3], 2, "error"),
     planted(RestrictionError, ("planted",), (restriction, "equalizer_lattice"),
             ["equalizer", "--mode", "brauer", *S3], 1, "check failed"),
@@ -649,6 +662,15 @@ EXIT_CODES = [
               "LieDataError", "malformed data file: Expecting value: line 1 column 10 (char 9)"),
     malformed("phi-not-utf8", {"bad.json": b"\xff{}"}, ["lie", "--file", "{tmp}/bad.json", "--json"],
               "LieDataError", f"malformed data file: {NOT_UTF8}"),
+    # an order past int()'s 4,300-digit limit cannot be printed, so it is refused
+    malformed("phi-order-past-the-digit-limit", {"huge.json": json.dumps({"name": "x", "classes": [
+        {"label": "a", "weyl_order": 10**1500, "torus_rank": 1},
+    ]}).encode()}, ["lie", "--file", "{tmp}/huge.json", "--power", "3", "--json"], "LieDataError",
+              "the order has more than 4300 digits, more than a report can print"),
+    # JSON nested past the recursion limit is an input error, not a RecursionError
+    malformed("phi-deep-nesting", {"deep.json": b"[" * 100_000}, ["lie", "--file", "{tmp}/deep.json", "--json"],
+              "LieDataError", "malformed data file: maximum recursion depth exceeded while decoding a JSON array "
+              "from a unicode string"),
     malformed("group-not-utf8", {"bad.grp": b"\xff(0 1)\n"}, ["marks", "--file", "{tmp}/bad.grp", "--json"],
               "GroupError", f"{{tmp}}/bad.grp is not UTF-8 text: {NOT_UTF8}"),
 ]
@@ -791,7 +813,7 @@ class TestExitCodes:
             rows = list(eq.restriction.entries)
             rows[-2] = [2 * v for v in rows[-2]]
             rows[-1] = [3 * v for v in rows[-1]]
-            return restriction.EqualizerLattice(eq.family, eq.stacked, IntMatrix.from_rows(rows), eq.basis)
+            return restriction.EqualizerLattice(eq.row_classes, eq.stacked, IntMatrix.from_rows(rows), eq.basis)
 
         original = restriction.equalizer_lattice
         monkeypatch.setattr(restriction, "equalizer_lattice", scaled)

@@ -4,9 +4,10 @@ tests/data/report_digests.json holds, for the builtin groups (Q8 included)
 and the benchmark groups (perfbench/data/workloads.json), the exit code and
 the SHA-256 of the `--json` stdout of `marks`, `verify`, `artin` and
 `brauer` at n = 0, 1, 2 and inf, and `equalizer --mode artin` and
-`--mode brauer` at the same n.  A run that stops on an error writes no
-stdout, so its digest pins the exit code only.  Regenerate it, only when a
-change of the reports is intended, with
+`--mode brauer` at the same n, on computed tables and, for the 11 groups
+with shipped tables, on those read with `--tables`.  A run that stops on
+an error writes no stdout, so its digest pins the exit code only.
+Regenerate it, only when a change of the reports is intended, with
 
     PYTHONPATH=src python tests/test_report_digests.py --write
 """
@@ -32,9 +33,13 @@ from group_fixtures import BENCHMARK_GROUPS  # noqa: E402
 
 DIGESTS = HERE / "data" / "report_digests.json"
 NS = ("0", "1", "2", "inf")
+EQUALIZER = [["equalizer", "--mode", mode, "--n", n] for mode in ("artin", "brauer") for n in NS]
 COMMANDS = [["marks"], ["verify"]] + [
     [command, "--n", n] for command in ("artin", "brauer") for n in NS
-] + [["equalizer", "--mode", mode, "--n", n] for mode in ("artin", "brauer") for n in NS]
+] + EQUALIZER
+# the builtin groups with shipped character tables, one directory each
+TABLES = HERE.parent / "src" / "burnside" / "data" / "tables"
+TABLE_GROUPS = sorted(path.name for path in TABLES.iterdir() if path.is_dir())
 
 
 def _groups():
@@ -56,6 +61,9 @@ def _runs():
     for prefix, spec in _groups():
         for command in COMMANDS:
             yield f"{prefix}/{' '.join(command)}", [*command, "--group", spec]
+    for name in TABLE_GROUPS:
+        for command in EQUALIZER:
+            yield f"tables/{name}/{' '.join(command)}", [*command, "--tables", str(TABLES), "--group", name]
 
 
 def report_digests() -> dict[str, str]:
@@ -78,6 +86,16 @@ def test_every_report_is_unchanged(prefix, spec):
     changed = [
         key for key, argv in _runs()
         if key.startswith(prefix + "/") and expected.get(key) != _digest(argv)
+    ]
+    assert not changed
+
+
+@pytest.mark.parametrize("name", TABLE_GROUPS)
+def test_every_report_on_shipped_tables_is_unchanged(name):
+    expected = _expected()
+    changed = [
+        key for key, argv in _runs()
+        if key.startswith(f"tables/{name}/") and expected.get(key) != _digest(argv)
     ]
     assert not changed
 

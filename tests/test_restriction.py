@@ -506,7 +506,7 @@ def assert_maximal_equalizer_matches_full(table, provider, n):
         assert rank_and_divisors(both) == divisors
     certificate = artin_certificate(table, n)
     eq = equalizer_lattice(list(abelian_family(lattice, n).class_indices), provider)
-    psi = restriction._artin_section(eq, certificate.alpha, provider)
+    psi = restriction._artin_section(eq, certificate.alpha)
     order = certificate.family.order
     assert psi @ eq.restriction == IntMatrix.identity(eq.restriction.cols).scale(order)
     assert eq.restriction @ psi == IntMatrix.identity(eq.rank).scale(order)
@@ -579,26 +579,26 @@ class TestFusionOracle:
 
 
 class CountingTables(TableProvider):
-    """Records the class of every table it builds."""
+    """Records the class of every table requested from it."""
 
     def __init__(self, lattice):
         super().__init__(lattice)
         self.built = []
 
-    def _build(self, class_index):
+    def class_table(self, class_index):
         self.built.append(class_index)
-        return super()._build(class_index)
+        return super().class_table(class_index)
 
 
 class CountingDirectoryTables(DirectoryTables):
-    """Records the class of every table file it loads, on the class, since
-    the CLI makes the instance."""
+    """Records the class of every table file requested from it, on the
+    class, since the CLI makes the instance."""
 
     loaded: list = []
 
-    def _build(self, class_index):
+    def class_table(self, class_index):
         CountingDirectoryTables.loaded.append(class_index)
-        return super()._build(class_index)
+        return super().class_table(class_index)
 
 
 class TestTablesRead:
@@ -629,6 +629,23 @@ class TestTablesRead:
         if mode == "artin":
             expected |= set(artin_certificate(table, 1).alpha)
         assert sorted(CountingDirectoryTables.loaded) == sorted(expected)
+
+    @pytest.mark.parametrize("name,mode", [
+        (name, mode) for name in ("S3", "D4", "Q8", "A4", "S4", "D8", "C2^3", "SL(2,3)", "C2^4")
+        for mode in ("artin", "brauer") if (name, mode) != ("C2^4", "artin")
+    ])
+    def test_computed_tables_are_each_requested_once(self, name, mode):
+        # the equalizer-ladder workload's groups and modes
+        lattice = subgroup_lattice(benchmark_group(name))
+        table = marks_table(lattice)
+        provider = CountingTables(lattice)
+        verify = verify_artin_restriction if mode == "artin" else verify_brauer_restriction
+        verify(table, 1, provider)
+        assert len(provider.built) == len(set(provider.built))
+        expected = {*maximal_members(production_family(lattice, mode), lattice), lattice.full_index}
+        if mode == "artin":
+            expected |= set(artin_certificate(table, 1).alpha)
+        assert set(provider.built) == expected
 
 
 # GroupCore builds per equalizer run: only G's, since G's table lives on G
