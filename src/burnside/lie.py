@@ -111,7 +111,8 @@ def order_n_lie(data: PhiData, n: int | float) -> int:
     if not selected:
         raise NoQualifyingClass(f"no class qualifies for n = {n}")
     order = math.lcm(*[cls.weyl_order for cls in selected])
-    limit = sys.get_int_max_str_digits()  # Python's bound on printing an int, 0 for none
+    # Python's bound on printing an int: 0 for none, and absent before 3.10.7
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     if limit and order >= 10 ** limit:
         raise LieDataError(f"the order has more than {limit} digits, more than a report can print")
     return order

@@ -197,8 +197,7 @@ def equalizer_lattice(family: list[int], provider: TableProvider) -> EqualizerLa
         raise EmptyFamily("equalizer over an empty family")
     lattice = provider.lattice
     by_class = {k: provider.class_table(k) for k in dict.fromkeys([*family, lattice.full_index])}
-    tables = [by_class[k] for k in family]
-    top_table = by_class[lattice.full_index]
+    tables, top_table = [by_class[k] for k in family], by_class[lattice.full_index]
     fusions = [[top_table.classes.class_of[cls[0]] for cls in table.classes.members] for table in tables]
     stacked = [row for table, fusion in zip(tables, fusions) for row in _stacked_block(table, fusion, top_table)]
     echelon = row_echelon(stacked, top_table.size)
@@ -311,7 +310,7 @@ def _artin_section(eq: EqualizerLattice, coefficients: dict[int, int]) -> IntMat
     outside the support: by Frobenius reciprocity row (A, s) of M holds the
     coordinates of ind_A chi_s.
 
-    eq's family must hold the certificate's support.  The verification
+    eq.row_classes must hold the certificate's support.  The verification
     builds eq over that support, which for a verified certificate lies in
     the abelian family F and holds its maximal members F_max, so eq has the
     restriction lattice of F.  The certificate's ghost is |G|_n on F and 0
@@ -321,7 +320,8 @@ def _artin_section(eq: EqualizerLattice, coefficients: dict[int, int]) -> IntMat
     Then a maximal member K of F has no support class above it, and its
     ghost x_K * |W_K| = |G|_n makes x_K nonzero.
     """
-    scaled = [[coefficients.get(a, 0) * v for v in row] for a, row in zip(eq.row_classes, eq.stacked.entries)]
+    scaled = [[coefficients.get(a, 0) * v for v in row]
+              for a, row in zip(eq.row_classes, eq.stacked.entries, strict=True)]
     return IntMatrix.from_rows(scaled).transpose() @ eq.basis
 
 

@@ -61,7 +61,7 @@ def run_main(argv: list[str]) -> tuple[int, str]:
     return code, err.getvalue()
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=500, deadline=None)
 @given(lines=st.lists(GROUP_LINES, max_size=5), command=st.sampled_from([
     ["marks"], ["verify"], ["artin", "--n", "1"], ["brauer", "--n", "2"], ["artin", "--n", "inf"],
 ]))

@@ -80,22 +80,15 @@ def test_digest_file_covers_every_run():
     assert sorted(_expected()) == sorted(key for key, _ in _runs())
 
 
-@pytest.mark.parametrize("prefix,spec", list(_groups()), ids=[p for p, _ in _groups()])
-def test_every_report_is_unchanged(prefix, spec):
+PREFIXES = [prefix for prefix, _ in _groups()] + [f"tables/{name}" for name in TABLE_GROUPS]
+
+
+@pytest.mark.parametrize("prefix", PREFIXES, ids=PREFIXES)
+def test_every_report_is_unchanged(prefix):
     expected = _expected()
     changed = [
         key for key, argv in _runs()
         if key.startswith(prefix + "/") and expected.get(key) != _digest(argv)
-    ]
-    assert not changed
-
-
-@pytest.mark.parametrize("name", TABLE_GROUPS)
-def test_every_report_on_shipped_tables_is_unchanged(name):
-    expected = _expected()
-    changed = [
-        key for key, argv in _runs()
-        if key.startswith(f"tables/{name}/") and expected.get(key) != _digest(argv)
     ]
     assert not changed
 
